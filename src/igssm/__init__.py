@@ -67,7 +67,6 @@ from .sequences import (
     OperatorSequence,
     ParameterSequence,
     WeightedClass,
-    class_bias_bound,
     load_values_csv,
     make_operator,
     make_parameters,
@@ -88,7 +87,6 @@ __all__ = [
     "make_parameters",
     "make_weights",
     "simulate_observation",
-    "class_bias_bound",
     "load_values_csv",
     "stream",
     # conjugate posterior

@@ -25,10 +25,10 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, load_config
-from .experiment import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, run_experiment
+from .experiment import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, _prepare, _Writer, run_experiment
 from .hierarchy import adaptive_estimate, dimension_posterior
 from .posterior import coordinate_posterior
-from .selection import InfeasibleError, check_assumptions, composite_constants
+from .selection import InfeasibleError, check_assumptions
 from .sequences import Observation, simulate_observation
 
 __all__ = ["main"]
@@ -47,23 +47,9 @@ def _load_any(arg: str) -> ExperimentConfig:
     raise ConfigError(f"config {arg!r} is neither a file nor a bundled config name")
 
 
-def _write_csv(path: Path, header: list, rows: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_sidecar(csv_path: Path, cfg: ExperimentConfig, seed: int, **extra) -> None:
-    meta = {
-        "artifact": csv_path.name,
-        "config_sha256": cfg.sha256(),
-        "seed": int(seed),
-        "version": __version__,
-    }
-    meta.update(extra)
-    sidecar = csv_path.with_name(csv_path.stem + ".meta.json")
-    sidecar.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+def _numbered(*columns) -> list:
+    """CSV rows ``(j, columns...)`` with ``j`` counting from 1."""
+    return [(j, *values) for j, values in enumerate(zip(*columns), start=1)]
 
 
 def _read_observation(obs_path: Path) -> tuple:
@@ -73,17 +59,20 @@ def _read_observation(obs_path: Path) -> tuple:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         with open(obs_path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])
             if header[:2] != ["j", "y"]:
                 raise ConfigError(f"{obs_path}: expected header j,y")
             values = np.array([float(row[1]) for row in reader])
+        eps, seed = float(meta["eps"]), int(meta["seed"])
     except OSError as err:
         raise ConfigError(f"cannot read observation: {err}") from err
-    except (ValueError, json.JSONDecodeError, IndexError) as err:
+    except KeyError as err:
+        raise ConfigError(f"{meta_path}: observation sidecar lacks {err}") from err
+    except (ValueError, TypeError, IndexError) as err:
         raise ConfigError(f"malformed observation input: {err}") from err
     if values.size == 0:
         raise ConfigError(f"{obs_path}: no observation rows")
-    return values, float(meta["eps"]), int(meta["seed"])
+    return values, eps, seed
 
 
 def _pick_eps(cfg: ExperimentConfig, arg_eps: float | None) -> float:
@@ -108,11 +97,8 @@ def _cmd_simulate(args) -> int:
     seed = cfg.seed if args.seed is None else args.seed
     op, theta, _ = _build_problem(cfg, eps)
     obs = simulate_observation(theta, op, eps, seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "observation.csv"
-    _write_csv(path, ["j", "y"], [(j + 1, repr(float(y))) for j, y in enumerate(obs.values)])
-    _write_sidecar(path, cfg, seed, eps=eps, n=op.n)
+    writer = _Writer(args.out, cfg, seed)
+    writer.csv("observation.csv", ["j", "y"], _numbered(obs.values), eps=eps, n=op.n)
     if not args.quiet:
         print(f"observation.csv: {op.n} coordinates at eps={eps}")
     return EXIT_OK
@@ -129,15 +115,11 @@ def _cmd_posterior(args) -> int:
         )
     op, _, prior = _build_problem(cfg, eps)
     summary = coordinate_posterior(prior, op, Observation(values, eps, seed))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "posterior.csv"
-    rows = [
-        (j + 1, repr(float(s)), repr(float(m)))
-        for j, (s, m) in enumerate(zip(summary.post_var, summary.post_mean))
-    ]
-    _write_csv(path, ["j", "sigma", "post_mean"], rows)
-    _write_sidecar(path, cfg, seed, eps=eps)
+    writer = _Writer(args.out, cfg, seed)
+    writer.csv(
+        "posterior.csv", ["j", "sigma", "post_mean"],
+        _numbered(summary.post_var, summary.post_mean), eps=eps,
+    )
     if not args.quiet:
         print(f"posterior.csv: {values.size} coordinates")
     return EXIT_OK
@@ -158,30 +140,17 @@ def _cmd_adapt(args) -> int:
     summary = coordinate_posterior(prior, op, Observation(values, eps, seed))
     dist = dimension_posterior(summary, prior, op, eps, c_lambda)
     estimate = adaptive_estimate(summary, prior, op, eps, c_lambda)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    dist_path = out / "dimension_posterior.csv"
-    _write_csv(
-        dist_path,
-        ["m", "log_weight", "prob"],
-        [
-            (m + 1, repr(float(lw)), repr(float(p)))
-            for m, (lw, p) in enumerate(zip(dist.log_weights, dist.probs))
-        ],
+    writer = _Writer(args.out, cfg, seed)
+    writer.csv(
+        "dimension_posterior.csv", ["m", "log_weight", "prob"],
+        _numbered(dist.log_weights, dist.probs), eps=eps, c_lambda=c_lambda,
     )
-    _write_sidecar(dist_path, cfg, seed, eps=eps, c_lambda=c_lambda)
-    est_path = out / "adaptive.csv"
     omega = np.zeros(op.n)
     omega[: estimate.omega.size] = estimate.omega
-    _write_csv(
-        est_path,
-        ["j", "omega", "theta_hat"],
-        [
-            (j + 1, repr(float(w)), repr(float(v)))
-            for j, (w, v) in enumerate(zip(omega, estimate.values))
-        ],
+    writer.csv(
+        "adaptive.csv", ["j", "omega", "theta_hat"],
+        _numbered(omega, estimate.values), eps=eps, c_lambda=c_lambda,
     )
-    _write_sidecar(est_path, cfg, seed, eps=eps, c_lambda=c_lambda)
     if not args.quiet:
         print(f"adaptive.csv: search range {estimate.omega.size} of {op.n} coordinates")
     return EXIT_OK
@@ -189,58 +158,11 @@ def _cmd_adapt(args) -> int:
 
 def _cmd_select(args) -> int:
     cfg = _load_any(args.config)
-    n = cfg.sequence_length()
-    op = cfg.build_operator(n)
-    theta = cfg.build_truth(op.n)
-    prior = cfg.build_prior(op)
-    wclass = cfg.build_class()
-    report = check_assumptions(theta, prior, op, cfg.eps_grid, weighted_class=wclass)
-    c_lambda = cfg.c_lambda_override
-    if c_lambda is None:
-        c_lambda = report.c_lambda
-    constants = composite_constants(
-        report, theta, prior, op, weighted_class=wclass, c_lambda=c_lambda
-    )
-    payload = {
-        "version": __version__,
-        "config_sha256": cfg.sha256(),
-        "n": op.n,
-        "constants": {
-            "d": report.d if np.isfinite(report.d) else "inf",
-            "c_lambda": report.c_lambda,
-            "c_lambda_used": c_lambda,
-            "l_lambda": report.l_lambda,
-            "submultiplicative": report.submultiplicative,
-            "submult_witness": list(report.submult_witness)
-            if report.submult_witness is not None
-            else None,
-            "kappa_oracle": report.kappa_oracle,
-            "kappa_minimax": report.kappa_minimax,
-            "checked_range": report.checked_range,
-            "composite": {k: float(v) for k, v in constants.items()},
-        },
-        "grid": {
-            "eps": list(report.eps_grid),
-            "max_dims": [int(v) for v in report.max_dims],
-            "oracle_dims": [int(v) for v in report.oracle_dims],
-            "oracle_rates": [float(v) for v in report.oracle_rates],
-            "minimax_dims": None
-            if report.minimax_dims is None
-            else [int(v) for v in report.minimax_dims],
-            "minimax_rates": None
-            if report.minimax_rates is None
-            else [float(v) for v in report.minimax_rates],
-            "feasible": [bool(v) for v in report.feasible],
-        },
-    }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "selection.json"
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    header = _prepare(cfg)[-1]
+    _Writer(args.out, cfg, cfg.seed).json("selection.json", header)
     if not args.quiet:
-        dims = ", ".join(
-            f"eps={e}: m*={m}" for e, m in zip(report.eps_grid, report.oracle_dims)
-        )
+        grid = header["grid"]
+        dims = ", ".join(f"eps={e}: m*={m}" for e, m in zip(grid["eps"], grid["oracle_dims"]))
         print(f"selection.json: {dims}")
     return EXIT_OK
 

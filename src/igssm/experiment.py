@@ -6,7 +6,7 @@ Outputs are deterministic for a fixed (config, seed): replication streams
 are keyed by counter, grid tasks are gathered in submission order, and no
 timestamps are embedded.  Exit codes: 0 success, 2 config error, 3
 infeasible configuration, 4 failed acceptance checks (with ``check=True``).
-Partially written artifacts are removed on failure.
+Partially written artifacts are removed on any failure.
 """
 
 from __future__ import annotations
@@ -65,12 +65,11 @@ class ExperimentResult:
 
 def _max_workers() -> int:
     env = os.environ.get("IGSSM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
+    if not env:
+        return min(8, os.cpu_count() or 1)
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ConfigError(f"IGSSM_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _parallel_map(fn, tasks):
@@ -113,15 +112,19 @@ def _jsonable(value):
 
 
 class _Writer:
-    """Serialized artifact writer that can undo itself on failure."""
+    """Serialized artifact writer that can undo itself on failure.
 
-    def __init__(self, out_dir: Path, cfg: ExperimentConfig, seed: int):
-        self.out_dir = out_dir
+    Every CSV gets a ``<stem>.meta.json`` sidecar naming the artifact, the
+    config hash, the seed and the version, plus any extra fields given."""
+
+    def __init__(self, out_dir, cfg: ExperimentConfig, seed: int):
+        self.out_dir = Path(out_dir)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.cfg = cfg
-        self.seed = seed
+        self.seed = int(seed)
         self.written: list = []
 
-    def csv(self, name: str, header: list, rows: list) -> Path:
+    def csv(self, name: str, header: list, rows: list, **extra) -> Path:
         path = self.out_dir / name
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -135,6 +138,7 @@ class _Writer:
             "config_sha256": self.cfg.sha256(),
             "seed": self.seed,
             "version": __version__,
+            **extra,
         }
         sidecar.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
         self.written.append(sidecar)
@@ -155,6 +159,63 @@ class _Writer:
             except OSError:
                 pass
         self.written.clear()
+
+
+def _prepare(cfg: ExperimentConfig) -> tuple:
+    """``(theta, prior, op, wclass, report, c_lambda, constants, header)``:
+    the sequences of ``cfg``, its assumption report and constants, and the
+    ``report.json`` header they give (all of it but the seed).  Shared by
+    ``run_experiment`` and ``igssm select``."""
+    n = cfg.sequence_length()
+    op = cfg.build_operator(n)
+    theta = cfg.build_truth(op.n)
+    prior = cfg.build_prior(op)
+    wclass = cfg.build_class()
+    if wclass is not None and wclass.weights.size != op.n:
+        # explicit operators fix their own length; rebuild the class on it
+        block = cfg.raw["class"]
+        wclass = make_weights(
+            block["family"], op.n, exponent=block["exponent"], radius=block["radius"]
+        )
+
+    report = check_assumptions(theta, prior, op, cfg.eps_grid, weighted_class=wclass)
+    c_lambda = cfg.c_lambda_override
+    if c_lambda is None:
+        c_lambda = report.c_lambda
+    constants = composite_constants(
+        report, theta, prior, op, weighted_class=wclass, c_lambda=c_lambda
+    )
+    header = {
+        "version": __version__,
+        "config_sha256": cfg.sha256(),
+        "n": op.n,
+        "constants": {
+            "d": report.d,
+            "c_lambda": report.c_lambda,
+            "c_lambda_used": c_lambda,
+            "l_lambda": report.l_lambda,
+            "submultiplicative": report.submultiplicative,
+            "submult_witness": report.submult_witness,
+            "kappa_oracle": report.kappa_oracle,
+            "kappa_minimax": report.kappa_minimax,
+            "checked_range": report.checked_range,
+            "composite": constants,
+        },
+        "grid": {
+            "eps": list(report.eps_grid),
+            "max_dims": list(report.max_dims),
+            "oracle_dims": list(report.oracle_dims),
+            "oracle_rates": list(report.oracle_rates),
+            "minimax_dims": None
+            if report.minimax_dims is None
+            else list(report.minimax_dims),
+            "minimax_rates": None
+            if report.minimax_rates is None
+            else list(report.minimax_rates),
+            "feasible": list(report.feasible),
+        },
+    }
+    return theta, prior, op, wclass, report, c_lambda, constants, header
 
 
 def _selection_at(theta, prior, op, wclass, eps):
@@ -366,8 +427,6 @@ def run_experiment(
     the config asks for."""
     if subset not in ("all", "sweep", "audit"):
         raise ValueError(f"unknown subset {subset!r}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     seed = cfg.seed if seed is None else int(seed)
     reps = cfg.mc_reps if reps is None else int(reps)
     draws = cfg.mc_draws
@@ -375,57 +434,8 @@ def run_experiment(
     messages = []
 
     try:
-        n = cfg.sequence_length()
-        op = cfg.build_operator(n)
-        theta = cfg.build_truth(op.n)
-        prior = cfg.build_prior(op)
-        wclass = cfg.build_class()
-        if wclass is not None and wclass.weights.size != op.n:
-            # explicit operators fix their own length; rebuild the class on it
-            block = cfg.raw["class"]
-            wclass = make_weights(
-                block["family"], op.n, exponent=block["exponent"], radius=block["radius"]
-            )
-
-        report = check_assumptions(theta, prior, op, cfg.eps_grid, weighted_class=wclass)
-        c_lambda = cfg.c_lambda_override
-        if c_lambda is None:
-            c_lambda = report.c_lambda
-        constants = composite_constants(
-            report, theta, prior, op, weighted_class=wclass, c_lambda=c_lambda
-        )
-
-        payload = {
-            "version": __version__,
-            "config_sha256": cfg.sha256(),
-            "seed": seed,
-            "n": op.n,
-            "constants": {
-                "d": report.d,
-                "c_lambda": report.c_lambda,
-                "c_lambda_used": c_lambda,
-                "l_lambda": report.l_lambda,
-                "submultiplicative": report.submultiplicative,
-                "submult_witness": report.submult_witness,
-                "kappa_oracle": report.kappa_oracle,
-                "kappa_minimax": report.kappa_minimax,
-                "checked_range": report.checked_range,
-                "composite": constants,
-            },
-            "grid": {
-                "eps": list(report.eps_grid),
-                "max_dims": list(report.max_dims),
-                "oracle_dims": list(report.oracle_dims),
-                "oracle_rates": list(report.oracle_rates),
-                "minimax_dims": None
-                if report.minimax_dims is None
-                else list(report.minimax_dims),
-                "minimax_rates": None
-                if report.minimax_rates is None
-                else list(report.minimax_rates),
-                "feasible": list(report.feasible),
-            },
-        }
+        theta, prior, op, wclass, report, c_lambda, constants, header = _prepare(cfg)
+        payload = {**header, "seed": seed}
 
         fits: dict = {}
         conc_rows: list = []
@@ -488,9 +498,10 @@ def run_experiment(
                 print(f"check failed: {failure}")
         code = EXIT_CHECK if failures else EXIT_OK
         return ExperimentResult(code, list(writer.written), payload, failures)
-    except InfeasibleError as err:
+    except (InfeasibleError, ConfigError) as err:
         writer.cleanup()
-        return ExperimentResult(EXIT_INFEASIBLE, [], {}, [], error=str(err))
-    except ConfigError as err:
+        code = EXIT_INFEASIBLE if isinstance(err, InfeasibleError) else EXIT_CONFIG
+        return ExperimentResult(code, [], {}, [], error=str(err))
+    except BaseException:
         writer.cleanup()
-        return ExperimentResult(EXIT_CONFIG, [], {}, [], error=str(err))
+        raise

@@ -202,8 +202,28 @@ def sample_hierarchical_posterior(
     Returns ``(draws, dims)`` with ``draws`` of shape ``(n_draws, n)`` and
     ``dims`` the 1-indexed dimensions drawn.  The draw order is fixed —
     all dimensions first, then one Gaussian block — so runs are
-    reproducible under a fixed seed.
+    reproducible under a fixed seed.  Only the first ``max(dims)`` columns
+    are random; this function pads the rest with the prior means, which
+    the Monte Carlo harness skips by scoring the unpadded block.
     """
+    dims, block = _draw_hierarchical(summary, prior, op, eps, c_lambda, n_draws, seed, rep)
+    draws = np.tile(prior.means, (n_draws, 1))
+    draws[:, : block.shape[1]] = block
+    return draws, dims
+
+
+def _draw_hierarchical(
+    summary: PosteriorSummary,
+    prior: PriorSpec,
+    op: OperatorSequence,
+    eps: float,
+    c_lambda: float,
+    n_draws: int,
+    seed: int,
+    rep: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(dims, block)``: the drawn dimensions and the first ``max(dims)``
+    columns of the draws, prior means past each draw's dimension."""
     if n_draws < 1:
         raise ValueError("need at least one draw")
     dist = dimension_posterior(summary, prior, op, eps, c_lambda)
@@ -214,11 +234,9 @@ def sample_hierarchical_posterior(
     dims = np.minimum(np.searchsorted(cdf, u, side="right"), m_top - 1) + 1
     width = int(dims.max())
     z = rng.standard_normal((n_draws, width))
-    draws = np.tile(prior.means, (n_draws, 1))
     gauss = summary.post_mean[:width] + np.sqrt(summary.post_var[:width]) * z
     keep = np.arange(1, width + 1) <= dims[:, None]
-    draws[:, :width] = np.where(keep, gauss, draws[:, :width])
-    return draws, dims
+    return dims, np.where(keep, gauss, prior.means[:width])
 
 
 def _check_c(c_lambda: float) -> None:

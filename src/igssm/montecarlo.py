@@ -3,20 +3,26 @@ concentration, and rate regression.
 
 Every routine draws through the package's counter-based streams with one
 stream per replication, so results are reproducible and independent of
-evaluation order.  Squared distances between a draw and the truth are
-always split into the simulated range plus the deterministic remainder
-(stored coordinates beyond the fit plus the analytic family tail), so a
-truncated simulation never silently drops bias mass.
+evaluation order.  The risk, concentration and bracket tasks share one
+replication kernel that cuts the problem at the dimension the task needs
+and simulates only that head.  Squared distances between a draw and the
+truth are always split into the simulated range plus the deterministic
+remainder (stored coordinates beyond the fit plus the analytic family
+tail), so a truncated simulation never silently drops bias mass.
+Posterior draws are never padded here: sieve draws span exactly the cut,
+hierarchical draws are scored on their first ``max(dims)`` columns, and
+the prior-mean coordinates past those enter as one deterministic sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .hierarchy import adaptive_estimate, dimension_posterior, sample_hierarchical_posterior
+from .hierarchy import _draw_hierarchical, adaptive_estimate, dimension_posterior
 from .posterior import PriorSpec, coordinate_posterior, sample_sieve_posterior
 from .rng import AUDIT_DRAW, SUITE_GEN, stream
 from .selection import (
@@ -285,13 +291,40 @@ def _mc_summary(values: np.ndarray, seed: int) -> MCEstimate:
     return MCEstimate(float(np.mean(values)), se, int(reps), int(seed))
 
 
-def _head_problem(
-    theta: ParameterSequence, prior: PriorSpec, op: OperatorSequence, cut: int
-) -> tuple[ParameterSequence, PriorSpec, OperatorSequence, float]:
-    """Truncate the triple at ``cut`` and return the deterministic squared
-    bias carried by everything past the cut."""
+class _Head(NamedTuple):
+    """The problem cut at its first coordinates, with the deterministic
+    squared bias carried by everything past the cut."""
+
+    theta: ParameterSequence
+    prior: PriorSpec
+    op: OperatorSequence
+    remainder: float
+
+
+def _replications(theta, prior, op, eps, reps, seed, cut, statistic):
+    """The replication kernel of every Monte Carlo task: cut the problem at
+    ``cut`` once, then yield ``statistic(head, r, summary)`` for ``r = 0 ..
+    reps - 1``, where ``summary`` is the coordinate posterior of the
+    observation drawn from replication ``r``'s own stream."""
+    if reps < 1:
+        raise ValueError("need at least one replication")
     remainder = float(np.sum((theta.values[cut:] - prior.means[cut:]) ** 2)) + theta.sq_tail()
-    return theta.head(cut), prior.head(cut), op.head(cut), remainder
+    head = _Head(theta.head(cut), prior.head(cut), op.head(cut), remainder)
+    for r in range(reps):
+        obs = simulate_observation(head.theta, head.op, eps, seed, rep=r)
+        yield statistic(head, r, coordinate_posterior(head.prior, head.op, obs))
+
+
+def _draw_distances(head: _Head, block: np.ndarray) -> np.ndarray:
+    """Squared distance from each posterior draw to the truth, given the
+    draws' first columns as the sampler drew them (``m`` for the sieve,
+    ``max(dims)`` for the hierarchical kind).  The prior-mean coordinates
+    from there up to the cut add one deterministic sum, so no ``(draws x
+    cut)`` array is built."""
+    width = block.shape[1]
+    truth = head.theta.values
+    past = float(np.sum((head.prior.means[width:] - truth[width:]) ** 2))
+    return np.sum((block - truth[:width]) ** 2, axis=1) + (past + head.remainder)
 
 
 def mc_mise(
@@ -316,8 +349,6 @@ def mc_mise(
     """
     if kind not in MISE_KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}")
-    if reps < 1:
-        raise ValueError("need at least one replication")
     if kind == "fixed":
         if m is None:
             raise ValueError("fixed kind needs the dimension m")
@@ -337,16 +368,15 @@ def mc_mise(
             raise InfeasibleError(
                 f"oracle dimension {m_star} exceeds the search range {cut} at eps={eps}"
             )
-    theta_h, prior_h, op_h, remainder = _head_problem(theta, prior, op, cut)
-    vals = np.empty(reps)
-    for r in range(reps):
-        obs = simulate_observation(theta_h, op_h, eps, seed, rep=r)
-        summary = coordinate_posterior(prior_h, op_h, obs)
+
+    def loss(head, r, summary):
         if kind == "adaptive":
-            est = adaptive_estimate(summary, prior_h, op_h, eps, c_lambda).values
+            est = adaptive_estimate(summary, head.prior, head.op, eps, c_lambda).values
         else:
             est = summary.post_mean
-        vals[r] = float(np.sum((est - theta_h.values) ** 2)) + remainder
+        return float(np.sum((est - head.theta.values) ** 2)) + head.remainder
+
+    vals = np.array(list(_replications(theta, prior, op, eps, reps, seed, cut, loss)))
     return _mc_summary(vals, seed)
 
 
@@ -364,14 +394,14 @@ def mc_mise_profile(
     dimensions.  Returns ``(mise, se)`` arrays of length ``m_top``."""
     if m_top is None:
         m_top = max_dimension(op, eps)
-    theta_h, prior_h, op_h, _ = _head_problem(theta, prior, op, m_top)
     bias = bias_profile(theta, prior)[:m_top]
+
+    def errors(head, r, summary):
+        return np.cumsum((summary.post_mean - head.theta.values) ** 2) + bias
+
     acc = np.zeros(m_top)
     acc_sq = np.zeros(m_top)
-    for r in range(reps):
-        obs = simulate_observation(theta_h, op_h, eps, seed, rep=r)
-        summary = coordinate_posterior(prior_h, op_h, obs)
-        errs = np.cumsum((summary.post_mean - theta_h.values) ** 2) + bias
+    for errs in _replications(theta, prior, op, eps, reps, seed, m_top, errors):
         acc += errs
         acc_sq += errs**2
     mise = acc / reps
@@ -415,8 +445,6 @@ def mc_concentration(
         raise ValueError("band constant must be >= 1")
     if rate <= 0.0:
         raise ValueError("rate must be positive")
-    if reps < 1 or draws < 1:
-        raise ValueError("need at least one replication and one draw")
     if kind == "fixed":
         if m is None:
             raise ValueError("fixed kind needs the dimension m")
@@ -425,21 +453,18 @@ def mc_concentration(
         if c_lambda is None:
             raise ValueError("hierarchical kind needs the operator constant c_lambda")
         cut = max_dimension(op, eps)
-    theta_h, prior_h, op_h, remainder = _head_problem(theta, prior, op, cut)
     lo = rate / band_constant if two_sided else 0.0
     hi = rate * band_constant
-    fracs = np.empty(reps)
-    for r in range(reps):
-        obs = simulate_observation(theta_h, op_h, eps, seed, rep=r)
-        summary = coordinate_posterior(prior_h, op_h, obs)
+
+    def band_mass(head, r, summary):
         if kind == "fixed":
-            samples = sample_sieve_posterior(cut, summary, prior_h, draws, seed, rep=r)
+            block = sample_sieve_posterior(cut, summary, head.prior, draws, seed, rep=r)
         else:
-            samples, _ = sample_hierarchical_posterior(
-                summary, prior_h, op_h, eps, c_lambda, draws, seed, rep=r
-            )
-        sq = np.sum((samples - theta_h.values) ** 2, axis=1) + remainder
-        fracs[r] = float(np.mean((sq >= lo) & (sq <= hi)))
+            _, block = _draw_hierarchical(summary, head.prior, head.op, eps, c_lambda, draws, seed, r)
+        sq = _draw_distances(head, block)
+        return float(np.mean((sq >= lo) & (sq <= hi)))
+
+    fracs = np.array(list(_replications(theta, prior, op, eps, reps, seed, cut, band_mass)))
     return _mc_summary(fracs, seed)
 
 
@@ -487,18 +512,13 @@ def mc_sieve_deviation(
     risk = risk_decomposition(theta, prior, op, eps, m)
     hi = risk.bias + 3.0 * risk.post_var_sum + 1.5 * m * risk.post_var_max + 4.0 * risk.shift
     lo = risk.bias + risk.post_var_sum - 4.0 * c * (m * risk.post_var_max + risk.shift)
-    theta_h, prior_h, op_h, remainder = _head_problem(theta, prior, op, m)
-    up_fracs = np.empty(reps)
-    lo_fracs = np.empty(reps)
-    for r in range(reps):
-        obs = simulate_observation(theta_h, op_h, eps, seed, rep=r)
-        summary = coordinate_posterior(prior_h, op_h, obs)
-        samples = sample_sieve_posterior(m, summary, prior_h, draws, seed, rep=r)
-        sq = np.sum((samples - theta_h.values) ** 2, axis=1) + remainder
-        up_fracs[r] = float(np.mean(sq > hi))
-        lo_fracs[r] = float(np.mean(sq < lo))
-    upper = _mc_summary(up_fracs, seed)
-    lower = _mc_summary(lo_fracs, seed)
+
+    def deviations(head, r, summary):
+        sq = _draw_distances(head, sample_sieve_posterior(m, summary, head.prior, draws, seed, rep=r))
+        return float(np.mean(sq > hi)), float(np.mean(sq < lo))
+
+    fracs = zip(*_replications(theta, prior, op, eps, reps, seed, m, deviations))
+    upper, lower = (_mc_summary(np.array(f), seed) for f in fracs)
     upper_bound = 2.0 * math.exp(-m / 36.0)
     lower_bound = 2.0 * math.exp(-(c**2) * m / 2.0)
     passed = (
@@ -539,14 +559,12 @@ def mc_bracket_mass(
         theta, prior, op, eps, report, mode=mode,
         weighted_class=weighted_class, c_lambda=c_lambda,
     )
+
+    def outside_mass(head, r, summary):
+        return dimension_posterior(summary, head.prior, head.op, eps, c_lambda).tail_mass(m_lo, m_hi)
+
     cut = max_dimension(op, eps)
-    theta_h, prior_h, op_h, _ = _head_problem(theta, prior, op, cut)
-    vals = np.empty(reps)
-    for r in range(reps):
-        obs = simulate_observation(theta_h, op_h, eps, seed, rep=r)
-        summary = coordinate_posterior(prior_h, op_h, obs)
-        dist = dimension_posterior(summary, prior_h, op_h, eps, c_lambda)
-        vals[r] = dist.tail_mass(m_lo, m_hi)
+    vals = np.array(list(_replications(theta, prior, op, eps, reps, seed, cut, outside_mass)))
     return _mc_summary(vals, seed)
 
 

@@ -203,7 +203,9 @@ def sample_sieve_posterior(
     """Draw ``n_draws`` posterior samples under the sieve prior of dimension
     ``m``: Gaussian in coordinates ``j <= m``, prior mean exactly beyond.
 
-    Returns an array of shape ``(n_draws, n)``.
+    Returns an array of shape ``(n_draws, n)``; the columns past ``m`` are
+    padding.  The Monte Carlo harness cuts the problem at ``m`` before
+    sampling, so its draws carry no padding.
     """
     _check_sieve_dim(m, summary, prior)
     if n_draws < 1:

@@ -33,7 +33,6 @@ __all__ = [
     "make_parameters",
     "make_weights",
     "simulate_observation",
-    "class_bias_bound",
     "load_values_csv",
 ]
 
@@ -375,11 +374,6 @@ def make_weights(family: str, n: int, exponent: float | None = None,
         if w[-1] == 0.0:
             raise OverflowError("exponential weights underflow to zero; shorten the range")
     return WeightedClass(w, radius, family, float(exponent))
-
-
-def class_bias_bound(weighted_class: WeightedClass, m: int) -> float:
-    """Worst-case squared bias ``w_m * radius`` of an ``m``-term fit over the class."""
-    return weighted_class.bias_bound(m)
 
 
 # ---------------------------------------------------------------------------

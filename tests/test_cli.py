@@ -242,6 +242,7 @@ def test_posterior_length_mismatch(tmp_path, capsys):
         ("header", "expected header j,y"),
         ("float", "malformed observation input"),
         ("sidecar", "cannot read observation"),
+        ("empty", "expected header j,y"),
     ],
 )
 def test_malformed_observation_inputs(tmp_path, capsys, breakage, message):
@@ -249,6 +250,9 @@ def test_malformed_observation_inputs(tmp_path, capsys, breakage, message):
     sidecar = tmp_path / "observation.meta.json"
     if breakage == "header":
         obs.write_text("a,b\n1,0.5\n", encoding="utf-8")
+        sidecar.write_text('{"eps": 0.01, "seed": 1}', encoding="utf-8")
+    elif breakage == "empty":
+        obs.write_text("", encoding="utf-8")
         sidecar.write_text('{"eps": 0.01, "seed": 1}', encoding="utf-8")
     elif breakage == "float":
         obs.write_text("j,y\n1,not_a_number\n", encoding="utf-8")
@@ -258,6 +262,22 @@ def test_malformed_observation_inputs(tmp_path, capsys, breakage, message):
     rc = run_cli("posterior", "--config", "pp_small", "--obs", obs, "--out", tmp_path)
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["posterior", "adapt"])
+@pytest.mark.parametrize("missing", ["eps", "seed"])
+def test_sidecar_without_eps_or_seed_exits_config_error(tmp_path, capsys, command, missing):
+    assert run_cli("simulate", "--config", "pp_small", "--out", tmp_path, "--quiet") == 0
+    sidecar = tmp_path / "observation.meta.json"
+    meta = json.loads(sidecar.read_text())
+    del meta[missing]
+    sidecar.write_text(json.dumps(meta), encoding="utf-8")
+    rc = run_cli(
+        command, "--config", "pp_small",
+        "--obs", tmp_path / "observation.csv", "--out", tmp_path,
+    )
+    assert rc == 2
+    assert f"observation sidecar lacks '{missing}'" in capsys.readouterr().err
 
 
 def test_infeasible_run_exits_3(tmp_path, capsys):

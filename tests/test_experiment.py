@@ -6,9 +6,11 @@ import os
 
 import pytest
 
+from igssm import experiment
 from igssm.config import ExperimentConfig
 from igssm.experiment import (
     EXIT_CHECK,
+    EXIT_CONFIG,
     EXIT_INFEASIBLE,
     EXIT_OK,
     run_experiment,
@@ -193,6 +195,27 @@ def test_infeasible_selection_exits_3_and_cleans_up(tmp_path):
     assert res.exit_code == EXIT_INFEASIBLE
     assert "exceeds the search range" in res.error
     assert list(out.iterdir()) == []  # partial artifacts removed
+
+
+def test_unexpected_error_removes_partial_artifacts(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("stage failed")
+
+    monkeypatch.setattr(experiment, "mc_mise", broken)
+    out = tmp_path / "broken"
+    with pytest.raises(RuntimeError, match="stage failed"):
+        run_experiment(small_config(), out, quiet=True)
+    assert list(out.iterdir()) == []  # rates.csv was written before the failure
+
+
+@pytest.mark.parametrize("value", ["two", "1.5", "0", "-3"])
+def test_invalid_thread_count_is_a_config_error(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("IGSSM_THREADS", value)
+    out = tmp_path / "threads"
+    res = run_experiment(small_config(), out, quiet=True)
+    assert res.exit_code == EXIT_CONFIG
+    assert "IGSSM_THREADS must be a positive integer" in res.error
+    assert list(out.iterdir()) == []
 
 
 def test_failed_check_exits_4(tmp_path):

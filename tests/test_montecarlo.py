@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from igssm import (
@@ -24,8 +26,16 @@ from igssm import (
     rate_regression,
     theoretical_exponent,
 )
-from igssm.montecarlo import mc_mise_profile
-from igssm.selection import check_assumptions
+from igssm.hierarchy import (
+    _draw_hierarchical,
+    adaptive_estimate,
+    dimension_posterior,
+    sample_hierarchical_posterior,
+)
+from igssm.montecarlo import _draw_distances, _replications, mc_mise_profile
+from igssm.posterior import coordinate_posterior, sample_sieve_posterior
+from igssm.selection import bracket_dimensions, check_assumptions, max_dimension
+from igssm.sequences import simulate_observation
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +249,144 @@ def test_bracket_mass_deterministic_and_bounded():
     b = mc_bracket_mass(theta, prior, op, 0.01, 50, 12, report, 1.0)
     assert a.value == b.value
     assert 0.0 <= a.value <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# replication kernel against per-replication loops over the public functions
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def small_problems(draw):
+    """A random short problem: operator, truth with an analytic tail, a
+    proper or improper prior, and a noise level."""
+    n = draw(st.integers(4, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    op = make_operator("polynomial", n, decay=draw(st.sampled_from([0.0, 0.5, 1.0])))
+    theta = make_parameters(
+        "polynomial", n,
+        exponent=draw(st.floats(0.6, 2.0)), scale=draw(st.floats(0.1, 2.0)),
+    )
+    if draw(st.booleans()):
+        prior = PriorSpec.gaussian(rng.normal(0.0, 0.3, n), rng.uniform(0.1, 2.0, n))
+    else:
+        prior = PriorSpec.flat(n)
+    eps = draw(st.floats(1e-3, 0.2))
+    return theta, prior, op, eps
+
+
+def _padded_distances(padded, theta, prior):
+    """``|draw - truth|^2`` over the whole stored range plus the family tail,
+    after padding the draws with the prior means to the full length."""
+    full = np.hstack([padded, np.tile(prior.means[padded.shape[1]:], (padded.shape[0], 1))])
+    return np.sum((full - theta.values) ** 2, axis=1) + theta.sq_tail()
+
+
+def _head_loop(theta, prior, op, eps, reps, seed, cut):
+    """The head problem, its remainder, and ``(r, summary)`` per replication,
+    built from the public functions."""
+    remainder = float(np.sum((theta.values[cut:] - prior.means[cut:]) ** 2)) + theta.sq_tail()
+    th, pr, o = theta.head(cut), prior.head(cut), op.head(cut)
+    summaries = [
+        coordinate_posterior(pr, o, simulate_observation(th, o, eps, seed, rep=r))
+        for r in range(reps)
+    ]
+    return th, pr, o, remainder, summaries
+
+
+def _summary_of(vals):
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(vals.size))
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=small_problems(), hierarchical=st.booleans(), seed=st.integers(0, 1000))
+def test_draw_distances_match_padded_public_samplers(problem, hierarchical, seed):
+    theta, prior, op, eps = problem
+    draws = 30
+    cut = max_dimension(op, eps) if hierarchical else max(1, theta.n // 3)
+    head, summary = next(
+        _replications(theta, prior, op, eps, 1, seed, cut, lambda h, r, s: (h, s))
+    )
+    if hierarchical:
+        _, block = _draw_hierarchical(summary, head.prior, head.op, eps, 1.0, draws, seed, 0)
+        padded, _ = sample_hierarchical_posterior(
+            summary, head.prior, head.op, eps, 1.0, draws, seed, rep=0
+        )
+    else:  # the sieve sampler draws exactly the cut
+        block = padded = sample_sieve_posterior(cut, summary, head.prior, draws, seed, rep=0)
+    got = _draw_distances(head, block)
+    want = _padded_distances(padded, theta, prior)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    ordered = np.sort(want)
+    lo = 0.5 * (ordered[draws // 4] + ordered[draws // 4 + 1])
+    hi = 0.5 * (ordered[3 * draws // 4] + ordered[3 * draws // 4 + 1])
+    assert np.array_equal((got >= lo) & (got <= hi), (want >= lo) & (want <= hi))
+
+
+@settings(max_examples=25, deadline=None)
+@given(problem=small_problems(), seed=st.integers(0, 1000))
+def test_mc_mise_equals_serial_loop(problem, seed):
+    theta, prior, op, eps = problem
+    reps = 6
+    m_star = oracle_dimension(theta, prior, op, eps).dimension
+    cut = max_dimension(op, eps)
+    assume(m_star <= cut)
+    for kind, dim in (("oracle", m_star), ("adaptive", cut)):
+        th, pr, o, remainder, summaries = _head_loop(theta, prior, op, eps, reps, seed, dim)
+        vals = np.empty(reps)
+        for r, summary in enumerate(summaries):
+            if kind == "adaptive":
+                est = adaptive_estimate(summary, pr, o, eps, 1.0).values
+            else:
+                est = summary.post_mean
+            vals[r] = float(np.sum((est - th.values) ** 2)) + remainder
+        got = mc_mise(kind, theta, prior, op, eps, reps, seed, c_lambda=1.0)
+        assert (got.value, got.se) == _summary_of(vals)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    problem=small_problems(),
+    hierarchical=st.booleans(),
+    band=st.floats(1.0, 4.0),
+    seed=st.integers(0, 1000),
+)
+def test_mc_concentration_equals_serial_loop(problem, hierarchical, band, seed):
+    theta, prior, op, eps = problem
+    reps, draws = 5, 40
+    sel = oracle_dimension(theta, prior, op, eps)
+    cut = max_dimension(op, eps) if hierarchical else sel.dimension
+    _, pr, o, _, summaries = _head_loop(theta, prior, op, eps, reps, seed, cut)
+    fracs = np.empty(reps)
+    for r, summary in enumerate(summaries):
+        if hierarchical:
+            padded, _ = sample_hierarchical_posterior(summary, pr, o, eps, 1.0, draws, seed, rep=r)
+        else:
+            padded = sample_sieve_posterior(cut, summary, pr, draws, seed, rep=r)
+        sq = _padded_distances(padded, theta, prior)
+        fracs[r] = float(np.mean((sq >= sel.rate / band) & (sq <= sel.rate * band)))
+    got = mc_concentration(
+        "hierarchical" if hierarchical else "fixed", theta, prior, op, eps, band,
+        sel.rate, reps, draws, seed, m=sel.dimension, c_lambda=1.0,
+    )
+    assert (got.value, got.se) == _summary_of(fracs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(problem=small_problems(), seed=st.integers(0, 1000))
+def test_mc_bracket_mass_equals_serial_loop(problem, seed):
+    theta, prior, op, eps = problem
+    reps = 6
+    report = check_assumptions(theta, prior, op, (eps,))
+    cut = max_dimension(op, eps)
+    assume(oracle_dimension(theta, prior, op, eps).dimension <= cut)
+    m_lo, m_hi = bracket_dimensions(theta, prior, op, eps, report, c_lambda=1.0)
+    _, pr, o, _, summaries = _head_loop(theta, prior, op, eps, reps, seed, cut)
+    vals = np.array(
+        [dimension_posterior(s, pr, o, eps, 1.0).tail_mass(m_lo, m_hi) for s in summaries]
+    )
+    got = mc_bracket_mass(theta, prior, op, eps, reps, seed, report, 1.0)
+    assert (got.value, got.se) == _summary_of(vals)
 
 
 # ---------------------------------------------------------------------------
