@@ -213,11 +213,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, reps=False, check=False, eps=False, obs=False):
+    def common(p, seed=False, reps=False, check=False, eps=False, obs=False):
         p.add_argument("--config", required=True, help="config path or bundled config name")
         p.add_argument("--out", default="igssm_out", help="output directory (default: igssm_out)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if reps:
             p.add_argument("--reps", type=int, default=None, help="override MC replications")
         if check:
@@ -228,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--obs", required=True, help="observation.csv from the simulate stage")
 
     p = sub.add_parser("simulate", help="draw one observation vector")
-    common(p, eps=True)
+    common(p, seed=True, eps=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("posterior", help="per-coordinate posterior summary from an observation")
@@ -244,15 +245,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_adapt)
 
     p = sub.add_parser("audit", help="run the tail-bound audit suite")
-    common(p, reps=True)
+    common(p, seed=True, reps=True)
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("sweep", help="rate study: selection, MISE, log-log fit")
-    common(p, reps=True, check=True)
+    common(p, seed=True, reps=True, check=True)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("run", help="full experiment (sweep + concentration + audit)")
-    common(p, reps=True, check=True)
+    common(p, seed=True, reps=True, check=True)
     p.set_defaults(func=_cmd_run)
 
     return parser

@@ -3,10 +3,12 @@ config, runs the requested Monte Carlo stages across the noise grid, and
 writes the CSV/JSON artifacts.
 
 Outputs are deterministic for a fixed (config, seed): replication streams
-are keyed by counter, grid tasks are gathered in submission order, and no
-timestamps are embedded.  Exit codes: 0 success, 2 config error, 3
-infeasible configuration, 4 failed acceptance checks (with ``check=True``).
-Partially written artifacts are removed on any failure.
+are keyed by counter, and no timestamps are embedded.  The risk and
+concentration tasks run one after another, each splitting its own
+replications across the worker threads; the audit configs run in parallel
+and are gathered in submission order.  Exit codes: 0 success, 2 config
+error, 3 infeasible configuration, 4 failed acceptance checks (with
+``check=True``).  Partially written artifacts are removed on any failure.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig
 from .montecarlo import (
-    TailBoundConfig,
+    _parallel_map,
     audit_tail_bounds,
     mc_bracket_mass,
     mc_concentration,
@@ -61,24 +61,6 @@ class ExperimentResult:
     report: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
     error: str | None = None
-
-
-def _max_workers() -> int:
-    env = os.environ.get("IGSSM_THREADS")
-    if not env:
-        return min(8, os.cpu_count() or 1)
-    if not env.strip().isdecimal() or int(env) < 1:
-        raise ConfigError(f"IGSSM_THREADS must be a positive integer, got {env!r}")
-    return int(env)
-
-
-def _parallel_map(fn, tasks):
-    """Map preserving task order; serial when one worker suffices."""
-    workers = min(_max_workers(), max(len(tasks), 1))
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
 
 
 def _cell(value) -> str:
@@ -272,7 +254,7 @@ def _mise_stage(cfg, theta, prior, op, wclass, report, c_lambda, seed, reps):
             dim = report.max_dims[i]
         return [eps, kind, dim, est.value, est.se, est.reps]
 
-    rows = _parallel_map(run, tasks)
+    rows = [run(task) for task in tasks]
 
     fits = {}
     model = cfg.raw["model"]
@@ -349,7 +331,7 @@ def _concentration_stage(cfg, theta, prior, op, wclass, report, constants, c_lam
         dim = sel.dimension if post == "fixed" else m_max
         return [eps, kind, dim, const, sel.rate, None, None, est.value, est.se]
 
-    return _parallel_map(run, tasks)
+    return [run(task) for task in tasks]
 
 
 def _audit_stage(cfg, seed):

@@ -67,18 +67,14 @@ class DimensionDistribution:
         p = _readonly(self.probs)
         if lw.ndim != 1 or lw.size == 0 or lw.shape != p.shape:
             raise ValueError("log weights and probabilities must be matching 1-d arrays")
-        if not np.all(np.isfinite(lw)):
-            raise ValueError("log weights must be finite")
+        _check_log_weights(lw)
         object.__setattr__(self, "log_weights", lw)
         object.__setattr__(self, "probs", p)
 
     @classmethod
     def from_log_weights(cls, log_weights: np.ndarray, kind: str) -> "DimensionDistribution":
         lw = np.asarray(log_weights, dtype=np.float64)
-        shifted = lw - np.max(lw)
-        p = np.exp(shifted)
-        p /= p.sum()
-        return cls(lw, p, kind)
+        return cls(lw, _normalise(lw, np.empty_like(lw)), kind)
 
     @property
     def support_size(self) -> int:
@@ -86,9 +82,72 @@ class DimensionDistribution:
 
     def tail_mass(self, m_lo: int, m_hi: int) -> float:
         """Posterior mass outside the bracket ``[m_lo, m_hi]`` (1-indexed)."""
-        if not 1 <= m_lo <= m_hi <= self.support_size:
-            raise ValueError(f"bracket [{m_lo}, {m_hi}] outside 1..{self.support_size}")
-        return float(np.sum(self.probs[: m_lo - 1]) + np.sum(self.probs[m_hi:]))
+        return _outside_mass(self.probs, m_lo, m_hi)
+
+
+def _check_log_weights(lw: np.ndarray) -> None:
+    if not np.all(np.isfinite(lw)):
+        raise ValueError("log weights must be finite")
+
+
+def _normalise(lw: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``exp(lw - max(lw))`` scaled to sum one, written into ``out`` (which
+    may be ``lw`` itself)."""
+    np.subtract(lw, np.max(lw), out=out)
+    np.exp(out, out=out)
+    out /= out.sum()
+    return out
+
+
+def _outside_mass(probs: np.ndarray, m_lo: int, m_hi: int) -> float:
+    if not 1 <= m_lo <= m_hi <= probs.size:
+        raise ValueError(f"bracket [{m_lo}, {m_hi}] outside 1..{probs.size}")
+    return float(np.sum(probs[: m_lo - 1]) + np.sum(probs[m_hi:]))
+
+
+def _dimension_penalty(c_lambda: float, m_top: int) -> np.ndarray:
+    """``(3/2) C m`` for ``m = 1..m_top``: the data-independent part of the
+    dimension log-weights."""
+    _check_c(c_lambda)
+    return 1.5 * c_lambda * np.arange(1, m_top + 1, dtype=np.float64)
+
+
+def _log_weights(
+    post_mean: np.ndarray,
+    means: np.ndarray,
+    post_var: np.ndarray,
+    penalty: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Dimension-posterior log-weights on ``1..penalty.size``,
+    ``0.5 * cumsum((post_mean - means)^2 / post_var) - penalty``, written
+    into ``out``."""
+    m_top = penalty.size
+    np.subtract(post_mean[:m_top], means[:m_top], out=out)
+    np.square(out, out=out)
+    np.divide(out, post_var[:m_top], out=out)
+    np.cumsum(out, out=out)
+    np.multiply(out, 0.5, out=out)
+    return np.subtract(out, penalty, out=out)
+
+
+def _shrink(
+    probs: np.ndarray,
+    post_mean: np.ndarray,
+    means: np.ndarray,
+    omega: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """The adaptive estimate on ``1..probs.size``: the shrinkage weights
+    ``omega_j = P(dimension >= j)`` go into ``omega`` (which may be
+    ``probs``), ``means + omega * (post_mean - means)`` into ``out`` (which
+    may be ``post_mean``)."""
+    m_top = probs.size
+    np.cumsum(probs[::-1], out=omega[::-1])
+    np.clip(omega, 0.0, 1.0, out=omega)
+    np.subtract(post_mean[:m_top], means[:m_top], out=out)
+    np.multiply(omega, out, out=out)
+    return np.add(out, means[:m_top], out=out)
 
 
 def dimension_prior(
@@ -109,10 +168,9 @@ def dimension_prior(
             "dimension prior is undefined when the search range contains an "
             "improper coordinate; only the dimension posterior exists"
         )
-    _check_c(c_lambda)
+    penalty = _dimension_penalty(c_lambda, m_top)
     log_ratio = log_variance_ratio(prior.head(m_top), op.head(m_top), eps)
-    dims = np.arange(1, m_top + 1, dtype=np.float64)
-    lw = 0.5 * np.cumsum(log_ratio) - 1.5 * c_lambda * dims
+    lw = 0.5 * np.cumsum(log_ratio) - penalty
     return DimensionDistribution.from_log_weights(lw, "prior")
 
 
@@ -131,11 +189,8 @@ def dimension_posterior(
     """
     if summary.n != prior.n or prior.n != op.n:
         raise ValueError("summary, prior and operator lengths must match")
-    _check_c(c_lambda)
-    m_top = max_dimension(op, eps)
-    contrast = (summary.post_mean[:m_top] - prior.means[:m_top]) ** 2 / summary.post_var[:m_top]
-    dims = np.arange(1, m_top + 1, dtype=np.float64)
-    lw = 0.5 * np.cumsum(contrast) - 1.5 * c_lambda * dims
+    penalty = _dimension_penalty(c_lambda, max_dimension(op, eps))
+    lw = _log_weights(summary.post_mean, prior.means, summary.post_var, penalty, np.empty(penalty.size))
     return DimensionDistribution.from_log_weights(lw, "posterior")
 
 
@@ -180,9 +235,9 @@ def adaptive_estimate(
     """
     dist = dimension_posterior(summary, prior, op, eps, c_lambda)
     m_top = dist.support_size
-    omega = np.clip(np.cumsum(dist.probs[::-1])[::-1], 0.0, 1.0)
+    omega = np.empty(m_top)
     values = prior.means.copy()
-    values[:m_top] += omega * (summary.post_mean[:m_top] - prior.means[:m_top])
+    _shrink(dist.probs, summary.post_mean, prior.means, omega, values[:m_top])
     return AdaptiveEstimate(values, omega, dist)
 
 
@@ -206,37 +261,39 @@ def sample_hierarchical_posterior(
     are random; this function pads the rest with the prior means, which
     the Monte Carlo harness skips by scoring the unpadded block.
     """
-    dims, block = _draw_hierarchical(summary, prior, op, eps, c_lambda, n_draws, seed, rep)
+    dist = dimension_posterior(summary, prior, op, eps, c_lambda)
+    dims, block = _draw_hierarchical(
+        dist.probs, summary.post_mean, np.sqrt(summary.post_var), prior.means, n_draws, seed, rep
+    )
     draws = np.tile(prior.means, (n_draws, 1))
     draws[:, : block.shape[1]] = block
     return draws, dims
 
 
 def _draw_hierarchical(
-    summary: PosteriorSummary,
-    prior: PriorSpec,
-    op: OperatorSequence,
-    eps: float,
-    c_lambda: float,
+    probs: np.ndarray,
+    post_mean: np.ndarray,
+    post_sd: np.ndarray,
+    means: np.ndarray,
     n_draws: int,
     seed: int,
     rep: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(dims, block)``: the drawn dimensions and the first ``max(dims)``
-    columns of the draws, prior means past each draw's dimension."""
+    """``(dims, block)``: dimensions drawn from the dimension posterior
+    ``probs`` and the first ``max(dims)`` columns of the draws, prior means
+    past each draw's dimension."""
     if n_draws < 1:
         raise ValueError("need at least one draw")
-    dist = dimension_posterior(summary, prior, op, eps, c_lambda)
-    m_top = dist.support_size
+    m_top = probs.size
     rng = stream(seed, HIERARCHY_DRAW, rep)
-    cdf = np.cumsum(dist.probs)
+    cdf = np.cumsum(probs)
     u = rng.random(n_draws)
     dims = np.minimum(np.searchsorted(cdf, u, side="right"), m_top - 1) + 1
     width = int(dims.max())
     z = rng.standard_normal((n_draws, width))
-    gauss = summary.post_mean[:width] + np.sqrt(summary.post_var[:width]) * z
+    gauss = post_mean[:width] + post_sd[:width] * z
     keep = np.arange(1, width + 1) <= dims[:, None]
-    return dims, np.where(keep, gauss, prior.means[:width])
+    return dims, np.where(keep, gauss, means[:width])
 
 
 def _check_c(c_lambda: float) -> None:

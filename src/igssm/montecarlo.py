@@ -4,11 +4,20 @@ concentration, and rate regression.
 Every routine draws through the package's counter-based streams with one
 stream per replication, so results are reproducible and independent of
 evaluation order.  The risk, concentration and bracket tasks share one
-replication kernel that cuts the problem at the dimension the task needs
-and simulates only that head.  Squared distances between a draw and the
-truth are always split into the simulated range plus the deterministic
-remainder (stored coordinates beyond the fit plus the analytic family
-tail), so a truncated simulation never silently drops bias mass.
+replication kernel.  It cuts the problem at the dimension the task needs,
+simulates only that head, and computes everything that does not depend on
+the data once per task: the signal ``lambda_j theta_j``, the posterior
+variances and the affine map from data to posterior means.  A replication
+then draws its noise, forms its posterior means and applies the task's
+statistic, all in work arrays allocated once per block of replications.
+The replications of one task are split into contiguous blocks, one per
+worker thread (``IGSSM_THREADS``), and their statistics are put back in
+replication order, so every result is the same for any thread count.
+
+Squared distances between a draw and the truth are always split into the
+simulated range plus the deterministic remainder (stored coordinates
+beyond the fit plus the analytic family tail), so a truncated simulation
+never silently drops bias mass.
 Posterior draws are never padded here: sieve draws span exactly the cut,
 hierarchical draws are scored on their first ``max(dims)`` columns, and
 the prior-mean coordinates past those enter as one deterministic sum.
@@ -17,13 +26,33 @@ the prior-mean coordinates past those enter as one deterministic sum.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .hierarchy import _draw_hierarchical, adaptive_estimate, dimension_posterior
-from .posterior import PriorSpec, coordinate_posterior, sample_sieve_posterior
+from .config import ConfigError
+from .hierarchy import (
+    _check_log_weights,
+    _dimension_penalty,
+    _draw_hierarchical,
+    _log_weights,
+    _normalise,
+    _outside_mass,
+    _shrink,
+)
+from .posterior import (
+    PriorSpec,
+    _check_means,
+    _check_variances,
+    _mean_map,
+    _MeanMap,
+    _posterior_mean,
+    _sieve_block,
+    posterior_variances,
+)
 from .rng import AUDIT_DRAW, SUITE_GEN, stream
 from .selection import (
     AssumptionReport,
@@ -39,8 +68,8 @@ from .sequences import (
     OperatorSequence,
     ParameterSequence,
     WeightedClass,
+    _observe,
     _readonly,
-    simulate_observation,
 )
 
 __all__ = [
@@ -63,6 +92,25 @@ __all__ = [
 
 _MIN_AUDIT_REPS = 10_000
 _BATCH_ELEMENTS = 1 << 23  # cap on draws * dimension per simulation batch
+
+
+def _max_workers() -> int:
+    env = os.environ.get("IGSSM_THREADS")
+    if not env:
+        return min(8, os.cpu_count() or 1)
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ConfigError(f"IGSSM_THREADS must be a positive integer, got {env!r}")
+    return int(env)
+
+
+def _parallel_map(fn, tasks):
+    """Map preserving task order; serial when one worker suffices.  The
+    only place the package starts threads."""
+    workers = min(_max_workers(), max(len(tasks), 1))
+    if workers <= 1 or len(tasks) <= 1:
+        return [fn(t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -291,40 +339,77 @@ def _mc_summary(values: np.ndarray, seed: int) -> MCEstimate:
     return MCEstimate(float(np.mean(values)), se, int(reps), int(seed))
 
 
-class _Head(NamedTuple):
-    """The problem cut at its first coordinates, with the deterministic
-    squared bias carried by everything past the cut."""
+class _Task(NamedTuple):
+    """A Monte Carlo task's problem cut at its first ``cut`` coordinates, with
+    everything that does not depend on the data: the squared bias carried
+    past the cut, the signal ``lambda_j theta_j``, the noise scale
+    ``sqrt(eps)``, the posterior variances and the map to posterior means."""
 
-    theta: ParameterSequence
-    prior: PriorSpec
-    op: OperatorSequence
+    theta: np.ndarray
+    means: np.ndarray
     remainder: float
+    signal: np.ndarray
+    noise_scale: float
+    post_var: np.ndarray
+    mean_map: _MeanMap
 
 
-def _replications(theta, prior, op, eps, reps, seed, cut, statistic):
-    """The replication kernel of every Monte Carlo task: cut the problem at
-    ``cut`` once, then yield ``statistic(head, r, summary)`` for ``r = 0 ..
-    reps - 1``, where ``summary`` is the coordinate posterior of the
-    observation drawn from replication ``r``'s own stream."""
-    if reps < 1:
-        raise ValueError("need at least one replication")
+def _task(theta, prior, op, eps, cut) -> _Task:
     remainder = float(np.sum((theta.values[cut:] - prior.means[cut:]) ** 2)) + theta.sq_tail()
-    head = _Head(theta.head(cut), prior.head(cut), op.head(cut), remainder)
-    for r in range(reps):
-        obs = simulate_observation(head.theta, head.op, eps, seed, rep=r)
-        yield statistic(head, r, coordinate_posterior(head.prior, head.op, obs))
+    th, pr, o = theta.head(cut), prior.head(cut), op.head(cut)
+    post_var = posterior_variances(pr, o, eps)
+    _check_variances(post_var)
+    return _Task(
+        th.values, pr.means, remainder, o.values * th.values, math.sqrt(eps),
+        post_var, _mean_map(pr, o, eps),
+    )
 
 
-def _draw_distances(head: _Head, block: np.ndarray) -> np.ndarray:
+def _block(task: _Task, seed: int, statistic, start: int, stop: int):
+    """Yield ``statistic(r, post_mean, work)`` for ``r = start .. stop - 1``,
+    where ``post_mean`` holds the posterior means of the observation
+    drawn from replication ``r``'s own stream.  ``post_mean`` and ``work``
+    are arrays of the cut length, allocated once for the block; the
+    statistic may overwrite both."""
+    if stop <= start:
+        raise ValueError("need at least one replication")
+    post_mean = np.empty(task.theta.size)
+    work = np.empty(task.theta.size)
+    for r in range(start, stop):
+        _observe(task.signal, task.noise_scale, seed, r, post_mean)
+        _posterior_mean(task.mean_map, post_mean, post_mean)
+        _check_means(post_mean)
+        yield statistic(r, post_mean, work)
+
+
+def _replications(task: _Task, reps: int, seed: int, statistic) -> list:
+    """The statistics of replications ``0 .. reps - 1`` in replication
+    order, computed in one contiguous block of replications per worker."""
+    blocks = max(1, min(_max_workers(), reps))
+    bounds = [reps * k // blocks for k in range(blocks + 1)]
+    parts = _parallel_map(
+        lambda k: list(_block(task, seed, statistic, bounds[k], bounds[k + 1])), range(blocks)
+    )
+    return [value for part in parts for value in part]
+
+
+def _dimension_probs(task: _Task, post_mean, penalty, out) -> np.ndarray:
+    """One replication's dimension-posterior masses, written into ``out``."""
+    _log_weights(post_mean, task.means, task.post_var, penalty, out)
+    _check_log_weights(out)
+    return _normalise(out, out)
+
+
+def _draw_distances(task: _Task, block: np.ndarray) -> np.ndarray:
     """Squared distance from each posterior draw to the truth, given the
     draws' first columns as the sampler drew them (``m`` for the sieve,
     ``max(dims)`` for the hierarchical kind).  The prior-mean coordinates
     from there up to the cut add one deterministic sum, so no ``(draws x
     cut)`` array is built."""
     width = block.shape[1]
-    truth = head.theta.values
-    past = float(np.sum((head.prior.means[width:] - truth[width:]) ** 2))
-    return np.sum((block - truth[:width]) ** 2, axis=1) + (past + head.remainder)
+    truth = task.theta
+    past = float(np.sum((task.means[width:] - truth[width:]) ** 2))
+    return np.sum((block - truth[:width]) ** 2, axis=1) + (past + task.remainder)
 
 
 def mc_mise(
@@ -369,15 +454,17 @@ def mc_mise(
                 f"oracle dimension {m_star} exceeds the search range {cut} at eps={eps}"
             )
 
-    def loss(head, r, summary):
-        if kind == "adaptive":
-            est = adaptive_estimate(summary, head.prior, head.op, eps, c_lambda).values
-        else:
-            est = summary.post_mean
-        return float(np.sum((est - head.theta.values) ** 2)) + head.remainder
+    penalty = _dimension_penalty(c_lambda, cut) if kind == "adaptive" else None
+    task = _task(theta, prior, op, eps, cut)
 
-    vals = np.array(list(_replications(theta, prior, op, eps, reps, seed, cut, loss)))
-    return _mc_summary(vals, seed)
+    def loss(r, post_mean, work):
+        if kind == "adaptive":
+            probs = _dimension_probs(task, post_mean, penalty, work)
+            _shrink(probs, post_mean, task.means, probs, post_mean)
+        np.subtract(post_mean, task.theta, out=post_mean)
+        return float(np.sum(np.square(post_mean, out=post_mean))) + task.remainder
+
+    return _mc_summary(np.array(_replications(task, reps, seed, loss)), seed)
 
 
 def mc_mise_profile(
@@ -396,12 +483,16 @@ def mc_mise_profile(
         m_top = max_dimension(op, eps)
     bias = bias_profile(theta, prior)[:m_top]
 
-    def errors(head, r, summary):
-        return np.cumsum((summary.post_mean - head.theta.values) ** 2) + bias
+    task = _task(theta, prior, op, eps, m_top)
 
+    def errors(r, post_mean, work):
+        np.subtract(post_mean, task.theta, out=work)
+        return np.cumsum(np.square(work, out=work)) + bias
+
+    # one block in replication order, so the running sums stay O(m_top)
     acc = np.zeros(m_top)
     acc_sq = np.zeros(m_top)
-    for errs in _replications(theta, prior, op, eps, reps, seed, m_top, errors):
+    for errs in _block(task, seed, errors, 0, reps):
         acc += errs
         acc_sq += errs**2
     mise = acc / reps
@@ -455,17 +546,20 @@ def mc_concentration(
         cut = max_dimension(op, eps)
     lo = rate / band_constant if two_sided else 0.0
     hi = rate * band_constant
+    penalty = _dimension_penalty(c_lambda, cut) if kind == "hierarchical" else None
+    task = _task(theta, prior, op, eps, cut)
+    post_sd = np.sqrt(task.post_var)
 
-    def band_mass(head, r, summary):
+    def band_mass(r, post_mean, work):
         if kind == "fixed":
-            block = sample_sieve_posterior(cut, summary, head.prior, draws, seed, rep=r)
+            block = _sieve_block(post_mean, post_sd, draws, seed, r)
         else:
-            _, block = _draw_hierarchical(summary, head.prior, head.op, eps, c_lambda, draws, seed, r)
-        sq = _draw_distances(head, block)
+            probs = _dimension_probs(task, post_mean, penalty, work)
+            _, block = _draw_hierarchical(probs, post_mean, post_sd, task.means, draws, seed, r)
+        sq = _draw_distances(task, block)
         return float(np.mean((sq >= lo) & (sq <= hi)))
 
-    fracs = np.array(list(_replications(theta, prior, op, eps, reps, seed, cut, band_mass)))
-    return _mc_summary(fracs, seed)
+    return _mc_summary(np.array(_replications(task, reps, seed, band_mass)), seed)
 
 
 @dataclass(frozen=True)
@@ -513,11 +607,14 @@ def mc_sieve_deviation(
     hi = risk.bias + 3.0 * risk.post_var_sum + 1.5 * m * risk.post_var_max + 4.0 * risk.shift
     lo = risk.bias + risk.post_var_sum - 4.0 * c * (m * risk.post_var_max + risk.shift)
 
-    def deviations(head, r, summary):
-        sq = _draw_distances(head, sample_sieve_posterior(m, summary, head.prior, draws, seed, rep=r))
+    task = _task(theta, prior, op, eps, m)
+    post_sd = np.sqrt(task.post_var)
+
+    def deviations(r, post_mean, work):
+        sq = _draw_distances(task, _sieve_block(post_mean, post_sd, draws, seed, r))
         return float(np.mean(sq > hi)), float(np.mean(sq < lo))
 
-    fracs = zip(*_replications(theta, prior, op, eps, reps, seed, m, deviations))
+    fracs = zip(*_replications(task, reps, seed, deviations))
     upper, lower = (_mc_summary(np.array(f), seed) for f in fracs)
     upper_bound = 2.0 * math.exp(-m / 36.0)
     lower_bound = 2.0 * math.exp(-(c**2) * m / 2.0)
@@ -560,12 +657,14 @@ def mc_bracket_mass(
         weighted_class=weighted_class, c_lambda=c_lambda,
     )
 
-    def outside_mass(head, r, summary):
-        return dimension_posterior(summary, head.prior, head.op, eps, c_lambda).tail_mass(m_lo, m_hi)
-
     cut = max_dimension(op, eps)
-    vals = np.array(list(_replications(theta, prior, op, eps, reps, seed, cut, outside_mass)))
-    return _mc_summary(vals, seed)
+    penalty = _dimension_penalty(c_lambda, cut)
+    task = _task(theta, prior, op, eps, cut)
+
+    def outside_mass(r, post_mean, work):
+        return _outside_mass(_dimension_probs(task, post_mean, penalty, work), m_lo, m_hi)
+
+    return _mc_summary(np.array(_replications(task, reps, seed, outside_mass)), seed)
 
 
 # ---------------------------------------------------------------------------

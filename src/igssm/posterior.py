@@ -19,7 +19,7 @@ Gaussian coordinates (``j <= m``) with point masses (``j > m``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -120,16 +120,24 @@ class PosteriorSummary:
         var = _readonly(self.post_var)
         if mean.shape != var.shape or mean.ndim != 1 or mean.size == 0:
             raise ValueError("posterior mean/variance must be matching 1-d arrays")
-        if not (np.all(np.isfinite(var)) and np.all(var > 0.0)):
-            raise ValueError("posterior variances must be positive and finite")
-        if not np.all(np.isfinite(mean)):
-            raise ValueError("posterior means must be finite")
+        _check_variances(var)
+        _check_means(mean)
         object.__setattr__(self, "post_mean", mean)
         object.__setattr__(self, "post_var", var)
 
     @property
     def n(self) -> int:
         return self.post_mean.size
+
+
+def _check_variances(var: np.ndarray) -> None:
+    if not (np.all(np.isfinite(var)) and np.all(var > 0.0)):
+        raise ValueError("posterior variances must be positive and finite")
+
+
+def _check_means(mean: np.ndarray) -> None:
+    if not np.all(np.isfinite(mean)):
+        raise ValueError("posterior means must be finite")
 
 
 def _improper_amplification(op: OperatorSequence, mask: np.ndarray) -> np.ndarray:
@@ -164,23 +172,54 @@ def posterior_variances(prior: PriorSpec, op: OperatorSequence, eps: float) -> n
     return out
 
 
+class _MeanMap(NamedTuple):
+    """The data-independent part of the posterior mean:
+    ``post_mean = (gain * y + offset) / scale`` coordinatewise.
+
+    Proper coordinates carry ``gain = v lambda``, ``offset = eps mu`` and
+    ``scale = v lambda^2 + eps``; improper ones ``gain = 1``, ``offset =
+    -0.0`` and ``scale = lambda``, which give ``y / lambda`` bit for bit.
+    ``gain`` and ``offset`` are None when every coordinate is improper.
+    """
+
+    gain: Optional[np.ndarray]
+    offset: Optional[np.ndarray]
+    scale: np.ndarray
+
+
+def _mean_map(prior: PriorSpec, op: OperatorSequence, eps: float) -> _MeanMap:
+    mask = prior.improper
+    if np.all(mask):
+        return _MeanMap(None, None, op.values)
+    proper = ~mask
+    gain = np.ones(prior.n)
+    offset = np.full(prior.n, -0.0)
+    scale = op.values.copy()
+    v = prior.variances[proper]
+    lam = op.values[proper]
+    gain[proper] = v * lam
+    offset[proper] = eps * prior.means[proper]
+    scale[proper] = v * lam**2 + eps
+    return _MeanMap(gain, offset, scale)
+
+
+def _posterior_mean(mean_map: _MeanMap, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Posterior means of the observation ``y``, written into ``out`` (which
+    may be ``y`` itself)."""
+    gain, offset, scale = mean_map
+    if gain is not None:
+        np.multiply(gain, y, out=out)
+        y = np.add(out, offset, out=out)
+    return np.divide(y, scale, out=out)
+
+
 def coordinate_posterior(prior: PriorSpec, op: OperatorSequence, obs: Observation) -> PosteriorSummary:
     """Exact coordinatewise posterior for the full (non-sieve) Gaussian prior."""
     if not (prior.n == op.n == obs.n):
         raise ValueError("prior, operator and observation lengths must match")
-    eps = obs.eps
-    post_var = posterior_variances(prior, op, eps)
-    out = np.empty(prior.n)
-    mask = prior.improper
-    proper = ~mask
-    if np.any(proper):
-        v = prior.variances[proper]
-        lam = op.values[proper]
-        denom = v * lam**2 + eps
-        out[proper] = (eps * prior.means[proper] + v * lam * obs.values[proper]) / denom
-    if np.any(mask):
-        out[mask] = obs.values[mask] / op.values[mask]
-    return PosteriorSummary(out, post_var)
+    post_var = posterior_variances(prior, op, obs.eps)
+    post_mean = _posterior_mean(_mean_map(prior, op, obs.eps), obs.values, np.empty(prior.n))
+    return PosteriorSummary(post_mean, post_var)
 
 
 def sieve_posterior_mean(m: int, summary: PosteriorSummary, prior: PriorSpec) -> np.ndarray:
@@ -204,17 +243,24 @@ def sample_sieve_posterior(
     ``m``: Gaussian in coordinates ``j <= m``, prior mean exactly beyond.
 
     Returns an array of shape ``(n_draws, n)``; the columns past ``m`` are
-    padding.  The Monte Carlo harness cuts the problem at ``m`` before
-    sampling, so its draws carry no padding.
+    padding.  The Monte Carlo harness draws the Gaussian columns alone,
+    so its draws carry no padding.
     """
     _check_sieve_dim(m, summary, prior)
+    block = _sieve_block(summary.post_mean[:m], np.sqrt(summary.post_var[:m]), n_draws, seed, rep)
+    draws = np.tile(prior.means, (n_draws, 1))
+    draws[:, :m] = block
+    return draws
+
+
+def _sieve_block(post_mean: np.ndarray, post_sd: np.ndarray, n_draws: int, seed: int, rep: int) -> np.ndarray:
+    """The Gaussian columns of ``n_draws`` sieve draws, ``post_mean + post_sd
+    * z`` of shape ``(n_draws, post_mean.size)``."""
     if n_draws < 1:
         raise ValueError("need at least one draw")
     rng = stream(seed, SIEVE_DRAW, rep)
-    z = rng.standard_normal((n_draws, m))
-    draws = np.tile(prior.means, (n_draws, 1))
-    draws[:, :m] = summary.post_mean[:m] + np.sqrt(summary.post_var[:m]) * z
-    return draws
+    z = rng.standard_normal((n_draws, post_mean.size))
+    return post_mean + post_sd * z
 
 
 def log_variance_ratio(prior: PriorSpec, op: OperatorSequence, eps: float) -> np.ndarray:

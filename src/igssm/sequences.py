@@ -419,10 +419,16 @@ def simulate_observation(
         raise ValueError(f"signal length {theta.n} != operator length {op.n}")
     if not 0.0 < eps < 1.0:
         raise ValueError("noise level eps must lie in (0, 1)")
-    rng = stream(seed, OBSERVATION, rep)
-    noise = rng.standard_normal(op.n)
-    y = op.values * theta.values + math.sqrt(eps) * noise
+    y = _observe(op.values * theta.values, math.sqrt(eps), seed, rep, np.empty(op.n))
     return Observation(y, float(eps), int(seed), int(rep))
+
+
+def _observe(signal: np.ndarray, noise_scale: float, seed: int, rep: int, out: np.ndarray) -> np.ndarray:
+    """``signal + noise_scale * xi`` written into ``out``, with ``xi`` drawn
+    from replication ``rep``'s observation stream."""
+    stream(seed, OBSERVATION, rep).standard_normal(out=out)
+    np.multiply(out, noise_scale, out=out)
+    return np.add(out, signal, out=out)
 
 
 def load_values_csv(path: str) -> np.ndarray:

@@ -355,3 +355,16 @@ def test_sweep_is_deterministic(tmp_path):
         second = (tmp_path / "second" / artifact).read_bytes()
         assert first == second
     assert not (tmp_path / "first" / "concentration.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["select", "posterior", "adapt"])
+def test_seed_flag_only_where_it_has_an_effect(tmp_path, capsys, command):
+    """``select`` draws nothing and ``posterior``/``adapt`` take the seed from
+    the observation sidecar, so argparse rejects ``--seed`` on them."""
+    argv = [command, "--config", "pp_small", "--out", tmp_path, "--seed", "1"]
+    if command != "select":
+        argv += ["--obs", tmp_path / "observation.csv"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err

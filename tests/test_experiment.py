@@ -2,7 +2,6 @@
 
 import csv
 import json
-import os
 
 import pytest
 
@@ -143,22 +142,23 @@ def test_reruns_are_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-def test_thread_count_does_not_change_results(tmp_path):
-    cfg = small_config()
-    a, b = tmp_path / "serial", tmp_path / "wide"
-    old = os.environ.get("IGSSM_THREADS")
-    try:
-        os.environ["IGSSM_THREADS"] = "1"
-        run_experiment(cfg, a, quiet=True)
-        os.environ["IGSSM_THREADS"] = "8"
-        run_experiment(cfg, b, quiet=True)
-    finally:
-        if old is None:
-            os.environ.pop("IGSSM_THREADS", None)
-        else:
-            os.environ["IGSSM_THREADS"] = old
-    for name in ("mise.csv", "concentration.csv", "audit.csv"):
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+@pytest.fixture(scope="module")
+def serial_seven(tmp_path_factory):
+    """A serial run at 7 replications, which neither 2 nor 3 workers split
+    evenly."""
+    out = tmp_path_factory.mktemp("serial")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("IGSSM_THREADS", "1")
+        run_experiment(small_config(mc={"reps": 7, "draws": 50}), out, quiet=True)
+    return out
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_thread_count_does_not_change_results(tmp_path, monkeypatch, serial_seven, threads):
+    monkeypatch.setenv("IGSSM_THREADS", threads)
+    run_experiment(small_config(mc={"reps": 7, "draws": 50}), tmp_path, quiet=True)
+    for name in ("rates.csv", "mise.csv", "concentration.csv", "audit.csv", "report.json"):
+        assert (tmp_path / name).read_bytes() == (serial_seven / name).read_bytes(), name
 
 
 def test_seed_and_reps_overrides(tmp_path):

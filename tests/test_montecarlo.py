@@ -26,13 +26,14 @@ from igssm import (
     rate_regression,
     theoretical_exponent,
 )
+from igssm import montecarlo
 from igssm.hierarchy import (
     _draw_hierarchical,
     adaptive_estimate,
     dimension_posterior,
     sample_hierarchical_posterior,
 )
-from igssm.montecarlo import _draw_distances, _replications, mc_mise_profile
+from igssm.montecarlo import _draw_distances, _task, mc_mise_profile
 from igssm.posterior import coordinate_posterior, sample_sieve_posterior
 from igssm.selection import bracket_dimensions, check_assumptions, max_dimension
 from igssm.sequences import simulate_observation
@@ -259,7 +260,7 @@ def test_bracket_mass_deterministic_and_bounded():
 @st.composite
 def small_problems(draw):
     """A random short problem: operator, truth with an analytic tail, a
-    proper or improper prior, and a noise level."""
+    proper, flat or mixed prior, and a noise level."""
     n = draw(st.integers(4, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     op = make_operator("polynomial", n, decay=draw(st.sampled_from([0.0, 0.5, 1.0])))
@@ -267,10 +268,15 @@ def small_problems(draw):
         "polynomial", n,
         exponent=draw(st.floats(0.6, 2.0)), scale=draw(st.floats(0.1, 2.0)),
     )
-    if draw(st.booleans()):
-        prior = PriorSpec.gaussian(rng.normal(0.0, 0.3, n), rng.uniform(0.1, 2.0, n))
-    else:
+    kind = draw(st.sampled_from(["proper", "flat", "mixed"]))
+    means, variances = rng.normal(0.0, 0.3, n), rng.uniform(0.1, 2.0, n)
+    if kind == "proper":
+        prior = PriorSpec.gaussian(means, variances)
+    elif kind == "flat":
         prior = PriorSpec.flat(n)
+    else:  # improper coordinates carry a zero mean
+        improper = rng.random(n) < 0.5
+        prior = PriorSpec.mixed(np.where(improper, 0.0, means), variances, improper)
     eps = draw(st.floats(1e-3, 0.2))
     return theta, prior, op, eps
 
@@ -304,17 +310,16 @@ def test_draw_distances_match_padded_public_samplers(problem, hierarchical, seed
     theta, prior, op, eps = problem
     draws = 30
     cut = max_dimension(op, eps) if hierarchical else max(1, theta.n // 3)
-    head, summary = next(
-        _replications(theta, prior, op, eps, 1, seed, cut, lambda h, r, s: (h, s))
-    )
+    _, pr, o, _, (summary,) = _head_loop(theta, prior, op, eps, 1, seed, cut)
     if hierarchical:
-        _, block = _draw_hierarchical(summary, head.prior, head.op, eps, 1.0, draws, seed, 0)
-        padded, _ = sample_hierarchical_posterior(
-            summary, head.prior, head.op, eps, 1.0, draws, seed, rep=0
+        dist = dimension_posterior(summary, pr, o, eps, 1.0)
+        _, block = _draw_hierarchical(
+            dist.probs, summary.post_mean, np.sqrt(summary.post_var), pr.means, draws, seed, 0
         )
+        padded, _ = sample_hierarchical_posterior(summary, pr, o, eps, 1.0, draws, seed, rep=0)
     else:  # the sieve sampler draws exactly the cut
-        block = padded = sample_sieve_posterior(cut, summary, head.prior, draws, seed, rep=0)
-    got = _draw_distances(head, block)
+        block = padded = sample_sieve_posterior(cut, summary, pr, draws, seed, rep=0)
+    got = _draw_distances(_task(theta, prior, op, eps, cut), block)
     want = _padded_distances(padded, theta, prior)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     ordered = np.sort(want)
@@ -387,6 +392,42 @@ def test_mc_bracket_mass_equals_serial_loop(problem, seed):
     )
     got = mc_bracket_mass(theta, prior, op, eps, reps, seed, report, 1.0)
     assert (got.value, got.se) == _summary_of(vals)
+
+
+def test_thread_count_does_not_change_mc_estimates(monkeypatch):
+    """Seven replications split into uneven contiguous blocks across three
+    workers give the serial ``(value, se)`` of every sharded task."""
+    theta, prior, op = _poly_problem()
+    eps, reps = 0.01, 7
+    sel = oracle_dimension(theta, prior, op, eps)
+    report = check_assumptions(theta, prior, op, (eps,))
+    blocks = []
+    parallel_map = montecarlo._parallel_map
+
+    def spy(fn, tasks):
+        blocks.append(len(tasks))
+        return parallel_map(fn, tasks)
+
+    monkeypatch.setattr(montecarlo, "_parallel_map", spy)
+
+    def estimates():
+        found = [
+            mc_mise("adaptive", theta, prior, op, eps, reps, 5, c_lambda=1.0),
+            mc_concentration(
+                "fixed", theta, prior, op, eps, 2.0, sel.rate, reps, 30, 5, m=sel.dimension
+            ),
+            mc_concentration(
+                "hierarchical", theta, prior, op, eps, 2.0, sel.rate, reps, 30, 5, c_lambda=1.0
+            ),
+            mc_bracket_mass(theta, prior, op, eps, reps, 5, report, 1.0),
+        ]
+        return [(e.value, e.se) for e in found]
+
+    monkeypatch.setenv("IGSSM_THREADS", "1")
+    serial = estimates()
+    monkeypatch.setenv("IGSSM_THREADS", "3")
+    assert estimates() == serial
+    assert blocks == [1] * 4 + [3] * 4
 
 
 # ---------------------------------------------------------------------------
