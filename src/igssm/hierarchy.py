@@ -16,6 +16,17 @@ bound for ``max_{j>k} lambda_j^2 / min_{j<=k} lambda_j^2``).  Everything is
 normalised through a single max-shifted log-sum-exp, so the weights are
 invariant under constant shifts of the log scale.
 
+The posterior concentrates near the oracle dimension, so on long search
+ranges ``exp(l_m - max l)`` underflows to exactly 0.0 for all but a short
+head of dimensions (about 500 of 1e6 on the direct model at eps=1e-6).
+Normalisation finds the *mass end*: one past the last ``m`` with
+``l_m - max l > -800``, a margin below the ~-745.1 where ``exp`` reaches
+0.0, so subnormal masses stay inside.  Only that head is exponentiated and
+shrunk; past it the masses are exact zeros, ``omega_j = 0`` and the
+estimate is the prior mean, exactly what the full-range formulas give.
+The mass sum still runs over the whole zero-tailed array, so its pairwise
+reduction order, and with it every bit of the result, is unchanged.
+
 Under the fully improper prior the contrast reduces to
 ``sum_{j<=m} Y_j^2 / eps`` and the posterior-mean estimator becomes the
 shrunk projection ``omega_j * Y_j / lambda_j``; the dimension *prior*
@@ -73,8 +84,17 @@ class DimensionDistribution:
 
     @classmethod
     def from_log_weights(cls, log_weights: np.ndarray, kind: str) -> "DimensionDistribution":
+        return cls._normalised(log_weights, kind)[0]
+
+    @classmethod
+    def _normalised(cls, log_weights: np.ndarray, kind: str) -> tuple["DimensionDistribution", int]:
+        """The distribution of ``log_weights`` and its mass end (see
+        ``_normalise``)."""
         lw = np.asarray(log_weights, dtype=np.float64)
-        return cls(lw, _normalise(lw, np.empty_like(lw)), kind)
+        _check_log_weights(lw)
+        probs = np.empty_like(lw)
+        mass_end = _normalise(lw, probs)
+        return cls(lw, probs, kind), mass_end
 
     @property
     def support_size(self) -> int:
@@ -90,13 +110,25 @@ def _check_log_weights(lw: np.ndarray) -> None:
         raise ValueError("log weights must be finite")
 
 
-def _normalise(lw: np.ndarray, out: np.ndarray) -> np.ndarray:
+# ``np.exp`` is exactly 0.0 below about -745.1; log-weights this far below
+# the maximum carry no mass.
+_MASS_MARGIN = 800.0
+
+
+def _normalise(lw: np.ndarray, out: np.ndarray) -> int:
     """``exp(lw - max(lw))`` scaled to sum one, written into ``out`` (which
-    may be ``lw`` itself)."""
+    may be ``lw`` itself).  Returns the mass end: one past the last index
+    with ``lw - max(lw) > -_MASS_MARGIN``.  Only the head before it is
+    exponentiated and scaled; the tail of ``out`` is set to 0.0, which is
+    what ``exp`` gives there, and the sum runs over all of ``out``, so it
+    keeps the full-range reduction order.  ``lw`` must be finite."""
     np.subtract(lw, np.max(lw), out=out)
-    np.exp(out, out=out)
-    out /= out.sum()
-    return out
+    mass_end = int(np.flatnonzero(out > -_MASS_MARGIN)[-1]) + 1
+    head = out[:mass_end]
+    np.exp(head, out=head)
+    out[mass_end:] = 0.0
+    head /= out.sum()
+    return mass_end
 
 
 def _outside_mass(probs: np.ndarray, m_lo: int, m_hi: int) -> float:
@@ -133,21 +165,26 @@ def _log_weights(
 
 def _shrink(
     probs: np.ndarray,
+    mass_end: int,
     post_mean: np.ndarray,
     means: np.ndarray,
     omega: np.ndarray,
     out: np.ndarray,
-) -> np.ndarray:
-    """The adaptive estimate on ``1..probs.size``: the shrinkage weights
-    ``omega_j = P(dimension >= j)`` go into ``omega`` (which may be
-    ``probs``), ``means + omega * (post_mean - means)`` into ``out`` (which
-    may be ``post_mean``)."""
-    m_top = probs.size
-    np.cumsum(probs[::-1], out=omega[::-1])
+) -> None:
+    """The adaptive estimate on ``1..mass_end``, for masses ``probs`` that
+    are zero from ``mass_end`` on: the shrinkage weights ``omega_j =
+    P(dimension >= j)`` go into ``omega[:mass_end]`` (which may be
+    ``probs``), ``means + omega * (post_mean - means)`` into
+    ``out[:mass_end]`` (which may be ``post_mean``).  Past ``mass_end``,
+    ``omega_j = 0`` and the estimate is ``means``; neither is written.  The
+    zero tail adds exactly 0.0 to the reverse cumulative sum, so the head
+    is bit for bit the full-range one."""
+    omega, out = omega[:mass_end], out[:mass_end]
+    np.cumsum(probs[:mass_end][::-1], out=omega[::-1])
     np.clip(omega, 0.0, 1.0, out=omega)
-    np.subtract(post_mean[:m_top], means[:m_top], out=out)
+    np.subtract(post_mean[:mass_end], means[:mass_end], out=out)
     np.multiply(omega, out, out=out)
-    return np.add(out, means[:m_top], out=out)
+    np.add(out, means[:mass_end], out=out)
 
 
 def dimension_prior(
@@ -187,11 +224,22 @@ def dimension_posterior(
     ``sum_{j<=m} (post_mean_j - mu_j)^2 / post_var_j`` (which equals
     ``sum_{j<=m} Y_j^2 / eps`` under the fully improper prior).
     """
+    return _dimension_posterior(summary, prior, op, eps, c_lambda)[0]
+
+
+def _dimension_posterior(
+    summary: PosteriorSummary,
+    prior: PriorSpec,
+    op: OperatorSequence,
+    eps: float,
+    c_lambda: float,
+) -> tuple[DimensionDistribution, int]:
+    """``dimension_posterior`` and its mass end (see ``_normalise``)."""
     if summary.n != prior.n or prior.n != op.n:
         raise ValueError("summary, prior and operator lengths must match")
     penalty = _dimension_penalty(c_lambda, max_dimension(op, eps))
     lw = _log_weights(summary.post_mean, prior.means, summary.post_var, penalty, np.empty(penalty.size))
-    return DimensionDistribution.from_log_weights(lw, "posterior")
+    return DimensionDistribution._normalised(lw, "posterior")
 
 
 @dataclass(frozen=True)
@@ -231,13 +279,13 @@ def adaptive_estimate(
         est_j = (1 - omega_j) mu_j + omega_j post_mean_j,   j <= M,
 
     and equals the mixture ``sum_m p(m | data) * sieve-estimate(m)``
-    exactly; beyond the search range the estimate is the prior mean.
+    exactly; beyond the search range, and past the dimensions the
+    posterior gives any mass, the estimate is the prior mean.
     """
-    dist = dimension_posterior(summary, prior, op, eps, c_lambda)
-    m_top = dist.support_size
-    omega = np.empty(m_top)
+    dist, mass_end = _dimension_posterior(summary, prior, op, eps, c_lambda)
+    omega = np.zeros(dist.support_size)
     values = prior.means.copy()
-    _shrink(dist.probs, summary.post_mean, prior.means, omega, values[:m_top])
+    _shrink(dist.probs, mass_end, summary.post_mean, prior.means, omega, values)
     return AdaptiveEstimate(values, omega, dist)
 
 

@@ -14,6 +14,15 @@ The replications of one task are split into contiguous blocks, one per
 worker thread (``IGSSM_THREADS``), and their statistics are put back in
 replication order, so every result is the same for any thread count.
 
+Tasks on the dimension posterior compute its log-weights over the whole
+search range, where the data enter through the cumulative contrast, but
+exponentiate only up to the posterior's mass end (see
+:mod:`igssm.hierarchy`), a few hundred of up to 1e6 dimensions.  The
+adaptive risk shrinks and scores only that head: past it the estimate is
+the prior mean, whose squared error ``(mu_j - theta_j)^2`` is computed once
+per task.  Both sums, of the masses and of the squared errors, run over
+the whole cut, so every result is bit for bit the full-range one.
+
 Squared distances between a draw and the truth are always split into the
 simulated range plus the deterministic remainder (stored coordinates
 beyond the fit plus the analytic family tail), so a truncated simulation
@@ -393,8 +402,9 @@ def _replications(task: _Task, reps: int, seed: int, statistic) -> list:
     return [value for part in parts for value in part]
 
 
-def _dimension_probs(task: _Task, post_mean, penalty, out) -> np.ndarray:
-    """One replication's dimension-posterior masses, written into ``out``."""
+def _dimension_probs(task: _Task, post_mean, penalty, out) -> int:
+    """One replication's dimension-posterior masses, written into ``out``;
+    returns their mass end."""
     _log_weights(post_mean, task.means, task.post_var, penalty, out)
     _check_log_weights(out)
     return _normalise(out, out)
@@ -454,15 +464,21 @@ def mc_mise(
                 f"oracle dimension {m_star} exceeds the search range {cut} at eps={eps}"
             )
 
-    penalty = _dimension_penalty(c_lambda, cut) if kind == "adaptive" else None
     task = _task(theta, prior, op, eps, cut)
+    if kind == "adaptive":
+        penalty = _dimension_penalty(c_lambda, cut)
+        prior_sq_err = np.square(task.means - task.theta)
 
     def loss(r, post_mean, work):
+        end = cut
         if kind == "adaptive":
-            probs = _dimension_probs(task, post_mean, penalty, work)
-            _shrink(probs, post_mean, task.means, probs, post_mean)
-        np.subtract(post_mean, task.theta, out=post_mean)
-        return float(np.sum(np.square(post_mean, out=post_mean))) + task.remainder
+            end = _dimension_probs(task, post_mean, penalty, work)
+            _shrink(work, end, post_mean, task.means, work, post_mean)
+            post_mean[end:] = prior_sq_err[end:]  # the prior mean's error past the mass end
+        head = post_mean[:end]
+        np.subtract(head, task.theta[:end], out=head)
+        np.square(head, out=head)
+        return float(np.sum(post_mean)) + task.remainder
 
     return _mc_summary(np.array(_replications(task, reps, seed, loss)), seed)
 
@@ -554,8 +570,8 @@ def mc_concentration(
         if kind == "fixed":
             block = _sieve_block(post_mean, post_sd, draws, seed, r)
         else:
-            probs = _dimension_probs(task, post_mean, penalty, work)
-            _, block = _draw_hierarchical(probs, post_mean, post_sd, task.means, draws, seed, r)
+            _dimension_probs(task, post_mean, penalty, work)
+            _, block = _draw_hierarchical(work, post_mean, post_sd, task.means, draws, seed, r)
         sq = _draw_distances(task, block)
         return float(np.mean((sq >= lo) & (sq <= hi)))
 
@@ -662,7 +678,8 @@ def mc_bracket_mass(
     task = _task(theta, prior, op, eps, cut)
 
     def outside_mass(r, post_mean, work):
-        return _outside_mass(_dimension_probs(task, post_mean, penalty, work), m_lo, m_hi)
+        _dimension_probs(task, post_mean, penalty, work)
+        return _outside_mass(work, m_lo, m_hi)
 
     return _mc_summary(np.array(_replications(task, reps, seed, outside_mass)), seed)
 

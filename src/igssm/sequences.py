@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 
 from .rng import OBSERVATION, stream
 
@@ -259,6 +258,8 @@ class ParameterSequence:
         s2 = float(self.scale) ** 2
         if self.family == "polynomial":
             return s2 * n ** (1.0 - 2.0 * q) / (2.0 * q - 1.0)
+        from scipy.integrate import quad  # imported here: no other path needs scipy
+
         val, _err = quad(lambda x: math.exp(1.0 - x ** (2.0 * q)), n, np.inf)
         return s2 * float(val)
 

@@ -3,10 +3,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import igssm
 from igssm import __version__
 from igssm.cli import main
 
@@ -24,6 +29,16 @@ def read_csv(path):
 def read_meta(csv_path):
     sidecar = csv_path.with_name(csv_path.stem + ".meta.json")
     return json.loads(sidecar.read_text(encoding="utf-8"))
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy is imported only where the exponential truth family's tail
+    needs quadrature, so starting the CLI does not pay for it."""
+    src = str(Path(igssm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, igssm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_version_flag(capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from igssm import (
@@ -19,6 +21,7 @@ from igssm import (
     sieve_posterior_mean,
     simulate_observation,
 )
+from igssm.hierarchy import _MASS_MARGIN, _normalise, _shrink
 
 
 def make_problem(n, eps, seed, proper=True):
@@ -103,6 +106,61 @@ def test_log_weight_shift_invariance():
     np.testing.assert_allclose(a.probs, b.probs, rtol=1e-13)
     np.testing.assert_allclose(a.probs, c.probs, rtol=1e-13)
     assert a.probs.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+def _assert_mass_end(lw, mass_end):
+    """``_normalise`` and ``from_log_weights`` return the full-range masses
+    ``exp(lw - max) / sum`` bit for bit, zero from ``mass_end`` on, and
+    ``_shrink`` the full-range ``omega``."""
+    w = np.exp(lw - np.max(lw))
+    want = w / w.sum()
+    out = np.empty_like(lw)
+    assert _normalise(lw, out) == mass_end
+    assert np.array_equal(out, want)
+    assert not np.any(out[mass_end:])
+    assert np.array_equal(DimensionDistribution.from_log_weights(lw, "posterior").probs, want)
+    omega = np.zeros_like(lw)
+    _shrink(out, mass_end, np.ones_like(lw), np.zeros_like(lw), omega, np.empty_like(lw))
+    assert np.array_equal(omega, np.clip(np.cumsum(want[::-1])[::-1], 0.0, 1.0))
+
+
+def test_mass_end_is_the_last_entry_above_the_cut_off():
+    """Log-weights are not monotone: an isolated entry above the cut-off far
+    past a -2000 gap still carries mass and sets the mass end."""
+    lw = np.full(1000, -2000.0)
+    lw[:3] = [0.0, -1.0, -2.5]
+    lw[600] = -700.0
+    _assert_mass_end(lw, 601)
+    assert DimensionDistribution.from_log_weights(lw, "posterior").probs[600] > 0.0
+
+
+def test_subnormal_masses_stay_inside_the_mass_end():
+    lw = np.full(50, -1e4)
+    lw[0] = 5.0
+    lw[[10, 20]] = 5.0 - 740.0, 5.0 - 745.0  # exp: 4.2e-322 and 4.9e-324
+    assert 0.0 < np.exp(-745.0) < np.finfo(np.float64).tiny
+    _assert_mass_end(lw, 21)
+
+
+def test_mass_end_spans_the_whole_range():
+    _assert_mass_end(np.linspace(3.0, -790.0, 200), 200)
+    _assert_mass_end(np.array([7.0]), 1)
+
+
+def test_mass_end_of_a_single_dimension():
+    lw = np.array([0.0, -900.0, -_MASS_MARGIN, -1e6])  # the cut-off itself is outside
+    _assert_mass_end(lw, 1)
+    probs = DimensionDistribution.from_log_weights(lw, "posterior").probs
+    assert probs.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
+@given(st.floats(max_value=-_MASS_MARGIN, allow_nan=False))
+@example(-_MASS_MARGIN)
+def test_exp_is_exactly_zero_below_the_margin(x):
+    """The mass end rests on ``np.exp`` returning exactly 0.0 at and below
+    ``-_MASS_MARGIN`` on the installed numpy (on a vector, as the kernel
+    calls it)."""
+    assert not np.any(np.exp(np.full(64, x)))
 
 
 def test_tail_mass_both_sides():

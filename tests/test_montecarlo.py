@@ -28,6 +28,7 @@ from igssm import (
 )
 from igssm import montecarlo
 from igssm.hierarchy import (
+    _MASS_MARGIN,
     _draw_hierarchical,
     adaptive_estimate,
     dimension_posterior,
@@ -392,6 +393,100 @@ def test_mc_bracket_mass_equals_serial_loop(problem, seed):
     )
     got = mc_bracket_mass(theta, prior, op, eps, reps, seed, report, 1.0)
     assert (got.value, got.se) == _summary_of(vals)
+
+
+@st.composite
+def long_direct_problems(draw):
+    """A direct-model problem (``lambda_j = 1``) whose search range runs
+    hundreds of dimensions past those the dimension posterior gives any
+    mass: a centred proper, flat or mixed prior, a noise level and an
+    operator constant."""
+    n = draw(st.integers(2000, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = make_parameters(
+        "polynomial", n,
+        exponent=draw(st.floats(1.0, 2.0)), scale=draw(st.floats(0.1, 1.0)),
+    )
+    kind = draw(st.sampled_from(["proper", "flat", "mixed"]))
+    variances = rng.uniform(0.1, 2.0, n)
+    if kind == "proper":
+        prior = PriorSpec.gaussian(np.zeros(n), variances)
+    elif kind == "flat":
+        prior = PriorSpec.flat(n)
+    else:
+        prior = PriorSpec.mixed(np.zeros(n), variances, rng.random(n) < 0.5)
+    eps = draw(st.floats(1e-5, 1e-4))
+    return theta, prior, make_operator("constant", n), eps, draw(st.sampled_from([1.0, 1.5]))
+
+
+def _full_range_adaptive(summary, prior, m_top, c_lambda):
+    """Log-weights, masses, shrinkage weights and adaptive estimate from the
+    documented formulas, every step over the whole search range."""
+    pm, mu = summary.post_mean[:m_top], prior.means[:m_top]
+    contrast = (pm - mu) ** 2 / summary.post_var[:m_top]
+    lw = 0.5 * np.cumsum(contrast) - 1.5 * c_lambda * np.arange(1, m_top + 1, dtype=np.float64)
+    w = np.exp(lw - np.max(lw))
+    probs = w / w.sum()
+    omega = np.clip(np.cumsum(probs[::-1])[::-1], 0.0, 1.0)
+    values = prior.means.copy()
+    values[:m_top] = mu + omega * (pm - mu)
+    return lw, probs, omega, values
+
+
+@settings(max_examples=15, deadline=None)
+@given(problem=long_direct_problems(), seed=st.integers(0, 1000))
+def test_truncated_adaptive_equals_full_range_formulas(problem, seed):
+    """On long search ranges the kernel and the public functions exponentiate
+    and shrink only up to the mass end, and still match the full-range
+    formulas exactly."""
+    theta, prior, op, eps, c_lambda = problem
+    reps = 4
+    cut = max_dimension(op, eps)
+    assume(oracle_dimension(theta, prior, op, eps).dimension <= cut)
+    th, pr, o, remainder, summaries = _head_loop(theta, prior, op, eps, reps, seed, cut)
+    vals = np.empty(reps)
+    for r, summary in enumerate(summaries):
+        lw, probs, omega, values = _full_range_adaptive(summary, pr, cut, c_lambda)
+        assert lw[-1] - lw.max() <= -_MASS_MARGIN  # the mass end lies before the cut
+        assert np.array_equal(dimension_posterior(summary, pr, o, eps, c_lambda).probs, probs)
+        est = adaptive_estimate(summary, pr, o, eps, c_lambda)
+        assert np.array_equal(est.omega, omega)
+        assert np.array_equal(est.values, values)
+        vals[r] = float(np.sum((values - th.values) ** 2)) + remainder
+
+    ends = []
+    shrink = montecarlo._shrink
+
+    def spy(probs, mass_end, *rest):
+        ends.append(mass_end)
+        return shrink(probs, mass_end, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_shrink", spy)
+        got = mc_mise("adaptive", theta, prior, op, eps, reps, seed, c_lambda=c_lambda)
+    assert (got.value, got.se) == _summary_of(vals)
+    assert len(ends) == reps and max(ends) < cut  # every replication was truncated
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "bad, message",
+    [(np.inf, "posterior means must be finite"), (1e200, "log weights must be finite")],
+)
+def test_adaptive_kernel_rejects_non_finite_values(monkeypatch, bad, message):
+    """An infinite observation fails the posterior-mean check; a finite one
+    whose square overflows fails the log-weight check."""
+    theta, prior, op = _poly_problem(100)
+    observe = montecarlo._observe
+
+    def corrupted(signal, noise_scale, seed, rep, out):
+        observe(signal, noise_scale, seed, rep, out)
+        out[3] = bad
+        return out
+
+    monkeypatch.setattr(montecarlo, "_observe", corrupted)
+    with pytest.raises(ValueError, match=message):
+        mc_mise("adaptive", theta, prior, op, 0.01, 3, seed=1, c_lambda=1.0)
 
 
 def test_thread_count_does_not_change_mc_estimates(monkeypatch):
