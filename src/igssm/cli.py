@@ -24,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, _check_eps_values, load_config
 from .experiment import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, _prepare, _Writer, run_experiment
-from .hierarchy import adaptive_estimate, dimension_posterior
+from .hierarchy import adaptive_estimate
 from .posterior import coordinate_posterior
 from .selection import InfeasibleError, check_assumptions
 from .sequences import Observation, simulate_observation
@@ -72,30 +72,15 @@ def _read_observation(obs_path: Path) -> tuple:
         raise ConfigError(f"malformed observation input: {err}") from err
     if values.size == 0:
         raise ConfigError(f"{obs_path}: no observation rows")
+    (eps,) = _check_eps_values((eps,), f"{meta_path}: eps")
     return values, eps, seed
-
-
-def _pick_eps(cfg: ExperimentConfig, arg_eps: float | None) -> float:
-    if arg_eps is None:
-        return cfg.eps_grid[0]
-    if not 0.0 < arg_eps < 1.0:
-        raise ConfigError(f"--eps: noise levels must lie in the open interval (0, 1), got {arg_eps}")
-    return float(arg_eps)
-
-
-def _build_problem(cfg: ExperimentConfig, eps: float):
-    n = cfg.sequence_length(eps)
-    op = cfg.build_operator(n)
-    theta = cfg.build_truth(op.n)
-    prior = cfg.build_prior(op)
-    return op, theta, prior
 
 
 def _cmd_simulate(args) -> int:
     cfg = _load_any(args.config)
-    eps = _pick_eps(cfg, args.eps)
+    eps = cfg.eps_grid[0] if args.eps is None else _check_eps_values((args.eps,), "--eps")[0]
     seed = cfg.seed if args.seed is None else args.seed
-    op, theta, _ = _build_problem(cfg, eps)
+    op, theta, _ = cfg.build_sequences(eps)
     obs = simulate_observation(theta, op, eps, seed)
     writer = _Writer(args.out, cfg, seed)
     writer.csv("observation.csv", ["j", "y"], _numbered(obs.values), eps=eps, n=op.n)
@@ -104,43 +89,44 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_posterior(args) -> int:
+def _observed(args) -> tuple:
+    """``(cfg, observation, op, theta, prior)`` for the ``--obs`` commands:
+    the sequences at the observation's noise level, checked to match its
+    length."""
     cfg = _load_any(args.config)
     values, eps, seed = _read_observation(Path(args.obs))
-    model_n = cfg.sequence_length(eps)
-    if model_n != values.size:
-        raise ConfigError(
-            f"observation length {values.size} does not match the config's "
-            f"sequence length {model_n} at eps={eps}"
-        )
-    op, _, prior = _build_problem(cfg, eps)
-    summary = coordinate_posterior(prior, op, Observation(values, eps, seed))
-    writer = _Writer(args.out, cfg, seed)
-    writer.csv(
-        "posterior.csv", ["j", "sigma", "post_mean"],
-        _numbered(summary.post_var, summary.post_mean), eps=eps,
-    )
-    if not args.quiet:
-        print(f"posterior.csv: {values.size} coordinates")
-    return EXIT_OK
-
-
-def _cmd_adapt(args) -> int:
-    cfg = _load_any(args.config)
-    values, eps, seed = _read_observation(Path(args.obs))
-    op, theta, prior = _build_problem(cfg, eps)
+    op, theta, prior = cfg.build_sequences(eps)
     if op.n != values.size:
         raise ConfigError(
             f"observation length {values.size} does not match the config's "
             f"sequence length {op.n} at eps={eps}"
         )
+    return cfg, Observation(values, eps, seed), op, theta, prior
+
+
+def _cmd_posterior(args) -> int:
+    cfg, obs, op, _, prior = _observed(args)
+    summary = coordinate_posterior(prior, op, obs)
+    writer = _Writer(args.out, cfg, obs.seed)
+    writer.csv(
+        "posterior.csv", ["j", "sigma", "post_mean"],
+        _numbered(summary.post_var, summary.post_mean), eps=obs.eps,
+    )
+    if not args.quiet:
+        print(f"posterior.csv: {op.n} coordinates")
+    return EXIT_OK
+
+
+def _cmd_adapt(args) -> int:
+    cfg, obs, op, theta, prior = _observed(args)
+    eps = obs.eps
     c_lambda = cfg.c_lambda_override
     if c_lambda is None:
         c_lambda = check_assumptions(theta, prior, op, (eps,)).c_lambda
-    summary = coordinate_posterior(prior, op, Observation(values, eps, seed))
-    dist = dimension_posterior(summary, prior, op, eps, c_lambda)
+    summary = coordinate_posterior(prior, op, obs)
     estimate = adaptive_estimate(summary, prior, op, eps, c_lambda)
-    writer = _Writer(args.out, cfg, seed)
+    dist = estimate.dimension_posterior
+    writer = _Writer(args.out, cfg, obs.seed)
     writer.csv(
         "dimension_posterior.csv", ["m", "log_weight", "prob"],
         _numbered(dist.log_weights, dist.probs), eps=eps, c_lambda=c_lambda,
@@ -167,42 +153,35 @@ def _cmd_select(args) -> int:
     return EXIT_OK
 
 
-def _cmd_audit(args) -> int:
+def _cmd_experiment(args) -> int:
+    """``audit``, ``sweep`` and ``run``: the experiment runner on a subset of
+    its stages.  On ``audit``, ``--reps`` sets the audit draws; the config
+    is rebuilt with them, so the schema's floor applies."""
     cfg = _load_any(args.config)
-    if args.reps is not None:
-        raw = json.loads(json.dumps(cfg.raw))
-        block = raw.get("audit", {"configs": 50, "reps": 100_000})
-        block["reps"] = args.reps
-        raw["audit"] = block
-        cfg = ExperimentConfig(raw=raw, base_dir=cfg.base_dir)
-    result = run_experiment(
-        cfg, args.out, quiet=args.quiet, seed=args.seed, subset="audit"
-    )
-    if result.error:
-        print(f"error: {result.error}", file=sys.stderr)
-    return result.exit_code
-
-
-def _cmd_sweep(args) -> int:
-    cfg = _load_any(args.config)
+    reps = args.reps
+    if args.subset == "audit" and reps is not None:
+        audit = {**cfg.audit_settings, "reps": reps}
+        cfg = ExperimentConfig(raw={**cfg.raw, "audit": audit}, base_dir=cfg.base_dir)
+        reps = None
     result = run_experiment(
         cfg, args.out, check=args.check, quiet=args.quiet,
-        seed=args.seed, reps=args.reps, subset="sweep",
+        seed=args.seed, reps=reps, subset=args.subset,
     )
     if result.error:
         print(f"error: {result.error}", file=sys.stderr)
     return result.exit_code
 
 
-def _cmd_run(args) -> int:
-    cfg = _load_any(args.config)
-    result = run_experiment(
-        cfg, args.out, check=args.check, quiet=args.quiet,
-        seed=args.seed, reps=args.reps, subset="all",
-    )
-    if result.error:
-        print(f"error: {result.error}", file=sys.stderr)
-    return result.exit_code
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -213,14 +192,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=False, reps=False, check=False, eps=False, obs=False):
+    def common(p, seed=False, reps=None, check=False, eps=False, obs=False):
         p.add_argument("--config", required=True, help="config path or bundled config name")
         p.add_argument("--out", default="igssm_out", help="output directory (default: igssm_out)")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
         if seed:
-            p.add_argument("--seed", type=int, default=None, help="override the config seed")
+            p.add_argument("--seed", type=_at_least(0), default=None, help="override the config seed")
         if reps:
-            p.add_argument("--reps", type=int, default=None, help="override MC replications")
+            p.add_argument("--reps", type=_at_least(1), default=None, help=reps)
         if check:
             p.add_argument("--check", action="store_true", help="turn checks into the exit code")
         if eps:
@@ -245,16 +224,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_adapt)
 
     p = sub.add_parser("audit", help="run the tail-bound audit suite")
-    common(p, seed=True, reps=True)
-    p.set_defaults(func=_cmd_audit)
+    common(p, seed=True, reps="override the audit draws per config (at least 10000)")
+    p.set_defaults(func=_cmd_experiment, subset="audit", check=False)
 
     p = sub.add_parser("sweep", help="rate study: selection, MISE, log-log fit")
-    common(p, seed=True, reps=True, check=True)
-    p.set_defaults(func=_cmd_sweep)
+    common(p, seed=True, reps="override MC replications", check=True)
+    p.set_defaults(func=_cmd_experiment, subset="sweep")
 
     p = sub.add_parser("run", help="full experiment (sweep + concentration + audit)")
-    common(p, seed=True, reps=True, check=True)
-    p.set_defaults(func=_cmd_run)
+    common(p, seed=True, reps="override MC replications", check=True)
+    p.set_defaults(func=_cmd_experiment, subset="all")
 
     return parser
 

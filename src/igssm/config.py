@@ -35,6 +35,11 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (schema or semantic)."""
 
 
+# Longest working sequence a config may ask for: ten times the longest
+# bundled one (1e6 at eps = 1e-6), 80 MB per float64 array.  Longer lengths
+# are rejected before any array is built.
+MAX_SEQUENCE_LENGTH = 10**7
+
 CONCENTRATION_KINDS = (
     "sieve_oracle",
     "hierarchical_oracle",
@@ -232,10 +237,11 @@ class ExperimentConfig:
         if "concentration" in self.raw and "eps_grid" in self.raw["concentration"]:
             _check_eps_values(self.raw["concentration"]["eps_grid"], "concentration.eps_grid")
         _validate_semantics(self.raw)
-        if self.fixed_dims and max(self.fixed_dims) > self.sequence_length():
+        n = self.sequence_length()
+        if self.fixed_dims and max(self.fixed_dims) > n:
             raise ConfigError(
                 f"fixed_dims: dimension {max(self.fixed_dims)} exceeds the "
-                f"working sequence length {self.sequence_length()}"
+                f"working sequence length {n}"
             )
 
     # -- scalar accessors ---------------------------------------------------
@@ -285,6 +291,12 @@ class ExperimentConfig:
         return self.raw.get("audit")
 
     @property
+    def audit_settings(self) -> dict:
+        """The audit block, or the default suite of 50 configs x 1e5 draws
+        that ``igssm audit`` runs on a config without one."""
+        return self.raw.get("audit", {"configs": 50, "reps": 100_000})
+
+    @property
     def check_rate_tol(self) -> float:
         return float(self.raw.get("check", {}).get("rate_tol", 0.08))
 
@@ -305,14 +317,27 @@ class ExperimentConfig:
     def sequence_length(self, eps: float | None = None) -> int:
         """Working truncation length: an explicit model value list fixes it;
         otherwise ``model.n``; otherwise ``ceil(1/eps)`` at the given (or
-        finest grid) noise level."""
+        finest grid) noise level.  Raises :class:`ConfigError` past
+        :data:`MAX_SEQUENCE_LENGTH`."""
         model = self.raw["model"]
         if model["family"] == "explicit" and "values" in model:
-            return len(model["values"])
-        if "n" in model:
-            return int(model["n"])
-        target = min(self.eps_grid + self.concentration_eps_grid) if eps is None else eps
-        return _ceil_inv(target)
+            n = len(model["values"])
+        elif "n" in model:
+            n = int(model["n"])
+        else:
+            eps = min(self.eps_grid + self.concentration_eps_grid) if eps is None else eps
+            if eps < 1.0 / MAX_SEQUENCE_LENGTH:  # also keeps 1 / eps finite
+                raise ConfigError(f"eps={eps} needs a sequence longer than the limit {MAX_SEQUENCE_LENGTH}")
+            n = _ceil_inv(eps)
+        if n > MAX_SEQUENCE_LENGTH:
+            raise ConfigError(f"working sequence length {n} exceeds the limit {MAX_SEQUENCE_LENGTH}")
+        return n
+
+    def build_sequences(self, eps: float | None = None) -> tuple:
+        """``(op, theta, prior)`` at the working length for ``eps`` (default:
+        the finest noise level of the config)."""
+        op = self.build_operator(self.sequence_length(eps))
+        return op, self.build_truth(op.n), self.build_prior(op)
 
     def _file_values(self, block: dict):
         if "values" in block:
@@ -384,11 +409,13 @@ class ExperimentConfig:
         except (ValueError, OverflowError) as err:
             raise ConfigError(f"prior: {err}") from err
 
-    def build_class(self) -> WeightedClass | None:
+    def build_class(self, n: int | None = None) -> WeightedClass | None:
+        """The smoothness class at length ``n`` (default: the working
+        sequence length), or None without a class block."""
         block = self.raw.get("class")
         if block is None:
             return None
-        n = self.sequence_length()
+        n = self.sequence_length() if n is None else n
         try:
             return make_weights(block["family"], n, exponent=block["exponent"], radius=block["radius"])
         except ValueError as err:

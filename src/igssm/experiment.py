@@ -42,7 +42,6 @@ from .selection import (
     minimax_dimension,
     oracle_dimension,
 )
-from .sequences import make_weights
 
 __all__ = ["ExperimentResult", "run_experiment", "EXIT_OK", "EXIT_CONFIG", "EXIT_INFEASIBLE", "EXIT_CHECK"]
 
@@ -52,6 +51,16 @@ EXIT_INFEASIBLE = 3
 EXIT_CHECK = 4
 
 _FITTED_KINDS = ("oracle", "minimax", "adaptive")
+
+# Sampled concentration kinds: (posterior sampled, composite-constant key,
+# two-sided band).  hierarchical_minimax bounds the mass from above only:
+# no uniform lower edge exists for it.  The bracket_* kinds sample nothing.
+_CONCENTRATION = {
+    "sieve_oracle": ("fixed", "oracle_sieve", True),
+    "hierarchical_oracle": ("hierarchical", "oracle_hierarchical", True),
+    "sieve_minimax": ("fixed", "minimax_sieve", True),
+    "hierarchical_minimax": ("hierarchical", "minimax_hierarchical", False),
+}
 
 
 @dataclass
@@ -148,17 +157,8 @@ def _prepare(cfg: ExperimentConfig) -> tuple:
     the sequences of ``cfg``, its assumption report and constants, and the
     ``report.json`` header they give (all of it but the seed).  Shared by
     ``run_experiment`` and ``igssm select``."""
-    n = cfg.sequence_length()
-    op = cfg.build_operator(n)
-    theta = cfg.build_truth(op.n)
-    prior = cfg.build_prior(op)
-    wclass = cfg.build_class()
-    if wclass is not None and wclass.weights.size != op.n:
-        # explicit operators fix their own length; rebuild the class on it
-        block = cfg.raw["class"]
-        wclass = make_weights(
-            block["family"], op.n, exponent=block["exponent"], radius=block["radius"]
-        )
+    op, theta, prior = cfg.build_sequences()
+    wclass = cfg.build_class(op.n)  # explicit operators fix their own length
 
     report = check_assumptions(theta, prior, op, cfg.eps_grid, weighted_class=wclass)
     c_lambda = cfg.c_lambda_override
@@ -208,7 +208,7 @@ def _selection_at(theta, prior, op, wclass, eps):
     return m_max, oracle, minimax
 
 
-def _rates_rows(cfg, report):
+def _rates_rows(report):
     rows = []
     kappa = report.kappa_minimax if report.kappa_minimax is not None else report.kappa_oracle
     for i, eps in enumerate(report.eps_grid):
@@ -229,32 +229,18 @@ def _rates_rows(cfg, report):
 
 
 def _mise_stage(cfg, theta, prior, op, wclass, report, c_lambda, seed, reps):
-    tasks = []
+    # the dimension a non-fixed kind reports: its selection, or the search range
+    selected = {"oracle": report.oracle_dims, "minimax": report.minimax_dims, "adaptive": report.max_dims}
+    rows = []
     for i, eps in enumerate(cfg.eps_grid):
         for kind in cfg.estimators:
-            if kind == "fixed":
-                for m in cfg.fixed_dims:
-                    tasks.append((eps, kind, m, i))
-            else:
-                tasks.append((eps, kind, None, i))
-
-    def run(task):
-        eps, kind, m, i = task
-        est = mc_mise(
-            kind, theta, prior, op, eps, reps, seed,
-            m=m, weighted_class=wclass, c_lambda=c_lambda,
-        )
-        if kind == "fixed":
-            dim = m
-        elif kind == "oracle":
-            dim = report.oracle_dims[i]
-        elif kind == "minimax":
-            dim = report.minimax_dims[i]
-        else:
-            dim = report.max_dims[i]
-        return [eps, kind, dim, est.value, est.se, est.reps]
-
-    rows = [run(task) for task in tasks]
+            for m in cfg.fixed_dims if kind == "fixed" else (None,):
+                est = mc_mise(
+                    kind, theta, prior, op, eps, reps, seed,
+                    m=m, weighted_class=wclass, c_lambda=c_lambda,
+                )
+                dim = m if kind == "fixed" else selected[kind][i]
+                rows.append([eps, kind, dim, est.value, est.se, est.reps])
 
     fits = {}
     model = cfg.raw["model"]
@@ -291,6 +277,7 @@ def _mise_stage(cfg, theta, prior, op, wclass, report, c_lambda, seed, reps):
 
 
 def _concentration_stage(cfg, theta, prior, op, wclass, report, constants, c_lambda, seed, reps, draws):
+    # every selection is checked before any Monte Carlo work starts
     tasks = []
     for eps in cfg.concentration_eps_grid:
         m_max, oracle, minimax = _selection_at(theta, prior, op, wclass, eps)
@@ -303,39 +290,29 @@ def _concentration_stage(cfg, theta, prior, op, wclass, report, constants, c_lam
                 )
             tasks.append((eps, kind, sel, m_max))
 
-    def run(task):
-        eps, kind, sel, m_max = task
+    rows = []
+    for eps, kind, sel, m_max in tasks:
         if kind.startswith("bracket"):
-            mode = "minimax" if kind.endswith("_minimax") else "oracle"
-            est = mc_bracket_mass(
-                theta, prior, op, eps, reps, seed, report, c_lambda,
-                mode=mode, weighted_class=wclass,
-            )
-            m_lo, m_hi = bracket_dimensions(
-                theta, prior, op, eps, report, mode=mode,
+            # the one bracket of this task: the CSV row and the estimate share it
+            bracket = bracket_dimensions(
+                theta, prior, op, eps, report, mode=kind.removeprefix("bracket_"),
                 weighted_class=wclass, c_lambda=c_lambda,
             )
-            return [eps, kind, sel.dimension, None, None, m_lo, m_hi, est.value, est.se]
-        if kind == "sieve_oracle":
-            const, two_sided, post = constants["oracle_sieve"], True, "fixed"
-        elif kind == "hierarchical_oracle":
-            const, two_sided, post = constants["oracle_hierarchical"], True, "hierarchical"
-        elif kind == "sieve_minimax":
-            const, two_sided, post = constants["minimax_sieve"], True, "fixed"
-        else:  # hierarchical_minimax: upper bound only — no uniform lower edge
-            const, two_sided, post = constants["minimax_hierarchical"], False, "hierarchical"
+            est = mc_bracket_mass(theta, prior, op, eps, reps, seed, bracket, c_lambda)
+            rows.append([eps, kind, sel.dimension, None, None, *bracket, est.value, est.se])
+            continue
+        post, key, two_sided = _CONCENTRATION[kind]
         est = mc_concentration(
-            post, theta, prior, op, eps, const, sel.rate, reps, draws, seed,
+            post, theta, prior, op, eps, constants[key], sel.rate, reps, draws, seed,
             m=sel.dimension, c_lambda=c_lambda, two_sided=two_sided,
         )
         dim = sel.dimension if post == "fixed" else m_max
-        return [eps, kind, dim, const, sel.rate, None, None, est.value, est.se]
-
-    return [run(task) for task in tasks]
+        rows.append([eps, kind, dim, constants[key], sel.rate, None, None, est.value, est.se])
+    return rows
 
 
 def _audit_stage(cfg, seed):
-    block = cfg.audit_block or {"configs": 50, "reps": 100_000}
+    block = cfg.audit_settings
     suite = random_tail_suite(int(block["configs"]), seed)
     audit_reps = int(block["reps"])
 
@@ -427,7 +404,7 @@ def run_experiment(
             writer.csv(
                 "rates.csv",
                 ["eps", "m_star", "phi_star", "m_circ", "phi_circ", "d", "C_lambda", "L_lambda", "kappa"],
-                _rates_rows(cfg, report),
+                _rates_rows(report),
             )
             messages.append(f"rates.csv: {len(report.eps_grid)} grid points")
             if cfg.estimators:

@@ -259,10 +259,6 @@ class AdaptiveEstimate:
         object.__setattr__(self, "values", _readonly(self.values))
         object.__setattr__(self, "omega", _readonly(self.omega))
 
-    @property
-    def search_range(self) -> int:
-        return self.omega.size
-
 
 def adaptive_estimate(
     summary: PosteriorSummary,

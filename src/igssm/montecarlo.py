@@ -64,10 +64,8 @@ from .posterior import (
 )
 from .rng import AUDIT_DRAW, SUITE_GEN, stream
 from .selection import (
-    AssumptionReport,
     InfeasibleError,
     bias_profile,
-    bracket_dimensions,
     max_dimension,
     minimax_dimension,
     oracle_dimension,
@@ -100,6 +98,9 @@ __all__ = [
 ]
 
 _MIN_AUDIT_REPS = 10_000
+# Most worker threads IGSSM_THREADS may ask for; one task starts up to
+# min(IGSSM_THREADS, reps) of them.  Larger values are a config error.
+MAX_THREADS = 64
 _BATCH_ELEMENTS = 1 << 23  # cap on draws * dimension per simulation batch
 
 
@@ -107,8 +108,8 @@ def _max_workers() -> int:
     env = os.environ.get("IGSSM_THREADS")
     if not env:
         return min(8, os.cpu_count() or 1)
-    if not env.strip().isdecimal() or int(env) < 1:
-        raise ConfigError(f"IGSSM_THREADS must be a positive integer, got {env!r}")
+    if not env.strip().isdecimal() or not 1 <= int(env) <= MAX_THREADS:
+        raise ConfigError(f"IGSSM_THREADS must be a positive integer up to {MAX_THREADS}, got {env!r}")
     return int(env)
 
 
@@ -300,20 +301,17 @@ def audit_tail_bounds(config: TailBoundConfig, reps: int, seed: int, rep: int = 
     )
 
 
-def random_tail_suite(n_configs: int, seed: int, include_reference: bool = True) -> list:
+def random_tail_suite(n_configs: int, seed: int) -> list:
     """A randomized audit suite.
 
     Dimensions, shifts, scales, deviation scales and envelope slacks vary
-    per config; the first entry (when ``include_reference`` is set) is the
-    reference case of ten unit scales, zero shifts and ``c = 1``, whose
-    probability bound is ``exp(-10/4)``.
+    per config; the first entry is the reference case of ten unit scales,
+    zero shifts and ``c = 1``, whose probability bound is ``exp(-10/4)``.
     """
     if n_configs < 1:
         raise ValueError("need at least one config")
-    suite = []
-    if include_reference:
-        suite.append(TailBoundConfig.from_sequences(np.zeros(10), np.ones(10), 1.0))
-    for i in range(len(suite), n_configs):
+    suite = [TailBoundConfig.from_sequences(np.zeros(10), np.ones(10), 1.0)]
+    for i in range(1, n_configs):
         rng = stream(seed, SUITE_GEN, i)
         m = int(rng.integers(1, 31))
         scales = rng.uniform(0.2, 2.0, m)
@@ -658,21 +656,18 @@ def mc_bracket_mass(
     eps: float,
     reps: int,
     seed: int,
-    report: AssumptionReport,
+    bracket: tuple[int, int],
     c_lambda: float,
-    mode: str = "oracle",
-    weighted_class: WeightedClass | None = None,
 ) -> MCEstimate:
-    """Expected dimension-posterior mass outside the sandwich brackets.
+    """Expected dimension-posterior mass outside ``bracket = (m_lo, m_hi)``,
+    typically the sandwich of :func:`igssm.selection.bracket_dimensions`
+    computed with the same ``c_lambda`` as the dimension prior.
 
     The inner probability is exact (a partial sum of the dimension
-    posterior); only the observations are simulated.
+    posterior); only the observations are simulated.  A bracket outside
+    ``1..M`` raises ``ValueError``.
     """
-    m_lo, m_hi = bracket_dimensions(
-        theta, prior, op, eps, report, mode=mode,
-        weighted_class=weighted_class, c_lambda=c_lambda,
-    )
-
+    m_lo, m_hi = bracket
     cut = max_dimension(op, eps)
     penalty = _dimension_penalty(c_lambda, cut)
     task = _task(theta, prior, op, eps, cut)
@@ -749,7 +744,6 @@ class RateReport:
     intercept: float
     residuals: np.ndarray
     theory: RateTheory
-    constants: dict | None = None
 
     def slope_matches(self, tol: float) -> bool | None:
         """Whether the fitted slope is compatible with the theory.
@@ -770,7 +764,6 @@ def rate_regression(
     mise: np.ndarray,
     se: np.ndarray | None = None,
     theory: RateTheory | None = None,
-    constants: dict | None = None,
 ) -> RateReport:
     """Fit ``log mise ~ slope * log eps + intercept`` by least squares."""
     eps = np.asarray(eps, dtype=np.float64)
@@ -791,5 +784,4 @@ def rate_regression(
         intercept=float(intercept),
         residuals=_readonly(residuals),
         theory=theory if theory is not None else RateTheory("unsupported", None),
-        constants=constants,
     )

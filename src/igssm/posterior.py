@@ -95,10 +95,6 @@ class PriorSpec:
         return self.means.size
 
     @property
-    def fully_improper(self) -> bool:
-        return bool(np.all(self.improper))
-
-    @property
     def any_improper(self) -> bool:
         return bool(np.any(self.improper))
 

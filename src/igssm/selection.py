@@ -135,9 +135,9 @@ class SelectionResult:
     eps: float
 
 
-def _variance_proxy_profile(op: OperatorSequence, eps: float, upto: int) -> np.ndarray:
+def _variance_proxy_profile(op: OperatorSequence, eps: float) -> np.ndarray:
     # entries past the representable range are +inf, which argmin ignores
-    return eps * op._amp_prefix_sum[:upto]
+    return eps * op._amp_prefix_sum
 
 
 def oracle_dimension(
@@ -150,7 +150,7 @@ def oracle_dimension(
     if not (theta.n == prior.n == op.n):
         raise ValueError("signal, prior and operator lengths must match")
     _check_eps(eps)
-    rates = np.maximum(bias_profile(theta, prior), _variance_proxy_profile(op, eps, theta.n))
+    rates = np.maximum(bias_profile(theta, prior), _variance_proxy_profile(op, eps))
     idx = int(np.argmin(rates))  # argmin takes the first minimiser
     return SelectionResult(idx + 1, float(rates[idx]), "oracle", float(eps))
 
@@ -164,7 +164,7 @@ def minimax_dimension(
     if weighted_class.n != op.n:
         raise ValueError("class and operator lengths must match")
     _check_eps(eps)
-    rates = np.maximum(weighted_class.weights, _variance_proxy_profile(op, eps, op.n))
+    rates = np.maximum(weighted_class.weights, _variance_proxy_profile(op, eps))
     idx = int(np.argmin(rates))
     return SelectionResult(idx + 1, float(rates[idx]), "minimax", float(eps))
 
@@ -355,7 +355,7 @@ def check_assumptions(
                 np.exp(math.log(eps) + log_amp[j]),
             )
             d = min(d, float(np.min(prior.variances[j] / floor)))
-        vprox = _variance_proxy_profile(op, eps, n)
+        vprox = _variance_proxy_profile(op, eps)
         sel = oracle_dimension(theta, prior, op, eps)
         oracle_dims.append(sel.dimension)
         oracle_rates.append(sel.rate)

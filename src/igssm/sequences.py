@@ -136,14 +136,6 @@ class OperatorSequence:
             raise OverflowError(f"max amplification over 1..{m} overflows")
         return float(math.exp(log_val))
 
-    def mean_amplification(self, m: int) -> float:
-        """``m^{-1} sum_{j<=m} lambda_j^{-2}`` (checked for overflow)."""
-        self._check_dim(m)
-        s = self._amp_prefix_sum[m - 1]
-        if not np.isfinite(s):
-            raise OverflowError(f"mean amplification over 1..{m} overflows")
-        return float(s / m)
-
     def head(self, k: int) -> "OperatorSequence":
         """First ``k`` coordinates as a new sequence (family tag kept)."""
         self._check_dim(k)
@@ -236,11 +228,6 @@ class ParameterSequence:
     @property
     def n(self) -> int:
         return self.values.size
-
-    @property
-    def sq_norm(self) -> float:
-        """Squared norm of the stored range (tail not included)."""
-        return float(np.sum(self.values**2))
 
     def sq_tail(self) -> float:
         """Upper bound for ``sum_{j>N} theta_j^2`` beyond the stored range.
@@ -337,13 +324,6 @@ class WeightedClass:
     @property
     def n(self) -> int:
         return self.weights.size
-
-    def bias_bound(self, m: int) -> float:
-        """Worst-case squared bias over the class after keeping ``m``
-        coordinates: ``w_m * radius``."""
-        if not 1 <= m <= self.n:
-            raise ValueError(f"dimension m={m} outside 1..{self.n}")
-        return float(self.weights[m - 1] * self.radius)
 
     def contains(self, theta: ParameterSequence, means: np.ndarray | None = None) -> bool:
         """Membership test on the stored range (coordinates past the shorter

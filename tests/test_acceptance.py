@@ -22,6 +22,7 @@ from igssm import (
     PriorSpec,
     adaptive_estimate,
     audit_tail_bounds,
+    bracket_dimensions,
     check_assumptions,
     composite_constants,
     coordinate_posterior,
@@ -270,7 +271,11 @@ def test_criterion_07_dimension_posterior_brackets(benchmark_problem, capsys):
     t0 = time.perf_counter()
     op, theta, prior, grid, report = benchmark_problem
     estimates = [
-        mc_bracket_mass(theta, prior, op, eps, REPS, SEED, report, C_PENALTY, mode="oracle")
+        mc_bracket_mass(
+            theta, prior, op, eps, REPS, SEED,
+            bracket_dimensions(theta, prior, op, eps, report, mode="oracle", c_lambda=C_PENALTY),
+            C_PENALTY,
+        )
         for eps in grid
     ]
     masses = [e.value for e in estimates]

@@ -109,6 +109,28 @@ def test_posterior_roundtrip(tmp_path):
     assert meta["eps"] == 0.01
 
 
+@pytest.mark.parametrize("command", ["posterior", "adapt"])
+def test_observation_commands_accept_a_values_file_operator(tmp_path, command):
+    """A values_file operator fixes its own length (here 50, where eps=0.01
+    would give 100), and both commands read what simulate wrote on it."""
+    (tmp_path / "ops.csv").write_text(
+        "value\n" + "".join(f"{1.0 / j!r}\n" for j in range(1, 51)), encoding="utf-8"
+    )
+    config = tmp_path / "values_file.json"
+    config.write_text(json.dumps({
+        "model": {"family": "explicit", "values_file": "ops.csv"},
+        "truth": {"family": "polynomial", "exponent": 1.6, "scale": 0.4},
+        "prior": {"kind": "improper"},
+        "eps_grid": [0.01],
+        "seed": 3,
+    }), encoding="utf-8")
+    assert run_cli("simulate", "--config", config, "--out", tmp_path, "--quiet") == 0
+    obs = tmp_path / "observation.csv"
+    assert run_cli(command, "--config", config, "--obs", obs, "--out", tmp_path, "--quiet") == 0
+    name = "posterior.csv" if command == "posterior" else "adaptive.csv"
+    assert len(read_csv(tmp_path / name)[1]) == len(read_csv(obs)[1]) == 50
+
+
 def test_adapt_roundtrip(tmp_path):
     assert run_cli("simulate", "--config", "pp_small", "--out", tmp_path, "--quiet") == 0
     rc = run_cli(
@@ -258,6 +280,7 @@ def test_posterior_length_mismatch(tmp_path, capsys):
         ("float", "malformed observation input"),
         ("sidecar", "cannot read observation"),
         ("empty", "expected header j,y"),
+        ("eps", "noise levels must lie in the open interval (0, 1)"),
     ],
 )
 def test_malformed_observation_inputs(tmp_path, capsys, breakage, message):
@@ -269,6 +292,9 @@ def test_malformed_observation_inputs(tmp_path, capsys, breakage, message):
     elif breakage == "empty":
         obs.write_text("", encoding="utf-8")
         sidecar.write_text('{"eps": 0.01, "seed": 1}', encoding="utf-8")
+    elif breakage == "eps":
+        obs.write_text("j,y\n1,0.5\n", encoding="utf-8")
+        sidecar.write_text('{"eps": 0, "seed": 1}', encoding="utf-8")
     elif breakage == "float":
         obs.write_text("j,y\n1,not_a_number\n", encoding="utf-8")
         sidecar.write_text('{"eps": 0.01, "seed": 1}', encoding="utf-8")
@@ -321,6 +347,49 @@ def test_audit_reps_floor_enforced(tmp_path, capsys):
     )
     assert rc == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--seed", "-1"],
+        ["audit", "--reps", "0"],
+        ["audit", "--seed", "-1"],
+        ["sweep", "--reps", "-3"],
+        ["sweep", "--seed", "-1"],
+        ["run", "--reps", "0"],
+        ["run", "--reps", "-3"],
+        ["run", "--seed", "-1"],
+        ["run", "--reps", "two"],
+    ],
+)
+def test_bad_override_exits_2_before_any_work(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--config", "pp_small", "--out", out)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[1]}:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_audit_reps_flag_equals_config_reps(tmp_path):
+    """``audit --reps`` writes what ``audit`` writes on a config whose
+    ``audit.reps`` holds that value."""
+    bundled = Path(igssm.__file__).parent / "configs" / "tail_audit.json"
+    raw = json.loads(bundled.read_text(encoding="utf-8"))
+    raw["audit"]["reps"] = 20000
+    path = tmp_path / "tail_audit_20000.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    flag, file = tmp_path / "flag", tmp_path / "file"
+    assert run_cli("audit", "--config", "tail_audit", "--reps", "20000", "--out", flag, "--quiet") == 0
+    assert run_cli("audit", "--config", path, "--out", file, "--quiet") == 0
+    names = sorted(p.name for p in flag.iterdir())
+    assert names == sorted(p.name for p in file.iterdir())
+    assert "audit.csv" in names and "report.json" in names
+    for name in names:
+        assert (flag / name).read_bytes() == (file / name).read_bytes(), name
 
 
 def test_audit_subcommand(tmp_path):

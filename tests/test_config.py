@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from igssm.config import ConfigError, ExperimentConfig, load_config
+from igssm import config
+from igssm.cli import main
+from igssm.config import MAX_SEQUENCE_LENGTH, ConfigError, ExperimentConfig, load_config
 
 BASE = {
     "model": {"family": "polynomial", "decay": 1.0},
@@ -95,6 +97,24 @@ def test_sequence_length_rules():
     assert cfg.sequence_length() == 10000
 
 
+def test_working_length_is_bounded_before_any_array_is_built(tmp_path, monkeypatch, capsys):
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("a sequence was built")
+
+    monkeypatch.setattr(config, "make_operator", no_arrays)
+    monkeypatch.setattr(config, "make_parameters", no_arrays)
+    assert MAX_SEQUENCE_LENGTH == 10**7
+    with pytest.raises(ConfigError, match="longer than the limit 10000000"):
+        cfg_with(eps_grid=[1e-12])
+    with pytest.raises(ConfigError, match="length 10000001 exceeds the limit"):
+        cfg_with(model={"family": "constant", "n": 10**7 + 1})
+    assert cfg_with(model={"family": "constant", "n": 10**7}).sequence_length() == 10**7
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", "pp_small", "--eps", "1e-12", "--out", str(out)]) == 2
+    assert "longer than the limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fixed_dims_must_fit_the_sequence():
     with pytest.raises(ConfigError, match="fixed_dims"):
         cfg_with(
@@ -112,7 +132,7 @@ def test_builders_produce_model_objects():
     prior = cfg.build_prior(op)
     wclass = cfg.build_class()
     assert op.n == theta.n == prior.n == wclass.n == n
-    assert prior.fully_improper
+    assert prior.improper.all()
     assert wclass.radius == 1.0
 
 

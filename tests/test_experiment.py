@@ -2,11 +2,13 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
+import igssm
 from igssm import experiment
-from igssm.config import ExperimentConfig
+from igssm.config import ExperimentConfig, load_config
 from igssm.experiment import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -14,6 +16,8 @@ from igssm.experiment import (
     EXIT_OK,
     run_experiment,
 )
+from igssm.montecarlo import mc_bracket_mass
+from igssm.selection import bracket_dimensions, check_assumptions
 
 SMALL = {
     "model": {"family": "polynomial", "decay": 1.0},
@@ -106,6 +110,46 @@ def test_concentration_csv_rows(full_run):
     bracket = by_kind["bracket_oracle"]
     assert bracket[3] == "" and bracket[4] == ""  # no constant/rate for brackets
     assert 1 <= int(bracket[5]) <= int(bracket[6])
+
+
+DIRECT_BRACKETS = {
+    # the direct model at eps=1e-4, where the oracle and minimax brackets
+    # differ and c_lambda = 1.5 moves m_lo (on pp_small every bracket is
+    # the whole search range)
+    "model": {"family": "constant"},
+    "eps_grid": [0.01, 0.0001],
+    "c_lambda": 1.5,
+    "estimators": [],
+    "concentration": {"kinds": ["bracket_oracle", "bracket_minimax"]},
+}
+
+
+@pytest.mark.parametrize("overrides", [{}, DIRECT_BRACKETS], ids=["pp_small", "direct"])
+def test_bracket_rows_carry_their_bracket_and_its_mass(tmp_path, overrides):
+    """Every ``bracket_*`` row of ``run pp_small`` holds the bracket of
+    ``bracket_dimensions`` at the run's ``c_lambda``, and the mass of
+    ``mc_bracket_mass`` on that bracket."""
+    cfg = load_config(Path(igssm.__file__).parent / "configs" / "pp_small.json")
+    cfg = ExperimentConfig({**cfg.raw, **overrides})
+    result = run_experiment(cfg, tmp_path, quiet=True)
+    assert result.exit_code == EXIT_OK
+    used = result.report["constants"]["c_lambda_used"]
+    assert used == overrides.get("c_lambda", result.report["constants"]["c_lambda"])
+    op, theta, prior = cfg.build_sequences()
+    wclass = cfg.build_class()
+    report = check_assumptions(theta, prior, op, cfg.eps_grid, weighted_class=wclass)
+    rows = [r for r in read_rows(tmp_path / "concentration.csv")[1:] if r[1].startswith("bracket_")]
+    assert sorted({r[1] for r in rows}) == ["bracket_minimax", "bracket_oracle"]
+    assert len(rows) == 2 * len(cfg.concentration_eps_grid)
+    for eps, kind, _, _, _, m_lo, m_hi, mass, se in rows:
+        eps = float(eps)
+        bracket = bracket_dimensions(
+            theta, prior, op, eps, report, mode=kind.removeprefix("bracket_"),
+            weighted_class=wclass, c_lambda=used,
+        )
+        assert (int(m_lo), int(m_hi)) == bracket
+        est = mc_bracket_mass(theta, prior, op, eps, cfg.mc_reps, cfg.seed, bracket, used)
+        assert (float(mass), float(se)) == (est.value, est.se)
 
 
 def test_sidecars_carry_run_metadata_and_nothing_else(full_run):

@@ -27,6 +27,7 @@ from igssm import (
     theoretical_exponent,
 )
 from igssm import montecarlo
+from igssm.config import ConfigError
 from igssm.hierarchy import (
     _MASS_MARGIN,
     _draw_hierarchical,
@@ -247,8 +248,9 @@ def test_sieve_deviation_requires_small_c():
 def test_bracket_mass_deterministic_and_bounded():
     theta, prior, op = _poly_problem()
     report = check_assumptions(theta, prior, op, (0.01,))
-    a = mc_bracket_mass(theta, prior, op, 0.01, 50, 12, report, 1.0)
-    b = mc_bracket_mass(theta, prior, op, 0.01, 50, 12, report, 1.0)
+    bracket = bracket_dimensions(theta, prior, op, 0.01, report, c_lambda=1.0)
+    a = mc_bracket_mass(theta, prior, op, 0.01, 50, 12, bracket, 1.0)
+    b = mc_bracket_mass(theta, prior, op, 0.01, 50, 12, bracket, 1.0)
     assert a.value == b.value
     assert 0.0 <= a.value <= 1.0
 
@@ -379,20 +381,29 @@ def test_mc_concentration_equals_serial_loop(problem, hierarchical, band, seed):
 
 
 @settings(max_examples=25, deadline=None)
-@given(problem=small_problems(), seed=st.integers(0, 1000))
-def test_mc_bracket_mass_equals_serial_loop(problem, seed):
+@given(problem=small_problems(), seed=st.integers(0, 1000), data=st.data())
+def test_mc_bracket_mass_equals_serial_loop(problem, seed, data):
+    """Any bracket inside ``1..M``, the sandwich one or an arbitrary one,
+    gives the serial loop's mass; one outside raises."""
     theta, prior, op, eps = problem
     reps = 6
     report = check_assumptions(theta, prior, op, (eps,))
     cut = max_dimension(op, eps)
     assume(oracle_dimension(theta, prior, op, eps).dimension <= cut)
-    m_lo, m_hi = bracket_dimensions(theta, prior, op, eps, report, c_lambda=1.0)
+    if data.draw(st.booleans(), label="sandwich"):
+        m_lo, m_hi = bracket_dimensions(theta, prior, op, eps, report, c_lambda=1.0)
+    else:
+        m_lo = data.draw(st.integers(1, cut), label="m_lo")
+        m_hi = data.draw(st.integers(m_lo, cut), label="m_hi")
     _, pr, o, _, summaries = _head_loop(theta, prior, op, eps, reps, seed, cut)
     vals = np.array(
         [dimension_posterior(s, pr, o, eps, 1.0).tail_mass(m_lo, m_hi) for s in summaries]
     )
-    got = mc_bracket_mass(theta, prior, op, eps, reps, seed, report, 1.0)
+    got = mc_bracket_mass(theta, prior, op, eps, reps, seed, (m_lo, m_hi), 1.0)
     assert (got.value, got.se) == _summary_of(vals)
+    for outside in ((0, m_hi), (m_lo, cut + 1)):
+        with pytest.raises(ValueError, match="outside 1.."):
+            mc_bracket_mass(theta, prior, op, eps, 1, seed, outside, 1.0)
 
 
 @st.composite
@@ -514,7 +525,10 @@ def test_thread_count_does_not_change_mc_estimates(monkeypatch):
             mc_concentration(
                 "hierarchical", theta, prior, op, eps, 2.0, sel.rate, reps, 30, 5, c_lambda=1.0
             ),
-            mc_bracket_mass(theta, prior, op, eps, reps, 5, report, 1.0),
+            mc_bracket_mass(
+                theta, prior, op, eps, reps, 5,
+                bracket_dimensions(theta, prior, op, eps, report, c_lambda=1.0), 1.0,
+            ),
         ]
         return [(e.value, e.se) for e in found]
 
@@ -523,6 +537,15 @@ def test_thread_count_does_not_change_mc_estimates(monkeypatch):
     monkeypatch.setenv("IGSSM_THREADS", "3")
     assert estimates() == serial
     assert blocks == [1] * 4 + [3] * 4
+
+
+def test_thread_count_is_bounded(monkeypatch):
+    assert montecarlo.MAX_THREADS == 64
+    monkeypatch.setenv("IGSSM_THREADS", "64")
+    assert montecarlo._max_workers() == 64
+    monkeypatch.setenv("IGSSM_THREADS", "65")
+    with pytest.raises(ConfigError, match="up to 64, got '65'"):
+        montecarlo._max_workers()
 
 
 # ---------------------------------------------------------------------------
