@@ -418,7 +418,7 @@ class ExperimentConfig:
         n = self.sequence_length() if n is None else n
         try:
             return make_weights(block["family"], n, exponent=block["exponent"], radius=block["radius"])
-        except ValueError as err:
+        except (ValueError, OverflowError) as err:
             raise ConfigError(f"class: {err}") from err
 
 

@@ -164,9 +164,12 @@ def _prepare(cfg: ExperimentConfig) -> tuple:
     c_lambda = cfg.c_lambda_override
     if c_lambda is None:
         c_lambda = report.c_lambda
-    constants = composite_constants(
-        report, theta, prior, op, weighted_class=wclass, c_lambda=c_lambda
-    )
+    try:
+        constants = composite_constants(
+            report, theta, prior, op, weighted_class=wclass, c_lambda=c_lambda
+        )
+    except OverflowError as err:  # the amplification at a threshold dimension
+        raise ConfigError(f"composite constants: {err}") from err
     header = {
         "version": __version__,
         "config_sha256": cfg.sha256(),

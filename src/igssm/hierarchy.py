@@ -21,9 +21,12 @@ ranges ``exp(l_m - max l)`` underflows to exactly 0.0 for all but a short
 head of dimensions (about 500 of 1e6 on the direct model at eps=1e-6).
 Normalisation finds the *mass end*: one past the last ``m`` with
 ``l_m - max l > -800``, a margin below the ~-745.1 where ``exp`` reaches
-0.0, so subnormal masses stay inside.  Only that head is exponentiated and
-shrunk; past it the masses are exact zeros, ``omega_j = 0`` and the
-estimate is the prior mean, exactly what the full-range formulas give.
+0.0, so subnormal masses stay inside.  It is found from the maxima of
+fixed-length chunks of the log-weights, which also give ``max l``, and a
+search of the one chunk that holds it.  Only the head before it is
+exponentiated and shrunk; past it the masses are exact zeros, ``omega_j =
+0`` and the estimate is the prior mean, exactly what the full-range
+formulas give.
 The mass sum still runs over the whole zero-tailed array, so its pairwise
 reduction order, and with it every bit of the result, is unchanged.
 
@@ -93,7 +96,7 @@ class DimensionDistribution:
         lw = np.asarray(log_weights, dtype=np.float64)
         _check_log_weights(lw)
         probs = np.empty_like(lw)
-        mass_end = _normalise(lw, probs)
+        mass_end = _normalise(lw, _chunk_maxima(lw), probs)
         return cls(lw, probs, kind), mass_end
 
     @property
@@ -113,18 +116,32 @@ def _check_log_weights(lw: np.ndarray) -> None:
 # ``np.exp`` is exactly 0.0 below about -745.1; log-weights this far below
 # the maximum carry no mass.
 _MASS_MARGIN = 800.0
+# Length of the chunks whose maxima locate the mass end.
+_CHUNK = 4096
 
 
-def _normalise(lw: np.ndarray, out: np.ndarray) -> int:
+def _chunk_maxima(lw: np.ndarray) -> np.ndarray:
+    """The maximum of each ``_CHUNK``-long chunk of ``lw`` (the last one
+    may be shorter); a NaN in a chunk makes its maximum NaN."""
+    return np.maximum.reduceat(lw, np.arange(0, lw.size, _CHUNK))
+
+
+def _normalise(lw: np.ndarray, maxima: np.ndarray, out: np.ndarray) -> int:
     """``exp(lw - max(lw))`` scaled to sum one, written into ``out`` (which
-    may be ``lw`` itself).  Returns the mass end: one past the last index
-    with ``lw - max(lw) > -_MASS_MARGIN``.  Only the head before it is
+    may be ``lw`` itself), given ``maxima = _chunk_maxima(lw)``.  Returns
+    the mass end: one past the last index with ``lw - max(lw) >
+    -_MASS_MARGIN``.  Rounded subtraction is monotone, so a chunk holds such
+    an index exactly when its maximum passes the same test; only the last
+    such chunk is searched.  Only the head before the mass end is shifted,
     exponentiated and scaled; the tail of ``out`` is set to 0.0, which is
     what ``exp`` gives there, and the sum runs over all of ``out``, so it
     keeps the full-range reduction order.  ``lw`` must be finite."""
-    np.subtract(lw, np.max(lw), out=out)
-    mass_end = int(np.flatnonzero(out > -_MASS_MARGIN)[-1]) + 1
+    top = np.max(maxima)
+    start = int(np.flatnonzero(maxima - top > -_MASS_MARGIN)[-1]) * _CHUNK
+    chunk = lw[start : start + _CHUNK]
+    mass_end = start + int(np.flatnonzero(chunk - top > -_MASS_MARGIN)[-1]) + 1
     head = out[:mass_end]
+    np.subtract(lw[:mass_end], top, out=head)
     np.exp(head, out=head)
     out[mass_end:] = 0.0
     head /= out.sum()
@@ -146,19 +163,25 @@ def _dimension_penalty(c_lambda: float, m_top: int) -> np.ndarray:
 
 def _log_weights(
     post_mean: np.ndarray,
-    means: np.ndarray,
-    post_var: np.ndarray,
+    means: np.ndarray | None,
+    post_var: np.ndarray | float,
     penalty: np.ndarray,
+    scratch: np.ndarray,
     out: np.ndarray,
 ) -> np.ndarray:
     """Dimension-posterior log-weights on ``1..penalty.size``,
     ``0.5 * cumsum((post_mean - means)^2 / post_var) - penalty``, written
-    into ``out``."""
-    m_top = penalty.size
-    np.subtract(post_mean[:m_top], means[:m_top], out=out)
-    np.square(out, out=out)
-    np.divide(out, post_var[:m_top], out=out)
-    np.cumsum(out, out=out)
+    into ``out``; every array has the length of ``penalty``.  ``means`` None
+    stands for all-zero prior means (``x - 0.0`` is ``x``) and ``post_var``
+    may be a scalar.  The contrast goes into ``scratch``, and the cumsum
+    writes from there into ``out`` (see :mod:`igssm.montecarlo` for why)."""
+    if means is None:
+        np.square(post_mean, out=scratch)
+    else:
+        np.subtract(post_mean, means, out=scratch)
+        np.square(scratch, out=scratch)
+    np.divide(scratch, post_var, out=scratch)
+    np.cumsum(scratch, out=out)
     np.multiply(out, 0.5, out=out)
     return np.subtract(out, penalty, out=out)
 
@@ -237,8 +260,12 @@ def _dimension_posterior(
     """``dimension_posterior`` and its mass end (see ``_normalise``)."""
     if summary.n != prior.n or prior.n != op.n:
         raise ValueError("summary, prior and operator lengths must match")
-    penalty = _dimension_penalty(c_lambda, max_dimension(op, eps))
-    lw = _log_weights(summary.post_mean, prior.means, summary.post_var, penalty, np.empty(penalty.size))
+    m_top = max_dimension(op, eps)
+    penalty = _dimension_penalty(c_lambda, m_top)
+    lw = _log_weights(
+        summary.post_mean[:m_top], prior.means[:m_top], summary.post_var[:m_top], penalty,
+        np.empty(m_top), np.empty(m_top),
+    )
     return DimensionDistribution._normalised(lw, "posterior")
 
 

@@ -23,6 +23,17 @@ the prior mean, whose squared error ``(mu_j - theta_j)^2`` is computed once
 per task.  Both sums, of the masses and of the squared errors, run over
 the whole cut, so every result is bit for bit the full-range one.
 
+A replication skips what cannot change its result.  Each task decides
+once, from its inputs, to skip the divide when every posterior-mean scale
+is one and the subtraction when every prior mean is zero, and to divide
+by a scalar when the posterior variance is constant.  Every contrast term
+is >= 0, infinite or NaN and the penalty is finite, so the dimension tasks
+check the posterior means only when the log-weights' maximum is not
+finite; the other tasks check them on every replication.  The contrast
+goes into a work array of its own and the cumsum writes from there into
+the log-weights, because numpy's in-place cumsum keeps the interpreter
+lock: two threads running it take turns, out of place they overlap.
+
 Squared distances between a draw and the truth are always split into the
 simulated range plus the deterministic remainder (stored coordinates
 beyond the fit plus the analytic family tail), so a truncated simulation
@@ -45,6 +56,7 @@ import numpy as np
 from .config import ConfigError
 from .hierarchy import (
     _check_log_weights,
+    _chunk_maxima,
     _dimension_penalty,
     _draw_hierarchical,
     _log_weights,
@@ -264,9 +276,11 @@ def audit_tail_bounds(config: TailBoundConfig, reps: int, seed: int, rep: int = 
     batch = max(1, _BATCH_ELEMENTS // m)
     while done < reps:
         k = min(batch, reps - done)
-        z = rng.standard_normal((k, m))
-        s = np.sum((config.shifts + config.scales * z) ** 2, axis=1)
-        dev = s - mean
+        z = rng.standard_normal((k, m))  # the batch's one (k x m) array
+        np.multiply(config.scales, z, out=z)
+        np.add(config.shifts, z, out=z)
+        dev = np.sum(np.square(z, out=z), axis=1)
+        dev -= mean
         n_lower += int(np.sum(dev <= -spread))
         n_upper += int(np.sum(dev >= 1.5 * spread))
         over = np.maximum(dev - 1.5 * spread, 0.0)
@@ -375,17 +389,17 @@ def _task(theta, prior, op, eps, cut) -> _Task:
 def _block(task: _Task, seed: int, statistic, start: int, stop: int):
     """Yield ``statistic(r, post_mean, work)`` for ``r = start .. stop - 1``,
     where ``post_mean`` holds the posterior means of the observation
-    drawn from replication ``r``'s own stream.  ``post_mean`` and ``work``
-    are arrays of the cut length, allocated once for the block; the
-    statistic may overwrite both."""
+    drawn from replication ``r``'s own stream.  ``post_mean`` (of the cut
+    length) and ``work`` (two rows of it) are allocated once for the
+    block; the statistic may overwrite both, and checks that the posterior
+    means are finite, directly or through ``_dimension_probs``."""
     if stop <= start:
         raise ValueError("need at least one replication")
     post_mean = np.empty(task.theta.size)
-    work = np.empty(task.theta.size)
+    work = np.empty((2, task.theta.size))
     for r in range(start, stop):
         _observe(task.signal, task.noise_scale, seed, r, post_mean)
         _posterior_mean(task.mean_map, post_mean, post_mean)
-        _check_means(post_mean)
         yield statistic(r, post_mean, work)
 
 
@@ -400,12 +414,38 @@ def _replications(task: _Task, reps: int, seed: int, statistic) -> list:
     return [value for part in parts for value in part]
 
 
-def _dimension_probs(task: _Task, post_mean, penalty, out) -> int:
-    """One replication's dimension-posterior masses, written into ``out``;
-    returns their mass end."""
-    _log_weights(post_mean, task.means, task.post_var, penalty, out)
-    _check_log_weights(out)
-    return _normalise(out, out)
+class _Weights(NamedTuple):
+    """The data-independent terms of a dimension task's log-weights (see
+    ``hierarchy._log_weights``): the prior means, None when all are zero;
+    the posterior variance, a scalar when it is constant; the penalty."""
+
+    means: np.ndarray | None
+    post_var: np.ndarray | float
+    penalty: np.ndarray
+
+
+def _weights(task: _Task, c_lambda: float) -> _Weights:
+    """The log-weight terms of ``task``, whose cut is the search range."""
+    post_var = task.post_var
+    return _Weights(
+        task.means if np.any(task.means) else None,
+        float(post_var[0]) if np.all(post_var == post_var[0]) else post_var,
+        _dimension_penalty(c_lambda, task.theta.size),
+    )
+
+
+def _dimension_probs(weights: _Weights, post_mean, work) -> int:
+    """One replication's dimension-posterior masses, written into
+    ``work[0]`` (``work[1]`` takes the contrast); returns their mass end.
+    A non-finite maximum log-weight checks the posterior means first, so
+    an infinite observation is reported as such."""
+    lw = work[0]
+    _log_weights(post_mean, weights.means, weights.post_var, weights.penalty, work[1], lw)
+    maxima = _chunk_maxima(lw)
+    if not np.isfinite(np.max(maxima)):
+        _check_means(post_mean)
+        _check_log_weights(lw)
+    return _normalise(lw, maxima, lw)
 
 
 def _draw_distances(task: _Task, block: np.ndarray) -> np.ndarray:
@@ -464,15 +504,18 @@ def mc_mise(
 
     task = _task(theta, prior, op, eps, cut)
     if kind == "adaptive":
-        penalty = _dimension_penalty(c_lambda, cut)
+        weights = _weights(task, c_lambda)
         prior_sq_err = np.square(task.means - task.theta)
 
     def loss(r, post_mean, work):
         end = cut
         if kind == "adaptive":
-            end = _dimension_probs(task, post_mean, penalty, work)
-            _shrink(work, end, post_mean, task.means, work, post_mean)
+            end = _dimension_probs(weights, post_mean, work)
+            probs = work[0]
+            _shrink(probs, end, post_mean, task.means, probs, post_mean)
             post_mean[end:] = prior_sq_err[end:]  # the prior mean's error past the mass end
+        else:
+            _check_means(post_mean)
         head = post_mean[:end]
         np.subtract(head, task.theta[:end], out=head)
         np.square(head, out=head)
@@ -500,8 +543,10 @@ def mc_mise_profile(
     task = _task(theta, prior, op, eps, m_top)
 
     def errors(r, post_mean, work):
-        np.subtract(post_mean, task.theta, out=work)
-        return np.cumsum(np.square(work, out=work)) + bias
+        _check_means(post_mean)
+        sq_err = work[0]
+        np.subtract(post_mean, task.theta, out=sq_err)
+        return np.cumsum(np.square(sq_err, out=sq_err)) + bias
 
     # one block in replication order, so the running sums stay O(m_top)
     acc = np.zeros(m_top)
@@ -560,16 +605,17 @@ def mc_concentration(
         cut = max_dimension(op, eps)
     lo = rate / band_constant if two_sided else 0.0
     hi = rate * band_constant
-    penalty = _dimension_penalty(c_lambda, cut) if kind == "hierarchical" else None
     task = _task(theta, prior, op, eps, cut)
+    weights = _weights(task, c_lambda) if kind == "hierarchical" else None
     post_sd = np.sqrt(task.post_var)
 
     def band_mass(r, post_mean, work):
         if kind == "fixed":
+            _check_means(post_mean)
             block = _sieve_block(post_mean, post_sd, draws, seed, r)
         else:
-            _dimension_probs(task, post_mean, penalty, work)
-            _, block = _draw_hierarchical(work, post_mean, post_sd, task.means, draws, seed, r)
+            _dimension_probs(weights, post_mean, work)
+            _, block = _draw_hierarchical(work[0], post_mean, post_sd, task.means, draws, seed, r)
         sq = _draw_distances(task, block)
         return float(np.mean((sq >= lo) & (sq <= hi)))
 
@@ -625,6 +671,7 @@ def mc_sieve_deviation(
     post_sd = np.sqrt(task.post_var)
 
     def deviations(r, post_mean, work):
+        _check_means(post_mean)
         sq = _draw_distances(task, _sieve_block(post_mean, post_sd, draws, seed, r))
         return float(np.mean(sq > hi)), float(np.mean(sq < lo))
 
@@ -668,13 +715,12 @@ def mc_bracket_mass(
     ``1..M`` raises ``ValueError``.
     """
     m_lo, m_hi = bracket
-    cut = max_dimension(op, eps)
-    penalty = _dimension_penalty(c_lambda, cut)
-    task = _task(theta, prior, op, eps, cut)
+    task = _task(theta, prior, op, eps, max_dimension(op, eps))
+    weights = _weights(task, c_lambda)
 
     def outside_mass(r, post_mean, work):
-        _dimension_probs(task, post_mean, penalty, work)
-        return _outside_mass(work, m_lo, m_hi)
+        _dimension_probs(weights, post_mean, work)
+        return _outside_mass(work[0], m_lo, m_hi)
 
     return _mc_summary(np.array(_replications(task, reps, seed, outside_mass)), seed)
 

@@ -99,8 +99,12 @@ class PriorSpec:
         return bool(np.any(self.improper))
 
     def head(self, k: int) -> "PriorSpec":
+        """First ``k`` coordinates; the prior itself when ``k`` is its
+        length."""
         if not 1 <= k <= self.n:
             raise ValueError(f"head length {k} outside 1..{self.n}")
+        if k == self.n:
+            return self
         return PriorSpec(self.means[:k], self.variances[:k], self.improper[:k])
 
 
@@ -175,28 +179,31 @@ class _MeanMap(NamedTuple):
     Proper coordinates carry ``gain = v lambda``, ``offset = eps mu`` and
     ``scale = v lambda^2 + eps``; improper ones ``gain = 1``, ``offset =
     -0.0`` and ``scale = lambda``, which give ``y / lambda`` bit for bit.
-    ``gain`` and ``offset`` are None when every coordinate is improper.
+    ``gain`` and ``offset`` are None when every coordinate is improper, and
+    ``scale`` is None when every scale is one (``x / 1.0`` is ``x``).
     """
 
     gain: Optional[np.ndarray]
     offset: Optional[np.ndarray]
-    scale: np.ndarray
+    scale: Optional[np.ndarray]
 
 
 def _mean_map(prior: PriorSpec, op: OperatorSequence, eps: float) -> _MeanMap:
     mask = prior.improper
     if np.all(mask):
-        return _MeanMap(None, None, op.values)
-    proper = ~mask
-    gain = np.ones(prior.n)
-    offset = np.full(prior.n, -0.0)
-    scale = op.values.copy()
-    v = prior.variances[proper]
-    lam = op.values[proper]
-    gain[proper] = v * lam
-    offset[proper] = eps * prior.means[proper]
-    scale[proper] = v * lam**2 + eps
-    return _MeanMap(gain, offset, scale)
+        gain = offset = None
+        scale = op.values
+    else:
+        proper = ~mask
+        gain = np.ones(prior.n)
+        offset = np.full(prior.n, -0.0)
+        scale = op.values.copy()
+        v = prior.variances[proper]
+        lam = op.values[proper]
+        gain[proper] = v * lam
+        offset[proper] = eps * prior.means[proper]
+        scale[proper] = v * lam**2 + eps
+    return _MeanMap(gain, offset, None if np.all(scale == 1.0) else scale)
 
 
 def _posterior_mean(mean_map: _MeanMap, y: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -206,7 +213,11 @@ def _posterior_mean(mean_map: _MeanMap, y: np.ndarray, out: np.ndarray) -> np.nd
     if gain is not None:
         np.multiply(gain, y, out=out)
         y = np.add(out, offset, out=out)
-    return np.divide(y, scale, out=out)
+    if scale is not None:
+        return np.divide(y, scale, out=out)
+    if y is not out:
+        out[:] = y
+    return out
 
 
 def coordinate_posterior(prior: PriorSpec, op: OperatorSequence, obs: Observation) -> PosteriorSummary:

@@ -74,13 +74,21 @@ def bias_profile(theta: ParameterSequence, prior: PriorSpec) -> np.ndarray:
 
     Computed by reverse accumulation (no cancelling subtractions); the
     analytic tail of the signal family beyond ``N`` is added throughout,
-    with the prior mean taken as zero past the stored range.
+    with the prior mean taken as zero past the stored range.  The result is
+    read-only and computed once per (theta, prior): ``theta`` keeps the
+    profile of the last prior it was asked about, and both are immutable.
     """
     if theta.n != prior.n:
         raise ValueError("signal and prior lengths must match")
+    memo = theta.__dict__.get("_bias_memo")
+    if memo is not None and memo[0] is prior:
+        return memo[1]
     diffs = (theta.values - prior.means) ** 2
     suffix = np.concatenate([np.cumsum(diffs[::-1])[::-1], [0.0]])
-    return suffix[1:] + theta.sq_tail()
+    profile = suffix[1:] + theta.sq_tail()
+    profile.setflags(write=False)
+    theta.__dict__["_bias_memo"] = (prior, profile)  # where cached_property keeps its values
+    return profile
 
 
 def risk_decomposition(
@@ -176,7 +184,7 @@ def max_dimension(op: OperatorSequence, eps: float) -> int:
     _check_eps(eps)
     cap = min(op.n, _floor_inv(eps))
     log_cummax = op._log_amp_cummax
-    bound = op.log_amplification[0] - math.log(eps)
+    bound = -op.log_sq[0] - math.log(eps)
     bound += _LOG_TOL * max(1.0, abs(bound))
     m = int(np.searchsorted(log_cummax[:cap], bound, side="right"))
     return max(m, 1)
@@ -293,13 +301,12 @@ def _submultiplicative(op: OperatorSequence) -> tuple[bool, tuple[int, int] | No
         return False, (1, 1)
     k_top = int(math.isqrt(n))
     for k in range(2, k_top + 1):
-        l_vals = np.arange(k, n // k + 1)
-        lhs = log_cummax[k * l_vals - 1]
-        rhs = log_cummax[k - 1] + log_cummax[l_vals - 1]
+        top = n // k  # l runs over k..top
+        lhs = log_cummax[k * k - 1 : k * top : k]
+        rhs = log_cummax[k - 1] + log_cummax[k - 1 : top]
         bad = lhs > rhs + _LOG_TOL * np.maximum(1.0, np.abs(rhs))
         if np.any(bad):
-            l = int(l_vals[np.argmax(bad)])
-            return False, (k, l)
+            return False, (k, k + int(np.argmax(bad)))
     return True, None
 
 
@@ -497,7 +504,8 @@ def composite_constants(
 
 
 def _clamped_ceil(x: float, n: int) -> int:
-    return max(1, min(int(math.ceil(x - _LOG_TOL)), n))
+    # clamp before rounding: a vanishing balance constant can make x infinite
+    return max(1, int(math.ceil(min(x, n) - _LOG_TOL)))
 
 
 def _check_eps(eps: float) -> None:

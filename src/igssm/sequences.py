@@ -137,8 +137,11 @@ class OperatorSequence:
         return float(math.exp(log_val))
 
     def head(self, k: int) -> "OperatorSequence":
-        """First ``k`` coordinates as a new sequence (family tag kept)."""
+        """First ``k`` coordinates as a sequence (family tag kept); the
+        sequence itself when ``k`` is its length."""
         self._check_dim(k)
+        if k == self.n:
+            return self
         return OperatorSequence(self.values[:k], self.log_sq[:k], self.family, self.decay)
 
     def _check_dim(self, m: int) -> None:
@@ -251,8 +254,12 @@ class ParameterSequence:
         return s2 * float(val)
 
     def head(self, k: int) -> "ParameterSequence":
+        """First ``k`` coordinates; the sequence itself when ``k`` is its
+        length."""
         if not 1 <= k <= self.n:
             raise ValueError(f"head length {k} outside 1..{self.n}")
+        if k == self.n:
+            return self
         return ParameterSequence(self.values[:k], self.family, self.exponent, self.scale)
 
 

@@ -10,10 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import igssm
 from igssm import __version__
 from igssm.cli import main
+from igssm.config import CONCENTRATION_KINDS
 
 
 def run_cli(*argv):
@@ -452,3 +455,107 @@ def test_seed_flag_only_where_it_has_an_effect(tmp_path, capsys, command):
         run_cli(*argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+@st.composite
+def small_configs(draw):
+    """A schema-valid config on at most a few hundred coordinates, with few
+    replications, over every model, truth and prior family."""
+    family = draw(st.sampled_from(["polynomial", "exponential", "constant"]))
+    model = {"family": family}
+    if family != "constant":
+        model["decay"] = draw(st.floats(0.0, 3.0))
+    truth = {
+        "family": draw(st.sampled_from(["polynomial", "exponential"])),
+        "exponent": draw(st.floats(0.3, 3.0)),
+        "scale": draw(st.floats(0.0, 2.0)),
+    }
+    kind = draw(st.sampled_from(["improper", "gaussian", "matched"]))
+    prior = {"kind": kind}
+    if kind == "gaussian":
+        prior["mean"] = draw(st.floats(-1.0, 1.0))
+        if draw(st.booleans()):
+            prior["variance"] = draw(st.floats(1e-3, 10.0))
+        else:
+            prior["variance_family"] = {
+                "family": draw(st.sampled_from(["polynomial", "exponential"])),
+                "exponent": draw(st.floats(0.0, 3.0)),
+            }
+    elif kind == "matched":
+        prior["d"] = draw(st.floats(0.1, 10.0))
+    eps_grid = draw(st.lists(st.floats(0.005, 0.5), min_size=1, max_size=3, unique=True))
+    raw = {
+        "model": model,
+        "truth": truth,
+        "prior": prior,
+        "class": {"family": draw(st.sampled_from(["polynomial", "exponential"])),
+                  "exponent": draw(st.floats(0.1, 3.0)), "radius": draw(st.floats(0.0, 5.0))},
+        "eps_grid": eps_grid,
+        "mc": {"reps": draw(st.integers(1, 4)), "draws": draw(st.integers(1, 20))},
+        "seed": draw(st.integers(0, 2**32)),
+        "estimators": draw(st.lists(st.sampled_from(["fixed", "oracle", "minimax", "adaptive"]), unique=True)),
+        "fixed_dims": [draw(st.integers(1, 4))],
+        "concentration": {
+            "kinds": draw(st.lists(st.sampled_from(CONCENTRATION_KINDS), min_size=1, unique=True)),
+        },
+        "audit": {"configs": draw(st.integers(1, 2)), "reps": 10000},
+    }
+    if draw(st.booleans()):
+        raw["c_lambda"] = draw(st.floats(1.0, 10.0))
+    return raw
+
+
+_SELECT_BASE = {
+    "truth": {"family": "polynomial", "exponent": 1.6, "scale": 0.4},
+    "class": {"family": "polynomial", "exponent": 1.0, "radius": 1.0},
+    "seed": 1,
+}
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(  # the exponential class weights underflow on 34 coordinates: exit 2
+    raw={**_SELECT_BASE, "model": {"family": "constant"}, "prior": {"kind": "improper"},
+         "class": {"family": "exponential", "exponent": 1.0, "radius": 1.0}, "eps_grid": [0.03]},
+    command="select", overrides={}, check=False,
+)
+@example(  # the amplification at a threshold dimension overflows: exit 2
+    raw={**_SELECT_BASE, "model": {"family": "exponential", "decay": 2.1},
+         "prior": {"kind": "improper"}, "eps_grid": [0.2]},
+    command="select", overrides={}, check=False,
+)
+@example(  # a vanishing oracle balance makes a threshold dimension infinite
+    raw={**_SELECT_BASE, "model": {"family": "exponential", "decay": 0.5},
+         "truth": {"family": "polynomial", "exponent": 2.9, "scale": 1e-156},
+         "prior": {"kind": "matched", "d": 10.0}, "eps_grid": [0.49, 0.46]},
+    command="select", overrides={}, check=False,
+)
+@given(
+    raw=small_configs(),
+    command=st.sampled_from(["simulate", "select", "audit", "sweep", "run"]),
+    overrides=st.fixed_dictionaries(
+        {},
+        optional={
+            "--reps": st.integers(-1, 3),
+            "--seed": st.integers(-1, 2**32),
+            "--eps": st.floats(-0.5, 1.5),
+        },
+    ),
+    check=st.booleans(),
+)
+def test_any_small_config_exits_with_a_documented_code(tmp_path, raw, command, overrides, check):
+    """Whatever the config and overrides, ``main`` returns 0, 2, 3 or 4 (an
+    argparse error exits 2) and no exception escapes."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    allowed = {"simulate": {"--seed", "--eps"}, "select": set(), "audit": {"--reps", "--seed"}}
+    argv = [command, "--config", config, "--out", tmp_path / "out", "--quiet"]
+    for flag, value in overrides.items():
+        if flag in allowed.get(command, {"--reps", "--seed"}):
+            argv += [flag, value]
+    if check and command in ("sweep", "run"):
+        argv.append("--check")
+    try:
+        code = run_cli(*argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2, 3, 4)

@@ -21,7 +21,7 @@ from igssm import (
     sieve_posterior_mean,
     simulate_observation,
 )
-from igssm.hierarchy import _MASS_MARGIN, _normalise, _shrink
+from igssm.hierarchy import _CHUNK, _MASS_MARGIN, _chunk_maxima, _normalise, _shrink
 
 
 def make_problem(n, eps, seed, proper=True):
@@ -109,13 +109,16 @@ def test_log_weight_shift_invariance():
 
 
 def _assert_mass_end(lw, mass_end):
-    """``_normalise`` and ``from_log_weights`` return the full-range masses
-    ``exp(lw - max) / sum`` bit for bit, zero from ``mass_end`` on, and
-    ``_shrink`` the full-range ``omega``."""
+    """``mass_end`` is one past the last entry with ``lw - max >
+    -_MASS_MARGIN``; ``_normalise`` finds it from the chunk maxima, and it
+    and ``from_log_weights`` return the full-range masses ``exp(lw - max) /
+    sum`` bit for bit, zero from ``mass_end`` on, and ``_shrink`` the
+    full-range ``omega``."""
+    assert mass_end == np.flatnonzero(lw - np.max(lw) > -_MASS_MARGIN)[-1] + 1
     w = np.exp(lw - np.max(lw))
     want = w / w.sum()
     out = np.empty_like(lw)
-    assert _normalise(lw, out) == mass_end
+    assert _normalise(lw, _chunk_maxima(lw), out) == mass_end
     assert np.array_equal(out, want)
     assert not np.any(out[mass_end:])
     assert np.array_equal(DimensionDistribution.from_log_weights(lw, "posterior").probs, want)
@@ -126,12 +129,26 @@ def _assert_mass_end(lw, mass_end):
 
 def test_mass_end_is_the_last_entry_above_the_cut_off():
     """Log-weights are not monotone: an isolated entry above the cut-off far
-    past a -2000 gap still carries mass and sets the mass end."""
-    lw = np.full(1000, -2000.0)
-    lw[:3] = [0.0, -1.0, -2.5]
-    lw[600] = -700.0
-    _assert_mass_end(lw, 601)
-    assert DimensionDistribution.from_log_weights(lw, "posterior").probs[600] > 0.0
+    past a -2000 gap still carries mass and sets the mass end, wherever it
+    sits among the chunks the search splits the range into, and also when
+    it ties with the maximum."""
+    cases = [
+        (1000, 600),
+        (_CHUNK - 1, _CHUNK - 2),  # last entry of a short single chunk
+        (_CHUNK, _CHUNK - 1),  # last entry of the only full chunk
+        (_CHUNK + 1, _CHUNK),  # alone in a one-entry last chunk
+        (_CHUNK + 1, _CHUNK - 1),  # last of the first chunk, nothing after it
+        (2 * _CHUNK - 1, _CHUNK),  # first entry of a short last chunk
+        (3 * _CHUNK, 2 * _CHUNK - 1),  # on a boundary, a full chunk after it
+        (3 * _CHUNK + 7, 3 * _CHUNK + 3),  # inside a short last chunk
+    ]
+    for n, survivor in cases:
+        for value in (-700.0, 0.0):
+            lw = np.full(n, -2000.0)
+            lw[:3] = [0.0, -1.0, -2.5]
+            lw[survivor] = value
+            _assert_mass_end(lw, survivor + 1)
+            assert DimensionDistribution.from_log_weights(lw, "posterior").probs[survivor] > 0.0
 
 
 def test_subnormal_masses_stay_inside_the_mass_end():
@@ -143,15 +160,18 @@ def test_subnormal_masses_stay_inside_the_mass_end():
 
 
 def test_mass_end_spans_the_whole_range():
-    _assert_mass_end(np.linspace(3.0, -790.0, 200), 200)
-    _assert_mass_end(np.array([7.0]), 1)
+    for n in (1, 200, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK):
+        _assert_mass_end(np.linspace(3.0, -790.0, n), n)
 
 
 def test_mass_end_of_a_single_dimension():
-    lw = np.array([0.0, -900.0, -_MASS_MARGIN, -1e6])  # the cut-off itself is outside
-    _assert_mass_end(lw, 1)
-    probs = DimensionDistribution.from_log_weights(lw, "posterior").probs
-    assert probs.tolist() == [1.0, 0.0, 0.0, 0.0]
+    for n in (4, _CHUNK + 1, 2 * _CHUNK):
+        lw = np.full(n, -1e6)
+        lw[:3] = [0.0, -900.0, -_MASS_MARGIN]  # the cut-off itself is outside
+        lw[-1] = -_MASS_MARGIN  # also in the last chunk
+        _assert_mass_end(lw, 1)
+        probs = DimensionDistribution.from_log_weights(lw, "posterior").probs
+        assert probs[0] == 1.0 and not np.any(probs[1:])
 
 
 @given(st.floats(max_value=-_MASS_MARGIN, allow_nan=False))

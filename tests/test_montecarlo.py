@@ -1,10 +1,11 @@
 """Monte Carlo harness: tail audits, risk estimates, rate regression."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -36,7 +37,7 @@ from igssm.hierarchy import (
     sample_hierarchical_posterior,
 )
 from igssm.montecarlo import _draw_distances, _task, mc_mise_profile
-from igssm.posterior import coordinate_posterior, sample_sieve_posterior
+from igssm.posterior import coordinate_posterior, posterior_variances, sample_sieve_posterior
 from igssm.selection import bracket_dimensions, check_assumptions, max_dimension
 from igssm.sequences import simulate_observation
 
@@ -105,6 +106,21 @@ def test_audit_is_deterministic():
         b.upper_emp,
         b.overshoot_emp,
     )
+
+
+def test_audit_batch_is_the_only_batch_sized_array():
+    """The audit transforms its (draws x m) normal batch in place: no
+    second array of the batch's size is allocated while it runs."""
+    cfg = TailBoundConfig.from_sequences(np.ones(20), np.full(20, 0.7), c=2.0)
+    reps = 50_000  # one batch of 1e6 doubles, 8 MB
+    batch_bytes = reps * cfg.m * 8
+    tracemalloc.start()
+    try:
+        audit_tail_bounds(cfg, reps, seed=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert batch_bytes < peak < 2 * batch_bytes
 
 
 def test_random_suite_shape_and_reference():
@@ -331,14 +347,45 @@ def test_draw_distances_match_padded_public_samplers(problem, hierarchical, seed
     assert np.array_equal((got >= lo) & (got <= hi), (want >= lo) & (want <= hi))
 
 
+def _identity_problem(flat: bool):
+    """A problem on which the kernel skips every identity pass (flat prior,
+    ``lambda_j = 1``) or none (a proper prior with non-zero means and
+    varying variances, a decaying operator)."""
+    n = 30
+    theta = make_parameters("polynomial", n, exponent=1.2, scale=1.0)
+    if flat:
+        return theta, PriorSpec.flat(n), make_operator("constant", n), 0.05
+    prior = PriorSpec.gaussian(np.full(n, 0.1), np.linspace(0.5, 2.0, n))
+    return theta, prior, make_operator("polynomial", n, decay=0.5), 0.05
+
+
 @settings(max_examples=25, deadline=None)
 @given(problem=small_problems(), seed=st.integers(0, 1000))
+@example(problem=_identity_problem(flat=True), seed=3)
+@example(problem=_identity_problem(flat=False), seed=3)
 def test_mc_mise_equals_serial_loop(problem, seed):
+    """Both sides of each identity decision (divide by an all-ones scale,
+    subtract all-zero prior means, divide by a constant variance) give the
+    serial loop's result; a spy checks which side each task took."""
     theta, prior, op, eps = problem
     reps = 6
     m_star = oracle_dimension(theta, prior, op, eps).dimension
     cut = max_dimension(op, eps)
     assume(m_star <= cut)
+    taken = []
+    mean_map, weights = montecarlo._mean_map, montecarlo._weights
+
+    def map_spy(pr, o, e):
+        found = mean_map(pr, o, e)
+        taken.append(("unit scale", found.scale is None))
+        return found
+
+    def weights_spy(task, c_lambda):
+        found = weights(task, c_lambda)
+        taken.append(("zero means", found.means is None))
+        taken.append(("constant variance", isinstance(found.post_var, float)))
+        return found
+
     for kind, dim in (("oracle", m_star), ("adaptive", cut)):
         th, pr, o, remainder, summaries = _head_loop(theta, prior, op, eps, reps, seed, dim)
         vals = np.empty(reps)
@@ -348,8 +395,19 @@ def test_mc_mise_equals_serial_loop(problem, seed):
             else:
                 est = summary.post_mean
             vals[r] = float(np.sum((est - th.values) ** 2)) + remainder
-        got = mc_mise(kind, theta, prior, op, eps, reps, seed, c_lambda=1.0)
+        taken.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "_mean_map", map_spy)
+            mp.setattr(montecarlo, "_weights", weights_spy)
+            got = mc_mise(kind, theta, prior, op, eps, reps, seed, c_lambda=1.0)
         assert (got.value, got.se) == _summary_of(vals)
+        scale = np.where(pr.improper, o.values, pr.variances * o.values**2 + eps)
+        post_var = posterior_variances(pr, o, eps)
+        want = [("unit scale", bool(np.all(scale == 1.0)))]
+        if kind == "adaptive":
+            want.append(("zero means", not np.any(pr.means)))
+            want.append(("constant variance", bool(np.all(post_var == post_var[0]))))
+        assert taken == want
 
 
 @settings(max_examples=25, deadline=None)

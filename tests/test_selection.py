@@ -26,6 +26,7 @@ from igssm import (
     risk_decomposition,
     shift_sq_norm,
 )
+from igssm.selection import _LOG_TOL, _submultiplicative
 
 
 def brute_oracle(theta_vals, mu, amp, eps, tail):
@@ -120,6 +121,48 @@ def test_bias_profile_reverse_accumulation():
     prior = PriorSpec.flat(4)
     prof = bias_profile(theta, prior)
     np.testing.assert_allclose(prof, [2**2 + 1 + 0.25, 1 + 0.25, 0.25, 0.0], rtol=1e-15)
+    # computed once per (theta, prior) and handed out read-only
+    assert bias_profile(theta, prior) is prof and not prof.flags.writeable
+    other = PriorSpec.gaussian(np.full(4, 0.5), np.ones(4))
+    np.testing.assert_allclose(bias_profile(theta, other), [1.5**2 + 0.25, 0.25, 0.0, 0.0], rtol=1e-15)
+    again = bias_profile(theta, prior)
+    assert again is not prof and np.array_equal(again, prof)
+
+
+def _gather_submultiplicative(op):
+    """The factor-pair scan with fancy-index gathers, as it was before it
+    took slices: the reference for verdict and witness."""
+    log_cummax = op._log_amp_cummax
+    n = op.n
+    if log_cummax[0] < -_LOG_TOL:
+        return False, (1, 1)
+    for k in range(2, math.isqrt(n) + 1):
+        l_vals = np.arange(k, n // k + 1)
+        lhs = log_cummax[k * l_vals - 1]
+        rhs = log_cummax[k - 1] + log_cummax[l_vals - 1]
+        bad = lhs > rhs + _LOG_TOL * np.maximum(1.0, np.abs(rhs))
+        if np.any(bad):
+            return False, (k, int(l_vals[np.argmax(bad)]))
+    return True, None
+
+
+def test_submultiplicative_equals_gather_loop():
+    """Random operators: polynomial decay, some with log-normal wiggles
+    that break submultiplicativity at a random factor pair, some with
+    ``lambda_1 > 1``."""
+    verdicts = []
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 600))
+        log_sq = -2.0 * rng.uniform(0.0, 2.0) * np.log(np.arange(1.0, n + 1))
+        log_sq += rng.choice([0.0, 0.01, 0.3]) * rng.standard_normal(n)
+        if rng.random() < 0.1:
+            log_sq[0] = 0.5
+        op = make_operator("explicit", n, values=np.exp(0.5 * log_sq))
+        got = _submultiplicative(op)
+        assert got == _gather_submultiplicative(op)
+        verdicts.append(got[0])
+    assert 20 < sum(verdicts) < 180  # both verdicts occur
 
 
 def test_checker_certifies_unit_decay_polynomial():
@@ -259,24 +302,27 @@ def test_composite_constants_assembly():
 def test_matched_prior_zero_balance_saturates_threshold():
     """A signal equal to the prior mean has zero bias at every cut, so the
     balance constant degenerates to zero and the threshold dimensions inside
-    the composites saturate at the full sequence length."""
+    the composites saturate at the full sequence length.  A bias of 1e-320
+    leaves a balance so small that ``5 L / kappa`` is infinite; the
+    thresholds saturate the same way."""
     n = 4
     op = make_operator("constant", n)
-    theta = make_parameters("explicit", n, values=np.zeros(n))
     prior = PriorSpec.flat(n)
-    report = check_assumptions(theta, prior, op, (0.1,))
-    assert report.kappa_oracle == 0.0
-    assert list(report.oracle_dims) == [1]  # variance-only argmin
+    for last in (0.0, 1e-160):
+        theta = make_parameters("explicit", n, values=np.array([0.0, 0.0, 0.0, last]))
+        report = check_assumptions(theta, prior, op, (0.1,))
+        assert report.kappa_oracle < 1e-300 and (report.kappa_oracle == 0.0) == (last == 0.0)
+        assert list(report.oracle_dims) == [1]  # variance-only argmin
 
-    out = composite_constants(report, theta, prior, op)
-    # Unit amplification everywhere: L = C = 1 and the oracle supremum is
-    # eps * 1 * 1 / eps = 1, so by hand:
-    #   sieve        = 10 * max(1 + 0, 0) * 1                    = 10
-    #   hierarchical = 10 * 1 * max(8 * 1 * 1, D1 * 1), D1 = n   = 80
-    #   adaptive     = 2 * 1 * D1 * 1 + 16 * 1 * 1 * 1 + 0       = 24
-    assert out["oracle_sieve"] == pytest.approx(10.0, rel=1e-12)
-    assert out["oracle_hierarchical"] == pytest.approx(80.0, rel=1e-12)
-    assert out["oracle_adaptive_mise"] == pytest.approx(24.0, rel=1e-12)
+        out = composite_constants(report, theta, prior, op)
+        # Unit amplification everywhere: L = C = 1 and the oracle supremum is
+        # eps * 1 * 1 / eps = 1, so by hand:
+        #   sieve        = 10 * max(1 + 0, 0) * 1                    = 10
+        #   hierarchical = 10 * 1 * max(8 * 1 * 1, D1 * 1), D1 = n   = 80
+        #   adaptive     = 2 * 1 * D1 * 1 + 16 * 1 * 1 * 1 + 0       = 24
+        assert out["oracle_sieve"] == pytest.approx(10.0, rel=1e-12)
+        assert out["oracle_hierarchical"] == pytest.approx(80.0, rel=1e-12)
+        assert out["oracle_adaptive_mise"] == pytest.approx(24.0, rel=1e-12)
 
 
 def test_shift_norm_includes_tail():

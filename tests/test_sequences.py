@@ -5,6 +5,7 @@ import pytest
 
 from igssm import (
     Observation,
+    PriorSpec,
     load_values_csv,
     make_operator,
     make_parameters,
@@ -64,6 +65,11 @@ def test_operator_head_preserves_family():
     h = op.head(4)
     assert h.n == 4 and h.family == "polynomial" and h.decay == 2.0
     np.testing.assert_array_equal(h.values, op.values[:4])
+    # the full-length head is the immutable sequence itself, not a copy
+    theta = make_parameters("polynomial", 10, exponent=1.2)
+    prior = PriorSpec.flat(10)
+    assert op.head(10) is op and theta.head(10) is theta and prior.head(10) is prior
+    assert theta.head(4).n == prior.head(4).n == 4
 
 
 def test_parameter_tail_bound_polynomial():
