@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 configuration error, 3 infeasible configuration,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import importlib.resources
 import json
@@ -72,6 +73,8 @@ def _read_observation(obs_path: Path) -> tuple:
         raise ConfigError(f"malformed observation input: {err}") from err
     if values.size == 0:
         raise ConfigError(f"{obs_path}: no observation rows")
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{obs_path}: observation values must be finite")
     (eps,) = _check_eps_values((eps,), f"{meta_path}: eps")
     return values, eps, seed
 
@@ -87,6 +90,17 @@ def _cmd_simulate(args) -> int:
     if not args.quiet:
         print(f"observation.csv: {op.n} coordinates at eps={eps}")
     return EXIT_OK
+
+
+@contextlib.contextmanager
+def _finite_posterior():
+    """An observation too large for the operator makes the library reject
+    its posterior means or log-weights as not finite: a config error."""
+    try:
+        with np.errstate(over="ignore"):  # the overflow is the error raised below
+            yield
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 def _observed(args) -> tuple:
@@ -106,7 +120,8 @@ def _observed(args) -> tuple:
 
 def _cmd_posterior(args) -> int:
     cfg, obs, op, _, prior = _observed(args)
-    summary = coordinate_posterior(prior, op, obs)
+    with _finite_posterior():
+        summary = coordinate_posterior(prior, op, obs)
     writer = _Writer(args.out, cfg, obs.seed)
     writer.csv(
         "posterior.csv", ["j", "sigma", "post_mean"],
@@ -123,8 +138,9 @@ def _cmd_adapt(args) -> int:
     c_lambda = cfg.c_lambda_override
     if c_lambda is None:
         c_lambda = check_assumptions(theta, prior, op, (eps,)).c_lambda
-    summary = coordinate_posterior(prior, op, obs)
-    estimate = adaptive_estimate(summary, prior, op, eps, c_lambda)
+    with _finite_posterior():
+        summary = coordinate_posterior(prior, op, obs)
+        estimate = adaptive_estimate(summary, prior, op, eps, c_lambda)
     dist = estimate.dimension_posterior
     writer = _Writer(args.out, cfg, obs.seed)
     writer.csv(

@@ -429,8 +429,12 @@ def load_config(path) -> ExperimentConfig:
         text = path.read_text(encoding="utf-8")
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
+
+    def non_finite(token):  # json reads NaN and +-Infinity; no config key takes them
+        raise ConfigError(f"config {path}: {token} is not a finite number")
+
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=non_finite)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(raw, dict):

@@ -52,14 +52,15 @@ EXIT_CHECK = 4
 
 _FITTED_KINDS = ("oracle", "minimax", "adaptive")
 
-# Sampled concentration kinds: (posterior sampled, composite-constant key,
-# two-sided band).  hierarchical_minimax bounds the mass from above only:
-# no uniform lower edge exists for it.  The bracket_* kinds sample nothing.
+# Sampled concentration kinds: (hierarchical posterior sampled, composite-
+# constant key, two-sided band).  hierarchical_minimax bounds the mass from
+# above only: no uniform lower edge exists for it.  The bracket_* kinds
+# sample nothing.
 _CONCENTRATION = {
-    "sieve_oracle": ("fixed", "oracle_sieve", True),
-    "hierarchical_oracle": ("hierarchical", "oracle_hierarchical", True),
-    "sieve_minimax": ("fixed", "minimax_sieve", True),
-    "hierarchical_minimax": ("hierarchical", "minimax_hierarchical", False),
+    "sieve_oracle": (False, "oracle_sieve", True),
+    "hierarchical_oracle": (True, "oracle_hierarchical", True),
+    "sieve_minimax": (False, "minimax_sieve", True),
+    "hierarchical_minimax": (True, "minimax_hierarchical", False),
 }
 
 
@@ -231,18 +232,23 @@ def _rates_rows(report):
     return rows
 
 
-def _mise_stage(cfg, theta, prior, op, wclass, report, c_lambda, seed, reps):
-    # the dimension a non-fixed kind reports: its selection, or the search range
+def _mise_stage(cfg, theta, prior, op, report, c_lambda, seed, reps):
+    # every selection is checked before any Monte Carlo work starts
+    if "adaptive" in cfg.estimators:
+        for i, eps in enumerate(cfg.eps_grid):
+            if not report.feasible[i]:
+                raise InfeasibleError(
+                    f"oracle dimension {report.oracle_dims[i]} exceeds the search "
+                    f"range {report.max_dims[i]} at eps={eps}"
+                )
+    # the dimension a kind runs at and reports: its selection, or the search range
     selected = {"oracle": report.oracle_dims, "minimax": report.minimax_dims, "adaptive": report.max_dims}
     rows = []
     for i, eps in enumerate(cfg.eps_grid):
         for kind in cfg.estimators:
-            for m in cfg.fixed_dims if kind == "fixed" else (None,):
-                est = mc_mise(
-                    kind, theta, prior, op, eps, reps, seed,
-                    m=m, weighted_class=wclass, c_lambda=c_lambda,
-                )
-                dim = m if kind == "fixed" else selected[kind][i]
+            for dim in cfg.fixed_dims if kind == "fixed" else (selected[kind][i],):
+                m, lam = (None, c_lambda) if kind == "adaptive" else (dim, None)
+                est = mc_mise(theta, prior, op, eps, reps, seed, m=m, c_lambda=lam)
                 rows.append([eps, kind, dim, est.value, est.se, est.reps])
 
     fits = {}
@@ -298,18 +304,18 @@ def _concentration_stage(cfg, theta, prior, op, wclass, report, constants, c_lam
         if kind.startswith("bracket"):
             # the one bracket of this task: the CSV row and the estimate share it
             bracket = bracket_dimensions(
-                theta, prior, op, eps, report, mode=kind.removeprefix("bracket_"),
-                weighted_class=wclass, c_lambda=c_lambda,
+                theta, prior, op, report, sel, weighted_class=wclass, c_lambda=c_lambda
             )
             est = mc_bracket_mass(theta, prior, op, eps, reps, seed, bracket, c_lambda)
             rows.append([eps, kind, sel.dimension, None, None, *bracket, est.value, est.se])
             continue
-        post, key, two_sided = _CONCENTRATION[kind]
+        hierarchical, key, two_sided = _CONCENTRATION[kind]
+        m, lam = (None, c_lambda) if hierarchical else (sel.dimension, None)
         est = mc_concentration(
-            post, theta, prior, op, eps, constants[key], sel.rate, reps, draws, seed,
-            m=sel.dimension, c_lambda=c_lambda, two_sided=two_sided,
+            theta, prior, op, eps, constants[key], sel.rate, reps, draws, seed,
+            m=m, c_lambda=lam, two_sided=two_sided,
         )
-        dim = sel.dimension if post == "fixed" else m_max
+        dim = m_max if hierarchical else m
         rows.append([eps, kind, dim, constants[key], sel.rate, None, None, est.value, est.se])
     return rows
 
@@ -411,9 +417,7 @@ def run_experiment(
             )
             messages.append(f"rates.csv: {len(report.eps_grid)} grid points")
             if cfg.estimators:
-                mise_rows, fits = _mise_stage(
-                    cfg, theta, prior, op, wclass, report, c_lambda, seed, reps
-                )
+                mise_rows, fits = _mise_stage(cfg, theta, prior, op, report, c_lambda, seed, reps)
                 writer.csv(
                     "mise.csv", ["eps", "kind", "m", "mise", "se", "reps"], mise_rows
                 )

@@ -4,10 +4,13 @@ concentration, and rate regression.
 Every routine draws through the package's counter-based streams with one
 stream per replication, so results are reproducible and independent of
 evaluation order.  The risk, concentration and bracket tasks share one
-replication kernel.  It cuts the problem at the dimension the task needs,
-simulates only that head, and computes everything that does not depend on
-the data once per task: the signal ``lambda_j theta_j``, the posterior
-variances and the affine map from data to posterior means.  A replication
+replication kernel.  No task selects a dimension: a sieve task takes the
+dimension ``m`` its caller chose, a task on the dimension posterior takes
+the operator constant ``c_lambda`` and runs over the search range.  The
+kernel cuts the problem there, simulates only that head, and computes
+everything that does not depend on the data once per task: the signal
+``lambda_j theta_j``, the posterior variances and the affine map from data
+to posterior means.  A replication
 then draws its noise, forms its posterior means and applies the task's
 statistic, all in work arrays allocated once per block of replications.
 The replications of one task are split into contiguous blocks, one per
@@ -75,21 +78,8 @@ from .posterior import (
     posterior_variances,
 )
 from .rng import AUDIT_DRAW, SUITE_GEN, stream
-from .selection import (
-    InfeasibleError,
-    bias_profile,
-    max_dimension,
-    minimax_dimension,
-    oracle_dimension,
-    risk_decomposition,
-)
-from .sequences import (
-    OperatorSequence,
-    ParameterSequence,
-    WeightedClass,
-    _observe,
-    _readonly,
-)
+from .selection import bias_profile, max_dimension, risk_decomposition
+from .sequences import OperatorSequence, ParameterSequence, _observe, _readonly
 
 __all__ = [
     "TailBoundConfig",
@@ -351,9 +341,6 @@ class MCEstimate:
     seed: int
 
 
-MISE_KINDS = ("fixed", "oracle", "minimax", "adaptive")
-
-
 def _mc_summary(values: np.ndarray, seed: int) -> MCEstimate:
     reps = values.size
     se = float(np.std(values, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
@@ -373,6 +360,14 @@ class _Task(NamedTuple):
     noise_scale: float
     post_var: np.ndarray
     mean_map: _MeanMap
+
+
+def _cut(op, eps, m, c_lambda) -> int:
+    """A task's cut: the sieve dimension ``m``, or the search range when the
+    task runs on the dimension posterior with operator constant ``c_lambda``."""
+    if (m is None) == (c_lambda is None):
+        raise ValueError("give either the sieve dimension m or the operator constant c_lambda")
+    return max_dimension(op, eps) if m is None else int(m)
 
 
 def _task(theta, prior, op, eps, cut) -> _Task:
@@ -461,7 +456,6 @@ def _draw_distances(task: _Task, block: np.ndarray) -> np.ndarray:
 
 
 def mc_mise(
-    kind: str,
     theta: ParameterSequence,
     prior: PriorSpec,
     op: OperatorSequence,
@@ -469,47 +463,23 @@ def mc_mise(
     reps: int,
     seed: int,
     m: int | None = None,
-    weighted_class: WeightedClass | None = None,
     c_lambda: float | None = None,
 ) -> MCEstimate:
-    """Monte Carlo integrated squared error of an estimator family member.
-
-    Kinds: "fixed" (sieve estimate of dimension ``m``), "oracle" and
-    "minimax" (sieve estimate at the respective selected dimension) and
-    "adaptive" (hierarchical posterior mean, which needs the operator
-    constant ``c_lambda``).  Only the coordinates the estimator touches are
-    simulated; everything beyond contributes its exact squared bias.
+    """Monte Carlo integrated squared error of the sieve estimate of
+    dimension ``m``, or, given the operator constant ``c_lambda`` instead,
+    of the hierarchical posterior mean over the search range.  Only the
+    coordinates the estimator touches are simulated; everything beyond
+    contributes its exact squared bias.
     """
-    if kind not in MISE_KINDS:
-        raise ValueError(f"unknown estimator kind {kind!r}")
-    if kind == "fixed":
-        if m is None:
-            raise ValueError("fixed kind needs the dimension m")
-        cut = int(m)
-    elif kind == "oracle":
-        cut = oracle_dimension(theta, prior, op, eps).dimension
-    elif kind == "minimax":
-        if weighted_class is None:
-            raise ValueError("minimax kind needs the weighted class")
-        cut = minimax_dimension(weighted_class, op, eps).dimension
-    else:  # adaptive
-        if c_lambda is None:
-            raise ValueError("adaptive kind needs the operator constant c_lambda")
-        cut = max_dimension(op, eps)
-        m_star = oracle_dimension(theta, prior, op, eps).dimension
-        if m_star > cut:
-            raise InfeasibleError(
-                f"oracle dimension {m_star} exceeds the search range {cut} at eps={eps}"
-            )
-
+    cut = _cut(op, eps, m, c_lambda)
     task = _task(theta, prior, op, eps, cut)
-    if kind == "adaptive":
+    if m is None:
         weights = _weights(task, c_lambda)
         prior_sq_err = np.square(task.means - task.theta)
 
     def loss(r, post_mean, work):
         end = cut
-        if kind == "adaptive":
+        if m is None:
             end = _dimension_probs(weights, post_mean, work)
             probs = work[0]
             _shrink(probs, end, post_mean, task.means, probs, post_mean)
@@ -566,7 +536,6 @@ def mc_mise_profile(
 
 
 def mc_concentration(
-    kind: str,
     theta: ParameterSequence,
     prior: PriorSpec,
     op: OperatorSequence,
@@ -583,34 +552,26 @@ def mc_concentration(
     """Nested Monte Carlo estimate of the expected posterior mass of the
     band ``[rate / K, rate * K]`` around the truth, ``K = band_constant``:
     outer replications simulate observations, inner draws sample the
-    posterior ("fixed" sieve of dimension ``m`` or "hierarchical").
+    posterior: the sieve of dimension ``m``, or, given the operator constant
+    ``c_lambda`` instead, the hierarchical posterior.
 
     ``two_sided=False`` drops the lower edge and estimates the mass of
     ``{|draw - truth|^2 <= rate * K}`` alone — the form the theory takes
     when the data-driven posterior may concentrate strictly faster than
     the reference rate, so no uniform lower edge exists."""
-    if kind not in ("fixed", "hierarchical"):
-        raise ValueError(f"unknown posterior kind {kind!r}")
     if band_constant < 1.0:
         raise ValueError("band constant must be >= 1")
     if rate <= 0.0:
         raise ValueError("rate must be positive")
-    if kind == "fixed":
-        if m is None:
-            raise ValueError("fixed kind needs the dimension m")
-        cut = int(m)
-    else:
-        if c_lambda is None:
-            raise ValueError("hierarchical kind needs the operator constant c_lambda")
-        cut = max_dimension(op, eps)
+    cut = _cut(op, eps, m, c_lambda)
     lo = rate / band_constant if two_sided else 0.0
     hi = rate * band_constant
     task = _task(theta, prior, op, eps, cut)
-    weights = _weights(task, c_lambda) if kind == "hierarchical" else None
+    weights = _weights(task, c_lambda) if m is None else None
     post_sd = np.sqrt(task.post_var)
 
     def band_mass(r, post_mean, work):
-        if kind == "fixed":
+        if m is not None:
             _check_means(post_mean)
             block = _sieve_block(post_mean, post_sd, draws, seed, r)
         else:

@@ -148,6 +148,13 @@ def _variance_proxy_profile(op: OperatorSequence, eps: float) -> np.ndarray:
     return eps * op._amp_prefix_sum
 
 
+def _select(profile: np.ndarray, vprox: np.ndarray, kind: str, eps: float) -> SelectionResult:
+    """Smallest minimiser of ``max(profile_m, vprox_m)``."""
+    rates = np.maximum(profile, vprox)
+    idx = int(np.argmin(rates))  # argmin takes the first minimiser
+    return SelectionResult(idx + 1, float(rates[idx]), kind, float(eps))
+
+
 def oracle_dimension(
     theta: ParameterSequence,
     prior: PriorSpec,
@@ -158,9 +165,7 @@ def oracle_dimension(
     if not (theta.n == prior.n == op.n):
         raise ValueError("signal, prior and operator lengths must match")
     _check_eps(eps)
-    rates = np.maximum(bias_profile(theta, prior), _variance_proxy_profile(op, eps))
-    idx = int(np.argmin(rates))  # argmin takes the first minimiser
-    return SelectionResult(idx + 1, float(rates[idx]), "oracle", float(eps))
+    return _select(bias_profile(theta, prior), _variance_proxy_profile(op, eps), "oracle", eps)
 
 
 def minimax_dimension(
@@ -172,9 +177,7 @@ def minimax_dimension(
     if weighted_class.n != op.n:
         raise ValueError("class and operator lengths must match")
     _check_eps(eps)
-    rates = np.maximum(weighted_class.weights, _variance_proxy_profile(op, eps))
-    idx = int(np.argmin(rates))
-    return SelectionResult(idx + 1, float(rates[idx]), "minimax", float(eps))
+    return _select(weighted_class.weights, _variance_proxy_profile(op, eps), "minimax", eps)
 
 
 def max_dimension(op: OperatorSequence, eps: float) -> int:
@@ -194,37 +197,32 @@ def bracket_dimensions(
     theta: ParameterSequence,
     prior: PriorSpec,
     op: OperatorSequence,
-    eps: float,
     report: "AssumptionReport",
-    mode: str = "oracle",
+    sel: SelectionResult,
     weighted_class: WeightedClass | None = None,
     c_lambda: float | None = None,
 ) -> tuple[int, int]:
-    """Sandwich ``(m_lo, m_hi)`` around the selected dimension.
+    """Sandwich ``(m_lo, m_hi)`` around the selected dimension ``sel`` at
+    its noise level ``eps = sel.eps``.
 
-    Oracle mode:
+    Oracle selection:
 
         m_lo = min{m <= m*       : b_m <= 8 L C (1 + 1/d) rate*}
         m_hi = max{m* <= m <= M  : m <= 5 L rate* / (eps max-amp(m*))}
 
-    Minimax mode replaces ``(m*, rate*)`` by the class pair and scales both
-    thresholds by ``max(1, radius)``.  ``c_lambda`` defaults to the reported
-    constant; pass the value actually used in the dimension prior when it
-    was overridden, so the bracket and the posterior share one constant.
-    Raises :class:`InfeasibleError` when the selected dimension exceeds the
-    search range ``M``.
+    A minimax selection takes the class pair ``(m, rate)`` and scales both
+    thresholds by ``max(1, radius)`` of ``weighted_class``.  ``c_lambda``
+    defaults to the reported constant; pass the value actually used in the
+    dimension prior when it was overridden, so the bracket and the
+    posterior share one constant.  Raises :class:`InfeasibleError` when the
+    selected dimension exceeds the search range ``M``.
     """
-    if mode not in ("oracle", "minimax"):
-        raise ValueError(f"unknown bracket mode {mode!r}")
-    if mode == "minimax":
+    inflate = 1.0
+    if sel.kind == "minimax":
         if weighted_class is None:
             raise ValueError("minimax brackets need the weighted class")
-        sel = minimax_dimension(weighted_class, op, eps)
         inflate = max(1.0, weighted_class.radius)
-    else:
-        sel = oracle_dimension(theta, prior, op, eps)
-        inflate = 1.0
-    m_sel, rate = sel.dimension, sel.rate
+    eps, m_sel, rate = sel.eps, sel.dimension, sel.rate
     m_max = max_dimension(op, eps)
     if m_sel > m_max:
         raise InfeasibleError(
@@ -330,6 +328,8 @@ def check_assumptions(
     n = op.n
     if not (theta.n == prior.n == n):
         raise ValueError("signal, prior and operator lengths must match")
+    if weighted_class is not None and weighted_class.n != n:
+        raise ValueError("class and operator lengths must match")
 
     log_amp = op.log_amplification
     # smallest C with  max_{j>k} lambda_j^2 <= C min_{j<=k} lambda_j^2
@@ -363,7 +363,7 @@ def check_assumptions(
             )
             d = min(d, float(np.min(prior.variances[j] / floor)))
         vprox = _variance_proxy_profile(op, eps)
-        sel = oracle_dimension(theta, prior, op, eps)
+        sel = _select(bias, vprox, "oracle", eps)
         oracle_dims.append(sel.dimension)
         oracle_rates.append(sel.rate)
         feasible.append(sel.dimension <= m_max)
@@ -372,7 +372,7 @@ def check_assumptions(
             min(bias[sel.dimension - 1], vprox[sel.dimension - 1]) / sel.rate,
         )
         if weighted_class is not None:
-            mm = minimax_dimension(weighted_class, op, eps)
+            mm = _select(weighted_class.weights, vprox, "minimax", eps)
             minimax_dims.append(mm.dimension)
             minimax_rates.append(mm.rate)
             kappa_minimax = min(

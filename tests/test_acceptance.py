@@ -252,8 +252,9 @@ def test_criterion_06_oracle_sandwich(benchmark_problem, capsys):
     ok = True
     shown = []
     for eps in (1e-3, 1e-4):
-        phi = oracle_dimension(theta, prior, op, eps).rate
-        est = mc_mise("oracle", theta, prior, op, eps, REPS, SEED)
+        sel = oracle_dimension(theta, prior, op, eps)
+        phi = sel.rate
+        est = mc_mise(theta, prior, op, eps, REPS, SEED, m=sel.dimension)
         # improper prior: d = inf, so the sandwich factors are 2 and 1
         upper_ok = est.value <= 2.0 * phi + 3.0 * est.se
         profile, se = mc_mise_profile(theta, prior, op, eps, REPS, SEED)
@@ -273,7 +274,9 @@ def test_criterion_07_dimension_posterior_brackets(benchmark_problem, capsys):
     estimates = [
         mc_bracket_mass(
             theta, prior, op, eps, REPS, SEED,
-            bracket_dimensions(theta, prior, op, eps, report, mode="oracle", c_lambda=C_PENALTY),
+            bracket_dimensions(
+                theta, prior, op, report, oracle_dimension(theta, prior, op, eps), c_lambda=C_PENALTY
+            ),
             C_PENALTY,
         )
         for eps in grid
@@ -300,11 +303,11 @@ def test_criterion_08_posterior_band_trend(benchmark_problem, capsys):
     for eps in grid:
         sel = oracle_dimension(theta, prior, op, eps)
         sieve = mc_concentration(
-            "fixed", theta, prior, op, eps, constants["oracle_sieve"], sel.rate,
+            theta, prior, op, eps, constants["oracle_sieve"], sel.rate,
             REPS, DRAWS, SEED, m=sel.dimension,
         )
         hier = mc_concentration(
-            "hierarchical", theta, prior, op, eps, constants["oracle_hierarchical"],
+            theta, prior, op, eps, constants["oracle_hierarchical"],
             sel.rate, REPS, DRAWS, SEED, c_lambda=C_PENALTY,
         )
         masses["sieve"].append(sieve.value)

@@ -284,12 +284,24 @@ def test_posterior_length_mismatch(tmp_path, capsys):
         ("sidecar", "cannot read observation"),
         ("empty", "expected header j,y"),
         ("eps", "noise levels must lie in the open interval (0, 1)"),
+        ("nan", "observation values must be finite"),
+        ("inf", "observation values must be finite"),
+        ("1e308", "posterior means must be finite"),  # y_2 / lambda_2 overflows
+        ("1e200", "log weights must be finite"),  # only the squared contrast overflows
     ],
 )
 def test_malformed_observation_inputs(tmp_path, capsys, breakage, message):
     obs = tmp_path / "observation.csv"
     sidecar = tmp_path / "observation.meta.json"
-    if breakage == "header":
+    command = "posterior"
+    if breakage in ("nan", "inf", "1e308", "1e200"):
+        assert run_cli("simulate", "--config", "pp_small", "--out", tmp_path, "--quiet") == 0
+        header, rows = read_csv(obs)
+        rows[1][1] = breakage
+        obs.write_text("\n".join(",".join(r) for r in [header, *rows]) + "\n", encoding="utf-8")
+        if breakage == "1e200":  # its posterior means are finite: only adapt fails
+            command = "adapt"
+    elif breakage == "header":
         obs.write_text("a,b\n1,0.5\n", encoding="utf-8")
         sidecar.write_text('{"eps": 0.01, "seed": 1}', encoding="utf-8")
     elif breakage == "empty":
@@ -303,9 +315,25 @@ def test_malformed_observation_inputs(tmp_path, capsys, breakage, message):
         sidecar.write_text('{"eps": 0.01, "seed": 1}', encoding="utf-8")
     else:
         obs.write_text("j,y\n1,0.5\n", encoding="utf-8")  # sidecar missing
-    rc = run_cli("posterior", "--config", "pp_small", "--obs", obs, "--out", tmp_path)
+    rc = run_cli(command, "--config", "pp_small", "--obs", obs, "--out", tmp_path / "out")
     assert rc == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["select", "run"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_config_numbers_exit_config_error(tmp_path, capsys, command, value):
+    """``json`` reads ``NaN`` and ``Infinity``, which every schema bound lets
+    through for NaN; the config loader rejects both tokens."""
+    raw = json.loads((Path(igssm.__file__).parent / "configs" / "pp_small.json").read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**raw, "c_lambda": value}), encoding="utf-8")
+    rc = run_cli(command, "--config", config, "--out", tmp_path / "out", "--quiet")
+    assert rc == 2
+    token = "NaN" if math.isnan(value) else "Infinity"
+    assert f"{token} is not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["posterior", "adapt"])
@@ -516,22 +544,32 @@ _SELECT_BASE = {
 @example(  # the exponential class weights underflow on 34 coordinates: exit 2
     raw={**_SELECT_BASE, "model": {"family": "constant"}, "prior": {"kind": "improper"},
          "class": {"family": "exponential", "exponent": 1.0, "radius": 1.0}, "eps_grid": [0.03]},
-    command="select", overrides={}, check=False,
+    command="select", overrides={}, check=False, corrupt=None, row=0,
 )
 @example(  # the amplification at a threshold dimension overflows: exit 2
     raw={**_SELECT_BASE, "model": {"family": "exponential", "decay": 2.1},
          "prior": {"kind": "improper"}, "eps_grid": [0.2]},
-    command="select", overrides={}, check=False,
+    command="select", overrides={}, check=False, corrupt=None, row=0,
 )
 @example(  # a vanishing oracle balance makes a threshold dimension infinite
     raw={**_SELECT_BASE, "model": {"family": "exponential", "decay": 0.5},
          "truth": {"family": "polynomial", "exponent": 2.9, "scale": 1e-156},
          "prior": {"kind": "matched", "d": 10.0}, "eps_grid": [0.49, 0.46]},
-    command="select", overrides={}, check=False,
+    command="select", overrides={}, check=False, corrupt=None, row=0,
+)
+@example(  # a non-finite observation value: exit 2
+    raw={**_SELECT_BASE, "model": {"family": "polynomial", "decay": 1.0},
+         "prior": {"kind": "improper"}, "eps_grid": [0.05]},
+    command="posterior", overrides={}, check=False, corrupt="nan", row=3,
+)
+@example(  # finite posterior means whose squared contrast overflows: exit 2
+    raw={**_SELECT_BASE, "model": {"family": "polynomial", "decay": 1.0},
+         "prior": {"kind": "improper"}, "eps_grid": [0.05]},
+    command="adapt", overrides={}, check=False, corrupt="1e200", row=3,
 )
 @given(
     raw=small_configs(),
-    command=st.sampled_from(["simulate", "select", "audit", "sweep", "run"]),
+    command=st.sampled_from(["simulate", "select", "posterior", "adapt", "audit", "sweep", "run"]),
     overrides=st.fixed_dictionaries(
         {},
         optional={
@@ -541,21 +579,45 @@ _SELECT_BASE = {
         },
     ),
     check=st.booleans(),
+    corrupt=st.sampled_from([None, "nan", "inf", "-1e308", "1e200"]),
+    row=st.integers(0, 10**6),
 )
-def test_any_small_config_exits_with_a_documented_code(tmp_path, raw, command, overrides, check):
+def test_any_small_config_exits_with_a_documented_code(
+    tmp_path, raw, command, overrides, check, corrupt, row
+):
     """Whatever the config and overrides, ``main`` returns 0, 2, 3 or 4 (an
-    argparse error exits 2) and no exception escapes."""
+    argparse error exits 2) and no exception escapes.  ``posterior`` and
+    ``adapt`` read an observation simulated first at the config's first noise
+    level; ``corrupt`` overwrites one of its values (row ``row`` modulo the
+    length) with a non-finite or huge one."""
+
+    def exit_code(*argv):
+        try:
+            return run_cli(*argv)
+        except SystemExit as exc:
+            return exc.code
+
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw), encoding="utf-8")
-    allowed = {"simulate": {"--seed", "--eps"}, "select": set(), "audit": {"--reps", "--seed"}}
-    argv = [command, "--config", config, "--out", tmp_path / "out", "--quiet"]
+    out = tmp_path / "out"
+    runs = {"--reps", "--seed"}
+    allowed = {"simulate": {"--seed", "--eps"}, "audit": runs, "sweep": runs, "run": runs}
+    argv = [command, "--config", config, "--out", out, "--quiet"]
+    if command in ("posterior", "adapt"):
+        code = exit_code("simulate", "--config", config, "--out", out, "--quiet")
+        assert code in (0, 2)
+        if code != 0:
+            return
+        obs = out / "observation.csv"
+        if corrupt is not None:
+            lines = obs.read_text(encoding="utf-8").splitlines()
+            i = 1 + row % (len(lines) - 1)
+            lines[i] = f"{i},{corrupt}"
+            obs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv += ["--obs", obs]
     for flag, value in overrides.items():
-        if flag in allowed.get(command, {"--reps", "--seed"}):
+        if flag in allowed.get(command, set()):
             argv += [flag, value]
     if check and command in ("sweep", "run"):
         argv.append("--check")
-    try:
-        code = run_cli(*argv)
-    except SystemExit as exc:
-        code = exc.code
-    assert code in (0, 2, 3, 4)
+    assert exit_code(*argv) in (0, 2, 3, 4)

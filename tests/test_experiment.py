@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import igssm
-from igssm import experiment
+from igssm import experiment, montecarlo
 from igssm.config import ExperimentConfig, load_config
 from igssm.experiment import (
     EXIT_CHECK,
@@ -17,7 +17,13 @@ from igssm.experiment import (
     run_experiment,
 )
 from igssm.montecarlo import mc_bracket_mass
-from igssm.selection import bracket_dimensions, check_assumptions
+from igssm.selection import (
+    bracket_dimensions,
+    check_assumptions,
+    max_dimension,
+    minimax_dimension,
+    oracle_dimension,
+)
 
 SMALL = {
     "model": {"family": "polynomial", "decay": 1.0},
@@ -143,13 +149,86 @@ def test_bracket_rows_carry_their_bracket_and_its_mass(tmp_path, overrides):
     assert len(rows) == 2 * len(cfg.concentration_eps_grid)
     for eps, kind, _, _, _, m_lo, m_hi, mass, se in rows:
         eps = float(eps)
-        bracket = bracket_dimensions(
-            theta, prior, op, eps, report, mode=kind.removeprefix("bracket_"),
-            weighted_class=wclass, c_lambda=used,
-        )
+        if kind == "bracket_minimax":
+            sel = minimax_dimension(wclass, op, eps)
+        else:
+            sel = oracle_dimension(theta, prior, op, eps)
+        bracket = bracket_dimensions(theta, prior, op, report, sel, weighted_class=wclass, c_lambda=used)
         assert (int(m_lo), int(m_hi)) == bracket
         est = mc_bracket_mass(theta, prior, op, eps, cfg.mc_reps, cfg.seed, bracket, used)
         assert (float(mass), float(se)) == (est.value, est.se)
+
+
+def test_each_task_runs_at_the_cut_its_row_reports(tmp_path, monkeypatch):
+    """On ``pp_small`` every risk, concentration and bracket task cuts the
+    problem where its CSV row says: at ``m`` for the sieve kinds, which is
+    the report's selection, and at the search range M for the adaptive,
+    hierarchical and bracket kinds."""
+    cfg = load_config(Path(igssm.__file__).parent / "configs" / "pp_small.json")
+    raw = {key: value for key, value in cfg.raw.items() if key != "audit"}
+    cfg = ExperimentConfig({**raw, "mc": {"reps": 2, "draws": 5}})
+    cuts = []
+    task = montecarlo._task
+
+    def spy(theta, prior, op, eps, cut):
+        cuts.append((eps, cut))
+        return task(theta, prior, op, eps, cut)
+
+    monkeypatch.setattr(montecarlo, "_task", spy)
+    result = run_experiment(cfg, tmp_path, quiet=True)
+    assert result.exit_code == EXIT_OK
+    op = cfg.build_sequences()[0]
+    grid = result.report["grid"]
+    selected = {
+        "oracle": dict(zip(grid["eps"], grid["oracle_dims"])),
+        "minimax": dict(zip(grid["eps"], grid["minimax_dims"])),
+    }
+    want = []
+    for eps, kind, m, *_ in read_rows(tmp_path / "mise.csv")[1:]:
+        eps, m = float(eps), int(m)
+        if kind in selected:
+            assert m == selected[kind][eps]
+        if kind == "adaptive":
+            assert m == max_dimension(op, eps)
+        want.append((eps, m))
+    for eps, kind, m, *_ in read_rows(tmp_path / "concentration.csv")[1:]:
+        eps, m = float(eps), int(m)
+        selection = kind.rpartition("_")[2]
+        if kind.startswith("sieve_"):
+            assert m == selected[selection][eps]
+            want.append((eps, m))
+        else:
+            search = max_dimension(op, eps)
+            assert m == (selected[selection][eps] if kind.startswith("bracket_") else search)
+            want.append((eps, search))
+    assert len(want) == 2 * 4 + 2 * 6  # every row of both grid points
+    assert cuts == want
+
+
+def test_adaptive_outside_the_search_range_exits_3_before_any_replication(tmp_path, monkeypatch):
+    """The adaptive risk needs the oracle dimension inside the search range
+    at every noise level; the risk stage checks that before any task runs."""
+    cfg = small_config(
+        model={"family": "exponential", "decay": 0.5},
+        truth={"family": "polynomial", "exponent": 0.6, "scale": 1.0},
+        eps_grid=[0.5],
+        estimators=["fixed", "adaptive"],
+        concentration=None,
+    )
+    ran = []
+    replications = montecarlo._replications
+
+    def spy(*args):
+        ran.append(args)
+        return replications(*args)
+
+    monkeypatch.setattr(montecarlo, "_replications", spy)
+    out = tmp_path / "inf"
+    res = run_experiment(cfg, out, quiet=True)
+    assert res.exit_code == EXIT_INFEASIBLE
+    assert "exceeds the search range 1 at eps=0.5" in res.error
+    assert ran == []
+    assert list(out.iterdir()) == []
 
 
 def test_sidecars_carry_run_metadata_and_nothing_else(full_run):

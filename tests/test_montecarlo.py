@@ -10,18 +10,15 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from igssm import (
-    InfeasibleError,
     PriorSpec,
     TailBoundConfig,
     audit_tail_bounds,
     make_operator,
     make_parameters,
-    make_weights,
     mc_bracket_mass,
     mc_concentration,
     mc_mise,
     mc_sieve_deviation,
-    minimax_dimension,
     oracle_dimension,
     random_tail_suite,
     rate_regression,
@@ -150,7 +147,7 @@ def _poly_problem(n=10**4):
 def test_fixed_mise_matches_analytic_value_improper():
     theta, prior, op = _poly_problem()
     eps, m = 0.01, 4
-    est = mc_mise("fixed", theta, prior, op, eps, 2000, seed=42, m=m)
+    est = mc_mise(theta, prior, op, eps, 2000, seed=42, m=m)
     amp = np.arange(1.0, m + 1) ** 2
     analytic = eps * amp.sum() + float(np.sum(theta.values[m:] ** 2)) + theta.sq_tail()
     assert abs(est.value - analytic) < 4 * est.se
@@ -162,7 +159,7 @@ def test_fixed_mise_matches_analytic_value_proper():
     theta = make_parameters("polynomial", n, exponent=1.0, scale=1.0)
     mu, v, eps, m = 0.2, 0.5, 0.04, 6
     prior = PriorSpec.gaussian(np.full(n, mu), np.full(n, v))
-    est = mc_mise("fixed", theta, prior, op, eps, 4000, seed=11, m=m)
+    est = mc_mise(theta, prior, op, eps, 4000, seed=11, m=m)
     th = theta.values[:m]
     coord = (eps**2 * (mu - th) ** 2 + v**2 * eps) / (v + eps) ** 2
     analytic = (
@@ -173,48 +170,28 @@ def test_fixed_mise_matches_analytic_value_proper():
     assert abs(est.value - analytic) < 4 * est.se
 
 
-def test_oracle_and_minimax_kinds_pin_their_dimension():
-    theta, prior, op = _poly_problem()
-    eps = 1e-3
-    m_star = oracle_dimension(theta, prior, op, eps).dimension
-    a = mc_mise("oracle", theta, prior, op, eps, 50, seed=3)
-    b = mc_mise("fixed", theta, prior, op, eps, 50, seed=3, m=m_star)
-    assert a.value == pytest.approx(b.value, rel=1e-12)
-    w = make_weights("polynomial", op.n, exponent=1.0, radius=1.0)
-    m_circ = minimax_dimension(w, op, eps).dimension
-    c = mc_mise("minimax", theta, prior, op, eps, 50, seed=3, weighted_class=w)
-    d = mc_mise("fixed", theta, prior, op, eps, 50, seed=3, m=m_circ)
-    assert c.value == pytest.approx(d.value, rel=1e-12)
-
-
 def test_profile_agrees_with_fixed_calls():
     theta, prior, op = _poly_problem()
     eps = 0.01
     mise, se = mc_mise_profile(theta, prior, op, eps, 300, seed=6)
     for m in (1, 3, 10):
-        single = mc_mise("fixed", theta, prior, op, eps, 300, seed=6, m=m)
+        single = mc_mise(theta, prior, op, eps, 300, seed=6, m=m)
         assert mise[m - 1] == pytest.approx(single.value, rel=1e-10)
         assert se[m - 1] == pytest.approx(single.se, rel=1e-8)
 
 
-def test_adaptive_raises_when_oracle_leaves_search_range():
-    op = make_operator("exponential", 50, decay=0.5)
-    theta = make_parameters("polynomial", 50, exponent=0.6, scale=1.0)
-    prior = PriorSpec.flat(50)
-    with pytest.raises(InfeasibleError):
-        mc_mise("adaptive", theta, prior, op, 0.5, 10, seed=1, c_lambda=1.0)
-
-
 def test_mise_input_validation():
+    """A Monte Carlo task takes the sieve dimension or the operator constant
+    of the dimension posterior, exactly one of them."""
     theta, prior, op = _poly_problem(100)
-    with pytest.raises(ValueError):
-        mc_mise("fixed", theta, prior, op, 0.01, 10, seed=1)  # m missing
-    with pytest.raises(ValueError):
-        mc_mise("minimax", theta, prior, op, 0.01, 10, seed=1)  # class missing
-    with pytest.raises(ValueError):
-        mc_mise("adaptive", theta, prior, op, 0.01, 10, seed=1)  # C missing
-    with pytest.raises(ValueError):
-        mc_mise("median", theta, prior, op, 0.01, 10, seed=1, m=2)
+    tasks = (
+        lambda **given: mc_mise(theta, prior, op, 0.01, 10, 1, **given),
+        lambda **given: mc_concentration(theta, prior, op, 0.01, 2.0, 0.1, 10, 5, 1, **given),
+    )
+    for task in tasks:
+        for given in ({}, {"m": 2, "c_lambda": 1.0}):
+            with pytest.raises(ValueError, match="either the sieve dimension m or"):
+                task(**given)
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +203,10 @@ def test_concentration_band_sanity():
     theta, prior, op = _poly_problem()
     eps = 0.01
     sel = oracle_dimension(theta, prior, op, eps)
-    wide = mc_concentration(
-        "fixed", theta, prior, op, eps, 1e6, sel.rate, 40, 200, seed=7, m=sel.dimension
-    )
+    wide = mc_concentration(theta, prior, op, eps, 1e6, sel.rate, 40, 200, seed=7, m=sel.dimension)
     assert wide.value == 1.0
     narrow = mc_concentration(
-        "fixed", theta, prior, op, eps, 1.0 + 1e-9, sel.rate, 40, 200, seed=7, m=sel.dimension
+        theta, prior, op, eps, 1.0 + 1e-9, sel.rate, 40, 200, seed=7, m=sel.dimension
     )
     assert narrow.value < 1.0
 
@@ -243,11 +218,11 @@ def test_one_sided_band_differs_from_two_sided():
     eps = 0.01
     sel = oracle_dimension(theta, prior, op, eps)
     two = mc_concentration(
-        "hierarchical", theta, prior, op, eps, 1.5, sel.rate, 30, 100, seed=9,
+        theta, prior, op, eps, 1.5, sel.rate, 30, 100, seed=9,
         c_lambda=1.0, two_sided=True,
     )
     one = mc_concentration(
-        "hierarchical", theta, prior, op, eps, 1.5, sel.rate, 30, 100, seed=9,
+        theta, prior, op, eps, 1.5, sel.rate, 30, 100, seed=9,
         c_lambda=1.0, two_sided=False,
     )
     assert one.value >= two.value
@@ -264,7 +239,8 @@ def test_sieve_deviation_requires_small_c():
 def test_bracket_mass_deterministic_and_bounded():
     theta, prior, op = _poly_problem()
     report = check_assumptions(theta, prior, op, (0.01,))
-    bracket = bracket_dimensions(theta, prior, op, 0.01, report, c_lambda=1.0)
+    sel = oracle_dimension(theta, prior, op, 0.01)
+    bracket = bracket_dimensions(theta, prior, op, report, sel, c_lambda=1.0)
     a = mc_bracket_mass(theta, prior, op, 0.01, 50, 12, bracket, 1.0)
     b = mc_bracket_mass(theta, prior, op, 0.01, 50, 12, bracket, 1.0)
     assert a.value == b.value
@@ -399,7 +375,8 @@ def test_mc_mise_equals_serial_loop(problem, seed):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(montecarlo, "_mean_map", map_spy)
             mp.setattr(montecarlo, "_weights", weights_spy)
-            got = mc_mise(kind, theta, prior, op, eps, reps, seed, c_lambda=1.0)
+            given = {"c_lambda": 1.0} if kind == "adaptive" else {"m": dim}
+            got = mc_mise(theta, prior, op, eps, reps, seed, **given)
         assert (got.value, got.se) == _summary_of(vals)
         scale = np.where(pr.improper, o.values, pr.variances * o.values**2 + eps)
         post_var = posterior_variances(pr, o, eps)
@@ -431,10 +408,8 @@ def test_mc_concentration_equals_serial_loop(problem, hierarchical, band, seed):
             padded = sample_sieve_posterior(cut, summary, pr, draws, seed, rep=r)
         sq = _padded_distances(padded, theta, prior)
         fracs[r] = float(np.mean((sq >= sel.rate / band) & (sq <= sel.rate * band)))
-    got = mc_concentration(
-        "hierarchical" if hierarchical else "fixed", theta, prior, op, eps, band,
-        sel.rate, reps, draws, seed, m=sel.dimension, c_lambda=1.0,
-    )
+    given = {"c_lambda": 1.0} if hierarchical else {"m": sel.dimension}
+    got = mc_concentration(theta, prior, op, eps, band, sel.rate, reps, draws, seed, **given)
     assert (got.value, got.se) == _summary_of(fracs)
 
 
@@ -447,9 +422,10 @@ def test_mc_bracket_mass_equals_serial_loop(problem, seed, data):
     reps = 6
     report = check_assumptions(theta, prior, op, (eps,))
     cut = max_dimension(op, eps)
-    assume(oracle_dimension(theta, prior, op, eps).dimension <= cut)
+    sel = oracle_dimension(theta, prior, op, eps)
+    assume(sel.dimension <= cut)
     if data.draw(st.booleans(), label="sandwich"):
-        m_lo, m_hi = bracket_dimensions(theta, prior, op, eps, report, c_lambda=1.0)
+        m_lo, m_hi = bracket_dimensions(theta, prior, op, report, sel, c_lambda=1.0)
     else:
         m_lo = data.draw(st.integers(1, cut), label="m_lo")
         m_hi = data.draw(st.integers(m_lo, cut), label="m_hi")
@@ -532,7 +508,7 @@ def test_truncated_adaptive_equals_full_range_formulas(problem, seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_shrink", spy)
-        got = mc_mise("adaptive", theta, prior, op, eps, reps, seed, c_lambda=c_lambda)
+        got = mc_mise(theta, prior, op, eps, reps, seed, c_lambda=c_lambda)
     assert (got.value, got.se) == _summary_of(vals)
     assert len(ends) == reps and max(ends) < cut  # every replication was truncated
 
@@ -555,7 +531,7 @@ def test_adaptive_kernel_rejects_non_finite_values(monkeypatch, bad, message):
 
     monkeypatch.setattr(montecarlo, "_observe", corrupted)
     with pytest.raises(ValueError, match=message):
-        mc_mise("adaptive", theta, prior, op, 0.01, 3, seed=1, c_lambda=1.0)
+        mc_mise(theta, prior, op, 0.01, 3, seed=1, c_lambda=1.0)
 
 
 def test_thread_count_does_not_change_mc_estimates(monkeypatch):
@@ -576,16 +552,12 @@ def test_thread_count_does_not_change_mc_estimates(monkeypatch):
 
     def estimates():
         found = [
-            mc_mise("adaptive", theta, prior, op, eps, reps, 5, c_lambda=1.0),
-            mc_concentration(
-                "fixed", theta, prior, op, eps, 2.0, sel.rate, reps, 30, 5, m=sel.dimension
-            ),
-            mc_concentration(
-                "hierarchical", theta, prior, op, eps, 2.0, sel.rate, reps, 30, 5, c_lambda=1.0
-            ),
+            mc_mise(theta, prior, op, eps, reps, 5, c_lambda=1.0),
+            mc_concentration(theta, prior, op, eps, 2.0, sel.rate, reps, 30, 5, m=sel.dimension),
+            mc_concentration(theta, prior, op, eps, 2.0, sel.rate, reps, 30, 5, c_lambda=1.0),
             mc_bracket_mass(
                 theta, prior, op, eps, reps, 5,
-                bracket_dimensions(theta, prior, op, eps, report, c_lambda=1.0), 1.0,
+                bracket_dimensions(theta, prior, op, report, sel, c_lambda=1.0), 1.0,
             ),
         ]
         return [(e.value, e.se) for e in found]

@@ -232,10 +232,10 @@ def test_brackets_contain_selected_dimension():
     prior = PriorSpec.flat(n)
     report = check_assumptions(theta, prior, op, (1e-3,))
     sel = oracle_dimension(theta, prior, op, 1e-3)
-    m_lo, m_hi = bracket_dimensions(theta, prior, op, 1e-3, report)
+    m_lo, m_hi = bracket_dimensions(theta, prior, op, report, sel)
     assert 1 <= m_lo <= sel.dimension <= m_hi <= max_dimension(op, 1e-3)
     # a larger dimension-prior constant can only widen the lower side
-    lo2, hi2 = bracket_dimensions(theta, prior, op, 1e-3, report, c_lambda=4.0)
+    lo2, hi2 = bracket_dimensions(theta, prior, op, report, sel, c_lambda=4.0)
     assert lo2 <= m_lo and hi2 == m_hi
 
 
@@ -245,7 +245,7 @@ def test_bracket_infeasible_when_selection_exceeds_range():
     prior = PriorSpec.flat(50)
     report = check_assumptions(theta, prior, op, (0.5,))
     with pytest.raises(InfeasibleError):
-        bracket_dimensions(theta, prior, op, 0.5, report)
+        bracket_dimensions(theta, prior, op, report, oracle_dimension(theta, prior, op, 0.5))
 
 
 def test_composite_constants_assembly():
