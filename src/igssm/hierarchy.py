@@ -29,6 +29,9 @@ exponentiated and shrunk; past it the masses are exact zeros, ``omega_j =
 formulas give.
 The mass sum still runs over the whole zero-tailed array, so its pairwise
 reduction order, and with it every bit of the result, is unchanged.
+These cores work on the rows of 2-D arrays, one replication a row: the
+Monte Carlo kernel hands them a chunk of replications, the public functions
+a single row, and each row comes out as it would alone.
 
 Under the fully improper prior the contrast reduces to
 ``sum_{j<=m} Y_j^2 / eps`` and the posterior-mean estimator becomes the
@@ -96,7 +99,8 @@ class DimensionDistribution:
         lw = np.asarray(log_weights, dtype=np.float64)
         _check_log_weights(lw)
         probs = np.empty_like(lw)
-        mass_end = _normalise(lw, _chunk_maxima(lw), probs)
+        row = lw[None]
+        mass_end = int(_normalise(row, _chunk_maxima(row), probs[None])[0])
         return cls(lw, probs, kind), mass_end
 
     @property
@@ -105,7 +109,7 @@ class DimensionDistribution:
 
     def tail_mass(self, m_lo: int, m_hi: int) -> float:
         """Posterior mass outside the bracket ``[m_lo, m_hi]`` (1-indexed)."""
-        return _outside_mass(self.probs, m_lo, m_hi)
+        return float(_outside_mass(self.probs[None], m_lo, m_hi)[0])
 
 
 def _check_log_weights(lw: np.ndarray) -> None:
@@ -118,40 +122,62 @@ def _check_log_weights(lw: np.ndarray) -> None:
 _MASS_MARGIN = 800.0
 # Length of the chunks whose maxima locate the mass end.
 _CHUNK = 4096
+# numpy holds the interpreter lock through a cumsum or a reduceat along the
+# rows of a 2-D array unless there are more than 500 rows (the out-of-place
+# 1-D calls release it); up to this many rows go one at a time, so threads
+# overlap on them.
+_GIL_ROWS = 500
 
 
 def _chunk_maxima(lw: np.ndarray) -> np.ndarray:
-    """The maximum of each ``_CHUNK``-long chunk of ``lw`` (the last one
-    may be shorter); a NaN in a chunk makes its maximum NaN."""
-    return np.maximum.reduceat(lw, np.arange(0, lw.size, _CHUNK))
+    """The maximum of each ``_CHUNK``-long chunk of each row of ``lw`` (the
+    last one may be shorter); a NaN in a chunk makes its maximum NaN."""
+    starts = np.arange(0, lw.shape[1], _CHUNK)
+    if len(lw) > _GIL_ROWS:
+        return np.maximum.reduceat(lw, starts, axis=1)
+    return np.array([np.maximum.reduceat(row, starts) for row in lw])
 
 
-def _normalise(lw: np.ndarray, maxima: np.ndarray, out: np.ndarray) -> int:
-    """``exp(lw - max(lw))`` scaled to sum one, written into ``out`` (which
-    may be ``lw`` itself), given ``maxima = _chunk_maxima(lw)``.  Returns
-    the mass end: one past the last index with ``lw - max(lw) >
-    -_MASS_MARGIN``.  Rounded subtraction is monotone, so a chunk holds such
-    an index exactly when its maximum passes the same test; only the last
-    such chunk is searched.  Only the head before the mass end is shifted,
-    exponentiated and scaled; the tail of ``out`` is set to 0.0, which is
-    what ``exp`` gives there, and the sum runs over all of ``out``, so it
-    keeps the full-range reduction order.  ``lw`` must be finite."""
-    top = np.max(maxima)
-    start = int(np.flatnonzero(maxima - top > -_MASS_MARGIN)[-1]) * _CHUNK
-    chunk = lw[start : start + _CHUNK]
-    mass_end = start + int(np.flatnonzero(chunk - top > -_MASS_MARGIN)[-1]) + 1
-    head = out[:mass_end]
-    np.subtract(lw[:mass_end], top, out=head)
+def _normalise(lw: np.ndarray, maxima: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row by row, ``exp(lw - max(lw))`` scaled to sum one, written into
+    ``out`` (which may be ``lw`` itself), given ``maxima =
+    _chunk_maxima(lw)``.  Returns each row's mass end: one past the last
+    index with ``lw - max(lw) > -_MASS_MARGIN``.  Rounded subtraction is
+    monotone, so a chunk holds such an index exactly when its maximum passes
+    the same test; only each row's last such chunk is searched.
+
+    Only the head before the rows' largest mass end is shifted,
+    exponentiated and scaled; the rest of ``out`` is set to 0.0, and each
+    whole row is summed, so the sum keeps the full-range reduction order.
+    Between a row's own mass end and the largest one, ``lw - max(lw) <=
+    -_MASS_MARGIN``, where ``exp`` is exactly 0.0, the value the zero tail
+    holds; and a row's sum along axis 1 is the pairwise sum of that row
+    alone.  So every row is bit for bit what it is normalised alone.
+    ``lw`` must be finite."""
+    n = lw.shape[1]
+    top = np.max(maxima, axis=1)[:, None]
+    alive = maxima - top > -_MASS_MARGIN
+    start = (alive.shape[1] - 1 - np.argmax(alive[:, ::-1], axis=1)) * _CHUNK
+    width = min(_CHUNK, n)
+    # each row's last surviving chunk; a short last chunk repeats the last
+    # entry, which moves the end past n only when it survives itself
+    chunk = np.take_along_axis(lw, np.minimum(start[:, None] + np.arange(width), n - 1), axis=1)
+    mass_ends = start + width - np.argmax((chunk - top > -_MASS_MARGIN)[:, ::-1], axis=1)
+    np.minimum(mass_ends, n, out=mass_ends)
+    end = int(np.max(mass_ends))
+    head = out[:, :end]
+    np.subtract(lw[:, :end], top, out=head)
     np.exp(head, out=head)
-    out[mass_end:] = 0.0
-    head /= out.sum()
-    return mass_end
+    out[:, end:] = 0.0
+    head /= np.sum(out, axis=1)[:, None]
+    return mass_ends
 
 
-def _outside_mass(probs: np.ndarray, m_lo: int, m_hi: int) -> float:
-    if not 1 <= m_lo <= m_hi <= probs.size:
-        raise ValueError(f"bracket [{m_lo}, {m_hi}] outside 1..{probs.size}")
-    return float(np.sum(probs[: m_lo - 1]) + np.sum(probs[m_hi:]))
+def _outside_mass(probs: np.ndarray, m_lo: int, m_hi: int) -> np.ndarray:
+    """Each row's mass outside the bracket ``[m_lo, m_hi]`` (1-indexed)."""
+    if not 1 <= m_lo <= m_hi <= probs.shape[1]:
+        raise ValueError(f"bracket [{m_lo}, {m_hi}] outside 1..{probs.shape[1]}")
+    return np.sum(probs[:, : m_lo - 1], axis=1) + np.sum(probs[:, m_hi:], axis=1)
 
 
 def _dimension_penalty(c_lambda: float, m_top: int) -> np.ndarray:
@@ -169,19 +195,26 @@ def _log_weights(
     scratch: np.ndarray,
     out: np.ndarray,
 ) -> np.ndarray:
-    """Dimension-posterior log-weights on ``1..penalty.size``,
-    ``0.5 * cumsum((post_mean - means)^2 / post_var) - penalty``, written
-    into ``out``; every array has the length of ``penalty``.  ``means`` None
-    stands for all-zero prior means (``x - 0.0`` is ``x``) and ``post_var``
-    may be a scalar.  The contrast goes into ``scratch``, and the cumsum
-    writes from there into ``out`` (see :mod:`igssm.montecarlo` for why)."""
+    """Dimension-posterior log-weights on ``1..penalty.size`` of each row of
+    ``post_mean``, ``0.5 * cumsum((post_mean - means)^2 / post_var) -
+    penalty``, written into ``out``; ``post_mean``, ``scratch`` and ``out``
+    are ``(rows, penalty.size)``, the other arrays have the length of
+    ``penalty``.  ``means`` None stands for all-zero prior means (``x -
+    0.0`` is ``x``) and ``post_var`` may be a scalar.  The contrast goes
+    into ``scratch``, and the cumsum writes from there into ``out`` (see
+    :mod:`igssm.montecarlo` for why); along a row it is the 1-D cumsum of
+    that row."""
     if means is None:
         np.square(post_mean, out=scratch)
     else:
         np.subtract(post_mean, means, out=scratch)
         np.square(scratch, out=scratch)
     np.divide(scratch, post_var, out=scratch)
-    np.cumsum(scratch, out=out)
+    if len(out) > _GIL_ROWS:
+        np.cumsum(scratch, axis=1, out=out)
+    else:
+        for src, dst in zip(scratch, out):
+            np.cumsum(src, out=dst)
     np.multiply(out, 0.5, out=out)
     return np.subtract(out, penalty, out=out)
 
@@ -194,18 +227,20 @@ def _shrink(
     omega: np.ndarray,
     out: np.ndarray,
 ) -> None:
-    """The adaptive estimate on ``1..mass_end``, for masses ``probs`` that
-    are zero from ``mass_end`` on: the shrinkage weights ``omega_j =
-    P(dimension >= j)`` go into ``omega[:mass_end]`` (which may be
-    ``probs``), ``means + omega * (post_mean - means)`` into
-    ``out[:mass_end]`` (which may be ``post_mean``).  Past ``mass_end``,
-    ``omega_j = 0`` and the estimate is ``means``; neither is written.  The
-    zero tail adds exactly 0.0 to the reverse cumulative sum, so the head
-    is bit for bit the full-range one."""
-    omega, out = omega[:mass_end], out[:mass_end]
-    np.cumsum(probs[:mass_end][::-1], out=omega[::-1])
+    """The adaptive estimate of each row on ``1..mass_end``, for masses
+    ``probs`` that are zero from ``mass_end`` on (the rows' largest mass
+    end): the shrinkage weights ``omega_j = P(dimension >= j)`` go into
+    ``omega[:, :mass_end]`` (which may be ``probs``), ``means + omega *
+    (post_mean - means)`` into ``out[:, :mass_end]`` (which may be
+    ``post_mean``).  Past ``mass_end``, ``omega_j = 0`` and the estimate is
+    ``means``; neither is written.  The zero tail adds exactly 0.0 to the
+    reverse cumulative sum, so the head is bit for bit the full-range one;
+    between a row's own mass end and ``mass_end``, ``omega_j`` is 0.0 and
+    the estimate ``means_j`` up to the sign of a zero."""
+    omega, out = omega[:, :mass_end], out[:, :mass_end]
+    np.cumsum(probs[:, :mass_end][:, ::-1], axis=1, out=omega[:, ::-1])
     np.clip(omega, 0.0, 1.0, out=omega)
-    np.subtract(post_mean[:mass_end], means[:mass_end], out=out)
+    np.subtract(post_mean[:, :mass_end], means[:mass_end], out=out)
     np.multiply(omega, out, out=out)
     np.add(out, means[:mass_end], out=out)
 
@@ -263,10 +298,10 @@ def _dimension_posterior(
     m_top = max_dimension(op, eps)
     penalty = _dimension_penalty(c_lambda, m_top)
     lw = _log_weights(
-        summary.post_mean[:m_top], prior.means[:m_top], summary.post_var[:m_top], penalty,
-        np.empty(m_top), np.empty(m_top),
+        summary.post_mean[None, :m_top], prior.means[:m_top], summary.post_var[:m_top], penalty,
+        np.empty((1, m_top)), np.empty((1, m_top)),
     )
-    return DimensionDistribution._normalised(lw, "posterior")
+    return DimensionDistribution._normalised(lw[0], "posterior")
 
 
 @dataclass(frozen=True)
@@ -308,7 +343,7 @@ def adaptive_estimate(
     dist, mass_end = _dimension_posterior(summary, prior, op, eps, c_lambda)
     omega = np.zeros(dist.support_size)
     values = prior.means.copy()
-    _shrink(dist.probs, mass_end, summary.post_mean, prior.means, omega, values)
+    _shrink(dist.probs[None], mass_end, summary.post_mean[None], prior.means, omega[None], values[None])
     return AdaptiveEstimate(values, omega, dist)
 
 
@@ -334,7 +369,8 @@ def sample_hierarchical_posterior(
     """
     dist = dimension_posterior(summary, prior, op, eps, c_lambda)
     dims, block = _draw_hierarchical(
-        dist.probs, summary.post_mean, np.sqrt(summary.post_var), prior.means, n_draws, seed, rep
+        dist.probs, summary.post_mean, np.sqrt(summary.post_var), prior.means, n_draws,
+        stream(seed, HIERARCHY_DRAW, rep),
     )
     draws = np.tile(prior.means, (n_draws, 1))
     draws[:, : block.shape[1]] = block
@@ -347,16 +383,15 @@ def _draw_hierarchical(
     post_sd: np.ndarray,
     means: np.ndarray,
     n_draws: int,
-    seed: int,
-    rep: int,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(dims, block)``: dimensions drawn from the dimension posterior
     ``probs`` and the first ``max(dims)`` columns of the draws, prior means
-    past each draw's dimension."""
+    past each draw's dimension, all from the hierarchical-draw stream
+    ``rng``."""
     if n_draws < 1:
         raise ValueError("need at least one draw")
     m_top = probs.size
-    rng = stream(seed, HIERARCHY_DRAW, rep)
     cdf = np.cumsum(probs)
     u = rng.random(n_draws)
     dims = np.minimum(np.searchsorted(cdf, u, side="right"), m_top - 1) + 1

@@ -10,12 +10,22 @@ the operator constant ``c_lambda`` and runs over the search range.  The
 kernel cuts the problem there, simulates only that head, and computes
 everything that does not depend on the data once per task: the signal
 ``lambda_j theta_j``, the posterior variances and the affine map from data
-to posterior means.  A replication
-then draws its noise, forms its posterior means and applies the task's
-statistic, all in work arrays allocated once per block of replications.
-The replications of one task are split into contiguous blocks, one per
-worker thread (``IGSSM_THREADS``), and their statistics are put back in
-replication order, so every result is the same for any thread count.
+to posterior means.
+
+Replications run as the rows of a chunk, ``max(1, _ROW_ELEMENTS // cut)``
+of them, in work arrays allocated once per block of replications.  Each
+row draws its noise from its own replication's stream (``rng.streams``
+derives the chunk's stream keys in one pass); the noise scale, the signal
+and the posterior-mean map are then applied to the whole chunk, and the
+task's statistic computes one value per row in one set of numpy calls.
+Every row is bit for bit what it would be alone (see
+:mod:`igssm.hierarchy` for the dimension posterior's rows), so results do
+not depend on how replications are chunked.  A cut of ``_ROW_ELEMENTS``
+or more runs one row per chunk.  The chunks of one task are split into
+contiguous blocks, at most one per worker thread (``IGSSM_THREADS``) and
+one per chunk, so a task whose replications fit in one chunk runs on one
+thread; statistics are put back in replication order, so every result is
+the same for any thread count.
 
 Tasks on the dimension posterior compute its log-weights over the whole
 search range, where the data enter through the cumulative contrast, but
@@ -34,8 +44,10 @@ is >= 0, infinite or NaN and the penalty is finite, so the dimension tasks
 check the posterior means only when the log-weights' maximum is not
 finite; the other tasks check them on every replication.  The contrast
 goes into a work array of its own and the cumsum writes from there into
-the log-weights, because numpy's in-place cumsum keeps the interpreter
-lock: two threads running it take turns, out of place they overlap.
+the log-weights, one row at a time on chunks of few rows, because numpy
+keeps the interpreter lock through an in-place cumsum and through one along
+the rows of a 2-D array of up to 500 rows, so another thread cannot even
+start its next step; a 1-D out-of-place cumsum releases it.
 
 Squared distances between a draw and the truth are always split into the
 simulated range plus the deterministic remainder (stored coordinates
@@ -77,8 +89,8 @@ from .posterior import (
     _sieve_block,
     posterior_variances,
 )
-from .rng import AUDIT_DRAW, SUITE_GEN, stream
-from .selection import bias_profile, max_dimension, risk_decomposition
+from .rng import AUDIT_DRAW, HIERARCHY_DRAW, OBSERVATION, SIEVE_DRAW, SUITE_GEN, stream, streams
+from .selection import _bias_terms, bias_profile, max_dimension, risk_decomposition
 from .sequences import OperatorSequence, ParameterSequence, _observe, _readonly
 
 __all__ = [
@@ -101,9 +113,14 @@ __all__ = [
 
 _MIN_AUDIT_REPS = 10_000
 # Most worker threads IGSSM_THREADS may ask for; one task starts up to
-# min(IGSSM_THREADS, reps) of them.  Larger values are a config error.
+# min(IGSSM_THREADS, its chunks of replications) of them.  Larger values are
+# a config error.
 MAX_THREADS = 64
 _BATCH_ELEMENTS = 1 << 23  # cap on draws * dimension per simulation batch
+# Elements per work array of a chunk of replications: a chunk holds
+# max(1, _ROW_ELEMENTS // cut) replications as rows, so its three work
+# arrays (512 KiB each) stay in L2 together.
+_ROW_ELEMENTS = 1 << 16
 
 
 def _max_workers() -> int:
@@ -371,7 +388,7 @@ def _cut(op, eps, m, c_lambda) -> int:
 
 
 def _task(theta, prior, op, eps, cut) -> _Task:
-    remainder = float(np.sum((theta.values[cut:] - prior.means[cut:]) ** 2)) + theta.sq_tail()
+    remainder = float(np.sum(_bias_terms(theta, prior)[0][cut:])) + theta.sq_tail()
     th, pr, o = theta.head(cut), prior.head(cut), op.head(cut)
     post_var = posterior_variances(pr, o, eps)
     _check_variances(post_var)
@@ -381,32 +398,47 @@ def _task(theta, prior, op, eps, cut) -> _Task:
     )
 
 
+def _rows(task: _Task) -> int:
+    """Replications per chunk of ``task``."""
+    return max(1, _ROW_ELEMENTS // task.theta.size)
+
+
 def _block(task: _Task, seed: int, statistic, start: int, stop: int):
-    """Yield ``statistic(r, post_mean, work)`` for ``r = start .. stop - 1``,
-    where ``post_mean`` holds the posterior means of the observation
-    drawn from replication ``r``'s own stream.  ``post_mean`` (of the cut
-    length) and ``work`` (two rows of it) are allocated once for the
-    block; the statistic may overwrite both, and checks that the posterior
-    means are finite, directly or through ``_dimension_probs``."""
+    """Split replications ``start .. stop - 1`` into chunks of ``_rows(task)``
+    (the last may be shorter) and yield ``statistic(r0, post_mean, work)``
+    for each, in order: one value per replication ``r0, r0 + 1, ...``.
+    Row ``i`` of ``post_mean`` holds the posterior means of the observation
+    drawn from replication ``r0 + i``'s own stream.  ``post_mean`` (rows of
+    the cut length) and ``work`` (two such blocks of rows) are allocated
+    once for the block; the statistic may overwrite both, and checks that
+    the posterior means are finite, directly or through
+    ``_dimension_probs``."""
     if stop <= start:
         raise ValueError("need at least one replication")
-    post_mean = np.empty(task.theta.size)
-    work = np.empty((2, task.theta.size))
-    for r in range(start, stop):
-        _observe(task.signal, task.noise_scale, seed, r, post_mean)
-        _posterior_mean(task.mean_map, post_mean, post_mean)
-        yield statistic(r, post_mean, work)
+    rows = min(_rows(task), stop - start)
+    post_mean = np.empty((rows, task.theta.size))
+    work = np.empty((2, rows, task.theta.size))
+    for r0 in range(start, stop, rows):
+        k = min(rows, stop - r0)
+        chunk = post_mean[:k]
+        _observe(task.signal, task.noise_scale, streams(seed, OBSERVATION, r0, r0 + k), chunk)
+        _posterior_mean(task.mean_map, chunk, chunk)
+        yield statistic(r0, chunk, work[:, :k])
 
 
 def _replications(task: _Task, reps: int, seed: int, statistic) -> list:
     """The statistics of replications ``0 .. reps - 1`` in replication
-    order, computed in one contiguous block of replications per worker."""
-    blocks = max(1, min(_max_workers(), reps))
+    order, computed in one contiguous block of replications per worker; a
+    task whose replications fit in fewer chunks than there are workers
+    takes one block per chunk."""
+    blocks = max(1, min(_max_workers(), -(-reps // _rows(task))))
     bounds = [reps * k // blocks for k in range(blocks + 1)]
-    parts = _parallel_map(
-        lambda k: list(_block(task, seed, statistic, bounds[k], bounds[k + 1])), range(blocks)
-    )
-    return [value for part in parts for value in part]
+
+    def block(k):
+        chunks = _block(task, seed, statistic, bounds[k], bounds[k + 1])
+        return [value for chunk in chunks for value in chunk]
+
+    return [value for part in _parallel_map(block, range(blocks)) for value in part]
 
 
 class _Weights(NamedTuple):
@@ -430,17 +462,20 @@ def _weights(task: _Task, c_lambda: float) -> _Weights:
 
 
 def _dimension_probs(weights: _Weights, post_mean, work) -> int:
-    """One replication's dimension-posterior masses, written into
-    ``work[0]`` (``work[1]`` takes the contrast); returns their mass end.
-    A non-finite maximum log-weight checks the posterior means first, so
-    an infinite observation is reported as such."""
+    """The dimension-posterior masses of each row of ``post_mean``, written
+    into the rows of ``work[0]`` (``work[1]`` takes the contrast); returns
+    the rows' largest mass end.  The first row whose maximum log-weight is
+    not finite has its posterior means checked, then its log-weights, so an
+    infinite observation is reported as such, and the first failing
+    replication raises what it raises alone."""
     lw = work[0]
     _log_weights(post_mean, weights.means, weights.post_var, weights.penalty, work[1], lw)
     maxima = _chunk_maxima(lw)
     if not np.isfinite(np.max(maxima)):
-        _check_means(post_mean)
-        _check_log_weights(lw)
-    return _normalise(lw, maxima, lw)
+        first = np.flatnonzero(~np.isfinite(np.max(maxima, axis=1)))[0]
+        _check_means(post_mean[first])
+        _check_log_weights(lw[first])
+    return int(np.max(_normalise(lw, maxima, lw)))
 
 
 def _draw_distances(task: _Task, block: np.ndarray) -> np.ndarray:
@@ -477,19 +512,19 @@ def mc_mise(
         weights = _weights(task, c_lambda)
         prior_sq_err = np.square(task.means - task.theta)
 
-    def loss(r, post_mean, work):
+    def loss(r0, post_mean, work):
         end = cut
         if m is None:
             end = _dimension_probs(weights, post_mean, work)
             probs = work[0]
             _shrink(probs, end, post_mean, task.means, probs, post_mean)
-            post_mean[end:] = prior_sq_err[end:]  # the prior mean's error past the mass end
+            post_mean[:, end:] = prior_sq_err[end:]  # the prior mean's error past the mass end
         else:
             _check_means(post_mean)
-        head = post_mean[:end]
+        head = post_mean[:, :end]
         np.subtract(head, task.theta[:end], out=head)
         np.square(head, out=head)
-        return float(np.sum(post_mean)) + task.remainder
+        return np.sum(post_mean, axis=1) + task.remainder
 
     return _mc_summary(np.array(_replications(task, reps, seed, loss)), seed)
 
@@ -512,18 +547,21 @@ def mc_mise_profile(
 
     task = _task(theta, prior, op, eps, m_top)
 
-    def errors(r, post_mean, work):
+    def errors(r0, post_mean, work):
         _check_means(post_mean)
-        sq_err = work[0]
+        sq_err, cum = work
         np.subtract(post_mean, task.theta, out=sq_err)
-        return np.cumsum(np.square(sq_err, out=sq_err)) + bias
+        np.cumsum(np.square(sq_err, out=sq_err), axis=1, out=cum)
+        return np.add(cum, bias, out=cum)
 
-    # one block in replication order, so the running sums stay O(m_top)
+    # one block, its rows added in replication order, so the running sums
+    # stay O(m_top)
     acc = np.zeros(m_top)
     acc_sq = np.zeros(m_top)
-    for errs in _block(task, seed, errors, 0, reps):
-        acc += errs
-        acc_sq += errs**2
+    for chunk in _block(task, seed, errors, 0, reps):
+        for errs in chunk:
+            acc += errs
+            acc_sq += errs**2
     mise = acc / reps
     var = np.maximum(acc_sq / reps - mise**2, 0.0)
     se = np.sqrt(var / max(reps - 1, 1))
@@ -569,16 +607,22 @@ def mc_concentration(
     task = _task(theta, prior, op, eps, cut)
     weights = _weights(task, c_lambda) if m is None else None
     post_sd = np.sqrt(task.post_var)
+    domain = SIEVE_DRAW if m is not None else HIERARCHY_DRAW
 
-    def band_mass(r, post_mean, work):
+    def band_mass(r0, post_mean, work):
         if m is not None:
             _check_means(post_mean)
-            block = _sieve_block(post_mean, post_sd, draws, seed, r)
         else:
             _dimension_probs(weights, post_mean, work)
-            _, block = _draw_hierarchical(work[0], post_mean, post_sd, task.means, draws, seed, r)
-        sq = _draw_distances(task, block)
-        return float(np.mean((sq >= lo) & (sq <= hi)))
+        masses = []
+        for i, rng in enumerate(streams(seed, domain, r0, r0 + len(post_mean))):
+            if m is not None:
+                block = _sieve_block(post_mean[i], post_sd, draws, rng)
+            else:
+                _, block = _draw_hierarchical(work[0, i], post_mean[i], post_sd, task.means, draws, rng)
+            sq = _draw_distances(task, block)
+            masses.append(float(np.mean((sq >= lo) & (sq <= hi))))
+        return masses
 
     return _mc_summary(np.array(_replications(task, reps, seed, band_mass)), seed)
 
@@ -631,10 +675,13 @@ def mc_sieve_deviation(
     task = _task(theta, prior, op, eps, m)
     post_sd = np.sqrt(task.post_var)
 
-    def deviations(r, post_mean, work):
+    def deviations(r0, post_mean, work):
         _check_means(post_mean)
-        sq = _draw_distances(task, _sieve_block(post_mean, post_sd, draws, seed, r))
-        return float(np.mean(sq > hi)), float(np.mean(sq < lo))
+        fracs = []
+        for row, rng in zip(post_mean, streams(seed, SIEVE_DRAW, r0, r0 + len(post_mean))):
+            sq = _draw_distances(task, _sieve_block(row, post_sd, draws, rng))
+            fracs.append((float(np.mean(sq > hi)), float(np.mean(sq < lo))))
+        return fracs
 
     fracs = zip(*_replications(task, reps, seed, deviations))
     upper, lower = (_mc_summary(np.array(f), seed) for f in fracs)
@@ -679,7 +726,7 @@ def mc_bracket_mass(
     task = _task(theta, prior, op, eps, max_dimension(op, eps))
     weights = _weights(task, c_lambda)
 
-    def outside_mass(r, post_mean, work):
+    def outside_mass(r0, post_mean, work):
         _dimension_probs(weights, post_mean, work)
         return _outside_mass(work[0], m_lo, m_hi)
 

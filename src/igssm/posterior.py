@@ -254,18 +254,22 @@ def sample_sieve_posterior(
     so its draws carry no padding.
     """
     _check_sieve_dim(m, summary, prior)
-    block = _sieve_block(summary.post_mean[:m], np.sqrt(summary.post_var[:m]), n_draws, seed, rep)
+    block = _sieve_block(
+        summary.post_mean[:m], np.sqrt(summary.post_var[:m]), n_draws, stream(seed, SIEVE_DRAW, rep)
+    )
     draws = np.tile(prior.means, (n_draws, 1))
     draws[:, :m] = block
     return draws
 
 
-def _sieve_block(post_mean: np.ndarray, post_sd: np.ndarray, n_draws: int, seed: int, rep: int) -> np.ndarray:
+def _sieve_block(
+    post_mean: np.ndarray, post_sd: np.ndarray, n_draws: int, rng: np.random.Generator
+) -> np.ndarray:
     """The Gaussian columns of ``n_draws`` sieve draws, ``post_mean + post_sd
-    * z`` of shape ``(n_draws, post_mean.size)``."""
+    * z`` of shape ``(n_draws, post_mean.size)``, ``z`` from the sieve-draw
+    stream ``rng``."""
     if n_draws < 1:
         raise ValueError("need at least one draw")
-    rng = stream(seed, SIEVE_DRAW, rep)
     z = rng.standard_normal((n_draws, post_mean.size))
     return post_mean + post_sd * z
 

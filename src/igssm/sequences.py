@@ -407,14 +407,17 @@ def simulate_observation(
         raise ValueError(f"signal length {theta.n} != operator length {op.n}")
     if not 0.0 < eps < 1.0:
         raise ValueError("noise level eps must lie in (0, 1)")
-    y = _observe(op.values * theta.values, math.sqrt(eps), seed, rep, np.empty(op.n))
+    rng = stream(seed, OBSERVATION, rep)
+    y = _observe(op.values * theta.values, math.sqrt(eps), [rng], np.empty((1, op.n)))[0]
     return Observation(y, float(eps), int(seed), int(rep))
 
 
-def _observe(signal: np.ndarray, noise_scale: float, seed: int, rep: int, out: np.ndarray) -> np.ndarray:
-    """``signal + noise_scale * xi`` written into ``out``, with ``xi`` drawn
-    from replication ``rep``'s observation stream."""
-    stream(seed, OBSERVATION, rep).standard_normal(out=out)
+def _observe(signal: np.ndarray, noise_scale: float, rngs, out: np.ndarray) -> np.ndarray:
+    """``signal + noise_scale * xi`` written into each row of the 2-D
+    ``out``, row ``i``'s ``xi`` drawn from the ``i``-th generator of
+    ``rngs``, an observation stream."""
+    for row, rng in zip(out, rngs):
+        rng.standard_normal(out=row)
     np.multiply(out, noise_scale, out=out)
     return np.add(out, signal, out=out)
 

@@ -21,7 +21,16 @@ from igssm import (
     sieve_posterior_mean,
     simulate_observation,
 )
-from igssm.hierarchy import _CHUNK, _MASS_MARGIN, _chunk_maxima, _normalise, _shrink
+from igssm import hierarchy
+from igssm.hierarchy import (
+    _CHUNK,
+    _GIL_ROWS,
+    _MASS_MARGIN,
+    _chunk_maxima,
+    _log_weights,
+    _normalise,
+    _shrink,
+)
 
 
 def make_problem(n, eps, seed, proper=True):
@@ -113,18 +122,29 @@ def _assert_mass_end(lw, mass_end):
     -_MASS_MARGIN``; ``_normalise`` finds it from the chunk maxima, and it
     and ``from_log_weights`` return the full-range masses ``exp(lw - max) /
     sum`` bit for bit, zero from ``mass_end`` on, and ``_shrink`` the
-    full-range ``omega``."""
+    full-range ``omega``.  All of this holds for ``lw`` alone and as the
+    first of three rows, beside a row whose mass ends at 1 and one whose
+    mass spans the whole range, so the rows are exponentiated past
+    ``lw``'s own mass end."""
     assert mass_end == np.flatnonzero(lw - np.max(lw) > -_MASS_MARGIN)[-1] + 1
+    n = lw.size
+    rows = np.stack([lw, np.full(n, -1e6), np.linspace(3.0, -790.0, n)])
+    rows[1, 0] = 0.0
+    for k in (1, 3):
+        block = rows[:k]
+        out = np.empty_like(block)
+        ends = _normalise(block, _chunk_maxima(block), out)
+        assert ends.tolist() == [mass_end, 1, n][:k]
+        omega = np.zeros_like(block)
+        _shrink(out, int(ends.max()), np.ones_like(block), np.zeros(n), omega, np.empty_like(block))
+        for row, probs, weights in zip(block, out, omega):
+            w = np.exp(row - np.max(row))
+            want = w / w.sum()
+            assert np.array_equal(probs, want)
+            assert np.array_equal(weights, np.clip(np.cumsum(want[::-1])[::-1], 0.0, 1.0))
+        assert not np.any(out[0, mass_end:])
     w = np.exp(lw - np.max(lw))
-    want = w / w.sum()
-    out = np.empty_like(lw)
-    assert _normalise(lw, _chunk_maxima(lw), out) == mass_end
-    assert np.array_equal(out, want)
-    assert not np.any(out[mass_end:])
-    assert np.array_equal(DimensionDistribution.from_log_weights(lw, "posterior").probs, want)
-    omega = np.zeros_like(lw)
-    _shrink(out, mass_end, np.ones_like(lw), np.zeros_like(lw), omega, np.empty_like(lw))
-    assert np.array_equal(omega, np.clip(np.cumsum(want[::-1])[::-1], 0.0, 1.0))
+    assert np.array_equal(DimensionDistribution.from_log_weights(lw, "posterior").probs, w / w.sum())
 
 
 def test_mass_end_is_the_last_entry_above_the_cut_off():
@@ -181,6 +201,27 @@ def test_exp_is_exactly_zero_below_the_margin(x):
     ``-_MASS_MARGIN`` on the installed numpy (on a vector, as the kernel
     calls it)."""
     assert not np.any(np.exp(np.full(64, x)))
+
+
+@pytest.mark.parametrize("gil_rows", [0, _GIL_ROWS])
+def test_row_cores_give_each_row_alone(monkeypatch, gil_rows):
+    """Above ``_GIL_ROWS`` rows the cumsum and the chunk maxima run in one
+    call along axis 1, up to it row by row; either way each row's
+    log-weights and chunk maxima are what the row gives alone, for zero and
+    non-zero means and scalar and vector variances."""
+    monkeypatch.setattr(hierarchy, "_GIL_ROWS", gil_rows)
+    rng = np.random.default_rng(gil_rows)
+    rows, n = 3, 2 * _CHUNK + 5
+    post_mean = rng.normal(size=(rows, n))
+    penalty = 1.5 * np.arange(1, n + 1, dtype=np.float64)
+    for means, post_var in ((None, 0.3), (rng.normal(size=n), rng.uniform(0.1, 1.0, n))):
+        got = _log_weights(post_mean, means, post_var, penalty, np.empty((rows, n)), np.empty((rows, n)))
+        contrast = (post_mean - (0.0 if means is None else means)) ** 2 / post_var
+        maxima = _chunk_maxima(got)
+        assert maxima.shape == (rows, 3)
+        for i in range(rows):
+            assert np.array_equal(got[i], 0.5 * np.cumsum(contrast[i]) - penalty)
+            assert maxima[i].tolist() == [got[i, j : j + _CHUNK].max() for j in (0, _CHUNK, 2 * _CHUNK)]
 
 
 def test_tail_mass_both_sides():

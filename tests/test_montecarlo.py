@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from igssm import (
+    Observation,
     PriorSpec,
     TailBoundConfig,
     audit_tail_bounds,
@@ -35,6 +36,7 @@ from igssm.hierarchy import (
 )
 from igssm.montecarlo import _draw_distances, _task, mc_mise_profile
 from igssm.posterior import coordinate_posterior, posterior_variances, sample_sieve_posterior
+from igssm.rng import HIERARCHY_DRAW, stream
 from igssm.selection import bracket_dimensions, check_assumptions, max_dimension
 from igssm.sequences import simulate_observation
 
@@ -276,6 +278,21 @@ def small_problems(draw):
     return theta, prior, op, eps
 
 
+# Row budgets of the replication kernel: one replication per chunk (the
+# replication-by-replication loop), the default, and chunks of ``reps - 2``
+# replications, which leave a ragged last chunk.
+_BUDGETS = ("one row", "default", "ragged")
+
+
+def _row_budget(budget, cut, reps):
+    """The ``montecarlo._ROW_ELEMENTS`` that gives ``budget`` on ``cut``."""
+    if budget == "one row":
+        return 1
+    if budget == "ragged":
+        return (reps - 2) * cut
+    return montecarlo._ROW_ELEMENTS
+
+
 def _padded_distances(padded, theta, prior):
     """``|draw - truth|^2`` over the whole stored range plus the family tail,
     after padding the draws with the prior means to the full length."""
@@ -309,7 +326,8 @@ def test_draw_distances_match_padded_public_samplers(problem, hierarchical, seed
     if hierarchical:
         dist = dimension_posterior(summary, pr, o, eps, 1.0)
         _, block = _draw_hierarchical(
-            dist.probs, summary.post_mean, np.sqrt(summary.post_var), pr.means, draws, seed, 0
+            dist.probs, summary.post_mean, np.sqrt(summary.post_var), pr.means, draws,
+            stream(seed, HIERARCHY_DRAW, 0),
         )
         padded, _ = sample_hierarchical_posterior(summary, pr, o, eps, 1.0, draws, seed, rep=0)
     else:  # the sieve sampler draws exactly the cut
@@ -336,13 +354,14 @@ def _identity_problem(flat: bool):
 
 
 @settings(max_examples=25, deadline=None)
-@given(problem=small_problems(), seed=st.integers(0, 1000))
-@example(problem=_identity_problem(flat=True), seed=3)
-@example(problem=_identity_problem(flat=False), seed=3)
-def test_mc_mise_equals_serial_loop(problem, seed):
+@given(problem=small_problems(), seed=st.integers(0, 1000), budget=st.sampled_from(_BUDGETS))
+@example(problem=_identity_problem(flat=True), seed=3, budget="default")
+@example(problem=_identity_problem(flat=False), seed=3, budget="ragged")
+def test_mc_mise_equals_serial_loop(problem, seed, budget):
     """Both sides of each identity decision (divide by an all-ones scale,
     subtract all-zero prior means, divide by a constant variance) give the
-    serial loop's result; a spy checks which side each task took."""
+    serial loop's result, under every row budget; a spy checks which side
+    each task took."""
     theta, prior, op, eps = problem
     reps = 6
     m_star = oracle_dimension(theta, prior, op, eps).dimension
@@ -375,6 +394,7 @@ def test_mc_mise_equals_serial_loop(problem, seed):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(montecarlo, "_mean_map", map_spy)
             mp.setattr(montecarlo, "_weights", weights_spy)
+            mp.setattr(montecarlo, "_ROW_ELEMENTS", _row_budget(budget, dim, reps))
             given = {"c_lambda": 1.0} if kind == "adaptive" else {"m": dim}
             got = mc_mise(theta, prior, op, eps, reps, seed, **given)
         assert (got.value, got.se) == _summary_of(vals)
@@ -393,8 +413,9 @@ def test_mc_mise_equals_serial_loop(problem, seed):
     hierarchical=st.booleans(),
     band=st.floats(1.0, 4.0),
     seed=st.integers(0, 1000),
+    budget=st.sampled_from(_BUDGETS),
 )
-def test_mc_concentration_equals_serial_loop(problem, hierarchical, band, seed):
+def test_mc_concentration_equals_serial_loop(problem, hierarchical, band, seed, budget):
     theta, prior, op, eps = problem
     reps, draws = 5, 40
     sel = oracle_dimension(theta, prior, op, eps)
@@ -409,13 +430,18 @@ def test_mc_concentration_equals_serial_loop(problem, hierarchical, band, seed):
         sq = _padded_distances(padded, theta, prior)
         fracs[r] = float(np.mean((sq >= sel.rate / band) & (sq <= sel.rate * band)))
     given = {"c_lambda": 1.0} if hierarchical else {"m": sel.dimension}
-    got = mc_concentration(theta, prior, op, eps, band, sel.rate, reps, draws, seed, **given)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_ROW_ELEMENTS", _row_budget(budget, cut, reps))
+        got = mc_concentration(theta, prior, op, eps, band, sel.rate, reps, draws, seed, **given)
     assert (got.value, got.se) == _summary_of(fracs)
 
 
 @settings(max_examples=25, deadline=None)
-@given(problem=small_problems(), seed=st.integers(0, 1000), data=st.data())
-def test_mc_bracket_mass_equals_serial_loop(problem, seed, data):
+@given(
+    problem=small_problems(), seed=st.integers(0, 1000), budget=st.sampled_from(_BUDGETS),
+    data=st.data(),
+)
+def test_mc_bracket_mass_equals_serial_loop(problem, seed, budget, data):
     """Any bracket inside ``1..M``, the sandwich one or an arbitrary one,
     gives the serial loop's mass; one outside raises."""
     theta, prior, op, eps = problem
@@ -433,7 +459,9 @@ def test_mc_bracket_mass_equals_serial_loop(problem, seed, data):
     vals = np.array(
         [dimension_posterior(s, pr, o, eps, 1.0).tail_mass(m_lo, m_hi) for s in summaries]
     )
-    got = mc_bracket_mass(theta, prior, op, eps, reps, seed, (m_lo, m_hi), 1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_ROW_ELEMENTS", _row_budget(budget, cut, reps))
+        got = mc_bracket_mass(theta, prior, op, eps, reps, seed, (m_lo, m_hi), 1.0)
     assert (got.value, got.se) == _summary_of(vals)
     for outside in ((0, m_hi), (m_lo, cut + 1)):
         with pytest.raises(ValueError, match="outside 1.."):
@@ -503,40 +531,200 @@ def test_truncated_adaptive_equals_full_range_formulas(problem, seed):
     shrink = montecarlo._shrink
 
     def spy(probs, mass_end, *rest):
-        ends.append(mass_end)
+        ends.append((len(probs), mass_end))
         return shrink(probs, mass_end, *rest)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_shrink", spy)
         got = mc_mise(theta, prior, op, eps, reps, seed, c_lambda=c_lambda)
     assert (got.value, got.se) == _summary_of(vals)
-    assert len(ends) == reps and max(ends) < cut  # every replication was truncated
+    # every replication was truncated: each chunk's largest mass end is short of the cut
+    assert sum(rows for rows, _ in ends) == reps and max(end for _, end in ends) < cut
+
+
+def _every_task(problem, reps, seed, c_lambda, budget):
+    """The result of every task of the replication kernel on ``problem``,
+    each run under ``budget`` for its own cut, as comparable values."""
+    theta, prior, op, eps = problem
+    top = max_dimension(op, eps)
+    sel = oracle_dimension(theta, prior, op, eps)
+    m, draws = min(sel.dimension, top), 20
+
+    def run(cut, task, *args, **kwargs):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "_ROW_ELEMENTS", _row_budget(budget, cut, reps))
+            return task(theta, prior, op, eps, *args, **kwargs)
+
+    estimates = [
+        run(m, mc_mise, reps, seed, m=m),
+        run(top, mc_mise, reps, seed, c_lambda=c_lambda),
+        run(m, mc_concentration, 2.0, sel.rate, reps, draws, seed, m=m),
+        run(top, mc_concentration, 2.0, sel.rate, reps, draws, seed, c_lambda=c_lambda),
+        run(top, mc_bracket_mass, reps, seed, (1, max(1, top // 2)), c_lambda),
+    ]
+    audit = run(m, mc_sieve_deviation, m, 0.1, reps, draws, seed)
+    estimates += [audit.upper, audit.lower]
+    mise, se = run(top, mc_mise_profile, reps, seed)
+    return [(e.value, e.se) for e in estimates] + [mise.tolist(), se.tolist()]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    problem=st.one_of(small_problems(), long_direct_problems().map(lambda p: p[:4])),
+    seed=st.integers(0, 1000),
+    c_lambda=st.sampled_from([1.0, 1.5]),
+)
+def test_batched_equals_serial(problem, seed, c_lambda):
+    """Every task gives the same result whether its replications run one per
+    chunk, in default chunks or in chunks with a ragged last one, on one,
+    two or three threads; a spy checks that chunks of several rows ran."""
+    reps = 8
+    serial = _every_task(problem, reps, seed, c_lambda, "one row")
+    rows = []
+    observe = montecarlo._observe
+
+    def spy(signal, noise_scale, rngs, out):
+        rows.append(len(out))
+        return observe(signal, noise_scale, rngs, out)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_observe", spy)
+        for threads in ("1", "2", "3"):
+            mp.setenv("IGSSM_THREADS", threads)
+            for budget in _BUDGETS:
+                assert _every_task(problem, reps, seed, c_lambda, budget) == serial, (threads, budget)
+    assert max(rows) > 1
+
+
+def test_rows_of_a_chunk_keep_their_own_mass_ends():
+    """One chunk holds replications whose dimension posteriors end at
+    different dimensions.  The chunk exponentiates all of them up to the
+    largest, and each still gives what it gives alone."""
+    n = 3000
+    theta = make_parameters("polynomial", n, exponent=1.5, scale=0.5)
+    prior = PriorSpec.mixed(np.zeros(n), np.full(n, 0.5), np.arange(n) % 2 == 0)
+    problem = (theta, prior, make_operator("constant", n), 5e-5)
+    ends = []
+    normalise = montecarlo._normalise
+
+    def spy(lw, maxima, out):
+        found = normalise(lw, maxima, out)
+        ends.append(found.tolist())
+        return found
+
+    serial = _every_task(problem, 8, 2, 1.0, "one row")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_normalise", spy)
+        assert _every_task(problem, 8, 2, 1.0, "default") == serial
+    assert all(len(chunk) == 8 for chunk in ends)
+    assert all(max(chunk) < max_dimension(problem[2], problem[3]) for chunk in ends)
+    assert all(len(set(chunk)) > 1 for chunk in ends)
+
+
+def test_chunks_hold_the_row_budget(monkeypatch):
+    """A chunk holds ``_ROW_ELEMENTS // cut`` replications, at least one and
+    at most the block's; a task whose replications fit in one chunk runs
+    as one block at any thread count."""
+    theta, prior, op = _poly_problem(70_000)
+    chunks = []
+    observe = montecarlo._observe
+
+    def spy(signal, noise_scale, rngs, out):
+        chunks.append(out.shape)
+        return observe(signal, noise_scale, rngs, out)
+
+    monkeypatch.setattr(montecarlo, "_observe", spy)
+    monkeypatch.setenv("IGSSM_THREADS", "1")
+    cases = [
+        (3000, 50, [21, 21, 8]),
+        (3000, 5, [5]),
+        (2**15, 5, [2, 2, 1]),
+        (2**16 - 1, 2, [1, 1]),
+        (2**16, 2, [1, 1]),
+    ]
+    for m, reps, rows in cases:
+        chunks.clear()
+        mc_mise(theta, prior, op, 0.01, reps, 3, m=m)
+        assert chunks == [(k, m) for k in rows]
+    monkeypatch.setenv("IGSSM_THREADS", "3")
+    blocks = []
+    parallel_map = montecarlo._parallel_map
+
+    def block_spy(fn, tasks):
+        blocks.append(len(tasks))
+        return parallel_map(fn, tasks)
+
+    monkeypatch.setattr(montecarlo, "_parallel_map", block_spy)
+    for reps, want in ((21, 1), (22, 2), (100, 3)):
+        mc_mise(theta, prior, op, 0.01, reps, 3, m=3000)
+        assert blocks[-1] == want
+
+
+def _serial_failure(theta, prior, op, eps, reps, corrupt, m):
+    """The message the replication-by-replication loop over the public
+    functions raises first on the corrupted observations, or None."""
+    for r in range(reps):
+        y = simulate_observation(theta, op, eps, seed=1, rep=r).values.copy()
+        y[3] = corrupt.get(r, y[3])
+        try:
+            summary = coordinate_posterior(prior, op, Observation(y, eps, 1, r))
+            if m is None:
+                adaptive_estimate(summary, prior, op, eps, 1.0)
+        except ValueError as exc:
+            return str(exc)
+    return None
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize(
-    "bad, message",
-    [(np.inf, "posterior means must be finite"), (1e200, "log weights must be finite")],
+    "corrupt, m, message",
+    [
+        pytest.param(
+            {r: np.inf for r in range(5)}, None, "posterior means must be finite",
+            id="inf-posterior means must be finite",
+        ),
+        pytest.param(
+            {r: 1e200 for r in range(5)}, None, "log weights must be finite",
+            id="1e+200-log weights must be finite",
+        ),
+        pytest.param({3: np.inf}, None, "posterior means must be finite", id="row 3 inf"),
+        pytest.param({3: 1e200}, None, "log weights must be finite", id="row 3 1e+200"),
+        pytest.param({1: 1e200, 3: np.inf}, None, "log weights must be finite", id="1e+200 before inf"),
+        pytest.param({1: np.inf, 3: 1e200}, None, "posterior means must be finite", id="inf before 1e+200"),
+        pytest.param({3: np.inf}, 7, "posterior means must be finite", id="sieve row 3 inf"),
+    ],
 )
-def test_adaptive_kernel_rejects_non_finite_values(monkeypatch, bad, message):
+def test_adaptive_kernel_rejects_non_finite_values(monkeypatch, corrupt, m, message):
     """An infinite observation fails the posterior-mean check; a finite one
-    whose square overflows fails the log-weight check."""
+    whose square overflows fails the log-weight check.  In a chunk of five
+    replications, the first corrupted one raises what it raises in the
+    replication-by-replication loop."""
     theta, prior, op = _poly_problem(100)
+    eps, reps = 0.01, 5
+    cut = montecarlo._cut(op, eps, m, None if m else 1.0)
+    assert _serial_failure(theta.head(cut), prior.head(cut), op.head(cut), eps, reps, corrupt, m) == message
     observe = montecarlo._observe
+    chunks = []
 
-    def corrupted(signal, noise_scale, seed, rep, out):
-        observe(signal, noise_scale, seed, rep, out)
-        out[3] = bad
+    def corrupted(signal, noise_scale, rngs, out):
+        observe(signal, noise_scale, rngs, out)
+        chunks.append(out.shape)
+        for r, value in corrupt.items():
+            out[r, 3] = value
         return out
 
     monkeypatch.setattr(montecarlo, "_observe", corrupted)
+    given = {"m": m} if m else {"c_lambda": 1.0}
     with pytest.raises(ValueError, match=message):
-        mc_mise(theta, prior, op, 0.01, 3, seed=1, c_lambda=1.0)
+        mc_mise(theta, prior, op, eps, reps, seed=1, **given)
+    assert chunks == [(reps, cut)]
 
 
 def test_thread_count_does_not_change_mc_estimates(monkeypatch):
     """Seven replications split into uneven contiguous blocks across three
-    workers give the serial ``(value, se)`` of every sharded task."""
+    workers give the serial ``(value, se)`` of every sharded task.  On this
+    short cut the seven fit in one chunk, so each task runs as one block
+    whatever the thread count; with one row per chunk they take three."""
     theta, prior, op = _poly_problem()
     eps, reps = 0.01, 7
     sel = oracle_dimension(theta, prior, op, eps)
@@ -566,7 +754,9 @@ def test_thread_count_does_not_change_mc_estimates(monkeypatch):
     serial = estimates()
     monkeypatch.setenv("IGSSM_THREADS", "3")
     assert estimates() == serial
-    assert blocks == [1] * 4 + [3] * 4
+    monkeypatch.setattr(montecarlo, "_ROW_ELEMENTS", 1)
+    assert estimates() == serial
+    assert blocks == [1] * 4 + [1] * 4 + [3] * 4
 
 
 def test_thread_count_is_bounded(monkeypatch):

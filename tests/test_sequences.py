@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from igssm import (
     Observation,
@@ -12,7 +14,8 @@ from igssm import (
     make_weights,
     simulate_observation,
 )
-from igssm.rng import OBSERVATION, stream
+from igssm import rng
+from igssm.rng import OBSERVATION, stream, streams
 
 
 def test_polynomial_operator_values():
@@ -159,6 +162,80 @@ def test_stream_paths_are_independent_addresses():
     assert not np.array_equal(a, c)
     with pytest.raises(ValueError):
         stream(-1, 2)
+
+
+_DOMAINS = (rng.OBSERVATION, rng.SIEVE_DRAW, rng.HIERARCHY_DRAW, rng.AUDIT_DRAW, rng.SUITE_GEN)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**200)),
+    domain=st.sampled_from(_DOMAINS),
+    start=st.integers(0, 2**32 - 1),
+    length=st.integers(0, 40),
+)
+@example(seed=0, domain=rng.OBSERVATION, start=0, length=3)
+@example(seed=2**64 + 5, domain=rng.SIEVE_DRAW, start=2**16 - 20, length=40)  # three words
+@example(seed=2**130 + 7, domain=rng.HIERARCHY_DRAW, start=2**16 - 1, length=2)  # past the pool
+@example(seed=7, domain=rng.AUDIT_DRAW, start=2**32 - 4, length=4)  # the last replications
+def test_stream_keys_are_seed_sequence_states(seed, domain, start, length):
+    """The keys ``streams`` derives in one numpy pass are the Philox keys
+    ``SeedSequence`` gives each address, for seeds of one word and of many
+    (padded to the pool and beyond it), every domain tag, and any range
+    below ``2**32``."""
+    stop = min(start + length, 2**32)
+    keys = rng._philox_keys(seed, domain, start, stop)
+    want = [
+        np.random.SeedSequence(entropy=seed, spawn_key=(domain, r)).generate_state(2, np.uint64)
+        for r in range(start, stop)
+    ]
+    assert keys.shape == (stop - start, 2) and keys.dtype == np.uint64
+    assert np.array_equal(keys, np.array(want, dtype=np.uint64).reshape(-1, 2))
+
+
+def _philox_state(gen):
+    state = gen.bit_generator.state
+    return (
+        state["state"]["counter"].tolist(), state["state"]["key"].tolist(), state["buffer"].tolist(),
+        state["buffer_pos"], state["has_uint32"], state["uinteger"],
+    )
+
+
+def test_reset_stream_draws_what_stream_draws():
+    """The one generator ``streams`` resets draws what a fresh ``stream``
+    draws at each address, also after a row that left Philox's buffer half
+    used, after a ``random()`` call and after an odd count of 32-bit draws
+    (which leaves a spare word)."""
+    seed, start = 2**40 + 3, 2**16 - 3
+    leftovers = [
+        lambda g: g.standard_normal(3),
+        lambda g: g.random(),
+        lambda g: g.integers(0, 2**31, size=3, dtype=np.uint32),
+        lambda g: g.standard_normal((2, 5)),
+        lambda g: None,
+        lambda g: g.random(7),
+    ]
+    for domain in _DOMAINS:
+        gens = streams(seed, domain, start, start + len(leftovers))
+        for r, (gen, leave) in enumerate(zip(gens, leftovers), start):
+            fresh = stream(seed, domain, r)
+            assert _philox_state(gen) == _philox_state(fresh)
+            assert np.array_equal(gen.standard_normal(9), fresh.standard_normal(9))
+            assert gen.random() == fresh.random()
+            assert np.array_equal(
+                gen.integers(0, 2**31, size=5, dtype=np.uint32),
+                fresh.integers(0, 2**31, size=5, dtype=np.uint32),
+            )
+            leave(gen)
+
+
+def test_streams_reject_replications_past_one_word():
+    assert len(list(streams(1, OBSERVATION, 2**32 - 1, 2**32))) == 1
+    for start, stop in ((0, 2**32 + 1), (2**32, 2**32 + 1), (-1, 3), (5, 4)):
+        with pytest.raises(ValueError, match="must lie in"):
+            streams(1, OBSERVATION, start, stop)
+    with pytest.raises(ValueError, match="non-negative"):
+        streams(-1, OBSERVATION, 0, 1)
 
 
 def test_observation_eps_validation():
