@@ -122,19 +122,14 @@ def _check_log_weights(lw: np.ndarray) -> None:
 _MASS_MARGIN = 800.0
 # Length of the chunks whose maxima locate the mass end.
 _CHUNK = 4096
-# numpy holds the interpreter lock through a cumsum or a reduceat along the
-# rows of a 2-D array unless there are more than 500 rows (the out-of-place
-# 1-D calls release it); up to this many rows go one at a time, so threads
-# overlap on them.
-_GIL_ROWS = 500
 
 
 def _chunk_maxima(lw: np.ndarray) -> np.ndarray:
     """The maximum of each ``_CHUNK``-long chunk of each row of ``lw`` (the
-    last one may be shorter); a NaN in a chunk makes its maximum NaN."""
+    last one may be shorter); a NaN in a chunk makes its maximum NaN.  One
+    row at a time, like the cumsum in ``_log_weights`` (see
+    :mod:`igssm.montecarlo` for why)."""
     starts = np.arange(0, lw.shape[1], _CHUNK)
-    if len(lw) > _GIL_ROWS:
-        return np.maximum.reduceat(lw, starts, axis=1)
     return np.array([np.maximum.reduceat(row, starts) for row in lw])
 
 
@@ -202,19 +197,15 @@ def _log_weights(
     ``penalty``.  ``means`` None stands for all-zero prior means (``x -
     0.0`` is ``x``) and ``post_var`` may be a scalar.  The contrast goes
     into ``scratch``, and the cumsum writes from there into ``out`` (see
-    :mod:`igssm.montecarlo` for why); along a row it is the 1-D cumsum of
-    that row."""
+    :mod:`igssm.montecarlo` for why), one row at a time."""
     if means is None:
         np.square(post_mean, out=scratch)
     else:
         np.subtract(post_mean, means, out=scratch)
         np.square(scratch, out=scratch)
     np.divide(scratch, post_var, out=scratch)
-    if len(out) > _GIL_ROWS:
-        np.cumsum(scratch, axis=1, out=out)
-    else:
-        for src, dst in zip(scratch, out):
-            np.cumsum(src, out=dst)
+    for src, dst in zip(scratch, out):
+        np.cumsum(src, out=dst)
     np.multiply(out, 0.5, out=out)
     return np.subtract(out, penalty, out=out)
 

@@ -15,7 +15,7 @@ to posterior means.
 Replications run as the rows of a chunk, ``max(1, _ROW_ELEMENTS // cut)``
 of them, in work arrays allocated once per block of replications.  Each
 row draws its noise from its own replication's stream (``rng.streams``
-derives the chunk's stream keys in one pass); the noise scale, the signal
+resets one generator to each in turn); the noise scale, the signal
 and the posterior-mean map are then applied to the whole chunk, and the
 task's statistic computes one value per row in one set of numpy calls.
 Every row is bit for bit what it would be alone (see
@@ -44,10 +44,11 @@ is >= 0, infinite or NaN and the penalty is finite, so the dimension tasks
 check the posterior means only when the log-weights' maximum is not
 finite; the other tasks check them on every replication.  The contrast
 goes into a work array of its own and the cumsum writes from there into
-the log-weights, one row at a time on chunks of few rows, because numpy
-keeps the interpreter lock through an in-place cumsum and through one along
-the rows of a 2-D array of up to 500 rows, so another thread cannot even
-start its next step; a 1-D out-of-place cumsum releases it.
+the log-weights one row at a time, because numpy keeps the interpreter
+lock through an in-place cumsum and through a cumsum or a ``reduceat``
+along the rows of a 2-D array of up to 500 rows, so another thread
+cannot even start its next step; a 1-D out-of-place cumsum releases it.
+The chunk maxima likewise go row by row.
 
 Squared distances between a draw and the truth are always split into the
 simulated range plus the deterministic remainder (stored coordinates
@@ -90,7 +91,7 @@ from .posterior import (
     posterior_variances,
 )
 from .rng import AUDIT_DRAW, HIERARCHY_DRAW, OBSERVATION, SIEVE_DRAW, SUITE_GEN, stream, streams
-from .selection import _bias_terms, bias_profile, max_dimension, risk_decomposition
+from .selection import bias_profile, max_dimension, risk_decomposition
 from .sequences import OperatorSequence, ParameterSequence, _observe, _readonly
 
 __all__ = [
@@ -388,7 +389,7 @@ def _cut(op, eps, m, c_lambda) -> int:
 
 
 def _task(theta, prior, op, eps, cut) -> _Task:
-    remainder = float(np.sum(_bias_terms(theta, prior)[0][cut:])) + theta.sq_tail()
+    remainder = float(np.sum((theta.values[cut:] - prior.means[cut:]) ** 2)) + theta.sq_tail()
     th, pr, o = theta.head(cut), prior.head(cut), op.head(cut)
     post_var = posterior_variances(pr, o, eps)
     _check_variances(post_var)

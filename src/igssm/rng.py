@@ -11,7 +11,6 @@ replications of one domain without building a generator for each.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import lru_cache
 
 import numpy as np
 
@@ -52,15 +51,15 @@ def streams(seed: int, domain: int, start: int, stop: int) -> Iterator[np.random
     what ``stream(seed, domain, r)`` draws.
 
     It is one generator, reset at each step, so draw from it before the
-    next.  The Philox keys of the whole range come from one numpy pass of
-    ``SeedSequence``'s mixing, below; the reset sets the state a fresh
-    ``Philox`` starts in: that key, counter 0 and an empty buffer.
-    Replication indices must lie below ``2**32`` (one entropy word each).
+    next.  The reset sets the state a fresh ``Philox`` seeded from the
+    address starts in: the key ``SeedSequence`` derives, counter 0 and an
+    empty buffer; this skips building a bit generator and a generator per
+    replication.
     """
     _check_seed(seed)
-    if not 0 <= start <= stop <= 1 << 32:
-        raise ValueError(f"replication range [{start}, {stop}) must lie in [0, 2**32)")
-    return _reset_each(_philox_keys(int(seed), int(domain), int(start), int(stop)))
+    if not 0 <= start <= stop:
+        raise ValueError(f"replication range [{start}, {stop}) needs 0 <= start <= stop")
+    return _reset_each(int(seed), int(domain), range(int(start), int(stop)))
 
 
 def _check_seed(seed) -> None:
@@ -68,9 +67,9 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def _reset_each(keys: np.ndarray) -> Iterator[np.random.Generator]:
-    """One generator, set for each Philox key in turn to the state a fresh
-    ``Philox`` with that key starts in."""
+def _reset_each(seed: int, domain: int, reps: range) -> Iterator[np.random.Generator]:
+    """One generator, set for each ``r`` of ``reps`` in turn to the state
+    ``stream(seed, domain, r)`` starts in."""
     bit_gen = np.random.Philox(0)
     gen = np.random.Generator(bit_gen)
     zeros = np.zeros(4, dtype=np.uint64)
@@ -79,96 +78,8 @@ def _reset_each(keys: np.ndarray) -> Iterator[np.random.Generator]:
         "bit_generator": "Philox", "state": state, "buffer": zeros,
         "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
-    for key in keys:
-        state["key"] = key
+    for r in reps:
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(domain, r))
+        state["key"] = seq.generate_state(2, np.uint64)
         bit_gen.state = fresh
         yield gen
-
-
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx); its output
-# is part of numpy's stream-compatibility guarantee.
-_MASK32 = 0xFFFFFFFF
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_POOL_SIZE = 4
-
-
-def _words(n: int) -> list[int]:
-    """The 32-bit words of ``n``, least significant first; ``[0]`` for 0."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-@lru_cache(maxsize=64)
-def _pool_prefix(seed: int, domain: int) -> tuple[tuple[int, ...], int]:
-    """SeedSequence's entropy pool after mixing in every word of
-    ``(seed, spawn_key=(domain, r))`` but the last, ``r``: the seed's words
-    padded to the pool size, then the domain's.  Returns the pool and the
-    hash constant the next word is mixed with; a pure function of two ints,
-    kept for the few addresses a run uses."""
-    entropy = _words(seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy))  # SeedSequence pads before a spawn key
-    entropy += _words(domain)
-    hash_const = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in entropy[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = _mix(pool[i_dst], hashmix(word))
-    return tuple(pool), hash_const
-
-
-def _mix(x, y):
-    """SeedSequence's ``mix`` of 32-bit words; ``x`` a Python int, ``y`` an
-    int or a uint64 array of them."""
-    result = (_MIX_MULT_L * x & _MASK32) - _MIX_MULT_R * y & _MASK32
-    return result ^ result >> 16
-
-
-def _consts(first: int, mult: int) -> np.ndarray:
-    """``first`` and the next ``_POOL_SIZE`` hash constants after it, as a
-    column of uint64."""
-    consts = [first]
-    for _ in range(_POOL_SIZE):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint64)[:, None]
-
-
-def _philox_keys(seed: int, domain: int, start: int, stop: int) -> np.ndarray:
-    """``SeedSequence(seed, spawn_key=(domain, r)).generate_state(2,
-    np.uint64)`` for ``r = start .. stop - 1``, as rows of a ``(stop -
-    start, 2)`` array.  The 32-bit words run in uint64 and are masked after
-    each product, which stays below ``2**64``."""
-    pool, hash_const = _pool_prefix(seed, domain)
-    r = np.arange(start, stop, dtype=np.uint64)
-    # hashmix(r) with four successive constants, mixed into the four pool words
-    a = _consts(hash_const, _MULT_A)
-    h = (r ^ a[:-1]) * a[1:] & _MASK32
-    h ^= h >> 16
-    pool = np.array(pool, dtype=np.uint64)[:, None] * _MIX_MULT_L & _MASK32
-    mixed = pool - _MIX_MULT_R * h & _MASK32
-    mixed ^= mixed >> 16
-    # generate_state: the pool's four words hashed into two 64-bit keys
-    b = _consts(_INIT_B, _MULT_B)
-    words = (mixed ^ b[:-1]) * b[1:] & _MASK32
-    words ^= words >> 16
-    words[1::2] <<= 32
-    return (words[0::2] | words[1::2]).T

@@ -78,24 +78,17 @@ def bias_profile(theta: ParameterSequence, prior: PriorSpec) -> np.ndarray:
     read-only and computed once per (theta, prior): ``theta`` keeps the
     profile of the last prior it was asked about, and both are immutable.
     """
-    return _bias_terms(theta, prior)[1]
-
-
-def _bias_terms(theta: ParameterSequence, prior: PriorSpec) -> tuple[np.ndarray, np.ndarray]:
-    """``(theta_j - mu_j)^2`` and the bias profile, both read-only and
-    computed once per (theta, prior) (see ``bias_profile``)."""
     if theta.n != prior.n:
         raise ValueError("signal and prior lengths must match")
     memo = theta.__dict__.get("_bias_memo")
     if memo is not None and memo[0] is prior:
-        return memo[1:]
+        return memo[1]
     diffs = (theta.values - prior.means) ** 2
     suffix = np.concatenate([np.cumsum(diffs[::-1])[::-1], [0.0]])
     profile = suffix[1:] + theta.sq_tail()
-    diffs.setflags(write=False)
     profile.setflags(write=False)
-    theta.__dict__["_bias_memo"] = (prior, diffs, profile)  # where cached_property keeps its values
-    return diffs, profile
+    theta.__dict__["_bias_memo"] = (prior, profile)  # where cached_property keeps its values
+    return profile
 
 
 def risk_decomposition(

@@ -21,10 +21,8 @@ from igssm import (
     sieve_posterior_mean,
     simulate_observation,
 )
-from igssm import hierarchy
 from igssm.hierarchy import (
     _CHUNK,
-    _GIL_ROWS,
     _MASS_MARGIN,
     _chunk_maxima,
     _log_weights,
@@ -203,14 +201,10 @@ def test_exp_is_exactly_zero_below_the_margin(x):
     assert not np.any(np.exp(np.full(64, x)))
 
 
-@pytest.mark.parametrize("gil_rows", [0, _GIL_ROWS])
-def test_row_cores_give_each_row_alone(monkeypatch, gil_rows):
-    """Above ``_GIL_ROWS`` rows the cumsum and the chunk maxima run in one
-    call along axis 1, up to it row by row; either way each row's
-    log-weights and chunk maxima are what the row gives alone, for zero and
-    non-zero means and scalar and vector variances."""
-    monkeypatch.setattr(hierarchy, "_GIL_ROWS", gil_rows)
-    rng = np.random.default_rng(gil_rows)
+def test_row_cores_give_each_row_alone():
+    """Each row's log-weights and chunk maxima are what the row gives alone,
+    for zero and non-zero means and scalar and vector variances."""
+    rng = np.random.default_rng(0)
     rows, n = 3, 2 * _CHUNK + 5
     post_mean = rng.normal(size=(rows, n))
     penalty = 1.5 * np.arange(1, n + 1, dtype=np.float64)

@@ -167,38 +167,35 @@ def test_stream_paths_are_independent_addresses():
 _DOMAINS = (rng.OBSERVATION, rng.SIEVE_DRAW, rng.HIERARCHY_DRAW, rng.AUDIT_DRAW, rng.SUITE_GEN)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**200)),
-    domain=st.sampled_from(_DOMAINS),
-    start=st.integers(0, 2**32 - 1),
-    length=st.integers(0, 40),
-)
-@example(seed=0, domain=rng.OBSERVATION, start=0, length=3)
-@example(seed=2**64 + 5, domain=rng.SIEVE_DRAW, start=2**16 - 20, length=40)  # three words
-@example(seed=2**130 + 7, domain=rng.HIERARCHY_DRAW, start=2**16 - 1, length=2)  # past the pool
-@example(seed=7, domain=rng.AUDIT_DRAW, start=2**32 - 4, length=4)  # the last replications
-def test_stream_keys_are_seed_sequence_states(seed, domain, start, length):
-    """The keys ``streams`` derives in one numpy pass are the Philox keys
-    ``SeedSequence`` gives each address, for seeds of one word and of many
-    (padded to the pool and beyond it), every domain tag, and any range
-    below ``2**32``."""
-    stop = min(start + length, 2**32)
-    keys = rng._philox_keys(seed, domain, start, stop)
-    want = [
-        np.random.SeedSequence(entropy=seed, spawn_key=(domain, r)).generate_state(2, np.uint64)
-        for r in range(start, stop)
-    ]
-    assert keys.shape == (stop - start, 2) and keys.dtype == np.uint64
-    assert np.array_equal(keys, np.array(want, dtype=np.uint64).reshape(-1, 2))
-
-
 def _philox_state(gen):
     state = gen.bit_generator.state
     return (
         state["state"]["counter"].tolist(), state["state"]["key"].tolist(), state["buffer"].tolist(),
         state["buffer_pos"], state["has_uint32"], state["uinteger"],
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**200)),
+    domain=st.sampled_from(_DOMAINS),
+    start=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64)),
+    length=st.integers(0, 40),
+)
+@example(seed=0, domain=rng.OBSERVATION, start=0, length=3)
+@example(seed=2**64 + 5, domain=rng.SIEVE_DRAW, start=2**16 - 20, length=40)  # three words
+@example(seed=2**130 + 7, domain=rng.HIERARCHY_DRAW, start=2**16 - 1, length=2)  # past the pool
+@example(seed=7, domain=rng.AUDIT_DRAW, start=2**32 - 2, length=4)  # across one word
+def test_streams_start_where_stream_starts(seed, domain, start, length):
+    """Each generator ``streams`` yields is in the state ``stream`` starts
+    in at that address, for seeds of one word and of many, every domain
+    tag, and ranges of one- and two-word replication indices."""
+    gens = streams(seed, domain, start, start + length)
+    seen = 0
+    for r, gen in enumerate(gens, start):
+        assert _philox_state(gen) == _philox_state(stream(seed, domain, r))
+        seen += 1
+    assert seen == length
 
 
 def test_reset_stream_draws_what_stream_draws():
@@ -229,10 +226,10 @@ def test_reset_stream_draws_what_stream_draws():
             leave(gen)
 
 
-def test_streams_reject_replications_past_one_word():
-    assert len(list(streams(1, OBSERVATION, 2**32 - 1, 2**32))) == 1
-    for start, stop in ((0, 2**32 + 1), (2**32, 2**32 + 1), (-1, 3), (5, 4)):
-        with pytest.raises(ValueError, match="must lie in"):
+def test_streams_reject_invalid_ranges():
+    assert len(list(streams(1, OBSERVATION, 3, 3))) == 0
+    for start, stop in ((-1, 3), (5, 4)):
+        with pytest.raises(ValueError, match="needs 0 <= start <= stop"):
             streams(1, OBSERVATION, start, stop)
     with pytest.raises(ValueError, match="non-negative"):
         streams(-1, OBSERVATION, 0, 1)
