@@ -237,7 +237,9 @@ class ExperimentConfig:
         if "concentration" in self.raw and "eps_grid" in self.raw["concentration"]:
             _check_eps_values(self.raw["concentration"]["eps_grid"], "concentration.eps_grid")
         _validate_semantics(self.raw)
-        n = self.sequence_length()
+        self._check_fixed_dims(self.sequence_length())
+
+    def _check_fixed_dims(self, n: int) -> None:
         if self.fixed_dims and max(self.fixed_dims) > n:
             raise ConfigError(
                 f"fixed_dims: dimension {max(self.fixed_dims)} exceeds the "
@@ -335,9 +337,18 @@ class ExperimentConfig:
 
     def build_sequences(self, eps: float | None = None) -> tuple:
         """``(op, theta, prior)`` at the working length for ``eps`` (default:
-        the finest noise level of the config)."""
+        the finest noise level of the config).  An explicit truth must have
+        the operator's length; at the default, so must ``fixed_dims`` fit
+        it, which a model ``values_file`` sets only once it is read."""
         op = self.build_operator(self.sequence_length(eps))
-        return op, self.build_truth(op.n), self.build_prior(op)
+        theta = self.build_truth(op.n)
+        if theta.n != op.n:
+            raise ConfigError(
+                f"truth: {theta.n} explicit values do not match the working sequence length {op.n}"
+            )
+        if eps is None:
+            self._check_fixed_dims(op.n)
+        return op, theta, self.build_prior(op)
 
     def _file_values(self, block: dict):
         if "values" in block:

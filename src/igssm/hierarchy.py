@@ -16,6 +16,11 @@ bound for ``max_{j>k} lambda_j^2 / min_{j<=k} lambda_j^2``).  Everything is
 normalised through a single max-shifted log-sum-exp, so the weights are
 invariant under constant shifts of the log scale.
 
+One pipeline turns posterior means into the dimension posterior's masses:
+``_terms`` fixes the data-independent terms of the log-weights, and
+``_masses`` computes the log-weights, checks them and normalises them.
+The public functions and the Monte Carlo kernel both call it.
+
 The posterior concentrates near the oracle dimension, so on long search
 ranges ``exp(l_m - max l)`` underflows to exactly 0.0 for all but a short
 head of dimensions (about 500 of 1e6 on the direct model at eps=1e-6).
@@ -31,7 +36,9 @@ The mass sum still runs over the whole zero-tailed array, so its pairwise
 reduction order, and with it every bit of the result, is unchanged.
 These cores work on the rows of 2-D arrays, one replication a row: the
 Monte Carlo kernel hands them a chunk of replications, the public functions
-a single row, and each row comes out as it would alone.
+a single row, and each row comes out as it would alone.  On several rows,
+``_normalise`` returns the largest of their mass ends, the one end every
+caller needs.
 
 Under the fully improper prior the contrast reduces to
 ``sum_{j<=m} Y_j^2 / eps`` and the posterior-mean estimator becomes the
@@ -42,10 +49,11 @@ itself, however, has no improper limit and is reported as undefined.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .posterior import PosteriorSummary, PriorSpec, log_variance_ratio
+from .posterior import PosteriorSummary, PriorSpec, _check_means, log_variance_ratio
 from .rng import HIERARCHY_DRAW, stream
 from .selection import max_dimension
 from .sequences import OperatorSequence, _readonly
@@ -90,18 +98,11 @@ class DimensionDistribution:
 
     @classmethod
     def from_log_weights(cls, log_weights: np.ndarray, kind: str) -> "DimensionDistribution":
-        return cls._normalised(log_weights, kind)[0]
-
-    @classmethod
-    def _normalised(cls, log_weights: np.ndarray, kind: str) -> tuple["DimensionDistribution", int]:
-        """The distribution of ``log_weights`` and its mass end (see
-        ``_normalise``)."""
-        lw = np.asarray(log_weights, dtype=np.float64)
+        lw = np.asarray(log_weights, dtype=np.float64)[None]
         _check_log_weights(lw)
         probs = np.empty_like(lw)
-        row = lw[None]
-        mass_end = int(_normalise(row, _chunk_maxima(row), probs[None])[0])
-        return cls(lw, probs, kind), mass_end
+        _normalise(lw, _chunk_maxima(lw), probs)
+        return cls(lw[0], probs[0], kind)
 
     @property
     def support_size(self) -> int:
@@ -133,39 +134,32 @@ def _chunk_maxima(lw: np.ndarray) -> np.ndarray:
     return np.array([np.maximum.reduceat(row, starts) for row in lw])
 
 
-def _normalise(lw: np.ndarray, maxima: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _normalise(lw: np.ndarray, maxima: np.ndarray, out: np.ndarray) -> int:
     """Row by row, ``exp(lw - max(lw))`` scaled to sum one, written into
     ``out`` (which may be ``lw`` itself), given ``maxima =
-    _chunk_maxima(lw)``.  Returns each row's mass end: one past the last
-    index with ``lw - max(lw) > -_MASS_MARGIN``.  Rounded subtraction is
-    monotone, so a chunk holds such an index exactly when its maximum passes
-    the same test; only each row's last such chunk is searched.
+    _chunk_maxima(lw)``.  Returns the rows' largest mass end: one past the
+    last index where any row has ``lw - max(lw) > -_MASS_MARGIN``.  Rounded
+    subtraction is monotone, so a chunk holds such an index exactly when
+    its maximum passes the same test; only the last such chunk is searched.
 
-    Only the head before the rows' largest mass end is shifted,
-    exponentiated and scaled; the rest of ``out`` is set to 0.0, and each
-    whole row is summed, so the sum keeps the full-range reduction order.
-    Between a row's own mass end and the largest one, ``lw - max(lw) <=
-    -_MASS_MARGIN``, where ``exp`` is exactly 0.0, the value the zero tail
-    holds; and a row's sum along axis 1 is the pairwise sum of that row
-    alone.  So every row is bit for bit what it is normalised alone.
-    ``lw`` must be finite."""
-    n = lw.shape[1]
+    Only the head before that end is shifted, exponentiated and scaled; the
+    rest of ``out`` is set to 0.0, and each whole row is summed, so the sum
+    keeps the full-range reduction order.  Between a row's own mass end and
+    the largest one, ``exp`` is exactly 0.0, the value the zero tail holds,
+    and a row's sum along axis 1 is the pairwise sum of that row alone, so
+    every row is bit for bit what it is normalised alone.  ``lw`` must be
+    finite."""
     top = np.max(maxima, axis=1)[:, None]
-    alive = maxima - top > -_MASS_MARGIN
-    start = (alive.shape[1] - 1 - np.argmax(alive[:, ::-1], axis=1)) * _CHUNK
-    width = min(_CHUNK, n)
-    # each row's last surviving chunk; a short last chunk repeats the last
-    # entry, which moves the end past n only when it survives itself
-    chunk = np.take_along_axis(lw, np.minimum(start[:, None] + np.arange(width), n - 1), axis=1)
-    mass_ends = start + width - np.argmax((chunk - top > -_MASS_MARGIN)[:, ::-1], axis=1)
-    np.minimum(mass_ends, n, out=mass_ends)
-    end = int(np.max(mass_ends))
+    alive = np.any(maxima - top > -_MASS_MARGIN, axis=0)
+    start = (alive.size - 1 - np.argmax(alive[::-1])) * _CHUNK
+    keep = np.any(lw[:, start : start + _CHUNK] - top > -_MASS_MARGIN, axis=0)
+    end = start + keep.size - int(np.argmax(keep[::-1]))
     head = out[:, :end]
     np.subtract(lw[:, :end], top, out=head)
     np.exp(head, out=head)
     out[:, end:] = 0.0
     head /= np.sum(out, axis=1)[:, None]
-    return mass_ends
+    return end
 
 
 def _outside_mass(probs: np.ndarray, m_lo: int, m_hi: int) -> np.ndarray:
@@ -182,32 +176,62 @@ def _dimension_penalty(c_lambda: float, m_top: int) -> np.ndarray:
     return 1.5 * c_lambda * np.arange(1, m_top + 1, dtype=np.float64)
 
 
+class _Terms(NamedTuple):
+    """The data-independent terms of the dimension-posterior log-weights:
+    the prior means, None when all are zero (``x - 0.0`` is ``x``); the
+    posterior variance, a scalar when it is constant; the penalty."""
+
+    means: np.ndarray | None
+    post_var: np.ndarray | float
+    penalty: np.ndarray
+
+
+def _terms(means: np.ndarray, post_var: np.ndarray, c_lambda: float) -> _Terms:
+    """The log-weight terms of the search range ``1..means.size``."""
+    return _Terms(
+        means if np.any(means) else None,
+        float(post_var[0]) if np.all(post_var == post_var[0]) else post_var,
+        _dimension_penalty(c_lambda, means.size),
+    )
+
+
+def _masses(
+    terms: _Terms, post_mean: np.ndarray, scratch: np.ndarray, lw: np.ndarray, out: np.ndarray
+) -> int:
+    """The dimension-posterior masses of each row of ``post_mean`` written
+    into ``out`` (which may be ``lw``), its log-weights into ``lw`` and the
+    contrast into ``scratch``, all ``(rows, M)``; returns the rows' largest
+    mass end (see ``_normalise``).  The first row whose maximum log-weight
+    is not finite has its posterior means checked, then its log-weights, so
+    an infinite observation is reported as such, and the first failing row
+    raises what it raises alone."""
+    _log_weights(post_mean, terms, scratch, lw)
+    maxima = _chunk_maxima(lw)
+    if not np.isfinite(np.max(maxima)):
+        first = np.flatnonzero(~np.isfinite(np.max(maxima, axis=1)))[0]
+        _check_means(post_mean[first])
+        _check_log_weights(lw[first])
+    return _normalise(lw, maxima, out)
+
+
 def _log_weights(
-    post_mean: np.ndarray,
-    means: np.ndarray | None,
-    post_var: np.ndarray | float,
-    penalty: np.ndarray,
-    scratch: np.ndarray,
-    out: np.ndarray,
+    post_mean: np.ndarray, terms: _Terms, scratch: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """Dimension-posterior log-weights on ``1..penalty.size`` of each row of
-    ``post_mean``, ``0.5 * cumsum((post_mean - means)^2 / post_var) -
-    penalty``, written into ``out``; ``post_mean``, ``scratch`` and ``out``
-    are ``(rows, penalty.size)``, the other arrays have the length of
-    ``penalty``.  ``means`` None stands for all-zero prior means (``x -
-    0.0`` is ``x``) and ``post_var`` may be a scalar.  The contrast goes
-    into ``scratch``, and the cumsum writes from there into ``out`` (see
-    :mod:`igssm.montecarlo` for why), one row at a time."""
-    if means is None:
+    """Dimension-posterior log-weights of each row of ``post_mean``, ``0.5 *
+    cumsum((post_mean - means)^2 / post_var) - penalty`` for the ``terms``,
+    written into ``out``; all three arrays are ``(rows, M)``.  The contrast
+    goes into ``scratch``, and the cumsum writes from there into ``out``
+    (see :mod:`igssm.montecarlo` for why), one row at a time."""
+    if terms.means is None:
         np.square(post_mean, out=scratch)
     else:
-        np.subtract(post_mean, means, out=scratch)
+        np.subtract(post_mean, terms.means, out=scratch)
         np.square(scratch, out=scratch)
-    np.divide(scratch, post_var, out=scratch)
+    np.divide(scratch, terms.post_var, out=scratch)
     for src, dst in zip(scratch, out):
         np.cumsum(src, out=dst)
     np.multiply(out, 0.5, out=out)
-    return np.subtract(out, penalty, out=out)
+    return np.subtract(out, terms.penalty, out=out)
 
 
 def _shrink(
@@ -287,12 +311,10 @@ def _dimension_posterior(
     if summary.n != prior.n or prior.n != op.n:
         raise ValueError("summary, prior and operator lengths must match")
     m_top = max_dimension(op, eps)
-    penalty = _dimension_penalty(c_lambda, m_top)
-    lw = _log_weights(
-        summary.post_mean[None, :m_top], prior.means[:m_top], summary.post_var[:m_top], penalty,
-        np.empty((1, m_top)), np.empty((1, m_top)),
-    )
-    return DimensionDistribution._normalised(lw[0], "posterior")
+    terms = _terms(prior.means[:m_top], summary.post_var[:m_top], c_lambda)
+    lw, probs = np.empty((2, 1, m_top))
+    mass_end = _masses(terms, summary.post_mean[None, :m_top], np.empty((1, m_top)), lw, probs)
+    return DimensionDistribution(lw[0], probs[0], "posterior"), mass_end
 
 
 @dataclass(frozen=True)

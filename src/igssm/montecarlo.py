@@ -6,18 +6,24 @@ stream per replication, so results are reproducible and independent of
 evaluation order.  The risk, concentration and bracket tasks share one
 replication kernel.  No task selects a dimension: a sieve task takes the
 dimension ``m`` its caller chose, a task on the dimension posterior takes
-the operator constant ``c_lambda`` and runs over the search range.  The
-kernel cuts the problem there, simulates only that head, and computes
-everything that does not depend on the data once per task: the signal
-``lambda_j theta_j``, the posterior variances and the affine map from data
-to posterior means.
+the operator constant ``c_lambda`` and runs over the search range.  Which
+of the two a task is gets decided once, when it is built, together with
+everything that does not depend on the data: the signal ``lambda_j
+theta_j``, the posterior variances, the affine map from data to posterior
+means and, on the dimension posterior, the terms of its log-weights.  The
+kernel cuts the problem at the task's dimension and simulates only that
+head.
 
 Replications run as the rows of a chunk, ``max(1, _ROW_ELEMENTS // cut)``
 of them, in work arrays allocated once per block of replications.  Each
 row draws its noise from its own replication's stream (``rng.streams``
-resets one generator to each in turn); the noise scale, the signal
-and the posterior-mean map are then applied to the whole chunk, and the
-task's statistic computes one value per row in one set of numpy calls.
+resets one generator to each in turn); the noise scale, the signal, the
+posterior-mean map and the posterior step are then applied to the whole
+chunk.  The posterior step checks a sieve's posterior means, or turns
+them into the dimension posterior's masses (``hierarchy._masses``).  The
+statistic receives the posterior means, the masses and the end of what it
+scores (the cut, or the rows' largest mass end), and computes one value
+per row in one set of numpy calls.
 Every row is bit for bit what it would be alone (see
 :mod:`igssm.hierarchy` for the dimension posterior's rows), so results do
 not depend on how replications are chunked.  A cut of ``_ROW_ELEMENTS``
@@ -42,7 +48,7 @@ is one and the subtraction when every prior mean is zero, and to divide
 by a scalar when the posterior variance is constant.  Every contrast term
 is >= 0, infinite or NaN and the penalty is finite, so the dimension tasks
 check the posterior means only when the log-weights' maximum is not
-finite; the other tasks check them on every replication.  The contrast
+finite; sieve tasks check them on every chunk.  The contrast
 goes into a work array of its own and the cumsum writes from there into
 the log-weights one row at a time, because numpy keeps the interpreter
 lock through an in-place cumsum and through a cumsum or a ``reduceat``
@@ -70,16 +76,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ConfigError
-from .hierarchy import (
-    _check_log_weights,
-    _chunk_maxima,
-    _dimension_penalty,
-    _draw_hierarchical,
-    _log_weights,
-    _normalise,
-    _outside_mass,
-    _shrink,
-)
+from .hierarchy import _draw_hierarchical, _masses, _outside_mass, _shrink, _terms, _Terms
 from .posterior import (
     PriorSpec,
     _check_means,
@@ -369,7 +366,8 @@ class _Task(NamedTuple):
     """A Monte Carlo task's problem cut at its first ``cut`` coordinates, with
     everything that does not depend on the data: the squared bias carried
     past the cut, the signal ``lambda_j theta_j``, the noise scale
-    ``sqrt(eps)``, the posterior variances and the map to posterior means."""
+    ``sqrt(eps)``, the posterior variances, the map to posterior means and,
+    on the dimension posterior, its log-weight terms (None on a sieve)."""
 
     theta: np.ndarray
     means: np.ndarray
@@ -378,24 +376,24 @@ class _Task(NamedTuple):
     noise_scale: float
     post_var: np.ndarray
     mean_map: _MeanMap
+    terms: _Terms | None
 
 
-def _cut(op, eps, m, c_lambda) -> int:
-    """A task's cut: the sieve dimension ``m``, or the search range when the
-    task runs on the dimension posterior with operator constant ``c_lambda``."""
+def _task(theta, prior, op, eps, m=None, c_lambda=None) -> _Task:
+    """The task of the sieve of dimension ``m``, cut at ``m``, or, given the
+    operator constant ``c_lambda`` instead, of the dimension posterior, cut
+    at the search range."""
     if (m is None) == (c_lambda is None):
         raise ValueError("give either the sieve dimension m or the operator constant c_lambda")
-    return max_dimension(op, eps) if m is None else int(m)
-
-
-def _task(theta, prior, op, eps, cut) -> _Task:
+    cut = max_dimension(op, eps) if m is None else int(m)
     remainder = float(np.sum((theta.values[cut:] - prior.means[cut:]) ** 2)) + theta.sq_tail()
     th, pr, o = theta.head(cut), prior.head(cut), op.head(cut)
     post_var = posterior_variances(pr, o, eps)
     _check_variances(post_var)
+    mean_map = _mean_map(pr, o, eps)
+    terms = _terms(pr.means, post_var, c_lambda) if m is None else None
     return _Task(
-        th.values, pr.means, remainder, o.values * th.values, math.sqrt(eps),
-        post_var, _mean_map(pr, o, eps),
+        th.values, pr.means, remainder, o.values * th.values, math.sqrt(eps), post_var, mean_map, terms
     )
 
 
@@ -406,25 +404,32 @@ def _rows(task: _Task) -> int:
 
 def _block(task: _Task, seed: int, statistic, start: int, stop: int):
     """Split replications ``start .. stop - 1`` into chunks of ``_rows(task)``
-    (the last may be shorter) and yield ``statistic(r0, post_mean, work)``
-    for each, in order: one value per replication ``r0, r0 + 1, ...``.
-    Row ``i`` of ``post_mean`` holds the posterior means of the observation
-    drawn from replication ``r0 + i``'s own stream.  ``post_mean`` (rows of
-    the cut length) and ``work`` (two such blocks of rows) are allocated
-    once for the block; the statistic may overwrite both, and checks that
-    the posterior means are finite, directly or through
-    ``_dimension_probs``."""
+    (the last may be shorter) and yield ``statistic(r0, post_mean, work,
+    end)`` for each, in order: one value per replication ``r0, r0 + 1,
+    ...``.  Row ``i`` of ``post_mean`` holds the finite posterior means of
+    the observation drawn from replication ``r0 + i``'s own stream.  On a
+    sieve task ``end`` is the cut; on the dimension posterior it is the
+    rows' largest mass end, and row ``i`` of ``work[0]`` holds the masses.
+    ``post_mean`` (rows of the cut length) and ``work`` (two such blocks of
+    rows) are allocated once for the block; the statistic may overwrite
+    both."""
     if stop <= start:
         raise ValueError("need at least one replication")
+    cut = task.theta.size
     rows = min(_rows(task), stop - start)
-    post_mean = np.empty((rows, task.theta.size))
-    work = np.empty((2, rows, task.theta.size))
+    post_mean = np.empty((rows, cut))
+    work = np.empty((2, rows, cut))
     for r0 in range(start, stop, rows):
         k = min(rows, stop - r0)
-        chunk = post_mean[:k]
+        chunk, chunk_work = post_mean[:k], work[:, :k]
         _observe(task.signal, task.noise_scale, streams(seed, OBSERVATION, r0, r0 + k), chunk)
         _posterior_mean(task.mean_map, chunk, chunk)
-        yield statistic(r0, chunk, work[:, :k])
+        if task.terms is None:
+            _check_means(chunk)
+            end = cut
+        else:
+            end = _masses(task.terms, chunk, chunk_work[1], chunk_work[0], chunk_work[0])
+        yield statistic(r0, chunk, chunk_work, end)
 
 
 def _replications(task: _Task, reps: int, seed: int, statistic) -> list:
@@ -442,53 +447,24 @@ def _replications(task: _Task, reps: int, seed: int, statistic) -> list:
     return [value for part in _parallel_map(block, range(blocks)) for value in part]
 
 
-class _Weights(NamedTuple):
-    """The data-independent terms of a dimension task's log-weights (see
-    ``hierarchy._log_weights``): the prior means, None when all are zero;
-    the posterior variance, a scalar when it is constant; the penalty."""
-
-    means: np.ndarray | None
-    post_var: np.ndarray | float
-    penalty: np.ndarray
-
-
-def _weights(task: _Task, c_lambda: float) -> _Weights:
-    """The log-weight terms of ``task``, whose cut is the search range."""
-    post_var = task.post_var
-    return _Weights(
-        task.means if np.any(task.means) else None,
-        float(post_var[0]) if np.all(post_var == post_var[0]) else post_var,
-        _dimension_penalty(c_lambda, task.theta.size),
-    )
-
-
-def _dimension_probs(weights: _Weights, post_mean, work) -> int:
-    """The dimension-posterior masses of each row of ``post_mean``, written
-    into the rows of ``work[0]`` (``work[1]`` takes the contrast); returns
-    the rows' largest mass end.  The first row whose maximum log-weight is
-    not finite has its posterior means checked, then its log-weights, so an
-    infinite observation is reported as such, and the first failing
-    replication raises what it raises alone."""
-    lw = work[0]
-    _log_weights(post_mean, weights.means, weights.post_var, weights.penalty, work[1], lw)
-    maxima = _chunk_maxima(lw)
-    if not np.isfinite(np.max(maxima)):
-        first = np.flatnonzero(~np.isfinite(np.max(maxima, axis=1)))[0]
-        _check_means(post_mean[first])
-        _check_log_weights(lw[first])
-    return int(np.max(_normalise(lw, maxima, lw)))
-
-
-def _draw_distances(task: _Task, block: np.ndarray) -> np.ndarray:
-    """Squared distance from each posterior draw to the truth, given the
-    draws' first columns as the sampler drew them (``m`` for the sieve,
-    ``max(dims)`` for the hierarchical kind).  The prior-mean coordinates
-    from there up to the cut add one deterministic sum, so no ``(draws x
-    cut)`` array is built."""
-    width = block.shape[1]
+def _draw_distances(task: _Task, post_sd, draws: int, seed: int, r0: int, post_mean, probs):
+    """For each row ``i`` of ``post_mean``, the squared distances to the
+    truth of ``draws`` draws from replication ``r0 + i``'s own stream: from
+    the sieve posterior, or on the dimension posterior from the hierarchical
+    one with masses ``probs[i]``; ``post_sd = sqrt(task.post_var)``.  Only
+    the columns the sampler drew are built (``m``, or ``max(dims)``); the
+    prior-mean coordinates past them up to the cut add one sum."""
+    sieve = task.terms is None
     truth = task.theta
-    past = float(np.sum((task.means[width:] - truth[width:]) ** 2))
-    return np.sum((block - truth[:width]) ** 2, axis=1) + (past + task.remainder)
+    domain = SIEVE_DRAW if sieve else HIERARCHY_DRAW
+    for i, rng in enumerate(streams(seed, domain, r0, r0 + len(post_mean))):
+        if sieve:
+            block = _sieve_block(post_mean[i], post_sd, draws, rng)
+        else:
+            _, block = _draw_hierarchical(probs[i], post_mean[i], post_sd, task.means, draws, rng)
+        width = block.shape[1]
+        past = float(np.sum((task.means[width:] - truth[width:]) ** 2))
+        yield np.sum((block - truth[:width]) ** 2, axis=1) + (past + task.remainder)
 
 
 def mc_mise(
@@ -507,21 +483,13 @@ def mc_mise(
     coordinates the estimator touches are simulated; everything beyond
     contributes its exact squared bias.
     """
-    cut = _cut(op, eps, m, c_lambda)
-    task = _task(theta, prior, op, eps, cut)
-    if m is None:
-        weights = _weights(task, c_lambda)
-        prior_sq_err = np.square(task.means - task.theta)
+    task = _task(theta, prior, op, eps, m, c_lambda)
+    prior_sq_err = np.square(task.means - task.theta)
 
-    def loss(r0, post_mean, work):
-        end = cut
-        if m is None:
-            end = _dimension_probs(weights, post_mean, work)
-            probs = work[0]
-            _shrink(probs, end, post_mean, task.means, probs, post_mean)
-            post_mean[:, end:] = prior_sq_err[end:]  # the prior mean's error past the mass end
-        else:
-            _check_means(post_mean)
+    def loss(r0, post_mean, work, end):
+        if task.terms is not None:
+            _shrink(work[0], end, post_mean, task.means, work[0], post_mean)
+        post_mean[:, end:] = prior_sq_err[end:]  # the prior mean's error past the mass end
         head = post_mean[:, :end]
         np.subtract(head, task.theta[:end], out=head)
         np.square(head, out=head)
@@ -545,11 +513,9 @@ def mc_mise_profile(
     if m_top is None:
         m_top = max_dimension(op, eps)
     bias = bias_profile(theta, prior)[:m_top]
-
     task = _task(theta, prior, op, eps, m_top)
 
-    def errors(r0, post_mean, work):
-        _check_means(post_mean)
+    def errors(r0, post_mean, work, end):
         sq_err, cum = work
         np.subtract(post_mean, task.theta, out=sq_err)
         np.cumsum(np.square(sq_err, out=sq_err), axis=1, out=cum)
@@ -602,28 +568,14 @@ def mc_concentration(
         raise ValueError("band constant must be >= 1")
     if rate <= 0.0:
         raise ValueError("rate must be positive")
-    cut = _cut(op, eps, m, c_lambda)
     lo = rate / band_constant if two_sided else 0.0
     hi = rate * band_constant
-    task = _task(theta, prior, op, eps, cut)
-    weights = _weights(task, c_lambda) if m is None else None
+    task = _task(theta, prior, op, eps, m, c_lambda)
     post_sd = np.sqrt(task.post_var)
-    domain = SIEVE_DRAW if m is not None else HIERARCHY_DRAW
 
-    def band_mass(r0, post_mean, work):
-        if m is not None:
-            _check_means(post_mean)
-        else:
-            _dimension_probs(weights, post_mean, work)
-        masses = []
-        for i, rng in enumerate(streams(seed, domain, r0, r0 + len(post_mean))):
-            if m is not None:
-                block = _sieve_block(post_mean[i], post_sd, draws, rng)
-            else:
-                _, block = _draw_hierarchical(work[0, i], post_mean[i], post_sd, task.means, draws, rng)
-            sq = _draw_distances(task, block)
-            masses.append(float(np.mean((sq >= lo) & (sq <= hi))))
-        return masses
+    def band_mass(r0, post_mean, work, end):
+        distances = _draw_distances(task, post_sd, draws, seed, r0, post_mean, work[0])
+        return [float(np.mean((sq >= lo) & (sq <= hi))) for sq in distances]
 
     return _mc_summary(np.array(_replications(task, reps, seed, band_mass)), seed)
 
@@ -676,13 +628,9 @@ def mc_sieve_deviation(
     task = _task(theta, prior, op, eps, m)
     post_sd = np.sqrt(task.post_var)
 
-    def deviations(r0, post_mean, work):
-        _check_means(post_mean)
-        fracs = []
-        for row, rng in zip(post_mean, streams(seed, SIEVE_DRAW, r0, r0 + len(post_mean))):
-            sq = _draw_distances(task, _sieve_block(row, post_sd, draws, rng))
-            fracs.append((float(np.mean(sq > hi)), float(np.mean(sq < lo))))
-        return fracs
+    def deviations(r0, post_mean, work, end):
+        distances = _draw_distances(task, post_sd, draws, seed, r0, post_mean, work[0])
+        return [(float(np.mean(sq > hi)), float(np.mean(sq < lo))) for sq in distances]
 
     fracs = zip(*_replications(task, reps, seed, deviations))
     upper, lower = (_mc_summary(np.array(f), seed) for f in fracs)
@@ -724,11 +672,9 @@ def mc_bracket_mass(
     ``1..M`` raises ``ValueError``.
     """
     m_lo, m_hi = bracket
-    task = _task(theta, prior, op, eps, max_dimension(op, eps))
-    weights = _weights(task, c_lambda)
+    task = _task(theta, prior, op, eps, c_lambda=c_lambda)
 
-    def outside_mass(r0, post_mean, work):
-        _dimension_probs(weights, post_mean, work)
+    def outside_mass(r0, post_mean, work, end):
         return _outside_mass(work[0], m_lo, m_hi)
 
     return _mc_summary(np.array(_replications(task, reps, seed, outside_mass)), seed)

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .rng import SIEVE_DRAW, stream
-from .sequences import Observation, OperatorSequence, _readonly
+from .sequences import Observation, OperatorSequence, _check_eps, _readonly
 
 __all__ = [
     "PriorSpec",
@@ -158,8 +158,7 @@ def posterior_variances(prior: PriorSpec, op: OperatorSequence, eps: float) -> n
     """
     if prior.n != op.n:
         raise ValueError(f"prior length {prior.n} != operator length {op.n}")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("noise level eps must lie in (0, 1)")
+    _check_eps(eps)
     out = np.empty(prior.n)
     mask = prior.improper
     proper = ~mask
@@ -285,8 +284,7 @@ def log_variance_ratio(prior: PriorSpec, op: OperatorSequence, eps: float) -> np
         raise ValueError("variance ratio is undefined on improper coordinates")
     if prior.n != op.n:
         raise ValueError("prior and operator lengths must match")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("noise level eps must lie in (0, 1)")
+    _check_eps(eps)
     return np.log1p(prior.variances * op.values**2 / eps)
 
 

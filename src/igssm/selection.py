@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .posterior import PriorSpec, posterior_variances
-from .sequences import OperatorSequence, ParameterSequence, WeightedClass, _readonly
+from .sequences import OperatorSequence, ParameterSequence, WeightedClass, _check_eps, _readonly
 
 __all__ = [
     "RiskDecomposition",
@@ -506,8 +506,3 @@ def composite_constants(
 def _clamped_ceil(x: float, n: int) -> int:
     # clamp before rounding: a vanishing balance constant can make x infinite
     return max(1, int(math.ceil(min(x, n) - _LOG_TOL)))
-
-
-def _check_eps(eps: float) -> None:
-    if not 0.0 < eps < 1.0:
-        raise ValueError("noise level eps must lie in (0, 1)")

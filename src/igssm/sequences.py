@@ -50,6 +50,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_eps(eps: float) -> None:
+    if not 0.0 < eps < 1.0:
+        raise ValueError("noise level eps must lie in (0, 1)")
+
+
 # ---------------------------------------------------------------------------
 # operator (multiplier) sequence
 # ---------------------------------------------------------------------------
@@ -382,8 +387,7 @@ class Observation:
         values = _readonly(self.values)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("observation needs a non-empty 1-d array")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError("noise level eps must lie in (0, 1)")
+        _check_eps(self.eps)
         object.__setattr__(self, "values", values)
 
     @property
@@ -405,8 +409,7 @@ def simulate_observation(
     """
     if theta.n != op.n:
         raise ValueError(f"signal length {theta.n} != operator length {op.n}")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("noise level eps must lie in (0, 1)")
+    _check_eps(eps)
     rng = stream(seed, OBSERVATION, rep)
     y = _observe(op.values * theta.values, math.sqrt(eps), [rng], np.empty((1, op.n)))[0]
     return Observation(y, float(eps), int(seed), int(rep))

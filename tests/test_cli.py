@@ -485,19 +485,40 @@ def test_seed_flag_only_where_it_has_an_effect(tmp_path, capsys, command):
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
+# Three operator values every generated config may name as a ``values_file``.
+_VALUES_FILE = "values.csv"
+
+
+def _write_values_file(directory):
+    (directory / _VALUES_FILE).write_text("value\n1.0\n0.5\n0.25\n", encoding="utf-8")
+
+
+def _explicit_values(draw, elements):
+    """Inline ``values`` or the ``values_file`` the test writes."""
+    if draw(st.booleans()):
+        return {"values_file": _VALUES_FILE}
+    return {"values": draw(st.lists(elements, min_size=1, max_size=6))}
+
+
 @st.composite
 def small_configs(draw):
     """A schema-valid config on at most a few hundred coordinates, with few
-    replications, over every model, truth and prior family."""
-    family = draw(st.sampled_from(["polynomial", "exponential", "constant"]))
+    replications, over every model, truth and prior family, explicit values
+    inline or from a file included."""
+    family = draw(st.sampled_from(["polynomial", "exponential", "constant", "explicit"]))
     model = {"family": family}
-    if family != "constant":
+    if family == "explicit":
+        model.update(_explicit_values(draw, st.floats(0.01, 2.0)))
+    elif draw(st.booleans()):
+        model["n"] = draw(st.integers(1, 8))
+    if family in ("polynomial", "exponential"):
         model["decay"] = draw(st.floats(0.0, 3.0))
-    truth = {
-        "family": draw(st.sampled_from(["polynomial", "exponential"])),
-        "exponent": draw(st.floats(0.3, 3.0)),
-        "scale": draw(st.floats(0.0, 2.0)),
-    }
+    truth = {"family": draw(st.sampled_from(["polynomial", "exponential", "explicit"]))}
+    if truth["family"] == "explicit":
+        truth.update(_explicit_values(draw, st.floats(-2.0, 2.0)))
+    else:
+        truth["exponent"] = draw(st.floats(0.3, 3.0))
+        truth["scale"] = draw(st.floats(0.0, 2.0))
     kind = draw(st.sampled_from(["improper", "gaussian", "matched"]))
     prior = {"kind": kind}
     if kind == "gaussian":
@@ -567,6 +588,24 @@ _SELECT_BASE = {
          "prior": {"kind": "improper"}, "eps_grid": [0.05]},
     command="adapt", overrides={}, check=False, corrupt="1e200", row=3,
 )
+@example(  # an explicit truth shorter than the working length: exit 2
+    raw={**_SELECT_BASE, "model": {"family": "constant", "n": 5},
+         "truth": {"family": "explicit", "values": [0.5, 0.2, 0.1]},
+         "prior": {"kind": "improper"}, "eps_grid": [0.1]},
+    command="select", overrides={}, check=False, corrupt=None, row=0,
+)
+@example(  # the same on the simulator: exit 2
+    raw={**_SELECT_BASE, "model": {"family": "constant", "n": 5},
+         "truth": {"family": "explicit", "values": [0.5, 0.2, 0.1]},
+         "prior": {"kind": "improper"}, "eps_grid": [0.1]},
+    command="simulate", overrides={}, check=False, corrupt=None, row=0,
+)
+@example(  # a fixed dimension past the three values of a model values_file: exit 2
+    raw={**_SELECT_BASE, "model": {"family": "explicit", "values_file": _VALUES_FILE},
+         "prior": {"kind": "improper"}, "eps_grid": [0.1],
+         "estimators": ["fixed"], "fixed_dims": [5]},
+    command="sweep", overrides={}, check=False, corrupt=None, row=0,
+)
 @given(
     raw=small_configs(),
     command=st.sampled_from(["simulate", "select", "posterior", "adapt", "audit", "sweep", "run"]),
@@ -589,7 +628,8 @@ def test_any_small_config_exits_with_a_documented_code(
     argparse error exits 2) and no exception escapes.  ``posterior`` and
     ``adapt`` read an observation simulated first at the config's first noise
     level; ``corrupt`` overwrites one of its values (row ``row`` modulo the
-    length) with a non-finite or huge one."""
+    length) with a non-finite or huge one.  A config may name the values
+    file ``values.csv``, three positive values written beside it."""
 
     def exit_code(*argv):
         try:
@@ -599,6 +639,7 @@ def test_any_small_config_exits_with_a_documented_code(
 
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw), encoding="utf-8")
+    _write_values_file(tmp_path)
     out = tmp_path / "out"
     runs = {"--reps", "--seed"}
     allowed = {"simulate": {"--seed", "--eps"}, "audit": runs, "sweep": runs, "run": runs}
@@ -621,3 +662,37 @@ def test_any_small_config_exits_with_a_documented_code(
     if check and command in ("sweep", "run"):
         argv.append("--check")
     assert exit_code(*argv) in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize(
+    "model, truth, extra, message",
+    [
+        pytest.param(
+            {"family": "constant", "n": 5}, {"family": "explicit", "values": [0.5, 0.2, 0.1]}, {},
+            "truth: 3 explicit values do not match the working sequence length 5", id="truth",
+        ),
+        pytest.param(
+            {"family": "explicit", "values_file": _VALUES_FILE}, _SELECT_BASE["truth"],
+            {"estimators": ["fixed"], "fixed_dims": [5]},
+            "fixed_dims: dimension 5 exceeds the working sequence length 3", id="fixed_dims",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["simulate", "select", "sweep", "run"])
+def test_lengths_the_sequences_fix_are_config_errors(tmp_path, capsys, model, truth, extra, message, command):
+    """An explicit truth of the wrong length, and fixed dimensions past the
+    length a model values file gives, exit 2 with a message naming the field
+    and leave no artifact (``simulate`` does not use ``fixed_dims``)."""
+    raw = {**_SELECT_BASE, "model": model, "truth": truth, "prior": {"kind": "improper"},
+           "eps_grid": [0.1], **extra}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    _write_values_file(tmp_path)
+    out = tmp_path / "out"
+    rc = run_cli(command, "--config", config, "--out", out, "--quiet")
+    if command == "simulate" and "fixed_dims" in extra:
+        assert rc == 0
+        return
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())

@@ -170,9 +170,10 @@ def test_each_task_runs_at_the_cut_its_row_reports(tmp_path, monkeypatch):
     cuts = []
     task = montecarlo._task
 
-    def spy(theta, prior, op, eps, cut):
-        cuts.append((eps, cut))
-        return task(theta, prior, op, eps, cut)
+    def spy(theta, prior, op, eps, m=None, c_lambda=None):
+        found = task(theta, prior, op, eps, m, c_lambda)
+        cuts.append((eps, found.theta.size))
+        return found
 
     monkeypatch.setattr(montecarlo, "_task", spy)
     result = run_experiment(cfg, tmp_path, quiet=True)

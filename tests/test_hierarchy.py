@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -26,8 +26,10 @@ from igssm.hierarchy import (
     _MASS_MARGIN,
     _chunk_maxima,
     _log_weights,
+    _masses,
     _normalise,
     _shrink,
+    _Terms,
 )
 
 
@@ -105,14 +107,39 @@ def test_prior_matches_direct_product():
     np.testing.assert_allclose(dist.probs, probs, rtol=1e-10)
 
 
-def test_log_weight_shift_invariance():
-    lw = np.array([-900.0, -901.0, -899.5])
-    a = DimensionDistribution.from_log_weights(lw, "posterior")
-    b = DimensionDistribution.from_log_weights(lw + 700.0, "posterior")
-    c = DimensionDistribution.from_log_weights(lw - 700.0, "posterior")
-    np.testing.assert_allclose(a.probs, b.probs, rtol=1e-13)
-    np.testing.assert_allclose(a.probs, c.probs, rtol=1e-13)
-    assert a.probs.sum() == pytest.approx(1.0, abs=1e-14)
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 2 * _CHUNK + 3),
+    rows=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.integers(-(10**6), 10**6),
+)
+@example(n=3, rows=1, seed=0, shift=700)
+@example(n=_CHUNK + 5, rows=3, seed=1, shift=-700)  # rows ending at 3637, 429 and 2757
+def test_log_weight_shift_invariance(n, rows, seed, shift):
+    """Log-weights on a dyadic grid, shifted by an integer, are shifted
+    exactly, so the masses must not move by a bit: from
+    ``from_log_weights`` row by row, and from ``_masses`` on all rows at
+    once, whose log-weights ``0.5 * cumsum(post_mean^2) - penalty`` differ
+    by row through sparse integer posterior means."""
+    rng = np.random.default_rng(seed)
+    # a penalty growing by 2 a step on average, and rare contrast jumps of up
+    # to 1800: most rows end at different dimensions, some before n
+    penalty = np.cumsum(rng.integers(0, 64, n)) / 16.0
+    post_mean = rng.integers(0, 60, (rows, n)) * (rng.random((rows, n)) < 0.002)
+    want = 0.5 * np.cumsum(post_mean**2, axis=1) - penalty
+    masses = []
+    for s in (0, shift):
+        lw, out = np.empty((2, rows, n))
+        end = _masses(_Terms(None, 1.0, penalty - s), post_mean, np.empty((rows, n)), lw, out)
+        assert np.array_equal(lw, want + s)
+        probs = [DimensionDistribution.from_log_weights(row, "posterior").probs for row in lw]
+        assert np.array_equal(out, np.array(probs))
+        assert end == max(np.flatnonzero(row - np.max(row) > -_MASS_MARGIN)[-1] + 1 for row in lw)
+        assert not np.any(out[:, end:])
+        masses.append(out)
+    assert np.array_equal(masses[0], masses[1])
+    np.testing.assert_allclose(masses[0].sum(axis=1), 1.0, rtol=0, atol=1e-14)
 
 
 def _assert_mass_end(lw, mass_end):
@@ -121,20 +148,21 @@ def _assert_mass_end(lw, mass_end):
     and ``from_log_weights`` return the full-range masses ``exp(lw - max) /
     sum`` bit for bit, zero from ``mass_end`` on, and ``_shrink`` the
     full-range ``omega``.  All of this holds for ``lw`` alone and as the
-    first of three rows, beside a row whose mass ends at 1 and one whose
-    mass spans the whole range, so the rows are exponentiated past
+    first of two or three rows, beside a row whose mass ends at 1 and one
+    whose mass spans the whole range, where ``_normalise`` returns the
+    largest of the rows' mass ends, so the rows are exponentiated past
     ``lw``'s own mass end."""
     assert mass_end == np.flatnonzero(lw - np.max(lw) > -_MASS_MARGIN)[-1] + 1
     n = lw.size
     rows = np.stack([lw, np.full(n, -1e6), np.linspace(3.0, -790.0, n)])
     rows[1, 0] = 0.0
-    for k in (1, 3):
+    for k in (1, 2, 3):
         block = rows[:k]
         out = np.empty_like(block)
-        ends = _normalise(block, _chunk_maxima(block), out)
-        assert ends.tolist() == [mass_end, 1, n][:k]
+        end = _normalise(block, _chunk_maxima(block), out)
+        assert end == max([mass_end, 1, n][:k])
         omega = np.zeros_like(block)
-        _shrink(out, int(ends.max()), np.ones_like(block), np.zeros(n), omega, np.empty_like(block))
+        _shrink(out, end, np.ones_like(block), np.zeros(n), omega, np.empty_like(block))
         for row, probs, weights in zip(block, out, omega):
             w = np.exp(row - np.max(row))
             want = w / w.sum()
@@ -209,7 +237,7 @@ def test_row_cores_give_each_row_alone():
     post_mean = rng.normal(size=(rows, n))
     penalty = 1.5 * np.arange(1, n + 1, dtype=np.float64)
     for means, post_var in ((None, 0.3), (rng.normal(size=n), rng.uniform(0.1, 1.0, n))):
-        got = _log_weights(post_mean, means, post_var, penalty, np.empty((rows, n)), np.empty((rows, n)))
+        got = _log_weights(post_mean, _Terms(means, post_var, penalty), np.empty((rows, n)), np.empty((rows, n)))
         contrast = (post_mean - (0.0 if means is None else means)) ** 2 / post_var
         maxima = _chunk_maxima(got)
         assert maxima.shape == (rows, 3)
@@ -238,21 +266,34 @@ def test_omega_is_the_survival_function():
     assert np.all(np.diff(est.omega) <= 1e-15)
 
 
-def test_estimator_is_the_sieve_mixture():
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    eps=st.floats(0.01, 0.3),
+    c=st.floats(1.0, 3.0),
+    kind=st.sampled_from(["proper", "flat", "mixed"]),
+    seed=st.integers(0, 10**6),
+)
+@example(n=45, eps=0.03, c=1.0, kind="proper", seed=2)
+@example(n=45, eps=0.03, c=1.0, kind="flat", seed=7)
+def test_estimator_is_the_sieve_mixture(n, eps, c, kind, seed):
     """est = sum_m p(m | Y) * (posterior mean up to m, prior mean beyond),
-    assembled coordinate by coordinate without the survival shortcut."""
-    eps, c = 0.03, 1.0
-    for seed, proper in ((2, True), (7, False)):
-        op, theta, prior, obs, summary = make_problem(45, eps, seed=seed, proper=proper)
-        est = adaptive_estimate(summary, prior, op, eps, c)
-        probs = est.dimension_posterior.probs
-        mixture = np.zeros(prior.n)
-        for m in range(1, probs.size + 1):
-            mixture += probs[m - 1] * sieve_posterior_mean(m, summary, prior)
-        np.testing.assert_allclose(est.values, mixture, atol=1e-12)
-        # beyond the search range the estimate is exactly the prior mean
-        m_top = probs.size
-        np.testing.assert_array_equal(est.values[m_top:], prior.means[m_top:])
+    assembled coordinate by coordinate without the survival shortcut, for
+    proper, flat and mixed priors."""
+    op, theta, prior, obs, summary = make_problem(n, eps, seed, proper=kind != "flat")
+    if kind == "mixed":
+        improper = np.random.default_rng(seed).random(n) < 0.5
+        prior = PriorSpec.mixed(np.where(improper, 0.0, prior.means), prior.variances, improper)
+        summary = coordinate_posterior(prior, op, obs)
+    est = adaptive_estimate(summary, prior, op, eps, c)
+    probs = est.dimension_posterior.probs
+    mixture = np.zeros(n)
+    for m in range(1, probs.size + 1):
+        mixture += probs[m - 1] * sieve_posterior_mean(m, summary, prior)
+    np.testing.assert_allclose(est.values, mixture, rtol=1e-12, atol=1e-12)
+    # beyond the search range the estimate is exactly the prior mean
+    m_top = probs.size
+    np.testing.assert_array_equal(est.values[m_top:], prior.means[m_top:])
 
 
 def test_c_constant_validation():

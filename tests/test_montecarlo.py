@@ -25,18 +25,16 @@ from igssm import (
     rate_regression,
     theoretical_exponent,
 )
-from igssm import montecarlo
+from igssm import hierarchy, montecarlo
 from igssm.config import ConfigError
 from igssm.hierarchy import (
     _MASS_MARGIN,
-    _draw_hierarchical,
     adaptive_estimate,
     dimension_posterior,
     sample_hierarchical_posterior,
 )
 from igssm.montecarlo import _draw_distances, _task, mc_mise_profile
 from igssm.posterior import coordinate_posterior, posterior_variances, sample_sieve_posterior
-from igssm.rng import HIERARCHY_DRAW, stream
 from igssm.selection import bracket_dimensions, check_assumptions, max_dimension
 from igssm.sequences import simulate_observation
 
@@ -324,15 +322,13 @@ def test_draw_distances_match_padded_public_samplers(problem, hierarchical, seed
     cut = max_dimension(op, eps) if hierarchical else max(1, theta.n // 3)
     _, pr, o, _, (summary,) = _head_loop(theta, prior, op, eps, 1, seed, cut)
     if hierarchical:
-        dist = dimension_posterior(summary, pr, o, eps, 1.0)
-        _, block = _draw_hierarchical(
-            dist.probs, summary.post_mean, np.sqrt(summary.post_var), pr.means, draws,
-            stream(seed, HIERARCHY_DRAW, 0),
-        )
+        task = _task(theta, prior, op, eps, c_lambda=1.0)
+        probs = dimension_posterior(summary, pr, o, eps, 1.0).probs[None]
         padded, _ = sample_hierarchical_posterior(summary, pr, o, eps, 1.0, draws, seed, rep=0)
     else:  # the sieve sampler draws exactly the cut
-        block = padded = sample_sieve_posterior(cut, summary, pr, draws, seed, rep=0)
-    got = _draw_distances(_task(theta, prior, op, eps, cut), block)
+        task, probs = _task(theta, prior, op, eps, m=cut), None
+        padded = sample_sieve_posterior(cut, summary, pr, draws, seed, rep=0)
+    (got,) = _draw_distances(task, np.sqrt(task.post_var), draws, seed, 0, summary.post_mean[None], probs)
     want = _padded_distances(padded, theta, prior)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     ordered = np.sort(want)
@@ -368,15 +364,15 @@ def test_mc_mise_equals_serial_loop(problem, seed, budget):
     cut = max_dimension(op, eps)
     assume(m_star <= cut)
     taken = []
-    mean_map, weights = montecarlo._mean_map, montecarlo._weights
+    mean_map, terms = montecarlo._mean_map, montecarlo._terms
 
     def map_spy(pr, o, e):
         found = mean_map(pr, o, e)
         taken.append(("unit scale", found.scale is None))
         return found
 
-    def weights_spy(task, c_lambda):
-        found = weights(task, c_lambda)
+    def terms_spy(means, post_var, c_lambda):
+        found = terms(means, post_var, c_lambda)
         taken.append(("zero means", found.means is None))
         taken.append(("constant variance", isinstance(found.post_var, float)))
         return found
@@ -393,7 +389,7 @@ def test_mc_mise_equals_serial_loop(problem, seed, budget):
         taken.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(montecarlo, "_mean_map", map_spy)
-            mp.setattr(montecarlo, "_weights", weights_spy)
+            mp.setattr(montecarlo, "_terms", terms_spy)
             mp.setattr(montecarlo, "_ROW_ELEMENTS", _row_budget(budget, dim, reps))
             given = {"c_lambda": 1.0} if kind == "adaptive" else {"m": dim}
             got = mc_mise(theta, prior, op, eps, reps, seed, **given)
@@ -605,16 +601,18 @@ def test_rows_of_a_chunk_keep_their_own_mass_ends():
     prior = PriorSpec.mixed(np.zeros(n), np.full(n, 0.5), np.arange(n) % 2 == 0)
     problem = (theta, prior, make_operator("constant", n), 5e-5)
     ends = []
-    normalise = montecarlo._normalise
+    normalise = hierarchy._normalise
 
     def spy(lw, maxima, out):
+        rows = [int(np.flatnonzero(row - np.max(row) > -_MASS_MARGIN)[-1]) + 1 for row in lw]
         found = normalise(lw, maxima, out)
-        ends.append(found.tolist())
+        assert found == max(rows)
+        ends.append(rows)
         return found
 
     serial = _every_task(problem, 8, 2, 1.0, "one row")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(montecarlo, "_normalise", spy)
+        mp.setattr(hierarchy, "_normalise", spy)
         assert _every_task(problem, 8, 2, 1.0, "default") == serial
     assert all(len(chunk) == 8 for chunk in ends)
     assert all(max(chunk) < max_dimension(problem[2], problem[3]) for chunk in ends)
@@ -701,7 +699,7 @@ def test_adaptive_kernel_rejects_non_finite_values(monkeypatch, corrupt, m, mess
     replication-by-replication loop."""
     theta, prior, op = _poly_problem(100)
     eps, reps = 0.01, 5
-    cut = montecarlo._cut(op, eps, m, None if m else 1.0)
+    cut = m or max_dimension(op, eps)
     assert _serial_failure(theta.head(cut), prior.head(cut), op.head(cut), eps, reps, corrupt, m) == message
     observe = montecarlo._observe
     chunks = []
