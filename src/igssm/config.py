@@ -11,10 +11,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .posterior import PriorSpec
@@ -22,6 +23,7 @@ from .sequences import (
     OperatorSequence,
     ParameterSequence,
     WeightedClass,
+    _freeze,
     load_values_csv,
     make_operator,
     make_parameters,
@@ -173,6 +175,73 @@ _SCHEMA = {
 }
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Number) and not isinstance(v, bool)
+
+
+# JSON-Schema's types: a bool is no number, and an integral float is an integer.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+}
+
+
+def _canon(v):
+    """A hashable stand-in for a JSON value under JSON-Schema equality, where
+    1 equals 1.0 but not true (``uniqueItems``)."""
+    if isinstance(v, bool) or v is None:
+        return (type(v), v)
+    if isinstance(v, list):
+        return (list, tuple(map(_canon, v)))
+    if isinstance(v, dict):
+        return (dict, frozenset((k, _canon(x)) for k, x in v.items()))
+    return v
+
+
+def _validate(value, schema: dict, path: tuple = ()) -> None:
+    """Check ``value`` against ``schema``, which uses only the keywords of
+    :data:`_SCHEMA`, and raise :class:`ConfigError` at the first violation
+    as ``path: message``, with jsonschema's message and the path's keys and
+    indices joined by dots (``<root>`` for the top level)."""
+
+    def fail(message: str):
+        raise ConfigError(f"{'.'.join(map(str, path)) or '<root>'}: {message}")
+
+    if "type" in schema and not _TYPES[schema["type"]](value):
+        fail(f"{value!r} is not of type {schema['type']!r}")
+    if "enum" in schema and value not in schema["enum"]:  # every enum holds strings alone
+        fail(f"{value!r} is not one of {schema['enum']!r}")
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        extra = sorted((k for k in value if k not in props), key=str)
+        if schema.get("additionalProperties") is False and extra:
+            verb = "was" if len(extra) == 1 else "were"
+            fail(f"Additional properties are not allowed ({', '.join(map(repr, extra))} {verb} unexpected)")
+        for key in schema.get("required", ()):
+            if key not in value:
+                fail(f"{key!r} is a required property")
+        for key, sub in props.items():
+            if key in value:
+                _validate(value[key], sub, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _validate(item, schema.get("items", {}), path + (i,))
+        if len(value) < schema.get("minItems", 0):
+            fail(f"{value!r} {'should be non-empty' if schema['minItems'] == 1 else 'is too short'}")
+        if schema.get("uniqueItems") and len(set(map(_canon, value))) < len(value):
+            fail(f"{value!r} has non-unique elements")
+    elif _is_number(value):
+        if "minimum" in schema and value < schema["minimum"]:
+            fail(f"{value!r} is less than the minimum of {schema['minimum']!r}")
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            fail(f"{value!r} is less than or equal to the minimum of {schema['exclusiveMinimum']!r}")
+        if "maximum" in schema and value > schema["maximum"]:
+            fail(f"{value!r} is greater than the maximum of {schema['maximum']!r}")
+
+
 def _check_eps_values(values, where: str) -> tuple:
     out = []
     for e in values:
@@ -228,18 +297,12 @@ class ExperimentConfig:
     base_dir: Path = field(default_factory=Path)
 
     def __post_init__(self) -> None:
-        try:
-            jsonschema.validate(self.raw, _SCHEMA)
-        except jsonschema.ValidationError as err:
-            path = ".".join(str(p) for p in err.absolute_path) or "<root>"
-            raise ConfigError(f"{path}: {err.message}") from err
+        _validate(self.raw, _SCHEMA)
         _check_eps_values(self.raw["eps_grid"], "eps_grid")
         if "concentration" in self.raw and "eps_grid" in self.raw["concentration"]:
             _check_eps_values(self.raw["concentration"]["eps_grid"], "concentration.eps_grid")
         _validate_semantics(self.raw)
-        self._check_fixed_dims(self.sequence_length())
-
-    def _check_fixed_dims(self, n: int) -> None:
+        n = self.sequence_length()
         if self.fixed_dims and max(self.fixed_dims) > n:
             raise ConfigError(
                 f"fixed_dims: dimension {max(self.fixed_dims)} exceeds the "
@@ -317,13 +380,13 @@ class ExperimentConfig:
     # -- builders -------------------------------------------------------------
 
     def sequence_length(self, eps: float | None = None) -> int:
-        """Working truncation length: an explicit model value list fixes it;
-        otherwise ``model.n``; otherwise ``ceil(1/eps)`` at the given (or
+        """Working truncation length: the values of an explicit model fix
+        it; otherwise ``model.n``; otherwise ``ceil(1/eps)`` at the given (or
         finest grid) noise level.  Raises :class:`ConfigError` past
         :data:`MAX_SEQUENCE_LENGTH`."""
         model = self.raw["model"]
-        if model["family"] == "explicit" and "values" in model:
-            n = len(model["values"])
+        if self._model_values is not None:
+            n = self._model_values.size
         elif "n" in model:
             n = int(model["n"])
         else:
@@ -338,27 +401,31 @@ class ExperimentConfig:
     def build_sequences(self, eps: float | None = None) -> tuple:
         """``(op, theta, prior)`` at the working length for ``eps`` (default:
         the finest noise level of the config).  An explicit truth must have
-        the operator's length; at the default, so must ``fixed_dims`` fit
-        it, which a model ``values_file`` sets only once it is read."""
+        the operator's length."""
         op = self.build_operator(self.sequence_length(eps))
         theta = self.build_truth(op.n)
         if theta.n != op.n:
             raise ConfigError(
                 f"truth: {theta.n} explicit values do not match the working sequence length {op.n}"
             )
-        if eps is None:
-            self._check_fixed_dims(op.n)
         return op, theta, self.build_prior(op)
+
+    @cached_property
+    def _model_values(self) -> np.ndarray | None:
+        """The values of an explicit model, its ``values_file`` read once,
+        when the config is validated; None for the other families."""
+        model = self.raw["model"]
+        return self._file_values(model) if model["family"] == "explicit" else None
 
     def _file_values(self, block: dict):
         if "values" in block:
-            return [float(v) for v in block["values"]]
+            return _freeze(np.array([float(v) for v in block["values"]]))
         if "values_file" in block:
             path = Path(block["values_file"])
             if not path.is_absolute():
                 path = self.base_dir / path
             try:
-                return load_values_csv(path)
+                return _freeze(load_values_csv(path))
             except (OSError, ValueError) as err:
                 raise ConfigError(f"values_file {path}: {err}") from err
         return None
@@ -367,8 +434,7 @@ class ExperimentConfig:
         model = self.raw["model"]
         try:
             if model["family"] == "explicit":
-                values = self._file_values(model)
-                return make_operator("explicit", len(values), values=values)
+                return make_operator("explicit", self._model_values.size, values=self._model_values)
             return make_operator(model["family"], n, decay=model.get("decay"))
         except (ValueError, OverflowError) as err:
             raise ConfigError(f"model: {err}") from err
@@ -378,7 +444,7 @@ class ExperimentConfig:
         try:
             if truth["family"] == "explicit":
                 values = self._file_values(truth)
-                return make_parameters("explicit", len(values), values=values)
+                return make_parameters("explicit", values.size, values=values)
             return make_parameters(
                 truth["family"], n, exponent=truth.get("exponent"), scale=truth.get("scale", 1.0)
             )
@@ -398,12 +464,12 @@ class ExperimentConfig:
             if prior["kind"] == "improper":
                 return PriorSpec.flat(n)
             mean = float(prior.get("mean", 0.0))
-            means = np.full(n, mean)
+            means = _freeze(np.full(n, mean))
             if prior["kind"] == "matched":
                 eps_ref = min(self.eps_grid)
                 amp = op.amplification
                 envelope = np.maximum(np.sqrt(eps_ref * amp), eps_ref * amp)
-                return PriorSpec.gaussian(means, float(prior["d"]) * envelope)
+                return PriorSpec.gaussian(means, _freeze(float(prior["d"]) * envelope))
             if "variance_family" in prior:
                 fam = prior["variance_family"]
                 scale = float(fam.get("scale", 1.0))
@@ -415,7 +481,7 @@ class ExperimentConfig:
                     variances = scale * np.exp(1.0 - j**q)
                 if not np.all(variances > 0.0):
                     raise ValueError("variance family underflowed to zero")
-                return PriorSpec.gaussian(means, variances)
+                return PriorSpec.gaussian(means, _freeze(variances))
             return PriorSpec.gaussian(means, float(prior["variance"]))
         except (ValueError, OverflowError) as err:
             raise ConfigError(f"prior: {err}") from err

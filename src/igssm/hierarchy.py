@@ -90,8 +90,8 @@ class DimensionDistribution:
     def __post_init__(self) -> None:
         lw = _readonly(self.log_weights)
         p = _readonly(self.probs)
-        if lw.ndim != 1 or lw.size == 0 or lw.shape != p.shape:
-            raise ValueError("log weights and probabilities must be matching 1-d arrays")
+        if lw.shape != p.shape:
+            raise ValueError(_SHAPES)
         _check_log_weights(lw)
         object.__setattr__(self, "log_weights", lw)
         object.__setattr__(self, "probs", p)
@@ -99,7 +99,7 @@ class DimensionDistribution:
     @classmethod
     def from_log_weights(cls, log_weights: np.ndarray, kind: str) -> "DimensionDistribution":
         lw = np.asarray(log_weights, dtype=np.float64)[None]
-        _check_log_weights(lw)
+        _check_log_weights(lw[0])
         probs = np.empty_like(lw)
         _normalise(lw, _chunk_maxima(lw), probs)
         return cls(lw[0], probs[0], kind)
@@ -113,7 +113,12 @@ class DimensionDistribution:
         return float(_outside_mass(self.probs[None], m_lo, m_hi)[0])
 
 
+_SHAPES = "log weights and probabilities must be matching 1-d arrays"
+
+
 def _check_log_weights(lw: np.ndarray) -> None:
+    if lw.ndim != 1 or lw.size == 0:
+        raise ValueError(_SHAPES)
     if not np.all(np.isfinite(lw)):
         raise ValueError("log weights must be finite")
 

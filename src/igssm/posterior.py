@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .rng import SIEVE_DRAW, stream
-from .sequences import Observation, OperatorSequence, _check_eps, _readonly
+from .sequences import Observation, OperatorSequence, _check_eps, _freeze, _readonly
 
 __all__ = [
     "PriorSpec",
@@ -52,8 +52,7 @@ class PriorSpec:
     def __post_init__(self) -> None:
         means = _readonly(self.means)
         variances = _readonly(self.variances)
-        mask = np.array(self.improper, dtype=bool, copy=True)
-        mask.setflags(write=False)
+        mask = _readonly(self.improper, bool)
         if not (means.shape == variances.shape == mask.shape) or means.ndim != 1:
             raise ValueError("means, variances and improper mask must be 1-d and matching")
         if means.size == 0:
@@ -63,7 +62,7 @@ class PriorSpec:
         proper = ~mask
         if not np.all(variances[proper] > 0.0) or not np.all(np.isfinite(variances[proper])):
             raise ValueError("proper prior variances must be positive and finite")
-        if np.any(means[mask] != 0.0):
+        if np.any(means, where=mask):
             raise ValueError("improper coordinates force a zero prior mean")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "variances", variances)
@@ -74,13 +73,13 @@ class PriorSpec:
         means = np.asarray(means, dtype=np.float64)
         variances = np.asarray(variances, dtype=np.float64)
         if variances.ndim == 0:
-            variances = np.full(means.shape, float(variances))
-        return cls(means, variances, np.zeros(means.shape, dtype=bool))
+            variances = _freeze(np.full(means.shape, float(variances)))
+        return cls(means, variances, _freeze(np.zeros(means.shape, dtype=bool)))
 
     @classmethod
     def flat(cls, n: int) -> "PriorSpec":
         """Fully improper prior on ``n`` coordinates."""
-        return cls(np.zeros(n), np.full(n, np.inf), np.ones(n, dtype=bool))
+        return cls(_freeze(np.zeros(n)), _freeze(np.full(n, np.inf)), _freeze(np.ones(n, dtype=bool)))
 
     @classmethod
     def mixed(cls, means: np.ndarray, variances: np.ndarray, improper: np.ndarray) -> "PriorSpec":
@@ -88,7 +87,7 @@ class PriorSpec:
         variances = np.asarray(variances, dtype=np.float64).copy()
         mask = np.asarray(improper, dtype=bool)
         variances[mask] = np.inf
-        return cls(means, variances, mask)
+        return cls(means, _freeze(variances), mask)
 
     @property
     def n(self) -> int:

@@ -14,6 +14,7 @@ analytic tail of the signal family beyond ``N``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,16 +144,22 @@ class SelectionResult:
     eps: float
 
 
-def _variance_proxy_profile(op: OperatorSequence, eps: float) -> np.ndarray:
-    # entries past the representable range are +inf, which argmin ignores
-    return eps * op._amp_prefix_sum
-
-
-def _select(profile: np.ndarray, vprox: np.ndarray, kind: str, eps: float) -> SelectionResult:
-    """Smallest minimiser of ``max(profile_m, vprox_m)``."""
-    rates = np.maximum(profile, vprox)
-    idx = int(np.argmin(rates))  # argmin takes the first minimiser
-    return SelectionResult(idx + 1, float(rates[idx]), kind, float(eps))
+def _select(profile: np.ndarray, prefix: np.ndarray, kind: str, eps: float) -> SelectionResult:
+    """Smallest minimiser of ``max(profile_m, vprox_m)``, the variance proxy
+    ``vprox_m = eps * prefix_m`` with ``prefix = op._amp_prefix_sum`` (+inf
+    past the representable range), found by bisection.  ``profile`` does
+    not increase and ``vprox`` does not decrease, so the rate is the profile
+    up to the first ``m`` where the proxy reaches it and the proxy from
+    there on: its first minimiser is that ``m`` or the start of the
+    profile's plateau just before it, the index ``argmin`` of the whole
+    rate gives."""
+    n = profile.size
+    cross = bisect_left(range(n), True, key=lambda m: eps * prefix[m] >= profile[m])
+    idx = cross
+    if cross == n or (cross > 0 and profile[cross - 1] <= eps * prefix[cross]):
+        level = profile[cross - 1]
+        idx = bisect_left(range(cross), True, key=lambda m: profile[m] <= level)
+    return SelectionResult(idx + 1, float(max(profile[idx], eps * prefix[idx])), kind, float(eps))
 
 
 def oracle_dimension(
@@ -165,7 +172,7 @@ def oracle_dimension(
     if not (theta.n == prior.n == op.n):
         raise ValueError("signal, prior and operator lengths must match")
     _check_eps(eps)
-    return _select(bias_profile(theta, prior), _variance_proxy_profile(op, eps), "oracle", eps)
+    return _select(bias_profile(theta, prior), op._amp_prefix_sum, "oracle", eps)
 
 
 def minimax_dimension(
@@ -177,7 +184,7 @@ def minimax_dimension(
     if weighted_class.n != op.n:
         raise ValueError("class and operator lengths must match")
     _check_eps(eps)
-    return _select(weighted_class.weights, _variance_proxy_profile(op, eps), "minimax", eps)
+    return _select(weighted_class.weights, op._amp_prefix_sum, "minimax", eps)
 
 
 def max_dimension(op: OperatorSequence, eps: float) -> int:
@@ -290,21 +297,37 @@ def _submultiplicative(op: OperatorSequence) -> tuple[bool, tuple[int, int] | No
     """Check ``max-amp(k*l) <= max-amp(k) * max-amp(l)`` for all ``k*l <= N``.
 
     Runs in log space so rapidly growing amplification cannot overflow, and
-    only scans ``k <= l`` (the condition is symmetric).
+    only scans ``k <= l`` (the condition is symmetric).  Each ``k`` reuses
+    the same three buffers.
+
+    A pair fails only if ``lhs`` exceeds ``rhs`` by its tolerance, at least
+    ``_LOG_TOL * max(1, |rhs|)``.  Past the ``k = 1`` check no entry of
+    ``log_cummax`` is below ``-_LOG_TOL``, so the sums cancel nothing and
+    round by a few parts in 1e16, far less than half that tolerance:
+    every failing pair also has ``lhs > log_cummax[l - 1] + (log_cummax[k
+    - 1] + _LOG_TOL / 2)``.  A ``k`` with no pair past that cheaper bound is
+    passed over; only the others are compared in full.
     """
     log_cummax = op._log_amp_cummax
     n = op.n
     # k = 1 reduces to max-amp(1) >= 1, which fails whenever lambda_1 > 1
     if log_cummax[0] < -_LOG_TOL:
         return False, (1, 1)
-    k_top = int(math.isqrt(n))
-    for k in range(2, k_top + 1):
+    size = max(n // 2 - 1, 0)  # the longest l range, at k = 2
+    rhs_buf, tol_buf, bad_buf = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    for k in range(2, int(math.isqrt(n)) + 1):
         top = n // k  # l runs over k..top
         lhs = log_cummax[k * k - 1 : k * top : k]
-        rhs = log_cummax[k - 1] + log_cummax[k - 1 : top]
-        bad = lhs > rhs + _LOG_TOL * np.maximum(1.0, np.abs(rhs))
-        if np.any(bad):
-            return False, (k, k + int(np.argmax(bad)))
+        low = np.add(log_cummax[k - 1 : top], log_cummax[k - 1] + 0.5 * _LOG_TOL, out=rhs_buf[: lhs.size])
+        if not np.greater(lhs, low, out=bad_buf[: lhs.size]).any():
+            continue
+        rhs = np.add(log_cummax[k - 1 : top], log_cummax[k - 1], out=rhs_buf[: lhs.size])
+        tol = np.abs(rhs, out=tol_buf[: lhs.size])
+        np.maximum(tol, 1.0, out=tol)
+        np.multiply(tol, _LOG_TOL, out=tol)
+        bad = np.greater(lhs, np.add(rhs, tol, out=tol), out=bad_buf[: lhs.size])
+        if bad.any():
+            return False, (k, k + int(bad.argmax()))
     return True, None
 
 
@@ -352,6 +375,7 @@ def check_assumptions(
     kappa_oracle = np.inf
     kappa_minimax = np.inf
     proper = ~prior.improper
+    prefix = op._amp_prefix_sum
     for eps in (float(e) for e in eps_grid):
         m_max = max_dimension(op, eps)
         max_dims.append(m_max)
@@ -362,22 +386,19 @@ def check_assumptions(
                 np.exp(math.log(eps) + log_amp[j]),
             )
             d = min(d, float(np.min(prior.variances[j] / floor)))
-        vprox = _variance_proxy_profile(op, eps)
-        sel = _select(bias, vprox, "oracle", eps)
+        sel = _select(bias, prefix, "oracle", eps)
         oracle_dims.append(sel.dimension)
         oracle_rates.append(sel.rate)
         feasible.append(sel.dimension <= m_max)
-        kappa_oracle = min(
-            kappa_oracle,
-            min(bias[sel.dimension - 1], vprox[sel.dimension - 1]) / sel.rate,
-        )
+        vprox = eps * prefix[sel.dimension - 1]
+        kappa_oracle = min(kappa_oracle, min(bias[sel.dimension - 1], vprox) / sel.rate)
         if weighted_class is not None:
-            mm = _select(weighted_class.weights, vprox, "minimax", eps)
+            mm = _select(weighted_class.weights, prefix, "minimax", eps)
             minimax_dims.append(mm.dimension)
             minimax_rates.append(mm.rate)
+            vprox = eps * prefix[mm.dimension - 1]
             kappa_minimax = min(
-                kappa_minimax,
-                min(weighted_class.weights[mm.dimension - 1], vprox[mm.dimension - 1]) / mm.rate,
+                kappa_minimax, min(weighted_class.weights[mm.dimension - 1], vprox) / mm.rate
             )
 
     has_class = weighted_class is not None

@@ -44,10 +44,25 @@ PARAMETER_FAMILIES = ("polynomial", "exponential", "explicit")
 WEIGHT_FAMILIES = ("polynomial", "exponential", "explicit")
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64, copy=True)
-    out.setflags(write=False)
-    return out
+def _readonly(a, dtype=np.float64) -> np.ndarray:
+    """``a`` as a read-only array of ``dtype``: ``a`` itself when nothing can
+    write to its memory (it and every array it views are read-only), which
+    is how the factories below hand over what they built; a copy of what a
+    caller may still write to."""
+    if isinstance(a, np.ndarray) and a.dtype == dtype:
+        base = a
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            if base.base is None:
+                return a
+            base = base.base
+    return _freeze(np.array(a, dtype=dtype, copy=True))
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    """Mark an array built here read-only, so :func:`_readonly` takes it
+    without a copy."""
+    a.setflags(write=False)
+    return a
 
 
 def _check_eps(eps: float) -> None:
@@ -106,22 +121,22 @@ class OperatorSequence:
 
     # -- noise amplification factors  lambda_j^{-2} -------------------------
 
-    @property
+    @cached_property
     def log_amplification(self) -> np.ndarray:
         """``log(lambda_j^{-2})`` for every coordinate; never overflows."""
-        return -self.log_sq
+        return _freeze(-self.log_sq)
 
     @cached_property
     def _log_amp_cummax(self) -> np.ndarray:
-        return _readonly(np.maximum.accumulate(-self.log_sq))
+        return _freeze(np.maximum.accumulate(self.log_amplification))
 
     @cached_property
     def _amp_prefix_sum(self) -> np.ndarray:
         # linear-space prefix sums; entries past the representable range are
         # +inf and every accessor below turns that into a checked error
         with np.errstate(over="ignore"):
-            amp = np.exp(-self.log_sq)
-        return _readonly(np.cumsum(amp))
+            amp = np.exp(self.log_amplification)
+        return _freeze(np.cumsum(amp, out=amp))
 
     @property
     def amplification(self) -> np.ndarray:
@@ -131,7 +146,7 @@ class OperatorSequence:
                 "noise amplification factor exceeds the double range; "
                 "use log_amplification instead"
             )
-        return np.exp(-self.log_sq)
+        return np.exp(self.log_amplification)
 
     def max_amplification(self, m: int) -> float:
         """``max_{j<=m} lambda_j^{-2}`` (checked for overflow)."""
@@ -182,9 +197,9 @@ def make_operator(
             raise ValueError(f"explicit values must be 1-d of length {n}")
         if not (np.all(np.isfinite(vals)) and np.all(vals > 0.0)):
             raise ValueError("explicit multipliers must be finite and positive")
-        return OperatorSequence(vals, np.log(vals**2), family, None)
+        return OperatorSequence(vals, _freeze(np.log(vals**2)), family, None)
     if family == "constant":
-        return OperatorSequence(np.ones(n), np.zeros(n), family, None)
+        return OperatorSequence(_freeze(np.ones(n)), _freeze(np.zeros(n)), family, None)
     if decay is None or decay < 0:
         raise ValueError(f"{family} operator needs decay parameter a >= 0")
     if family == "polynomial":
@@ -197,7 +212,7 @@ def make_operator(
         if not np.all(np.isfinite(log_sq)):
             raise OverflowError("exponential operator exponent overflows")
         vals = np.exp(0.5 * log_sq)
-    return OperatorSequence(vals, log_sq, family, float(decay))
+    return OperatorSequence(_freeze(vals), _freeze(log_sq), family, float(decay))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +311,7 @@ def make_parameters(
         vals = scale * j ** (-float(exponent))
     else:
         vals = scale * np.exp(0.5 * (1.0 - j ** (2.0 * float(exponent))))
-    return ParameterSequence(vals, family, float(exponent), float(scale))
+    return ParameterSequence(_freeze(vals), family, float(exponent), float(scale))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +381,7 @@ def make_weights(family: str, n: int, exponent: float | None = None,
         w = np.exp(1.0 - j ** (2.0 * float(exponent)))
         if w[-1] == 0.0:
             raise OverflowError("exponential weights underflow to zero; shorten the range")
-    return WeightedClass(w, radius, family, float(exponent))
+    return WeightedClass(_freeze(w), radius, family, float(exponent))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import igssm
 from igssm import __version__
 from igssm.cli import main
-from igssm.config import CONCENTRATION_KINDS
+from igssm.config import CONCENTRATION_KINDS, load_config
 
 
 def run_cli(*argv):
@@ -41,6 +41,20 @@ def test_cli_import_leaves_scipy_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, igssm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_loading_a_config_leaves_jsonschema_unloaded():
+    """Configs are validated without jsonschema, so neither it nor the
+    packages it pulls in are imported by the CLI or by ``load_config``."""
+    src = str(Path(igssm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    config = Path(igssm.__file__).parent / "configs" / "pp_p1_a1.json"
+    code = (
+        "import sys, igssm.cli; from igssm.config import load_config; load_config(sys.argv[1]); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('jsonschema', 'referencing', 'attrs', 'attr')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(config)], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
 
@@ -682,7 +696,9 @@ def test_any_small_config_exits_with_a_documented_code(
 def test_lengths_the_sequences_fix_are_config_errors(tmp_path, capsys, model, truth, extra, message, command):
     """An explicit truth of the wrong length, and fixed dimensions past the
     length a model values file gives, exit 2 with a message naming the field
-    and leave no artifact (``simulate`` does not use ``fixed_dims``)."""
+    and leave no artifact.  The values file is read when the config loads,
+    so ``simulate``, which does not use ``fixed_dims``, refuses the config
+    as it refuses the same values given inline."""
     raw = {**_SELECT_BASE, "model": model, "truth": truth, "prior": {"kind": "improper"},
            "eps_grid": [0.1], **extra}
     config = tmp_path / "config.json"
@@ -690,9 +706,27 @@ def test_lengths_the_sequences_fix_are_config_errors(tmp_path, capsys, model, tr
     _write_values_file(tmp_path)
     out = tmp_path / "out"
     rc = run_cli(command, "--config", config, "--out", out, "--quiet")
-    if command == "simulate" and "fixed_dims" in extra:
-        assert rc == 0
-        return
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("eps_grid", [[0.1], [1e-8]])
+def test_values_file_model_selects_as_inline_values(tmp_path, eps_grid):
+    """A model given by a values file and the same values inline have one
+    working length at every noise level: ``select`` exits alike and writes
+    the same ``selection.json``, also below the noise level whose
+    ``ceil(1/eps)`` passes the length limit.  Only the hash of the config,
+    which differs, is masked."""
+    _write_values_file(tmp_path)
+    outputs = []
+    for model in ({"values_file": _VALUES_FILE}, {"values": [1.0, 0.5, 0.25]}):
+        raw = {**_SELECT_BASE, "model": {"family": "explicit", **model}, "prior": {"kind": "improper"},
+               "eps_grid": eps_grid}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / f"out{len(outputs)}"
+        assert run_cli("select", "--config", config, "--out", out, "--quiet") == 0
+        text = (out / "selection.json").read_text(encoding="utf-8")
+        outputs.append(text.replace(load_config(config).sha256(), "<config_sha256>"))
+    assert outputs[0] == outputs[1]

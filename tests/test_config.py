@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from igssm import config
 from igssm.cli import main
@@ -204,3 +206,144 @@ def test_bundled_configs_all_load():
     for name in names:
         cfg = load_config(str(files("igssm") / "configs" / name))
         assert cfg.seed >= 0
+
+
+# -- the config validator against jsonschema ----------------------------------
+
+_ABSENT = object()
+
+
+def _nodes(value, schema, path=()):
+    """``(path, value, subschema)`` of every place of ``_SCHEMA`` a config
+    holds or may hold; ``value`` is ``_ABSENT`` where the config has none."""
+    yield path, value, schema
+    if isinstance(value, dict) or (value is _ABSENT and "properties" in schema):
+        for key, sub in schema.get("properties", {}).items():
+            child = value.get(key, _ABSENT) if isinstance(value, dict) else _ABSENT
+            yield from _nodes(child, sub, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _nodes(item, schema["items"], path + (i,))
+
+
+def _near_misses(schema):
+    """Values on both sides of each of the schema's keywords: wrong types,
+    ``true`` and integral floats, bounds and their neighbours, enum members
+    and near-members, empty and duplicated arrays."""
+    out = [True, 1.0, 1.5, 0, -1, 7, "polynomial", None, {}, [], [1], [1, 1], [1, 1.0], [True, 1]]
+    for key in ("minimum", "exclusiveMinimum", "maximum"):
+        if key in schema:
+            bound = schema[key]
+            out += [bound, float(bound), bound - 1, bound + 0.5]
+    if "enum" in schema:
+        out += list(schema["enum"]) + [schema["enum"][0].upper(), schema["enum"][:2] * 2]
+    return out
+
+
+def _mutate(raw, path, value, action):
+    """``raw`` with ``action`` applied at ``path``, made of fresh objects."""
+    raw = json.loads(json.dumps(raw))
+    *parents, last = path
+    node = raw
+    for key in parents:
+        node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
+    if action == "delete":
+        del node[last]
+    elif action == "unknown key":
+        node[last]["bogus"] = 1
+    elif action == "duplicate":
+        node[last] = node[last] + node[last][:1]
+    else:
+        node[last] = value
+    return raw
+
+
+@st.composite
+def mutated_configs(draw):
+    """A bundled config with one mutation: a value set to a near miss of its
+    schema, a key removed, an unknown key added or an array item repeated."""
+    from importlib.resources import files
+
+    name = draw(st.sampled_from(["pp_p1_a0", "pp_p1_a1", "pp_small", "tail_audit"]))
+    raw = json.loads((files("igssm") / "configs" / f"{name}.json").read_text(encoding="utf-8"))
+    path, value, schema = draw(st.sampled_from([n for n in _nodes(raw, config._SCHEMA) if n[0]]))
+    actions = ["set"]
+    if value is not _ABSENT:
+        actions.append("delete")
+    if isinstance(value, dict):
+        actions.append("unknown key")
+    if isinstance(value, list) and value:
+        actions.append("duplicate")
+    action = draw(st.sampled_from(actions))
+    return _mutate(raw, path, draw(st.sampled_from(_near_misses(schema))), action)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=mutated_configs())
+@example(raw={"mc": {"reps": 0}})
+@example(raw={**BASE, "eps_grid": []})
+@example(raw={**BASE, "seed": True})
+@example(raw={**BASE, "seed": 7.0})
+@example(raw={**BASE, "fixed_dims": [1, 1.0]})
+@example(raw={**BASE, "fixed_dims": [True, 1]})
+@example(raw={**BASE, "prior": {"kind": "gaussian", "variance": 0}})
+@example(raw={**BASE, "check": {"concentration_floor": 1.5}})
+@example(raw={**BASE, "other": 1, "bogus": 2})
+def test_validator_agrees_with_jsonschema(raw):
+    """The config validator accepts exactly what jsonschema accepts, and its
+    message is one of jsonschema's errors, formatted ``path: message``; with
+    a single error, that error."""
+    import jsonschema
+
+    errors = [
+        f"{'.'.join(map(str, err.absolute_path)) or '<root>'}: {err.message}"
+        for err in jsonschema.Draft202012Validator(config._SCHEMA).iter_errors(raw)
+    ]
+    try:
+        config._validate(raw, config._SCHEMA)
+    except ConfigError as err:
+        assert str(err) in errors
+    else:
+        assert errors == []
+
+
+@pytest.mark.parametrize(
+    "items, unique", [([1, 1.0], False), ([True, 1], True), ([[1], [1.0]], False), ([{"a": 0}, {"a": False}], True)]
+)
+def test_unique_items_follow_json_equality(items, unique):
+    """1 equals 1.0, inside arrays and objects too, but true is not 1."""
+    import jsonschema
+
+    schema = {"type": "array", "uniqueItems": True}
+    assert jsonschema.Draft202012Validator(schema).is_valid(items) is unique
+    if unique:
+        config._validate(items, schema)
+    else:
+        with pytest.raises(ConfigError, match="non-unique"):
+            config._validate(items, schema)
+
+
+def test_validator_names_the_nested_field():
+    with pytest.raises(ConfigError) as err:
+        cfg_with(mc={"reps": 0, "draws": 5})
+    assert str(err.value) == "mc.reps: 0 is less than the minimum of 1"
+    with pytest.raises(ConfigError) as err:
+        cfg_with(fixed_dims=[2, True], estimators=["fixed"])
+    assert str(err.value) == "fixed_dims.1: True is not of type 'integer'"
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig({})
+    assert str(err.value) == "<root>: 'model' is a required property"
+
+
+def test_values_file_fixes_the_working_length(tmp_path):
+    """A model values file is read once, when the config is validated, and
+    its length is the working length at every noise level."""
+    (tmp_path / "ops.csv").write_text("value\n1.0\n0.5\n0.25\n", encoding="utf-8")
+    raw = {**BASE, "model": {"family": "explicit", "values_file": "ops.csv"}, "eps_grid": [1e-8],
+           "class": {"family": "polynomial", "exponent": 1.0, "radius": 1.0}}
+    cfg = ExperimentConfig(raw, base_dir=tmp_path)
+    (tmp_path / "ops.csv").unlink()
+    assert cfg.sequence_length() == cfg.sequence_length(0.5) == 3
+    assert cfg.build_class().n == cfg.build_operator(cfg.sequence_length()).n == 3
+    with pytest.raises(ConfigError, match="values_file"):
+        ExperimentConfig(raw, base_dir=tmp_path)

@@ -246,6 +246,12 @@ def test_row_cores_give_each_row_alone():
             assert maxima[i].tolist() == [got[i, j : j + _CHUNK].max() for j in (0, _CHUNK, 2 * _CHUNK)]
 
 
+@pytest.mark.parametrize("log_weights", [np.array([]), np.zeros((2, 3)), np.array(0.5)], ids=["empty", "2-d", "0-d"])
+def test_from_log_weights_rejects_non_vectors(log_weights):
+    with pytest.raises(ValueError, match="matching 1-d arrays"):
+        DimensionDistribution.from_log_weights(log_weights, "posterior")
+
+
 def test_tail_mass_both_sides():
     p = np.array([0.1, 0.2, 0.3, 0.25, 0.15])
     dist = DimensionDistribution(np.log(p), p, "posterior")

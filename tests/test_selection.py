@@ -9,9 +9,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from igssm import (
     InfeasibleError,
+    OperatorSequence,
     PriorSpec,
     bias_profile,
     bracket_dimensions,
@@ -26,7 +29,7 @@ from igssm import (
     risk_decomposition,
     shift_sq_norm,
 )
-from igssm.selection import _LOG_TOL, _submultiplicative
+from igssm.selection import _LOG_TOL, _select, _submultiplicative
 
 
 def brute_oracle(theta_vals, mu, amp, eps, tail):
@@ -57,6 +60,29 @@ def test_oracle_dimension_against_brute_force(seed):
     want_m, want_rate = brute_oracle(vals, mu, (lam**-2.0).tolist(), eps, 0.0)
     assert got.dimension == want_m
     assert got.rate == pytest.approx(want_rate, rel=1e-12)
+
+
+_LEVELS = st.sampled_from([0.0, 1e-300, 0.25, 0.5, 1.0, 2.0, 3.0, np.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    profile=st.lists(_LEVELS, min_size=1, max_size=12),
+    prefix=st.lists(_LEVELS, min_size=12, max_size=12),
+    eps=st.sampled_from([0.5, 0.25, 1e-3, 1e-300]),
+)
+@example(profile=[1.0, 1.0, 0.5, 0.5], prefix=[0.0, 1.0, 1.0, 2.0] + [3.0] * 8, eps=0.5)  # tie at the crossing
+@example(profile=[np.inf] * 3, prefix=[np.inf] * 12, eps=0.5)  # every rate infinite
+def test_select_is_the_first_argmin_of_the_rate(profile, prefix, eps):
+    """Bisection on a non-increasing profile and a non-decreasing variance
+    proxy, with plateaus, ties and infinities, finds the minimiser and rate
+    that ``argmin`` over the whole rate finds."""
+    profile = np.sort(profile)[::-1]
+    prefix = np.sort(prefix)[: profile.size]
+    rates = np.maximum(profile, eps * prefix)
+    got = _select(profile, prefix, "oracle", eps)
+    idx = int(np.argmin(rates))
+    assert (got.dimension, got.rate) == (idx + 1, float(rates[idx]))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -148,21 +174,28 @@ def _gather_submultiplicative(op):
 
 def test_submultiplicative_equals_gather_loop():
     """Random operators: polynomial decay, some with log-normal wiggles
-    that break submultiplicativity at a random factor pair, some with
-    ``lambda_1 > 1``."""
+    that break submultiplicativity at a random factor pair, some raised at
+    one coordinate by a fraction or a multiple of the tolerance, some with
+    ``lambda_1 > 1``, and some with log amplification of order 1e5 to 1e6,
+    where rounding is largest."""
     verdicts = []
-    for seed in range(200):
+    for seed in range(300):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 600))
-        log_sq = -2.0 * rng.uniform(0.0, 2.0) * np.log(np.arange(1.0, n + 1))
-        log_sq += rng.choice([0.0, 0.01, 0.3]) * rng.standard_normal(n)
+        log_amp = 2.0 * rng.uniform(0.0, 2.0) * np.log(np.arange(1.0, n + 1))
+        log_amp += rng.choice([0.0, 0.01, 0.3]) * rng.standard_normal(n)
+        if rng.random() < 0.3:
+            p = int(rng.integers(0, n))
+            log_amp[p] += rng.choice([0.3, 0.6, 1.2, 2.0]) * _LOG_TOL * max(1.0, abs(log_amp[p]))
         if rng.random() < 0.1:
-            log_sq[0] = 0.5
-        op = make_operator("explicit", n, values=np.exp(0.5 * log_sq))
+            log_amp[0] = -0.5
+        if rng.random() < 0.1:
+            log_amp *= 1e5
+        op = OperatorSequence(np.ones(n), -log_amp)
         got = _submultiplicative(op)
         assert got == _gather_submultiplicative(op)
         verdicts.append(got[0])
-    assert 20 < sum(verdicts) < 180  # both verdicts occur
+    assert 30 < sum(verdicts) < 270  # both verdicts occur
 
 
 def test_checker_certifies_unit_decay_polynomial():

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from igssm import (
     Observation,
+    OperatorSequence,
+    ParameterSequence,
     PriorSpec,
+    WeightedClass,
     load_values_csv,
     make_operator,
     make_parameters,
@@ -73,6 +76,70 @@ def test_operator_head_preserves_family():
     prior = PriorSpec.flat(10)
     assert op.head(10) is op and theta.head(10) is theta and prior.head(10) is prior
     assert theta.head(4).n == prior.head(4).n == 4
+
+
+def _frozen_owner(a):
+    """True when no one can write to ``a``'s memory through a plain array:
+    it and every array it views are read-only."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
+
+
+@pytest.mark.parametrize("view", [False, True])
+def test_caller_arrays_are_copied(view):
+    """Sequences, classes and priors built from a caller's array keep their
+    values when the caller later writes to it, also through a read-only
+    view the caller handed over."""
+    data = np.array([1.0, 0.5, 0.25])
+    mask = np.zeros(3, dtype=bool)
+
+    def lend(a):
+        if not view:
+            return a
+        v = a[:]
+        v.setflags(write=False)
+        return v
+
+    op = OperatorSequence(lend(data), lend(np.log(data**2)))
+    theta = ParameterSequence(lend(data))
+    wclass = WeightedClass(lend(data), 1.0)
+    prior = PriorSpec(lend(data), lend(data), lend(mask))
+    built = [op.values, op.log_sq, theta.values, wclass.weights, prior.means, prior.variances, prior.improper]
+    before = [a.copy() for a in built]
+    data[:] = [9.0, 9.0, 9.0]
+    mask[:] = True
+    for a, b in zip(built, before):
+        np.testing.assert_array_equal(a, b)
+        assert _frozen_owner(a)
+
+
+def test_built_arrays_are_read_only_and_handed_over():
+    """What the factories and the cached operator properties build is
+    read-only, and a constructor takes such an array without a copy."""
+    n = 6
+    ops = [make_operator("polynomial", n, decay=1.0), make_operator("exponential", n, decay=0.5),
+           make_operator("constant", n), make_operator("explicit", n, values=np.linspace(1.0, 0.5, n))]
+    arrays = [make_parameters("polynomial", n, exponent=1.2).values,
+              make_parameters("exponential", n, exponent=0.5).values,
+              make_weights("polynomial", n, exponent=1.0).weights,
+              make_weights("exponential", n, exponent=0.5).weights]
+    for prior in (PriorSpec.flat(n), PriorSpec.gaussian(np.zeros(n), 2.0)):
+        arrays += [prior.means, prior.variances, prior.improper]
+    for op in ops:
+        arrays += [op.values, op.log_sq, op.log_amplification, op._log_amp_cummax, op._amp_prefix_sum]
+        assert op.log_amplification is op.log_amplification
+        np.testing.assert_array_equal(op.log_amplification, -op.log_sq)
+        again = OperatorSequence(op.values, op.log_sq)
+        assert again.values is op.values and again.log_sq is op.log_sq
+    for a in arrays:
+        assert _frozen_owner(a)
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+    prior = PriorSpec.flat(n)
+    assert PriorSpec(prior.means, prior.variances, prior.improper).improper is prior.improper
 
 
 def test_parameter_tail_bound_polynomial():
