@@ -254,7 +254,36 @@ def _check_eps_values(values, where: str) -> tuple:
     return tuple(out)
 
 
+# The keys of each model and truth family and each prior kind that its
+# builder does not read (``sequence_length``, ``build_operator``,
+# ``build_truth``, ``build_prior``); giving one is an error, not a setting
+# silently ignored.
+_UNUSED_KEYS = {
+    ("model", "polynomial"): ("values", "values_file"),
+    ("model", "exponential"): ("values", "values_file"),
+    ("model", "constant"): ("decay", "values", "values_file"),
+    ("model", "explicit"): ("n", "decay"),
+    ("truth", "polynomial"): ("values", "values_file"),
+    ("truth", "exponential"): ("values", "values_file"),
+    ("truth", "explicit"): ("exponent", "scale"),
+    ("prior", "improper"): ("mean", "variance", "variance_family", "d"),
+    ("prior", "gaussian"): ("d",),
+    ("prior", "matched"): ("variance", "variance_family"),
+}
+
+
+def _reject_unused_keys(raw: dict) -> None:
+    for block, selector in (("model", "family"), ("truth", "family"), ("prior", "kind")):
+        kind = raw[block][selector]
+        for key in _UNUSED_KEYS[block, kind]:
+            if key in raw[block]:
+                raise ConfigError(f"{block}.{key}: the {kind} {selector} does not use this key")
+    if "variance" in raw["prior"] and "variance_family" in raw["prior"]:
+        raise ConfigError("prior.variance: give variance or variance_family, not both")
+
+
 def _validate_semantics(raw: dict) -> None:
+    _reject_unused_keys(raw)
     model = raw["model"]
     if model["family"] in ("polynomial", "exponential") and "decay" not in model:
         raise ConfigError("model: polynomial/exponential families need a decay value")

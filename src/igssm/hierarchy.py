@@ -32,8 +32,22 @@ search of the one chunk that holds it.  Only the head before it is
 exponentiated and shrunk; past it the masses are exact zeros, ``omega_j =
 0`` and the estimate is the prior mean, exactly what the full-range
 formulas give.
-The mass sum still runs over the whole zero-tailed array, so its pairwise
-reduction order, and with it every bit of the result, is unchanged.
+
+The Monte Carlo kernel goes further and computes the log-weights
+themselves only on an exact head ``[0, E)``, starting at one chunk.  One
+read of the rest of each row gives its chunk sums of squares, from which
+``_tail_bound`` bounds every later chunk's log-weights from above; a chunk
+whose bound lies more than the margin below ``max l`` holds no mass and is
+never written, and a chunk that may hold mass extends the head to its end.
+The public functions start with the head at the whole search range, so
+their log-weights are full-length.  The mass sum keeps the full-range
+reduction order without reading the zero tail: ``_pairwise_sum`` rebuilds
+numpy's pairwise summation tree (leaves of up to 128 elements, each node
+split at half its length rounded down to a multiple of 8) from the sums
+of its subtrees, a subtree in the zero tail adding 0.0, so every bit of
+the result is unchanged.  This rests on how numpy sums a contiguous row;
+``tests/test_hierarchy.py::test_pairwise_sum_equals_numpy_sum`` fails if
+that ever changes.
 These cores work on the rows of 2-D arrays, one replication a row: the
 Monte Carlo kernel hands them a chunk of replications, the public functions
 a single row, and each row comes out as it would alone.  On several rows,
@@ -100,7 +114,7 @@ class DimensionDistribution:
     def from_log_weights(cls, log_weights: np.ndarray, kind: str) -> "DimensionDistribution":
         lw = np.asarray(log_weights, dtype=np.float64)[None]
         _check_log_weights(lw[0])
-        probs = np.empty_like(lw)
+        probs = np.zeros_like(lw)
         _normalise(lw, _chunk_maxima(lw), probs)
         return cls(lw[0], probs[0], kind)
 
@@ -126,8 +140,15 @@ def _check_log_weights(lw: np.ndarray) -> None:
 # ``np.exp`` is exactly 0.0 below about -745.1; log-weights this far below
 # the maximum carry no mass.
 _MASS_MARGIN = 800.0
-# Length of the chunks whose maxima locate the mass end.
+# Length of the chunks whose maxima locate the mass end, and the step by
+# which the kernel's exact head of the log-weights grows.
 _CHUNK = 4096
+# numpy's pairwise summation sums blocks of up to this many elements in
+# one loop (its PW_BLOCKSIZE).
+_PAIRWISE_LEAF = 128
+# Relative slack of ``_tail_bound``: far more than the rounding error of
+# sums of up to 1e7 terms (config.MAX_SEQUENCE_LENGTH).
+_SLACK = 1.0 + 1e-6
 
 
 def _chunk_maxima(lw: np.ndarray) -> np.ndarray:
@@ -139,6 +160,40 @@ def _chunk_maxima(lw: np.ndarray) -> np.ndarray:
     return np.array([np.maximum.reduceat(row, starts) for row in lw])
 
 
+def _pairwise_sum(rows: np.ndarray, end: int, tail: np.ndarray | None = None, memo: dict | None = None):
+    """Each row's ``np.sum`` over its whole length when its entries from
+    ``end`` on are those of ``tail`` (zeros when None), reading only
+    ``rows[:, :end]``.  numpy sums a contiguous row of ``n`` elements as a
+    tree: a node of up to ``_PAIRWISE_LEAF`` elements is a leaf, summed in
+    one loop, and a longer one adds its two halves, split at ``n // 2``
+    rounded down to a multiple of 8.  The tree is rebuilt here from its
+    subtrees: one wholly before ``end`` is summed by ``np.sum`` (the same
+    tree), one wholly past it is 0.0 or the memoised sum of ``tail`` over
+    it, and the leaf that ``end`` cuts is summed after the tail's values are
+    written into ``rows`` past ``end``, the only entries there this writes.
+    ``memo``, keyed by the subtree, may be shared by every call on one
+    ``tail``, from several threads: a race computes a sum twice, to the
+    same value."""
+    memo = {} if memo is None else memo
+
+    def node(lo: int, n: int):
+        if lo + n <= end:
+            return np.sum(rows[:, lo : lo + n], axis=1)
+        if lo >= end:
+            if tail is None:
+                return 0.0
+            if (lo, n) not in memo:
+                memo[lo, n] = float(np.sum(tail[lo : lo + n]))
+            return memo[lo, n]
+        if n <= _PAIRWISE_LEAF:
+            rows[:, end : lo + n] = 0.0 if tail is None else tail[end : lo + n]
+            return np.sum(rows[:, lo : lo + n], axis=1)
+        half = n // 2 - n // 2 % 8
+        return node(lo, half) + node(lo + half, n - half)
+
+    return node(0, rows.shape[1])
+
+
 def _normalise(lw: np.ndarray, maxima: np.ndarray, out: np.ndarray) -> int:
     """Row by row, ``exp(lw - max(lw))`` scaled to sum one, written into
     ``out`` (which may be ``lw`` itself), given ``maxima =
@@ -147,13 +202,14 @@ def _normalise(lw: np.ndarray, maxima: np.ndarray, out: np.ndarray) -> int:
     subtraction is monotone, so a chunk holds such an index exactly when
     its maximum passes the same test; only the last such chunk is searched.
 
-    Only the head before that end is shifted, exponentiated and scaled; the
-    rest of ``out`` is set to 0.0, and each whole row is summed, so the sum
-    keeps the full-range reduction order.  Between a row's own mass end and
-    the largest one, ``exp`` is exactly 0.0, the value the zero tail holds,
-    and a row's sum along axis 1 is the pairwise sum of that row alone, so
-    every row is bit for bit what it is normalised alone.  ``lw`` must be
-    finite."""
+    ``lw`` may be a head of the log-weights, as long as ``out`` is: every
+    log-weight past it lies more than the margin below ``max(lw)``.  Only
+    the head of ``out`` before the mass end is written, and each row is
+    scaled by its sum over the whole of ``out``'s row with zeros from the
+    mass end on, in numpy's reduction order (``_pairwise_sum``).  Between a
+    row's own mass end and the largest one, ``exp`` is exactly 0.0, the
+    value the zero tail holds, so every row is bit for bit what it is
+    normalised alone.  ``lw`` must be finite."""
     top = np.max(maxima, axis=1)[:, None]
     alive = np.any(maxima - top > -_MASS_MARGIN, axis=0)
     start = (alive.size - 1 - np.argmax(alive[::-1])) * _CHUNK
@@ -162,8 +218,7 @@ def _normalise(lw: np.ndarray, maxima: np.ndarray, out: np.ndarray) -> int:
     head = out[:, :end]
     np.subtract(lw[:, :end], top, out=head)
     np.exp(head, out=head)
-    out[:, end:] = 0.0
-    head /= np.sum(out, axis=1)[:, None]
+    head /= _pairwise_sum(out, end)[:, None]
     return end
 
 
@@ -184,11 +239,13 @@ def _dimension_penalty(c_lambda: float, m_top: int) -> np.ndarray:
 class _Terms(NamedTuple):
     """The data-independent terms of the dimension-posterior log-weights:
     the prior means, None when all are zero (``x - 0.0`` is ``x``); the
-    posterior variance, a scalar when it is constant; the penalty."""
+    posterior variance, a scalar when it is constant; the penalty, which
+    never decreases; and the largest ``1 / post_var`` of each ``_CHUNK``."""
 
     means: np.ndarray | None
     post_var: np.ndarray | float
     penalty: np.ndarray
+    inv_var: np.ndarray
 
 
 def _terms(means: np.ndarray, post_var: np.ndarray, c_lambda: float) -> _Terms:
@@ -197,46 +254,140 @@ def _terms(means: np.ndarray, post_var: np.ndarray, c_lambda: float) -> _Terms:
         means if np.any(means) else None,
         float(post_var[0]) if np.all(post_var == post_var[0]) else post_var,
         _dimension_penalty(c_lambda, means.size),
+        _inverse_variances(post_var),
     )
 
 
+def _inverse_variances(post_var: np.ndarray) -> np.ndarray:
+    """The largest ``1 / post_var`` of each ``_CHUNK``, or infinity where it
+    passes ``2^1000`` and ``_tail_bound`` does not hold."""
+    with np.errstate(over="ignore"):
+        inv = 1.0 / np.minimum.reduceat(post_var, np.arange(0, post_var.size, _CHUNK))
+    inv[inv > 2.0**1000] = np.inf
+    return inv
+
+
 def _masses(
-    terms: _Terms, post_mean: np.ndarray, scratch: np.ndarray, lw: np.ndarray, out: np.ndarray
+    terms: _Terms,
+    post_mean: np.ndarray,
+    scratch: np.ndarray,
+    lw: np.ndarray,
+    out: np.ndarray,
+    head: int,
 ) -> int:
     """The dimension-posterior masses of each row of ``post_mean`` written
-    into ``out`` (which may be ``lw``), its log-weights into ``lw`` and the
-    contrast into ``scratch``, all ``(rows, M)``; returns the rows' largest
-    mass end (see ``_normalise``).  The first row whose maximum log-weight
-    is not finite has its posterior means checked, then its log-weights, so
-    an infinite observation is reported as such, and the first failing row
-    raises what it raises alone."""
-    _log_weights(post_mean, terms, scratch, lw)
-    maxima = _chunk_maxima(lw)
+    into ``out`` (which may be ``lw``) up to the rows' largest mass end,
+    which is returned (see ``_normalise``); all arrays are ``(rows, M)``.
+
+    The log-weights go into ``lw`` and the contrast into ``scratch`` on an
+    exact head ``[0, E)``, with ``E`` first ``head`` (a multiple of
+    ``_CHUNK``, or ``M`` for the full range) and past it only where
+    ``_tail_bound`` cannot rule out mass: the head then grows to the end of
+    the last chunk that may hold some, once, because the bound from the
+    shorter head holds as well.  Any non-finite chunk sum of squares makes
+    the head the full range.  So every log-weight that is not finite lies
+    in the head, and the first row whose maximum log-weight is not finite
+    is the one the full range gives.  That row has its posterior means
+    checked, then its log-weights, so an infinite observation is reported
+    as such, and the first failing row raises what it raises alone."""
+    m_top = post_mean.shape[1]
+    end = min(head, m_top)
+    if end < m_top:
+        squares = _chunk_squares(terms, post_mean, scratch, end)
+        if not np.all(np.isfinite(squares)):
+            end = m_top
+    sums = _log_weights(post_mean[:, :end], terms, scratch[:, :end], lw[:, :end])
+    maxima = _chunk_maxima(lw[:, :end])
+    if end < m_top:
+        top = np.max(maxima, axis=1)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN bounds are live
+            dead = _tail_bound(terms, squares, sums, end) - top <= -(_MASS_MARGIN + 1.0)
+        live = np.flatnonzero(~np.all(dead, axis=0))
+        if live.size:
+            end = min(m_top, end + (int(live[-1]) + 1) * _CHUNK)
+            _log_weights(post_mean[:, :end], terms, scratch[:, :end], lw[:, :end])
+            maxima = _chunk_maxima(lw[:, :end])
     if not np.isfinite(np.max(maxima)):
         first = np.flatnonzero(~np.isfinite(np.max(maxima, axis=1)))[0]
         _check_means(post_mean[first])
-        _check_log_weights(lw[first])
-    return _normalise(lw, maxima, out)
+        _check_log_weights(lw[first, :end])
+    return _normalise(lw[:, :end], maxima, out)
 
 
-def _log_weights(
-    post_mean: np.ndarray, terms: _Terms, scratch: np.ndarray, out: np.ndarray
-) -> np.ndarray:
+def _chunk_squares(terms: _Terms, post_mean: np.ndarray, scratch: np.ndarray, start: int) -> np.ndarray:
+    """``(rows, chunks)``: the sum of ``(post_mean - means)^2`` over each
+    ``_CHUNK`` of each row from ``start`` (a multiple of ``_CHUNK``) on, the
+    last chunk possibly shorter; the differences go into ``scratch``."""
+    tail = post_mean[:, start:]
+    if terms.means is not None:
+        tail = np.subtract(tail, terms.means[start:], out=scratch[:, start:])
+    rows, n = tail.shape
+    full = n - n % _CHUNK
+    blocks = tail[:, :full].reshape(rows, -1, _CHUNK)
+    squares = np.einsum("rkc,rkc->rk", blocks, blocks)
+    if full < n:
+        rest = tail[:, full:]
+        squares = np.column_stack([squares, np.einsum("rc,rc->r", rest, rest)])
+    return squares
+
+
+def _tail_bound(terms: _Terms, squares: np.ndarray, sums: np.ndarray, start: int) -> np.ndarray:
+    """``(rows, chunks)``: an upper bound of every log-weight the full range
+    gives in each chunk from ``start`` on, given the chunk sums of squares
+    ``squares`` from ``_chunk_squares`` and the rows' exact contrast sums
+    ``sums`` up to ``start``:
+
+        B_k = 0.5 ((S + sum_{i<=k} q_i inv_i (1 + d)) (1 + d) + 1) - pen_k
+
+    with ``q_i`` the sum of squares and ``inv_i`` the largest ``1 /
+    post_var`` of chunk ``i``, ``pen_k`` the penalty at chunk ``k``'s
+    first dimension and ``d = 1e-6`` (``_SLACK``).
+
+    Why it holds, with ``u = 2^-53`` and every term ``>= 0``: the full
+    range sets ``c_j = fl(fl(x_j^2) / v_j)``, ``x = post_mean - means``, and
+    ``s_j = fl(s_{j-1} + c_j)``.  Up to underflow, ``c_j <= x_j^2 inv_i (1 +
+    4u)`` in chunk ``i``, since ``inv_i >= fl(1 / v_j) >= (1 - u) / v_j``,
+    and ``q_i``, a float sum of ``<= _CHUNK`` rounded squares in any order,
+    is at least ``(1 - 4097u) sum x_j^2``; so chunk ``i`` adds at most
+    ``q_i inv_i (1 + 5000u)`` to the contrast.  The cumsum's ``<= 1e7``
+    roundings raise ``s_j`` by a factor of at most ``1 + 1.2e-9`` over ``S``
+    plus these additions, and the bound's own ``<= 2500`` roundings lower it
+    by a factor of at least ``1 - 6e-13``; ``(1 + d)^2`` covers all three.
+    Underflow costs at most ``2^-1074 inv_i`` a term, and ``inv_i`` is
+    infinite past ``2^1000``, so the ``+ 1`` covers it.  Hence ``s_j <=
+    X``, the bracketed sum, and as rounding to nearest is monotone and the
+    penalty never decreases, ``lw_j = fl(fl(0.5 s_j) - pen_j) <= B_k`` and
+    ``fl(lw_j - top) <= fl(B_k - top)``.  A chunk with ``B_k - top <=
+    -(_MASS_MARGIN + 1)`` therefore holds neither mass nor a mass end nor
+    the maximum.  A NaN bound never passes that test."""
+    first = start // _CHUNK
+    acc = np.cumsum(squares * (terms.inv_var[first:] * _SLACK), axis=1)
+    acc += sums[:, None]
+    return 0.5 * (acc * _SLACK + 1.0) - terms.penalty[start::_CHUNK]
+
+
+def _log_weights(post_mean: np.ndarray, terms: _Terms, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Dimension-posterior log-weights of each row of ``post_mean``, ``0.5 *
-    cumsum((post_mean - means)^2 / post_var) - penalty`` for the ``terms``,
-    written into ``out``; all three arrays are ``(rows, M)``.  The contrast
-    goes into ``scratch``, and the cumsum writes from there into ``out``
-    (see :mod:`igssm.montecarlo` for why), one row at a time."""
+    cumsum((post_mean - means)^2 / post_var) - penalty`` for the head of
+    the ``terms`` as long as the rows, written into ``out``; all three
+    arrays are ``(rows, head)``.  Returns each row's contrast sum over the
+    head.  The contrast goes into ``scratch``, and the cumsum writes from
+    there into ``out`` (see :mod:`igssm.montecarlo` for why), one row at a
+    time."""
+    n = post_mean.shape[1]
     if terms.means is None:
         np.square(post_mean, out=scratch)
     else:
-        np.subtract(post_mean, terms.means, out=scratch)
+        np.subtract(post_mean, terms.means[:n], out=scratch)
         np.square(scratch, out=scratch)
-    np.divide(scratch, terms.post_var, out=scratch)
+    post_var = terms.post_var if isinstance(terms.post_var, float) else terms.post_var[:n]
+    np.divide(scratch, post_var, out=scratch)
     for src, dst in zip(scratch, out):
         np.cumsum(src, out=dst)
+    sums = out[:, -1].copy()
     np.multiply(out, 0.5, out=out)
-    return np.subtract(out, terms.penalty, out=out)
+    np.subtract(out, terms.penalty[:n], out=out)
+    return sums
 
 
 def _shrink(
@@ -317,8 +468,8 @@ def _dimension_posterior(
         raise ValueError("summary, prior and operator lengths must match")
     m_top = max_dimension(op, eps)
     terms = _terms(prior.means[:m_top], summary.post_var[:m_top], c_lambda)
-    lw, probs = np.empty((2, 1, m_top))
-    mass_end = _masses(terms, summary.post_mean[None, :m_top], np.empty((1, m_top)), lw, probs)
+    lw, scratch, probs = np.empty((1, m_top)), np.empty((1, m_top)), np.zeros((1, m_top))
+    mass_end = _masses(terms, summary.post_mean[None, :m_top], scratch, lw, probs, m_top)
     return DimensionDistribution(lw[0], probs[0], "posterior"), mass_end
 
 

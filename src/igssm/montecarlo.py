@@ -33,14 +33,22 @@ one per chunk, so a task whose replications fit in one chunk runs on one
 thread; statistics are put back in replication order, so every result is
 the same for any thread count.
 
-Tasks on the dimension posterior compute its log-weights over the whole
-search range, where the data enter through the cumulative contrast, but
-exponentiate only up to the posterior's mass end (see
-:mod:`igssm.hierarchy`), a few hundred of up to 1e6 dimensions.  The
-adaptive risk shrinks and scores only that head: past it the estimate is
-the prior mean, whose squared error ``(mu_j - theta_j)^2`` is computed once
-per task.  Both sums, of the masses and of the squared errors, run over
-the whole cut, so every result is bit for bit the full-range one.
+Tasks on the dimension posterior compute its log-weights only on a head
+of whole chunks that holds the posterior's mass, and exponentiate only up
+to its mass end (see :mod:`igssm.hierarchy`), a few hundred of up to 1e6
+dimensions; past the head, one read of the posterior means gives the
+chunk sums of squares that bound the rest.  The adaptive risk shrinks and
+scores only up to the mass end: past it the estimate is the prior mean,
+whose squared error ``(mu_j - theta_j)^2`` is computed once per task.  Both
+sums, of the masses and of the squared errors, are numpy's pairwise sums
+over the whole cut, rebuilt from the sums of their subtrees
+(``hierarchy._pairwise_sum``): a subtree past the mass end adds 0.0 to the
+masses, and to the loss its sum of the prior mean's squared errors,
+memoised per task.  So every result is bit for bit the full-range one
+without a pass over the tail.  This rests on how numpy sums a contiguous
+row, which ``tests/test_hierarchy.py::test_pairwise_sum_equals_numpy_sum``
+pins.  The bracket and concentration statistics read whole rows of
+masses, so they first set the masses past the mass end to zero.
 
 A replication skips what cannot change its result.  Each task decides
 once, from its inputs, to skip the divide when every posterior-mean scale
@@ -48,7 +56,8 @@ is one and the subtraction when every prior mean is zero, and to divide
 by a scalar when the posterior variance is constant.  Every contrast term
 is >= 0, infinite or NaN and the penalty is finite, so the dimension tasks
 check the posterior means only when the log-weights' maximum is not
-finite; sieve tasks check them on every chunk.  The contrast
+finite (a chunk sum of squares that is not finite puts the whole search
+range in the head first); sieve tasks check them on every chunk.  The contrast
 goes into a work array of its own and the cumsum writes from there into
 the log-weights one row at a time, because numpy keeps the interpreter
 lock through an in-place cumsum and through a cumsum or a ``reduceat``
@@ -76,7 +85,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ConfigError
-from .hierarchy import _draw_hierarchical, _masses, _outside_mass, _shrink, _terms, _Terms
+from .hierarchy import (
+    _CHUNK,
+    _draw_hierarchical,
+    _masses,
+    _outside_mass,
+    _pairwise_sum,
+    _shrink,
+    _terms,
+    _Terms,
+)
 from .posterior import (
     PriorSpec,
     _check_means,
@@ -409,7 +427,8 @@ def _block(task: _Task, seed: int, statistic, start: int, stop: int):
     ...``.  Row ``i`` of ``post_mean`` holds the finite posterior means of
     the observation drawn from replication ``r0 + i``'s own stream.  On a
     sieve task ``end`` is the cut; on the dimension posterior it is the
-    rows' largest mass end, and row ``i`` of ``work[0]`` holds the masses.
+    rows' largest mass end, and row ``i`` of ``work[0]`` holds the masses
+    before it (past it, whatever the posterior step left there).
     ``post_mean`` (rows of the cut length) and ``work`` (two such blocks of
     rows) are allocated once for the block; the statistic may overwrite
     both."""
@@ -428,7 +447,7 @@ def _block(task: _Task, seed: int, statistic, start: int, stop: int):
             _check_means(chunk)
             end = cut
         else:
-            end = _masses(task.terms, chunk, chunk_work[1], chunk_work[0], chunk_work[0])
+            end = _masses(task.terms, chunk, chunk_work[1], chunk_work[0], chunk_work[0], _CHUNK)
         yield statistic(r0, chunk, chunk_work, end)
 
 
@@ -485,15 +504,16 @@ def mc_mise(
     """
     task = _task(theta, prior, op, eps, m, c_lambda)
     prior_sq_err = np.square(task.means - task.theta)
+    tail_sums = {}  # the sums of prior_sq_err's subtrees, shared by all chunks
 
     def loss(r0, post_mean, work, end):
         if task.terms is not None:
             _shrink(work[0], end, post_mean, task.means, work[0], post_mean)
-        post_mean[:, end:] = prior_sq_err[end:]  # the prior mean's error past the mass end
         head = post_mean[:, :end]
         np.subtract(head, task.theta[:end], out=head)
         np.square(head, out=head)
-        return np.sum(post_mean, axis=1) + task.remainder
+        # past the mass end, the prior mean's error
+        return _pairwise_sum(post_mean, end, prior_sq_err, tail_sums) + task.remainder
 
     return _mc_summary(np.array(_replications(task, reps, seed, loss)), seed)
 
@@ -574,6 +594,7 @@ def mc_concentration(
     post_sd = np.sqrt(task.post_var)
 
     def band_mass(r0, post_mean, work, end):
+        work[0][:, end:] = 0.0  # the masses past the mass end
         distances = _draw_distances(task, post_sd, draws, seed, r0, post_mean, work[0])
         return [float(np.mean((sq >= lo) & (sq <= hi))) for sq in distances]
 
@@ -675,6 +696,7 @@ def mc_bracket_mass(
     task = _task(theta, prior, op, eps, c_lambda=c_lambda)
 
     def outside_mass(r0, post_mean, work, end):
+        work[0][:, end:] = 0.0  # the masses past the mass end
         return _outside_mass(work[0], m_lo, m_hi)
 
     return _mc_summary(np.array(_replications(task, reps, seed, outside_mass)), seed)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import igssm
 from igssm import __version__
 from igssm.cli import main
+from igssm import config
 from igssm.config import CONCENTRATION_KINDS, load_config
 
 
@@ -676,6 +677,72 @@ def test_any_small_config_exits_with_a_documented_code(
     if check and command in ("sweep", "run"):
         argv.append("--check")
     assert exit_code(*argv) in (0, 2, 3, 4)
+
+
+# A schema-valid value of each key some family or kind does not use.
+_UNUSED_VALUES = {
+    "n": 4,
+    "decay": 1.0,
+    "values": [1.0, 0.5],
+    "values_file": _VALUES_FILE,
+    "exponent": 1.5,
+    "scale": 2.0,
+    "mean": 0.5,
+    "variance": 1.0,
+    "variance_family": {"family": "polynomial", "exponent": 1.0},
+    "d": 2.0,
+}
+
+
+@st.composite
+def unused_key_cases(draw):
+    """A small config, one of its model, truth and prior blocks, a key that
+    block's family or kind does not use, or the prior variance or variance
+    family the gaussian prior lacks, and a command: ``(raw, block, key,
+    command)``."""
+    raw = draw(small_configs())
+    block = draw(st.sampled_from(["model", "truth", "prior"]))
+    kind = raw[block]["kind" if block == "prior" else "family"]
+    keys = list(config._UNUSED_KEYS[block, kind])
+    if block == "prior" and kind == "gaussian":
+        keys.append("variance" if "variance_family" in raw["prior"] else "variance_family")
+    key = draw(st.sampled_from(keys))
+    return raw, block, key, draw(st.sampled_from(["simulate", "select", "sweep", "run", "audit"]))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(  # an explicit model with n, whose values alone decide its length
+    case=(
+        {**_SELECT_BASE, "model": {"family": "explicit", "values": [1.0, 0.5, 0.25]},
+         "prior": {"kind": "improper"}, "eps_grid": [0.1]},
+        "model", "n", "simulate",
+    ),
+)
+@example(  # a gaussian prior with both a variance and a variance family
+    case=(
+        {**_SELECT_BASE, "model": {"family": "constant"},
+         "prior": {"kind": "gaussian", "variance_family": {"family": "polynomial", "exponent": 2.0}},
+         "eps_grid": [0.1]},
+        "prior", "variance", "select",
+    ),
+)
+@given(case=unused_key_cases())
+def test_keys_a_family_does_not_use_are_config_errors(tmp_path, capsys, case):
+    """A key the chosen model or truth family or prior kind does not read,
+    or a prior variance beside a variance family, makes any command exit 2
+    with a message naming the key, before anything else about the config
+    is checked, and leaves no artifact."""
+    raw, block, key, command = case
+    both = key in ("variance", "variance_family") and raw["prior"]["kind"] == "gaussian"
+    raw = {**raw, block: {**raw[block], key: _UNUSED_VALUES[key]}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    _write_values_file(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
+    err = capsys.readouterr().err
+    assert f"{block}.{'variance' if both else key}: " in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize(

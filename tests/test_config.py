@@ -208,6 +208,20 @@ def test_bundled_configs_all_load():
         assert cfg.seed >= 0
 
 
+def test_benchmark_configs_load():
+    """The configs ``perfbench/workloads.py`` generates pass validation,
+    the unused-key check included."""
+    import importlib.util
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        ExperimentConfig(raw=workloads.make_config(name, 3, root))
+
+
 # -- the config validator against jsonschema ----------------------------------
 
 _ABSENT = object()

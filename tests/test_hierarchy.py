@@ -24,11 +24,16 @@ from igssm import (
 from igssm.hierarchy import (
     _CHUNK,
     _MASS_MARGIN,
+    _PAIRWISE_LEAF,
     _chunk_maxima,
+    _chunk_squares,
     _log_weights,
     _masses,
     _normalise,
+    _pairwise_sum,
     _shrink,
+    _tail_bound,
+    _terms,
     _Terms,
 )
 
@@ -121,22 +126,30 @@ def test_log_weight_shift_invariance(n, rows, seed, shift):
     exactly, so the masses must not move by a bit: from
     ``from_log_weights`` row by row, and from ``_masses`` on all rows at
     once, whose log-weights ``0.5 * cumsum(post_mean^2) - penalty`` differ
-    by row through sparse integer posterior means."""
+    by row through sparse integer posterior means.  ``_masses`` gives them
+    with its head at the full range, into separate zeroed arrays as the
+    public functions call it, and with its head at one chunk, in place on
+    arrays of NaN as the kernel calls it."""
     rng = np.random.default_rng(seed)
     # a penalty growing by 2 a step on average, and rare contrast jumps of up
     # to 1800: most rows end at different dimensions, some before n
     penalty = np.cumsum(rng.integers(0, 64, n)) / 16.0
     post_mean = rng.integers(0, 60, (rows, n)) * (rng.random((rows, n)) < 0.002)
     want = 0.5 * np.cumsum(post_mean**2, axis=1) - penalty
+    inv_var = np.ones(-(-n // _CHUNK))
     masses = []
     for s in (0, shift):
-        lw, out = np.empty((2, rows, n))
-        end = _masses(_Terms(None, 1.0, penalty - s), post_mean, np.empty((rows, n)), lw, out)
+        terms = _Terms(None, 1.0, penalty - s, inv_var)
+        lw, out = np.empty((rows, n)), np.zeros((rows, n))
+        end = _masses(terms, post_mean, np.empty((rows, n)), lw, out, n)
         assert np.array_equal(lw, want + s)
-        probs = [DimensionDistribution.from_log_weights(row, "posterior").probs for row in lw]
-        assert np.array_equal(out, np.array(probs))
+        probs = np.array([DimensionDistribution.from_log_weights(row, "posterior").probs for row in lw])
+        assert np.array_equal(out, probs)
         assert end == max(np.flatnonzero(row - np.max(row) > -_MASS_MARGIN)[-1] + 1 for row in lw)
         assert not np.any(out[:, end:])
+        in_place = np.full((rows, n), np.nan)
+        assert _masses(terms, post_mean, np.full((rows, n), np.nan), in_place, in_place, _CHUNK) == end
+        assert np.array_equal(in_place[:, :end], probs[:, :end])
         masses.append(out)
     assert np.array_equal(masses[0], masses[1])
     np.testing.assert_allclose(masses[0].sum(axis=1), 1.0, rtol=0, atol=1e-14)
@@ -147,18 +160,19 @@ def _assert_mass_end(lw, mass_end):
     -_MASS_MARGIN``; ``_normalise`` finds it from the chunk maxima, and it
     and ``from_log_weights`` return the full-range masses ``exp(lw - max) /
     sum`` bit for bit, zero from ``mass_end`` on, and ``_shrink`` the
-    full-range ``omega``.  All of this holds for ``lw`` alone and as the
-    first of two or three rows, beside a row whose mass ends at 1 and one
-    whose mass spans the whole range, where ``_normalise`` returns the
-    largest of the rows' mass ends, so the rows are exponentiated past
-    ``lw``'s own mass end."""
+    full-range ``omega``; ``_normalise`` reads nothing of ``out`` past the
+    end it returns, which holds NaN here.  All of this holds for ``lw``
+    alone and as the first of two or three rows, beside a row whose mass
+    ends at 1 and one whose mass spans the whole range, where
+    ``_normalise`` returns the largest of the rows' mass ends, so the rows
+    are exponentiated past ``lw``'s own mass end."""
     assert mass_end == np.flatnonzero(lw - np.max(lw) > -_MASS_MARGIN)[-1] + 1
     n = lw.size
     rows = np.stack([lw, np.full(n, -1e6), np.linspace(3.0, -790.0, n)])
     rows[1, 0] = 0.0
     for k in (1, 2, 3):
         block = rows[:k]
-        out = np.empty_like(block)
+        out = np.full_like(block, np.nan)
         end = _normalise(block, _chunk_maxima(block), out)
         assert end == max([mass_end, 1, n][:k])
         omega = np.zeros_like(block)
@@ -166,9 +180,9 @@ def _assert_mass_end(lw, mass_end):
         for row, probs, weights in zip(block, out, omega):
             w = np.exp(row - np.max(row))
             want = w / w.sum()
-            assert np.array_equal(probs, want)
+            assert np.array_equal(probs[:end], want[:end]) and not np.any(want[end:])
             assert np.array_equal(weights, np.clip(np.cumsum(want[::-1])[::-1], 0.0, 1.0))
-        assert not np.any(out[0, mass_end:])
+        assert not np.any(out[0, mass_end:end])
     w = np.exp(lw - np.max(lw))
     assert np.array_equal(DimensionDistribution.from_log_weights(lw, "posterior").probs, w / w.sum())
 
@@ -230,20 +244,112 @@ def test_exp_is_exactly_zero_below_the_margin(x):
 
 
 def test_row_cores_give_each_row_alone():
-    """Each row's log-weights and chunk maxima are what the row gives alone,
-    for zero and non-zero means and scalar and vector variances."""
+    """Each row's log-weights, contrast sum and chunk maxima are what the
+    row gives alone, for zero and non-zero means and scalar and vector
+    variances, and a head of them is the head of the full range."""
     rng = np.random.default_rng(0)
     rows, n = 3, 2 * _CHUNK + 5
     post_mean = rng.normal(size=(rows, n))
     penalty = 1.5 * np.arange(1, n + 1, dtype=np.float64)
-    for means, post_var in ((None, 0.3), (rng.normal(size=n), rng.uniform(0.1, 1.0, n))):
-        got = _log_weights(post_mean, _Terms(means, post_var, penalty), np.empty((rows, n)), np.empty((rows, n)))
-        contrast = (post_mean - (0.0 if means is None else means)) ** 2 / post_var
+    starts = (0, _CHUNK, 2 * _CHUNK)
+    for means, post_var in ((np.zeros(n), np.full(n, 0.3)), (rng.normal(size=n), rng.uniform(0.1, 1.0, n))):
+        terms = _terms(means, post_var, 1.0)
+        assert np.array_equal(terms.penalty, penalty)
+        assert terms.inv_var.tolist() == [np.max(1.0 / post_var[j : j + _CHUNK]) for j in starts]
+        got = np.empty((rows, n))
+        sums = _log_weights(post_mean, terms, np.empty((rows, n)), got)
+        contrast = (post_mean - means) ** 2 / post_var
         maxima = _chunk_maxima(got)
         assert maxima.shape == (rows, 3)
         for i in range(rows):
             assert np.array_equal(got[i], 0.5 * np.cumsum(contrast[i]) - penalty)
-            assert maxima[i].tolist() == [got[i, j : j + _CHUNK].max() for j in (0, _CHUNK, 2 * _CHUNK)]
+            assert sums[i] == np.cumsum(contrast[i])[-1]
+            assert maxima[i].tolist() == [got[i, j : j + _CHUNK].max() for j in starts]
+        head = np.empty((rows, _CHUNK))
+        sums = _log_weights(post_mean[:, :_CHUNK], terms, np.empty((rows, _CHUNK)), head)
+        assert np.array_equal(head, got[:, :_CHUNK])
+        assert np.array_equal(sums, np.cumsum(contrast, axis=1)[:, _CHUNK - 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(
+        st.integers(1, 7),  # a leaf of numpy's short loop
+        st.integers(8, _PAIRWISE_LEAF),  # one unrolled leaf
+        st.integers(_PAIRWISE_LEAF + 1, 2000),  # a few levels of the tree
+        st.integers(2000, 300_000),
+    ),
+    rows=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@example(n=1, rows=None, seed=0, data=None)
+@example(n=_PAIRWISE_LEAF + 1, rows=3, seed=1, data=None)
+def test_pairwise_sum_equals_numpy_sum(n, rows, seed, data):
+    """``_pairwise_sum`` rebuilds numpy's summation tree bit for bit: on a
+    1-d array and on the rows of a 2-d one, with zeros and with the values
+    of a tail array from ``end`` on, for every end up to 2000 entries and
+    on longer arrays for ends at the first and last entry, beside the first
+    leaf and at the root's split and drawn; past ``end`` the rows hold NaN,
+    which it must not read.  The values span 40 orders of
+    magnitude, so a different order of additions changes the sum.  If
+    numpy ever changes how it sums a row, this fails, and the masses and
+    losses that rely on it must be revisited."""
+    rng = np.random.default_rng(seed)
+    shape = (n,) if rows is None else (rows, n)
+    values = rng.standard_normal(shape) * np.exp(rng.uniform(-46.0, 46.0, shape))
+    tail = rng.standard_normal(n) * np.exp(rng.uniform(-46.0, 46.0, n))
+    if n <= 2000:
+        ends = set(range(1, n + 1))
+    else:
+        ends = {1, n, _PAIRWISE_LEAF, _PAIRWISE_LEAF + 1, n // 2 - n // 2 % 8}
+        if data is not None:
+            ends |= set(data.draw(st.lists(st.integers(1, n), min_size=1, max_size=4), label="ends"))
+    memo = {}
+    for end in sorted(ends):
+        for fill in (None, tail):
+            full = values.copy()
+            full[..., end:] = 0.0 if fill is None else fill[end:]
+            want = np.atleast_1d(np.sum(full, axis=-1))
+            if rows is not None:
+                assert np.array_equal(want, [np.sum(row) for row in full])
+            work = np.atleast_2d(values.copy())
+            work[:, end:] = np.nan
+            got = _pairwise_sum(work, end, fill, None if fill is None else memo)
+            assert np.asarray(got).tobytes() == want.tobytes(), (end, fill is None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rows=st.integers(1, 3),
+    chunks=st.integers(2, 5),
+    extra=st.integers(0, _CHUNK - 1),
+    means=st.booleans(),
+    spread=st.floats(0.0, 30.0),
+    c_lambda=st.floats(1.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tail_bound_holds_every_log_weight(rows, chunks, extra, means, spread, c_lambda, seed):
+    """From every chunk boundary on, ``_tail_bound`` lies at or above each
+    full-range log-weight of its chunk, for posterior means and variances
+    spread over many orders of magnitude, zero and non-zero prior means
+    and scalar and vector variances."""
+    rng = np.random.default_rng(seed)
+    n = chunks * _CHUNK + extra
+    post_mean = rng.standard_normal((rows, n)) * np.exp(rng.uniform(-spread, spread, (rows, n)))
+    mu = rng.standard_normal(n) * np.exp(rng.uniform(-spread, spread, n)) if means else np.zeros(n)
+    post_var = np.exp(rng.uniform(-spread, spread, n)) if rng.random() < 0.7 else np.full(n, 0.7)
+    terms = _terms(mu, post_var, c_lambda)
+    lw = np.empty((rows, n))
+    _log_weights(post_mean, terms, np.empty((rows, n)), lw)
+    maxima = _chunk_maxima(lw)
+    for start in range(_CHUNK, n, _CHUNK):
+        head = np.empty((rows, start))
+        sums = _log_weights(post_mean[:, :start], terms, np.empty((rows, start)), head)
+        squares = _chunk_squares(terms, post_mean, np.empty((rows, n)), start)
+        bound = _tail_bound(terms, squares, sums, start)
+        assert np.all(np.isfinite(bound))
+        assert np.all(maxima[:, start // _CHUNK :] <= bound)
 
 
 @pytest.mark.parametrize("log_weights", [np.array([]), np.zeros((2, 3)), np.array(0.5)], ids=["empty", "2-d", "0-d"])

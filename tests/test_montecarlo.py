@@ -28,6 +28,7 @@ from igssm import (
 from igssm import hierarchy, montecarlo
 from igssm.config import ConfigError
 from igssm.hierarchy import (
+    _CHUNK,
     _MASS_MARGIN,
     adaptive_estimate,
     dimension_posterior,
@@ -464,28 +465,47 @@ def test_mc_bracket_mass_equals_serial_loop(problem, seed, budget, data):
             mc_bracket_mass(theta, prior, op, eps, 1, seed, outside, 1.0)
 
 
-@st.composite
-def long_direct_problems(draw):
-    """A direct-model problem (``lambda_j = 1``) whose search range runs
-    hundreds of dimensions past those the dimension posterior gives any
-    mass: a centred proper, flat or mixed prior, a noise level and an
-    operator constant."""
-    n = draw(st.integers(2000, 5000))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    theta = make_parameters(
-        "polynomial", n,
-        exponent=draw(st.floats(1.0, 2.0)), scale=draw(st.floats(0.1, 1.0)),
-    )
-    kind = draw(st.sampled_from(["proper", "flat", "mixed"]))
+def _long_direct_problem(n, exponent, scale, kind, centred, eps, c_lambda, seed):
+    """A direct-model problem (``lambda_j = 1``) of length ``n`` with a
+    polynomial truth, a proper, flat or mixed prior whose proper means are
+    zero or of the order of the noise, a noise level and an operator
+    constant."""
+    rng = np.random.default_rng(seed)
+    theta = make_parameters("polynomial", n, exponent=exponent, scale=scale)
+    means = np.zeros(n) if centred else rng.normal(0.0, 0.5 * math.sqrt(eps), n)
     variances = rng.uniform(0.1, 2.0, n)
     if kind == "proper":
-        prior = PriorSpec.gaussian(np.zeros(n), variances)
+        prior = PriorSpec.gaussian(means, variances)
     elif kind == "flat":
         prior = PriorSpec.flat(n)
     else:
-        prior = PriorSpec.mixed(np.zeros(n), variances, rng.random(n) < 0.5)
-    eps = draw(st.floats(1e-5, 1e-4))
-    return theta, prior, make_operator("constant", n), eps, draw(st.sampled_from([1.0, 1.5]))
+        improper = rng.random(n) < 0.5
+        prior = PriorSpec.mixed(np.where(improper, 0.0, means), variances, improper)
+    return theta, prior, make_operator("constant", n), eps, c_lambda
+
+
+# The mass of this problem's dimension posterior ends at about 7,000 of
+# 20,000 dimensions, past the kernel's first chunk of log-weights.
+_MASS_PAST_THE_FIRST_CHUNK = _long_direct_problem(20_000, 0.55, 1.0, "mixed", False, 5e-5, 1.0, 7)
+
+
+@st.composite
+def long_direct_problems(draw):
+    """A direct-model problem whose search range, 4,097 to 40,000
+    dimensions (several chunks of log-weights, and on up to 15 rows a
+    chunk of replications), runs thousands of dimensions past those the
+    dimension posterior gives any mass."""
+    n = draw(st.integers(_CHUNK + 1, 40_000))
+    return _long_direct_problem(
+        n,
+        draw(st.floats(1.0, 2.0)),
+        draw(st.floats(0.1, 1.0)),
+        draw(st.sampled_from(["proper", "flat", "mixed"])),
+        draw(st.booleans()),
+        draw(st.floats(1.0 / 40_000, 1.0 / (_CHUNK + 1))),
+        draw(st.sampled_from([1.0, 1.5])),
+        draw(st.integers(0, 2**32 - 1)),
+    )
 
 
 def _full_range_adaptive(summary, prior, m_top, c_lambda):
@@ -504,13 +524,17 @@ def _full_range_adaptive(summary, prior, m_top, c_lambda):
 
 @settings(max_examples=15, deadline=None)
 @given(problem=long_direct_problems(), seed=st.integers(0, 1000))
+@example(problem=_MASS_PAST_THE_FIRST_CHUNK, seed=3)
 def test_truncated_adaptive_equals_full_range_formulas(problem, seed):
     """On long search ranges the kernel and the public functions exponentiate
-    and shrink only up to the mass end, and still match the full-range
-    formulas exactly."""
+    and shrink only up to the mass end, the kernel computes the log-weights
+    only on a head of whole chunks that holds it, and both still match the
+    full-range formulas exactly.  Where the mass lies past the first chunk,
+    the head grows."""
     theta, prior, op, eps, c_lambda = problem
     reps = 4
     cut = max_dimension(op, eps)
+    assert _CHUNK < cut
     assume(oracle_dimension(theta, prior, op, eps).dimension <= cut)
     th, pr, o, remainder, summaries = _head_loop(theta, prior, op, eps, reps, seed, cut)
     vals = np.empty(reps)
@@ -523,19 +547,31 @@ def test_truncated_adaptive_equals_full_range_formulas(problem, seed):
         assert np.array_equal(est.values, values)
         vals[r] = float(np.sum((values - th.values) ** 2)) + remainder
 
-    ends = []
-    shrink = montecarlo._shrink
+    ends, heads = [], []
+    shrink, log_weights = montecarlo._shrink, hierarchy._log_weights
 
     def spy(probs, mass_end, *rest):
         ends.append((len(probs), mass_end))
         return shrink(probs, mass_end, *rest)
 
+    def head_spy(post_mean, *rest):
+        heads.append(post_mean.shape[1])
+        return log_weights(post_mean, *rest)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_shrink", spy)
+        mp.setattr(hierarchy, "_log_weights", head_spy)
         got = mc_mise(theta, prior, op, eps, reps, seed, c_lambda=c_lambda)
     assert (got.value, got.se) == _summary_of(vals)
     # every replication was truncated: each chunk's largest mass end is short of the cut
     assert sum(rows for rows, _ in ends) == reps and max(end for _, end in ends) < cut
+    # each chunk computed its log-weights on one chunk, then at most once more
+    # on a longer head of whole chunks that holds its mass end
+    assert heads.count(_CHUNK) == len(ends) and len(heads) <= 2 * len(ends)
+    assert all(h % _CHUNK == 0 and _CHUNK <= h < cut for h in heads)
+    assert max(heads) >= max(end for _, end in ends)
+    if problem is _MASS_PAST_THE_FIRST_CHUNK:
+        assert max(end for _, end in ends) > _CHUNK
 
 
 def _every_task(problem, reps, seed, c_lambda, budget):
@@ -570,10 +606,14 @@ def _every_task(problem, reps, seed, c_lambda, budget):
     seed=st.integers(0, 1000),
     c_lambda=st.sampled_from([1.0, 1.5]),
 )
+@example(problem=_long_direct_problem(9000, 1.5, 0.5, "proper", False, 1.2e-4, 1.0, 5)[:4], seed=5, c_lambda=1.0)
+@example(problem=_MASS_PAST_THE_FIRST_CHUNK[:4], seed=5, c_lambda=1.0)
 def test_batched_equals_serial(problem, seed, c_lambda):
     """Every task gives the same result whether its replications run one per
     chunk, in default chunks or in chunks with a ragged last one, on one,
-    two or three threads; a spy checks that chunks of several rows ran."""
+    two or three threads; a spy checks that chunks of several rows ran.
+    The examples pin this on search ranges of several chunks of
+    log-weights, one with the mass past the first chunk."""
     reps = 8
     serial = _every_task(problem, reps, seed, c_lambda, "one row")
     rows = []
@@ -658,12 +698,25 @@ def test_chunks_hold_the_row_budget(monkeypatch):
         assert blocks[-1] == want
 
 
+# An index past the kernel's first chunk of log-weights.
+_PAST = _CHUNK + 904
+
+
+def _corruptions(corrupt):
+    """``(row, index, value)`` of each corrupted observation: at index 3
+    unless ``corrupt`` gives ``(index, value)``."""
+    return [(r, *(v if isinstance(v, tuple) else (3, v))) for r, v in corrupt.items()]
+
+
 def _serial_failure(theta, prior, op, eps, reps, corrupt, m):
     """The message the replication-by-replication loop over the public
     functions raises first on the corrupted observations, or None."""
+    spots = _corruptions(corrupt)
     for r in range(reps):
         y = simulate_observation(theta, op, eps, seed=1, rep=r).values.copy()
-        y[3] = corrupt.get(r, y[3])
+        for row, at, value in spots:
+            if row == r:
+                y[at] = value
         try:
             summary = coordinate_posterior(prior, op, Observation(y, eps, 1, r))
             if m is None:
@@ -690,15 +743,35 @@ def _serial_failure(theta, prior, op, eps, reps, corrupt, m):
         pytest.param({1: 1e200, 3: np.inf}, None, "log weights must be finite", id="1e+200 before inf"),
         pytest.param({1: np.inf, 3: 1e200}, None, "posterior means must be finite", id="inf before 1e+200"),
         pytest.param({3: np.inf}, 7, "posterior means must be finite", id="sieve row 3 inf"),
+        # past the first chunk: the chunk sums of squares are not finite
+        pytest.param({2: (_PAST, np.inf)}, None, "posterior means must be finite", id="row 2 inf past"),
+        pytest.param({2: (_PAST, np.nan)}, None, "posterior means must be finite", id="row 2 nan past"),
+        pytest.param({2: (_PAST, 1e200)}, None, "log weights must be finite", id="row 2 1e+200 past"),
+        # finite sums of squares whose contrast overflows: an infinite bound
+        pytest.param({2: (_PAST, 1e153)}, None, "log weights must be finite", id="row 2 1e+153 past"),
+        # a row failing past the first chunk before one failing in it, and after
+        pytest.param({1: (_PAST, 1e200), 3: np.inf}, None, "log weights must be finite", id="1e+200 past before inf"),
+        pytest.param({1: (_PAST, 1e153), 3: np.nan}, None, "log weights must be finite", id="1e+153 past before nan"),
+        pytest.param({1: (_PAST, np.nan), 3: 1e200}, None, "posterior means must be finite", id="nan past before 1e+200"),
+        pytest.param({1: 1e200, 3: (_PAST, np.inf)}, None, "log weights must be finite", id="1e+200 before inf past"),
+        pytest.param({0: np.nan, 4: (_PAST, 1e153)}, None, "posterior means must be finite", id="nan before 1e+153 past"),
     ],
 )
 def test_adaptive_kernel_rejects_non_finite_values(monkeypatch, corrupt, m, message):
-    """An infinite observation fails the posterior-mean check; a finite one
-    whose square overflows fails the log-weight check.  In a chunk of five
-    replications, the first corrupted one raises what it raises in the
-    replication-by-replication loop."""
-    theta, prior, op = _poly_problem(100)
-    eps, reps = 0.01, 5
+    """An infinite or NaN observation fails the posterior-mean check; a
+    finite one whose square, or its contrast, overflows fails the
+    log-weight check.  In a chunk of five replications, the first corrupted
+    one raises what it raises in the replication-by-replication loop, also
+    where the corruption lies past the kernel's first chunk of log-weights,
+    on a direct problem whose search range spans two chunks."""
+    spots = _corruptions(corrupt)
+    if max(at for _, at, _ in spots) < _CHUNK:
+        (theta, prior, op), eps = _poly_problem(100), 0.01
+    else:
+        n, eps = 6000, 1e-4
+        theta = make_parameters("polynomial", n, exponent=1.6, scale=0.4)
+        prior, op = PriorSpec.flat(n), make_operator("constant", n)
+    reps = 5
     cut = m or max_dimension(op, eps)
     assert _serial_failure(theta.head(cut), prior.head(cut), op.head(cut), eps, reps, corrupt, m) == message
     observe = montecarlo._observe
@@ -707,8 +780,8 @@ def test_adaptive_kernel_rejects_non_finite_values(monkeypatch, corrupt, m, mess
     def corrupted(signal, noise_scale, rngs, out):
         observe(signal, noise_scale, rngs, out)
         chunks.append(out.shape)
-        for r, value in corrupt.items():
-            out[r, 3] = value
+        for r, at, value in spots:
+            out[r, at] = value
         return out
 
     monkeypatch.setattr(montecarlo, "_observe", corrupted)
