@@ -8,8 +8,11 @@ dimension posterior and adaptive estimate, ``audit`` the tail-bound suite,
 full experiment.  Configs are JSON files validated against the published
 schema; a bare name (e.g. ``pp_p1_a1``) resolves to a bundled config.
 
-Exit codes: 0 success, 2 configuration error, 3 infeasible configuration,
-4 failed checks under ``--check``.
+Exit codes: 0 success, 2 configuration error (an unusable ``--out``
+included), 3 infeasible configuration, 4 failed checks under ``--check``.
+The library raises ``ConfigError`` and ``InfeasibleError``; ``main`` alone
+turns them into an exit code.  Every subcommand writes through one
+``experiment._Writer``, which removes its files when the command fails.
 """
 
 from __future__ import annotations
@@ -26,13 +29,18 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, _check_eps_values, load_config
-from .experiment import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, _prepare, _Writer, run_experiment
+from .experiment import _prepare, _Writer, run_experiment
 from .hierarchy import adaptive_estimate
 from .posterior import coordinate_posterior
-from .selection import InfeasibleError, check_assumptions
+from .selection import InfeasibleError, _operator_constant
 from .sequences import Observation, simulate_observation
 
-__all__ = ["main"]
+__all__ = ["main", "EXIT_OK", "EXIT_CONFIG", "EXIT_INFEASIBLE", "EXIT_CHECK"]
+
+EXIT_OK = 0
+EXIT_CONFIG = 2
+EXIT_INFEASIBLE = 3
+EXIT_CHECK = 4
 
 
 def _load_any(arg: str) -> ExperimentConfig:
@@ -85,8 +93,8 @@ def _cmd_simulate(args) -> int:
     seed = cfg.seed if args.seed is None else args.seed
     op, theta, _ = cfg.build_sequences(eps)
     obs = simulate_observation(theta, op, eps, seed)
-    writer = _Writer(args.out, cfg, seed)
-    writer.csv("observation.csv", ["j", "y"], _numbered(obs.values), eps=eps, n=op.n)
+    with _Writer(args.out, cfg, seed) as writer:
+        writer.csv("observation.csv", ["j", "y"], _numbered(obs.values), eps=eps, n=op.n)
     if not args.quiet:
         print(f"observation.csv: {op.n} coordinates at eps={eps}")
     return EXIT_OK
@@ -122,37 +130,37 @@ def _cmd_posterior(args) -> int:
     cfg, obs, op, _, prior = _observed(args)
     with _finite_posterior():
         summary = coordinate_posterior(prior, op, obs)
-    writer = _Writer(args.out, cfg, obs.seed)
-    writer.csv(
-        "posterior.csv", ["j", "sigma", "post_mean"],
-        _numbered(summary.post_var, summary.post_mean), eps=obs.eps,
-    )
+    with _Writer(args.out, cfg, obs.seed) as writer:
+        writer.csv(
+            "posterior.csv", ["j", "sigma", "post_mean"],
+            _numbered(summary.post_var, summary.post_mean), eps=obs.eps,
+        )
     if not args.quiet:
         print(f"posterior.csv: {op.n} coordinates")
     return EXIT_OK
 
 
 def _cmd_adapt(args) -> int:
-    cfg, obs, op, theta, prior = _observed(args)
+    cfg, obs, op, _, prior = _observed(args)
     eps = obs.eps
     c_lambda = cfg.c_lambda_override
     if c_lambda is None:
-        c_lambda = check_assumptions(theta, prior, op, (eps,)).c_lambda
+        c_lambda = _operator_constant(op)
     with _finite_posterior():
         summary = coordinate_posterior(prior, op, obs)
         estimate = adaptive_estimate(summary, prior, op, eps, c_lambda)
     dist = estimate.dimension_posterior
-    writer = _Writer(args.out, cfg, obs.seed)
-    writer.csv(
-        "dimension_posterior.csv", ["m", "log_weight", "prob"],
-        _numbered(dist.log_weights, dist.probs), eps=eps, c_lambda=c_lambda,
-    )
     omega = np.zeros(op.n)
     omega[: estimate.omega.size] = estimate.omega
-    writer.csv(
-        "adaptive.csv", ["j", "omega", "theta_hat"],
-        _numbered(omega, estimate.values), eps=eps, c_lambda=c_lambda,
-    )
+    with _Writer(args.out, cfg, obs.seed) as writer:
+        writer.csv(
+            "dimension_posterior.csv", ["m", "log_weight", "prob"],
+            _numbered(dist.log_weights, dist.probs), eps=eps, c_lambda=c_lambda,
+        )
+        writer.csv(
+            "adaptive.csv", ["j", "omega", "theta_hat"],
+            _numbered(omega, estimate.values), eps=eps, c_lambda=c_lambda,
+        )
     if not args.quiet:
         print(f"adaptive.csv: search range {estimate.omega.size} of {op.n} coordinates")
     return EXIT_OK
@@ -161,7 +169,8 @@ def _cmd_adapt(args) -> int:
 def _cmd_select(args) -> int:
     cfg = _load_any(args.config)
     header = _prepare(cfg)[-1]
-    _Writer(args.out, cfg, cfg.seed).json("selection.json", header)
+    with _Writer(args.out, cfg, cfg.seed) as writer:
+        writer.json("selection.json", header)
     if not args.quiet:
         grid = header["grid"]
         dims = ", ".join(f"eps={e}: m*={m}" for e, m in zip(grid["eps"], grid["oracle_dims"]))
@@ -179,13 +188,13 @@ def _cmd_experiment(args) -> int:
         audit = {**cfg.audit_settings, "reps": reps}
         cfg = ExperimentConfig(raw={**cfg.raw, "audit": audit}, base_dir=cfg.base_dir)
         reps = None
-    result = run_experiment(
-        cfg, args.out, check=args.check, quiet=args.quiet,
-        seed=args.seed, reps=reps, subset=args.subset,
-    )
-    if result.error:
-        print(f"error: {result.error}", file=sys.stderr)
-    return result.exit_code
+    result = run_experiment(cfg, args.out, check=args.check, seed=args.seed, reps=reps, subset=args.subset)
+    if not args.quiet:
+        for line in result.messages:
+            print(line)
+        for failure in result.failures:
+            print(f"check failed: {failure}")
+    return EXIT_CHECK if result.failures else EXIT_OK
 
 
 def _at_least(minimum: int):

@@ -539,8 +539,16 @@ def load_config(path) -> ExperimentConfig:
     def non_finite(token):  # json reads NaN and +-Infinity; no config key takes them
         raise ConfigError(f"config {path}: {token} is not a finite number")
 
+    def unique(pairs):  # json keeps the last of a repeated key; a config names each once
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ConfigError(f"config {path}: duplicate key {key!r}")
+            seen.add(key)
+        return dict(pairs)
+
     try:
-        raw = json.loads(text, parse_constant=non_finite)
+        raw = json.loads(text, parse_constant=non_finite, object_pairs_hook=unique)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(raw, dict):

@@ -6,17 +6,18 @@ Outputs are deterministic for a fixed (config, seed): replication streams
 are keyed by counter, and no timestamps are embedded.  The risk and
 concentration tasks run one after another, each splitting its own
 replications across the worker threads; the audit configs run in parallel
-and are gathered in submission order.  Exit codes: 0 success, 2 config
-error, 3 infeasible configuration, 4 failed acceptance checks (with
-``check=True``).  Partially written artifacts are removed on any failure.
+and are gathered in submission order.  A config that cannot run raises
+``ConfigError`` or ``InfeasibleError``; every artifact written before any
+exception is removed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,12 +44,7 @@ from .selection import (
     oracle_dimension,
 )
 
-__all__ = ["ExperimentResult", "run_experiment", "EXIT_OK", "EXIT_CONFIG", "EXIT_INFEASIBLE", "EXIT_CHECK"]
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_INFEASIBLE = 3
-EXIT_CHECK = 4
+__all__ = ["ExperimentResult", "run_experiment"]
 
 _FITTED_KINDS = ("oracle", "minimax", "adaptive")
 
@@ -66,11 +62,12 @@ _CONCENTRATION = {
 
 @dataclass
 class ExperimentResult:
-    exit_code: int
-    outputs: list = field(default_factory=list)
-    report: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
-    error: str | None = None
+    """The ``report.json`` payload, the checks that failed (with
+    ``check=True``) and one progress line per CSV written."""
+
+    report: dict
+    failures: list
+    messages: list
 
 
 def _cell(value) -> str:
@@ -104,27 +101,43 @@ def _jsonable(value):
 
 
 class _Writer:
-    """Serialized artifact writer that can undo itself on failure.
+    """Artifact writer for one command: ``with _Writer(out_dir, cfg, seed) as
+    writer:`` creates ``out_dir``, and any exception in the block removes
+    every file written in it, one cut off mid-write too, then propagates.
 
     Every CSV gets a ``<stem>.meta.json`` sidecar naming the artifact, the
     config hash, the seed and the version, plus any extra fields given."""
 
     def __init__(self, out_dir, cfg: ExperimentConfig, seed: int):
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.cfg = cfg
         self.seed = int(seed)
         self.written: list = []
 
-    def csv(self, name: str, header: list, rows: list, **extra) -> Path:
+    def __enter__(self) -> _Writer:
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:  # an existing file, or a path under one
+            raise ConfigError(f"cannot write to {self.out_dir}: {err}") from err
+        return self
+
+    def __exit__(self, kind, err, tb) -> None:
+        if kind is not None:
+            for path in self.written:
+                with contextlib.suppress(OSError):
+                    path.unlink()
+
+    def _open(self, name: str):
         path = self.out_dir / name
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        self.written.append(path)  # before it exists, so a failed write is removed
+        return open(path, "w", encoding="utf-8", newline="")
+
+    def csv(self, name: str, header: list, rows: list, **extra) -> None:
+        with self._open(name) as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             for row in rows:
                 writer.writerow([_cell(v) for v in row])
-        self.written.append(path)
-        sidecar = self.out_dir / (path.stem + ".meta.json")
         meta = {
             "artifact": name,
             "config_sha256": self.cfg.sha256(),
@@ -132,25 +145,11 @@ class _Writer:
             "version": __version__,
             **extra,
         }
-        sidecar.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-        self.written.append(sidecar)
-        return path
+        self.json(Path(name).stem + ".meta.json", meta)
 
-    def json(self, name: str, payload: dict) -> Path:
-        path = self.out_dir / name
-        path.write_text(
-            json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-        self.written.append(path)
-        return path
-
-    def cleanup(self) -> None:
-        for path in self.written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        self.written.clear()
+    def json(self, name: str, payload: dict) -> None:
+        with self._open(name) as fh:
+            fh.write(json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
 
 
 def _prepare(cfg: ExperimentConfig) -> tuple:
@@ -384,7 +383,6 @@ def run_experiment(
     cfg: ExperimentConfig,
     out_dir,
     check: bool = False,
-    quiet: bool = False,
     seed: int | None = None,
     reps: int | None = None,
     subset: str = "all",
@@ -392,23 +390,21 @@ def run_experiment(
     """Run the experiment described by ``cfg`` and write artifacts under
     ``out_dir``.  ``subset`` limits the stages: "sweep" runs selection +
     MISE + rate fits, "audit" only the tail-bound suite, "all" everything
-    the config asks for."""
+    the config asks for.  A config error found while the sequences and
+    constants are built leaves ``out_dir`` untouched."""
     if subset not in ("all", "sweep", "audit"):
         raise ValueError(f"unknown subset {subset!r}")
     seed = cfg.seed if seed is None else int(seed)
     reps = cfg.mc_reps if reps is None else int(reps)
     draws = cfg.mc_draws
-    writer = _Writer(out_dir, cfg, seed)
+    theta, prior, op, wclass, report, c_lambda, constants, header = _prepare(cfg)
+    payload = {**header, "seed": seed}
+    fits: dict = {}
+    conc_rows: list = []
+    audit_rows: list = []
     messages = []
 
-    try:
-        theta, prior, op, wclass, report, c_lambda, constants, header = _prepare(cfg)
-        payload = {**header, "seed": seed}
-
-        fits: dict = {}
-        conc_rows: list = []
-        audit_rows: list = []
-
+    with _Writer(out_dir, cfg, seed) as writer:
         if subset in ("all", "sweep"):
             writer.csv(
                 "rates.csv",
@@ -456,18 +452,4 @@ def run_experiment(
         failures = _run_checks(cfg, fits, conc_rows, audit_rows) if check else []
         payload["checks"] = {"enabled": bool(check), "failures": failures}
         writer.json("report.json", payload)
-
-        if not quiet:
-            for line in messages:
-                print(line)
-            for failure in failures:
-                print(f"check failed: {failure}")
-        code = EXIT_CHECK if failures else EXIT_OK
-        return ExperimentResult(code, list(writer.written), payload, failures)
-    except (InfeasibleError, ConfigError) as err:
-        writer.cleanup()
-        code = EXIT_INFEASIBLE if isinstance(err, InfeasibleError) else EXIT_CONFIG
-        return ExperimentResult(code, [], {}, [], error=str(err))
-    except BaseException:
-        writer.cleanup()
-        raise
+    return ExperimentResult(payload, failures, messages)

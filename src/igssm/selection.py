@@ -331,6 +331,17 @@ def _submultiplicative(op: OperatorSequence) -> tuple[bool, tuple[int, int] | No
     return True, None
 
 
+def _operator_constant(op: OperatorSequence) -> float:
+    """``C_lambda``: the smallest ``C >= 1`` with ``max_{j>k} lambda_j^2 <=
+    C min_{j<=k} lambda_j^2`` for every ``k``."""
+    if op.n == 1:
+        return 1.0
+    log_sq = op.log_sq
+    suffix_max = np.maximum.accumulate(log_sq[::-1])[::-1]
+    prefix_min = np.minimum.accumulate(log_sq)
+    return max(1.0, float(np.exp(np.max(suffix_max[1:] - prefix_min[:-1]))))
+
+
 def check_assumptions(
     theta: ParameterSequence,
     prior: PriorSpec,
@@ -355,13 +366,7 @@ def check_assumptions(
         raise ValueError("class and operator lengths must match")
 
     log_amp = op.log_amplification
-    # smallest C with  max_{j>k} lambda_j^2 <= C min_{j<=k} lambda_j^2
-    log_sq = op.log_sq
-    suffix_max = np.maximum.accumulate(log_sq[::-1])[::-1]
-    prefix_min = np.minimum.accumulate(log_sq)
-    c_lambda = 1.0
-    if n > 1:
-        c_lambda = max(1.0, float(np.exp(np.max(suffix_max[1:] - prefix_min[:-1]))))
+    c_lambda = _operator_constant(op)
     # smallest L with  max-amp(m) <= L * mean-amp(m)
     log_mean = _log_cumsum_amp(op) - np.log(np.arange(1, n + 1))
     l_lambda = max(1.0, float(np.exp(np.max(op._log_amp_cummax - log_mean))))

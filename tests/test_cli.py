@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import igssm
 from igssm import __version__
 from igssm.cli import main
-from igssm import config
+from igssm import config, experiment
 from igssm.config import CONCENTRATION_KINDS, load_config
 
 
@@ -420,6 +421,41 @@ def test_bad_override_exits_2_before_any_work(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "posterior", "adapt", "select", "audit", "sweep", "run"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_unusable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, under):
+    """An ``--out`` that is an existing file, or a path under one, is a
+    config error on every subcommand; the experiment commands find it
+    before any Monte Carlo stage starts."""
+    argv = [command, "--config", "pp_small", "--quiet"]
+    if command in ("posterior", "adapt"):
+        assert run_cli("simulate", "--config", "pp_small", "--out", tmp_path / "obs", "--quiet") == 0
+        argv += ["--obs", tmp_path / "obs" / "observation.csv"]
+    for stage in ("_mise_stage", "_concentration_stage", "_audit_stage"):
+        monkeypatch.setattr(experiment, stage, lambda *args: pytest.fail("a stage ran"))
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", blocker / "out" if under else blocker) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write to ")
+    assert "Traceback" not in err
+    assert blocker.read_text(encoding="utf-8") == "keep\n"
+
+
+@pytest.mark.parametrize("command", ["audit", "sweep", "run"])
+def test_thread_count_error_has_the_config_error_prefix(tmp_path, capsys, monkeypatch, command):
+    """The experiment commands report a config error found mid-run as every
+    other command does, and leave no artifact."""
+    monkeypatch.setenv("IGSSM_THREADS", "abc")
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", "pp_small", "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: IGSSM_THREADS must be a positive integer")
+    assert captured.out == ""
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_audit_reps_flag_equals_config_reps(tmp_path):
     """``audit --reps`` writes what ``audit`` writes on a config whose
     ``audit.reps`` holds that value."""
@@ -637,14 +673,16 @@ _SELECT_BASE = {
     row=st.integers(0, 10**6),
 )
 def test_any_small_config_exits_with_a_documented_code(
-    tmp_path, raw, command, overrides, check, corrupt, row
+    tmp_path, capsys, raw, command, overrides, check, corrupt, row
 ):
     """Whatever the config and overrides, ``main`` returns 0, 2, 3 or 4 (an
-    argparse error exits 2) and no exception escapes.  ``posterior`` and
-    ``adapt`` read an observation simulated first at the config's first noise
-    level; ``corrupt`` overwrites one of its values (row ``row`` modulo the
-    length) with a non-finite or huge one.  A config may name the values
-    file ``values.csv``, three positive values written beside it."""
+    argparse error exits 2) and no exception escapes.  A config error or an
+    infeasible config is reported with its prefix and no traceback, and
+    leaves no file in ``--out``.  ``posterior`` and ``adapt`` read an
+    observation simulated first, into a directory of its own, at the config's
+    first noise level; ``corrupt`` overwrites one of its values (row ``row``
+    modulo the length) with a non-finite or huge one.  A config may name the
+    values file ``values.csv``, three positive values written beside it."""
 
     def exit_code(*argv):
         try:
@@ -655,16 +693,18 @@ def test_any_small_config_exits_with_a_documented_code(
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw), encoding="utf-8")
     _write_values_file(tmp_path)
-    out = tmp_path / "out"
+    out, obs_dir = tmp_path / "out", tmp_path / "obs"
+    for old in (out, obs_dir):  # hypothesis reuses tmp_path across examples
+        shutil.rmtree(old, ignore_errors=True)
     runs = {"--reps", "--seed"}
     allowed = {"simulate": {"--seed", "--eps"}, "audit": runs, "sweep": runs, "run": runs}
     argv = [command, "--config", config, "--out", out, "--quiet"]
     if command in ("posterior", "adapt"):
-        code = exit_code("simulate", "--config", config, "--out", out, "--quiet")
+        code = exit_code("simulate", "--config", config, "--out", obs_dir, "--quiet")
         assert code in (0, 2)
         if code != 0:
             return
-        obs = out / "observation.csv"
+        obs = obs_dir / "observation.csv"
         if corrupt is not None:
             lines = obs.read_text(encoding="utf-8").splitlines()
             i = 1 + row % (len(lines) - 1)
@@ -676,7 +716,15 @@ def test_any_small_config_exits_with_a_documented_code(
             argv += [flag, value]
     if check and command in ("sweep", "run"):
         argv.append("--check")
-    assert exit_code(*argv) in (0, 2, 3, 4)
+    capsys.readouterr()
+    code = exit_code(*argv)
+    assert code in (0, 2, 3, 4)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code in (2, 3):
+        usage = code == 2 and f"igssm {command}: error: argument " in err  # argparse
+        assert usage or err.startswith(("config error: ", "infeasible configuration: "))
+        assert not out.exists() or not any(out.iterdir())
 
 
 # A schema-valid value of each key some family or kind does not use.

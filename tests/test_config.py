@@ -189,6 +189,27 @@ def test_sha_is_key_order_insensitive(tmp_path):
     assert load_config(a).sha256() == load_config(b).sha256()
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"seed": 1, "eps_grid": [0.1], "seed": 5}', "seed"),
+        ('{"prior": {"kind": "improper", "kind": "gaussian"}, "seed": 1}', "kind"),
+        ('{"seed": 1, "prior": {"variance_family": {"family": "a", "family": "b"}}}', "family"),
+    ],
+    ids=["top", "nested", "twice_nested"],
+)
+def test_duplicate_keys_are_config_errors(tmp_path, capsys, text, key):
+    """json keeps the last of a repeated key; the loader names the key
+    instead, at any depth, and ``select`` exits 2 on such a config."""
+    path = tmp_path / "dup.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"duplicate key '{key}'"):
+        load_config(path)
+    assert main(["select", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert f"config error: config {path}: duplicate key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_json_and_missing_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -1,4 +1,4 @@
-"""Experiment runner: artifacts, sidecars, exit codes, reproducibility."""
+"""Experiment runner: artifacts, sidecars, errors, cleanup, reproducibility."""
 
 import csv
 import json
@@ -8,16 +8,12 @@ import pytest
 
 import igssm
 from igssm import experiment, montecarlo
-from igssm.config import ExperimentConfig, load_config
-from igssm.experiment import (
-    EXIT_CHECK,
-    EXIT_CONFIG,
-    EXIT_INFEASIBLE,
-    EXIT_OK,
-    run_experiment,
-)
+from igssm.cli import EXIT_CHECK, main
+from igssm.config import ConfigError, ExperimentConfig, load_config
+from igssm.experiment import run_experiment
 from igssm.montecarlo import mc_bracket_mass
 from igssm.selection import (
+    InfeasibleError,
     bracket_dimensions,
     check_assumptions,
     max_dimension,
@@ -61,13 +57,12 @@ def read_rows(path):
 @pytest.fixture(scope="module")
 def full_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
-    result = run_experiment(small_config(), out, check=True, quiet=True)
+    result = run_experiment(small_config(), out, check=True)
     return out, result
 
 
 def test_run_succeeds_with_all_artifacts(full_run):
     out, result = full_run
-    assert result.exit_code == EXIT_OK
     assert result.failures == []
     names = sorted(p.name for p in out.iterdir())
     assert names == [
@@ -137,8 +132,7 @@ def test_bracket_rows_carry_their_bracket_and_its_mass(tmp_path, overrides):
     ``mc_bracket_mass`` on that bracket."""
     cfg = load_config(Path(igssm.__file__).parent / "configs" / "pp_small.json")
     cfg = ExperimentConfig({**cfg.raw, **overrides})
-    result = run_experiment(cfg, tmp_path, quiet=True)
-    assert result.exit_code == EXIT_OK
+    result = run_experiment(cfg, tmp_path)
     used = result.report["constants"]["c_lambda_used"]
     assert used == overrides.get("c_lambda", result.report["constants"]["c_lambda"])
     op, theta, prior = cfg.build_sequences()
@@ -176,8 +170,7 @@ def test_each_task_runs_at_the_cut_its_row_reports(tmp_path, monkeypatch):
         return found
 
     monkeypatch.setattr(montecarlo, "_task", spy)
-    result = run_experiment(cfg, tmp_path, quiet=True)
-    assert result.exit_code == EXIT_OK
+    result = run_experiment(cfg, tmp_path)
     op = cfg.build_sequences()[0]
     grid = result.report["grid"]
     selected = {
@@ -225,9 +218,8 @@ def test_adaptive_outside_the_search_range_exits_3_before_any_replication(tmp_pa
 
     monkeypatch.setattr(montecarlo, "_replications", spy)
     out = tmp_path / "inf"
-    res = run_experiment(cfg, out, quiet=True)
-    assert res.exit_code == EXIT_INFEASIBLE
-    assert "exceeds the search range 1 at eps=0.5" in res.error
+    with pytest.raises(InfeasibleError, match="exceeds the search range 1 at eps=0.5"):
+        run_experiment(cfg, out)
     assert ran == []
     assert list(out.iterdir()) == []
 
@@ -260,8 +252,8 @@ def test_report_structure(full_run):
 def test_reruns_are_byte_identical(tmp_path):
     cfg = small_config()
     a, b = tmp_path / "a", tmp_path / "b"
-    run_experiment(cfg, a, quiet=True)
-    run_experiment(cfg, b, quiet=True)
+    run_experiment(cfg, a)
+    run_experiment(cfg, b)
     for name in ("rates.csv", "mise.csv", "concentration.csv", "audit.csv", "report.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
@@ -273,14 +265,14 @@ def serial_seven(tmp_path_factory):
     out = tmp_path_factory.mktemp("serial")
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("IGSSM_THREADS", "1")
-        run_experiment(small_config(mc={"reps": 7, "draws": 50}), out, quiet=True)
+        run_experiment(small_config(mc={"reps": 7, "draws": 50}), out)
     return out
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
 def test_thread_count_does_not_change_results(tmp_path, monkeypatch, serial_seven, threads):
     monkeypatch.setenv("IGSSM_THREADS", threads)
-    run_experiment(small_config(mc={"reps": 7, "draws": 50}), tmp_path, quiet=True)
+    run_experiment(small_config(mc={"reps": 7, "draws": 50}), tmp_path)
     for name in ("rates.csv", "mise.csv", "concentration.csv", "audit.csv", "report.json"):
         assert (tmp_path / name).read_bytes() == (serial_seven / name).read_bytes(), name
 
@@ -288,8 +280,7 @@ def test_thread_count_does_not_change_results(tmp_path, monkeypatch, serial_seve
 def test_seed_and_reps_overrides(tmp_path):
     cfg = small_config()
     out = tmp_path / "o"
-    res = run_experiment(cfg, out, quiet=True, seed=99, reps=5, subset="sweep")
-    assert res.exit_code == EXIT_OK
+    run_experiment(cfg, out, seed=99, reps=5, subset="sweep")
     rows = read_rows(out / "mise.csv")
     assert all(r[5] == "5" for r in rows[1:])
     meta = json.loads((out / "mise.meta.json").read_text())
@@ -298,8 +289,7 @@ def test_seed_and_reps_overrides(tmp_path):
 
 def test_sweep_subset_writes_no_concentration(tmp_path):
     out = tmp_path / "sweep"
-    res = run_experiment(small_config(), out, quiet=True, subset="sweep")
-    assert res.exit_code == EXIT_OK
+    run_experiment(small_config(), out, subset="sweep")
     names = {p.name for p in out.iterdir()}
     assert "concentration.csv" not in names and "audit.csv" not in names
     assert {"rates.csv", "mise.csv", "report.json"} <= names
@@ -315,9 +305,8 @@ def test_infeasible_selection_exits_3_and_cleans_up(tmp_path):
         fixed_dims=None,
     )
     out = tmp_path / "inf"
-    res = run_experiment(cfg, out, quiet=True)
-    assert res.exit_code == EXIT_INFEASIBLE
-    assert "exceeds the search range" in res.error
+    with pytest.raises(InfeasibleError, match="exceeds the search range"):
+        run_experiment(cfg, out)
     assert list(out.iterdir()) == []  # partial artifacts removed
 
 
@@ -328,21 +317,42 @@ def test_unexpected_error_removes_partial_artifacts(tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "mc_mise", broken)
     out = tmp_path / "broken"
     with pytest.raises(RuntimeError, match="stage failed"):
-        run_experiment(small_config(), out, quiet=True)
+        run_experiment(small_config(), out)
     assert list(out.iterdir()) == []  # rates.csv was written before the failure
+
+
+def test_an_interrupt_mid_write_leaves_no_artifact(tmp_path, monkeypatch):
+    """Each file is recorded before it is opened, so an interrupt while
+    ``mise.csv`` is half written removes it with ``rates.csv`` and its
+    sidecar."""
+    out = tmp_path / "cut"
+    cell = experiment._cell
+    cells = []
+
+    def interrupted(value):
+        if (out / "mise.csv").exists():
+            cells.append(value)
+            if len(cells) == 10:
+                raise KeyboardInterrupt
+        return cell(value)
+
+    monkeypatch.setattr(experiment, "_cell", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(small_config(mc={"reps": 2, "draws": 5}), out, subset="sweep")
+    assert len(cells) == 10  # 8 rows of 6 cells: the interrupt came mid-file
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("value", ["two", "1.5", "0", "-3"])
 def test_invalid_thread_count_is_a_config_error(tmp_path, monkeypatch, value):
     monkeypatch.setenv("IGSSM_THREADS", value)
     out = tmp_path / "threads"
-    res = run_experiment(small_config(), out, quiet=True)
-    assert res.exit_code == EXIT_CONFIG
-    assert "IGSSM_THREADS must be a positive integer" in res.error
+    with pytest.raises(ConfigError, match="IGSSM_THREADS must be a positive integer"):
+        run_experiment(small_config(), out)
     assert list(out.iterdir()) == []
 
 
-def test_failed_check_exits_4(tmp_path):
+def test_failed_check_exits_4(tmp_path, capsys):
     cfg = small_config(
         eps_grid=[0.01, 0.001, 0.0001, 0.00001],
         mc={"reps": 3, "draws": 10},
@@ -353,8 +363,13 @@ def test_failed_check_exits_4(tmp_path):
         check={"rate_tol": 1e-6},
     )
     out = tmp_path / "strict"
-    res = run_experiment(cfg, out, check=True, quiet=True)
-    assert res.exit_code == EXIT_CHECK
+    res = run_experiment(cfg, out, check=True)
     assert any("rate" in f for f in res.failures)
     report = json.loads((out / "report.json").read_text())
     assert report["checks"]["failures"] == res.failures
+    # the CLI prints each failure and turns them into its exit code
+    path = tmp_path / "strict.json"
+    path.write_text(json.dumps(cfg.raw))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "cli"), "--check"]) == EXIT_CHECK
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-len(res.failures):] == [f"check failed: {f}" for f in res.failures]
