@@ -19,21 +19,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import importlib.resources
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, _check_eps_values, load_config
+from .config import ConfigError, ExperimentConfig, _check_eps_values, _read_json, _validate, load_config
 from .experiment import _prepare, _Writer, run_experiment
 from .hierarchy import adaptive_estimate
 from .posterior import coordinate_posterior
 from .selection import InfeasibleError, _operator_constant
-from .sequences import Observation, simulate_observation
+from .sequences import Observation, _read_column, simulate_observation
 
 __all__ = ["main", "EXIT_OK", "EXIT_CONFIG", "EXIT_INFEASIBLE", "EXIT_CHECK"]
 
@@ -61,30 +59,12 @@ def _numbered(*columns) -> list:
     return [(j, *values) for j, values in enumerate(zip(*columns), start=1)]
 
 
-def _read_observation(obs_path: Path) -> tuple:
-    """Observation values plus the eps/seed recorded in the sidecar."""
-    meta_path = obs_path.with_name(obs_path.stem + ".meta.json")
-    try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        with open(obs_path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            if header[:2] != ["j", "y"]:
-                raise ConfigError(f"{obs_path}: expected header j,y")
-            values = np.array([float(row[1]) for row in reader])
-        eps, seed = float(meta["eps"]), int(meta["seed"])
-    except OSError as err:
-        raise ConfigError(f"cannot read observation: {err}") from err
-    except KeyError as err:
-        raise ConfigError(f"{meta_path}: observation sidecar lacks {err}") from err
-    except (ValueError, TypeError, IndexError) as err:
-        raise ConfigError(f"malformed observation input: {err}") from err
-    if values.size == 0:
-        raise ConfigError(f"{obs_path}: no observation rows")
-    if not np.all(np.isfinite(values)):
-        raise ConfigError(f"{obs_path}: observation values must be finite")
-    (eps,) = _check_eps_values((eps,), f"{meta_path}: eps")
-    return values, eps, seed
+# The fields of an observation sidecar that ``posterior`` and ``adapt`` read.
+_SIDECAR_SCHEMA = {
+    "type": "object",
+    "required": ["eps", "seed"],
+    "properties": {"eps": {"type": "number"}, "seed": {"type": "integer", "minimum": 0}},
+}
 
 
 def _cmd_simulate(args) -> int:
@@ -113,17 +93,36 @@ def _finite_posterior():
 
 def _observed(args) -> tuple:
     """``(cfg, observation, op, theta, prior)`` for the ``--obs`` commands:
-    the sequences at the observation's noise level, checked to match its
-    length."""
+    the observation with the eps and seed of its sidecar, which is read as
+    strictly as a config, and the sequences at that noise level, checked to
+    match its length."""
     cfg = _load_any(args.config)
-    values, eps, seed = _read_observation(Path(args.obs))
+    obs_path = Path(args.obs)
+    meta_path = obs_path.with_name(obs_path.stem + ".meta.json")
+    meta = _read_json(meta_path, "observation sidecar")
+    for key in _SIDECAR_SCHEMA["required"]:
+        if key not in meta:
+            raise ConfigError(f"{meta_path}: observation sidecar lacks {key!r}")
+    try:
+        _validate(meta, _SIDECAR_SCHEMA)
+    except ConfigError as err:
+        raise ConfigError(f"{meta_path}: {err}") from None
+    (eps,) = _check_eps_values((meta["eps"],), f"{meta_path}: eps")
+    try:
+        values = _read_column(obs_path, ("j", "y"), 1)
+    except OSError as err:
+        raise ConfigError(f"cannot read observation: {err}") from err
+    except ValueError as err:
+        raise ConfigError(f"malformed observation input: {err}") from err
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{obs_path}: observation values must be finite")
     op, theta, prior = cfg.build_sequences(eps)
     if op.n != values.size:
         raise ConfigError(
             f"observation length {values.size} does not match the config's "
             f"sequence length {op.n} at eps={eps}"
         )
-    return cfg, Observation(values, eps, seed), op, theta, prior
+    return cfg, Observation(values, eps, int(meta["seed"])), op, theta, prior
 
 
 def _cmd_posterior(args) -> int:

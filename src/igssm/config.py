@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -202,8 +203,8 @@ def _canon(v):
 
 
 def _validate(value, schema: dict, path: tuple = ()) -> None:
-    """Check ``value`` against ``schema``, which uses only the keywords of
-    :data:`_SCHEMA`, and raise :class:`ConfigError` at the first violation
+    """Check ``value`` against ``schema``, which uses only the keywords
+    handled here, and raise :class:`ConfigError` at the first violation
     as ``path: message``, with jsonschema's message and the path's keys and
     indices joined by dots (``<root>`` for the top level)."""
 
@@ -243,62 +244,48 @@ def _validate(value, schema: dict, path: tuple = ()) -> None:
 
 
 def _check_eps_values(values, where: str) -> tuple:
-    out = []
+    """The noise levels ``values``, each in (0, 1), as floats, deduplicated
+    and largest first."""
     for e in values:
-        e = float(e)
         if not 0.0 < e < 1.0:
-            raise ConfigError(
-                f"{where}: noise levels must lie in the open interval (0, 1), got {e}"
-            )
-        out.append(e)
-    return tuple(out)
+            raise ConfigError(f"{where}: noise levels must lie in the open interval (0, 1), got {float(e)}")
+    return tuple(sorted({float(e) for e in values}, reverse=True))
 
 
-# The keys of each model and truth family and each prior kind that its
-# builder does not read (``sequence_length``, ``build_operator``,
-# ``build_truth``, ``build_prior``); giving one is an error, not a setting
-# silently ignored.
-_UNUSED_KEYS = {
-    ("model", "polynomial"): ("values", "values_file"),
-    ("model", "exponential"): ("values", "values_file"),
-    ("model", "constant"): ("decay", "values", "values_file"),
-    ("model", "explicit"): ("n", "decay"),
-    ("truth", "polynomial"): ("values", "values_file"),
-    ("truth", "exponential"): ("values", "values_file"),
-    ("truth", "explicit"): ("exponent", "scale"),
-    ("prior", "improper"): ("mean", "variance", "variance_family", "d"),
-    ("prior", "gaussian"): ("d",),
-    ("prior", "matched"): ("variance", "variance_family"),
+# Per model or truth family and prior kind: (the keys it needs, the keys it
+# may take).  A needed pair is a choice, of which exactly one key is given.
+# Any other key of the block is one its builder does not read: an error, not
+# a setting silently ignored.
+_FAMILY_KEYS = {
+    ("model", "polynomial"): (("decay",), ("n",)),
+    ("model", "exponential"): (("decay",), ("n",)),
+    ("model", "constant"): ((), ("n",)),
+    ("model", "explicit"): ((("values", "values_file"),), ()),
+    ("truth", "polynomial"): (("exponent",), ("scale",)),
+    ("truth", "exponential"): (("exponent",), ("scale",)),
+    ("truth", "explicit"): ((("values", "values_file"),), ()),
+    ("prior", "improper"): ((), ()),
+    ("prior", "gaussian"): ((("variance", "variance_family"),), ("mean",)),
+    ("prior", "matched"): (("d",), ("mean",)),
 }
-
-
-def _reject_unused_keys(raw: dict) -> None:
-    for block, selector in (("model", "family"), ("truth", "family"), ("prior", "kind")):
-        kind = raw[block][selector]
-        for key in _UNUSED_KEYS[block, kind]:
-            if key in raw[block]:
-                raise ConfigError(f"{block}.{key}: the {kind} {selector} does not use this key")
-    if "variance" in raw["prior"] and "variance_family" in raw["prior"]:
-        raise ConfigError("prior.variance: give variance or variance_family, not both")
+_KEY_NAMES = {"d": "the margin constant d"}
 
 
 def _validate_semantics(raw: dict) -> None:
-    _reject_unused_keys(raw)
-    model = raw["model"]
-    if model["family"] in ("polynomial", "exponential") and "decay" not in model:
-        raise ConfigError("model: polynomial/exponential families need a decay value")
-    if model["family"] == "explicit" and not ("values" in model or "values_file" in model):
-        raise ConfigError("model: explicit family needs values or values_file")
-    truth = raw["truth"]
-    if truth["family"] in ("polynomial", "exponential") and "exponent" not in truth:
-        raise ConfigError("truth: polynomial/exponential families need an exponent")
-    if truth["family"] == "explicit" and not ("values" in truth or "values_file" in truth):
-        raise ConfigError("truth: explicit family needs values or values_file")
-    prior = raw["prior"]
-    if prior["kind"] == "gaussian" and not ("variance" in prior or "variance_family" in prior):
-        raise ConfigError("prior: gaussian kind needs variance or variance_family")
-    if prior["kind"] == "matched" and "d" not in prior:
-        raise ConfigError("prior: matched kind needs the margin constant d")
+    for block, selector in (("model", "family"), ("truth", "family"), ("prior", "kind")):
+        given, kind = raw[block], raw[block][selector]
+        needs, takes = _FAMILY_KEYS[block, kind]
+        choices = [(need,) if isinstance(need, str) else need for need in needs]
+        for key in given:
+            if key != selector and key not in takes and not any(key in c for c in choices):
+                raise ConfigError(f"{block}.{key}: the {kind} {selector} does not use this key")
+        for choice in choices:
+            count = sum(key in given for key in choice)
+            if count > 1:
+                raise ConfigError(f"{block}.{choice[0]}: give {' or '.join(choice)}, not both")
+            if count == 0:
+                names = " or ".join(_KEY_NAMES.get(key, key) for key in choice)
+                raise ConfigError(f"{block}.{choice[0]}: the {kind} {selector} needs {names}")
     estimators = raw.get("estimators", [])
     if "fixed" in estimators and "fixed_dims" not in raw:
         raise ConfigError("estimators: the fixed kind needs fixed_dims")
@@ -327,9 +314,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         _validate(self.raw, _SCHEMA)
-        _check_eps_values(self.raw["eps_grid"], "eps_grid")
-        if "concentration" in self.raw and "eps_grid" in self.raw["concentration"]:
-            _check_eps_values(self.raw["concentration"]["eps_grid"], "concentration.eps_grid")
+        self.eps_grid, self.concentration_eps_grid  # both grids are checked here, and kept
         _validate_semantics(self.raw)
         n = self.sequence_length()
         if self.fixed_dims and max(self.fixed_dims) > n:
@@ -344,17 +329,14 @@ class ExperimentConfig:
     def seed(self) -> int:
         return int(self.raw["seed"])
 
-    @property
+    @cached_property
     def eps_grid(self) -> tuple:
-        return tuple(sorted(set(_check_eps_values(self.raw["eps_grid"], "eps_grid")), reverse=True))
+        return _check_eps_values(self.raw["eps_grid"], "eps_grid")
 
-    @property
+    @cached_property
     def concentration_eps_grid(self) -> tuple:
-        block = self.raw.get("concentration", {})
-        if "eps_grid" in block:
-            vals = _check_eps_values(block["eps_grid"], "concentration.eps_grid")
-            return tuple(sorted(set(vals), reverse=True))
-        return self.eps_grid
+        grid = self.raw.get("concentration", {}).get("eps_grid")
+        return self.eps_grid if grid is None else _check_eps_values(grid, "concentration.eps_grid")
 
     @property
     def concentration_kinds(self) -> tuple:
@@ -446,18 +428,15 @@ class ExperimentConfig:
         model = self.raw["model"]
         return self._file_values(model) if model["family"] == "explicit" else None
 
-    def _file_values(self, block: dict):
+    def _file_values(self, block: dict) -> np.ndarray:
+        """An explicit family's values: inline, or read from its values_file."""
         if "values" in block:
-            return _freeze(np.array([float(v) for v in block["values"]]))
-        if "values_file" in block:
-            path = Path(block["values_file"])
-            if not path.is_absolute():
-                path = self.base_dir / path
-            try:
-                return _freeze(load_values_csv(path))
-            except (OSError, ValueError) as err:
-                raise ConfigError(f"values_file {path}: {err}") from err
-        return None
+            return _freeze(np.array(block["values"], dtype=np.float64))
+        path = self.base_dir / block["values_file"]  # an absolute path stays as it is
+        try:
+            return _freeze(load_values_csv(path))
+        except (OSError, ValueError) as err:
+            raise ConfigError(f"values_file {path}: {err}") from err
 
     def build_operator(self, n: int) -> OperatorSequence:
         model = self.raw["model"]
@@ -528,29 +507,43 @@ class ExperimentConfig:
             raise ConfigError(f"class: {err}") from err
 
 
-def load_config(path) -> ExperimentConfig:
-    """Read and validate a JSON experiment config file."""
-    path = Path(path)
+def _read_json(path: Path, what: str) -> dict:
+    """The JSON object in the file at ``path``, read strictly: an unreadable
+    file, a repeated key, a number that is not finite (``NaN``,
+    ``Infinity``, ``1e999`` or an integer past float range) and a top level
+    that is not an object are each a :class:`ConfigError` naming ``what``."""
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read {what} {path}: {err}") from err
 
-    def non_finite(token):  # json reads NaN and +-Infinity; no config key takes them
-        raise ConfigError(f"config {path}: {token} is not a finite number")
+    def finite(token, parse=float):  # json reads NaN, +-Infinity and 1e999 as floats
+        value = parse(token)
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{what} {path}: {token} is not a finite number")
+        return value
 
-    def unique(pairs):  # json keeps the last of a repeated key; a config names each once
+    def unique(pairs):  # json keeps the last of a repeated key
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise ConfigError(f"config {path}: duplicate key {key!r}")
+                raise ConfigError(f"{what} {path}: duplicate key {key!r}")
             seen.add(key)
         return dict(pairs)
 
     try:
-        raw = json.loads(text, parse_constant=non_finite, object_pairs_hook=unique)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config {path} is not valid JSON: {err}") from err
+        raw = json.loads(
+            text, parse_float=finite, parse_constant=finite,
+            parse_int=lambda token: finite(token, int), object_pairs_hook=unique,
+        )
+    except (json.JSONDecodeError, RecursionError) as err:  # nested past the recursion limit
+        raise ConfigError(f"{what} {path} is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must hold a JSON object at top level")
-    return ExperimentConfig(raw=raw, base_dir=path.parent)
+        raise ConfigError(f"{what} {path} must hold a JSON object at top level")
+    return raw
+
+
+def load_config(path) -> ExperimentConfig:
+    """Read and validate a JSON experiment config file."""
+    path = Path(path)
+    return ExperimentConfig(raw=_read_json(path, "config"), base_dir=path.parent)

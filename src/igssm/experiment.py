@@ -87,12 +87,8 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
+    if isinstance(value, np.generic):  # a numpy bool, integer or float
+        return value.item()
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, float) and math.isinf(value):
@@ -130,7 +126,11 @@ class _Writer:
     def _open(self, name: str):
         path = self.out_dir / name
         self.written.append(path)  # before it exists, so a failed write is removed
-        return open(path, "w", encoding="utf-8", newline="")
+        try:
+            return open(path, "w", encoding="utf-8", newline="")
+        except OSError as err:  # a directory at the path, say: not ours to remove
+            self.written.pop()
+            raise ConfigError(f"cannot write to {path}: {err}") from err
 
     def csv(self, name: str, header: list, rows: list, **extra) -> None:
         with self._open(name) as fh:
@@ -201,14 +201,6 @@ def _prepare(cfg: ExperimentConfig) -> tuple:
         },
     }
     return theta, prior, op, wclass, report, c_lambda, constants, header
-
-
-def _selection_at(theta, prior, op, wclass, eps):
-    """(m_max, oracle SelectionResult, minimax SelectionResult | None)."""
-    m_max = max_dimension(op, eps)
-    oracle = oracle_dimension(theta, prior, op, eps)
-    minimax = minimax_dimension(wclass, op, eps) if wclass is not None else None
-    return m_max, oracle, minimax
 
 
 def _rates_rows(report):
@@ -288,7 +280,9 @@ def _concentration_stage(cfg, theta, prior, op, wclass, report, constants, c_lam
     # every selection is checked before any Monte Carlo work starts
     tasks = []
     for eps in cfg.concentration_eps_grid:
-        m_max, oracle, minimax = _selection_at(theta, prior, op, wclass, eps)
+        m_max = max_dimension(op, eps)
+        oracle = oracle_dimension(theta, prior, op, eps)
+        minimax = minimax_dimension(wclass, op, eps) if wclass is not None else None
         for kind in cfg.concentration_kinds:
             sel = minimax if kind.endswith("_minimax") else oracle
             if sel.dimension > m_max:

@@ -440,17 +440,26 @@ def _observe(signal: np.ndarray, noise_scale: float, rngs, out: np.ndarray) -> n
     return np.add(out, signal, out=out)
 
 
-def load_values_csv(path: str) -> np.ndarray:
-    """Load a single-column CSV (header row ``value``, one real per line)."""
+def _read_column(path, header: tuple, column: int) -> np.ndarray:
+    """Column ``column`` of a CSV file, as floats: its first row must be
+    ``header`` and each later one, blank lines aside, as many cells wide."""
+    values = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["value"]:
-            raise ValueError(f"{path}: expected single-column header 'value', got {header}")
         try:
-            vals = [float(row[0]) for row in reader if row]
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"{path}: malformed value row: {exc}") from exc
-    if not vals:
-        raise ValueError(f"{path}: no values")
-    return np.asarray(vals, dtype=np.float64)
+            if (found := next(reader, None)) != list(header):
+                raise ValueError(f"expected header {','.join(header)}, got {found}")
+            for row in filter(None, reader):
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} cells where the header has {len(header)}")
+                values.append(float(row[column]))
+        except (csv.Error, ValueError) as err:
+            raise ValueError(f"{path}, line {reader.line_num or 1}: {err}") from err
+    if not values:
+        raise ValueError(f"{path}: no rows below the header")
+    return np.asarray(values, dtype=np.float64)
+
+
+def load_values_csv(path: str) -> np.ndarray:
+    """Load a single-column CSV (header row ``value``, one real per line)."""
+    return _read_column(path, ("value",), 0)

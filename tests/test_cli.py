@@ -299,6 +299,8 @@ def test_posterior_length_mismatch(tmp_path, capsys):
         ("float", "malformed observation input"),
         ("sidecar", "cannot read observation"),
         ("empty", "expected header j,y"),
+        ("extra_column", "expected header j,y"),
+        ("wide_row", "3 cells where the header has 2"),
         ("eps", "noise levels must lie in the open interval (0, 1)"),
         ("nan", "observation values must be finite"),
         ("inf", "observation values must be finite"),
@@ -322,6 +324,10 @@ def test_malformed_observation_inputs(tmp_path, capsys, breakage, message):
         sidecar.write_text('{"eps": 0.01, "seed": 1}', encoding="utf-8")
     elif breakage == "empty":
         obs.write_text("", encoding="utf-8")
+        sidecar.write_text('{"eps": 0.01, "seed": 1}', encoding="utf-8")
+    elif breakage in ("extra_column", "wide_row"):
+        text = "j,y,z\n1,0.5,0\n" if breakage == "extra_column" else "j,y\n1,0.5,0\n"
+        obs.write_text(text, encoding="utf-8")
         sidecar.write_text('{"eps": 0.01, "seed": 1}', encoding="utf-8")
     elif breakage == "eps":
         obs.write_text("j,y\n1,0.5\n", encoding="utf-8")
@@ -366,6 +372,37 @@ def test_sidecar_without_eps_or_seed_exits_config_error(tmp_path, capsys, comman
     )
     assert rc == 2
     assert f"observation sidecar lacks '{missing}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["posterior", "adapt"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"eps": 0.01, "seed": Infinity}', "Infinity is not a finite number"),
+        ('{"eps": 0.01, "seed": 1.5}', "seed: 1.5 is not of type 'integer'"),
+        ('{"eps": 0.01, "seed": true}', "seed: True is not of type 'integer'"),
+        ('{"eps": 0.01, "seed": "7"}', "seed: '7' is not of type 'integer'"),
+        ('{"eps": 0.01, "seed": -3}', "seed: -3 is less than the minimum of 0"),
+        ('{"eps": 0.01, "seed": 1, "seed": 2}', "duplicate key 'seed'"),
+        ('{"eps": "0.01", "seed": 1}', "eps: '0.01' is not of type 'number'"),
+        ('[0.01, 1]', "must hold a JSON object at top level"),
+    ],
+)
+def test_sidecar_is_read_as_strictly_as_a_config(tmp_path, capsys, command, text, message):
+    """The observation sidecar's ``eps`` is a number and its ``seed`` an
+    integer of at least 0, with no coercion; a repeated key or a token that
+    is not a finite number is refused as in a config.  Each exits 2 and
+    writes nothing."""
+    obs = tmp_path / "observation.csv"
+    obs.write_text("j,y\n1,0.5\n", encoding="utf-8")
+    (tmp_path / "observation.meta.json").write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", "pp_small", "--obs", obs, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_infeasible_run_exits_3(tmp_path, capsys):
@@ -441,6 +478,37 @@ def test_unusable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch, com
     assert err.startswith("config error: cannot write to ")
     assert "Traceback" not in err
     assert blocker.read_text(encoding="utf-8") == "keep\n"
+
+
+@pytest.mark.parametrize(
+    "command, blocked",
+    [
+        ("simulate", "observation.meta.json"),
+        ("posterior", "posterior.meta.json"),
+        ("adapt", "adaptive.csv"),
+        ("select", "selection.json"),
+        ("audit", "report.json"),
+        ("sweep", "report.json"),
+        ("run", "report.json"),
+    ],
+)
+def test_a_directory_at_an_artifact_path_exits_2(tmp_path, capsys, command, blocked):
+    """A directory where a command writes an artifact (its last one, so
+    others come before it) is a config error naming the path: every file
+    the command wrote is removed and the directory is left as it was."""
+    argv = [command, "--config", "pp_small", "--quiet"]
+    if command in ("posterior", "adapt"):
+        assert run_cli("simulate", "--config", "pp_small", "--out", tmp_path / "obs", "--quiet") == 0
+        argv += ["--obs", tmp_path / "obs" / "observation.csv"]
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    (out / blocked / "keep").write_text("keep\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write to {out / blocked}: ")
+    assert "Traceback" not in err
+    assert sorted(p.relative_to(out) for p in out.rglob("*")) == [Path(blocked), Path(blocked, "keep")]
 
 
 @pytest.mark.parametrize("command", ["audit", "sweep", "run"])
@@ -742,18 +810,26 @@ _UNUSED_VALUES = {
 }
 
 
+def _family_choices(raw, block):
+    """The needed keys of ``raw[block]``'s family or kind, as tuples of
+    alternatives, from ``config._FAMILY_KEYS``; and its selector key."""
+    selector = "kind" if block == "prior" else "family"
+    needs, takes = config._FAMILY_KEYS[block, raw[block][selector]]
+    return [(need,) if isinstance(need, str) else need for need in needs], takes, selector
+
+
 @st.composite
 def unused_key_cases(draw):
-    """A small config, one of its model, truth and prior blocks, a key that
-    block's family or kind does not use, or the prior variance or variance
-    family the gaussian prior lacks, and a command: ``(raw, block, key,
-    command)``."""
+    """A small config, one of its model, truth and prior blocks, a key of
+    the block's schema that its family or kind does not use, or the other
+    alternative of a choice the block made, and a command: ``(raw, block,
+    key, command)``."""
     raw = draw(small_configs())
     block = draw(st.sampled_from(["model", "truth", "prior"]))
-    kind = raw[block]["kind" if block == "prior" else "family"]
-    keys = list(config._UNUSED_KEYS[block, kind])
-    if block == "prior" and kind == "gaussian":
-        keys.append("variance" if "variance_family" in raw["prior"] else "variance_family")
+    choices, takes, selector = _family_choices(raw, block)
+    known = {selector, *takes, *(key for choice in choices for key in choice)}
+    keys = [key for key in config._SCHEMA["properties"][block]["properties"] if key not in known]
+    keys += [key for choice in choices for key in choice if key not in raw[block]]
     key = draw(st.sampled_from(keys))
     return raw, block, key, draw(st.sampled_from(["simulate", "select", "sweep", "run", "audit"]))
 
@@ -774,14 +850,37 @@ def unused_key_cases(draw):
         "prior", "variance", "select",
     ),
 )
+@example(  # the same two keys, the variance family given second
+    case=(
+        {**_SELECT_BASE, "model": {"family": "constant"}, "prior": {"kind": "gaussian", "variance": 1.0},
+         "eps_grid": [0.1]},
+        "prior", "variance_family", "select",
+    ),
+)
+@example(  # inline model values beside a values file that does not exist
+    case=(
+        {**_SELECT_BASE, "model": {"family": "explicit", "values_file": "missing.csv"},
+         "prior": {"kind": "improper"}, "eps_grid": [0.1]},
+        "model", "values", "simulate",
+    ),
+)
+@example(  # inline truth values beside a values file that does not exist
+    case=(
+        {**_SELECT_BASE, "model": {"family": "constant", "n": 2},
+         "truth": {"family": "explicit", "values_file": "missing.csv"},
+         "prior": {"kind": "improper"}, "eps_grid": [0.1]},
+        "truth", "values", "select",
+    ),
+)
 @given(case=unused_key_cases())
 def test_keys_a_family_does_not_use_are_config_errors(tmp_path, capsys, case):
     """A key the chosen model or truth family or prior kind does not read,
-    or a prior variance beside a variance family, makes any command exit 2
-    with a message naming the key, before anything else about the config
-    is checked, and leaves no artifact."""
+    or both alternatives of a choice (``values``/``values_file``,
+    ``variance``/``variance_family``), make any command exit 2 with a
+    message naming the key, or the choice's first alternative, before
+    anything else about the config is checked, and leave no artifact."""
     raw, block, key, command = case
-    both = key in ("variance", "variance_family") and raw["prior"]["kind"] == "gaussian"
+    choice = next((c for c in _family_choices(raw, block)[0] if key in c), (key,))
     raw = {**raw, block: {**raw[block], key: _UNUSED_VALUES[key]}}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
@@ -789,7 +888,7 @@ def test_keys_a_family_does_not_use_are_config_errors(tmp_path, capsys, case):
     out = tmp_path / "out"
     assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
     err = capsys.readouterr().err
-    assert f"{block}.{'variance' if both else key}: " in err
+    assert f"{block}.{choice[0]}: " in err
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from igssm import config
+from igssm import cli, config
 from igssm.cli import main
 from igssm.config import MAX_SEQUENCE_LENGTH, ConfigError, ExperimentConfig, load_config
 
@@ -41,6 +41,19 @@ def test_minimal_config_and_defaults():
 def test_eps_grid_sorted_deduplicated():
     cfg = cfg_with(eps_grid=[0.001, 0.01, 0.001])
     assert cfg.eps_grid == (0.01, 0.001)
+
+
+def test_noise_grids_are_checked_once(monkeypatch):
+    """Each grid is checked and sorted when the config is validated, and
+    kept: reading it again re-checks nothing."""
+    calls = []
+    check = config._check_eps_values
+    monkeypatch.setattr(config, "_check_eps_values", lambda values, where: calls.append(where) or check(values, where))
+    cfg = cfg_with(concentration={"kinds": ["bracket_oracle"], "eps_grid": [0.001, 0.01]})
+    for _ in range(3):
+        assert cfg.eps_grid == cfg.concentration_eps_grid == (0.01, 0.001)
+    cfg.build_sequences()
+    assert calls == ["eps_grid", "concentration.eps_grid"]
 
 
 def test_eps_outside_unit_interval_names_the_interval():
@@ -210,6 +223,38 @@ def test_duplicate_keys_are_config_errors(tmp_path, capsys, text, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("literal", ["1e999", "-1e999", "1" + "0" * 400], ids=["inf", "-inf", "10**400"])
+def test_numbers_past_float_range_are_config_errors(tmp_path, capsys, literal):
+    """``json`` reads ``1e999`` as infinity and keeps an integer too large
+    for a float, which no config key can use; the loader refuses both."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({**BASE, "c_lambda": 2.5}).replace("2.5", literal), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"{literal} is not a finite number"):
+        load_config(path)
+    grid = path.read_text(encoding="utf-8").replace(literal, "2").replace("[0.01, 0.001]", f"[{literal}]")
+    path.write_text(grid, encoding="utf-8")
+    assert main(["select", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert f"{literal} is not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"seed": "\xff"}')
+    with pytest.raises(ConfigError, match=f"cannot read config {path}: 'utf-8' codec"):
+        load_config(path)
+
+
+def test_json_nested_past_the_recursion_limit_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"seed": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    assert main(["select", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config {path} is not valid JSON: maximum recursion depth")
+    assert not (tmp_path / "out").exists()
+
+
+
 def test_malformed_json_and_missing_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -246,6 +291,15 @@ def test_benchmark_configs_load():
 # -- the config validator against jsonschema ----------------------------------
 
 _ABSENT = object()
+
+# Every schema ``config._validate`` checks, and the JSON-Schema keywords it
+# implements.
+_SCHEMAS = (config._SCHEMA, cli._SIDECAR_SCHEMA)
+_KEYWORDS = {
+    "type", "enum", "properties", "additionalProperties", "required", "items",
+    "minItems", "uniqueItems", "minimum", "exclusiveMinimum", "maximum",
+}
+_SIDECAR = {"artifact": "observation.csv", "eps": 0.01, "n": 100, "seed": 7, "version": "0.1.0"}
 
 
 def _nodes(value, schema, path=()):
@@ -294,14 +348,19 @@ def _mutate(raw, path, value, action):
 
 
 @st.composite
-def mutated_configs(draw):
-    """A bundled config with one mutation: a value set to a near miss of its
-    schema, a key removed, an unknown key added or an array item repeated."""
+def mutated_documents(draw):
+    """A bundled config or an observation sidecar with one mutation: a value
+    set to a near miss of its schema, a key removed, an unknown key added or
+    an array item repeated."""
     from importlib.resources import files
 
-    name = draw(st.sampled_from(["pp_p1_a0", "pp_p1_a1", "pp_small", "tail_audit"]))
-    raw = json.loads((files("igssm") / "configs" / f"{name}.json").read_text(encoding="utf-8"))
-    path, value, schema = draw(st.sampled_from([n for n in _nodes(raw, config._SCHEMA) if n[0]]))
+    name = draw(st.sampled_from(["pp_p1_a0", "pp_p1_a1", "pp_small", "tail_audit", "sidecar"]))
+    if name == "sidecar":
+        raw, root = dict(_SIDECAR), cli._SIDECAR_SCHEMA
+    else:
+        raw = json.loads((files("igssm") / "configs" / f"{name}.json").read_text(encoding="utf-8"))
+        root = config._SCHEMA
+    path, value, schema = draw(st.sampled_from([n for n in _nodes(raw, root) if n[0]]))
     actions = ["set"]
     if value is not _ABSENT:
         actions.append("delete")
@@ -314,7 +373,7 @@ def mutated_configs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(raw=mutated_configs())
+@given(raw=mutated_documents())
 @example(raw={"mc": {"reps": 0}})
 @example(raw={**BASE, "eps_grid": []})
 @example(raw={**BASE, "seed": True})
@@ -324,22 +383,41 @@ def mutated_configs(draw):
 @example(raw={**BASE, "prior": {"kind": "gaussian", "variance": 0}})
 @example(raw={**BASE, "check": {"concentration_floor": 1.5}})
 @example(raw={**BASE, "other": 1, "bogus": 2})
+@example(raw={**_SIDECAR, "seed": 1.5})
+@example(raw={**_SIDECAR, "eps": "0.01"})
 def test_validator_agrees_with_jsonschema(raw):
-    """The config validator accepts exactly what jsonschema accepts, and its
-    message is one of jsonschema's errors, formatted ``path: message``; with
-    a single error, that error."""
+    """On every schema it checks, configs' and sidecars' alike, the
+    validator accepts exactly what jsonschema accepts, and its message is
+    one of jsonschema's errors, formatted ``path: message``; with a single
+    error, that error."""
     import jsonschema
 
-    errors = [
-        f"{'.'.join(map(str, err.absolute_path)) or '<root>'}: {err.message}"
-        for err in jsonschema.Draft202012Validator(config._SCHEMA).iter_errors(raw)
-    ]
-    try:
-        config._validate(raw, config._SCHEMA)
-    except ConfigError as err:
-        assert str(err) in errors
-    else:
-        assert errors == []
+    for schema in _SCHEMAS:
+        errors = [
+            f"{'.'.join(map(str, err.absolute_path)) or '<root>'}: {err.message}"
+            for err in jsonschema.Draft202012Validator(schema).iter_errors(raw)
+        ]
+        try:
+            config._validate(raw, schema)
+        except ConfigError as err:
+            assert str(err) in errors
+        else:
+            assert errors == []
+
+
+def test_schemas_use_only_implemented_keywords():
+    """A keyword the validator does not implement would be ignored, so a
+    schema that uses one fails here."""
+
+    def keywords(schema):
+        yield from schema
+        for sub in schema.get("properties", {}).values():
+            yield from keywords(sub)
+        if "items" in schema:
+            yield from keywords(schema["items"])
+
+    for schema in _SCHEMAS:
+        assert set(keywords(schema)) <= _KEYWORDS
 
 
 @pytest.mark.parametrize(

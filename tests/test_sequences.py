@@ -319,3 +319,21 @@ def test_load_values_csv_roundtrip(tmp_path):
     bad.write_text("wrong\n1.0\n")
     with pytest.raises(ValueError):
         load_values_csv(str(bad))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("value,x\n1.0,2.0\n", "expected header value"),
+        ("value\n1.0,2.0\n", "line 2: 2 cells where the header has 1"),
+        ("value\n1.0\nabc\n", "line 3: could not convert"),
+        ("value\n\n", "no rows below the header"),
+    ],
+)
+def test_values_csv_is_read_exactly(tmp_path, text, message):
+    """A values file has the one header ``value`` and one cell a row: a
+    second column is an error, not a cell silently dropped."""
+    path = tmp_path / "vals.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        load_values_csv(str(path))
