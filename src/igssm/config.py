@@ -453,10 +453,12 @@ class ExperimentConfig:
             if truth["family"] == "explicit":
                 values = self._file_values(truth)
                 return make_parameters("explicit", values.size, values=values)
-            return make_parameters(
+            theta = make_parameters(
                 truth["family"], n, exponent=truth.get("exponent"), scale=truth.get("scale", 1.0)
             )
-        except ValueError as err:
+            theta.sq_tail()  # a tail past the double range fails here, not in a later stage
+            return theta
+        except (ValueError, OverflowError) as err:
             raise ConfigError(f"truth: {err}") from err
 
     def build_prior(self, op: OperatorSequence) -> PriorSpec:

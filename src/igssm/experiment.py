@@ -36,6 +36,7 @@ from .montecarlo import (
 )
 from .selection import (
     InfeasibleError,
+    _release_profiles,
     bracket_dimensions,
     check_assumptions,
     composite_constants,
@@ -153,10 +154,14 @@ class _Writer:
 
 
 def _prepare(cfg: ExperimentConfig) -> tuple:
-    """``(theta, prior, op, wclass, report, c_lambda, constants, header)``:
-    the sequences of ``cfg``, its assumption report and constants, and the
-    ``report.json`` header they give (all of it but the seed).  Shared by
-    ``run_experiment`` and ``igssm select``."""
+    """``(theta, prior, op, report, c_lambda, constants, concentration,
+    header)``: the sequences of ``cfg``, its assumption report, the
+    operator constant in force, the composite constants, the concentration
+    tasks (see ``_concentration_tasks``) and the ``report.json`` header they
+    give (all of it but the seed).  Shared by ``run_experiment`` and ``igssm
+    select``.  The bias profile, the variance-proxy prefix sums and the
+    class weights serve only the selections, which are all made here, so
+    none of them outlives set-up."""
     op, theta, prior = cfg.build_sequences()
     wclass = cfg.build_class(op.n)  # explicit operators fix their own length
 
@@ -170,6 +175,8 @@ def _prepare(cfg: ExperimentConfig) -> tuple:
         )
     except OverflowError as err:  # the amplification at a threshold dimension
         raise ConfigError(f"composite constants: {err}") from err
+    concentration = _concentration_tasks(cfg, theta, prior, op, wclass, report, c_lambda)
+    _release_profiles(theta, op)
     header = {
         "version": __version__,
         "config_sha256": cfg.sha256(),
@@ -200,7 +207,32 @@ def _prepare(cfg: ExperimentConfig) -> tuple:
             "feasible": list(report.feasible),
         },
     }
-    return theta, prior, op, wclass, report, c_lambda, constants, header
+    return theta, prior, op, report, c_lambda, constants, concentration, header
+
+
+def _concentration_tasks(cfg, theta, prior, op, wclass, report, c_lambda) -> list:
+    """``(eps, kind, sel, m_max, bracket)`` per row of the concentration
+    stage: the selection the kind samples at or brackets, the search range
+    and, for a bracket kind whose selection lies in it, its bracket or the
+    error computing it raised, which the stage raises when it reaches the
+    row (None elsewhere)."""
+    tasks = []
+    for eps in cfg.concentration_eps_grid:
+        m_max = max_dimension(op, eps)
+        oracle = oracle_dimension(theta, prior, op, eps)
+        minimax = minimax_dimension(wclass, op, eps) if wclass is not None else None
+        for kind in cfg.concentration_kinds:
+            sel = minimax if kind.endswith("_minimax") else oracle
+            bracket = None
+            if kind.startswith("bracket") and sel.dimension <= m_max:
+                try:
+                    bracket = bracket_dimensions(
+                        theta, prior, op, report, sel, weighted_class=wclass, c_lambda=c_lambda
+                    )
+                except (InfeasibleError, OverflowError) as err:
+                    bracket = err
+            tasks.append((eps, kind, sel, m_max, bracket))
+    return tasks
 
 
 def _rates_rows(report):
@@ -276,29 +308,21 @@ def _mise_stage(cfg, theta, prior, op, report, c_lambda, seed, reps):
     return rows, fits
 
 
-def _concentration_stage(cfg, theta, prior, op, wclass, report, constants, c_lambda, seed, reps, draws):
+def _concentration_stage(theta, prior, op, tasks, constants, c_lambda, seed, reps, draws):
     # every selection is checked before any Monte Carlo work starts
-    tasks = []
-    for eps in cfg.concentration_eps_grid:
-        m_max = max_dimension(op, eps)
-        oracle = oracle_dimension(theta, prior, op, eps)
-        minimax = minimax_dimension(wclass, op, eps) if wclass is not None else None
-        for kind in cfg.concentration_kinds:
-            sel = minimax if kind.endswith("_minimax") else oracle
-            if sel.dimension > m_max:
-                raise InfeasibleError(
-                    f"selected dimension {sel.dimension} exceeds the search "
-                    f"range {m_max} at eps={eps} for {kind}"
-                )
-            tasks.append((eps, kind, sel, m_max))
+    for eps, kind, sel, m_max, _ in tasks:
+        if sel.dimension > m_max:
+            raise InfeasibleError(
+                f"selected dimension {sel.dimension} exceeds the search "
+                f"range {m_max} at eps={eps} for {kind}"
+            )
 
     rows = []
-    for eps, kind, sel, m_max in tasks:
+    for eps, kind, sel, m_max, bracket in tasks:
         if kind.startswith("bracket"):
+            if isinstance(bracket, Exception):
+                raise bracket
             # the one bracket of this task: the CSV row and the estimate share it
-            bracket = bracket_dimensions(
-                theta, prior, op, report, sel, weighted_class=wclass, c_lambda=c_lambda
-            )
             est = mc_bracket_mass(theta, prior, op, eps, reps, seed, bracket, c_lambda)
             rows.append([eps, kind, sel.dimension, None, None, *bracket, est.value, est.se])
             continue
@@ -391,7 +415,7 @@ def run_experiment(
     seed = cfg.seed if seed is None else int(seed)
     reps = cfg.mc_reps if reps is None else int(reps)
     draws = cfg.mc_draws
-    theta, prior, op, wclass, report, c_lambda, constants, header = _prepare(cfg)
+    theta, prior, op, report, c_lambda, constants, concentration, header = _prepare(cfg)
     payload = {**header, "seed": seed}
     fits: dict = {}
     conc_rows: list = []
@@ -416,7 +440,7 @@ def run_experiment(
 
         if subset == "all" and cfg.concentration_kinds:
             conc_rows = _concentration_stage(
-                cfg, theta, prior, op, wclass, report, constants, c_lambda, seed, reps, draws
+                theta, prior, op, concentration, constants, c_lambda, seed, reps, draws
             )
             writer.csv(
                 "concentration.csv",

@@ -146,6 +146,8 @@ _CHUNK = 4096
 # numpy's pairwise summation sums blocks of up to this many elements in
 # one loop (its PW_BLOCKSIZE).
 _PAIRWISE_LEAF = 128
+# Longest run of squared errors ``_sq_err_sum`` builds at once (256 KiB).
+_PIECE = 1 << 15
 # Relative slack of ``_tail_bound``: far more than the rounding error of
 # sums of up to 1e7 terms (config.MAX_SEQUENCE_LENGTH).
 _SLACK = 1.0 + 1e-6
@@ -160,20 +162,43 @@ def _chunk_maxima(lw: np.ndarray) -> np.ndarray:
     return np.array([np.maximum.reduceat(row, starts) for row in lw])
 
 
-def _pairwise_sum(rows: np.ndarray, end: int, tail: np.ndarray | None = None, memo: dict | None = None):
+def _half(n: int) -> int:
+    """Where numpy's pairwise summation splits a node of ``n >
+    _PAIRWISE_LEAF`` elements: ``n // 2`` rounded down to a multiple of 8."""
+    return n // 2 - n // 2 % 8
+
+
+def _sq_err(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``(a_j - b_j)^2`` for ``j`` in ``[lo, hi)``, as a new array."""
+    d = np.subtract(a[lo:hi], b[lo:hi])
+    return np.square(d, out=d)
+
+
+def _sq_err_sum(a: np.ndarray, b: np.ndarray, lo: int, n: int) -> float:
+    """``np.sum((a - b)[lo : lo + n] ** 2)`` bit for bit, never building
+    more than ``_PIECE`` of the squares at once.  numpy sums the ``n``
+    squares as a tree (see ``_pairwise_sum``), and each subtree of up to
+    ``_PIECE`` elements is what ``np.sum`` gives on those elements alone,
+    so the tree is rebuilt from such pieces."""
+    if n <= _PIECE:
+        return float(np.sum(_sq_err(a, b, lo, lo + n)))
+    half = _half(n)
+    return _sq_err_sum(a, b, lo, half) + _sq_err_sum(a, b, lo + half, n - half)
+
+
+def _pairwise_sum(rows: np.ndarray, end: int, tail: tuple | None = None, memo: dict | None = None):
     """Each row's ``np.sum`` over its whole length when its entries from
-    ``end`` on are those of ``tail`` (zeros when None), reading only
-    ``rows[:, :end]``.  numpy sums a contiguous row of ``n`` elements as a
-    tree: a node of up to ``_PAIRWISE_LEAF`` elements is a leaf, summed in
-    one loop, and a longer one adds its two halves, split at ``n // 2``
-    rounded down to a multiple of 8.  The tree is rebuilt here from its
-    subtrees: one wholly before ``end`` is summed by ``np.sum`` (the same
-    tree), one wholly past it is 0.0 or the memoised sum of ``tail`` over
-    it, and the leaf that ``end`` cuts is summed after the tail's values are
-    written into ``rows`` past ``end``, the only entries there this writes.
-    ``memo``, keyed by the subtree, may be shared by every call on one
-    ``tail``, from several threads: a race computes a sum twice, to the
-    same value."""
+    ``end`` on are ``(a_j - b_j)^2`` for ``tail = (a, b)`` (zeros when
+    None), reading only ``rows[:, :end]``.  numpy sums a contiguous row of
+    ``n`` elements as a tree: a node of up to ``_PAIRWISE_LEAF`` elements is
+    a leaf, summed in one loop, and a longer one adds its two halves, split
+    at ``_half(n)``.  The tree is rebuilt here from its subtrees: one wholly
+    before ``end`` is summed by ``np.sum`` (the same tree), one wholly past
+    it is 0.0 or the memoised ``_sq_err_sum`` over it, and the leaf that
+    ``end`` cuts is summed after the tail's values are written into
+    ``rows`` past ``end``, the only entries there this writes.  ``memo``,
+    keyed by the subtree, may be shared by every call on one ``tail``, from
+    several threads: a race computes a sum twice, to the same value."""
     memo = {} if memo is None else memo
 
     def node(lo: int, n: int):
@@ -183,12 +208,12 @@ def _pairwise_sum(rows: np.ndarray, end: int, tail: np.ndarray | None = None, me
             if tail is None:
                 return 0.0
             if (lo, n) not in memo:
-                memo[lo, n] = float(np.sum(tail[lo : lo + n]))
+                memo[lo, n] = _sq_err_sum(*tail, lo, n)
             return memo[lo, n]
         if n <= _PAIRWISE_LEAF:
-            rows[:, end : lo + n] = 0.0 if tail is None else tail[end : lo + n]
+            rows[:, end : lo + n] = 0.0 if tail is None else _sq_err(*tail, end, lo + n)
             return np.sum(rows[:, lo : lo + n], axis=1)
-        half = n // 2 - n // 2 % 8
+        half = _half(n)
         return node(lo, half) + node(lo + half, n - half)
 
     return node(0, rows.shape[1])
@@ -229,32 +254,43 @@ def _outside_mass(probs: np.ndarray, m_lo: int, m_hi: int) -> np.ndarray:
     return np.sum(probs[:, : m_lo - 1], axis=1) + np.sum(probs[:, m_hi:], axis=1)
 
 
-def _dimension_penalty(c_lambda: float, m_top: int) -> np.ndarray:
-    """``(3/2) C m`` for ``m = 1..m_top``: the data-independent part of the
-    dimension log-weights."""
-    _check_c(c_lambda)
-    return 1.5 * c_lambda * np.arange(1, m_top + 1, dtype=np.float64)
+def _dimension_penalty(c_lambda: float, lo: int, hi: int, step: int = 1) -> np.ndarray:
+    """``(3/2) C m`` for ``m = lo + 1, lo + 1 + step, ...`` below ``hi + 1``:
+    the data-independent part of the dimension log-weights, formed for the
+    slice that needs it, each entry as it is in the whole range."""
+    return 1.5 * c_lambda * np.arange(lo + 1, hi + 1, step, dtype=np.float64)
+
+
+def _scalar_if_constant(post_var: np.ndarray) -> np.ndarray | float:
+    """``post_var``, or its one value as a float when every entry is equal,
+    which a task then keeps in place of the array (``x / v`` and ``v * x``
+    are the same for a scalar ``v``)."""
+    return float(post_var[0]) if np.all(post_var == post_var[0]) else post_var
 
 
 class _Terms(NamedTuple):
-    """The data-independent terms of the dimension-posterior log-weights:
-    the prior means, None when all are zero (``x - 0.0`` is ``x``); the
-    posterior variance, a scalar when it is constant; the penalty, which
-    never decreases; and the largest ``1 / post_var`` of each ``_CHUNK``."""
+    """The data-independent terms of the dimension-posterior log-weights on
+    ``1..m_top``: the prior means, None when all are zero (``x - 0.0`` is
+    ``x``); the posterior variance, a scalar when it is constant; the
+    operator constant ``C`` of the penalty, which never decreases; and the
+    largest ``1 / post_var`` of each ``_CHUNK``."""
 
     means: np.ndarray | None
     post_var: np.ndarray | float
-    penalty: np.ndarray
+    c_lambda: float
     inv_var: np.ndarray
 
 
-def _terms(means: np.ndarray, post_var: np.ndarray, c_lambda: float) -> _Terms:
-    """The log-weight terms of the search range ``1..means.size``."""
+def _terms(means: np.ndarray, post_var: np.ndarray | float, c_lambda: float) -> _Terms:
+    """The log-weight terms of the search range ``1..means.size``, for
+    posterior variances as an array or one scalar
+    (``_scalar_if_constant``)."""
+    _check_c(c_lambda)
     return _Terms(
         means if np.any(means) else None,
-        float(post_var[0]) if np.all(post_var == post_var[0]) else post_var,
-        _dimension_penalty(c_lambda, means.size),
-        _inverse_variances(post_var),
+        post_var,
+        float(c_lambda),
+        _inverse_variances(np.broadcast_to(post_var, means.shape)),
     )
 
 
@@ -363,7 +399,8 @@ def _tail_bound(terms: _Terms, squares: np.ndarray, sums: np.ndarray, start: int
     first = start // _CHUNK
     acc = np.cumsum(squares * (terms.inv_var[first:] * _SLACK), axis=1)
     acc += sums[:, None]
-    return 0.5 * (acc * _SLACK + 1.0) - terms.penalty[start::_CHUNK]
+    penalty = _dimension_penalty(terms.c_lambda, start, start + squares.shape[1] * _CHUNK, _CHUNK)
+    return 0.5 * (acc * _SLACK + 1.0) - penalty
 
 
 def _log_weights(post_mean: np.ndarray, terms: _Terms, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -386,7 +423,7 @@ def _log_weights(post_mean: np.ndarray, terms: _Terms, scratch: np.ndarray, out:
         np.cumsum(src, out=dst)
     sums = out[:, -1].copy()
     np.multiply(out, 0.5, out=out)
-    np.subtract(out, terms.penalty[:n], out=out)
+    np.subtract(out, _dimension_penalty(terms.c_lambda, 0, n), out=out)
     return sums
 
 
@@ -434,7 +471,8 @@ def dimension_prior(
             "dimension prior is undefined when the search range contains an "
             "improper coordinate; only the dimension posterior exists"
         )
-    penalty = _dimension_penalty(c_lambda, m_top)
+    _check_c(c_lambda)
+    penalty = _dimension_penalty(c_lambda, 0, m_top)
     log_ratio = log_variance_ratio(prior.head(m_top), op.head(m_top), eps)
     lw = 0.5 * np.cumsum(log_ratio) - penalty
     return DimensionDistribution.from_log_weights(lw, "prior")
@@ -467,7 +505,7 @@ def _dimension_posterior(
     if summary.n != prior.n or prior.n != op.n:
         raise ValueError("summary, prior and operator lengths must match")
     m_top = max_dimension(op, eps)
-    terms = _terms(prior.means[:m_top], summary.post_var[:m_top], c_lambda)
+    terms = _terms(prior.means[:m_top], _scalar_if_constant(summary.post_var[:m_top]), c_lambda)
     lw, scratch, probs = np.empty((1, m_top)), np.empty((1, m_top)), np.zeros((1, m_top))
     mass_end = _masses(terms, summary.post_mean[None, :m_top], scratch, lw, probs, m_top)
     return DimensionDistribution(lw[0], probs[0], "posterior"), mass_end

@@ -14,6 +14,20 @@ means and, on the dimension posterior, the terms of its log-weights.  The
 kernel cuts the problem at the task's dimension and simulates only that
 head.
 
+A task holds only what its replications read whole.  Past its cut it
+keeps one number, the squared bias carried there.  Up to the cut it holds
+views of theta and the prior means, and the arrays that differ per
+coordinate, cut long: the signal, unless every ``lambda_j`` is one (then
+it is theta itself, as ``1.0 * x`` is ``x``); the posterior variances,
+unless they are constant (then one scalar, in the sampling tasks too);
+and the parts of the posterior-mean map that are not the identity.  The
+dimension posterior's penalty ``1.5 C m`` is formed for the slice a pass
+reads, and the prior mean's squared error past the mass end is summed
+piecewise (``hierarchy._sq_err_sum``), never built whole.  On the direct
+model under the flat prior a task on the dimension posterior so holds no
+array of its cut's length of its own; the work arrays of its blocks (see
+below) are all it allocates at that length.
+
 Replications run as the rows of a chunk, ``max(1, _ROW_ELEMENTS // cut)``
 of them, in work arrays allocated once per block of replications.  Each
 row draws its noise from its own replication's stream (``rng.streams``
@@ -39,16 +53,17 @@ to its mass end (see :mod:`igssm.hierarchy`), a few hundred of up to 1e6
 dimensions; past the head, one read of the posterior means gives the
 chunk sums of squares that bound the rest.  The adaptive risk shrinks and
 scores only up to the mass end: past it the estimate is the prior mean,
-whose squared error ``(mu_j - theta_j)^2`` is computed once per task.  Both
-sums, of the masses and of the squared errors, are numpy's pairwise sums
-over the whole cut, rebuilt from the sums of their subtrees
-(``hierarchy._pairwise_sum``): a subtree past the mass end adds 0.0 to the
-masses, and to the loss its sum of the prior mean's squared errors,
-memoised per task.  So every result is bit for bit the full-range one
-without a pass over the tail.  This rests on how numpy sums a contiguous
-row, which ``tests/test_hierarchy.py::test_pairwise_sum_equals_numpy_sum``
-pins.  The bracket and concentration statistics read whole rows of
-masses, so they first set the masses past the mass end to zero.
+whose squared error is ``(mu_j - theta_j)^2``.  Both sums, of the masses
+and of the squared errors, are numpy's pairwise sums over the whole cut,
+rebuilt from the sums of their subtrees (``hierarchy._pairwise_sum``): a
+subtree past the mass end adds 0.0 to the masses, and to the loss its sum
+of the prior mean's squared errors, summed piecewise once per task and
+memoised.  So every result is bit for bit the full-range one without a
+pass over the tail.  This rests on how numpy sums a contiguous row, which
+``tests/test_hierarchy.py::test_pairwise_sum_equals_numpy_sum`` and
+``test_sq_err_sum_equals_numpy_sum`` pin.  The bracket and concentration
+statistics read whole rows of masses, so they first set the masses past
+the mass end to zero.
 
 A replication skips what cannot change its result.  Each task decides
 once, from its inputs, to skip the divide when every posterior-mean scale
@@ -91,7 +106,9 @@ from .hierarchy import (
     _masses,
     _outside_mass,
     _pairwise_sum,
+    _scalar_if_constant,
     _shrink,
+    _sq_err_sum,
     _terms,
     _Terms,
 )
@@ -384,15 +401,16 @@ class _Task(NamedTuple):
     """A Monte Carlo task's problem cut at its first ``cut`` coordinates, with
     everything that does not depend on the data: the squared bias carried
     past the cut, the signal ``lambda_j theta_j``, the noise scale
-    ``sqrt(eps)``, the posterior variances, the map to posterior means and,
-    on the dimension posterior, its log-weight terms (None on a sieve)."""
+    ``sqrt(eps)``, the posterior variances (a scalar when constant), the
+    map to posterior means and, on the dimension posterior, its log-weight
+    terms (None on a sieve)."""
 
     theta: np.ndarray
     means: np.ndarray
     remainder: float
     signal: np.ndarray
     noise_scale: float
-    post_var: np.ndarray
+    post_var: np.ndarray | float
     mean_map: _MeanMap
     terms: _Terms | None
 
@@ -404,15 +422,16 @@ def _task(theta, prior, op, eps, m=None, c_lambda=None) -> _Task:
     if (m is None) == (c_lambda is None):
         raise ValueError("give either the sieve dimension m or the operator constant c_lambda")
     cut = max_dimension(op, eps) if m is None else int(m)
-    remainder = float(np.sum((theta.values[cut:] - prior.means[cut:]) ** 2)) + theta.sq_tail()
+    remainder = _sq_err_sum(theta.values, prior.means, cut, theta.n - cut) + theta.sq_tail()
     th, pr, o = theta.head(cut), prior.head(cut), op.head(cut)
     post_var = posterior_variances(pr, o, eps)
     _check_variances(post_var)
+    post_var = _scalar_if_constant(post_var)
     mean_map = _mean_map(pr, o, eps)
     terms = _terms(pr.means, post_var, c_lambda) if m is None else None
-    return _Task(
-        th.values, pr.means, remainder, o.values * th.values, math.sqrt(eps), post_var, mean_map, terms
-    )
+    # 1.0 * x is x: with every lambda_j = 1 the signal is theta itself
+    signal = th.values if np.all(o.values == 1.0) else o.values * th.values
+    return _Task(th.values, pr.means, remainder, signal, math.sqrt(eps), post_var, mean_map, terms)
 
 
 def _rows(task: _Task) -> int:
@@ -472,9 +491,11 @@ def _draw_distances(task: _Task, post_sd, draws: int, seed: int, r0: int, post_m
     the sieve posterior, or on the dimension posterior from the hierarchical
     one with masses ``probs[i]``; ``post_sd = sqrt(task.post_var)``.  Only
     the columns the sampler drew are built (``m``, or ``max(dims)``); the
-    prior-mean coordinates past them up to the cut add one sum."""
+    prior-mean coordinates past them up to the cut add one sum.  A scalar
+    ``post_sd`` stands for every coordinate."""
     sieve = task.terms is None
     truth = task.theta
+    post_sd = np.broadcast_to(post_sd, truth.shape)  # a view, whatever its form
     domain = SIEVE_DRAW if sieve else HIERARCHY_DRAW
     for i, rng in enumerate(streams(seed, domain, r0, r0 + len(post_mean))):
         if sieve:
@@ -482,7 +503,7 @@ def _draw_distances(task: _Task, post_sd, draws: int, seed: int, r0: int, post_m
         else:
             _, block = _draw_hierarchical(probs[i], post_mean[i], post_sd, task.means, draws, rng)
         width = block.shape[1]
-        past = float(np.sum((task.means[width:] - truth[width:]) ** 2))
+        past = _sq_err_sum(task.means, truth, width, truth.size - width)
         yield np.sum((block - truth[:width]) ** 2, axis=1) + (past + task.remainder)
 
 
@@ -503,8 +524,7 @@ def mc_mise(
     contributes its exact squared bias.
     """
     task = _task(theta, prior, op, eps, m, c_lambda)
-    prior_sq_err = np.square(task.means - task.theta)
-    tail_sums = {}  # the sums of prior_sq_err's subtrees, shared by all chunks
+    tail_sums = {}  # the prior mean's squared errors summed per subtree, shared by all chunks
 
     def loss(r0, post_mean, work, end):
         if task.terms is not None:
@@ -513,7 +533,7 @@ def mc_mise(
         np.subtract(head, task.theta[:end], out=head)
         np.square(head, out=head)
         # past the mass end, the prior mean's error
-        return _pairwise_sum(post_mean, end, prior_sq_err, tail_sums) + task.remainder
+        return _pairwise_sum(post_mean, end, (task.means, task.theta), tail_sums) + task.remainder
 
     return _mc_summary(np.array(_replications(task, reps, seed, loss)), seed)
 

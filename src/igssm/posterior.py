@@ -141,8 +141,10 @@ def _check_means(mean: np.ndarray) -> None:
 
 def _improper_amplification(op: OperatorSequence, mask: np.ndarray) -> np.ndarray:
     """``lambda_j^{-2}`` at the masked positions, with a checked overflow."""
+    amp = op.log_sq[mask]  # a copy, negated and exponentiated in place
+    np.negative(amp, out=amp)
     with np.errstate(over="ignore"):
-        amp = np.exp(op.log_amplification[mask])
+        np.exp(amp, out=amp)
     if not np.all(np.isfinite(amp)):
         raise OverflowError("noise amplification overflows on an improper coordinate")
     return amp
@@ -166,7 +168,8 @@ def posterior_variances(prior: PriorSpec, op: OperatorSequence, eps: float) -> n
         lam_sq = op.values[proper] ** 2
         out[proper] = eps * v / (v * lam_sq + eps)
     if np.any(mask):
-        out[mask] = eps * _improper_amplification(op, mask)
+        amp = _improper_amplification(op, mask)
+        out[mask] = np.multiply(amp, eps, out=amp)
     return out
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .posterior import PriorSpec, posterior_variances
-from .sequences import OperatorSequence, ParameterSequence, WeightedClass, _check_eps, _readonly
+from .sequences import OperatorSequence, ParameterSequence, WeightedClass, _check_eps, _freeze, _readonly
 
 __all__ = [
     "RiskDecomposition",
@@ -77,7 +77,8 @@ def bias_profile(theta: ParameterSequence, prior: PriorSpec) -> np.ndarray:
     analytic tail of the signal family beyond ``N`` is added throughout,
     with the prior mean taken as zero past the stored range.  The result is
     read-only and computed once per (theta, prior): ``theta`` keeps the
-    profile of the last prior it was asked about, and both are immutable.
+    profile of the last prior it was asked about, and both are immutable,
+    until :func:`_release_profiles`.
     """
     if theta.n != prior.n:
         raise ValueError("signal and prior lengths must match")
@@ -90,6 +91,29 @@ def bias_profile(theta: ParameterSequence, prior: PriorSpec) -> np.ndarray:
     profile.setflags(write=False)
     theta.__dict__["_bias_memo"] = (prior, profile)  # where cached_property keeps its values
     return profile
+
+
+def _amp_prefix_sum(op: OperatorSequence) -> np.ndarray:
+    """``sum_{j<=m} lambda_j^{-2}`` for ``m = 1..N`` in linear space, +inf
+    past the representable range (every reader turns that into a checked
+    error or a comparison it loses).  Read-only and computed once per
+    operator, which keeps it until :func:`_release_profiles`."""
+    prefix = op.__dict__.get("_prefix_memo")
+    if prefix is None:
+        amp = np.negative(op.log_sq)  # the log amplification, exponentiated and summed in place
+        with np.errstate(over="ignore"):
+            np.exp(amp, out=amp)
+        prefix = op.__dict__["_prefix_memo"] = _freeze(np.cumsum(amp, out=amp))
+    return prefix
+
+
+def _release_profiles(theta: ParameterSequence, op: OperatorSequence) -> None:
+    """Drop the full-length arrays the selections memoise: the bias profile
+    on ``theta`` and the variance-proxy prefix sums on ``op``.  Set-up calls
+    this once it has made every selection a run needs; a later call that
+    needs either builds it again."""
+    theta.__dict__.pop("_bias_memo", None)
+    op.__dict__.pop("_prefix_memo", None)
 
 
 def risk_decomposition(
@@ -107,7 +131,7 @@ def risk_decomposition(
         raise ValueError(f"dimension m={m} outside 1..{n}")
     diffs_sq = (theta.values - prior.means) ** 2
     bias = float(np.sum(diffs_sq[m:])) + theta.sq_tail()
-    variance_proxy = eps * op._amp_prefix_sum[m - 1]
+    variance_proxy = eps * _amp_prefix_sum(op)[m - 1]
     if not np.isfinite(variance_proxy):
         raise OverflowError(f"variance proxy overflows at m={m}")
     post_var = posterior_variances(prior.head(m), op.head(m), eps)
@@ -146,7 +170,7 @@ class SelectionResult:
 
 def _select(profile: np.ndarray, prefix: np.ndarray, kind: str, eps: float) -> SelectionResult:
     """Smallest minimiser of ``max(profile_m, vprox_m)``, the variance proxy
-    ``vprox_m = eps * prefix_m`` with ``prefix = op._amp_prefix_sum`` (+inf
+    ``vprox_m = eps * prefix_m`` with ``prefix = _amp_prefix_sum(op)`` (+inf
     past the representable range), found by bisection.  ``profile`` does
     not increase and ``vprox`` does not decrease, so the rate is the profile
     up to the first ``m`` where the proxy reaches it and the proxy from
@@ -172,7 +196,7 @@ def oracle_dimension(
     if not (theta.n == prior.n == op.n):
         raise ValueError("signal, prior and operator lengths must match")
     _check_eps(eps)
-    return _select(bias_profile(theta, prior), op._amp_prefix_sum, "oracle", eps)
+    return _select(bias_profile(theta, prior), _amp_prefix_sum(op), "oracle", eps)
 
 
 def minimax_dimension(
@@ -184,7 +208,7 @@ def minimax_dimension(
     if weighted_class.n != op.n:
         raise ValueError("class and operator lengths must match")
     _check_eps(eps)
-    return _select(weighted_class.weights, op._amp_prefix_sum, "minimax", eps)
+    return _select(weighted_class.weights, _amp_prefix_sum(op), "minimax", eps)
 
 
 def max_dimension(op: OperatorSequence, eps: float) -> int:
@@ -288,11 +312,6 @@ class AssumptionReport:
     checked_range: int
 
 
-def _log_cumsum_amp(op: OperatorSequence) -> np.ndarray:
-    """``log sum_{j<=m} lambda_j^{-2}`` for every m, overflow-free."""
-    return np.logaddexp.accumulate(op.log_amplification)
-
-
 def _submultiplicative(op: OperatorSequence) -> tuple[bool, tuple[int, int] | None]:
     """Check ``max-amp(k*l) <= max-amp(k) * max-amp(l)`` for all ``k*l <= N``.
 
@@ -367,8 +386,9 @@ def check_assumptions(
 
     log_amp = op.log_amplification
     c_lambda = _operator_constant(op)
-    # smallest L with  max-amp(m) <= L * mean-amp(m)
-    log_mean = _log_cumsum_amp(op) - np.log(np.arange(1, n + 1))
+    # smallest L with  max-amp(m) <= L * mean-amp(m), from the overflow-free
+    # log sum_{j<=m} lambda_j^{-2}
+    log_mean = np.logaddexp.accumulate(log_amp) - np.log(np.arange(1, n + 1))
     l_lambda = max(1.0, float(np.exp(np.max(op._log_amp_cummax - log_mean))))
     submult, witness = _submultiplicative(op)
 
@@ -380,7 +400,7 @@ def check_assumptions(
     kappa_oracle = np.inf
     kappa_minimax = np.inf
     proper = ~prior.improper
-    prefix = op._amp_prefix_sum
+    prefix = _amp_prefix_sum(op)
     for eps in (float(e) for e in eps_grid):
         m_max = max_dimension(op, eps)
         max_dims.append(m_max)

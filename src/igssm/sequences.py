@@ -121,22 +121,16 @@ class OperatorSequence:
 
     # -- noise amplification factors  lambda_j^{-2} -------------------------
 
-    @cached_property
+    @property
     def log_amplification(self) -> np.ndarray:
-        """``log(lambda_j^{-2})`` for every coordinate; never overflows."""
+        """``log(lambda_j^{-2})`` for every coordinate; never overflows.
+        Built on each access, so no second full-length copy of ``log_sq``
+        outlives its caller."""
         return _freeze(-self.log_sq)
 
     @cached_property
     def _log_amp_cummax(self) -> np.ndarray:
         return _freeze(np.maximum.accumulate(self.log_amplification))
-
-    @cached_property
-    def _amp_prefix_sum(self) -> np.ndarray:
-        # linear-space prefix sums; entries past the representable range are
-        # +inf and every accessor below turns that into a checked error
-        with np.errstate(over="ignore"):
-            amp = np.exp(self.log_amplification)
-        return _freeze(np.cumsum(amp, out=amp))
 
     @property
     def amplification(self) -> np.ndarray:
@@ -259,18 +253,26 @@ class ParameterSequence:
         ``s^2 N^{1-2q} / (2q - 1)``.  Exponential family
         ``theta_j^2 = s^2 exp(1 - j^{2q})``: the integrand is decreasing, so
         the discrete tail is bounded by the (numerically evaluated) integral
-        from N.  Explicit sequences carry no tail.
+        from N.  Explicit sequences carry no tail.  Raises ``OverflowError``
+        when ``scale^2`` is past the double range.
         """
         n = self.n
         if self.family == "explicit":
             return 0.0
         q = float(self.exponent)  # type: ignore[arg-type]
+        if not abs(self.scale) <= math.sqrt(np.finfo(np.float64).max):
+            raise OverflowError(f"the squared scale {self.scale}^2 is past the double range")
         s2 = float(self.scale) ** 2
         if self.family == "polynomial":
             return s2 * n ** (1.0 - 2.0 * q) / (2.0 * q - 1.0)
+        p = 2.0 * q
+        # where x^p >= e^7 the integrand is below e^-1000, 0.0 in float; the
+        # test also keeps x^p from overflowing
+        if p * math.log(n) >= 7.0:
+            return 0.0
         from scipy.integrate import quad  # imported here: no other path needs scipy
 
-        val, _err = quad(lambda x: math.exp(1.0 - x ** (2.0 * q)), n, np.inf)
+        val, _err = quad(lambda x: math.exp(1.0 - x**p) if p * math.log(x) < 7.0 else 0.0, n, np.inf)
         return s2 * float(val)
 
     def head(self, k: int) -> "ParameterSequence":
@@ -310,7 +312,8 @@ def make_parameters(
     if family == "polynomial":
         vals = scale * j ** (-float(exponent))
     else:
-        vals = scale * np.exp(0.5 * (1.0 - j ** (2.0 * float(exponent))))
+        with np.errstate(over="ignore"):  # j^{2q} = inf gives exp(-inf) = 0, the right value
+            vals = scale * np.exp(0.5 * (1.0 - j ** (2.0 * float(exponent))))
     return ParameterSequence(_freeze(vals), family, float(exponent), float(scale))
 
 

@@ -425,6 +425,32 @@ def test_infeasible_run_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
 
 
+@pytest.mark.parametrize(
+    "truth, code",
+    [
+        ({"family": "exponential", "exponent": 1e3}, 0),  # theta_j^2 = e^{1 - j^2000}: a zero tail
+        ({"family": "polynomial", "exponent": 1.6, "scale": 1e300}, 2),  # scale^2 overflows
+    ],
+    ids=["exponential_exponent_1e3", "polynomial_scale_1e300"],
+)
+def test_truth_at_the_edge_of_float_range_exits_without_a_traceback(tmp_path, capsys, truth, code):
+    """A truth whose tail bound ``sq_tail`` would overflow: an exponential
+    one with ``N^{2q}`` past float range has a tail of 0.0, and a squared
+    scale past float range is a config error of the truth, found when the
+    truth is built.  Neither prints a traceback or a numpy warning (tier-1
+    turns warnings into errors)."""
+    raw = {"model": {"family": "constant", "n": 4}, "truth": truth, "prior": {"kind": "improper"},
+           "eps_grid": [0.1], "seed": 1}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert run_cli("select", "--config", config, "--out", tmp_path / "out", "--quiet") == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("config error: truth: the squared scale 1e+300^2 is past the double range")
+        assert not (tmp_path / "out").exists()
+
+
 def test_audit_reps_floor_enforced(tmp_path, capsys):
     rc = run_cli(
         "audit", "--config", "pp_small", "--out", tmp_path, "--reps", "500",

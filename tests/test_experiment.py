@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,37 @@ def full_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
     result = run_experiment(small_config(), out, check=True)
     return out, result
+
+
+def test_set_up_keeps_only_the_arrays_the_monte_carlo_reads():
+    """After set-up on the direct model at n = 2^18, the live memory is the
+    arrays the stages read: lambda, log lambda^2 and its amplification
+    cummax, theta, and the prior means, variances and improper mask.  The
+    bias profile, the variance-proxy prefix sums and the class weights,
+    which serve only the selections, are gone, and no cache on the
+    operator or the truth holds a full-length array but the cummax."""
+    n = 2**18
+    cfg = ExperimentConfig({
+        **SMALL, "model": {"family": "constant"}, "eps_grid": [0.01, 1.0 / n],
+        "concentration": {"kinds": ["hierarchical_oracle", "bracket_oracle", "bracket_minimax"],
+                          "eps_grid": [0.01, 0.001]},
+    })
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        theta, _, op, _, _, _, concentration, _ = experiment._prepare(cfg)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert op.n == n and len(concentration) == 6
+    assert held - before <= (6 * 8 + 1) * n + 2**16
+    full = {
+        name
+        for obj in (theta, op)
+        for name, value in vars(obj).items()
+        if any(getattr(a, "size", 0) == n for a in (value if isinstance(value, tuple) else (value,)))
+    }
+    assert full == {"values", "log_sq", "_log_amp_cummax"}
 
 
 def test_run_succeeds_with_all_artifacts(full_run):

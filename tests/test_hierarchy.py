@@ -21,20 +21,24 @@ from igssm import (
     sieve_posterior_mean,
     simulate_observation,
 )
+from igssm.montecarlo import _task
 from igssm.hierarchy import (
     _CHUNK,
     _MASS_MARGIN,
     _PAIRWISE_LEAF,
+    _PIECE,
     _chunk_maxima,
     _chunk_squares,
+    _dimension_penalty,
     _log_weights,
     _masses,
     _normalise,
     _pairwise_sum,
+    _scalar_if_constant,
     _shrink,
+    _sq_err_sum,
     _tail_bound,
     _terms,
-    _Terms,
 )
 
 
@@ -120,39 +124,35 @@ def test_prior_matches_direct_product():
     shift=st.integers(-(10**6), 10**6),
 )
 @example(n=3, rows=1, seed=0, shift=700)
-@example(n=_CHUNK + 5, rows=3, seed=1, shift=-700)  # rows ending at 3637, 429 and 2757
+@example(n=_CHUNK + 5, rows=3, seed=8, shift=-700)  # rows ending at 1046, 3559 and 1516
 def test_log_weight_shift_invariance(n, rows, seed, shift):
     """Log-weights on a dyadic grid, shifted by an integer, are shifted
-    exactly, so the masses must not move by a bit: from
-    ``from_log_weights`` row by row, and from ``_masses`` on all rows at
-    once, whose log-weights ``0.5 * cumsum(post_mean^2) - penalty`` differ
-    by row through sparse integer posterior means.  ``_masses`` gives them
-    with its head at the full range, into separate zeroed arrays as the
-    public functions call it, and with its head at one chunk, in place on
-    arrays of NaN as the kernel calls it."""
+    exactly, so the masses must not move by a bit.  ``_masses`` computes
+    the log-weights ``0.5 * cumsum(post_mean^2) - 1.5 m`` (``C = 1``), which
+    differ by row through sparse integer posterior means, and their masses
+    on all rows at once: with its head at the full range, into separate
+    zeroed arrays as the public functions call it, and with its head at
+    one chunk, in place on arrays of NaN as the kernel calls it.  Both give
+    what ``from_log_weights`` gives row by row, on the log-weights and on
+    them shifted."""
     rng = np.random.default_rng(seed)
-    # a penalty growing by 2 a step on average, and rare contrast jumps of up
-    # to 1800: most rows end at different dimensions, some before n
-    penalty = np.cumsum(rng.integers(0, 64, n)) / 16.0
+    # a penalty of 1.5 a step and rare contrast jumps of up to 1740: most
+    # rows end at different dimensions, some before n
     post_mean = rng.integers(0, 60, (rows, n)) * (rng.random((rows, n)) < 0.002)
-    want = 0.5 * np.cumsum(post_mean**2, axis=1) - penalty
-    inv_var = np.ones(-(-n // _CHUNK))
-    masses = []
+    want = 0.5 * np.cumsum(post_mean**2, axis=1) - 1.5 * np.arange(1, n + 1)
+    terms = _terms(np.zeros(n), 1.0, 1.0)
+    lw, out = np.empty((rows, n)), np.zeros((rows, n))
+    end = _masses(terms, post_mean, np.empty((rows, n)), lw, out, n)
+    assert np.array_equal(lw, want)
     for s in (0, shift):
-        terms = _Terms(None, 1.0, penalty - s, inv_var)
-        lw, out = np.empty((rows, n)), np.zeros((rows, n))
-        end = _masses(terms, post_mean, np.empty((rows, n)), lw, out, n)
-        assert np.array_equal(lw, want + s)
-        probs = np.array([DimensionDistribution.from_log_weights(row, "posterior").probs for row in lw])
+        probs = np.array([DimensionDistribution.from_log_weights(row + s, "posterior").probs for row in lw])
         assert np.array_equal(out, probs)
-        assert end == max(np.flatnonzero(row - np.max(row) > -_MASS_MARGIN)[-1] + 1 for row in lw)
-        assert not np.any(out[:, end:])
-        in_place = np.full((rows, n), np.nan)
-        assert _masses(terms, post_mean, np.full((rows, n), np.nan), in_place, in_place, _CHUNK) == end
-        assert np.array_equal(in_place[:, :end], probs[:, :end])
-        masses.append(out)
-    assert np.array_equal(masses[0], masses[1])
-    np.testing.assert_allclose(masses[0].sum(axis=1), 1.0, rtol=0, atol=1e-14)
+    assert end == max(np.flatnonzero(row - np.max(row) > -_MASS_MARGIN)[-1] + 1 for row in lw)
+    assert not np.any(out[:, end:])
+    in_place = np.full((rows, n), np.nan)
+    assert _masses(terms, post_mean, np.full((rows, n), np.nan), in_place, in_place, _CHUNK) == end
+    assert np.array_equal(in_place[:, :end], out[:, :end])
+    np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-14)
 
 
 def _assert_mass_end(lw, mass_end):
@@ -253,8 +253,12 @@ def test_row_cores_give_each_row_alone():
     penalty = 1.5 * np.arange(1, n + 1, dtype=np.float64)
     starts = (0, _CHUNK, 2 * _CHUNK)
     for means, post_var in ((np.zeros(n), np.full(n, 0.3)), (rng.normal(size=n), rng.uniform(0.1, 1.0, n))):
-        terms = _terms(means, post_var, 1.0)
-        assert np.array_equal(terms.penalty, penalty)
+        terms = _terms(means, _scalar_if_constant(post_var), 1.0)
+        assert isinstance(terms.post_var, float) == (not np.any(means))
+        # the penalty of any slice, and of the chunk starts _tail_bound reads
+        assert np.array_equal(_dimension_penalty(terms.c_lambda, 0, n), penalty)
+        assert np.array_equal(_dimension_penalty(terms.c_lambda, 7, n - 3), penalty[7 : n - 3])
+        assert np.array_equal(_dimension_penalty(terms.c_lambda, _CHUNK, n, _CHUNK), penalty[_CHUNK::_CHUNK])
         assert terms.inv_var.tolist() == [np.max(1.0 / post_var[j : j + _CHUNK]) for j in starts]
         got = np.empty((rows, n))
         sums = _log_weights(post_mean, terms, np.empty((rows, n)), got)
@@ -287,18 +291,18 @@ def test_row_cores_give_each_row_alone():
 @example(n=_PAIRWISE_LEAF + 1, rows=3, seed=1, data=None)
 def test_pairwise_sum_equals_numpy_sum(n, rows, seed, data):
     """``_pairwise_sum`` rebuilds numpy's summation tree bit for bit: on a
-    1-d array and on the rows of a 2-d one, with zeros and with the values
-    of a tail array from ``end`` on, for every end up to 2000 entries and
-    on longer arrays for ends at the first and last entry, beside the first
-    leaf and at the root's split and drawn; past ``end`` the rows hold NaN,
-    which it must not read.  The values span 40 orders of
-    magnitude, so a different order of additions changes the sum.  If
+    1-d array and on the rows of a 2-d one, with zeros and with the squared
+    differences of a tail pair from ``end`` on, for every end up to 2000
+    entries and on longer arrays for ends at the first and last entry,
+    beside the first leaf and at the root's split and drawn; past ``end``
+    the rows hold NaN, which it must not read.  The values span 40 orders
+    of magnitude, so a different order of additions changes the sum.  If
     numpy ever changes how it sums a row, this fails, and the masses and
     losses that rely on it must be revisited."""
     rng = np.random.default_rng(seed)
     shape = (n,) if rows is None else (rows, n)
     values = rng.standard_normal(shape) * np.exp(rng.uniform(-46.0, 46.0, shape))
-    tail = rng.standard_normal(n) * np.exp(rng.uniform(-46.0, 46.0, n))
+    tail = tuple(rng.standard_normal(n) * np.exp(rng.uniform(-23.0, 23.0, n)) for _ in range(2))
     if n <= 2000:
         ends = set(range(1, n + 1))
     else:
@@ -309,7 +313,7 @@ def test_pairwise_sum_equals_numpy_sum(n, rows, seed, data):
     for end in sorted(ends):
         for fill in (None, tail):
             full = values.copy()
-            full[..., end:] = 0.0 if fill is None else fill[end:]
+            full[..., end:] = 0.0 if fill is None else (fill[0][end:] - fill[1][end:]) ** 2
             want = np.atleast_1d(np.sum(full, axis=-1))
             if rows is not None:
                 assert np.array_equal(want, [np.sum(row) for row in full])
@@ -317,6 +321,33 @@ def test_pairwise_sum_equals_numpy_sum(n, rows, seed, data):
             work[:, end:] = np.nan
             got = _pairwise_sum(work, end, fill, None if fill is None else memo)
             assert np.asarray(got).tobytes() == want.tobytes(), (end, fill is None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.one_of(st.integers(0, 2000), st.integers(2000, 300_000)),
+    lo=st.integers(1, 100_000),
+    means=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=_PIECE + 1, lo=1, means=True, seed=0)  # one split, into pieces of 16384 and 16385
+@example(n=300_000, lo=99_999, means=False, seed=1)
+def test_sq_err_sum_equals_numpy_sum(n, lo, means, seed):
+    """``_sq_err_sum`` of ``(theta_j - mu_j)^2`` over ``[lo, lo + n)`` is
+    ``np.sum`` of the materialised squares bit for bit, on lengths past
+    ``_PIECE`` (so numpy's deep splits are pieced together) and any start,
+    with values over 40 orders of magnitude.  A Monte Carlo task's
+    remainder past its cut, which it sums so, is the materialised sum."""
+    rng = np.random.default_rng(seed)
+    theta = rng.standard_normal(lo + n) * np.exp(rng.uniform(-23.0, 23.0, lo + n))
+    mu = rng.standard_normal(lo + n) * np.exp(rng.uniform(-23.0, 23.0, lo + n)) if means else np.zeros(lo + n)
+    want = np.sum((theta[lo:] - mu[lo:]) ** 2)
+    got = _sq_err_sum(theta, mu, lo, n)
+    assert float(got).hex() == float(want).hex()
+    # the task cut at lo: its remainder, against the formula that builds the squares
+    truth, prior = make_parameters("explicit", lo + n, values=theta), PriorSpec.gaussian(mu, 1.0)
+    task = _task(truth, prior, make_operator("constant", lo + n), 0.5, m=lo)
+    assert task.remainder == float(np.sum((truth.values[lo:] - prior.means[lo:]) ** 2)) + truth.sq_tail()
 
 
 @settings(max_examples=30, deadline=None)
@@ -339,7 +370,7 @@ def test_tail_bound_holds_every_log_weight(rows, chunks, extra, means, spread, c
     post_mean = rng.standard_normal((rows, n)) * np.exp(rng.uniform(-spread, spread, (rows, n)))
     mu = rng.standard_normal(n) * np.exp(rng.uniform(-spread, spread, n)) if means else np.zeros(n)
     post_var = np.exp(rng.uniform(-spread, spread, n)) if rng.random() < 0.7 else np.full(n, 0.7)
-    terms = _terms(mu, post_var, c_lambda)
+    terms = _terms(mu, _scalar_if_constant(post_var), c_lambda)
     lw = np.empty((rows, n))
     _log_weights(post_mean, terms, np.empty((rows, n)), lw)
     maxima = _chunk_maxima(lw)

@@ -121,6 +121,31 @@ def test_audit_batch_is_the_only_batch_sized_array():
     assert batch_bytes < peak < 2 * batch_bytes
 
 
+def test_a_task_holds_no_cut_length_array_it_does_not_read_whole():
+    """On the direct model under the flat prior (every ``lambda_j`` one, a
+    constant posterior variance), a task on the dimension posterior holds
+    no array of its cut's length but views of theta and the prior means:
+    the signal is theta, the variance a scalar, the penalty formed per
+    slice and the prior mean's squared error summed piecewise."""
+    n = 2**18
+    theta = make_parameters("polynomial", n, exponent=1.6, scale=0.4)
+    prior, op, eps = PriorSpec.flat(n), make_operator("constant", n), 1.0 / n
+    cut = max_dimension(op, eps)  # caches the amplification cummax, which set-up keeps
+    assert cut == n
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        task = _task(theta, prior, op, eps, c_lambda=1.5)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held - before < cut  # the chunk maxima of 1 / post_var, and small objects
+    assert isinstance(task.post_var, float)
+    assert task.terms.means is None and task.mean_map == (None, None, None)
+    for a in (task.theta, task.means, task.signal):
+        assert np.shares_memory(a, theta.values) or np.shares_memory(a, prior.means)
+
+
 def test_random_suite_shape_and_reference():
     suite = random_tail_suite(50, seed=99)
     assert len(suite) == 50
