@@ -153,15 +153,16 @@ class _Writer:
             fh.write(json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
 
 
-def _prepare(cfg: ExperimentConfig) -> tuple:
-    """``(theta, prior, op, report, c_lambda, constants, concentration,
-    header)``: the sequences of ``cfg``, its assumption report, the
-    operator constant in force, the composite constants, the concentration
-    tasks (see ``_concentration_tasks``) and the ``report.json`` header they
-    give (all of it but the seed).  Shared by ``run_experiment`` and ``igssm
-    select``.  The bias profile, the variance-proxy prefix sums and the
-    class weights serve only the selections, which are all made here, so
-    none of them outlives set-up."""
+def _prepare(cfg: ExperimentConfig, concentration: bool = False) -> tuple:
+    """``(theta, prior, op, report, c_lambda, constants, tasks, header)``:
+    the sequences of ``cfg``, its assumption report, the operator constant
+    in force, the composite constants, the tasks of the concentration stage
+    when ``concentration`` asks for them (see ``_concentration_tasks``; an
+    empty list otherwise) and the ``report.json`` header they give (all of
+    it but the seed).  Shared by ``run_experiment`` and ``igssm select``.
+    The bias profile, the variance-proxy prefix sums and the class weights
+    serve only the selections, which are all made here, so none of them
+    outlives set-up."""
     op, theta, prior = cfg.build_sequences()
     wclass = cfg.build_class(op.n)  # explicit operators fix their own length
 
@@ -175,7 +176,7 @@ def _prepare(cfg: ExperimentConfig) -> tuple:
         )
     except OverflowError as err:  # the amplification at a threshold dimension
         raise ConfigError(f"composite constants: {err}") from err
-    concentration = _concentration_tasks(cfg, theta, prior, op, wclass, report, c_lambda)
+    tasks = _concentration_tasks(cfg, theta, prior, op, wclass, report, c_lambda) if concentration else []
     _release_profiles(theta, op)
     header = {
         "version": __version__,
@@ -207,15 +208,16 @@ def _prepare(cfg: ExperimentConfig) -> tuple:
             "feasible": list(report.feasible),
         },
     }
-    return theta, prior, op, report, c_lambda, constants, concentration, header
+    return theta, prior, op, report, c_lambda, constants, tasks, header
 
 
 def _concentration_tasks(cfg, theta, prior, op, wclass, report, c_lambda) -> list:
     """``(eps, kind, sel, m_max, bracket)`` per row of the concentration
     stage: the selection the kind samples at or brackets, the search range
     and, for a bracket kind whose selection lies in it, its bracket or the
-    error computing it raised, which the stage raises when it reaches the
-    row (None elsewhere)."""
+    error computing it raised (None elsewhere).  The stage raises that
+    error when it reaches the row, after its own checks and the rows
+    before, as it would computing the bracket there."""
     tasks = []
     for eps in cfg.concentration_eps_grid:
         m_max = max_dimension(op, eps)
@@ -415,7 +417,8 @@ def run_experiment(
     seed = cfg.seed if seed is None else int(seed)
     reps = cfg.mc_reps if reps is None else int(reps)
     draws = cfg.mc_draws
-    theta, prior, op, report, c_lambda, constants, concentration, header = _prepare(cfg)
+    concentration = subset == "all" and bool(cfg.concentration_kinds)
+    theta, prior, op, report, c_lambda, constants, conc_tasks, header = _prepare(cfg, concentration)
     payload = {**header, "seed": seed}
     fits: dict = {}
     conc_rows: list = []
@@ -438,9 +441,9 @@ def run_experiment(
                 messages.append(f"mise.csv: {len(mise_rows)} rows")
                 payload["rates_fit"] = fits
 
-        if subset == "all" and cfg.concentration_kinds:
+        if concentration:
             conc_rows = _concentration_stage(
-                theta, prior, op, concentration, constants, c_lambda, seed, reps, draws
+                theta, prior, op, conc_tasks, constants, c_lambda, seed, reps, draws
             )
             writer.csv(
                 "concentration.csv",

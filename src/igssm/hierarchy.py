@@ -261,10 +261,12 @@ def _dimension_penalty(c_lambda: float, lo: int, hi: int, step: int = 1) -> np.n
     return 1.5 * c_lambda * np.arange(lo + 1, hi + 1, step, dtype=np.float64)
 
 
-def _scalar_if_constant(post_var: np.ndarray) -> np.ndarray | float:
+def _scalar_if_constant(post_var: np.ndarray | float) -> np.ndarray | float:
     """``post_var``, or its one value as a float when every entry is equal,
     which a task then keeps in place of the array (``x / v`` and ``v * x``
-    are the same for a scalar ``v``)."""
+    are the same for a scalar ``v``).  A scalar is returned as it is."""
+    if np.ndim(post_var) == 0:
+        return float(post_var)
     return float(post_var[0]) if np.all(post_var == post_var[0]) else post_var
 
 
@@ -283,9 +285,9 @@ class _Terms(NamedTuple):
 
 def _terms(means: np.ndarray, post_var: np.ndarray | float, c_lambda: float) -> _Terms:
     """The log-weight terms of the search range ``1..means.size``, for
-    posterior variances as an array or one scalar
-    (``_scalar_if_constant``)."""
+    posterior variances as an array or one scalar."""
     _check_c(c_lambda)
+    post_var = _scalar_if_constant(post_var)
     return _Terms(
         means if np.any(means) else None,
         post_var,
@@ -505,7 +507,7 @@ def _dimension_posterior(
     if summary.n != prior.n or prior.n != op.n:
         raise ValueError("summary, prior and operator lengths must match")
     m_top = max_dimension(op, eps)
-    terms = _terms(prior.means[:m_top], _scalar_if_constant(summary.post_var[:m_top]), c_lambda)
+    terms = _terms(prior.means[:m_top], summary.post_var[:m_top], c_lambda)
     lw, scratch, probs = np.empty((1, m_top)), np.empty((1, m_top)), np.zeros((1, m_top))
     mass_end = _masses(terms, summary.post_mean[None, :m_top], scratch, lw, probs, m_top)
     return DimensionDistribution(lw[0], probs[0], "posterior"), mass_end

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .posterior import PriorSpec, posterior_variances
-from .sequences import OperatorSequence, ParameterSequence, WeightedClass, _check_eps, _freeze, _readonly
+from .sequences import OperatorSequence, ParameterSequence, WeightedClass, _check_eps, _readonly
 
 __all__ = [
     "RiskDecomposition",
@@ -93,27 +93,13 @@ def bias_profile(theta: ParameterSequence, prior: PriorSpec) -> np.ndarray:
     return profile
 
 
-def _amp_prefix_sum(op: OperatorSequence) -> np.ndarray:
-    """``sum_{j<=m} lambda_j^{-2}`` for ``m = 1..N`` in linear space, +inf
-    past the representable range (every reader turns that into a checked
-    error or a comparison it loses).  Read-only and computed once per
-    operator, which keeps it until :func:`_release_profiles`."""
-    prefix = op.__dict__.get("_prefix_memo")
-    if prefix is None:
-        amp = np.negative(op.log_sq)  # the log amplification, exponentiated and summed in place
-        with np.errstate(over="ignore"):
-            np.exp(amp, out=amp)
-        prefix = op.__dict__["_prefix_memo"] = _freeze(np.cumsum(amp, out=amp))
-    return prefix
-
-
 def _release_profiles(theta: ParameterSequence, op: OperatorSequence) -> None:
     """Drop the full-length arrays the selections memoise: the bias profile
-    on ``theta`` and the variance-proxy prefix sums on ``op``.  Set-up calls
-    this once it has made every selection a run needs; a later call that
-    needs either builds it again."""
+    on ``theta`` and the variance-proxy prefix sums cached on ``op``.
+    Set-up calls this once it has made every selection a run needs; a
+    later call that needs either builds it again."""
     theta.__dict__.pop("_bias_memo", None)
-    op.__dict__.pop("_prefix_memo", None)
+    op.__dict__.pop("_amp_prefix_sum", None)
 
 
 def risk_decomposition(
@@ -131,7 +117,7 @@ def risk_decomposition(
         raise ValueError(f"dimension m={m} outside 1..{n}")
     diffs_sq = (theta.values - prior.means) ** 2
     bias = float(np.sum(diffs_sq[m:])) + theta.sq_tail()
-    variance_proxy = eps * _amp_prefix_sum(op)[m - 1]
+    variance_proxy = eps * op._amp_prefix_sum[m - 1]
     if not np.isfinite(variance_proxy):
         raise OverflowError(f"variance proxy overflows at m={m}")
     post_var = posterior_variances(prior.head(m), op.head(m), eps)
@@ -170,7 +156,7 @@ class SelectionResult:
 
 def _select(profile: np.ndarray, prefix: np.ndarray, kind: str, eps: float) -> SelectionResult:
     """Smallest minimiser of ``max(profile_m, vprox_m)``, the variance proxy
-    ``vprox_m = eps * prefix_m`` with ``prefix = _amp_prefix_sum(op)`` (+inf
+    ``vprox_m = eps * prefix_m`` with ``prefix = op._amp_prefix_sum`` (+inf
     past the representable range), found by bisection.  ``profile`` does
     not increase and ``vprox`` does not decrease, so the rate is the profile
     up to the first ``m`` where the proxy reaches it and the proxy from
@@ -196,7 +182,7 @@ def oracle_dimension(
     if not (theta.n == prior.n == op.n):
         raise ValueError("signal, prior and operator lengths must match")
     _check_eps(eps)
-    return _select(bias_profile(theta, prior), _amp_prefix_sum(op), "oracle", eps)
+    return _select(bias_profile(theta, prior), op._amp_prefix_sum, "oracle", eps)
 
 
 def minimax_dimension(
@@ -208,7 +194,7 @@ def minimax_dimension(
     if weighted_class.n != op.n:
         raise ValueError("class and operator lengths must match")
     _check_eps(eps)
-    return _select(weighted_class.weights, _amp_prefix_sum(op), "minimax", eps)
+    return _select(weighted_class.weights, op._amp_prefix_sum, "minimax", eps)
 
 
 def max_dimension(op: OperatorSequence, eps: float) -> int:
@@ -400,7 +386,7 @@ def check_assumptions(
     kappa_oracle = np.inf
     kappa_minimax = np.inf
     proper = ~prior.improper
-    prefix = _amp_prefix_sum(op)
+    prefix = op._amp_prefix_sum
     for eps in (float(e) for e in eps_grid):
         m_max = max_dimension(op, eps)
         max_dims.append(m_max)

@@ -132,6 +132,16 @@ class OperatorSequence:
     def _log_amp_cummax(self) -> np.ndarray:
         return _freeze(np.maximum.accumulate(self.log_amplification))
 
+    @cached_property
+    def _amp_prefix_sum(self) -> np.ndarray:
+        # linear-space prefix sums, built in place from -log_sq; entries past
+        # the representable range are +inf and every accessor below turns
+        # that into a checked error
+        amp = np.negative(self.log_sq)
+        with np.errstate(over="ignore"):
+            np.exp(amp, out=amp)
+        return _freeze(np.cumsum(amp, out=amp))
+
     @property
     def amplification(self) -> np.ndarray:
         """``lambda_j^{-2}`` in linear space (checked for overflow)."""

@@ -78,7 +78,7 @@ def test_set_up_keeps_only_the_arrays_the_monte_carlo_reads():
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        theta, _, op, _, _, _, concentration, _ = experiment._prepare(cfg)
+        theta, _, op, _, _, _, concentration, _ = experiment._prepare(cfg, concentration=True)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -91,6 +91,26 @@ def test_set_up_keeps_only_the_arrays_the_monte_carlo_reads():
         if any(getattr(a, "size", 0) == n for a in (value if isinstance(value, tuple) else (value,)))
     }
     assert full == {"values", "log_sq", "_log_amp_cummax"}
+
+
+def test_a_bracket_error_is_raised_when_the_stage_reaches_its_row(tmp_path, monkeypatch):
+    """Set-up computes the brackets only for a run with a concentration
+    stage, and a bracket's error is raised when the stage reaches its row,
+    after the rows before it have run, as where the stage computed the
+    bracket itself; ``select`` and ``sweep`` compute none and succeed."""
+    def no_bracket(*args, **kwargs):
+        raise InfeasibleError("no bracket")
+
+    ran = []
+    concentration = experiment.mc_concentration
+    monkeypatch.setattr(experiment, "bracket_dimensions", no_bracket)
+    monkeypatch.setattr(experiment, "mc_concentration", lambda *a, **k: ran.append(a[3]) or concentration(*a, **k))
+    cfg = small_config(audit=None)
+    assert experiment._prepare(cfg)[6] == []
+    run_experiment(cfg, tmp_path / "sweep", subset="sweep")
+    with pytest.raises(InfeasibleError, match="no bracket"):
+        run_experiment(cfg, tmp_path / "run")
+    assert ran == [0.01]  # the sieve_oracle row before the bracket_oracle one
 
 
 def test_run_succeeds_with_all_artifacts(full_run):

@@ -1,5 +1,7 @@
 """Hierarchical dimension prior/posterior and the data-driven estimator."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -34,7 +36,6 @@ from igssm.hierarchy import (
     _masses,
     _normalise,
     _pairwise_sum,
-    _scalar_if_constant,
     _shrink,
     _sq_err_sum,
     _tail_bound,
@@ -132,27 +133,40 @@ def test_log_weight_shift_invariance(n, rows, seed, shift):
     differ by row through sparse integer posterior means, and their masses
     on all rows at once: with its head at the full range, into separate
     zeroed arrays as the public functions call it, and with its head at
-    one chunk, in place on arrays of NaN as the kernel calls it.  Both give
-    what ``from_log_weights`` gives row by row, on the log-weights and on
-    them shifted."""
+    one chunk, in place on arrays of NaN as the kernel calls it, where
+    ``_tail_bound`` decides how far the head reaches.  Both give what
+    ``from_log_weights`` gives row by row.  A first posterior mean of ``k``
+    adds ``k^2 / 2`` to every log-weight of its row, so setting it to 0 and
+    to ``k`` shifts all of them by about ``shift``, and the masses, the mass
+    end and the in-place masses must be the same at both."""
     rng = np.random.default_rng(seed)
     # a penalty of 1.5 a step and rare contrast jumps of up to 1740: most
     # rows end at different dimensions, some before n
     post_mean = rng.integers(0, 60, (rows, n)) * (rng.random((rows, n)) < 0.002)
-    want = 0.5 * np.cumsum(post_mean**2, axis=1) - 1.5 * np.arange(1, n + 1)
+    k = math.isqrt(2 * abs(shift))
     terms = _terms(np.zeros(n), 1.0, 1.0)
-    lw, out = np.empty((rows, n)), np.zeros((rows, n))
-    end = _masses(terms, post_mean, np.empty((rows, n)), lw, out, n)
-    assert np.array_equal(lw, want)
-    for s in (0, shift):
-        probs = np.array([DimensionDistribution.from_log_weights(row + s, "posterior").probs for row in lw])
+    lws, masses, ends, in_places = [], [], [], []
+    for first in (0, k) if shift >= 0 else (k, 0):
+        post_mean[:, 0] = first
+        lw, out = np.empty((rows, n)), np.zeros((rows, n))
+        end = _masses(terms, post_mean, np.empty((rows, n)), lw, out, n)
+        assert np.array_equal(lw, 0.5 * np.cumsum(post_mean**2, axis=1) - 1.5 * np.arange(1, n + 1))
+        probs = np.array([DimensionDistribution.from_log_weights(row, "posterior").probs for row in lw])
         assert np.array_equal(out, probs)
-    assert end == max(np.flatnonzero(row - np.max(row) > -_MASS_MARGIN)[-1] + 1 for row in lw)
-    assert not np.any(out[:, end:])
-    in_place = np.full((rows, n), np.nan)
-    assert _masses(terms, post_mean, np.full((rows, n), np.nan), in_place, in_place, _CHUNK) == end
-    assert np.array_equal(in_place[:, :end], out[:, :end])
-    np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+        assert end == max(np.flatnonzero(row - np.max(row) > -_MASS_MARGIN)[-1] + 1 for row in lw)
+        assert not np.any(out[:, end:])
+        in_place = np.full((rows, n), np.nan)
+        assert _masses(terms, post_mean, np.full((rows, n), np.nan), in_place, in_place, _CHUNK) == end
+        assert np.array_equal(in_place[:, :end], probs[:, :end])
+        lws.append(lw)
+        masses.append(out)
+        ends.append(end)
+        in_places.append(in_place[:, :end])
+    assert np.array_equal(lws[1], lws[0] + math.copysign(k * k / 2, shift))
+    assert np.array_equal(masses[0], masses[1])
+    assert ends[0] == ends[1]
+    assert np.array_equal(in_places[0], in_places[1])
+    np.testing.assert_allclose(masses[0].sum(axis=1), 1.0, rtol=0, atol=1e-14)
 
 
 def _assert_mass_end(lw, mass_end):
@@ -253,7 +267,7 @@ def test_row_cores_give_each_row_alone():
     penalty = 1.5 * np.arange(1, n + 1, dtype=np.float64)
     starts = (0, _CHUNK, 2 * _CHUNK)
     for means, post_var in ((np.zeros(n), np.full(n, 0.3)), (rng.normal(size=n), rng.uniform(0.1, 1.0, n))):
-        terms = _terms(means, _scalar_if_constant(post_var), 1.0)
+        terms = _terms(means, post_var, 1.0)
         assert isinstance(terms.post_var, float) == (not np.any(means))
         # the penalty of any slice, and of the chunk starts _tail_bound reads
         assert np.array_equal(_dimension_penalty(terms.c_lambda, 0, n), penalty)
@@ -370,7 +384,7 @@ def test_tail_bound_holds_every_log_weight(rows, chunks, extra, means, spread, c
     post_mean = rng.standard_normal((rows, n)) * np.exp(rng.uniform(-spread, spread, (rows, n)))
     mu = rng.standard_normal(n) * np.exp(rng.uniform(-spread, spread, n)) if means else np.zeros(n)
     post_var = np.exp(rng.uniform(-spread, spread, n)) if rng.random() < 0.7 else np.full(n, 0.7)
-    terms = _terms(mu, _scalar_if_constant(post_var), c_lambda)
+    terms = _terms(mu, post_var, c_lambda)
     lw = np.empty((rows, n))
     _log_weights(post_mean, terms, np.empty((rows, n)), lw)
     maxima = _chunk_maxima(lw)

@@ -19,7 +19,6 @@ from igssm import (
 )
 from igssm import rng
 from igssm.rng import OBSERVATION, stream, streams
-from igssm.selection import _amp_prefix_sum
 
 
 def test_polynomial_operator_values():
@@ -118,9 +117,8 @@ def test_caller_arrays_are_copied(view):
 
 
 def test_built_arrays_are_read_only_and_handed_over():
-    """What the factories, the operator properties and the memoised
-    variance-proxy prefix sums build is read-only, and a constructor takes
-    such an array without a copy."""
+    """What the factories and the cached operator properties build is
+    read-only, and a constructor takes such an array without a copy."""
     n = 6
     ops = [make_operator("polynomial", n, decay=1.0), make_operator("exponential", n, decay=0.5),
            make_operator("constant", n), make_operator("explicit", n, values=np.linspace(1.0, 0.5, n))]
@@ -131,7 +129,7 @@ def test_built_arrays_are_read_only_and_handed_over():
     for prior in (PriorSpec.flat(n), PriorSpec.gaussian(np.zeros(n), 2.0)):
         arrays += [prior.means, prior.variances, prior.improper]
     for op in ops:
-        arrays += [op.values, op.log_sq, op.log_amplification, op._log_amp_cummax, _amp_prefix_sum(op)]
+        arrays += [op.values, op.log_sq, op.log_amplification, op._log_amp_cummax, op._amp_prefix_sum]
         np.testing.assert_array_equal(op.log_amplification, -op.log_sq)
         again = OperatorSequence(op.values, op.log_sq)
         assert again.values is op.values and again.log_sq is op.log_sq
