@@ -311,13 +311,16 @@ def _mise_stage(cfg, theta, prior, op, report, c_lambda, seed, reps):
 
 
 def _concentration_stage(theta, prior, op, tasks, constants, c_lambda, seed, reps, draws):
-    # every selection is checked before any Monte Carlo work starts
+    # every selection and band constant is checked before any Monte Carlo work starts
     for eps, kind, sel, m_max, _ in tasks:
         if sel.dimension > m_max:
             raise InfeasibleError(
                 f"selected dimension {sel.dimension} exceeds the search "
                 f"range {m_max} at eps={eps} for {kind}"
             )
+        constant = constants[_CONCENTRATION[kind][1]] if kind in _CONCENTRATION else 1.0
+        if not constant >= 1.0:
+            raise InfeasibleError(f"band constant {constant} of {kind} is below 1 at eps={eps}")
 
     rows = []
     for eps, kind, sel, m_max, bracket in tasks:

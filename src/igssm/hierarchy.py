@@ -247,10 +247,14 @@ def _normalise(lw: np.ndarray, maxima: np.ndarray, out: np.ndarray) -> int:
     return end
 
 
+def _check_bracket(m_lo: int, m_hi: int, m_top: int) -> None:
+    if not 1 <= m_lo <= m_hi <= m_top:
+        raise ValueError(f"bracket [{m_lo}, {m_hi}] outside 1..{m_top}")
+
+
 def _outside_mass(probs: np.ndarray, m_lo: int, m_hi: int) -> np.ndarray:
     """Each row's mass outside the bracket ``[m_lo, m_hi]`` (1-indexed)."""
-    if not 1 <= m_lo <= m_hi <= probs.shape[1]:
-        raise ValueError(f"bracket [{m_lo}, {m_hi}] outside 1..{probs.shape[1]}")
+    _check_bracket(m_lo, m_hi, probs.shape[1])
     return np.sum(probs[:, : m_lo - 1], axis=1) + np.sum(probs[:, m_hi:], axis=1)
 
 

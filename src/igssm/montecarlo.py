@@ -36,16 +36,19 @@ posterior-mean map and the posterior step are then applied to the whole
 chunk.  The posterior step checks a sieve's posterior means, or turns
 them into the dimension posterior's masses (``hierarchy._masses``).  The
 statistic receives the posterior means, the masses and the end of what it
-scores (the cut, or the rows' largest mass end), and computes one value
-per row in one set of numpy calls.
+scores (the cut, or the rows' largest mass end), and computes its ``k``
+values per row in one set of numpy calls: a float64 ``(rows, k)`` array.
 Every row is bit for bit what it would be alone (see
 :mod:`igssm.hierarchy` for the dimension posterior's rows), so results do
 not depend on how replications are chunked.  A cut of ``_ROW_ELEMENTS``
 or more runs one row per chunk.  The chunks of one task are split into
 contiguous blocks, at most one per worker thread (``IGSSM_THREADS``) and
 one per chunk, so a task whose replications fit in one chunk runs on one
-thread; statistics are put back in replication order, so every result is
-the same for any thread count.
+thread.  The chunks are concatenated once, in replication order, into a
+``(reps, k)`` array, so every result is the same for any thread count.
+Each column is summarised as a contiguous copy: numpy sums a 1-d array
+pairwise but reduces axis 0 of a 2-D array row by row, which rounds
+differently.
 
 Tasks on the dimension posterior compute its log-weights only on a head
 of whole chunks that holds the posterior's mass, and exponentiate only up
@@ -102,6 +105,7 @@ import numpy as np
 from .config import ConfigError
 from .hierarchy import (
     _CHUNK,
+    _check_bracket,
     _draw_hierarchical,
     _masses,
     _outside_mass,
@@ -391,10 +395,14 @@ class MCEstimate:
     seed: int
 
 
-def _mc_summary(values: np.ndarray, seed: int) -> MCEstimate:
-    reps = values.size
-    se = float(np.std(values, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return MCEstimate(float(np.mean(values)), se, int(reps), int(seed))
+def _mc_summary(values: np.ndarray, seed: int) -> list[MCEstimate]:
+    """One estimate per column of the ``(reps, k)`` values, each from a
+    contiguous copy of its column (see the module docstring)."""
+    n = len(values)
+    return [
+        MCEstimate(float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(n)) if n > 1 else 0.0, n, int(seed))
+        for v in values.T.copy()
+    ]
 
 
 class _Task(NamedTuple):
@@ -442,15 +450,15 @@ def _rows(task: _Task) -> int:
 def _block(task: _Task, seed: int, statistic, start: int, stop: int):
     """Split replications ``start .. stop - 1`` into chunks of ``_rows(task)``
     (the last may be shorter) and yield ``statistic(r0, post_mean, work,
-    end)`` for each, in order: one value per replication ``r0, r0 + 1,
-    ...``.  Row ``i`` of ``post_mean`` holds the finite posterior means of
-    the observation drawn from replication ``r0 + i``'s own stream.  On a
-    sieve task ``end`` is the cut; on the dimension posterior it is the
-    rows' largest mass end, and row ``i`` of ``work[0]`` holds the masses
-    before it (past it, whatever the posterior step left there).
-    ``post_mean`` (rows of the cut length) and ``work`` (two such blocks of
-    rows) are allocated once for the block; the statistic may overwrite
-    both."""
+    end)`` for each, in order: a float64 ``(rows, k)`` array, row ``i``
+    the ``k`` values of replication ``r0 + i``.  Row ``i`` of
+    ``post_mean`` holds the finite posterior means of the observation
+    drawn from replication ``r0 + i``'s own stream.  On a sieve task
+    ``end`` is the cut; on the dimension posterior it is the rows' largest
+    mass end, and row ``i`` of ``work[0]`` holds the masses before it (past
+    it, whatever the posterior step left there).  ``post_mean`` (rows of
+    the cut length) and ``work`` (two such blocks of rows) are allocated
+    once for the block; the statistic may overwrite both."""
     if stop <= start:
         raise ValueError("need at least one replication")
     cut = task.theta.size
@@ -470,19 +478,16 @@ def _block(task: _Task, seed: int, statistic, start: int, stop: int):
         yield statistic(r0, chunk, chunk_work, end)
 
 
-def _replications(task: _Task, reps: int, seed: int, statistic) -> list:
-    """The statistics of replications ``0 .. reps - 1`` in replication
-    order, computed in one contiguous block of replications per worker; a
-    task whose replications fit in fewer chunks than there are workers
-    takes one block per chunk."""
+def _replications(task: _Task, reps: int, seed: int, statistic) -> np.ndarray:
+    """The ``(reps, k)`` statistics of replications ``0 .. reps - 1``: the
+    ``(rows, k)`` chunks concatenated once, in replication order.  They are
+    computed in one contiguous block of replications per worker; a task
+    whose replications fit in fewer chunks than there are workers takes one
+    block per chunk."""
     blocks = max(1, min(_max_workers(), -(-reps // _rows(task))))
     bounds = [reps * k // blocks for k in range(blocks + 1)]
-
-    def block(k):
-        chunks = _block(task, seed, statistic, bounds[k], bounds[k + 1])
-        return [value for chunk in chunks for value in chunk]
-
-    return [value for part in _parallel_map(block, range(blocks)) for value in part]
+    parts = _parallel_map(lambda k: list(_block(task, seed, statistic, bounds[k], bounds[k + 1])), range(blocks))
+    return np.concatenate([chunk for part in parts for chunk in part])
 
 
 def _draw_distances(task: _Task, post_sd, draws: int, seed: int, r0: int, post_mean, probs):
@@ -533,9 +538,9 @@ def mc_mise(
         np.subtract(head, task.theta[:end], out=head)
         np.square(head, out=head)
         # past the mass end, the prior mean's error
-        return _pairwise_sum(post_mean, end, (task.means, task.theta), tail_sums) + task.remainder
+        return (_pairwise_sum(post_mean, end, (task.means, task.theta), tail_sums) + task.remainder)[:, None]
 
-    return _mc_summary(np.array(_replications(task, reps, seed, loss)), seed)
+    return _mc_summary(_replications(task, reps, seed, loss), seed)[0]
 
 
 def mc_mise_profile(
@@ -608,6 +613,8 @@ def mc_concentration(
         raise ValueError("band constant must be >= 1")
     if rate <= 0.0:
         raise ValueError("rate must be positive")
+    if draws < 1:
+        raise ValueError("need at least one draw")
     lo = rate / band_constant if two_sided else 0.0
     hi = rate * band_constant
     task = _task(theta, prior, op, eps, m, c_lambda)
@@ -616,9 +623,9 @@ def mc_concentration(
     def band_mass(r0, post_mean, work, end):
         work[0][:, end:] = 0.0  # the masses past the mass end
         distances = _draw_distances(task, post_sd, draws, seed, r0, post_mean, work[0])
-        return [float(np.mean((sq >= lo) & (sq <= hi))) for sq in distances]
+        return np.array([[np.mean((sq >= lo) & (sq <= hi))] for sq in distances])
 
-    return _mc_summary(np.array(_replications(task, reps, seed, band_mass)), seed)
+    return _mc_summary(_replications(task, reps, seed, band_mass), seed)[0]
 
 
 @dataclass(frozen=True)
@@ -662,6 +669,8 @@ def mc_sieve_deviation(
     """
     if not 0.0 < c < 0.2:
         raise ValueError("deviation scale c must lie in (0, 1/5)")
+    if draws < 1:
+        raise ValueError("need at least one draw")
     risk = risk_decomposition(theta, prior, op, eps, m)
     hi = risk.bias + 3.0 * risk.post_var_sum + 1.5 * m * risk.post_var_max + 4.0 * risk.shift
     lo = risk.bias + risk.post_var_sum - 4.0 * c * (m * risk.post_var_max + risk.shift)
@@ -671,26 +680,15 @@ def mc_sieve_deviation(
 
     def deviations(r0, post_mean, work, end):
         distances = _draw_distances(task, post_sd, draws, seed, r0, post_mean, work[0])
-        return [(float(np.mean(sq > hi)), float(np.mean(sq < lo))) for sq in distances]
+        return np.array([(np.mean(sq > hi), np.mean(sq < lo)) for sq in distances])
 
-    fracs = zip(*_replications(task, reps, seed, deviations))
-    upper, lower = (_mc_summary(np.array(f), seed) for f in fracs)
+    upper, lower = _mc_summary(_replications(task, reps, seed, deviations), seed)
     upper_bound = 2.0 * math.exp(-m / 36.0)
     lower_bound = 2.0 * math.exp(-(c**2) * m / 2.0)
-    passed = (
-        upper.value <= upper_bound + 3.0 * upper.se
-        and lower.value <= lower_bound + 3.0 * lower.se
-    )
+    passed = upper.value <= upper_bound + 3.0 * upper.se and lower.value <= lower_bound + 3.0 * lower.se
     return SieveDeviationAudit(
-        m=int(m),
-        c=float(c),
-        upper=upper,
-        lower=lower,
-        upper_threshold=hi,
-        lower_threshold=lo,
-        upper_bound=upper_bound,
-        lower_bound=lower_bound,
-        passed=bool(passed),
+        m=int(m), c=float(c), upper=upper, lower=lower, upper_threshold=hi, lower_threshold=lo,
+        upper_bound=upper_bound, lower_bound=lower_bound, passed=bool(passed),
     )
 
 
@@ -714,12 +712,13 @@ def mc_bracket_mass(
     """
     m_lo, m_hi = bracket
     task = _task(theta, prior, op, eps, c_lambda=c_lambda)
+    _check_bracket(m_lo, m_hi, task.theta.size)
 
     def outside_mass(r0, post_mean, work, end):
         work[0][:, end:] = 0.0  # the masses past the mass end
-        return _outside_mass(work[0], m_lo, m_hi)
+        return _outside_mass(work[0], m_lo, m_hi)[:, None]
 
-    return _mc_summary(np.array(_replications(task, reps, seed, outside_mass)), seed)
+    return _mc_summary(_replications(task, reps, seed, outside_mass), seed)[0]
 
 
 # ---------------------------------------------------------------------------

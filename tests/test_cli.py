@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import igssm
 from igssm import __version__
 from igssm.cli import main
-from igssm import config, experiment
+from igssm import config, experiment, montecarlo
 from igssm.config import CONCENTRATION_KINDS, load_config
 
 
@@ -705,6 +705,40 @@ _SELECT_BASE = {
     "seed": 1,
 }
 
+# A valid config whose sieve_oracle band constant, 0.625, is below 1.
+_BAND_BELOW_ONE = {
+    "model": {"family": "polynomial", "n": 1, "decay": 0.0},
+    "truth": {"family": "polynomial", "exponent": 1.0, "scale": 2.0},
+    "prior": {"kind": "improper"},
+    "class": {"family": "polynomial", "exponent": 1.0, "radius": 0.0},
+    "eps_grid": [0.25], "mc": {"reps": 1, "draws": 1}, "seed": 0,
+    "estimators": [], "fixed_dims": [1],
+    "concentration": {"kinds": ["sieve_oracle"]},
+    "audit": {"configs": 1, "reps": 10000},
+}
+
+
+def test_band_constant_below_one_exits_3_before_any_replication(tmp_path, capsys, monkeypatch):
+    """A sampled concentration kind needs its band constant at least 1; the
+    concentration stage checks that with the selections, before any task
+    runs, and ``igssm run`` reports it as an infeasible config."""
+    ran = []
+    replications = montecarlo._replications
+
+    def spy(*args):
+        ran.append(args)
+        return replications(*args)
+
+    monkeypatch.setattr(montecarlo, "_replications", spy)
+    path, out = tmp_path / "band.json", tmp_path / "out"
+    path.write_text(json.dumps(_BAND_BELOW_ONE), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("run", "--config", path, "--out", out, "--quiet") == 3
+    err = capsys.readouterr().err
+    assert err == "infeasible configuration: band constant 0.625 of sieve_oracle is below 1 at eps=0.25\n"
+    assert ran == []
+    assert list(out.iterdir()) == []
+
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @example(  # the exponential class weights underflow on 34 coordinates: exit 2
@@ -750,6 +784,9 @@ _SELECT_BASE = {
          "prior": {"kind": "improper"}, "eps_grid": [0.1],
          "estimators": ["fixed"], "fixed_dims": [5]},
     command="sweep", overrides={}, check=False, corrupt=None, row=0,
+)
+@example(  # a sieve band constant of 0.625, below 1: exit 3
+    raw=_BAND_BELOW_ONE, command="run", overrides={}, check=False, corrupt=None, row=0,
 )
 @given(
     raw=small_configs(),

@@ -262,6 +262,36 @@ def test_sieve_deviation_requires_small_c():
         mc_sieve_deviation(theta, prior, op, 0.01, 5, 0.0, 100, 50, seed=1)
 
 
+def test_bad_kernel_arguments_raise_before_any_replication(monkeypatch):
+    """No posterior draws, or a bracket outside ``1..M``, is refused before
+    the kernel simulates a single replication."""
+    theta, prior, op = _poly_problem(50)
+    eps, reps = 0.01, 40
+    cut = max_dimension(op, eps)
+    rows = []
+    observe = montecarlo._observe
+
+    def spy(signal, noise_scale, rngs, out):
+        rows.append(len(out))
+        return observe(signal, noise_scale, rngs, out)
+
+    monkeypatch.setattr(montecarlo, "_observe", spy)
+    no_draws = (
+        lambda: mc_concentration(theta, prior, op, eps, 2.0, 0.1, reps, 0, 1, m=5),
+        lambda: mc_concentration(theta, prior, op, eps, 2.0, 0.1, reps, 0, 1, c_lambda=1.0),
+        lambda: mc_sieve_deviation(theta, prior, op, eps, 5, 0.1, reps, 0, 1),
+    )
+    for call in no_draws:
+        with pytest.raises(ValueError, match="need at least one draw"):
+            call()
+    for m_lo, m_hi in ((0, 5), (3, 2), (1, cut + 1)):
+        with pytest.raises(ValueError, match=rf"bracket \[{m_lo}, {m_hi}\] outside 1\.\.{cut}$"):
+            mc_bracket_mass(theta, prior, op, eps, reps, 1, (m_lo, m_hi), 1.0)
+    assert rows == []
+    mc_bracket_mass(theta, prior, op, eps, reps, 1, (1, cut), 1.0)
+    assert rows == [reps]  # the spy sees the one chunk of a valid call
+
+
 def test_bracket_mass_deterministic_and_bounded():
     theta, prior, op = _poly_problem()
     report = check_assumptions(theta, prior, op, (0.01,))
@@ -490,6 +520,33 @@ def test_mc_bracket_mass_equals_serial_loop(problem, seed, budget, data):
             mc_bracket_mass(theta, prior, op, eps, 1, seed, outside, 1.0)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    problem=small_problems(),
+    c=st.floats(0.01, 0.19),
+    seed=st.integers(0, 1000),
+    budget=st.sampled_from(_BUDGETS),
+)
+@example(problem=_identity_problem(flat=False), c=0.05, seed=4, budget="default")
+def test_mc_sieve_deviation_equals_serial_loop(problem, c, seed, budget):
+    """Both deviation estimates, summarised from one ``(reps, 2)`` array,
+    equal the serial loop's, each column summed as numpy sums a 1-d array.
+    With 12 replications that sum is not the running sum of the rows."""
+    theta, prior, op, eps = problem
+    reps, draws = 12, 40
+    m = max(1, theta.n // 3)
+    _, pr, _, _, summaries = _head_loop(theta, prior, op, eps, reps, seed, m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_ROW_ELEMENTS", _row_budget(budget, m, reps))
+        got = mc_sieve_deviation(theta, prior, op, eps, m, c, reps, draws, seed)
+    fracs = np.empty((2, reps))
+    for r, summary in enumerate(summaries):
+        sq = _padded_distances(sample_sieve_posterior(m, summary, pr, draws, seed, rep=r), theta, prior)
+        fracs[:, r] = np.mean(sq > got.upper_threshold), np.mean(sq < got.lower_threshold)
+    assert (got.upper.value, got.upper.se) == _summary_of(fracs[0])
+    assert (got.lower.value, got.lower.se) == _summary_of(fracs[1])
+
+
 def _long_direct_problem(n, exponent, scale, kind, centred, eps, c_lambda, seed):
     """A direct-model problem (``lambda_j = 1``) of length ``n`` with a
     polynomial truth, a proper, flat or mixed prior whose proper means are
@@ -636,24 +693,39 @@ def _every_task(problem, reps, seed, c_lambda, budget):
 def test_batched_equals_serial(problem, seed, c_lambda):
     """Every task gives the same result whether its replications run one per
     chunk, in default chunks or in chunks with a ragged last one, on one,
-    two or three threads; a spy checks that chunks of several rows ran.
+    two or three threads; a spy checks that chunks of several rows ran, and
+    another that every chunk a statistic yields is a float64 ``(rows, k)``
+    array with one ``k`` per task.
     The examples pin this on search ranges of several chunks of
     log-weights, one with the mass past the first chunk."""
     reps = 8
-    serial = _every_task(problem, reps, seed, c_lambda, "one row")
-    rows = []
-    observe = montecarlo._observe
+    rows, widths = [], {}  # each task's statistic and the k of its chunks
+    observe, block = montecarlo._observe, montecarlo._block
 
     def spy(signal, noise_scale, rngs, out):
         rows.append(len(out))
         return observe(signal, noise_scale, rngs, out)
 
+    def block_spy(task, seed, statistic, start, stop):
+        step = montecarlo._rows(task)
+        for r0, chunk in zip(range(start, stop, step), block(task, seed, statistic, start, stop)):
+            assert isinstance(chunk, np.ndarray) and chunk.dtype == np.float64
+            assert chunk.shape == (min(step, stop - r0), widths.setdefault(statistic, chunk.shape[1]))
+            yield chunk
+
+    # mc_mise twice, mc_concentration twice, mc_bracket_mass, then
+    # mc_sieve_deviation and mc_mise_profile
+    want = [1] * 5 + [2, max_dimension(problem[2], problem[3])]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_observe", spy)
+        mp.setattr(montecarlo, "_block", block_spy)
+        serial = _every_task(problem, reps, seed, c_lambda, "one row")
         for threads in ("1", "2", "3"):
             mp.setenv("IGSSM_THREADS", threads)
             for budget in _BUDGETS:
+                widths.clear()
                 assert _every_task(problem, reps, seed, c_lambda, budget) == serial, (threads, budget)
+                assert list(widths.values()) == want
     assert max(rows) > 1
 
 
