@@ -3,12 +3,15 @@ config, runs the requested Monte Carlo stages across the noise grid, and
 writes the CSV/JSON artifacts.
 
 Outputs are deterministic for a fixed (config, seed): replication streams
-are keyed by counter, and no timestamps are embedded.  The risk and
-concentration tasks run one after another, each splitting its own
+are keyed by counter, and no timestamps are embedded.  The risk tasks
+and the concentration passes run one after another, each splitting its own
 replications across the worker threads; the audit configs run in parallel
-and are gathered in submission order.  A config that cannot run raises
-``ConfigError`` or ``InfeasibleError``; every artifact written before any
-exception is removed.
+and are gathered in submission order.  The concentration stage runs one
+pass per posterior its rows read (at each noise level, the search range
+for the hierarchical and bracket rows, and each sieve dimension), checks
+every row before the first pass and writes the rows in config order.  A
+config that cannot run raises ``ConfigError`` or ``InfeasibleError``;
+every artifact written before any exception is removed.
 """
 
 from __future__ import annotations
@@ -25,10 +28,9 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig
 from .montecarlo import (
+    _concentration,
     _parallel_map,
     audit_tail_bounds,
-    mc_bracket_mass,
-    mc_concentration,
     mc_mise,
     random_tail_suite,
     rate_regression,
@@ -311,34 +313,46 @@ def _mise_stage(cfg, theta, prior, op, report, c_lambda, seed, reps):
 
 
 def _concentration_stage(theta, prior, op, tasks, constants, c_lambda, seed, reps, draws):
-    # every selection and band constant is checked before any Monte Carlo work starts
-    for eps, kind, sel, m_max, _ in tasks:
+    # every selection, band constant and bracket is checked before any Monte Carlo work starts
+    passes = {}  # (eps, sieve dimension or None): the (band, bracket) rows reading that posterior
+    for i, (eps, kind, sel, m_max, bracket) in enumerate(tasks):
         if sel.dimension > m_max:
             raise InfeasibleError(
                 f"selected dimension {sel.dimension} exceeds the search "
                 f"range {m_max} at eps={eps} for {kind}"
             )
+        if isinstance(bracket, Exception):
+            raise bracket
         constant = constants[_CONCENTRATION[kind][1]] if kind in _CONCENTRATION else 1.0
         if not constant >= 1.0:
             raise InfeasibleError(f"band constant {constant} of {kind} is below 1 at eps={eps}")
+        sieve = kind.startswith("sieve")
+        band_rows, bracket_rows = passes.setdefault((eps, sel.dimension if sieve else None), ([], []))
+        (bracket_rows if kind.startswith("bracket") else band_rows).append(i)
+
+    found = {}
+    for (eps, m), (band_rows, bracket_rows) in passes.items():
+        bands = []
+        for i in band_rows:
+            _, kind, sel, _, _ = tasks[i]
+            _, key, two_sided = _CONCENTRATION[kind]
+            bands.append((constants[key], sel.rate, two_sided))
+        estimates = _concentration(
+            theta, prior, op, eps, reps, seed, bands, [tasks[i][4] for i in bracket_rows], draws,
+            m=m, c_lambda=None if m is not None else c_lambda,
+        )
+        found.update(zip(band_rows + bracket_rows, estimates))
 
     rows = []
-    for eps, kind, sel, m_max, bracket in tasks:
+    for i, (eps, kind, sel, m_max, bracket) in enumerate(tasks):
+        est = found[i]
         if kind.startswith("bracket"):
-            if isinstance(bracket, Exception):
-                raise bracket
-            # the one bracket of this task: the CSV row and the estimate share it
-            est = mc_bracket_mass(theta, prior, op, eps, reps, seed, bracket, c_lambda)
+            # the one bracket of this row: the CSV row and the estimate share it
             rows.append([eps, kind, sel.dimension, None, None, *bracket, est.value, est.se])
-            continue
-        hierarchical, key, two_sided = _CONCENTRATION[kind]
-        m, lam = (None, c_lambda) if hierarchical else (sel.dimension, None)
-        est = mc_concentration(
-            theta, prior, op, eps, constants[key], sel.rate, reps, draws, seed,
-            m=m, c_lambda=lam, two_sided=two_sided,
-        )
-        dim = m_max if hierarchical else m
-        rows.append([eps, kind, dim, constants[key], sel.rate, None, None, est.value, est.se])
+        else:
+            hierarchical, key, _ = _CONCENTRATION[kind]
+            dim = m_max if hierarchical else sel.dimension
+            rows.append([eps, kind, dim, constants[key], sel.rate, None, None, est.value, est.se])
     return rows
 
 

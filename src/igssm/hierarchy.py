@@ -582,7 +582,7 @@ def sample_hierarchical_posterior(
     """
     dist = dimension_posterior(summary, prior, op, eps, c_lambda)
     dims, block = _draw_hierarchical(
-        dist.probs, summary.post_mean, np.sqrt(summary.post_var), prior.means, n_draws,
+        dist.probs, dist.probs.size, summary.post_mean, np.sqrt(summary.post_var), prior.means, n_draws,
         stream(seed, HIERARCHY_DRAW, rep),
     )
     draws = np.tile(prior.means, (n_draws, 1))
@@ -592,6 +592,7 @@ def sample_hierarchical_posterior(
 
 def _draw_hierarchical(
     probs: np.ndarray,
+    head: int,
     post_mean: np.ndarray,
     post_sd: np.ndarray,
     means: np.ndarray,
@@ -599,15 +600,20 @@ def _draw_hierarchical(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(dims, block)``: dimensions drawn from the dimension posterior
-    ``probs`` and the first ``max(dims)`` columns of the draws, prior means
-    past each draw's dimension, all from the hierarchical-draw stream
-    ``rng``."""
+    ``probs``, zero past its first ``head`` entries, and the first
+    ``max(dims)`` columns of the draws, prior means past each draw's
+    dimension, all from the hierarchical-draw stream ``rng``.
+
+    Only the head's CDF is formed: ``cumsum`` adds in order, so it is the
+    full CDF's prefix bit for bit, and a ``u`` at or above its last value
+    lands past the head, at the last dimension, as on the full CDF."""
     if n_draws < 1:
         raise ValueError("need at least one draw")
     m_top = probs.size
-    cdf = np.cumsum(probs)
+    cdf = np.cumsum(probs[:head])
     u = rng.random(n_draws)
-    dims = np.minimum(np.searchsorted(cdf, u, side="right"), m_top - 1) + 1
+    found = np.searchsorted(cdf, u, side="right")
+    dims = np.where(found == head, m_top, found + 1)
     width = int(dims.max())
     z = rng.standard_normal((n_draws, width))
     gauss = post_mean[:width] + post_sd[:width] * z

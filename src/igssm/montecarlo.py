@@ -4,7 +4,11 @@ concentration, and rate regression.
 Every routine draws through the package's counter-based streams with one
 stream per replication, so results are reproducible and independent of
 evaluation order.  The risk, concentration and bracket tasks share one
-replication kernel.  No task selects a dimension: a sieve task takes the
+replication kernel, and the concentration and bracket statistics one pass
+(``_concentration``): every band and bracket on one posterior is a column
+of it, so a replication is observed, weighed and sampled once for all of
+them, and ``mc_concentration`` and ``mc_bracket_mass`` are its one-column
+calls.  No task selects a dimension: a sieve task takes the
 dimension ``m`` its caller chose, a task on the dimension posterior takes
 the operator constant ``c_lambda`` and runs over the search range.  Which
 of the two a task is gets decided once, when it is built, together with
@@ -89,7 +93,11 @@ beyond the fit plus the analytic family tail), so a truncated simulation
 never silently drops bias mass.
 Posterior draws are never padded here: sieve draws span exactly the cut,
 hierarchical draws are scored on their first ``max(dims)`` columns, and
-the prior-mean coordinates past those enter as one deterministic sum.
+the prior-mean coordinates past those enter as one deterministic sum,
+memoised per width.  The hierarchical sampler forms the CDF of the masses
+only up to the mass end.  A pass scores each replication's draws against
+every band before the next replication draws, so it never holds more
+than one replication's distances.
 """
 
 from __future__ import annotations
@@ -490,14 +498,15 @@ def _replications(task: _Task, reps: int, seed: int, statistic) -> np.ndarray:
     return np.concatenate([chunk for part in parts for chunk in part])
 
 
-def _draw_distances(task: _Task, post_sd, draws: int, seed: int, r0: int, post_mean, probs):
+def _draw_distances(task: _Task, post_sd, draws: int, seed: int, r0: int, post_mean, probs, end: int, past: dict):
     """For each row ``i`` of ``post_mean``, the squared distances to the
     truth of ``draws`` draws from replication ``r0 + i``'s own stream: from
     the sieve posterior, or on the dimension posterior from the hierarchical
-    one with masses ``probs[i]``; ``post_sd = sqrt(task.post_var)``.  Only
-    the columns the sampler drew are built (``m``, or ``max(dims)``); the
-    prior-mean coordinates past them up to the cut add one sum.  A scalar
-    ``post_sd`` stands for every coordinate."""
+    one with masses ``probs[i]``, zero past ``end``; ``post_sd =
+    sqrt(task.post_var)``.  Only the columns the sampler drew are built
+    (``m``, or ``max(dims)``); the prior-mean coordinates past them up to
+    the cut add one sum, with the remainder, memoised per width in ``past``
+    for the task.  A scalar ``post_sd`` stands for every coordinate."""
     sieve = task.terms is None
     truth = task.theta
     post_sd = np.broadcast_to(post_sd, truth.shape)  # a view, whatever its form
@@ -506,10 +515,11 @@ def _draw_distances(task: _Task, post_sd, draws: int, seed: int, r0: int, post_m
         if sieve:
             block = _sieve_block(post_mean[i], post_sd, draws, rng)
         else:
-            _, block = _draw_hierarchical(probs[i], post_mean[i], post_sd, task.means, draws, rng)
+            _, block = _draw_hierarchical(probs[i], end, post_mean[i], post_sd, task.means, draws, rng)
         width = block.shape[1]
-        past = _sq_err_sum(task.means, truth, width, truth.size - width)
-        yield np.sum((block - truth[:width]) ** 2, axis=1) + (past + task.remainder)
+        if width not in past:
+            past[width] = _sq_err_sum(task.means, truth, width, truth.size - width) + task.remainder
+        yield np.sum((block - truth[:width]) ** 2, axis=1) + past[width]
 
 
 def mc_mise(
@@ -609,23 +619,52 @@ def mc_concentration(
     ``{|draw - truth|^2 <= rate * K}`` alone — the form the theory takes
     when the data-driven posterior may concentrate strictly faster than
     the reference rate, so no uniform lower edge exists."""
-    if band_constant < 1.0:
-        raise ValueError("band constant must be >= 1")
-    if rate <= 0.0:
-        raise ValueError("rate must be positive")
-    if draws < 1:
+    return _concentration(
+        theta, prior, op, eps, reps, seed, bands=[(band_constant, rate, two_sided)], draws=draws,
+        m=m, c_lambda=c_lambda,
+    )[0]
+
+
+def _concentration(
+    theta, prior, op, eps, reps, seed, bands=(), brackets=(), draws=0, m=None, c_lambda=None
+) -> list[MCEstimate]:
+    """The concentration pass on the task of ``m`` or ``c_lambda`` (see
+    ``_task``): one estimate per band ``(K, rate, two_sided)``, its
+    expected posterior mass (see :func:`mc_concentration`), then one per
+    bracket ``(m_lo, m_hi)``, its expected dimension-posterior mass outside
+    (see :func:`mc_bracket_mass`).  Every row that reads the task's
+    posterior shares its replications: each is observed, weighed and
+    sampled once, its ``draws`` distances scored against every band before
+    the next replication draws.  A pass without bands samples nothing.
+    Every argument is checked before any replication runs."""
+    edges = []
+    for band_constant, rate, two_sided in bands:
+        if not band_constant >= 1.0:
+            raise ValueError("band constant must be >= 1")
+        if not (math.isfinite(rate) and rate > 0.0):
+            raise ValueError("rate must be finite and positive")
+        edges.append((rate / band_constant if two_sided else 0.0, rate * band_constant))
+    if edges and draws < 1:
         raise ValueError("need at least one draw")
-    lo = rate / band_constant if two_sided else 0.0
-    hi = rate * band_constant
     task = _task(theta, prior, op, eps, m, c_lambda)
+    for m_lo, m_hi in brackets:
+        _check_bracket(m_lo, m_hi, task.theta.size)
     post_sd = np.sqrt(task.post_var)
+    past = {}  # the distances' deterministic sum per width, shared by all chunks
 
-    def band_mass(r0, post_mean, work, end):
-        work[0][:, end:] = 0.0  # the masses past the mass end
-        distances = _draw_distances(task, post_sd, draws, seed, r0, post_mean, work[0])
-        return np.array([[np.mean((sq >= lo) & (sq <= hi))] for sq in distances])
+    def masses(r0, post_mean, work, end):
+        probs = work[0]
+        probs[:, end:] = 0.0  # the masses past the mass end
+        out = np.empty((len(post_mean), len(edges) + len(brackets)))
+        if edges:
+            distances = _draw_distances(task, post_sd, draws, seed, r0, post_mean, probs, end, past)
+            for row, sq in zip(out, distances):
+                row[: len(edges)] = [np.mean((sq >= lo) & (sq <= hi)) for lo, hi in edges]
+        for k, (m_lo, m_hi) in enumerate(brackets, len(edges)):
+            out[:, k] = _outside_mass(probs, m_lo, m_hi)
+        return out
 
-    return _mc_summary(_replications(task, reps, seed, band_mass), seed)[0]
+    return _mc_summary(_replications(task, reps, seed, masses), seed)
 
 
 @dataclass(frozen=True)
@@ -677,9 +716,10 @@ def mc_sieve_deviation(
 
     task = _task(theta, prior, op, eps, m)
     post_sd = np.sqrt(task.post_var)
+    past = {}
 
     def deviations(r0, post_mean, work, end):
-        distances = _draw_distances(task, post_sd, draws, seed, r0, post_mean, work[0])
+        distances = _draw_distances(task, post_sd, draws, seed, r0, post_mean, None, end, past)
         return np.array([(np.mean(sq > hi), np.mean(sq < lo)) for sq in distances])
 
     upper, lower = _mc_summary(_replications(task, reps, seed, deviations), seed)
@@ -710,15 +750,7 @@ def mc_bracket_mass(
     posterior); only the observations are simulated.  A bracket outside
     ``1..M`` raises ``ValueError``.
     """
-    m_lo, m_hi = bracket
-    task = _task(theta, prior, op, eps, c_lambda=c_lambda)
-    _check_bracket(m_lo, m_hi, task.theta.size)
-
-    def outside_mass(r0, post_mean, work, end):
-        work[0][:, end:] = 0.0  # the masses past the mass end
-        return _outside_mass(work[0], m_lo, m_hi)[:, None]
-
-    return _mc_summary(_replications(task, reps, seed, outside_mass), seed)[0]
+    return _concentration(theta, prior, op, eps, reps, seed, brackets=[bracket], c_lambda=c_lambda)[0]
 
 
 # ---------------------------------------------------------------------------

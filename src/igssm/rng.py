@@ -5,11 +5,13 @@ defines.  A stream is addressed by the experiment seed plus a path of small
 integers (domain tag, replication index, ...), so replication ``r`` of any
 Monte Carlo loop draws from the same stream whether the loop runs serially
 or split across workers.  :func:`streams` walks the streams of a range of
-replications of one domain without building a generator for each.
+replications of one domain without building a seed sequence or a generator
+for each.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 
 import numpy as np
@@ -53,13 +55,15 @@ def streams(seed: int, domain: int, start: int, stop: int) -> Iterator[np.random
     It is one generator, reset at each step, so draw from it before the
     next.  The reset sets the state a fresh ``Philox`` seeded from the
     address starts in: the key ``SeedSequence`` derives, counter 0 and an
-    empty buffer; this skips building a bit generator and a generator per
-    replication.
+    empty buffer; this skips building a seed sequence, a bit generator and
+    a generator per replication.  The keys are derived in batches by
+    ``_keys``, which runs ``SeedSequence``'s hash on arrays of replication
+    indices.
     """
     _check_seed(seed)
     if not 0 <= start <= stop:
         raise ValueError(f"replication range [{start}, {stop}) needs 0 <= start <= stop")
-    return _reset_each(int(seed), int(domain), range(int(start), int(stop)))
+    return _reset_each(int(seed), int(domain), int(start), int(stop))
 
 
 def _check_seed(seed) -> None:
@@ -67,9 +71,9 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def _reset_each(seed: int, domain: int, reps: range) -> Iterator[np.random.Generator]:
-    """One generator, set for each ``r`` of ``reps`` in turn to the state
-    ``stream(seed, domain, r)`` starts in."""
+def _reset_each(seed: int, domain: int, start: int, stop: int) -> Iterator[np.random.Generator]:
+    """One generator, set for each ``r`` of ``start .. stop - 1`` in turn to
+    the state ``stream(seed, domain, r)`` starts in."""
     bit_gen = np.random.Philox(0)
     gen = np.random.Generator(bit_gen)
     zeros = np.zeros(4, dtype=np.uint64)
@@ -78,8 +82,109 @@ def _reset_each(seed: int, domain: int, reps: range) -> Iterator[np.random.Gener
         "bit_generator": "Philox", "state": state, "buffer": zeros,
         "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
-    for r in reps:
-        seq = np.random.SeedSequence(entropy=seed, spawn_key=(domain, r))
-        state["key"] = seq.generate_state(2, np.uint64)
-        bit_gen.state = fresh
-        yield gen
+    pool, const = _prefix(seed, domain)
+    r = start
+    while r < stop:
+        # a batch shares every word of its indices but the lowest
+        end = min(stop, r + _KEY_BATCH, ((r >> 32) + 1) << 32)
+        for key in _keys(pool, const, r, end):
+            state["key"] = key
+            bit_gen.state = fresh
+            yield gen
+        r = end
+
+
+# SeedSequence's hash (numpy/random/bit_generator.pyx): a pool of four
+# 32-bit words, the entropy mixed in by ``hashmix`` and ``mix``, and the
+# state read out by a second ``hashmix`` chain.  The hash constants advance
+# the same way whatever the data, so the words an address shares with the
+# others of its range, the seed and the domain, are mixed once per seed
+# and domain (``_prefix``, cached) and the replication index, last in the
+# entropy, on arrays.
+_MASK = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_KEY_BATCH = 4096  # keys derived at once
+_ARRAY_KEYS = 10  # shortest batch hashed as arrays
+
+
+def _words(n: int) -> list:
+    """The 32-bit words of ``n``, least significant first, as
+    ``SeedSequence`` reads an integer (one word for 0)."""
+    words = [n & _MASK]
+    while n > _MASK:
+        n >>= 32
+        words.append(n & _MASK)
+    return words
+
+
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    """``(hashed value, next constant)``; ``value`` an int or a uint32 array."""
+    nxt = const * mult & _MASK
+    value = (value ^ const) * nxt & _MASK
+    return value ^ value >> 16, nxt
+
+
+def _mix(x, y):
+    value = ((_MIX_L * x & _MASK) - (_MIX_R * y & _MASK)) & _MASK
+    return value ^ value >> 16
+
+
+def _absorb(pool, words, const: int) -> tuple:
+    """Mix entropy ``words`` past the first four into ``pool``, each into
+    every pool word: ``(pool, constant)``."""
+    pool = list(pool)
+    for word in words:
+        for dst in range(_POOL):
+            hashed, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], hashed)
+    return pool, const
+
+
+@functools.lru_cache(maxsize=64)
+def _prefix(seed: int, domain: int) -> tuple:
+    """The pool and hash constant after the entropy every address
+    ``(seed, domain, r)`` starts with: the seed's words, padded with zeros
+    to the pool size, then the domain's."""
+    entropy = _words(seed)
+    entropy += [0] * (_POOL - len(entropy)) + _words(domain)
+    pool, const = [], _INIT_A
+    for word in entropy[:_POOL]:
+        hashed, const = _hashmix(word, const)
+        pool.append(hashed)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    pool, const = _absorb(pool, entropy[_POOL:], const)
+    return tuple(pool), const
+
+
+def _keys(pool: tuple, const: int, start: int, stop: int) -> np.ndarray:
+    """``(stop - start, 2)`` uint64: row ``i`` the Philox key
+    ``SeedSequence(seed, spawn_key=(domain, start + i)).generate_state(2,
+    np.uint64)``, for ``pool, const = _prefix(seed, domain)`` and indices
+    that differ only in their lowest word.  The lowest words are hashed as
+    one array, or one by one as ints in a range too short to repay
+    numpy's cost per call."""
+    low, high = start & _MASK, _words(start)[1:]
+    if stop - start < _ARRAY_KEYS:
+        states = [_state(pool, const, [word, *high]) for word in range(low, low + stop - start)]
+        return np.array([[a | b << 32, c | d << 32] for a, b, c, d in states], dtype=np.uint64)
+    words = np.arange(low, low + stop - start, dtype=np.uint32)
+    a, b, c, d = (word.astype(np.uint64) for word in _state(pool, const, [words, *high]))
+    return np.stack([a | b << 32, c | d << 32], axis=1)
+
+
+def _state(pool: tuple, const: int, words: list) -> list:
+    """The four words of ``generate_state(4, np.uint32)`` once the
+    replication index's ``words`` are mixed into the prefix's pool."""
+    pool, _ = _absorb(pool, words, const)
+    state, const = [], _INIT_B
+    for word in pool:
+        hashed, const = _hashmix(word, const, _MULT_B)
+        state.append(hashed)
+    return state

@@ -12,7 +12,7 @@ from igssm import experiment, montecarlo
 from igssm.cli import EXIT_CHECK, main
 from igssm.config import ConfigError, ExperimentConfig, load_config
 from igssm.experiment import run_experiment
-from igssm.montecarlo import mc_bracket_mass
+from igssm.montecarlo import mc_bracket_mass, mc_concentration
 from igssm.selection import (
     InfeasibleError,
     bracket_dimensions,
@@ -93,24 +93,24 @@ def test_set_up_keeps_only_the_arrays_the_monte_carlo_reads():
     assert full == {"values", "log_sq", "_log_amp_cummax"}
 
 
-def test_a_bracket_error_is_raised_when_the_stage_reaches_its_row(tmp_path, monkeypatch):
+def test_a_bracket_error_is_raised_before_any_concentration_replication(tmp_path, monkeypatch):
     """Set-up computes the brackets only for a run with a concentration
-    stage, and a bracket's error is raised when the stage reaches its row,
-    after the rows before it have run, as where the stage computed the
-    bracket itself; ``select`` and ``sweep`` compute none and succeed."""
+    stage, and a bracket's error is raised with the stage's other checks,
+    before any of its replications, since a pass spans rows on both sides
+    of the bracket row; ``select`` and ``sweep`` compute none and succeed."""
     def no_bracket(*args, **kwargs):
         raise InfeasibleError("no bracket")
 
     ran = []
-    concentration = experiment.mc_concentration
+    replications = montecarlo._replications
     monkeypatch.setattr(experiment, "bracket_dimensions", no_bracket)
-    monkeypatch.setattr(experiment, "mc_concentration", lambda *a, **k: ran.append(a[3]) or concentration(*a, **k))
-    cfg = small_config(audit=None)
+    monkeypatch.setattr(montecarlo, "_replications", lambda *a: ran.append(a) or replications(*a))
+    cfg = small_config(audit=None, estimators=[])
     assert experiment._prepare(cfg)[6] == []
     run_experiment(cfg, tmp_path / "sweep", subset="sweep")
     with pytest.raises(InfeasibleError, match="no bracket"):
         run_experiment(cfg, tmp_path / "run")
-    assert ran == [0.01]  # the sieve_oracle row before the bracket_oracle one
+    assert ran == []  # not even the sieve_oracle row before the bracket_oracle one
 
 
 def test_run_succeeds_with_all_artifacts(full_run):
@@ -205,11 +205,53 @@ def test_bracket_rows_carry_their_bracket_and_its_mass(tmp_path, overrides):
         assert (float(mass), float(se)) == (est.value, est.se)
 
 
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_concentration_rows_equal_their_one_row_calls(tmp_path, monkeypatch, threads):
+    """With all six kinds, where the stage runs one pass per posterior its
+    rows read, every row of ``concentration.csv`` is bit for bit what the
+    public ``mc_concentration`` or ``mc_bracket_mass`` gives it alone, over
+    chunks of several rows split across threads.  The composite band
+    constants are vacuous here, so each kind gets a small one of its own
+    that puts its mass strictly between 0 and 1 somewhere."""
+    kinds = [
+        "sieve_oracle", "hierarchical_oracle", "bracket_oracle",
+        "sieve_minimax", "hierarchical_minimax", "bracket_minimax",
+    ]
+    bands = {"oracle_sieve": 1.5, "oracle_hierarchical": 1.8, "minimax_sieve": 2.5, "minimax_hierarchical": 1.2}
+    composite = experiment.composite_constants
+    monkeypatch.setattr(experiment, "composite_constants", lambda *a, **k: {**composite(*a, **k), **bands})
+    overrides = {**DIRECT_BRACKETS, "concentration": {"kinds": kinds}, "mc": {"reps": 12, "draws": 40}}
+    cfg = small_config(audit=None, **overrides)
+    monkeypatch.setenv("IGSSM_THREADS", threads)
+    monkeypatch.setattr(montecarlo, "_ROW_ELEMENTS", 256)
+    result = run_experiment(cfg, tmp_path)
+    used = result.report["constants"]["c_lambda_used"]
+    op, theta, prior = cfg.build_sequences()
+    rows = read_rows(tmp_path / "concentration.csv")[1:]
+    assert [r[1] for r in rows] == kinds * len(cfg.concentration_eps_grid)
+    for kind in kinds[:2] + kinds[3:5]:
+        assert any(0.0 < float(r[7]) < 1.0 for r in rows if r[1] == kind), kind
+    for eps, kind, m, constant, rate, m_lo, m_hi, mass, se in rows:
+        eps = float(eps)
+        if kind.startswith("bracket_"):
+            est = mc_bracket_mass(theta, prior, op, eps, cfg.mc_reps, cfg.seed, (int(m_lo), int(m_hi)), used)
+        else:
+            given = {"c_lambda": used} if kind.startswith("hierarchical_") else {"m": int(m)}
+            est = mc_concentration(
+                theta, prior, op, eps, float(constant), float(rate), cfg.mc_reps, cfg.mc_draws, cfg.seed,
+                two_sided=kind != "hierarchical_minimax", **given,
+            )
+        assert (float(mass), float(se)) == (est.value, est.se)
+
+
 def test_each_task_runs_at_the_cut_its_row_reports(tmp_path, monkeypatch):
-    """On ``pp_small`` every risk, concentration and bracket task cuts the
-    problem where its CSV row says: at ``m`` for the sieve kinds, which is
+    """On ``pp_small`` every risk task and every concentration pass cuts the
+    problem where its CSV rows say: at ``m`` for the sieve kinds, which is
     the report's selection, and at the search range M for the adaptive,
-    hierarchical and bracket kinds."""
+    hierarchical and bracket kinds.  The concentration stage builds one
+    task per posterior its rows read: per noise level, one on the search
+    range for the hierarchical and bracket rows and one per sieve
+    dimension, in the order of their first rows."""
     cfg = load_config(Path(igssm.__file__).parent / "configs" / "pp_small.json")
     raw = {key: value for key, value in cfg.raw.items() if key != "audit"}
     cfg = ExperimentConfig({**raw, "mc": {"reps": 2, "draws": 5}})
@@ -237,18 +279,23 @@ def test_each_task_runs_at_the_cut_its_row_reports(tmp_path, monkeypatch):
         if kind == "adaptive":
             assert m == max_dimension(op, eps)
         want.append((eps, m))
-    for eps, kind, m, *_ in read_rows(tmp_path / "concentration.csv")[1:]:
+    passes = []
+    rows = read_rows(tmp_path / "concentration.csv")[1:]
+    for eps, kind, m, *_ in rows:
         eps, m = float(eps), int(m)
         selection = kind.rpartition("_")[2]
-        if kind.startswith("sieve_"):
+        sieve = kind.startswith("sieve_")
+        if sieve:
             assert m == selected[selection][eps]
-            want.append((eps, m))
+            cut = m
         else:
-            search = max_dimension(op, eps)
-            assert m == (selected[selection][eps] if kind.startswith("bracket_") else search)
-            want.append((eps, search))
-    assert len(want) == 2 * 4 + 2 * 6  # every row of both grid points
-    assert cuts == want
+            cut = max_dimension(op, eps)
+            assert m == (selected[selection][eps] if kind.startswith("bracket_") else cut)
+        if (eps, sieve, cut) not in passes:
+            passes.append((eps, sieve, cut))
+    assert len(want) == 2 * 4 and len(rows) == 2 * 6  # every row of both grid points
+    assert len(passes) == 2 * 3  # the oracle and minimax sieve dimensions differ here
+    assert cuts == want + [(eps, cut) for eps, _, cut in passes]
 
 
 def test_adaptive_outside_the_search_range_exits_3_before_any_replication(tmp_path, monkeypatch):

@@ -24,6 +24,7 @@ from igssm import (
     simulate_observation,
 )
 from igssm.montecarlo import _task
+from igssm.rng import stream
 from igssm.hierarchy import (
     _CHUNK,
     _MASS_MARGIN,
@@ -32,6 +33,7 @@ from igssm.hierarchy import (
     _chunk_maxima,
     _chunk_squares,
     _dimension_penalty,
+    _draw_hierarchical,
     _log_weights,
     _masses,
     _normalise,
@@ -484,3 +486,29 @@ def test_hierarchical_sampler_conditional_structure():
     b = sample_hierarchical_posterior(summary, prior, op, eps, c, 64, seed=8, rep=2)
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m_top=st.integers(1, 50),
+    head=st.integers(1, 50),
+    total=st.sampled_from([1.0, 0.5, 1e-300]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m_top=40, head=3, total=0.5, seed=0)  # half of the u past the head's CDF
+def test_draw_hierarchical_reads_only_the_mass_head(m_top, head, total, seed):
+    """Masses that are zero past ``head`` give the dimensions and the block
+    the full-range CDF gives, a ``u`` at or above the head's last CDF value
+    included: it lands on the last dimension either way."""
+    head = min(head, m_top)
+    rng = np.random.default_rng(seed)
+    probs = np.zeros(m_top)
+    probs[:head] = rng.dirichlet(np.ones(head)) * total
+    post_mean, post_sd, means = rng.normal(size=m_top), rng.uniform(0.5, 2.0, m_top), rng.normal(size=m_top)
+    draws = 40
+    got = _draw_hierarchical(probs, head, post_mean, post_sd, means, draws, stream(seed, 3, 0))
+    want = _draw_hierarchical(probs, m_top, post_mean, post_sd, means, draws, stream(seed, 3, 0))
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    past = stream(seed, 3, 0).random(draws) >= np.cumsum(probs[:head])[-1]
+    np.testing.assert_array_equal(got[0][past], m_top)

@@ -254,6 +254,40 @@ def test_one_sided_band_differs_from_two_sided():
     assert one.value >= two.value
 
 
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_one_pass_gives_every_column_its_one_column_call(monkeypatch, threads):
+    """A concentration pass with several bands and brackets observes each
+    replication once and gives every column, bit for bit, what
+    ``mc_concentration`` or ``mc_bracket_mass`` gives it alone, over
+    chunks of several rows split across threads."""
+    theta, prior, op = _poly_problem(2000)
+    eps, reps, draws, seed = 0.01, 14, 60, 5
+    rate = oracle_dimension(theta, prior, op, eps).rate
+    bands = [(1.5, rate, True), (1.5, rate, False), (3.0, 0.5 * rate, True)]
+    monkeypatch.setenv("IGSSM_THREADS", threads)
+    monkeypatch.setattr(montecarlo, "_ROW_ELEMENTS", 2 * max_dimension(op, eps))
+    observed = []
+    observe = montecarlo._observe
+
+    def spy(signal, noise_scale, rngs, out):
+        observed.append(len(out))
+        return observe(signal, noise_scale, rngs, out)
+
+    for given, brackets in (({"c_lambda": 1.0}, [(1, 2), (2, max_dimension(op, eps))]), ({"m": 3}, [])):
+        observed.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "_observe", spy)
+            got = montecarlo._concentration(theta, prior, op, eps, reps, seed, bands, brackets, draws, **given)
+        assert sum(observed) == reps
+        want = [
+            mc_concentration(theta, prior, op, eps, k, r, reps, draws, seed, two_sided=two, **given)
+            for k, r, two in bands
+        ]
+        want += [mc_bracket_mass(theta, prior, op, eps, reps, seed, b, given["c_lambda"]) for b in brackets]
+        assert got == want
+        assert any(0.0 < est.value < 1.0 for est in got[: len(bands)])
+
+
 def test_sieve_deviation_requires_small_c():
     theta, prior, op = _poly_problem(100)
     with pytest.raises(ValueError):
@@ -263,8 +297,9 @@ def test_sieve_deviation_requires_small_c():
 
 
 def test_bad_kernel_arguments_raise_before_any_replication(monkeypatch):
-    """No posterior draws, or a bracket outside ``1..M``, is refused before
-    the kernel simulates a single replication."""
+    """No posterior draws, a band constant that is not at least 1 (NaN
+    included), a rate that is not finite and positive, or a bracket outside
+    ``1..M``, is refused before the kernel simulates a single replication."""
     theta, prior, op = _poly_problem(50)
     eps, reps = 0.01, 40
     cut = max_dimension(op, eps)
@@ -284,6 +319,14 @@ def test_bad_kernel_arguments_raise_before_any_replication(monkeypatch):
     for call in no_draws:
         with pytest.raises(ValueError, match="need at least one draw"):
             call()
+    nan, inf = float("nan"), float("inf")
+    for given in ({"m": 5}, {"c_lambda": 1.0}):
+        for band_constant in (nan, -inf, 0.5):
+            with pytest.raises(ValueError, match="band constant must be >= 1"):
+                mc_concentration(theta, prior, op, eps, band_constant, 0.1, reps, 10, 1, **given)
+        for rate in (nan, inf, -inf, 0.0):
+            with pytest.raises(ValueError, match="rate must be finite and positive"):
+                mc_concentration(theta, prior, op, eps, 2.0, rate, reps, 10, 1, **given)
     for m_lo, m_hi in ((0, 5), (3, 2), (1, cut + 1)):
         with pytest.raises(ValueError, match=rf"bracket \[{m_lo}, {m_hi}\] outside 1\.\.{cut}$"):
             mc_bracket_mass(theta, prior, op, eps, reps, 1, (m_lo, m_hi), 1.0)
@@ -384,7 +427,7 @@ def test_draw_distances_match_padded_public_samplers(problem, hierarchical, seed
     else:  # the sieve sampler draws exactly the cut
         task, probs = _task(theta, prior, op, eps, m=cut), None
         padded = sample_sieve_posterior(cut, summary, pr, draws, seed, rep=0)
-    (got,) = _draw_distances(task, np.sqrt(task.post_var), draws, seed, 0, summary.post_mean[None], probs)
+    (got,) = _draw_distances(task, np.sqrt(task.post_var), draws, seed, 0, summary.post_mean[None], probs, cut, {})
     want = _padded_distances(padded, theta, prior)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     ordered = np.sort(want)

@@ -252,6 +252,7 @@ def _philox_state(gen):
 @example(seed=2**64 + 5, domain=rng.SIEVE_DRAW, start=2**16 - 20, length=40)  # three words
 @example(seed=2**130 + 7, domain=rng.HIERARCHY_DRAW, start=2**16 - 1, length=2)  # past the pool
 @example(seed=7, domain=rng.AUDIT_DRAW, start=2**32 - 2, length=4)  # across one word
+@example(seed=2**200 - 1, domain=2**40 + 3, start=2**64 - 1, length=3)  # two-word domain, into three words
 def test_streams_start_where_stream_starts(seed, domain, start, length):
     """Each generator ``streams`` yields is in the state ``stream`` starts
     in at that address, for seeds of one word and of many, every domain
@@ -262,6 +263,27 @@ def test_streams_start_where_stream_starts(seed, domain, start, length):
         assert _philox_state(gen) == _philox_state(stream(seed, domain, r))
         seen += 1
     assert seen == length
+
+
+def test_streams_build_no_seed_sequence_per_replication(monkeypatch):
+    """``streams`` derives its keys in batches without a ``SeedSequence``;
+    batches that end inside a range, are hashed as arrays or as ints, or
+    start past a word of the index still give each address the key
+    ``stream`` gives it."""
+    seed, start, length = 2**70 + 9, 2**32 - 11, 30
+    want = [_philox_state(stream(seed, rng.HIERARCHY_DRAW, r)) for r in range(start, start + length)]
+    built = []
+
+    class Counted(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Counted)
+    monkeypatch.setattr(rng, "_KEY_BATCH", 13)  # batches of 11, 13 and 6
+    got = [_philox_state(gen) for gen in streams(seed, rng.HIERARCHY_DRAW, start, start + length)]
+    assert built == []
+    assert got == want
 
 
 def test_reset_stream_draws_what_stream_draws():
