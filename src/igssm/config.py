@@ -24,6 +24,7 @@ from .sequences import (
     OperatorSequence,
     ParameterSequence,
     WeightedClass,
+    _blocks,
     _freeze,
     load_values_csv,
     make_operator,
@@ -477,18 +478,26 @@ class ExperimentConfig:
             means = _freeze(np.full(n, mean))
             if prior["kind"] == "matched":
                 eps_ref = min(self.eps_grid)
-                amp = op.amplification
-                envelope = np.maximum(np.sqrt(eps_ref * amp), eps_ref * amp)
-                return PriorSpec.gaussian(means, _freeze(float(prior["d"]) * envelope))
+                variances = op.amplification  # a new array, turned into the variances in place
+                variances *= eps_ref
+                for lo, hi in _blocks(n):
+                    block = variances[lo:hi]
+                    np.maximum(np.sqrt(block), block, out=block)
+                variances *= float(prior["d"])
+                return PriorSpec.gaussian(means, _freeze(variances))
             if "variance_family" in prior:
                 fam = prior["variance_family"]
                 scale = float(fam.get("scale", 1.0))
-                j = np.arange(1, n + 1, dtype=np.float64)
+                variances = np.arange(1, n + 1, dtype=np.float64)  # the j grid, overwritten
                 q = float(fam["exponent"])
                 if fam["family"] == "polynomial":
-                    variances = scale * j**-q
+                    variances **= -q
                 else:
-                    variances = scale * np.exp(1.0 - j**q)
+                    with np.errstate(over="ignore"):  # j^q = inf gives a zero variance, found below
+                        variances **= q
+                    np.subtract(1.0, variances, out=variances)
+                    np.exp(variances, out=variances)
+                variances *= scale
                 if not np.all(variances > 0.0):
                     raise ValueError("variance family underflowed to zero")
                 return PriorSpec.gaussian(means, _freeze(variances))

@@ -70,7 +70,7 @@ import numpy as np
 from .posterior import PosteriorSummary, PriorSpec, _check_means, log_variance_ratio
 from .rng import HIERARCHY_DRAW, stream
 from .selection import max_dimension
-from .sequences import OperatorSequence, _readonly
+from .sequences import _PAIRWISE_LEAF, OperatorSequence, _half, _readonly, _sq_err, _sq_err_sum
 
 __all__ = [
     "DimensionDistribution",
@@ -143,11 +143,6 @@ _MASS_MARGIN = 800.0
 # Length of the chunks whose maxima locate the mass end, and the step by
 # which the kernel's exact head of the log-weights grows.
 _CHUNK = 4096
-# numpy's pairwise summation sums blocks of up to this many elements in
-# one loop (its PW_BLOCKSIZE).
-_PAIRWISE_LEAF = 128
-# Longest run of squared errors ``_sq_err_sum`` builds at once (256 KiB).
-_PIECE = 1 << 15
 # Relative slack of ``_tail_bound``: far more than the rounding error of
 # sums of up to 1e7 terms (config.MAX_SEQUENCE_LENGTH).
 _SLACK = 1.0 + 1e-6
@@ -160,30 +155,6 @@ def _chunk_maxima(lw: np.ndarray) -> np.ndarray:
     :mod:`igssm.montecarlo` for why)."""
     starts = np.arange(0, lw.shape[1], _CHUNK)
     return np.array([np.maximum.reduceat(row, starts) for row in lw])
-
-
-def _half(n: int) -> int:
-    """Where numpy's pairwise summation splits a node of ``n >
-    _PAIRWISE_LEAF`` elements: ``n // 2`` rounded down to a multiple of 8."""
-    return n // 2 - n // 2 % 8
-
-
-def _sq_err(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """``(a_j - b_j)^2`` for ``j`` in ``[lo, hi)``, as a new array."""
-    d = np.subtract(a[lo:hi], b[lo:hi])
-    return np.square(d, out=d)
-
-
-def _sq_err_sum(a: np.ndarray, b: np.ndarray, lo: int, n: int) -> float:
-    """``np.sum((a - b)[lo : lo + n] ** 2)`` bit for bit, never building
-    more than ``_PIECE`` of the squares at once.  numpy sums the ``n``
-    squares as a tree (see ``_pairwise_sum``), and each subtree of up to
-    ``_PIECE`` elements is what ``np.sum`` gives on those elements alone,
-    so the tree is rebuilt from such pieces."""
-    if n <= _PIECE:
-        return float(np.sum(_sq_err(a, b, lo, lo + n)))
-    half = _half(n)
-    return _sq_err_sum(a, b, lo, half) + _sq_err_sum(a, b, lo + half, n - half)
 
 
 def _pairwise_sum(rows: np.ndarray, end: int, tail: tuple | None = None, memo: dict | None = None):

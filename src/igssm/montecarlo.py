@@ -27,7 +27,7 @@ unless they are constant (then one scalar, in the sampling tasks too);
 and the parts of the posterior-mean map that are not the identity.  The
 dimension posterior's penalty ``1.5 C m`` is formed for the slice a pass
 reads, and the prior mean's squared error past the mass end is summed
-piecewise (``hierarchy._sq_err_sum``), never built whole.  On the direct
+piecewise (``sequences._sq_err_sum``), never built whole.  On the direct
 model under the flat prior a task on the dimension posterior so holds no
 array of its cut's length of its own; the work arrays of its blocks (see
 below) are all it allocates at that length.
@@ -120,7 +120,6 @@ from .hierarchy import (
     _pairwise_sum,
     _scalar_if_constant,
     _shrink,
-    _sq_err_sum,
     _terms,
     _Terms,
 )
@@ -136,7 +135,7 @@ from .posterior import (
 )
 from .rng import AUDIT_DRAW, HIERARCHY_DRAW, OBSERVATION, SIEVE_DRAW, SUITE_GEN, stream, streams
 from .selection import bias_profile, max_dimension, risk_decomposition
-from .sequences import OperatorSequence, ParameterSequence, _observe, _readonly
+from .sequences import OperatorSequence, ParameterSequence, _observe, _readonly, _sq_err_sum
 
 __all__ = [
     "TailBoundConfig",

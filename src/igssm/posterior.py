@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .rng import SIEVE_DRAW, stream
-from .sequences import Observation, OperatorSequence, _check_eps, _freeze, _readonly
+from .sequences import Observation, OperatorSequence, _blocks, _check_eps, _freeze, _readonly
 
 __all__ = [
     "PriorSpec",
@@ -59,9 +59,10 @@ class PriorSpec:
             raise ValueError("prior must have at least one coordinate")
         if not np.all(np.isfinite(means)):
             raise ValueError("prior means must be finite")
-        proper = ~mask
-        if not np.all(variances[proper] > 0.0) or not np.all(np.isfinite(variances[proper])):
-            raise ValueError("proper prior variances must be positive and finite")
+        for lo, hi in _blocks(means.size):
+            v, proper = variances[lo:hi], ~mask[lo:hi]
+            if not (np.all(v > 0.0, where=proper) and np.all(np.isfinite(v), where=proper)):
+                raise ValueError("proper prior variances must be positive and finite")
         if np.any(means, where=mask):
             raise ValueError("improper coordinates force a zero prior mean")
         object.__setattr__(self, "means", means)

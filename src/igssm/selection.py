@@ -20,7 +20,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .posterior import PriorSpec, posterior_variances
-from .sequences import OperatorSequence, ParameterSequence, WeightedClass, _check_eps, _readonly
+from .sequences import (
+    OperatorSequence,
+    ParameterSequence,
+    WeightedClass,
+    _blocks,
+    _check_eps,
+    _freeze,
+    _readonly,
+    _sq_err,
+    _sq_err_sum,
+)
 
 __all__ = [
     "RiskDecomposition",
@@ -79,16 +89,30 @@ def bias_profile(theta: ParameterSequence, prior: PriorSpec) -> np.ndarray:
     read-only and computed once per (theta, prior): ``theta`` keeps the
     profile of the last prior it was asked about, and both are immutable,
     until :func:`_release_profiles`.
+
+    One ``N + 1`` buffer holds the suffix sums ``sum_{j>=i} (theta_j -
+    mu_j)^2``, ending in 0.0, and is filled from the end a block at a time:
+    a block's squares are written in place and folded in reverse from the
+    sum at its upper edge, which is the whole-array cumsum bit for bit.
+    The tail is added to each block's sums once the block below no longer
+    folds from them.
     """
     if theta.n != prior.n:
         raise ValueError("signal and prior lengths must match")
     memo = theta.__dict__.get("_bias_memo")
     if memo is not None and memo[0] is prior:
         return memo[1]
-    diffs = (theta.values - prior.means) ** 2
-    suffix = np.concatenate([np.cumsum(diffs[::-1])[::-1], [0.0]])
-    profile = suffix[1:] + theta.sq_tail()
-    profile.setflags(write=False)
+    n, tail = theta.n, theta.sq_tail()
+    suffix = np.empty(n + 1)
+    suffix[n] = 0.0
+    for lo, hi in reversed(_blocks(n)):
+        block = suffix[lo:hi]
+        np.subtract(theta.values[lo:hi], prior.means[lo:hi], out=block)
+        np.square(block, out=block)
+        fold = suffix[lo : hi + 1][::-1]
+        np.add.accumulate(fold, out=fold)
+        suffix[lo + 1 : hi + 1] += tail
+    profile = _freeze(suffix)[1:]
     theta.__dict__["_bias_memo"] = (prior, profile)  # where cached_property keeps its values
     return profile
 
@@ -115,8 +139,7 @@ def risk_decomposition(
         raise ValueError("signal, prior and operator lengths must match")
     if not 1 <= m <= n:
         raise ValueError(f"dimension m={m} outside 1..{n}")
-    diffs_sq = (theta.values - prior.means) ** 2
-    bias = float(np.sum(diffs_sq[m:])) + theta.sq_tail()
+    bias = _sq_err_sum(theta.values, prior.means, m, n - m) + theta.sq_tail()
     variance_proxy = eps * op._amp_prefix_sum[m - 1]
     if not np.isfinite(variance_proxy):
         raise OverflowError(f"variance proxy overflows at m={m}")
@@ -127,7 +150,7 @@ def risk_decomposition(
         v = prior.variances[:m][proper]
         lam_sq = op.values[:m][proper] ** 2
         shrink[proper] = eps / (v * lam_sq + eps)  # post_var / prior var, stably
-    shift = float(np.sum(shrink**2 * diffs_sq[:m]))
+    shift = float(np.sum(shrink**2 * _sq_err(theta.values, prior.means, 0, m)))
     return RiskDecomposition(
         m=int(m),
         bias=bias,
@@ -302,15 +325,16 @@ def _submultiplicative(op: OperatorSequence) -> tuple[bool, tuple[int, int] | No
     """Check ``max-amp(k*l) <= max-amp(k) * max-amp(l)`` for all ``k*l <= N``.
 
     Runs in log space so rapidly growing amplification cannot overflow, and
-    only scans ``k <= l`` (the condition is symmetric).  Each ``k`` reuses
-    the same three buffers.
+    only scans ``k <= l`` (the condition is symmetric).  Each ``k`` walks
+    its ``l`` range in blocks, in order, so the first failing block holds
+    the smallest failing ``l``.
 
     A pair fails only if ``lhs`` exceeds ``rhs`` by its tolerance, at least
     ``_LOG_TOL * max(1, |rhs|)``.  Past the ``k = 1`` check no entry of
     ``log_cummax`` is below ``-_LOG_TOL``, so the sums cancel nothing and
     round by a few parts in 1e16, far less than half that tolerance:
     every failing pair also has ``lhs > log_cummax[l - 1] + (log_cummax[k
-    - 1] + _LOG_TOL / 2)``.  A ``k`` with no pair past that cheaper bound is
+    - 1] + _LOG_TOL / 2)``.  A block with no pair past that cheaper bound is
     passed over; only the others are compared in full.
     """
     log_cummax = op._log_amp_cummax
@@ -318,33 +342,80 @@ def _submultiplicative(op: OperatorSequence) -> tuple[bool, tuple[int, int] | No
     # k = 1 reduces to max-amp(1) >= 1, which fails whenever lambda_1 > 1
     if log_cummax[0] < -_LOG_TOL:
         return False, (1, 1)
-    size = max(n // 2 - 1, 0)  # the longest l range, at k = 2
-    rhs_buf, tol_buf, bad_buf = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
     for k in range(2, int(math.isqrt(n)) + 1):
-        top = n // k  # l runs over k..top
-        lhs = log_cummax[k * k - 1 : k * top : k]
-        low = np.add(log_cummax[k - 1 : top], log_cummax[k - 1] + 0.5 * _LOG_TOL, out=rhs_buf[: lhs.size])
-        if not np.greater(lhs, low, out=bad_buf[: lhs.size]).any():
-            continue
-        rhs = np.add(log_cummax[k - 1 : top], log_cummax[k - 1], out=rhs_buf[: lhs.size])
-        tol = np.abs(rhs, out=tol_buf[: lhs.size])
-        np.maximum(tol, 1.0, out=tol)
-        np.multiply(tol, _LOG_TOL, out=tol)
-        bad = np.greater(lhs, np.add(rhs, tol, out=tol), out=bad_buf[: lhs.size])
-        if bad.any():
-            return False, (k, k + int(bad.argmax()))
+        at_k = log_cummax[k - 1]
+        for lo, hi in _blocks(n // k, k - 1):  # l - 1 runs over k - 1 .. n // k - 1
+            lhs = log_cummax[k * (lo + 1) - 1 : k * hi : k]
+            at_l = log_cummax[lo:hi]
+            if not np.greater(lhs, at_l + (at_k + 0.5 * _LOG_TOL)).any():
+                continue
+            rhs = at_l + at_k
+            bad = lhs > rhs + np.maximum(np.abs(rhs), 1.0) * _LOG_TOL
+            if bad.any():
+                return False, (k, lo + 1 + int(bad.argmax()))
     return True, None
 
 
 def _operator_constant(op: OperatorSequence) -> float:
     """``C_lambda``: the smallest ``C >= 1`` with ``max_{j>k} lambda_j^2 <=
-    C min_{j<=k} lambda_j^2`` for every ``k``."""
-    if op.n == 1:
+    C min_{j<=k} lambda_j^2`` for every ``k``.
+
+    The largest log-ratio over all ``k`` is the largest ``log lambda_j^2 -
+    min_{i<j} log lambda_i^2`` over ``j``: each is a difference of the same
+    two entries, and rounding is monotone, so the two maxima are equal bit
+    for bit.  One forward pass finds it a block at a time, carrying the
+    prefix minimum across block edges."""
+    n = op.n
+    if n == 1:
         return 1.0
     log_sq = op.log_sq
-    suffix_max = np.maximum.accumulate(log_sq[::-1])[::-1]
-    prefix_min = np.minimum.accumulate(log_sq)
-    return max(1.0, float(np.exp(np.max(suffix_max[1:] - prefix_min[:-1]))))
+    gap = -np.inf
+    min_before = np.inf  # the minimum below the current block
+    for lo, hi in _blocks(n - 1):  # the minimum runs over i < j, so j - 1 runs over 0..n-2
+        prefix_min = np.minimum.accumulate(log_sq[lo:hi])
+        np.minimum(prefix_min, min_before, out=prefix_min)
+        gap = max(gap, float(np.max(log_sq[lo + 1 : hi + 1] - prefix_min)))
+        min_before = float(prefix_min[-1])
+    return max(1.0, float(np.exp(gap)))
+
+
+def _mean_constant(op: OperatorSequence) -> float:
+    """``L_lambda``: the smallest ``L >= 1`` with ``max-amp(m) <= L *
+    mean-amp(m)`` for every ``m``, from the overflow-free ``log sum_{j<=m}
+    lambda_j^{-2}``.  That log-sum is one left fold of ``np.logaddexp``,
+    run a block at a time: each block's fold starts from the last sum of
+    the block before, so it is the whole-array fold bit for bit."""
+    log_cummax = op._log_amp_cummax
+    blocks = _blocks(op.n)
+    gap = -np.inf
+    fold = np.empty(blocks[0][1] + 1)
+    fold[0] = -np.inf  # logaddexp(-inf, x) is x (a -0.0 comes out as 0.0)
+    for lo, hi in blocks:
+        run = fold[: hi - lo + 1]
+        np.negative(op.log_sq[lo:hi], out=run[1:])
+        np.logaddexp.accumulate(run, out=run)
+        log_mean = run[1:] - np.log(np.arange(lo + 1, hi + 1))
+        gap = max(gap, float(np.max(log_cummax[lo:hi] - log_mean)))
+        fold[0] = run[-1]
+    return max(1.0, float(np.exp(gap)))
+
+
+def _variance_floor(prior: PriorSpec, op: OperatorSequence, eps: float, m_max: int) -> float:
+    """The largest ``d`` with ``v_j >= d max(sqrt(eps amp_j), eps amp_j)``
+    for the proper coordinates ``j <= m_max`` (``inf`` when there are
+    none), read a block at a time."""
+    d = np.inf
+    for lo, hi in _blocks(m_max):
+        proper = ~prior.improper[lo:hi]
+        if not proper.any():
+            continue
+        log_amp = -op.log_sq[lo:hi][proper]
+        floor = np.maximum(
+            np.exp(0.5 * (math.log(eps) + log_amp)),
+            np.exp(math.log(eps) + log_amp),
+        )
+        d = min(d, float(np.min(prior.variances[lo:hi][proper] / floor)))
+    return d
 
 
 def check_assumptions(
@@ -370,12 +441,8 @@ def check_assumptions(
     if weighted_class is not None and weighted_class.n != n:
         raise ValueError("class and operator lengths must match")
 
-    log_amp = op.log_amplification
     c_lambda = _operator_constant(op)
-    # smallest L with  max-amp(m) <= L * mean-amp(m), from the overflow-free
-    # log sum_{j<=m} lambda_j^{-2}
-    log_mean = np.logaddexp.accumulate(log_amp) - np.log(np.arange(1, n + 1))
-    l_lambda = max(1.0, float(np.exp(np.max(op._log_amp_cummax - log_mean))))
+    l_lambda = _mean_constant(op)
     submult, witness = _submultiplicative(op)
 
     bias = bias_profile(theta, prior)
@@ -385,18 +452,11 @@ def check_assumptions(
     minimax_rates: list[float] = []
     kappa_oracle = np.inf
     kappa_minimax = np.inf
-    proper = ~prior.improper
     prefix = op._amp_prefix_sum
     for eps in (float(e) for e in eps_grid):
         m_max = max_dimension(op, eps)
         max_dims.append(m_max)
-        if np.any(proper[:m_max]):
-            j = np.nonzero(proper[:m_max])[0]
-            floor = np.maximum(
-                np.exp(0.5 * (math.log(eps) + log_amp[j])),
-                np.exp(math.log(eps) + log_amp[j]),
-            )
-            d = min(d, float(np.min(prior.variances[j] / floor)))
+        d = min(d, _variance_floor(prior, op, eps, m_max))
         sel = _select(bias, prefix, "oracle", eps)
         oracle_dims.append(sel.dimension)
         oracle_rates.append(sel.rate)
@@ -436,7 +496,7 @@ def shift_sq_norm(theta: ParameterSequence, prior: PriorSpec) -> float:
     """``sum_j (theta_j - mu_j)^2`` including the analytic tail beyond N."""
     if theta.n != prior.n:
         raise ValueError("signal and prior lengths must match")
-    return float(np.sum((theta.values - prior.means) ** 2)) + theta.sq_tail()
+    return _sq_err_sum(theta.values, prior.means, 0, theta.n) + theta.sq_tail()
 
 
 def composite_constants(

@@ -38,6 +38,19 @@ __all__ = [
 # log of the largest representable double; exponentiating anything above
 # this is treated as a checked overflow, never silently returned as inf.
 _LOG_MAX = math.log(np.finfo(np.float64).max)
+# the spacing of doubles at 1.0: where the incomplete gamma's series and
+# continued fraction stop
+_EPS = math.ulp(1.0)
+# Elements per block of a scan over the whole sequence (512 KiB of float64,
+# so a block and its temporaries stay in L2).  Each such scan is one loop
+# over these blocks that carries its running value across block edges, so
+# no full-length temporary is built beside the arrays set-up keeps.
+_BLOCK = 1 << 16
+# numpy's pairwise summation sums blocks of up to this many elements in
+# one loop (its PW_BLOCKSIZE).
+_PAIRWISE_LEAF = 128
+# Longest run of squared errors ``_sq_err_sum`` builds at once (256 KiB).
+_PIECE = 1 << 15
 
 OPERATOR_FAMILIES = ("polynomial", "exponential", "constant", "explicit")
 PARAMETER_FAMILIES = ("polynomial", "exponential", "explicit")
@@ -63,6 +76,36 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     without a copy."""
     a.setflags(write=False)
     return a
+
+
+def _half(n: int) -> int:
+    """Where numpy's pairwise summation splits a node of ``n >
+    _PAIRWISE_LEAF`` elements: ``n // 2`` rounded down to a multiple of 8."""
+    return n // 2 - n // 2 % 8
+
+
+def _sq_err(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``(a_j - b_j)^2`` for ``j`` in ``[lo, hi)``, as a new array."""
+    d = np.subtract(a[lo:hi], b[lo:hi])
+    return np.square(d, out=d)
+
+
+def _sq_err_sum(a: np.ndarray, b: np.ndarray, lo: int, n: int) -> float:
+    """``np.sum((a - b)[lo : lo + n] ** 2)`` bit for bit, never building
+    more than ``_PIECE`` of the squares at once.  numpy sums the ``n``
+    squares as a tree (see ``hierarchy._pairwise_sum``), and each subtree
+    of up to ``_PIECE`` elements is what ``np.sum`` gives on those elements
+    alone, so the tree is rebuilt from such pieces."""
+    if n <= _PIECE:
+        return float(np.sum(_sq_err(a, b, lo, lo + n)))
+    half = _half(n)
+    return _sq_err_sum(a, b, lo, half) + _sq_err_sum(a, b, lo + half, n - half)
+
+
+def _blocks(stop: int, start: int = 0) -> list:
+    """``(lo, hi)`` of the consecutive ``_BLOCK``-long blocks covering
+    ``[start, stop)``, in order; the last may be shorter."""
+    return [(lo, min(lo + _BLOCK, stop)) for lo in range(start, stop, _BLOCK)]
 
 
 def _check_eps(eps: float) -> None:
@@ -130,7 +173,8 @@ class OperatorSequence:
 
     @cached_property
     def _log_amp_cummax(self) -> np.ndarray:
-        return _freeze(np.maximum.accumulate(self.log_amplification))
+        cummax = np.negative(self.log_sq)
+        return _freeze(np.maximum.accumulate(cummax, out=cummax))
 
     @cached_property
     def _amp_prefix_sum(self) -> np.ndarray:
@@ -150,7 +194,8 @@ class OperatorSequence:
                 "noise amplification factor exceeds the double range; "
                 "use log_amplification instead"
             )
-        return np.exp(self.log_amplification)
+        amp = np.negative(self.log_sq)
+        return np.exp(amp, out=amp)
 
     def max_amplification(self, m: int) -> float:
         """``max_{j<=m} lambda_j^{-2}`` (checked for overflow)."""
@@ -192,7 +237,6 @@ def make_operator(
         raise ValueError(f"unknown operator family {family!r}")
     if n < 1:
         raise ValueError("sequence length must be at least 1")
-    j = np.arange(1, n + 1, dtype=np.float64)
     if family == "explicit":
         if values is None:
             raise ValueError("explicit operator needs values")
@@ -206,16 +250,22 @@ def make_operator(
         return OperatorSequence(_freeze(np.ones(n)), _freeze(np.zeros(n)), family, None)
     if decay is None or decay < 0:
         raise ValueError(f"{family} operator needs decay parameter a >= 0")
+    if family == "exponential" and decay == 0:
+        raise ValueError("exponential operator needs decay a > 0")
+    j = np.arange(1, n + 1, dtype=np.float64)  # each family writes its values over it
     if family == "polynomial":
-        log_sq = -2.0 * decay * np.log(j)
-        vals = j ** (-decay)
+        log_sq = np.log(j)
+        log_sq *= -2.0 * decay
+        j **= -decay
+        vals = j
     else:  # exponential
-        if decay == 0:
-            raise ValueError("exponential operator needs decay a > 0")
-        log_sq = 1.0 - j ** (2.0 * decay)
+        with np.errstate(over="ignore"):  # an overflow is found by the check below
+            j **= 2.0 * decay
+        log_sq = np.subtract(1.0, j, out=j)
         if not np.all(np.isfinite(log_sq)):
             raise OverflowError("exponential operator exponent overflows")
-        vals = np.exp(0.5 * log_sq)
+        vals = np.multiply(log_sq, 0.5)
+        np.exp(vals, out=vals)
     return OperatorSequence(_freeze(vals), _freeze(log_sq), family, float(decay))
 
 
@@ -262,9 +312,10 @@ class ParameterSequence:
         Polynomial family ``theta_j = s j^{-q}``: the integral bound
         ``s^2 N^{1-2q} / (2q - 1)``.  Exponential family
         ``theta_j^2 = s^2 exp(1 - j^{2q})``: the integrand is decreasing, so
-        the discrete tail is bounded by the (numerically evaluated) integral
-        from N.  Explicit sequences carry no tail.  Raises ``OverflowError``
-        when ``scale^2`` is past the double range.
+        the discrete tail is bounded by the integral from N, in closed form
+        ``s^2 (e / p) Gamma(1/p, N^p)`` with ``p = 2q``.  Explicit sequences
+        carry no tail.  Raises ``OverflowError`` when ``scale^2`` or the
+        tail is past the double range.
         """
         n = self.n
         if self.family == "explicit":
@@ -273,17 +324,19 @@ class ParameterSequence:
         if not abs(self.scale) <= math.sqrt(np.finfo(np.float64).max):
             raise OverflowError(f"the squared scale {self.scale}^2 is past the double range")
         s2 = float(self.scale) ** 2
-        if self.family == "polynomial":
-            return s2 * n ** (1.0 - 2.0 * q) / (2.0 * q - 1.0)
         p = 2.0 * q
-        # where x^p >= e^7 the integrand is below e^-1000, 0.0 in float; the
-        # test also keeps x^p from overflowing
-        if p * math.log(n) >= 7.0:
+        if self.family == "polynomial":
+            tail = s2 * n ** (1.0 - p) / (p - 1.0)
+        # where N^p >= e^7 the integral is below e^-1000, 0.0 in float; the
+        # test also keeps N^p from overflowing
+        elif s2 == 0.0 or p * math.log(n) >= 7.0:
             return 0.0
-        from scipy.integrate import quad  # imported here: no other path needs scipy
-
-        val, _err = quad(lambda x: math.exp(1.0 - x**p) if p * math.log(x) < 7.0 else 0.0, n, np.inf)
-        return s2 * float(val)
+        else:
+            log_tail = math.log(s2) + 1.0 - math.log(p) + _log_upper_gamma(1.0 / p, float(n) ** p)
+            tail = math.exp(log_tail) if log_tail <= _LOG_MAX else math.inf
+        if math.isinf(tail):
+            raise OverflowError(f"the squared tail of the signal past N={n} is past the double range")
+        return tail
 
     def head(self, k: int) -> "ParameterSequence":
         """First ``k`` coordinates; the sequence itself when ``k`` is its
@@ -293,6 +346,42 @@ class ParameterSequence:
         if k == self.n:
             return self
         return ParameterSequence(self.values[:k], self.family, self.exponent, self.scale)
+
+
+def _log_upper_gamma(a: float, x: float) -> float:
+    """``log Gamma(a, x)``, the upper incomplete gamma function, for ``a >
+    0`` and ``x > 0``.  Below ``x = a + 1`` it is ``Gamma(a)`` less the
+    lower function, summed as its power series; from there on the
+    continued fraction of ``Gamma(a, x) e^x x^{-a}``, evaluated by the
+    modified Lentz method, converges fast (Numerical Recipes, section 6.2).
+    Both run to full double precision."""
+    log_xa = a * math.log(x) - x
+    if x < a + 1.0:
+        # gamma(a, x) = x^a e^-x sum_k x^k / (a (a + 1) ... (a + k))
+        term = total = 1.0 / a
+        k = a
+        while term > total * _EPS:
+            k += 1.0
+            term *= x / k
+            total += term
+        log_gamma = math.lgamma(a)
+        return log_gamma + math.log1p(-math.exp(log_xa + math.log(total) - log_gamma))
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    frac = d
+    i = 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        frac *= d * c
+        if abs(d * c - 1.0) <= _EPS:
+            return log_xa + math.log(frac)
 
 
 def make_parameters(
@@ -318,12 +407,16 @@ def make_parameters(
         return ParameterSequence(vals, family)
     if exponent is None:
         raise ValueError(f"{family} parameter sequence needs an exponent")
-    j = np.arange(1, n + 1, dtype=np.float64)
+    vals = np.arange(1, n + 1, dtype=np.float64)  # the j grid, overwritten with the values
     if family == "polynomial":
-        vals = scale * j ** (-float(exponent))
+        vals **= -float(exponent)
     else:
         with np.errstate(over="ignore"):  # j^{2q} = inf gives exp(-inf) = 0, the right value
-            vals = scale * np.exp(0.5 * (1.0 - j ** (2.0 * float(exponent))))
+            vals **= 2.0 * float(exponent)
+        np.subtract(1.0, vals, out=vals)
+        vals *= 0.5
+        np.exp(vals, out=vals)
+    vals *= scale
     return ParameterSequence(_freeze(vals), family, float(exponent), float(scale))
 
 
@@ -354,7 +447,7 @@ class WeightedClass:
             raise ValueError("weights must be finite and positive")
         if w[0] != 1.0:
             raise ValueError("weights must start at w_1 = 1")
-        if np.any(np.diff(w) > 0.0):
+        if any(np.any(w[lo + 1 : hi + 1] > w[lo:hi]) for lo, hi in _blocks(w.size - 1)):
             raise ValueError("weights must be non-increasing")
         # radius 0 is the degenerate ball {mu}; negative radii are nonsense
         if not (np.isfinite(self.radius) and self.radius >= 0.0):
@@ -387,11 +480,14 @@ def make_weights(family: str, n: int, exponent: float | None = None,
         return WeightedClass(np.asarray(values, dtype=np.float64), radius, family)
     if exponent is None or exponent <= 0:
         raise ValueError(f"{family} weights need exponent p > 0")
-    j = np.arange(1, n + 1, dtype=np.float64)
+    w = np.arange(1, n + 1, dtype=np.float64)  # the j grid, overwritten with the weights
     if family == "polynomial":
-        w = j ** (-2.0 * float(exponent))
+        w **= -2.0 * float(exponent)
     else:
-        w = np.exp(1.0 - j ** (2.0 * float(exponent)))
+        with np.errstate(over="ignore"):  # j^{2p} = inf gives a zero weight, found below
+            w **= 2.0 * float(exponent)
+        np.subtract(1.0, w, out=w)
+        np.exp(w, out=w)
         if w[-1] == 0.0:
             raise OverflowError("exponential weights underflow to zero; shorten the range")
     return WeightedClass(_freeze(w), radius, family, float(exponent))

@@ -36,21 +36,34 @@ def read_meta(csv_path):
     return json.loads(sidecar.read_text(encoding="utf-8"))
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    """scipy is imported only where the exponential truth family's tail
-    needs quadrature, so starting the CLI does not pay for it."""
+def _cli_env():
+    """The environment of a fresh interpreter that imports this igssm."""
     src = str(Path(igssm.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, igssm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    """scipy is not a runtime dependency: the CLI never imports it, not
+    even to run a config with an exponential truth, whose tail bound is the
+    closed-form incomplete gamma function."""
+    raw = {"model": {"family": "polynomial", "decay": 1.0},
+           "truth": {"family": "exponential", "exponent": 0.1, "scale": 0.5},
+           "prior": {"kind": "improper"}, "eps_grid": [0.01, 0.001], "mc": {"reps": 2, "draws": 5},
+           "seed": 1, "estimators": ["oracle"]}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    code = ("import sys, igssm.cli; code = igssm.cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2], "
+            "'--quiet']); print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, str(config), str(tmp_path / "out")], env=_cli_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0 []"
+    assert (tmp_path / "out" / "mise.csv").is_file()
 
 
 def test_loading_a_config_leaves_jsonschema_unloaded():
     """Configs are validated without jsonschema, so neither it nor the
     packages it pulls in are imported by the CLI or by ``load_config``."""
-    src = str(Path(igssm.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _cli_env()
     config = Path(igssm.__file__).parent / "configs" / "pp_p1_a1.json"
     code = (
         "import sys, igssm.cli; from igssm.config import load_config; load_config(sys.argv[1]); "
@@ -449,6 +462,33 @@ def test_truth_at_the_edge_of_float_range_exits_without_a_traceback(tmp_path, ca
     if code == 2:
         assert err.startswith("config error: truth: the squared scale 1e+300^2 is past the double range")
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        ({"model": {"family": "exponential", "decay": 1e3}}, "model: exponential operator exponent overflows"),
+        ({"class": {"family": "exponential", "exponent": 1e3, "radius": 1.0}},
+         "class: exponential weights underflow to zero; shorten the range"),
+        ({"prior": {"kind": "gaussian", "variance_family": {"family": "exponential", "exponent": 1e3}}},
+         "prior: variance family underflowed to zero"),
+    ],
+    ids=["operator", "class", "prior_variances"],
+)
+def test_steep_exponential_families_print_only_the_config_error(tmp_path, block, message):
+    """An exponential family whose ``j^{2a}`` overflows is a config error,
+    and stderr holds that one line: the overflow in the power is expected
+    and checked, never shown as a numpy warning."""
+    raw = {"model": {"family": "polynomial", "decay": 1.0}, "truth": {"family": "polynomial", "exponent": 1.6},
+           "prior": {"kind": "improper"}, "class": {"family": "polynomial", "exponent": 1.0, "radius": 1.0},
+           "eps_grid": [0.01], "mc": {"reps": 2, "draws": 5}, "seed": 1, "estimators": ["oracle"], **block}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = subprocess.run([sys.executable, "-m", "igssm.cli", "run", "--config", str(config), "--out",
+                          str(tmp_path / "out"), "--quiet"], env=_cli_env(), capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stderr == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_audit_reps_floor_enforced(tmp_path, capsys):

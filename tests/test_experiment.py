@@ -17,6 +17,7 @@ from igssm.selection import (
     InfeasibleError,
     bracket_dimensions,
     check_assumptions,
+    composite_constants,
     max_dimension,
     minimax_dimension,
     oracle_dimension,
@@ -91,6 +92,81 @@ def test_set_up_keeps_only_the_arrays_the_monte_carlo_reads():
         if any(getattr(a, "size", 0) == n for a in (value if isinstance(value, tuple) else (value,)))
     }
     assert full == {"values", "log_sq", "_log_amp_cummax"}
+
+
+# Set-up at N = 2^20, where one full-length float array is 8 MiB: the
+# indirect model with a flat prior, a direct one with a Gaussian prior and
+# an exponential one with an exponential truth and the matched prior.
+_LONG = 2**20
+_SET_UPS = {
+    "indirect_improper": {"model": {"family": "polynomial", "decay": 1.0, "n": _LONG}},
+    "direct_gaussian": {"model": {"family": "constant", "n": _LONG},
+                        "prior": {"kind": "gaussian", "mean": 0.1, "variance": 2.0}},
+    "exponential_matched": {"model": {"family": "exponential", "decay": 0.2, "n": _LONG},
+                            "truth": {"family": "exponential", "exponent": 0.1},
+                            "prior": {"kind": "matched", "d": 1.0}, "eps_grid": [0.1, 0.01]},
+}
+# What a set-up step may hold above the arrays it leaves behind: a few
+# blocks of temporaries and the 1-byte-per-coordinate masks of the checks.
+_SET_UP_MARGIN = 4 * 2**20
+
+
+def _long_config(name):
+    return ExperimentConfig({
+        **SMALL, "eps_grid": [0.01, 1e-4, 1e-6],
+        "concentration": {"kinds": ["sieve_oracle", "hierarchical_oracle", "bracket_oracle"],
+                          "eps_grid": [0.01, 0.001]},
+        **_SET_UPS[name],
+    })
+
+
+@pytest.mark.parametrize("name", list(_SET_UPS))
+def test_set_up_peaks_at_the_arrays_it_keeps(name):
+    """``_prepare`` peaks at no more than the arrays it holds at once plus
+    ``_SET_UP_MARGIN``: those it keeps, and the class weights, the bias
+    profile and the variance-proxy prefix sums that serve its selections.
+    Every full-length scan runs in fixed blocks, so one more full-length
+    temporary at the high-water mark fails this."""
+    cfg = _long_config(name)
+    tracemalloc.start()
+    try:
+        theta, prior, op, *_ = experiment._prepare(cfg, concentration=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = [op.values, op.log_sq, op._log_amp_cummax, theta.values, prior.means, prior.variances, prior.improper]
+    selections = 8 * _LONG + 8 * (_LONG + 1) + 8 * _LONG
+    assert peak <= sum(a.nbytes for a in kept) + selections + _SET_UP_MARGIN
+
+
+@pytest.mark.parametrize("name", list(_SET_UPS))
+def test_each_set_up_step_peaks_at_what_it_leaves(name):
+    """Each step of set-up, from building each sequence to the bracket
+    tasks, holds at most ``_SET_UP_MARGIN`` above what it leaves behind,
+    so no full-length temporary is built even where the arrays kept later
+    would hide it from the overall peak."""
+    cfg = _long_config(name)
+    live = {}
+
+    def step(key, build):
+        tracemalloc.reset_peak()
+        live[key] = build()
+        after, peak = tracemalloc.get_traced_memory()
+        assert peak - after <= _SET_UP_MARGIN, key
+
+    tracemalloc.start()
+    try:
+        step("op", lambda: cfg.build_operator(_LONG))
+        step("theta", lambda: cfg.build_truth(_LONG))
+        step("prior", lambda: cfg.build_prior(live["op"]))
+        step("class", lambda: cfg.build_class(_LONG))
+        seqs = (live["theta"], live["prior"], live["op"])
+        step("report", lambda: check_assumptions(*seqs, cfg.eps_grid, weighted_class=live["class"]))
+        step("constants", lambda: composite_constants(live["report"], *seqs, weighted_class=live["class"]))
+        step("tasks", lambda: experiment._concentration_tasks(
+            cfg, *seqs, live["class"], live["report"], live["report"].c_lambda))
+    finally:
+        tracemalloc.stop()
 
 
 def test_a_bracket_error_is_raised_before_any_concentration_replication(tmp_path, monkeypatch):

@@ -25,11 +25,10 @@ from igssm import (
 )
 from igssm.montecarlo import _task
 from igssm.rng import stream
+from igssm.sequences import _PAIRWISE_LEAF, _PIECE, _sq_err_sum
 from igssm.hierarchy import (
     _CHUNK,
     _MASS_MARGIN,
-    _PAIRWISE_LEAF,
-    _PIECE,
     _chunk_maxima,
     _chunk_squares,
     _dimension_penalty,
@@ -39,7 +38,6 @@ from igssm.hierarchy import (
     _normalise,
     _pairwise_sum,
     _shrink,
-    _sq_err_sum,
     _tail_bound,
     _terms,
 )

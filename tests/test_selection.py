@@ -6,6 +6,7 @@ vectorised code cannot hide.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,14 @@ from igssm import (
     risk_decomposition,
     shift_sq_norm,
 )
-from igssm.selection import _LOG_TOL, _select, _submultiplicative
+from igssm import sequences
+from igssm.selection import (
+    _LOG_TOL,
+    _operator_constant,
+    _release_profiles,
+    _select,
+    _submultiplicative,
+)
 
 
 def brute_oracle(theta_vals, mu, amp, eps, tail):
@@ -196,6 +204,90 @@ def test_submultiplicative_equals_gather_loop():
         assert got == _gather_submultiplicative(op)
         verdicts.append(got[0])
     assert 30 < sum(verdicts) < 270  # both verdicts occur
+
+
+def _whole_array_report(theta, prior, op, eps_grid):
+    """``(d, c_lambda, l_lambda, bias profile)`` by the whole-array
+    formulas, each full-length intermediate built at once."""
+    n = op.n
+    log_amp = -op.log_sq
+    if n == 1:
+        c_lambda = 1.0
+    else:
+        suffix_max = np.maximum.accumulate(op.log_sq[::-1])[::-1]
+        prefix_min = np.minimum.accumulate(op.log_sq)
+        c_lambda = max(1.0, float(np.exp(np.max(suffix_max[1:] - prefix_min[:-1]))))
+    log_mean = np.logaddexp.accumulate(log_amp) - np.log(np.arange(1, n + 1))
+    l_lambda = max(1.0, float(np.exp(np.max(np.maximum.accumulate(log_amp) - log_mean))))
+    d = np.inf
+    for eps in eps_grid:
+        j = np.nonzero(~prior.improper[: max_dimension(op, eps)])[0]
+        if j.size:
+            floor = np.maximum(np.exp(0.5 * (math.log(eps) + log_amp[j])), np.exp(math.log(eps) + log_amp[j]))
+            d = min(d, float(np.min(prior.variances[j] / floor)))
+    diffs = (theta.values - prior.means) ** 2
+    suffix = np.concatenate([np.cumsum(diffs[::-1])[::-1], [0.0]])
+    return d, c_lambda, l_lambda, suffix[1:] + theta.sq_tail()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 200),
+    block=st.sampled_from([1, 7, 64]),
+    seed=st.integers(0, 2**32 - 1),
+    wiggle=st.sampled_from([0.0, 0.01, 0.3, 3.0]),
+)
+def test_blocked_scans_equal_whole_array_formulas(n, block, seed, wiggle):
+    """Every blocked set-up scan, with ``_BLOCK`` patched down to a few
+    elements so its edges fall all over the sequence, gives bit for bit
+    what the whole-array formulas give: the operator constants, the
+    submultiplicativity verdict and witness, the variance floor ``d``, the
+    bias profile and the whole assumption report.  The amplification
+    grows, falls (so the extremes the operator constant pairs lie blocks
+    apart) or wiggles."""
+    rng = np.random.default_rng(seed)
+    log_amp = 2.0 * rng.uniform(-1.0, 2.0) * np.log(np.arange(1.0, n + 1))
+    log_amp += wiggle * rng.standard_normal(n)
+    op = OperatorSequence(np.exp(-0.5 * log_amp), -log_amp)
+    theta = make_parameters("polynomial", n, exponent=rng.uniform(0.6, 2.0), scale=rng.uniform(0.1, 2.0))
+    improper = rng.random(n) < 0.5
+    prior = PriorSpec.mixed(np.where(improper, 0.0, rng.normal(scale=0.3, size=n)), rng.uniform(0.1, 3.0, n), improper)
+    eps_grid = (0.3, 0.01, 1e-3)
+
+    whole = check_assumptions(theta, prior, op, eps_grid)
+    _release_profiles(theta, op)
+    with mock.patch.object(sequences, "_BLOCK", block):
+        blocked = check_assumptions(theta, prior, op, eps_grid)
+        profile = bias_profile(theta, prior)
+        constant = _operator_constant(op)
+        verdict = _submultiplicative(op)
+    _release_profiles(theta, op)
+
+    d, c_lambda, l_lambda, want_profile = _whole_array_report(theta, prior, op, eps_grid)
+    assert verdict == _gather_submultiplicative(op)
+    assert constant == blocked.c_lambda == c_lambda
+    assert blocked.l_lambda == l_lambda
+    assert blocked.d == d
+    assert np.array_equal(profile, want_profile)
+    for field in ("d", "c_lambda", "l_lambda", "submultiplicative", "submult_witness", "kappa_oracle",
+                  "kappa_minimax", "checked_range"):
+        assert getattr(blocked, field) == getattr(whole, field), field
+    for field in ("max_dims", "oracle_dims", "oracle_rates", "feasible"):
+        assert np.array_equal(getattr(blocked, field), getattr(whole, field)), field
+
+
+def test_submultiplicative_witness_past_a_block_edge():
+    """A failing pair whose ``l`` lies in the second block of its ``k``'s
+    scan is found there, and it is the first failing pair."""
+    n, block = 150, 7
+    log_amp = np.zeros(n)
+    log_amp[26:] = 1.0  # max-amp jumps at 27: first fails at k = 2, l = 14
+    op = OperatorSequence(np.exp(-0.5 * log_amp), -log_amp)
+    with mock.patch.object(sequences, "_BLOCK", block):
+        verdict = _submultiplicative(op)
+    assert verdict == _gather_submultiplicative(op) == (False, (2, 14))
+    k, l = verdict[1]
+    assert l - 1 >= (k - 1) + block  # the l scan starts at k - 1: this is past its first block edge
 
 
 def test_checker_certifies_unit_decay_polynomial():

@@ -1,9 +1,13 @@
 """Deterministic model ingredients: multipliers, signals, classes, noise."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gamma, gammaincc
 
 from igssm import (
     Observation,
@@ -17,7 +21,7 @@ from igssm import (
     make_weights,
     simulate_observation,
 )
-from igssm import rng
+from igssm import rng, sequences
 from igssm.rng import OBSERVATION, stream, streams
 
 
@@ -157,6 +161,72 @@ def test_parameter_tail_bound_exponential():
     # the integral bound for exp(1-x) from N overshoots the discrete sum by
     # exactly e (1 - 1/e) ~ 1.718
     assert true_tail <= bound <= true_tail * 1.72
+
+
+def _exponential_signal(n, q, scale):
+    """An exponential-family signal of length ``n`` whose values are one
+    read-only zero broadcast to that length: only its tail is read."""
+    zero = np.zeros(1)
+    zero.setflags(write=False)
+    return ParameterSequence(np.broadcast_to(zero, n), "exponential", q, scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 10**7), q=st.floats(0.01, 5.0), scale=st.floats(0.0, 3.0))
+@example(n=10**6, q=0.1, scale=1.0)  # a tail of 0.147 spread over a long, flat integrand
+@example(n=1, q=5.0, scale=1.0)  # the series side of the incomplete gamma
+def test_exponential_tail_is_the_incomplete_gamma_function(n, q, scale):
+    """The exponential tail bound ``s^2 int_N^inf e^{1 - x^p} dx``, ``p =
+    2q``, is ``s^2 (e / p) Gamma(1/p, N^p)``: against scipy's regularised
+    upper incomplete gamma times the gamma function."""
+    p = 2.0 * q
+    want = scale**2 * math.e / p * gammaincc(1.0 / p, float(n) ** p) * gamma(1.0 / p)
+    got = _exponential_signal(n, q, scale).sq_tail()
+    assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-300)
+
+
+def test_a_tail_past_the_double_range_is_an_error():
+    with pytest.raises(OverflowError, match="tail of the signal past N=10 is past the double range"):
+        _exponential_signal(10, 1e-3, 1.0).sq_tail()  # about e Gamma(500) / 0.002
+    assert _exponential_signal(10, 1e-3, 0.0).sq_tail() == 0.0
+    with pytest.raises(OverflowError, match="tail of the signal past N=10 is past the double range"):
+        make_parameters("polynomial", 10, exponent=0.51, scale=1e154).sq_tail()  # 1e308 * 10^-0.02 / 0.02
+
+
+@pytest.mark.parametrize(
+    "build, want",
+    [
+        (lambda j: make_operator("polynomial", j.size, decay=1.0).values, lambda j: j ** -1.0),
+        (lambda j: make_operator("polynomial", j.size, decay=0.7).log_sq, lambda j: -2.0 * 0.7 * np.log(j)),
+        (lambda j: make_operator("exponential", j.size, decay=0.2).log_sq, lambda j: 1.0 - j**0.4),
+        (lambda j: make_operator("exponential", j.size, decay=0.2).values, lambda j: np.exp(0.5 * (1.0 - j**0.4))),
+        (lambda j: make_parameters("polynomial", j.size, exponent=1.6, scale=0.4).values, lambda j: 0.4 * j**-1.6),
+        (lambda j: make_parameters("exponential", j.size, exponent=0.3, scale=0.4).values,
+         lambda j: 0.4 * np.exp(0.5 * (1.0 - j**0.6))),
+        (lambda j: make_weights("polynomial", j.size, exponent=1.0).weights, lambda j: j**-2.0),
+        (lambda j: make_weights("exponential", j.size, exponent=0.2).weights, lambda j: np.exp(1.0 - j**0.4)),
+    ],
+)
+def test_builders_write_the_whole_array_formulas(build, want):
+    """The builders write their values over their own ``j`` grid, bit for
+    bit the values of the formula on the whole grid."""
+    j = np.arange(1, 3001, dtype=np.float64)
+    assert np.array_equal(build(j), want(j))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_weight_monotonicity_is_checked_across_block_edges(block):
+    """The non-increasing check runs a block at a time: a rise between any
+    two neighbours is found, at a block edge or inside a block."""
+    n = 150
+    falling = np.linspace(1.0, 0.1, n)
+    with mock.patch.object(sequences, "_BLOCK", block):
+        WeightedClass(falling, 1.0)
+        for rise in range(1, n):
+            w = falling.copy()
+            w[rise] = np.nextafter(w[rise - 1], 2.0)
+            with pytest.raises(ValueError, match="non-increasing"):
+                WeightedClass(w, 1.0)
 
 
 def test_parameter_square_summability_guard():
