@@ -10,9 +10,10 @@ schema; a bare name (e.g. ``pp_p1_a1``) resolves to a bundled config.
 
 Exit codes: 0 success, 2 configuration error (an unusable ``--out``
 included), 3 infeasible configuration, 4 failed checks under ``--check``.
-The library raises ``ConfigError`` and ``InfeasibleError``; ``main`` alone
-turns them into an exit code.  Every subcommand writes through one
-``experiment._Writer``, which removes its files when the command fails.
+The library raises ``ConfigError`` and ``InfeasibleError``, in set-up
+where it can, and ``main`` alone turns them into an exit code.  Every
+subcommand writes through one ``experiment._Writer``, which removes its
+files when the command fails.
 """
 
 from __future__ import annotations

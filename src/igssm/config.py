@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -44,14 +45,23 @@ class ConfigError(ValueError):
 # are rejected before any array is built.
 MAX_SEQUENCE_LENGTH = 10**7
 
-CONCENTRATION_KINDS = (
-    "sieve_oracle",
-    "hierarchical_oracle",
-    "bracket_oracle",
-    "sieve_minimax",
-    "hierarchical_minimax",
-    "bracket_minimax",
+# Per concentration kind: the selection it reads, what it estimates (the
+# posterior mass of a "sieve" or a "hierarchical" band, or the dimension-
+# posterior mass outside a "bracket") and, for a band, its composite-
+# constant key and whether it has a lower edge.  hierarchical_minimax bounds
+# the mass from above only: no uniform lower edge exists for it.
+ConcentrationKind = namedtuple(
+    "ConcentrationKind", "selection estimate constant two_sided", defaults=(None, True)
 )
+CONCENTRATION_TABLE = {
+    "sieve_oracle": ConcentrationKind("oracle", "sieve", "oracle_sieve"),
+    "hierarchical_oracle": ConcentrationKind("oracle", "hierarchical", "oracle_hierarchical"),
+    "bracket_oracle": ConcentrationKind("oracle", "bracket"),
+    "sieve_minimax": ConcentrationKind("minimax", "sieve", "minimax_sieve"),
+    "hierarchical_minimax": ConcentrationKind("minimax", "hierarchical", "minimax_hierarchical", False),
+    "bracket_minimax": ConcentrationKind("minimax", "bracket"),
+}
+CONCENTRATION_KINDS = tuple(CONCENTRATION_TABLE)
 
 _EPS_GRID = {
     "type": "array",
@@ -291,7 +301,7 @@ def _validate_semantics(raw: dict) -> None:
     if "fixed" in estimators and "fixed_dims" not in raw:
         raise ConfigError("estimators: the fixed kind needs fixed_dims")
     needs_class = "minimax" in estimators or any(
-        k.endswith("_minimax") for k in raw.get("concentration", {}).get("kinds", [])
+        CONCENTRATION_TABLE[k].selection == "minimax" for k in raw.get("concentration", {}).get("kinds", [])
     )
     if needs_class and "class" not in raw:
         raise ConfigError("a minimax estimator or concentration kind needs a class block")

@@ -3,15 +3,17 @@ config, runs the requested Monte Carlo stages across the noise grid, and
 writes the CSV/JSON artifacts.
 
 Outputs are deterministic for a fixed (config, seed): replication streams
-are keyed by counter, and no timestamps are embedded.  The risk tasks
-and the concentration passes run one after another, each splitting its own
-replications across the worker threads; the audit configs run in parallel
-and are gathered in submission order.  The concentration stage runs one
-pass per posterior its rows read (at each noise level, the search range
-for the hierarchical and bracket rows, and each sieve dimension), checks
-every row before the first pass and writes the rows in config order.  A
-config that cannot run raises ``ConfigError`` or ``InfeasibleError``;
-every artifact written before any exception is removed.
+are keyed by counter, and no timestamps are embedded.  Set-up
+(``_prepare``) makes every selection and bracket the run needs and plans
+and checks every row of its stages, so a config that cannot run raises
+``ConfigError`` or ``InfeasibleError`` before any replication and before
+the output directory is made; any artifact written before a later
+exception is removed.  The risk tasks and the concentration passes run
+one after another, each splitting its own replications across the worker
+threads; the audit configs run in parallel and are gathered in submission
+order.  The concentration stage runs one pass per posterior its rows read
+(at each noise level, the search range for the hierarchical and bracket
+rows, and each sieve dimension) and writes the rows in config order.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ import contextlib
 import csv
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig
+from .config import CONCENTRATION_TABLE, ConfigError, ExperimentConfig
 from .montecarlo import (
     _concentration,
     _parallel_map,
@@ -50,18 +53,6 @@ from .selection import (
 __all__ = ["ExperimentResult", "run_experiment"]
 
 _FITTED_KINDS = ("oracle", "minimax", "adaptive")
-
-# Sampled concentration kinds: (hierarchical posterior sampled, composite-
-# constant key, two-sided band).  hierarchical_minimax bounds the mass from
-# above only: no uniform lower edge exists for it.  The bracket_* kinds
-# sample nothing.
-_CONCENTRATION = {
-    "sieve_oracle": (False, "oracle_sieve", True),
-    "hierarchical_oracle": (True, "oracle_hierarchical", True),
-    "sieve_minimax": (False, "minimax_sieve", True),
-    "hierarchical_minimax": (True, "minimax_hierarchical", False),
-}
-
 
 @dataclass
 class ExperimentResult:
@@ -155,30 +146,36 @@ class _Writer:
             fh.write(json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
 
 
-def _prepare(cfg: ExperimentConfig, concentration: bool = False) -> tuple:
-    """``(theta, prior, op, report, c_lambda, constants, tasks, header)``:
-    the sequences of ``cfg``, its assumption report, the operator constant
-    in force, the composite constants, the tasks of the concentration stage
-    when ``concentration`` asks for them (see ``_concentration_tasks``; an
-    empty list otherwise) and the ``report.json`` header they give (all of
-    it but the seed).  Shared by ``run_experiment`` and ``igssm select``.
-    The bias profile, the variance-proxy prefix sums and the class weights
-    serve only the selections, which are all made here, so none of them
-    outlives set-up."""
+# One Monte Carlo row of a stage: its CSV cells before the estimate, the cut
+# its task runs at (the sieve dimension m, or the search range under
+# c_lambda) and, on a concentration row, its band (K, rate, two_sided) or
+# its bracket (m_lo, m_hi).
+_Row = namedtuple("_Row", "cells m c_lambda region", defaults=(None,))
+
+
+def _prepare(cfg: ExperimentConfig, subset: str | None = None) -> tuple:
+    """``(theta, prior, op, report, mise, concentration, header)``: the
+    sequences of ``cfg``, its assumption report, the checked rows of the
+    risk and concentration stages ``subset`` runs (see ``run_experiment``;
+    none without one, as for ``igssm select``) and the ``report.json``
+    header (all of it but the seed).  The bias profile, the variance-proxy
+    prefix sums and the class weights serve only the selections, which are
+    all made here, so none of them outlives set-up."""
     op, theta, prior = cfg.build_sequences()
     wclass = cfg.build_class(op.n)  # explicit operators fix their own length
 
-    report = check_assumptions(theta, prior, op, cfg.eps_grid, weighted_class=wclass)
-    c_lambda = cfg.c_lambda_override
-    if c_lambda is None:
-        c_lambda = report.c_lambda
     try:
+        report = check_assumptions(theta, prior, op, cfg.eps_grid, weighted_class=wclass)
+        c_lambda = report.c_lambda if cfg.c_lambda_override is None else cfg.c_lambda_override
         constants = composite_constants(
             report, theta, prior, op, weighted_class=wclass, c_lambda=c_lambda
         )
-    except OverflowError as err:  # the amplification at a threshold dimension
-        raise ConfigError(f"composite constants: {err}") from err
-    tasks = _concentration_tasks(cfg, theta, prior, op, wclass, report, c_lambda) if concentration else []
+    except OverflowError as err:  # |theta - mu|^2, 1/d^2 or the amplification at a threshold dimension
+        raise ConfigError(f"constants: {err}") from err
+    mise = _mise_plan(cfg, report, c_lambda) if subset in ("all", "sweep") else []
+    concentration = []
+    if subset == "all":
+        concentration = _concentration_plan(cfg, theta, prior, op, wclass, report, c_lambda, constants)
     _release_profiles(theta, op)
     header = {
         "version": __version__,
@@ -210,33 +207,62 @@ def _prepare(cfg: ExperimentConfig, concentration: bool = False) -> tuple:
             "feasible": list(report.feasible),
         },
     }
-    return theta, prior, op, report, c_lambda, constants, tasks, header
+    return theta, prior, op, report, mise, concentration, header
 
 
-def _concentration_tasks(cfg, theta, prior, op, wclass, report, c_lambda) -> list:
-    """``(eps, kind, sel, m_max, bracket)`` per row of the concentration
-    stage: the selection the kind samples at or brackets, the search range
-    and, for a bracket kind whose selection lies in it, its bracket or the
-    error computing it raised (None elsewhere).  The stage raises that
-    error when it reaches the row, after its own checks and the rows
-    before, as it would computing the bracket there."""
-    tasks = []
+def _mise_plan(cfg, report, c_lambda) -> list:
+    """The risk stage's rows: per noise level and estimator, each fixed
+    dimension, the oracle or minimax selection, or the search range of the
+    adaptive estimate, which needs the oracle dimension inside it."""
+    selected = {"oracle": report.oracle_dims, "minimax": report.minimax_dims, "adaptive": report.max_dims}
+    rows = []
+    for i, eps in enumerate(cfg.eps_grid):
+        for kind in cfg.estimators:
+            if kind == "adaptive" and not report.feasible[i]:
+                raise InfeasibleError(
+                    f"oracle dimension {report.oracle_dims[i]} exceeds the search "
+                    f"range {report.max_dims[i]} at eps={eps}"
+                )
+            for dim in cfg.fixed_dims if kind == "fixed" else (selected[kind][i],):
+                cut = (None, c_lambda) if kind == "adaptive" else (dim, None)
+                rows.append(_Row((eps, kind, dim), *cut))
+    return rows
+
+
+def _concentration_plan(cfg, theta, prior, op, wclass, report, c_lambda, constants) -> list:
+    """The concentration stage's rows, per noise level and kind: a band at
+    the selection or on the search range, or the bracket of the selection
+    (see ``CONCENTRATION_TABLE``).  A row raises at a selection past the
+    search range, a bracket that cannot be computed or a band constant
+    below 1."""
+    rows = []
     for eps in cfg.concentration_eps_grid:
         m_max = max_dimension(op, eps)
-        oracle = oracle_dimension(theta, prior, op, eps)
-        minimax = minimax_dimension(wclass, op, eps) if wclass is not None else None
-        for kind in cfg.concentration_kinds:
-            sel = minimax if kind.endswith("_minimax") else oracle
-            bracket = None
-            if kind.startswith("bracket") and sel.dimension <= m_max:
-                try:
-                    bracket = bracket_dimensions(
-                        theta, prior, op, report, sel, weighted_class=wclass, c_lambda=c_lambda
-                    )
-                except (InfeasibleError, OverflowError) as err:
-                    bracket = err
-            tasks.append((eps, kind, sel, m_max, bracket))
-    return tasks
+        selected = {
+            "oracle": oracle_dimension(theta, prior, op, eps),
+            "minimax": minimax_dimension(wclass, op, eps) if wclass is not None else None,
+        }
+        for name in cfg.concentration_kinds:
+            kind = CONCENTRATION_TABLE[name]
+            sel = selected[kind.selection]
+            if sel.dimension > m_max:
+                raise InfeasibleError(
+                    f"selected dimension {sel.dimension} exceeds the search "
+                    f"range {m_max} at eps={eps} for {name}"
+                )
+            if kind.estimate == "bracket":
+                bracket = bracket_dimensions(
+                    theta, prior, op, report, sel, weighted_class=wclass, c_lambda=c_lambda
+                )
+                rows.append(_Row((eps, name, sel.dimension, None, None, *bracket), None, c_lambda, bracket))
+                continue
+            constant = constants[kind.constant]
+            if not constant >= 1.0:
+                raise InfeasibleError(f"band constant {constant} of {name} is below 1 at eps={eps}")
+            m, lam = (sel.dimension, None) if kind.estimate == "sieve" else (None, c_lambda)
+            cells = (eps, name, m_max if m is None else m, constant, sel.rate, None, None)
+            rows.append(_Row(cells, m, lam, (constant, sel.rate, kind.two_sided)))
+    return rows
 
 
 def _rates_rows(report):
@@ -259,24 +285,11 @@ def _rates_rows(report):
     return rows
 
 
-def _mise_stage(cfg, theta, prior, op, report, c_lambda, seed, reps):
-    # every selection is checked before any Monte Carlo work starts
-    if "adaptive" in cfg.estimators:
-        for i, eps in enumerate(cfg.eps_grid):
-            if not report.feasible[i]:
-                raise InfeasibleError(
-                    f"oracle dimension {report.oracle_dims[i]} exceeds the search "
-                    f"range {report.max_dims[i]} at eps={eps}"
-                )
-    # the dimension a kind runs at and reports: its selection, or the search range
-    selected = {"oracle": report.oracle_dims, "minimax": report.minimax_dims, "adaptive": report.max_dims}
+def _mise_stage(cfg, theta, prior, op, plan, seed, reps):
     rows = []
-    for i, eps in enumerate(cfg.eps_grid):
-        for kind in cfg.estimators:
-            for dim in cfg.fixed_dims if kind == "fixed" else (selected[kind][i],):
-                m, lam = (None, c_lambda) if kind == "adaptive" else (dim, None)
-                est = mc_mise(theta, prior, op, eps, reps, seed, m=m, c_lambda=lam)
-                rows.append([eps, kind, dim, est.value, est.se, est.reps])
+    for row in plan:
+        est = mc_mise(theta, prior, op, row.cells[0], reps, seed, m=row.m, c_lambda=row.c_lambda)
+        rows.append([*row.cells, est.value, est.se, est.reps])
 
     fits = {}
     model = cfg.raw["model"]
@@ -312,48 +325,19 @@ def _mise_stage(cfg, theta, prior, op, report, c_lambda, seed, reps):
     return rows, fits
 
 
-def _concentration_stage(theta, prior, op, tasks, constants, c_lambda, seed, reps, draws):
-    # every selection, band constant and bracket is checked before any Monte Carlo work starts
-    passes = {}  # (eps, sieve dimension or None): the (band, bracket) rows reading that posterior
-    for i, (eps, kind, sel, m_max, bracket) in enumerate(tasks):
-        if sel.dimension > m_max:
-            raise InfeasibleError(
-                f"selected dimension {sel.dimension} exceeds the search "
-                f"range {m_max} at eps={eps} for {kind}"
-            )
-        if isinstance(bracket, Exception):
-            raise bracket
-        constant = constants[_CONCENTRATION[kind][1]] if kind in _CONCENTRATION else 1.0
-        if not constant >= 1.0:
-            raise InfeasibleError(f"band constant {constant} of {kind} is below 1 at eps={eps}")
-        sieve = kind.startswith("sieve")
-        band_rows, bracket_rows = passes.setdefault((eps, sel.dimension if sieve else None), ([], []))
-        (bracket_rows if kind.startswith("bracket") else band_rows).append(i)
-
+def _concentration_stage(theta, prior, op, plan, seed, reps, draws):
+    passes = {}  # (eps, m, c_lambda): the band rows and the bracket rows reading that posterior
+    for i, row in enumerate(plan):
+        bands, brackets = passes.setdefault((row.cells[0], row.m, row.c_lambda), ([], []))
+        (brackets if CONCENTRATION_TABLE[row.cells[1]].estimate == "bracket" else bands).append(i)
     found = {}
-    for (eps, m), (band_rows, bracket_rows) in passes.items():
-        bands = []
-        for i in band_rows:
-            _, kind, sel, _, _ = tasks[i]
-            _, key, two_sided = _CONCENTRATION[kind]
-            bands.append((constants[key], sel.rate, two_sided))
+    for (eps, m, c_lambda), (bands, brackets) in passes.items():
         estimates = _concentration(
-            theta, prior, op, eps, reps, seed, bands, [tasks[i][4] for i in bracket_rows], draws,
-            m=m, c_lambda=None if m is not None else c_lambda,
+            theta, prior, op, eps, reps, seed, [plan[i].region for i in bands],
+            [plan[i].region for i in brackets], draws, m=m, c_lambda=c_lambda,
         )
-        found.update(zip(band_rows + bracket_rows, estimates))
-
-    rows = []
-    for i, (eps, kind, sel, m_max, bracket) in enumerate(tasks):
-        est = found[i]
-        if kind.startswith("bracket"):
-            # the one bracket of this row: the CSV row and the estimate share it
-            rows.append([eps, kind, sel.dimension, None, None, *bracket, est.value, est.se])
-        else:
-            hierarchical, key, _ = _CONCENTRATION[kind]
-            dim = m_max if hierarchical else sel.dimension
-            rows.append([eps, kind, dim, constants[key], sel.rate, None, None, est.value, est.se])
-    return rows
+        found.update(zip(bands + brackets, estimates))
+    return [[*row.cells, found[i].value, found[i].se] for i, row in enumerate(plan)]
 
 
 def _audit_stage(cfg, seed):
@@ -401,7 +385,7 @@ def _run_checks(cfg, fits, conc_rows, audit_rows):
             eps, kind, mass = row[0], row[1], row[7]
             if eps != smallest:
                 continue
-            if kind.startswith("bracket"):
+            if CONCENTRATION_TABLE[kind].estimate == "bracket":
                 if mass > ceiling:
                     failures.append(
                         f"bracket: {kind} outside-mass {mass:.4f} > {ceiling} at eps={eps}"
@@ -427,15 +411,13 @@ def run_experiment(
     """Run the experiment described by ``cfg`` and write artifacts under
     ``out_dir``.  ``subset`` limits the stages: "sweep" runs selection +
     MISE + rate fits, "audit" only the tail-bound suite, "all" everything
-    the config asks for.  A config error found while the sequences and
-    constants are built leaves ``out_dir`` untouched."""
+    the config asks for.  A config that set-up finds cannot run leaves
+    ``out_dir`` untouched."""
     if subset not in ("all", "sweep", "audit"):
         raise ValueError(f"unknown subset {subset!r}")
     seed = cfg.seed if seed is None else int(seed)
     reps = cfg.mc_reps if reps is None else int(reps)
-    draws = cfg.mc_draws
-    concentration = subset == "all" and bool(cfg.concentration_kinds)
-    theta, prior, op, report, c_lambda, constants, conc_tasks, header = _prepare(cfg, concentration)
+    theta, prior, op, report, mise_plan, conc_plan, header = _prepare(cfg, subset)
     payload = {**header, "seed": seed}
     fits: dict = {}
     conc_rows: list = []
@@ -450,18 +432,16 @@ def run_experiment(
                 _rates_rows(report),
             )
             messages.append(f"rates.csv: {len(report.eps_grid)} grid points")
-            if cfg.estimators:
-                mise_rows, fits = _mise_stage(cfg, theta, prior, op, report, c_lambda, seed, reps)
+            if mise_plan:
+                mise_rows, fits = _mise_stage(cfg, theta, prior, op, mise_plan, seed, reps)
                 writer.csv(
                     "mise.csv", ["eps", "kind", "m", "mise", "se", "reps"], mise_rows
                 )
                 messages.append(f"mise.csv: {len(mise_rows)} rows")
                 payload["rates_fit"] = fits
 
-        if concentration:
-            conc_rows = _concentration_stage(
-                theta, prior, op, conc_tasks, constants, c_lambda, seed, reps, draws
-            )
+        if conc_plan:
+            conc_rows = _concentration_stage(theta, prior, op, conc_plan, seed, reps, cfg.mc_draws)
             writer.csv(
                 "concentration.csv",
                 ["eps", "kind", "m", "constant", "rate", "m_lo", "m_hi", "mass", "se"],

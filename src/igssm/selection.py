@@ -95,7 +95,8 @@ def bias_profile(theta: ParameterSequence, prior: PriorSpec) -> np.ndarray:
     a block's squares are written in place and folded in reverse from the
     sum at its upper edge, which is the whole-array cumsum bit for bit.
     The tail is added to each block's sums once the block below no longer
-    folds from them.
+    folds from them.  Raises ``OverflowError`` when the whole sum is past
+    the double range.
     """
     if theta.n != prior.n:
         raise ValueError("signal and prior lengths must match")
@@ -105,13 +106,16 @@ def bias_profile(theta: ParameterSequence, prior: PriorSpec) -> np.ndarray:
     n, tail = theta.n, theta.sq_tail()
     suffix = np.empty(n + 1)
     suffix[n] = 0.0
-    for lo, hi in reversed(_blocks(n)):
-        block = suffix[lo:hi]
-        np.subtract(theta.values[lo:hi], prior.means[lo:hi], out=block)
-        np.square(block, out=block)
-        fold = suffix[lo : hi + 1][::-1]
-        np.add.accumulate(fold, out=fold)
-        suffix[lo + 1 : hi + 1] += tail
+    with np.errstate(over="ignore"):  # an overflow reaches the whole sum, found below
+        for lo, hi in reversed(_blocks(n)):
+            block = suffix[lo:hi]
+            np.subtract(theta.values[lo:hi], prior.means[lo:hi], out=block)
+            np.square(block, out=block)
+            fold = suffix[lo : hi + 1][::-1]
+            np.add.accumulate(fold, out=fold)
+            suffix[lo + 1 : hi + 1] += tail
+    if not np.isfinite(suffix[0]):
+        raise OverflowError("the squared distance of the truth from the prior mean is past the double range")
     profile = _freeze(suffix)[1:]
     theta.__dict__["_bias_memo"] = (prior, profile)  # where cached_property keeps its values
     return profile
@@ -531,6 +535,8 @@ def composite_constants(
     same C.
     """
     d = report.d
+    if d**2 == 0.0:
+        raise OverflowError(f"1/d^2 is past the double range at the margin constant d={d}")
     inv_d = 0.0 if math.isinf(d) else 1.0 / d
     shift = shift_sq_norm(theta, prior)
     shift_term = 0.0 if math.isinf(d) else shift / d**2

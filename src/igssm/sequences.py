@@ -245,7 +245,9 @@ def make_operator(
             raise ValueError(f"explicit values must be 1-d of length {n}")
         if not (np.all(np.isfinite(vals)) and np.all(vals > 0.0)):
             raise ValueError("explicit multipliers must be finite and positive")
-        return OperatorSequence(vals, _freeze(np.log(vals**2)), family, None)
+        with np.errstate(over="ignore", divide="ignore"):  # an infinite log is refused as not finite
+            log_sq = np.log(vals**2)
+        return OperatorSequence(vals, _freeze(log_sq), family, None)
     if family == "constant":
         return OperatorSequence(_freeze(np.ones(n)), _freeze(np.zeros(n)), family, None)
     if decay is None or decay < 0:
@@ -323,16 +325,16 @@ class ParameterSequence:
         q = float(self.exponent)  # type: ignore[arg-type]
         if not abs(self.scale) <= math.sqrt(np.finfo(np.float64).max):
             raise OverflowError(f"the squared scale {self.scale}^2 is past the double range")
-        s2 = float(self.scale) ** 2
         p = 2.0 * q
         if self.family == "polynomial":
-            tail = s2 * n ** (1.0 - p) / (p - 1.0)
+            tail = float(self.scale) ** 2 * n ** (1.0 - p) / (p - 1.0)
         # where N^p >= e^7 the integral is below e^-1000, 0.0 in float; the
         # test also keeps N^p from overflowing
-        elif s2 == 0.0 or p * math.log(n) >= 7.0:
+        elif self.scale == 0.0 or p * math.log(n) >= 7.0:
             return 0.0
-        else:
-            log_tail = math.log(s2) + 1.0 - math.log(p) + _log_upper_gamma(1.0 / p, float(n) ** p)
+        else:  # log s^2 from log |s|: s^2 itself may be subnormal, and inexact
+            log_s2 = 2.0 * math.log(abs(self.scale))
+            log_tail = log_s2 + 1.0 - math.log(p) + _log_upper_gamma(1.0 / p, float(n) ** p)
             tail = math.exp(log_tail) if log_tail <= _LOG_MAX else math.inf
         if math.isinf(tail):
             raise OverflowError(f"the squared tail of the signal past N={n} is past the double range")

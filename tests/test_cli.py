@@ -759,9 +759,9 @@ _BAND_BELOW_ONE = {
 
 
 def test_band_constant_below_one_exits_3_before_any_replication(tmp_path, capsys, monkeypatch):
-    """A sampled concentration kind needs its band constant at least 1; the
-    concentration stage checks that with the selections, before any task
-    runs, and ``igssm run`` reports it as an infeasible config."""
+    """A sampled concentration kind needs its band constant at least 1; set-up
+    checks that with the selections, before any task runs or ``--out`` is
+    made, and ``igssm run`` reports it as an infeasible config."""
     ran = []
     replications = montecarlo._replications
 
@@ -777,7 +777,7 @@ def test_band_constant_below_one_exits_3_before_any_replication(tmp_path, capsys
     err = capsys.readouterr().err
     assert err == "infeasible configuration: band constant 0.625 of sieve_oracle is below 1 at eps=0.25\n"
     assert ran == []
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -828,6 +828,44 @@ def test_band_constant_below_one_exits_3_before_any_replication(tmp_path, capsys
 @example(  # a sieve band constant of 0.625, below 1: exit 3
     raw=_BAND_BELOW_ONE, command="run", overrides={}, check=False, corrupt=None, row=0,
 )
+@example(  # a Gaussian variance whose margin constant d squares to zero: exit 2
+    raw={**_SELECT_BASE, "model": {"family": "polynomial", "decay": 1.0},
+         "prior": {"kind": "gaussian", "variance": 1e-300}, "eps_grid": [0.05]},
+    command="select", overrides={}, check=False, corrupt=None, row=0,
+)
+@example(  # the same with a matched d: exit 2
+    raw={**_SELECT_BASE, "model": {"family": "polynomial", "decay": 1.0},
+         "prior": {"kind": "matched", "d": 1e-300}, "eps_grid": [0.05]},
+    command="run", overrides={}, check=False, corrupt=None, row=0,
+)
+@example(  # the same with a variance family's scale: exit 2
+    raw={**_SELECT_BASE, "model": {"family": "polynomial", "decay": 1.0},
+         "prior": {"kind": "gaussian", "variance_family": {"family": "polynomial", "exponent": 1.0,
+                                                           "scale": 1e-300}},
+         "eps_grid": [0.05]},
+    command="sweep", overrides={}, check=False, corrupt=None, row=0,
+)
+@example(  # an explicit truth whose squared distance from the prior mean overflows: exit 2
+    raw={**_SELECT_BASE, "model": {"family": "constant", "n": 3},
+         "truth": {"family": "explicit", "values": [1e160, 1e160, 1e160]},
+         "prior": {"kind": "improper"}, "eps_grid": [0.1]},
+    command="select", overrides={}, check=False, corrupt=None, row=0,
+)
+@example(  # the same from a prior mean: exit 2
+    raw={**_SELECT_BASE, "model": {"family": "polynomial", "decay": 1.0},
+         "prior": {"kind": "gaussian", "mean": 1e160, "variance": 1.0}, "eps_grid": [0.05]},
+    command="run", overrides={}, check=False, corrupt=None, row=0,
+)
+@example(  # explicit multipliers whose squares overflow: exit 2
+    raw={**_SELECT_BASE, "model": {"family": "explicit", "values": [1e160, 1.0, 1.0]},
+         "prior": {"kind": "improper"}, "eps_grid": [0.1]},
+    command="select", overrides={}, check=False, corrupt=None, row=0,
+)
+@example(  # explicit multipliers whose squares underflow: exit 2
+    raw={**_SELECT_BASE, "model": {"family": "explicit", "values": [1e-300, 1.0, 1.0]},
+         "prior": {"kind": "improper"}, "eps_grid": [0.1]},
+    command="simulate", overrides={}, check=False, corrupt=None, row=0,
+)
 @given(
     raw=small_configs(),
     command=st.sampled_from(["simulate", "select", "posterior", "adapt", "audit", "sweep", "run"]),
@@ -848,8 +886,8 @@ def test_any_small_config_exits_with_a_documented_code(
 ):
     """Whatever the config and overrides, ``main`` returns 0, 2, 3 or 4 (an
     argparse error exits 2) and no exception escapes.  A config error or an
-    infeasible config is reported with its prefix and no traceback, and
-    leaves no file in ``--out``.  ``posterior`` and ``adapt`` read an
+    infeasible config is reported in one line with its prefix, no traceback
+    and no warning, and leaves no file in ``--out``.  ``posterior`` and ``adapt`` read an
     observation simulated first, into a directory of its own, at the config's
     first noise level; ``corrupt`` overwrites one of its values (row ``row``
     modulo the length) with a non-finite or huge one.  A config may name the
@@ -895,6 +933,7 @@ def test_any_small_config_exits_with_a_documented_code(
     if code in (2, 3):
         usage = code == 2 and f"igssm {command}: error: argument " in err  # argparse
         assert usage or err.startswith(("config error: ", "infeasible configuration: "))
+        assert usage or err.count("\n") == 1  # nothing but that line
         assert not out.exists() or not any(out.iterdir())
 
 

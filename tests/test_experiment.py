@@ -79,7 +79,7 @@ def test_set_up_keeps_only_the_arrays_the_monte_carlo_reads():
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        theta, _, op, _, _, _, concentration, _ = experiment._prepare(cfg, concentration=True)
+        theta, _, op, _, _, concentration, _ = experiment._prepare(cfg, "all")
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -96,14 +96,15 @@ def test_set_up_keeps_only_the_arrays_the_monte_carlo_reads():
 
 # Set-up at N = 2^20, where one full-length float array is 8 MiB: the
 # indirect model with a flat prior, a direct one with a Gaussian prior and
-# an exponential one with an exponential truth and the matched prior.
+# an exponential one with an exponential truth and the matched prior.  Each
+# can run, so set-up plans and checks every row, each bracket included.
 _LONG = 2**20
 _SET_UPS = {
     "indirect_improper": {"model": {"family": "polynomial", "decay": 1.0, "n": _LONG}},
     "direct_gaussian": {"model": {"family": "constant", "n": _LONG},
-                        "prior": {"kind": "gaussian", "mean": 0.1, "variance": 2.0}},
+                        "prior": {"kind": "gaussian", "variance": 2.0}},
     "exponential_matched": {"model": {"family": "exponential", "decay": 0.2, "n": _LONG},
-                            "truth": {"family": "exponential", "exponent": 0.1},
+                            "truth": {"family": "exponential", "exponent": 0.3},
                             "prior": {"kind": "matched", "d": 1.0}, "eps_grid": [0.1, 0.01]},
 }
 # What a set-up step may hold above the arrays it leaves behind: a few
@@ -130,7 +131,7 @@ def test_set_up_peaks_at_the_arrays_it_keeps(name):
     cfg = _long_config(name)
     tracemalloc.start()
     try:
-        theta, prior, op, *_ = experiment._prepare(cfg, concentration=True)
+        theta, prior, op, *_ = experiment._prepare(cfg, "all")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -141,8 +142,8 @@ def test_set_up_peaks_at_the_arrays_it_keeps(name):
 
 @pytest.mark.parametrize("name", list(_SET_UPS))
 def test_each_set_up_step_peaks_at_what_it_leaves(name):
-    """Each step of set-up, from building each sequence to the bracket
-    tasks, holds at most ``_SET_UP_MARGIN`` above what it leaves behind,
+    """Each step of set-up, from building each sequence to the rows of the
+    concentration stage, holds at most ``_SET_UP_MARGIN`` above what it leaves behind,
     so no full-length temporary is built even where the arrays kept later
     would hide it from the overall peak."""
     cfg = _long_config(name)
@@ -163,17 +164,17 @@ def test_each_set_up_step_peaks_at_what_it_leaves(name):
         seqs = (live["theta"], live["prior"], live["op"])
         step("report", lambda: check_assumptions(*seqs, cfg.eps_grid, weighted_class=live["class"]))
         step("constants", lambda: composite_constants(live["report"], *seqs, weighted_class=live["class"]))
-        step("tasks", lambda: experiment._concentration_tasks(
-            cfg, *seqs, live["class"], live["report"], live["report"].c_lambda))
+        step("rows", lambda: experiment._concentration_plan(
+            cfg, *seqs, live["class"], live["report"], live["report"].c_lambda, live["constants"]))
     finally:
         tracemalloc.stop()
 
 
 def test_a_bracket_error_is_raised_before_any_concentration_replication(tmp_path, monkeypatch):
     """Set-up computes the brackets only for a run with a concentration
-    stage, and a bracket's error is raised with the stage's other checks,
-    before any of its replications, since a pass spans rows on both sides
-    of the bracket row; ``select`` and ``sweep`` compute none and succeed."""
+    stage, and raises a bracket's error there, before any replication and
+    before ``--out`` is made, though a pass spans rows on both sides of the
+    bracket row; ``select`` and ``sweep`` compute none and succeed."""
     def no_bracket(*args, **kwargs):
         raise InfeasibleError("no bracket")
 
@@ -182,11 +183,12 @@ def test_a_bracket_error_is_raised_before_any_concentration_replication(tmp_path
     monkeypatch.setattr(experiment, "bracket_dimensions", no_bracket)
     monkeypatch.setattr(montecarlo, "_replications", lambda *a: ran.append(a) or replications(*a))
     cfg = small_config(audit=None, estimators=[])
-    assert experiment._prepare(cfg)[6] == []
+    assert experiment._prepare(cfg)[5] == []
     run_experiment(cfg, tmp_path / "sweep", subset="sweep")
     with pytest.raises(InfeasibleError, match="no bracket"):
         run_experiment(cfg, tmp_path / "run")
     assert ran == []  # not even the sieve_oracle row before the bracket_oracle one
+    assert not (tmp_path / "run").exists()
 
 
 def test_run_succeeds_with_all_artifacts(full_run):
@@ -376,7 +378,7 @@ def test_each_task_runs_at_the_cut_its_row_reports(tmp_path, monkeypatch):
 
 def test_adaptive_outside_the_search_range_exits_3_before_any_replication(tmp_path, monkeypatch):
     """The adaptive risk needs the oracle dimension inside the search range
-    at every noise level; the risk stage checks that before any task runs."""
+    at every noise level; set-up checks that before any task runs."""
     cfg = small_config(
         model={"family": "exponential", "decay": 0.5},
         truth={"family": "polynomial", "exponent": 0.6, "scale": 1.0},
@@ -396,7 +398,7 @@ def test_adaptive_outside_the_search_range_exits_3_before_any_replication(tmp_pa
     with pytest.raises(InfeasibleError, match="exceeds the search range 1 at eps=0.5"):
         run_experiment(cfg, out)
     assert ran == []
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_sidecars_carry_run_metadata_and_nothing_else(full_run):
@@ -470,7 +472,13 @@ def test_sweep_subset_writes_no_concentration(tmp_path):
     assert {"rates.csv", "mise.csv", "report.json"} <= names
 
 
-def test_infeasible_selection_exits_3_and_cleans_up(tmp_path):
+def test_infeasible_selection_exits_3_and_cleans_up(tmp_path, monkeypatch):
+    """A concentration row whose selection lies past the search range is
+    found in set-up: not even the oracle risk rows before it run, and
+    ``--out`` is not made."""
+    ran = []
+    replications = montecarlo._replications
+    monkeypatch.setattr(montecarlo, "_replications", lambda *a: ran.append(a) or replications(*a))
     cfg = small_config(
         model={"family": "exponential", "decay": 0.5},
         truth={"family": "polynomial", "exponent": 0.6, "scale": 1.0},
@@ -480,9 +488,10 @@ def test_infeasible_selection_exits_3_and_cleans_up(tmp_path):
         fixed_dims=None,
     )
     out = tmp_path / "inf"
-    with pytest.raises(InfeasibleError, match="exceeds the search range"):
+    with pytest.raises(InfeasibleError, match="exceeds the search range 1 at eps=0.5 for sieve_oracle"):
         run_experiment(cfg, out)
-    assert list(out.iterdir()) == []  # partial artifacts removed
+    assert ran == []
+    assert not out.exists()
 
 
 def test_unexpected_error_removes_partial_artifacts(tmp_path, monkeypatch):

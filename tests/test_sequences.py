@@ -175,12 +175,14 @@ def _exponential_signal(n, q, scale):
 @given(n=st.integers(1, 10**7), q=st.floats(0.01, 5.0), scale=st.floats(0.0, 3.0))
 @example(n=10**6, q=0.1, scale=1.0)  # a tail of 0.147 spread over a long, flat integrand
 @example(n=1, q=5.0, scale=1.0)  # the series side of the incomplete gamma
+@example(n=1, q=0.015625, scale=1.1017048094383541e-159)  # s^2 is subnormal
 def test_exponential_tail_is_the_incomplete_gamma_function(n, q, scale):
     """The exponential tail bound ``s^2 int_N^inf e^{1 - x^p} dx``, ``p =
     2q``, is ``s^2 (e / p) Gamma(1/p, N^p)``: against scipy's regularised
-    upper incomplete gamma times the gamma function."""
+    upper incomplete gamma times the gamma function, scaled by ``s`` twice
+    so that no subnormal ``s^2`` is formed."""
     p = 2.0 * q
-    want = scale**2 * math.e / p * gammaincc(1.0 / p, float(n) ** p) * gamma(1.0 / p)
+    want = scale * (scale * (math.e / p * gammaincc(1.0 / p, float(n) ** p) * gamma(1.0 / p)))
     got = _exponential_signal(n, q, scale).sq_tail()
     assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-300)
 
