@@ -37,8 +37,9 @@ The Monte Carlo kernel goes further and computes the log-weights
 themselves only on an exact head ``[0, E)``, starting at one chunk.  One
 read of the rest of each row gives its chunk sums of squares, from which
 ``_tail_bound`` bounds every later chunk's log-weights from above; a chunk
-whose bound lies more than the margin below ``max l`` holds no mass and is
-never written, and a chunk that may hold mass extends the head to its end.
+whose bound lies more than the margin below ``max l`` holds no mass and
+gets no log-weights, and a chunk that may hold mass extends the head to its
+end.
 The public functions start with the head at the whole search range, so
 their log-weights are full-length.  The mass sum keeps the full-range
 reduction order without reading the zero tail: ``_pairwise_sum`` rebuilds
@@ -50,9 +51,12 @@ the result is unchanged.  This rests on how numpy sums a contiguous row;
 that ever changes.
 These cores work on the rows of 2-D arrays, one replication a row: the
 Monte Carlo kernel hands them a chunk of replications, the public functions
-a single row, and each row comes out as it would alone.  On several rows,
-``_normalise`` returns the largest of their mass ends, the one end every
-caller needs.
+a single row, and each row comes out as it would alone.  Each step is one
+numpy call on all rows; the cumsum and the chunk maxima along axis 1 give
+each row its 1-D result bit for bit, which
+``tests/test_hierarchy.py::test_row_reductions_equal_one_row_at_a_time``
+pins.  On several rows, ``_normalise`` returns the largest of their mass
+ends, the one end every caller needs.
 
 Under the fully improper prior the contrast reduces to
 ``sum_{j<=m} Y_j^2 / eps`` and the posterior-mean estimator becomes the
@@ -150,11 +154,8 @@ _SLACK = 1.0 + 1e-6
 
 def _chunk_maxima(lw: np.ndarray) -> np.ndarray:
     """The maximum of each ``_CHUNK``-long chunk of each row of ``lw`` (the
-    last one may be shorter); a NaN in a chunk makes its maximum NaN.  One
-    row at a time, like the cumsum in ``_log_weights`` (see
-    :mod:`igssm.montecarlo` for why)."""
-    starts = np.arange(0, lw.shape[1], _CHUNK)
-    return np.array([np.maximum.reduceat(row, starts) for row in lw])
+    last one may be shorter); a NaN in a chunk makes its maximum NaN."""
+    return np.maximum.reduceat(lw, np.arange(0, lw.shape[1], _CHUNK), axis=1)
 
 
 def _pairwise_sum(rows: np.ndarray, end: int, tail: tuple | None = None, memo: dict | None = None):
@@ -170,24 +171,27 @@ def _pairwise_sum(rows: np.ndarray, end: int, tail: tuple | None = None, memo: d
     ``rows`` past ``end``, the only entries there this writes.  ``memo``,
     keyed by the subtree, may be shared by every call on one ``tail``, from
     several threads: a race computes a sum twice, to the same value."""
-    memo = {} if memo is None else memo
+    return _subtree_sum(rows, end, tail, {} if memo is None else memo, 0, rows.shape[1])
 
-    def node(lo: int, n: int):
-        if lo + n <= end:
-            return np.sum(rows[:, lo : lo + n], axis=1)
-        if lo >= end:
-            if tail is None:
-                return 0.0
-            if (lo, n) not in memo:
-                memo[lo, n] = _sq_err_sum(*tail, lo, n)
-            return memo[lo, n]
-        if n <= _PAIRWISE_LEAF:
-            rows[:, end : lo + n] = 0.0 if tail is None else _sq_err(*tail, end, lo + n)
-            return np.sum(rows[:, lo : lo + n], axis=1)
-        half = _half(n)
-        return node(lo, half) + node(lo + half, n - half)
 
-    return node(0, rows.shape[1])
+def _subtree_sum(rows: np.ndarray, end: int, tail: tuple | None, memo: dict, lo: int, n: int):
+    """The ``_pairwise_sum`` subtree of ``rows[:, lo : lo + n]``.  A module
+    function, not a closure that calls itself: such a closure is a
+    reference cycle, which would keep ``rows`` alive until the next
+    garbage collection."""
+    if lo + n <= end:
+        return np.sum(rows[:, lo : lo + n], axis=1)
+    if lo >= end:
+        if tail is None:
+            return 0.0
+        if (lo, n) not in memo:
+            memo[lo, n] = _sq_err_sum(*tail, lo, n)
+        return memo[lo, n]
+    if n <= _PAIRWISE_LEAF:
+        rows[:, end : lo + n] = 0.0 if tail is None else _sq_err(*tail, end, lo + n)
+        return np.sum(rows[:, lo : lo + n], axis=1)
+    half = _half(n)
+    return _subtree_sum(rows, end, tail, memo, lo, half) + _subtree_sum(rows, end, tail, memo, lo + half, n - half)
 
 
 def _normalise(lw: np.ndarray, maxima: np.ndarray, out: np.ndarray) -> int:
@@ -280,24 +284,17 @@ def _inverse_variances(post_var: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _masses(
-    terms: _Terms,
-    post_mean: np.ndarray,
-    scratch: np.ndarray,
-    lw: np.ndarray,
-    out: np.ndarray,
-    head: int,
-) -> int:
+def _masses(terms: _Terms, post_mean: np.ndarray, lw: np.ndarray, out: np.ndarray, head: int) -> int:
     """The dimension-posterior masses of each row of ``post_mean`` written
     into ``out`` (which may be ``lw``) up to the rows' largest mass end,
     which is returned (see ``_normalise``); all arrays are ``(rows, M)``.
 
-    The log-weights go into ``lw`` and the contrast into ``scratch`` on an
-    exact head ``[0, E)``, with ``E`` first ``head`` (a multiple of
-    ``_CHUNK``, or ``M`` for the full range) and past it only where
-    ``_tail_bound`` cannot rule out mass: the head then grows to the end of
-    the last chunk that may hold some, once, because the bound from the
-    shorter head holds as well.  Any non-finite chunk sum of squares makes
+    The log-weights go into ``lw`` on an exact head ``[0, E)``, with ``E``
+    first ``head`` (a multiple of ``_CHUNK``, or ``M`` for the full range)
+    and past it only where ``_tail_bound`` cannot rule out mass: the head
+    then grows to the end of the last chunk that may hold some, once,
+    because the bound from the shorter head holds as well.  The chunk sums
+    of squares past ``E`` use ``lw`` there as their work space.  Any non-finite chunk sum of squares makes
     the head the full range.  So every log-weight that is not finite lies
     in the head, and the first row whose maximum log-weight is not finite
     is the one the full range gives.  That row has its posterior means
@@ -306,10 +303,10 @@ def _masses(
     m_top = post_mean.shape[1]
     end = min(head, m_top)
     if end < m_top:
-        squares = _chunk_squares(terms, post_mean, scratch, end)
+        squares = _chunk_squares(terms, post_mean, lw, end)
         if not np.all(np.isfinite(squares)):
             end = m_top
-    sums = _log_weights(post_mean[:, :end], terms, scratch[:, :end], lw[:, :end])
+    sums = _log_weights(post_mean[:, :end], terms, lw[:, :end])
     maxima = _chunk_maxima(lw[:, :end])
     if end < m_top:
         top = np.max(maxima, axis=1)[:, None]
@@ -318,7 +315,7 @@ def _masses(
         live = np.flatnonzero(~np.all(dead, axis=0))
         if live.size:
             end = min(m_top, end + (int(live[-1]) + 1) * _CHUNK)
-            _log_weights(post_mean[:, :end], terms, scratch[:, :end], lw[:, :end])
+            _log_weights(post_mean[:, :end], terms, lw[:, :end])
             maxima = _chunk_maxima(lw[:, :end])
     if not np.isfinite(np.max(maxima)):
         first = np.flatnonzero(~np.isfinite(np.max(maxima, axis=1)))[0]
@@ -327,13 +324,14 @@ def _masses(
     return _normalise(lw[:, :end], maxima, out)
 
 
-def _chunk_squares(terms: _Terms, post_mean: np.ndarray, scratch: np.ndarray, start: int) -> np.ndarray:
+def _chunk_squares(terms: _Terms, post_mean: np.ndarray, lw: np.ndarray, start: int) -> np.ndarray:
     """``(rows, chunks)``: the sum of ``(post_mean - means)^2`` over each
     ``_CHUNK`` of each row from ``start`` (a multiple of ``_CHUNK``) on, the
-    last chunk possibly shorter; the differences go into ``scratch``."""
+    last chunk possibly shorter; the differences go into ``lw`` from
+    ``start`` on, where the log-weights are not yet written."""
     tail = post_mean[:, start:]
     if terms.means is not None:
-        tail = np.subtract(tail, terms.means[start:], out=scratch[:, start:])
+        tail = np.subtract(tail, terms.means[start:], out=lw[:, start:])
     rows, n = tail.shape
     full = n - n % _CHUNK
     blocks = tail[:, :full].reshape(rows, -1, _CHUNK)
@@ -380,24 +378,23 @@ def _tail_bound(terms: _Terms, squares: np.ndarray, sums: np.ndarray, start: int
     return 0.5 * (acc * _SLACK + 1.0) - penalty
 
 
-def _log_weights(post_mean: np.ndarray, terms: _Terms, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _log_weights(post_mean: np.ndarray, terms: _Terms, out: np.ndarray) -> np.ndarray:
     """Dimension-posterior log-weights of each row of ``post_mean``, ``0.5 *
     cumsum((post_mean - means)^2 / post_var) - penalty`` for the head of
-    the ``terms`` as long as the rows, written into ``out``; all three
-    arrays are ``(rows, head)``.  Returns each row's contrast sum over the
-    head.  The contrast goes into ``scratch``, and the cumsum writes from
-    there into ``out`` (see :mod:`igssm.montecarlo` for why), one row at a
-    time."""
+    the ``terms`` as long as the rows, written into ``out``; both arrays
+    are ``(rows, head)``.  Returns each row's contrast sum over the head.
+    The contrast is written into ``out`` and summed there in place, row by
+    row in one call: a cumsum adds in order, so each row is its 1-D
+    cumsum bit for bit."""
     n = post_mean.shape[1]
     if terms.means is None:
-        np.square(post_mean, out=scratch)
+        np.square(post_mean, out=out)
     else:
-        np.subtract(post_mean, terms.means[:n], out=scratch)
-        np.square(scratch, out=scratch)
+        np.subtract(post_mean, terms.means[:n], out=out)
+        np.square(out, out=out)
     post_var = terms.post_var if isinstance(terms.post_var, float) else terms.post_var[:n]
-    np.divide(scratch, post_var, out=scratch)
-    for src, dst in zip(scratch, out):
-        np.cumsum(src, out=dst)
+    np.divide(out, post_var, out=out)
+    np.cumsum(out, axis=1, out=out)
     sums = out[:, -1].copy()
     np.multiply(out, 0.5, out=out)
     np.subtract(out, _dimension_penalty(terms.c_lambda, 0, n), out=out)
@@ -483,8 +480,8 @@ def _dimension_posterior(
         raise ValueError("summary, prior and operator lengths must match")
     m_top = max_dimension(op, eps)
     terms = _terms(prior.means[:m_top], summary.post_var[:m_top], c_lambda)
-    lw, scratch, probs = np.empty((1, m_top)), np.empty((1, m_top)), np.zeros((1, m_top))
-    mass_end = _masses(terms, summary.post_mean[None, :m_top], scratch, lw, probs, m_top)
+    lw, probs = np.empty((1, m_top)), np.zeros((1, m_top))
+    mass_end = _masses(terms, summary.post_mean[None, :m_top], lw, probs, m_top)
     return DimensionDistribution(lw[0], probs[0], "posterior"), mass_end
 
 

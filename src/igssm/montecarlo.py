@@ -33,15 +33,17 @@ array of its cut's length of its own; the work arrays of its blocks (see
 below) are all it allocates at that length.
 
 Replications run as the rows of a chunk, ``max(1, _ROW_ELEMENTS // cut)``
-of them, in work arrays allocated once per block of replications.  Each
-row draws its noise from its own replication's stream (``rng.streams``
-resets one generator to each in turn); the noise scale, the signal, the
-posterior-mean map and the posterior step are then applied to the whole
-chunk.  The posterior step checks a sieve's posterior means, or turns
-them into the dimension posterior's masses (``hierarchy._masses``).  The
-statistic receives the posterior means, the masses and the end of what it
-scores (the cut, or the rows' largest mass end), and computes its ``k``
-values per row in one set of numpy calls: a float64 ``(rows, k)`` array.
+of them, in two arrays allocated once per block of replications: the
+posterior means and one work array, which holds the log-weights and then
+the masses.  Each row draws its noise from its own replication's stream
+(``rng.streams`` resets one generator to each in turn); the noise scale,
+the signal, the posterior-mean map and the posterior step are then applied
+to the whole chunk.  The posterior step checks a sieve's posterior means,
+or turns them into the dimension posterior's masses
+(``hierarchy._masses``).  The statistic receives the posterior means, the
+masses and the end of what it scores (the cut, or the rows' largest mass
+end), and computes its ``k`` values per row in one set of numpy calls: a
+float64 ``(rows, k)`` array.
 Every row is bit for bit what it would be alone (see
 :mod:`igssm.hierarchy` for the dimension posterior's rows), so results do
 not depend on how replications are chunked.  A cut of ``_ROW_ELEMENTS``
@@ -79,13 +81,14 @@ by a scalar when the posterior variance is constant.  Every contrast term
 is >= 0, infinite or NaN and the penalty is finite, so the dimension tasks
 check the posterior means only when the log-weights' maximum is not
 finite (a chunk sum of squares that is not finite puts the whole search
-range in the head first); sieve tasks check them on every chunk.  The contrast
-goes into a work array of its own and the cumsum writes from there into
-the log-weights one row at a time, because numpy keeps the interpreter
-lock through an in-place cumsum and through a cumsum or a ``reduceat``
-along the rows of a 2-D array of up to 500 rows, so another thread
-cannot even start its next step; a 1-D out-of-place cumsum releases it.
-The chunk maxima likewise go row by row.
+range in the head first); sieve tasks check them on every chunk.
+
+In the kernel, Python loops run only over streams: each step of a chunk,
+from the noise scale to the masses, is one numpy call on all its rows, and
+a loop over rows is a loop over the generators they draw from.  A block
+opens one range of observation streams, whose keys ``rng.streams``
+derives as arrays, and each chunk takes its rows' generators from it; the
+posterior draws of a chunk open one range.
 
 Squared distances between a draw and the truth are always split into the
 simulated range plus the deterministic remainder (stored coordinates
@@ -102,6 +105,7 @@ than one replication's distances.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -161,9 +165,9 @@ _MIN_AUDIT_REPS = 10_000
 # a config error.
 MAX_THREADS = 64
 _BATCH_ELEMENTS = 1 << 23  # cap on draws * dimension per simulation batch
-# Elements per work array of a chunk of replications: a chunk holds
-# max(1, _ROW_ELEMENTS // cut) replications as rows, so its three work
-# arrays (512 KiB each) stay in L2 together.
+# Elements per array of a chunk of replications: a chunk holds
+# max(1, _ROW_ELEMENTS // cut) replications as rows, so its two arrays
+# (512 KiB each) stay in L2 together.
 _ROW_ELEMENTS = 1 << 16
 
 
@@ -462,26 +466,27 @@ def _block(task: _Task, seed: int, statistic, start: int, stop: int):
     ``post_mean`` holds the finite posterior means of the observation
     drawn from replication ``r0 + i``'s own stream.  On a sieve task
     ``end`` is the cut; on the dimension posterior it is the rows' largest
-    mass end, and row ``i`` of ``work[0]`` holds the masses before it (past
-    it, whatever the posterior step left there).  ``post_mean`` (rows of
-    the cut length) and ``work`` (two such blocks of rows) are allocated
-    once for the block; the statistic may overwrite both."""
+    mass end, and row ``i`` of ``work`` holds the masses before it (past
+    it, whatever the posterior step left there).  ``post_mean`` and
+    ``work``, rows of the cut length, are the block's two arrays,
+    allocated once; the statistic may overwrite both.  The block opens one
+    range of observation streams and each chunk takes its rows' from it."""
     if stop <= start:
         raise ValueError("need at least one replication")
     cut = task.theta.size
     rows = min(_rows(task), stop - start)
-    post_mean = np.empty((rows, cut))
-    work = np.empty((2, rows, cut))
+    post_mean, work = np.empty((rows, cut)), np.empty((rows, cut))
+    observations = streams(seed, OBSERVATION, start, stop)
     for r0 in range(start, stop, rows):
         k = min(rows, stop - r0)
-        chunk, chunk_work = post_mean[:k], work[:, :k]
-        _observe(task.signal, task.noise_scale, streams(seed, OBSERVATION, r0, r0 + k), chunk)
+        chunk, chunk_work = post_mean[:k], work[:k]
+        _observe(task.signal, task.noise_scale, itertools.islice(observations, k), chunk)
         _posterior_mean(task.mean_map, chunk, chunk)
         if task.terms is None:
             _check_means(chunk)
             end = cut
         else:
-            end = _masses(task.terms, chunk, chunk_work[1], chunk_work[0], chunk_work[0], _CHUNK)
+            end = _masses(task.terms, chunk, chunk_work, chunk_work, _CHUNK)
         yield statistic(r0, chunk, chunk_work, end)
 
 
@@ -542,7 +547,7 @@ def mc_mise(
 
     def loss(r0, post_mean, work, end):
         if task.terms is not None:
-            _shrink(work[0], end, post_mean, task.means, work[0], post_mean)
+            _shrink(work, end, post_mean, task.means, work, post_mean)
         head = post_mean[:, :end]
         np.subtract(head, task.theta[:end], out=head)
         np.square(head, out=head)
@@ -570,10 +575,9 @@ def mc_mise_profile(
     task = _task(theta, prior, op, eps, m_top)
 
     def errors(r0, post_mean, work, end):
-        sq_err, cum = work
-        np.subtract(post_mean, task.theta, out=sq_err)
-        np.cumsum(np.square(sq_err, out=sq_err), axis=1, out=cum)
-        return np.add(cum, bias, out=cum)
+        np.subtract(post_mean, task.theta, out=post_mean)
+        np.cumsum(np.square(post_mean, out=post_mean), axis=1, out=work)
+        return np.add(work, bias, out=work)
 
     # one block, its rows added in replication order, so the running sums
     # stay O(m_top)
@@ -651,8 +655,7 @@ def _concentration(
     post_sd = np.sqrt(task.post_var)
     past = {}  # the distances' deterministic sum per width, shared by all chunks
 
-    def masses(r0, post_mean, work, end):
-        probs = work[0]
+    def masses(r0, post_mean, probs, end):
         probs[:, end:] = 0.0  # the masses past the mass end
         out = np.empty((len(post_mean), len(edges) + len(brackets)))
         if edges:

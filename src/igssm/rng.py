@@ -58,7 +58,8 @@ def streams(seed: int, domain: int, start: int, stop: int) -> Iterator[np.random
     empty buffer; this skips building a seed sequence, a bit generator and
     a generator per replication.  The keys are derived in batches by
     ``_keys``, which runs ``SeedSequence``'s hash on arrays of replication
-    indices.
+    indices, so a caller opens one range for as many replications as it
+    can: the Monte Carlo kernel one per block of replications.
     """
     _check_seed(seed)
     if not 0 <= start <= stop:
@@ -107,7 +108,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _KEY_BATCH = 4096  # keys derived at once
-_ARRAY_KEYS = 10  # shortest batch hashed as arrays
 
 
 def _words(n: int) -> list:
@@ -167,13 +167,8 @@ def _keys(pool: tuple, const: int, start: int, stop: int) -> np.ndarray:
     """``(stop - start, 2)`` uint64: row ``i`` the Philox key
     ``SeedSequence(seed, spawn_key=(domain, start + i)).generate_state(2,
     np.uint64)``, for ``pool, const = _prefix(seed, domain)`` and indices
-    that differ only in their lowest word.  The lowest words are hashed as
-    one array, or one by one as ints in a range too short to repay
-    numpy's cost per call."""
+    that differ only in their lowest word, which are hashed as one array."""
     low, high = start & _MASK, _words(start)[1:]
-    if stop - start < _ARRAY_KEYS:
-        states = [_state(pool, const, [word, *high]) for word in range(low, low + stop - start)]
-        return np.array([[a | b << 32, c | d << 32] for a, b, c, d in states], dtype=np.uint64)
     words = np.arange(low, low + stop - start, dtype=np.uint32)
     a, b, c, d = (word.astype(np.uint64) for word in _state(pool, const, [words, *high]))
     return np.stack([a | b << 32, c | d << 32], axis=1)

@@ -937,6 +937,79 @@ def test_any_small_config_exits_with_a_documented_code(
         assert not out.exists() or not any(out.iterdir())
 
 
+# Each family parameter and the families, prior kinds or variance families
+# it is drawn under.
+_FAMILY_PARAMETERS = {
+    ("truth", "exponent"): ("polynomial", "exponential"),
+    ("truth", "scale"): ("polynomial", "exponential"),
+    ("model", "decay"): ("polynomial", "exponential"),
+    ("class", "exponent"): ("polynomial", "exponential"),
+    ("class", "radius"): ("polynomial", "exponential"),
+    ("prior", "mean"): ("gaussian", "matched"),
+    ("prior", "variance"): ("gaussian",),
+    ("prior", "d"): ("matched",),
+    ("prior", "variance_family", "exponent"): ("polynomial", "exponential"),
+    ("prior", "variance_family", "scale"): ("polynomial", "exponential"),
+}
+
+
+@st.composite
+def extreme_family_configs(draw):
+    """A config on four coordinates with one family parameter drawn
+    log-uniformly from 1e-300 to 1e300 under one of its families."""
+    path = draw(st.sampled_from(sorted(_FAMILY_PARAMETERS)))
+    family = draw(st.sampled_from(_FAMILY_PARAMETERS[path]))
+    raw = {
+        "model": {"family": "polynomial", "n": 4, "decay": 1.0},
+        "truth": {"family": "polynomial", "exponent": 1.6, "scale": 0.4},
+        "prior": {"kind": "improper"},
+        "class": {"family": "polynomial", "exponent": 1.0, "radius": 1.0},
+        "eps_grid": [0.05, 0.01], "mc": {"reps": 2, "draws": 5}, "seed": 1,
+        "estimators": ["oracle", "minimax", "adaptive"],
+        "concentration": {"kinds": list(CONCENTRATION_KINDS), "eps_grid": [0.05]},
+    }
+    block = raw[path[0]]
+    if path[1] == "variance_family":
+        block.update(kind="gaussian", variance_family={"family": family, "exponent": 1.0})
+        block = block["variance_family"]
+    elif path[0] == "prior":
+        block.update({"kind": "matched", "d": 1.0} if family == "matched" else {"kind": "gaussian", "variance": 1.0})
+    else:
+        block["family"] = family
+    block[path[-1]] = 10.0 ** draw(st.floats(-300.0, 300.0))
+    return raw
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=extreme_family_configs())
+@example(raw={**_SELECT_BASE, "model": {"family": "exponential", "n": 4, "decay": 1e300},
+              "prior": {"kind": "improper"}, "eps_grid": [0.05]})
+@example(raw={**_SELECT_BASE, "model": {"family": "constant", "n": 4},
+              "truth": {"family": "exponential", "exponent": 1e-300, "scale": 0.4},
+              "prior": {"kind": "improper"}, "eps_grid": [0.05]})
+@example(raw={**_SELECT_BASE, "model": {"family": "constant", "n": 4},
+              "prior": {"kind": "gaussian", "variance_family": {"family": "exponential", "exponent": 1.0,
+                                                                "scale": 1e300}},
+              "eps_grid": [0.05]})
+def test_extreme_family_parameters_exit_with_a_documented_code(tmp_path, capsys, raw):
+    """A family parameter anywhere from 1e-300 to 1e300 (truth exponent or
+    scale, model decay, class exponent or radius, prior mean, variance,
+    margin constant or variance family) gives ``select`` and ``run`` exit
+    0, 2 or 3, a config error or an infeasible config as one line on
+    stderr, and no traceback and no warning."""
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    for command in ("select", "run"):
+        shutil.rmtree(out, ignore_errors=True)  # hypothesis reuses tmp_path across examples
+        capsys.readouterr()
+        code = run_cli(command, "--config", config, "--out", out, "--quiet")
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (command, err)
+        assert "Traceback" not in err and "Warning" not in err
+        if code != 0:
+            assert err.startswith(("config error: ", "infeasible configuration: ")) and err.count("\n") == 1
+
+
 # A schema-valid value of each key some family or kind does not use.
 _UNUSED_VALUES = {
     "n": 4,

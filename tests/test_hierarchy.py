@@ -149,14 +149,14 @@ def test_log_weight_shift_invariance(n, rows, seed, shift):
     for first in (0, k) if shift >= 0 else (k, 0):
         post_mean[:, 0] = first
         lw, out = np.empty((rows, n)), np.zeros((rows, n))
-        end = _masses(terms, post_mean, np.empty((rows, n)), lw, out, n)
+        end = _masses(terms, post_mean, lw, out, n)
         assert np.array_equal(lw, 0.5 * np.cumsum(post_mean**2, axis=1) - 1.5 * np.arange(1, n + 1))
         probs = np.array([DimensionDistribution.from_log_weights(row, "posterior").probs for row in lw])
         assert np.array_equal(out, probs)
         assert end == max(np.flatnonzero(row - np.max(row) > -_MASS_MARGIN)[-1] + 1 for row in lw)
         assert not np.any(out[:, end:])
         in_place = np.full((rows, n), np.nan)
-        assert _masses(terms, post_mean, np.full((rows, n), np.nan), in_place, in_place, _CHUNK) == end
+        assert _masses(terms, post_mean, in_place, in_place, _CHUNK) == end
         assert np.array_equal(in_place[:, :end], probs[:, :end])
         lws.append(lw)
         masses.append(out)
@@ -274,8 +274,8 @@ def test_row_cores_give_each_row_alone():
         assert np.array_equal(_dimension_penalty(terms.c_lambda, 7, n - 3), penalty[7 : n - 3])
         assert np.array_equal(_dimension_penalty(terms.c_lambda, _CHUNK, n, _CHUNK), penalty[_CHUNK::_CHUNK])
         assert terms.inv_var.tolist() == [np.max(1.0 / post_var[j : j + _CHUNK]) for j in starts]
-        got = np.empty((rows, n))
-        sums = _log_weights(post_mean, terms, np.empty((rows, n)), got)
+        got = np.full((rows, n), np.nan)  # the contrast and its cumsum are written in place
+        sums = _log_weights(post_mean, terms, got)
         contrast = (post_mean - means) ** 2 / post_var
         maxima = _chunk_maxima(got)
         assert maxima.shape == (rows, 3)
@@ -283,8 +283,8 @@ def test_row_cores_give_each_row_alone():
             assert np.array_equal(got[i], 0.5 * np.cumsum(contrast[i]) - penalty)
             assert sums[i] == np.cumsum(contrast[i])[-1]
             assert maxima[i].tolist() == [got[i, j : j + _CHUNK].max() for j in starts]
-        head = np.empty((rows, _CHUNK))
-        sums = _log_weights(post_mean[:, :_CHUNK], terms, np.empty((rows, _CHUNK)), head)
+        head = np.full((rows, _CHUNK), np.nan)
+        sums = _log_weights(post_mean[:, :_CHUNK], terms, head)
         assert np.array_equal(head, got[:, :_CHUNK])
         assert np.array_equal(sums, np.cumsum(contrast, axis=1)[:, _CHUNK - 1])
 
@@ -337,6 +337,43 @@ def test_pairwise_sum_equals_numpy_sum(n, rows, seed, data):
             assert np.asarray(got).tobytes() == want.tobytes(), (end, fill is None)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 4),
+    n=st.one_of(st.integers(1, 300), st.integers(_CHUNK, 3 * _CHUNK)),
+    chunk=st.one_of(st.integers(1, 40), st.just(_CHUNK)),
+    wide=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    specials=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from([np.nan, np.inf, -np.inf])), max_size=8),
+)
+@example(rows=3, n=2 * _CHUNK + 5, chunk=_CHUNK, wide=2, seed=0, specials=[(5, np.inf), (_CHUNK + 9, np.nan)])
+def test_row_reductions_equal_one_row_at_a_time(rows, n, chunk, wide, seed, specials):
+    """The dimension-posterior cores run their cumsum and chunk maxima on
+    all rows in one call: ``np.cumsum(a, axis=1, out=a)`` in place on the
+    head of a wider array gives each row its 1-D ``np.cumsum`` and leaves
+    the columns past the head alone, and ``np.maximum.reduceat(a, starts,
+    axis=1)`` gives each row its 1-D ``reduceat``, bit for bit, with NaN
+    and infinite entries among values over 26 orders of magnitude.  If
+    numpy ever changes either, the masses that rely on it must be
+    revisited."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((rows, n)) * np.exp(rng.uniform(-30.0, 30.0, (rows, n)))
+    for at, value in specials:
+        values.flat[at % values.size] = value
+    block = np.full((rows, n + wide), 7.0)
+    head = block[:, :n]
+    starts = np.arange(0, n, chunk)
+    head[...] = values
+    assert np.maximum.reduceat(head, starts, axis=1).tobytes() == b"".join(
+        np.maximum.reduceat(row, starts).tobytes() for row in values
+    )
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf and overflow are live here
+        np.cumsum(head, axis=1, out=head)
+        want = b"".join(np.cumsum(row).tobytes() for row in values)
+    assert head.tobytes() == want
+    assert np.all(block[:, n:] == 7.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.one_of(st.integers(0, 2000), st.integers(2000, 300_000)),
@@ -386,11 +423,11 @@ def test_tail_bound_holds_every_log_weight(rows, chunks, extra, means, spread, c
     post_var = np.exp(rng.uniform(-spread, spread, n)) if rng.random() < 0.7 else np.full(n, 0.7)
     terms = _terms(mu, post_var, c_lambda)
     lw = np.empty((rows, n))
-    _log_weights(post_mean, terms, np.empty((rows, n)), lw)
+    _log_weights(post_mean, terms, lw)
     maxima = _chunk_maxima(lw)
     for start in range(_CHUNK, n, _CHUNK):
         head = np.empty((rows, start))
-        sums = _log_weights(post_mean[:, :start], terms, np.empty((rows, start)), head)
+        sums = _log_weights(post_mean[:, :start], terms, head)
         squares = _chunk_squares(terms, post_mean, np.empty((rows, n)), start)
         bound = _tail_bound(terms, squares, sums, start)
         assert np.all(np.isfinite(bound))

@@ -1,5 +1,6 @@
 """Monte Carlo harness: tail audits, risk estimates, rate regression."""
 
+import gc
 import math
 import tracemalloc
 
@@ -836,6 +837,53 @@ def test_chunks_hold_the_row_budget(monkeypatch):
     for reps, want in ((21, 1), (22, 2), (100, 3)):
         mc_mise(theta, prior, op, 0.01, reps, 3, m=3000)
         assert blocks[-1] == want
+
+
+def test_a_block_opens_one_observation_range(monkeypatch):
+    """A block of replications opens one range of observation streams and
+    hands each chunk its rows' generators from it, also where every chunk
+    is one row."""
+    theta, prior, op = _poly_problem(70_000)
+    opened = []
+    streams = montecarlo.streams
+
+    def spy(seed, domain, start, stop):
+        opened.append((domain, start, stop))
+        return streams(seed, domain, start, stop)
+
+    monkeypatch.setattr(montecarlo, "streams", spy)
+    monkeypatch.setenv("IGSSM_THREADS", "1")
+    m = montecarlo._ROW_ELEMENTS
+    assert montecarlo._rows(_task(theta, prior, op, 0.01, m)) == 1
+    mc_mise(theta, prior, op, 0.01, 6, 3, m=m)
+    assert opened == [(montecarlo.OBSERVATION, 0, 6)]
+
+
+@pytest.mark.parametrize("given", [{"m": 2**18}, {"c_lambda": 1.5}], ids=["sieve", "dimension posterior"])
+def test_a_block_holds_two_cut_length_arrays(given):
+    """On the direct model under the flat prior at a cut of 2^18 (one row a
+    chunk), ``mc_mise`` on one thread peaks below two and a half arrays of
+    the cut's length, the block's posterior means and its one work array,
+    and frees both when it returns, with the garbage collector off."""
+    n = 2**18
+    theta = make_parameters("polynomial", n, exponent=1.6, scale=0.4)
+    prior, op, eps = PriorSpec.flat(n), make_operator("constant", n), 1.0 / n
+    assert max_dimension(op, eps) == n
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("IGSSM_THREADS", "1")
+        mc_mise(theta, prior, op, eps, 1, 0, **given)  # imports what the first call imports
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            mc_mise(theta, prior, op, eps, 3, 1, **given)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+    assert peak - before < 2.5 * 8 * n
+    assert after - before < 8 * n // 4
 
 
 # An index past the kernel's first chunk of log-weights.

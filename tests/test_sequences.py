@@ -163,12 +163,12 @@ def test_parameter_tail_bound_exponential():
     assert true_tail <= bound <= true_tail * 1.72
 
 
-def _exponential_signal(n, q, scale):
-    """An exponential-family signal of length ``n`` whose values are one
-    read-only zero broadcast to that length: only its tail is read."""
+def _signal(family, n, q, scale):
+    """A ``family`` signal of length ``n`` whose values are one read-only
+    zero broadcast to that length: only its tail is read."""
     zero = np.zeros(1)
     zero.setflags(write=False)
-    return ParameterSequence(np.broadcast_to(zero, n), "exponential", q, scale)
+    return ParameterSequence(np.broadcast_to(zero, n), family, q, scale)
 
 
 @settings(max_examples=200, deadline=None)
@@ -183,14 +183,44 @@ def test_exponential_tail_is_the_incomplete_gamma_function(n, q, scale):
     so that no subnormal ``s^2`` is formed."""
     p = 2.0 * q
     want = scale * (scale * (math.e / p * gammaincc(1.0 / p, float(n) ** p) * gamma(1.0 / p)))
-    got = _exponential_signal(n, q, scale).sq_tail()
+    got = _signal("exponential", n, q, scale).sq_tail()
     assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-300)
+
+
+_BRUTE_FORCE_END = 10**6
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family_exponent=st.one_of(
+        st.tuples(st.just("polynomial"), st.floats(0.51, 4.0)),
+        st.tuples(st.just("exponential"), st.floats(0.05, 3.0)),
+    ),
+    n=st.integers(1, 1000),
+    log_scale=st.floats(-50.0, 50.0),
+)
+@example(family_exponent=("polynomial", 0.51), n=1000, log_scale=0.0)  # the flattest polynomial tail
+@example(family_exponent=("exponential", 0.05), n=1000, log_scale=0.0)  # most of it past J
+def test_tail_bound_brackets_the_discrete_tail(family_exponent, n, log_scale):
+    """For a decreasing ``f``, ``sum_{j>N} f(j) <= int_N^inf f <= f(N) +
+    sum_{j>N} f(j)``.  By brute force over ``J = 1e6`` terms, with ``S``
+    the ``math.fsum`` of ``f(j) = theta_j^2`` over ``N < j <= J``: ``S <=
+    sq_tail(N) <= f(N) + S + sq_tail(J)``, the last term bounding the
+    squares past ``J``."""
+    family, q = family_exponent
+    scale = 10.0**log_scale
+    j = np.arange(n, _BRUTE_FORCE_END + 1, dtype=np.float64)
+    shape = j ** (-2.0 * q) if family == "polynomial" else np.exp(1.0 - j ** (2.0 * q))
+    f = scale**2 * shape
+    s = math.fsum(f[1:])
+    past = _signal(family, _BRUTE_FORCE_END, q, scale).sq_tail()
+    assert s <= _signal(family, n, q, scale).sq_tail() <= f[0] + s + past
 
 
 def test_a_tail_past_the_double_range_is_an_error():
     with pytest.raises(OverflowError, match="tail of the signal past N=10 is past the double range"):
-        _exponential_signal(10, 1e-3, 1.0).sq_tail()  # about e Gamma(500) / 0.002
-    assert _exponential_signal(10, 1e-3, 0.0).sq_tail() == 0.0
+        _signal("exponential", 10, 1e-3, 1.0).sq_tail()  # about e Gamma(500) / 0.002
+    assert _signal("exponential", 10, 1e-3, 0.0).sq_tail() == 0.0
     with pytest.raises(OverflowError, match="tail of the signal past N=10 is past the double range"):
         make_parameters("polynomial", 10, exponent=0.51, scale=1e154).sq_tail()  # 1e308 * 10^-0.02 / 0.02
 
@@ -325,6 +355,8 @@ def _philox_state(gen):
 @example(seed=2**130 + 7, domain=rng.HIERARCHY_DRAW, start=2**16 - 1, length=2)  # past the pool
 @example(seed=7, domain=rng.AUDIT_DRAW, start=2**32 - 2, length=4)  # across one word
 @example(seed=2**200 - 1, domain=2**40 + 3, start=2**64 - 1, length=3)  # two-word domain, into three words
+@example(seed=11, domain=rng.OBSERVATION, start=2**32 - 1, length=1)  # one key, the last of a word
+@example(seed=2**33 + 1, domain=rng.SIEVE_DRAW, start=12345, length=9)  # nine keys, one array
 def test_streams_start_where_stream_starts(seed, domain, start, length):
     """Each generator ``streams`` yields is in the state ``stream`` starts
     in at that address, for seeds of one word and of many, every domain
@@ -339,9 +371,9 @@ def test_streams_start_where_stream_starts(seed, domain, start, length):
 
 def test_streams_build_no_seed_sequence_per_replication(monkeypatch):
     """``streams`` derives its keys in batches without a ``SeedSequence``;
-    batches that end inside a range, are hashed as arrays or as ints, or
-    start past a word of the index still give each address the key
-    ``stream`` gives it."""
+    batches that end inside a range, are shorter than ten keys or start
+    past a word of the index still give each address the key ``stream``
+    gives it."""
     seed, start, length = 2**70 + 9, 2**32 - 11, 30
     want = [_philox_state(stream(seed, rng.HIERARCHY_DRAW, r)) for r in range(start, start + length)]
     built = []
