@@ -194,17 +194,13 @@ def _prepare(cfg: ExperimentConfig, subset: str | None = None) -> tuple:
             "composite": constants,
         },
         "grid": {
-            "eps": list(report.eps_grid),
-            "max_dims": list(report.max_dims),
-            "oracle_dims": list(report.oracle_dims),
-            "oracle_rates": list(report.oracle_rates),
-            "minimax_dims": None
-            if report.minimax_dims is None
-            else list(report.minimax_dims),
-            "minimax_rates": None
-            if report.minimax_rates is None
-            else list(report.minimax_rates),
-            "feasible": list(report.feasible),
+            "eps": report.eps_grid,
+            "max_dims": report.max_dims,
+            "oracle_dims": report.oracle_dims,
+            "oracle_rates": report.oracle_rates,
+            "minimax_dims": report.minimax_dims,
+            "minimax_rates": report.minimax_rates,
+            "feasible": report.feasible,
         },
     }
     return theta, prior, op, report, mise, concentration, header
@@ -266,23 +262,14 @@ def _concentration_plan(cfg, theta, prior, op, wclass, report, c_lambda, constan
 
 
 def _rates_rows(report):
-    rows = []
-    kappa = report.kappa_minimax if report.kappa_minimax is not None else report.kappa_oracle
-    for i, eps in enumerate(report.eps_grid):
-        rows.append(
-            [
-                eps,
-                report.oracle_dims[i],
-                report.oracle_rates[i],
-                report.minimax_dims[i] if report.minimax_dims is not None else None,
-                report.minimax_rates[i] if report.minimax_rates is not None else None,
-                report.d,
-                report.c_lambda,
-                report.l_lambda,
-                kappa,
-            ]
-        )
-    return rows
+    """One ``rates.csv`` row a noise level; without a class the minimax
+    cells are blank and kappa is the oracle's."""
+    minimax, kappa = (report.minimax_dims, report.minimax_rates), report.kappa_minimax
+    if kappa is None:
+        minimax, kappa = ([None] * report.eps_grid.size,) * 2, report.kappa_oracle
+    constants = (report.d, report.c_lambda, report.l_lambda, kappa)
+    columns = zip(report.eps_grid, report.oracle_dims, report.oracle_rates, *minimax)
+    return [[*cells, *constants] for cells in columns]
 
 
 def _mise_stage(cfg, theta, prior, op, plan, seed, reps):

@@ -278,8 +278,15 @@ def bracket_dimensions(
     lo_threshold = 8.0 * report.l_lambda * c_lambda * (1.0 + 1.0 / d) * inflate * rate
     bias = bias_profile(theta, prior)[:m_sel]
     lo_candidates = np.nonzero(bias <= lo_threshold * (1.0 + _LOG_TOL))[0]
-    if lo_candidates.size == 0:  # cannot happen under Assumption 3: b_{m_sel} <= 8...rate
-        raise InfeasibleError("lower bracket set is empty; assumption constants are inconsistent")
+    if lo_candidates.size == 0:
+        # b_{m_sel} <= rate bounds the oracle's; the minimax's is bounded by
+        # radius w_{m_sel} <= radius rate while theta lies in the class
+        outside = sel.kind == "minimax" and not weighted_class.contains(theta, prior.means)
+        raise InfeasibleError(
+            f"lower bracket set is empty at eps={eps}: the squared bias {float(bias[-1])!r} at the "
+            f"{sel.kind} dimension {m_sel} exceeds the threshold {lo_threshold!r}; "
+            + ("the truth lies outside the class" if outside else "assumption constants are inconsistent")
+        )
     m_lo = int(lo_candidates[0]) + 1
     hi_threshold = 5.0 * report.l_lambda * inflate * rate / (eps * op.max_amplification(m_sel))
     m_hi = min(m_max, int(math.floor(hi_threshold + _LOG_TOL)))
@@ -449,48 +456,46 @@ def check_assumptions(
     l_lambda = _mean_constant(op)
     submult, witness = _submultiplicative(op)
 
-    bias = bias_profile(theta, prior)
+    # at each noise level, the oracle selection on the bias profile and,
+    # with a class, the minimax selection on the class weights
+    profiles = {"oracle": bias_profile(theta, prior)}
+    if weighted_class is not None:
+        profiles["minimax"] = weighted_class.weights
+    found: dict = {kind: [] for kind in profiles}  # (dimension, rate, balance) per noise level
     d = np.inf
-    max_dims, oracle_dims, oracle_rates, feasible = [], [], [], []
-    minimax_dims: list[int] = []
-    minimax_rates: list[float] = []
-    kappa_oracle = np.inf
-    kappa_minimax = np.inf
+    max_dims, feasible = [], []
     prefix = op._amp_prefix_sum
     for eps in (float(e) for e in eps_grid):
         m_max = max_dimension(op, eps)
         max_dims.append(m_max)
         d = min(d, _variance_floor(prior, op, eps, m_max))
-        sel = _select(bias, prefix, "oracle", eps)
-        oracle_dims.append(sel.dimension)
-        oracle_rates.append(sel.rate)
-        feasible.append(sel.dimension <= m_max)
-        vprox = eps * prefix[sel.dimension - 1]
-        kappa_oracle = min(kappa_oracle, min(bias[sel.dimension - 1], vprox) / sel.rate)
-        if weighted_class is not None:
-            mm = _select(weighted_class.weights, prefix, "minimax", eps)
-            minimax_dims.append(mm.dimension)
-            minimax_rates.append(mm.rate)
-            vprox = eps * prefix[mm.dimension - 1]
-            kappa_minimax = min(
-                kappa_minimax, min(weighted_class.weights[mm.dimension - 1], vprox) / mm.rate
-            )
+        for kind, profile in profiles.items():
+            sel = _select(profile, prefix, kind, eps)
+            vprox = eps * prefix[sel.dimension - 1]
+            found[kind].append((sel.dimension, sel.rate, min(profile[sel.dimension - 1], vprox) / sel.rate))
+        feasible.append(found["oracle"][-1][0] <= m_max)
 
-    has_class = weighted_class is not None
+    columns = {}  # per kind: its dimensions, its rates and its balance constant kappa
+    for kind, rows in found.items():
+        dims, rates, balances = zip(*rows)
+        columns[kind] = (np.asarray(dims, dtype=np.int64), np.asarray(rates, dtype=np.float64),
+                         float(min(np.inf, *balances, 1.0)))
+    oracle_dims, oracle_rates, kappa_oracle = columns["oracle"]
+    minimax_dims, minimax_rates, kappa_minimax = columns.get("minimax", (None, None, None))
     return AssumptionReport(
         d=float(d),
         c_lambda=c_lambda,
         l_lambda=l_lambda,
         submultiplicative=submult,
         submult_witness=witness,
-        kappa_oracle=float(min(kappa_oracle, 1.0)),
-        kappa_minimax=float(min(kappa_minimax, 1.0)) if has_class else None,
+        kappa_oracle=kappa_oracle,
+        kappa_minimax=kappa_minimax,
         eps_grid=_readonly(eps_grid),
         max_dims=np.asarray(max_dims, dtype=np.int64),
-        oracle_dims=np.asarray(oracle_dims, dtype=np.int64),
-        oracle_rates=np.asarray(oracle_rates, dtype=np.float64),
-        minimax_dims=np.asarray(minimax_dims, dtype=np.int64) if has_class else None,
-        minimax_rates=np.asarray(minimax_rates, dtype=np.float64) if has_class else None,
+        oracle_dims=oracle_dims,
+        oracle_rates=oracle_rates,
+        minimax_dims=minimax_dims,
+        minimax_rates=minimax_rates,
         feasible=np.asarray(feasible, dtype=bool),
         checked_range=n,
     )
@@ -513,94 +518,78 @@ def composite_constants(
 ) -> dict[str, float]:
     """Concentration/risk constants assembled from the reported quantities.
 
-    All are derived fields, never free parameters:
+    All are derived fields, never free parameters.  Each selection present
+    (the oracle always, the minimax with ``weighted_class``) is one row of
 
-    * ``oracle_sieve``        10 (1 + 1/d  v  |theta - mu|^2/d^2) L1,
-      with L1 the grid supremum of eps m* max-amp(m*) / rate*;
-    * ``minimax_sieve``       10 (1 + 1/d  v  r/d^2)(1 v r) L2 / kappa_mm,
-      with L2 the analogous supremum along the minimax dimension;
-    * ``oracle_hierarchical`` 10 (1 + 1/d  v  |theta - mu|^2/d^2) L^2
-      (8C(1 + 1/d)  v  D1 max-amp(D1)),  D1 = ceil(5L / kappa_or)
-      (threshold dimensions clamp to the sequence length, which is also
-      their limit when the balance constant vanishes);
-    * ``minimax_hierarchical``16 (1 + 1/d  v  r/d^2) L^2
-      (8C(1 + 1/d)  v  D2 max-amp(D2)) (1 v r),  D2 = ceil(5L / kappa_mm);
-    * ``oracle_adaptive_mise``    2L D1 max-amp(D1) + 16LC(1 + 1/d)
-      + 2 |theta - mu|^2 / d^2;
-    * ``minimax_adaptive_mise``   2L D3 max-amp(D3) + 16LC(1 + 1/d)(1 v r)
-      + 2 r / d^2,  D3 = ceil(5L (1 v r) / kappa_mm).
+        ======== ================ ============ ================ ======= ====
+        kind     norm N           factor F     balance kappa    divisor lead
+        ======== ================ ============ ================ ======= ====
+        oracle   |theta - mu|^2   1            kappa_oracle     1       10
+        minimax  radius r         max(1, r)    kappa_minimax    kappa   16
+        ======== ================ ============ ================ ======= ====
+
+    and gives three constants, with ``M = max(1 + 1/d, N/d^2)``:
+
+    * ``<kind>_sieve``          10 M F S / divisor, with S the grid supremum
+      of eps m max-amp(m) / rate along the kind's dimensions;
+    * ``<kind>_hierarchical``   lead M L^2 (8C(1 + 1/d)  v  D max-amp(D)) F,
+      D = ceil(5L / kappa);
+    * ``<kind>_adaptive_mise``  2L D' max-amp(D') + 16LC(1 + 1/d) F + 2N/d^2,
+      D' = ceil(5L F / kappa).
+
+    Threshold dimensions clamp to the sequence length, which is also their
+    value when the balance constant vanishes.  A factor or divisor of 1 is
+    exact, so the oracle constants are the formulas without them bit for
+    bit.  ``N/d^2`` is ``N/d/d`` once ``d^2`` is past the double range, and
+    0.0 at ``d = inf``.
 
     ``c_lambda`` defaults to the reported constant; pass the dimension-prior
     override when one is in force so every constant is assembled from the
     same C.
     """
     d = report.d
-    if d**2 == 0.0:
+    if min(d, 1.0) ** 2 == 0.0:
         raise OverflowError(f"1/d^2 is past the double range at the margin constant d={d}")
-    inv_d = 0.0 if math.isinf(d) else 1.0 / d
-    shift = shift_sq_norm(theta, prior)
-    shift_term = 0.0 if math.isinf(d) else shift / d**2
+    inv_d = 1.0 / d
     big_l = report.l_lambda
     big_c = report.c_lambda if c_lambda is None else c_lambda
-    eps = report.eps_grid
-
-    sup_oracle = float(
-        np.max(
-            [
-                e * m * op.max_amplification(int(m)) / rate
-                for e, m, rate in zip(eps, report.oracle_dims, report.oracle_rates)
-            ]
-        )
-    )
-    out: dict[str, float] = {}
-    out["oracle_sieve"] = 10.0 * max(1.0 + inv_d, shift_term) * sup_oracle
-
-    # zero oracle bias (theta == mu past the cut) sends the threshold to its clamp
-    kappa_or = report.kappa_oracle
-    d1 = op.n if kappa_or == 0.0 else _clamped_ceil(5.0 * big_l / kappa_or, op.n)
-    out["oracle_hierarchical"] = (
-        10.0
-        * max(1.0 + inv_d, shift_term)
-        * big_l**2
-        * max(8.0 * big_c * (1.0 + inv_d), d1 * op.max_amplification(d1))
-    )
-    out["oracle_adaptive_mise"] = (
-        2.0 * big_l * d1 * op.max_amplification(d1)
-        + 16.0 * big_l * big_c * (1.0 + inv_d)
-        + 2.0 * shift_term
-    )
-
+    rows = [("oracle", shift_sq_norm(theta, prior), 1.0, report.kappa_oracle, 1.0, 10.0,
+             report.oracle_dims, report.oracle_rates)]
     if weighted_class is not None:
-        r = weighted_class.radius
-        r_term = 0.0 if math.isinf(d) else r / d**2
-        r_or_one = max(1.0, r)
-        kappa_mm = report.kappa_minimax
-        sup_mm = float(
-            np.max(
-                [
-                    e * m * op.max_amplification(int(m)) / rate
-                    for e, m, rate in zip(eps, report.minimax_dims, report.minimax_rates)
-                ]
-            )
+        r, kappa = weighted_class.radius, report.kappa_minimax
+        rows.append(("minimax", r, max(1.0, r), kappa, kappa, 16.0, report.minimax_dims, report.minimax_rates))
+
+    out: dict[str, float] = {}
+    for kind, norm, factor, kappa, divisor, lead, dims, rates in rows:
+        norm_term = _over_d_sq(norm, d)
+        margin = max(1.0 + inv_d, norm_term)
+        sup = float(np.max([e * m * op.max_amplification(int(m)) / rate
+                            for e, m, rate in zip(report.eps_grid, dims, rates)]))
+        out[f"{kind}_sieve"] = 10.0 * margin * factor * sup / divisor
+        dim = _threshold_dimension(5.0 * big_l, kappa, op.n)
+        out[f"{kind}_hierarchical"] = (
+            lead * margin * big_l**2 * max(8.0 * big_c * (1.0 + inv_d), dim * op.max_amplification(dim)) * factor
         )
-        out["minimax_sieve"] = 10.0 * max(1.0 + inv_d, r_term) * r_or_one * sup_mm / kappa_mm
-        d2 = _clamped_ceil(5.0 * big_l / kappa_mm, op.n)
-        out["minimax_hierarchical"] = (
-            16.0
-            * max(1.0 + inv_d, r_term)
-            * big_l**2
-            * max(8.0 * big_c * (1.0 + inv_d), d2 * op.max_amplification(d2))
-            * r_or_one
-        )
-        d3 = _clamped_ceil(5.0 * big_l * r_or_one / kappa_mm, op.n)
-        out["minimax_adaptive_mise"] = (
-            2.0 * big_l * d3 * op.max_amplification(d3)
-            + 16.0 * big_l * big_c * (1.0 + inv_d) * r_or_one
-            + 2.0 * r_term
+        dim = _threshold_dimension(5.0 * big_l * factor, kappa, op.n)
+        out[f"{kind}_adaptive_mise"] = (
+            2.0 * big_l * dim * op.max_amplification(dim)
+            + 16.0 * big_l * big_c * (1.0 + inv_d) * factor
+            + 2.0 * norm_term
         )
     return out
 
 
-def _clamped_ceil(x: float, n: int) -> int:
-    # clamp before rounding: a vanishing balance constant can make x infinite
-    return max(1, int(math.ceil(min(x, n) - _LOG_TOL)))
+def _over_d_sq(x: float, d: float) -> float:
+    """``x / d**2``, or ``x / d / d`` where ``d**2`` is past the double range."""
+    try:
+        return x / d**2
+    except OverflowError:
+        return x / d / d
+
+
+def _threshold_dimension(x: float, kappa: float, n: int) -> int:
+    """``ceil(x / kappa)`` clamped to ``1..n``; ``n`` when ``kappa`` vanishes."""
+    if kappa == 0.0:
+        return n
+    # clamp before rounding: a tiny balance constant can make x / kappa infinite
+    return max(1, int(math.ceil(min(x / kappa, n) - _LOG_TOL)))

@@ -438,6 +438,57 @@ def test_infeasible_run_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
 
 
+# A truth outside its class: sum_j (theta_j - mu_j)^2 / w_j exceeds the
+# radius, and the squared bias at the minimax dimension, about 9.6, is past
+# the lower-bracket threshold, about 2.9.
+_OUTSIDE_THE_CLASS = {
+    "model": {"family": "polynomial", "decay": 0.5},
+    "truth": {"family": "polynomial", "exponent": 1.2},
+    "prior": {"kind": "gaussian", "variance": 1.0, "mean": 0.1},
+    "class": {"family": "polynomial", "exponent": 0.8, "radius": 2.5},
+    "eps_grid": [0.001], "seed": 1, "estimators": [],
+    "concentration": {"kinds": ["bracket_minimax"]},
+}
+
+
+def test_minimax_bracket_of_a_truth_outside_the_class_exits_3(tmp_path, capsys):
+    """The minimax lower bracket is empty when the truth lies outside the
+    class; ``run`` exits 3 with one line naming the squared bias, the
+    threshold, the noise level and the cause, and writes nothing."""
+    path, out = tmp_path / "outside.json", tmp_path / "out"
+    path.write_text(json.dumps(_OUTSIDE_THE_CLASS), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("run", "--config", path, "--out", out, "--quiet") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible configuration: lower bracket set is empty at eps=0.001: the squared bias ")
+    assert "at the minimax dimension 8 exceeds the threshold " in err
+    assert err.endswith("; the truth lies outside the class\n") and err.count("\n") == 1
+    bias, threshold = (float(err.split(word)[1].split()[0].rstrip(";")) for word in ("squared bias", "threshold"))
+    assert bias > threshold
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "prior", [{"kind": "gaussian", "variance": 1e160}, {"kind": "matched", "d": 1e160}], ids=["gaussian", "matched"]
+)
+@pytest.mark.parametrize("command", ["select", "run"])
+def test_a_margin_constant_squaring_past_the_double_range_runs(tmp_path, prior, command):
+    """A margin constant ``d`` near 1e160, whose square is past the double
+    range, exits 0 with finite composite constants: ``N/d^2`` is taken as
+    ``N/d/d`` there."""
+    raw = {**_SELECT_BASE, "model": {"family": "polynomial", "n": 50, "decay": 1.0}, "prior": prior,
+           "eps_grid": [0.05, 0.01], "mc": {"reps": 2, "draws": 5},
+           "estimators": ["oracle", "minimax", "adaptive"],
+           "concentration": {"kinds": ["sieve_oracle", "bracket_minimax"], "eps_grid": [0.05]}}
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert run_cli(command, "--config", path, "--out", out, "--quiet") == 0
+    report = json.loads((out / ("selection.json" if command == "select" else "report.json")).read_text())
+    assert 1e154 < report["constants"]["d"] < 1e161
+    composite = report["constants"]["composite"]
+    assert len(composite) == 6 and all(math.isfinite(v) for v in composite.values())
+
+
 @pytest.mark.parametrize(
     "truth, code",
     [

@@ -5,6 +5,7 @@ small problems: quadratic-time, no shared helpers, so a regression in the
 vectorised code cannot hide.
 """
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -374,7 +375,8 @@ def test_bracket_infeasible_when_selection_exceeds_range():
 
 
 def test_composite_constants_assembly():
-    """Recompute every composite from the report fields by hand."""
+    """Recompute every composite from the report fields by hand, in the
+    code's order of operations, so each is equal to the last bit."""
     n = 10**5
     op = make_operator("polynomial", n, decay=1.0)
     theta = make_parameters("polynomial", n, exponent=1.6, scale=0.4)
@@ -389,39 +391,27 @@ def test_composite_constants_assembly():
         e * m * op.max_amplification(int(m)) / r
         for e, m, r in zip(report.eps_grid, report.oracle_dims, report.oracle_rates)
     )
-    assert out["oracle_sieve"] == pytest.approx(10.0 * sup_or, rel=1e-12)
+    assert out["oracle_sieve"] == 10.0 * sup_or
 
     d1 = math.ceil(5.0 * L / report.kappa_oracle)
-    assert out["oracle_hierarchical"] == pytest.approx(
-        10.0 * L**2 * max(8.0 * C, d1 * op.max_amplification(d1)), rel=1e-12
-    )
-    assert out["oracle_adaptive_mise"] == pytest.approx(
-        2.0 * L * d1 * op.max_amplification(d1) + 16.0 * L * C, rel=1e-12
-    )
+    assert out["oracle_hierarchical"] == 10.0 * L**2 * max(8.0 * C, d1 * op.max_amplification(d1))
+    assert out["oracle_adaptive_mise"] == 2.0 * L * d1 * op.max_amplification(d1) + 16.0 * L * C
 
     r = 2.0
     sup_mm = max(
         e * m * op.max_amplification(int(m)) / rate
         for e, m, rate in zip(report.eps_grid, report.minimax_dims, report.minimax_rates)
     )
-    assert out["minimax_sieve"] == pytest.approx(
-        10.0 * r * sup_mm / report.kappa_minimax, rel=1e-12
-    )
+    assert out["minimax_sieve"] == 10.0 * r * sup_mm / report.kappa_minimax
     d2 = math.ceil(5.0 * L / report.kappa_minimax)
-    assert out["minimax_hierarchical"] == pytest.approx(
-        16.0 * L**2 * max(8.0 * C, d2 * op.max_amplification(d2)) * r, rel=1e-12
-    )
+    assert out["minimax_hierarchical"] == 16.0 * L**2 * max(8.0 * C, d2 * op.max_amplification(d2)) * r
     d3 = math.ceil(5.0 * L * r / report.kappa_minimax)
-    assert out["minimax_adaptive_mise"] == pytest.approx(
-        2.0 * L * d3 * op.max_amplification(d3) + 16.0 * L * C * r, rel=1e-12
-    )
+    assert out["minimax_adaptive_mise"] == 2.0 * L * d3 * op.max_amplification(d3) + 16.0 * L * C * r
 
     # overriding the dimension-prior constant rescales only the C entries
     out2 = composite_constants(report, theta, prior, op, weighted_class=w, c_lambda=3.0)
     assert out2["oracle_sieve"] == out["oracle_sieve"]
-    assert out2["oracle_adaptive_mise"] == pytest.approx(
-        2.0 * L * d1 * op.max_amplification(d1) + 16.0 * L * 3.0, rel=1e-12
-    )
+    assert out2["oracle_adaptive_mise"] == 2.0 * L * d1 * op.max_amplification(d1) + 16.0 * L * 3.0
 
 
 def test_matched_prior_zero_balance_saturates_threshold():
@@ -448,6 +438,159 @@ def test_matched_prior_zero_balance_saturates_threshold():
         assert out["oracle_sieve"] == pytest.approx(10.0, rel=1e-12)
         assert out["oracle_hierarchical"] == pytest.approx(80.0, rel=1e-12)
         assert out["oracle_adaptive_mise"] == pytest.approx(24.0, rel=1e-12)
+
+
+def _reference_constants(report, theta, prior, op, weighted_class=None, c_lambda=None):
+    """The composite constants written out one branch per selection, oracle
+    then minimax, each constant a formula of its own: the reference
+    ``composite_constants`` is held to bit for bit."""
+
+    def clamped_ceil(x, n):
+        return max(1, int(math.ceil(min(x, n) - _LOG_TOL)))
+
+    d = report.d
+    if d**2 == 0.0:
+        raise OverflowError(f"1/d^2 is past the double range at the margin constant d={d}")
+    inv_d = 0.0 if math.isinf(d) else 1.0 / d
+    shift = shift_sq_norm(theta, prior)
+    shift_term = 0.0 if math.isinf(d) else shift / d**2
+    big_l = report.l_lambda
+    big_c = report.c_lambda if c_lambda is None else c_lambda
+    eps = report.eps_grid
+
+    sup_oracle = float(
+        np.max(
+            [
+                e * m * op.max_amplification(int(m)) / rate
+                for e, m, rate in zip(eps, report.oracle_dims, report.oracle_rates)
+            ]
+        )
+    )
+    out = {}
+    out["oracle_sieve"] = 10.0 * max(1.0 + inv_d, shift_term) * sup_oracle
+    kappa_or = report.kappa_oracle
+    d1 = op.n if kappa_or == 0.0 else clamped_ceil(5.0 * big_l / kappa_or, op.n)
+    out["oracle_hierarchical"] = (
+        10.0
+        * max(1.0 + inv_d, shift_term)
+        * big_l**2
+        * max(8.0 * big_c * (1.0 + inv_d), d1 * op.max_amplification(d1))
+    )
+    out["oracle_adaptive_mise"] = (
+        2.0 * big_l * d1 * op.max_amplification(d1)
+        + 16.0 * big_l * big_c * (1.0 + inv_d)
+        + 2.0 * shift_term
+    )
+    if weighted_class is not None:
+        r = weighted_class.radius
+        r_term = 0.0 if math.isinf(d) else r / d**2
+        r_or_one = max(1.0, r)
+        kappa_mm = report.kappa_minimax
+        sup_mm = float(
+            np.max(
+                [
+                    e * m * op.max_amplification(int(m)) / rate
+                    for e, m, rate in zip(eps, report.minimax_dims, report.minimax_rates)
+                ]
+            )
+        )
+        out["minimax_sieve"] = 10.0 * max(1.0 + inv_d, r_term) * r_or_one * sup_mm / kappa_mm
+        d2 = clamped_ceil(5.0 * big_l / kappa_mm, op.n)
+        out["minimax_hierarchical"] = (
+            16.0
+            * max(1.0 + inv_d, r_term)
+            * big_l**2
+            * max(8.0 * big_c * (1.0 + inv_d), d2 * op.max_amplification(d2))
+            * r_or_one
+        )
+        d3 = clamped_ceil(5.0 * big_l * r_or_one / kappa_mm, op.n)
+        out["minimax_adaptive_mise"] = (
+            2.0 * big_l * d3 * op.max_amplification(d3)
+            + 16.0 * big_l * big_c * (1.0 + inv_d) * r_or_one
+            + 2.0 * r_term
+        )
+    return out
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda u: 10.0**u)
+
+
+@st.composite
+def composite_problems(draw):
+    """A small problem of every family, prior and class kind, its assumption
+    report with the margin constant ``d`` optionally replaced (finite, past
+    the range where ``d**2`` is finite, or infinite) and the oracle balance
+    optionally zero, and a dimension-prior override or none."""
+    n = draw(st.integers(1, 40))
+    family = draw(st.sampled_from(["polynomial", "exponential", "constant"]))
+    decay = {"polynomial": st.floats(0.1, 1.0), "exponential": st.floats(0.1, 0.5), "constant": st.none()}[family]
+    op = make_operator(family, n, decay=draw(decay))  # e^{1 - 40^{2 decay}} stays above the double range's floor
+    theta = make_parameters(draw(st.sampled_from(["polynomial", "exponential"])), n,
+                            exponent=draw(st.floats(0.6, 2.0)), scale=draw(_log_uniform(-3.0, 1.0)))
+    prior_kind = draw(st.sampled_from(["flat", "gaussian", "mixed"]))
+    if prior_kind == "flat":
+        prior = PriorSpec.flat(n)
+    else:
+        means = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+        variances = np.array(draw(st.lists(_log_uniform(-4.0, 4.0), min_size=n, max_size=n)))
+        if prior_kind == "gaussian":
+            prior = PriorSpec.gaussian(means, variances)
+        else:
+            improper = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+            prior = PriorSpec.mixed(np.where(improper, 0.0, means), variances, improper)
+    wclass = None
+    if draw(st.booleans()):
+        wclass = make_weights(draw(st.sampled_from(["polynomial", "exponential"])), n,
+                              exponent=draw(st.floats(0.1, 0.5)), radius=draw(st.floats(0.0, 10.0)))
+    grid = draw(st.lists(st.floats(1e-4, 0.5), min_size=1, max_size=3, unique=True))
+    report = check_assumptions(theta, prior, op, grid, weighted_class=wclass)
+    d = draw(st.sampled_from(["report", "finite", "inf"]))
+    if d != "report":
+        report = dataclasses.replace(report, d=math.inf if d == "inf" else draw(_log_uniform(-170.0, 170.0)))
+    if draw(st.booleans()):
+        report = dataclasses.replace(report, kappa_oracle=0.0)
+    c_lambda = draw(st.none() | st.floats(1.0, 100.0))
+    return report, theta, prior, op, wclass, c_lambda
+
+
+def _large_margin_problem():
+    """A Gaussian prior of variance 1e160, whose margin constant d squares
+    past the double range, with a class."""
+    n = 50
+    op = make_operator("polynomial", n, decay=1.0)
+    theta = make_parameters("polynomial", n, exponent=1.6, scale=0.4)
+    prior = PriorSpec.gaussian(np.zeros(n), np.full(n, 1e160))
+    wclass = make_weights("polynomial", n, exponent=1.0, radius=2.0)
+    return check_assumptions(theta, prior, op, (1e-2,), weighted_class=wclass), theta, prior, op, wclass, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=composite_problems())
+@example(problem=_large_margin_problem())
+def test_composite_constants_equal_the_two_branch_formulas(problem):
+    """``composite_constants`` gives every key of the reference, in its
+    order, equal with ``==``: the factors and divisors of 1 in the oracle row
+    change no bit.  Where ``d**2`` is past the double range the reference
+    raises; there ``1/d`` and ``N/d/d`` vanish next to 1, so the constants
+    are the reference's at ``d = inf``, bit for bit."""
+    report, theta, prior, op, wclass, c_lambda = problem
+
+    def constants(formulas, report):
+        return formulas(report, theta, prior, op, weighted_class=wclass, c_lambda=c_lambda)
+
+    try:
+        want = constants(_reference_constants, report)
+    except OverflowError as err:
+        if "Numerical result out of range" in str(err):  # the reference's d**2
+            want = constants(_reference_constants, dataclasses.replace(report, d=math.inf))
+        else:
+            with pytest.raises(OverflowError):
+                constants(composite_constants, report)
+            return
+    got = constants(composite_constants, report)
+    assert list(got) == list(want)
+    assert got == want
 
 
 def test_shift_norm_includes_tail():
