@@ -71,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .posterior import PosteriorSummary, PriorSpec, _check_means, log_variance_ratio
+from .posterior import PosteriorSummary, PriorSpec, _check_means, _sieve_block, log_variance_ratio
 from .rng import HIERARCHY_DRAW, stream
 from .selection import max_dimension
 from .sequences import _PAIRWISE_LEAF, OperatorSequence, _half, _readonly, _sq_err, _sq_err_sum
@@ -570,23 +570,50 @@ def _draw_hierarchical(
     """``(dims, block)``: dimensions drawn from the dimension posterior
     ``probs``, zero past its first ``head`` entries, and the first
     ``max(dims)`` columns of the draws, prior means past each draw's
-    dimension, all from the hierarchical-draw stream ``rng``.
-
-    Only the head's CDF is formed: ``cumsum`` adds in order, so it is the
-    full CDF's prefix bit for bit, and a ``u`` at or above its last value
-    lands past the head, at the last dimension, as on the full CDF."""
+    dimension, all from the hierarchical-draw stream ``rng``: one row of what
+    the Monte Carlo kernel draws a chunk at a time, through the same steps
+    (``_draw_dimensions``, ``posterior._sieve_block``,
+    ``_fill_past_dimensions``)."""
     if n_draws < 1:
         raise ValueError("need at least one draw")
-    m_top = probs.size
-    cdf = np.cumsum(probs[:head])
-    u = rng.random(n_draws)
-    found = np.searchsorted(cdf, u, side="right")
-    dims = np.where(found == head, m_top, found + 1)
-    width = int(dims.max())
-    z = rng.standard_normal((n_draws, width))
-    gauss = post_mean[:width] + post_sd[:width] * z
-    keep = np.arange(1, width + 1) <= dims[:, None]
-    return dims, np.where(keep, gauss, means[:width])
+    found = np.empty((1, n_draws), dtype=np.intp)
+    width = _draw_dimensions(np.cumsum(probs[:head]), probs.size, rng, found[0])
+    dims = _dimensions(found, head, probs.size)
+    block = rng.standard_normal((1, n_draws, width))
+    lanes = _sieve_block(post_mean[None], post_sd, block.transpose(0, 2, 1))
+    _fill_past_dimensions(lanes, dims, means)
+    return dims[0], block[0]
+
+
+def _draw_dimensions(cdf: np.ndarray, m_top: int, rng: np.random.Generator, found: np.ndarray) -> int:
+    """A row's first step of hierarchical draws: ``found.size`` uniforms
+    from ``rng``, their ``searchsorted`` indices on the CDF ``cdf`` of the
+    head of the masses written into ``found``, and the width of the row's
+    draws, ``max(dims)``, returned.  Only the head's CDF is formed:
+    ``cumsum`` adds in order, so it is the full CDF's prefix bit for bit,
+    and a ``u`` at or above its last value lands past the head, at the last
+    dimension ``m_top``, as on the full CDF."""
+    found[:] = cdf.searchsorted(rng.random(found.size), side="right")
+    top = int(found.max())
+    return m_top if top == cdf.size else top + 1
+
+
+def _dimensions(found: np.ndarray, head: int, m_top: int) -> np.ndarray:
+    """The 1-indexed dimensions of ``searchsorted`` indices ``found`` on a
+    CDF of ``head`` entries (see ``_draw_dimensions``)."""
+    return np.where(found == head, m_top, found + 1)
+
+
+def _fill_past_dimensions(lanes: np.ndarray, dims: np.ndarray, fill: np.ndarray) -> np.ndarray:
+    """Set every coordinate ``j`` of the draws ``lanes`` past its draw's
+    dimension to ``fill[j]`` (or, for a ``(rows, width)`` fill, row ``i``'s
+    ``fill[i, j]``), in place: ``lanes`` is coordinate-major, ``(rows,
+    width, draws)`` (see ``posterior._sieve_block``), and ``dims`` is
+    ``(rows, draws)``.  The sampler fills the prior means; the Monte Carlo
+    kernel, after squaring, their squared errors."""
+    width = lanes.shape[1]
+    np.copyto(lanes, fill[..., :width, None], where=np.arange(width)[:, None] >= dims[:, None, :])
+    return lanes
 
 
 def _check_c(c_lambda: float) -> None:

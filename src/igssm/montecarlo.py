@@ -23,27 +23,30 @@ keeps one number, the squared bias carried there.  Up to the cut it holds
 views of theta and the prior means, and the arrays that differ per
 coordinate, cut long: the signal, unless every ``lambda_j`` is one (then
 it is theta itself, as ``1.0 * x`` is ``x``); the posterior variances,
-unless they are constant (then one scalar, in the sampling tasks too);
-and the parts of the posterior-mean map that are not the identity.  The
-dimension posterior's penalty ``1.5 C m`` is formed for the slice a pass
-reads, and the prior mean's squared error past the mass end is summed
-piecewise (``sequences._sq_err_sum``), never built whole.  On the direct
-model under the flat prior a task on the dimension posterior so holds no
-array of its cut's length of its own; the work arrays of its blocks (see
-below) are all it allocates at that length.
+unless they are constant (then one scalar, in the sampling tasks too,
+read from the operator and the prior without building the array where
+every coordinate has the same inputs, as under the flat prior on the
+direct model); and the parts of the posterior-mean map that are not the
+identity.  The dimension posterior's penalty ``1.5 C m`` is formed for
+the slice a pass reads, and the prior mean's squared error past the mass
+end is summed piecewise (``sequences._sq_err_sum``), never built whole.
+On the direct model under the flat prior a task so builds no array of its
+cut's length; the work arrays of its blocks (see below) are all it
+allocates at that length.
 
 Replications run as the rows of a chunk, ``max(1, _ROW_ELEMENTS // cut)``
-of them, in two arrays allocated once per block of replications: the
-posterior means and one work array, which holds the log-weights and then
-the masses.  Each row draws its noise from its own replication's stream
-(``rng.streams`` resets one generator to each in turn); the noise scale,
-the signal, the posterior-mean map and the posterior step are then applied
-to the whole chunk.  The posterior step checks a sieve's posterior means,
-or turns them into the dimension posterior's masses
-(``hierarchy._masses``).  The statistic receives the posterior means, the
-masses and the end of what it scores (the cut, or the rows' largest mass
-end), and computes its ``k`` values per row in one set of numpy calls: a
-float64 ``(rows, k)`` array.
+of them (fewer on a pass that samples the posterior, see
+``_Task.drawing``), in two arrays allocated once per block of
+replications: the posterior means and one work array, which holds the
+log-weights and then the masses.  Each row draws its noise from its own
+replication's stream (``rng.streams`` resets one generator to each in
+turn); the noise scale, the signal, the posterior-mean map and the
+posterior step are then applied to the whole chunk.  The posterior step
+checks a sieve's posterior means, or turns them into the dimension
+posterior's masses (``hierarchy._masses``).  The statistic receives the
+posterior means, the masses and the end of what it scores (the cut, or
+the rows' largest mass end), and computes its ``k`` values per row in one
+set of numpy calls: a float64 ``(rows, k)`` array.
 Every row is bit for bit what it would be alone (see
 :mod:`igssm.hierarchy` for the dimension posterior's rows), so results do
 not depend on how replications are chunked.  A cut of ``_ROW_ELEMENTS``
@@ -85,22 +88,34 @@ range in the head first); sieve tasks check them on every chunk.
 
 In the kernel, Python loops run only over streams: each step of a chunk,
 from the noise scale to the masses, is one numpy call on all its rows, and
-a loop over rows is a loop over the generators they draw from.  A block
-opens one range of observation streams, whose keys ``rng.streams``
-derives as arrays, and each chunk takes its rows' generators from it; the
-posterior draws of a chunk open one range.
+a loop over rows is a loop over the generators they draw from.  So it is
+for the posterior draws: a row draws its dimensions and then one block of
+standard normals from its own stream, and the draws, the prior means past
+their dimensions, the squared distances, their sums and each band's count
+run on all the rows the draw budget gathers (below).  A block opens one
+range of observation streams, whose keys ``rng.streams`` derives as
+arrays, and each chunk takes its rows' generators from it; the posterior
+draws of a chunk open one range.
 
 Squared distances between a draw and the truth are always split into the
 simulated range plus the deterministic remainder (stored coordinates
 beyond the fit plus the analytic family tail), so a truncated simulation
 never silently drops bias mass.
-Posterior draws are never padded here: sieve draws span exactly the cut,
-hierarchical draws are scored on their first ``max(dims)`` columns, and
+Each draw is scored on exactly its replication's width: sieve draws span
+the cut, hierarchical draws their row's first ``max(dims)`` columns, and
 the prior-mean coordinates past those enter as one deterministic sum,
 memoised per width.  The hierarchical sampler forms the CDF of the masses
-only up to the mass end.  A pass scores each replication's draws against
-every band before the next replication draws, so it never holds more
-than one replication's distances.
+only up to the mass end.  A chunk's draws are sampled and scored in pieces
+of at most ``_ROW_ELEMENTS`` draw coordinates, or of one draw where a
+draw is wider (``_draw_distances``), and each band counts its draws piece
+by piece, so no draw array passes that budget and a pass holds one
+piece's distances at a time.  The rows of a piece are laid out
+coordinate-major, the draws innermost and each row on its own columns
+with zeros past them, so every step runs along the draws, not along a few
+columns; each draw's distance is still numpy's sum over its own row's
+columns alone (``sequences._leaf_sums`` rebuilds that order for up to
+``_PAIRWISE_LEAF`` columns; a wider row is scored alone, as drawn).  A band's mass is its count over the draws, which is
+``np.mean`` of the booleans bit for bit.
 """
 
 from __future__ import annotations
@@ -108,6 +123,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -118,7 +134,9 @@ from .config import ConfigError
 from .hierarchy import (
     _CHUNK,
     _check_bracket,
-    _draw_hierarchical,
+    _dimensions,
+    _draw_dimensions,
+    _fill_past_dimensions,
     _masses,
     _outside_mass,
     _pairwise_sum,
@@ -131,6 +149,8 @@ from .posterior import (
     PriorSpec,
     _check_means,
     _check_variances,
+    _constant,
+    _constant_variance,
     _mean_map,
     _MeanMap,
     _posterior_mean,
@@ -139,7 +159,15 @@ from .posterior import (
 )
 from .rng import AUDIT_DRAW, HIERARCHY_DRAW, OBSERVATION, SIEVE_DRAW, SUITE_GEN, stream, streams
 from .selection import bias_profile, max_dimension, risk_decomposition
-from .sequences import OperatorSequence, ParameterSequence, _observe, _readonly, _sq_err_sum
+from .sequences import (
+    _PAIRWISE_LEAF,
+    OperatorSequence,
+    ParameterSequence,
+    _leaf_sums,
+    _observe,
+    _readonly,
+    _sq_err_sum,
+)
 
 __all__ = [
     "TailBoundConfig",
@@ -421,8 +449,9 @@ class _Task(NamedTuple):
     everything that does not depend on the data: the squared bias carried
     past the cut, the signal ``lambda_j theta_j``, the noise scale
     ``sqrt(eps)``, the posterior variances (a scalar when constant), the
-    map to posterior means and, on the dimension posterior, its log-weight
-    terms (None on a sieve)."""
+    map to posterior means, on the dimension posterior its log-weight
+    terms (None on a sieve), and the elements a replication takes in its
+    chunk's largest array (see ``_rows``)."""
 
     theta: np.ndarray
     means: np.ndarray
@@ -432,6 +461,16 @@ class _Task(NamedTuple):
     post_var: np.ndarray | float
     mean_map: _MeanMap
     terms: _Terms | None
+    row_size: int
+
+    def drawing(self, draws: int) -> "_Task":
+        """This task for a statistic that scores ``draws`` posterior draws
+        per replication.  On a sieve every draw spans the cut, so a
+        replication takes ``draws`` times the cut in its chunk; on the
+        dimension posterior a draw's width is not known in advance but is at
+        least one, and ``_draw_distances`` splits the draws to its budget."""
+        cut = self.theta.size
+        return self._replace(row_size=cut * draws if self.terms is None else max(cut, draws))
 
 
 def _task(theta, prior, op, eps, m=None, c_lambda=None) -> _Task:
@@ -443,19 +482,21 @@ def _task(theta, prior, op, eps, m=None, c_lambda=None) -> _Task:
     cut = max_dimension(op, eps) if m is None else int(m)
     remainder = _sq_err_sum(theta.values, prior.means, cut, theta.n - cut) + theta.sq_tail()
     th, pr, o = theta.head(cut), prior.head(cut), op.head(cut)
-    post_var = posterior_variances(pr, o, eps)
+    post_var = _constant_variance(pr, o, eps)
+    if post_var is None:
+        post_var = _scalar_if_constant(posterior_variances(pr, o, eps))
     _check_variances(post_var)
-    post_var = _scalar_if_constant(post_var)
     mean_map = _mean_map(pr, o, eps)
     terms = _terms(pr.means, post_var, c_lambda) if m is None else None
     # 1.0 * x is x: with every lambda_j = 1 the signal is theta itself
-    signal = th.values if np.all(o.values == 1.0) else o.values * th.values
-    return _Task(th.values, pr.means, remainder, signal, math.sqrt(eps), post_var, mean_map, terms)
+    signal = th.values if _constant(o.values) and o.values[0] == 1.0 else o.values * th.values
+    return _Task(th.values, pr.means, remainder, signal, math.sqrt(eps), post_var, mean_map, terms, cut)
 
 
 def _rows(task: _Task) -> int:
-    """Replications per chunk of ``task``."""
-    return max(1, _ROW_ELEMENTS // task.theta.size)
+    """Replications per chunk of ``task``, whose arrays so hold at most
+    ``_ROW_ELEMENTS`` each, or one replication."""
+    return max(1, _ROW_ELEMENTS // task.row_size)
 
 
 def _block(task: _Task, seed: int, statistic, start: int, stop: int):
@@ -502,28 +543,108 @@ def _replications(task: _Task, reps: int, seed: int, statistic) -> np.ndarray:
     return np.concatenate([chunk for part in parts for chunk in part])
 
 
-def _draw_distances(task: _Task, post_sd, draws: int, seed: int, r0: int, post_mean, probs, end: int, past: dict):
-    """For each row ``i`` of ``post_mean``, the squared distances to the
-    truth of ``draws`` draws from replication ``r0 + i``'s own stream: from
-    the sieve posterior, or on the dimension posterior from the hierarchical
-    one with masses ``probs[i]``, zero past ``end``; ``post_sd =
-    sqrt(task.post_var)``.  Only the columns the sampler drew are built
-    (``m``, or ``max(dims)``); the prior-mean coordinates past them up to
-    the cut add one sum, with the remainder, memoised per width in ``past``
-    for the task.  A scalar ``post_sd`` stands for every coordinate."""
+def _draw_distances(
+    task: _Task, post_sd, draws: int, seed: int, r0: int, post_mean, probs, end: int, past: dict, scratch
+):
+    """Yield ``(rows, sq)`` until every draw of every row of ``post_mean``
+    is scored: ``rows`` a slice or index array of its rows, ``sq[k]`` the
+    squared distances to the truth of draws of row ``i = rows[k]`` from
+    replication ``r0 + i``'s own stream; on the dimension posterior with
+    masses ``probs[i]``, zero past ``end``.  ``post_sd`` is
+    ``sqrt(task.post_var)``, an array or a scalar.
+
+    A row only draws, in the public samplers' order: its dimensions
+    (``_draw_dimensions``), then one block of normals of its width.  The
+    rows gathered within ``_ROW_ELEMENTS`` are then scored together
+    (``score``), coordinate-major where they are at most
+    ``_PAIRWISE_LEAF`` wide (``gather``); a wider row is scored alone, as
+    drawn, and a row whose draws pass the budget in pieces (see the module
+    docstring).  The prior-mean coordinates past a row's width add one
+    sum, with the remainder, memoised per width in ``past``.  The large
+    arrays live in the calling thread's buffers in ``scratch`` (see
+    ``_buffer``)."""
+    n_rows, cut = post_mean.shape
     sieve = task.terms is None
     truth = task.theta
     post_sd = np.broadcast_to(post_sd, truth.shape)  # a view, whatever its form
-    domain = SIEVE_DRAW if sieve else HIERARCHY_DRAW
-    for i, rng in enumerate(streams(seed, domain, r0, r0 + len(post_mean))):
-        if sieve:
-            block = _sieve_block(post_mean[i], post_sd, draws, rng)
-        else:
-            _, block = _draw_hierarchical(probs[i], end, post_mean[i], post_sd, task.means, draws, rng)
-        width = block.shape[1]
-        if width not in past:
-            past[width] = _sq_err_sum(task.means, truth, width, truth.size - width) + task.remainder
-        yield np.sum((block - truth[:width]) ** 2, axis=1) + past[width]
+    widths = np.full(n_rows, cut)
+    if not sieve:  # each row's cumsum bit for bit
+        cdf = np.cumsum(probs[:, :end], axis=1, out=_buffer(scratch, "cdf", (n_rows, end)))
+        found = _buffer(scratch, "found", (n_rows, draws), np.intp)
+    budget = _ROW_ELEMENTS
+    normals = _buffer(scratch, "normals", (max(min(budget, n_rows * draws * cut), cut),))
+
+    def score(rows, lanes, d0, d1):
+        """``(rows, sq)``: the squared distances of draws ``d0 .. d1 - 1``
+        of ``rows``, whose normals ``lanes`` holds, as drawn or as
+        ``gather`` laid them out."""
+        own, width = widths[rows], lanes.shape[1]
+        _sieve_block(post_mean[rows, :width], post_sd, lanes)
+        np.subtract(lanes, truth[:width, None], out=lanes)
+        np.square(lanes, out=lanes)
+        if not sieve:  # past a draw's dimension, the prior mean's squared error; zero past its row
+            prior_sq = np.where(np.arange(width) < own[:, None], np.square(task.means[:width] - truth[:width]), 0.0)
+            _fill_past_dimensions(lanes, _dimensions(found[rows, d0:d1], end, cut), prior_sq)
+        sq = _leaf_sums(lanes, own) if width <= _PAIRWISE_LEAF else np.sum(lanes.transpose(0, 2, 1), axis=2)
+        for w in own.tolist():
+            if w not in past:
+                past[w] = _sq_err_sum(task.means, truth, w, truth.size - w) + task.remainder
+        sq += np.array([past[w] for w in own.tolist()])[:, None]
+        return rows, sq
+
+    def gather(i0, i1, width):
+        """``(rows, lanes)``: rows ``i0 .. i1 - 1``, every draw,
+        coordinate-major, in order of width, each on its own columns with
+        zeros past them."""
+        own = widths[i0:i1]
+        lanes = _buffer(scratch, "lanes", (i1 - i0, width, draws))
+        if own.min() == width:
+            lanes[...] = normals[: lanes.size].reshape(i1 - i0, draws, width).transpose(0, 2, 1)
+            return slice(i0, i1), lanes
+        order = np.argsort(own, kind="stable")
+        starts = (np.cumsum(own) - own) * draws
+        for row, k in zip(lanes, order.tolist()):
+            w = int(own[k])
+            row[:w] = normals[starts[k] : starts[k] + draws * w].reshape(draws, w).T
+            row[w:] = 0.0
+        return i0 + order, lanes
+
+    first = used = top = 0  # the gathered rows, their normals and their widest width
+    for i, rng in enumerate(streams(seed, SIEVE_DRAW if sieve else HIERARCHY_DRAW, r0, r0 + n_rows)):
+        if not sieve:
+            widths[i] = _draw_dimensions(cdf[i], cut, rng, found[i])
+        width = int(widths[i])
+        alone = width > _PAIRWISE_LEAF or draws * width > budget
+        if i > first and (alone or (i - first + 1) * draws * max(top, width) > budget):
+            yield score(*gather(first, i, top), 0, draws)
+            first, used, top = i, 0, 0
+        if not alone:
+            rng.standard_normal(out=normals[used : used + draws * width])
+            used, top = used + draws * width, max(top, width)
+            continue
+        step = max(1, budget // width)
+        for d0 in range(0, draws, step):
+            d1 = min(draws, d0 + step)
+            drawn = normals[: (d1 - d0) * width].reshape(1, d1 - d0, width)
+            rng.standard_normal(out=drawn)
+            yield score(slice(i, i + 1), drawn.transpose(0, 2, 1), d0, d1)
+        first = i + 1
+    if first < n_rows:
+        yield score(*gather(first, n_rows, top), 0, draws)
+
+
+def _buffer(scratch, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """An array of ``shape`` over the calling thread's buffer ``name`` in
+    ``scratch``, a ``threading.local``, grown when it is too small.  The
+    chunks a thread scores reuse its buffers: the allocator hands arrays of
+    hundreds of KiB back to the system when they are freed, so fresh ones
+    per chunk are mapped and faulted in anew each time."""
+    size = math.prod(shape)
+    buf = getattr(scratch, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype)
+        setattr(scratch, name, buf)
+    return buf[:size].reshape(shape)
 
 
 def mc_mise(
@@ -650,18 +771,23 @@ def _concentration(
     if edges and draws < 1:
         raise ValueError("need at least one draw")
     task = _task(theta, prior, op, eps, m, c_lambda)
+    if edges:
+        task = task.drawing(draws)
     for m_lo, m_hi in brackets:
         _check_bracket(m_lo, m_hi, task.theta.size)
     post_sd = np.sqrt(task.post_var)
     past = {}  # the distances' deterministic sum per width, shared by all chunks
+    scratch = threading.local()  # each thread's draw buffers
 
     def masses(r0, post_mean, probs, end):
         probs[:, end:] = 0.0  # the masses past the mass end
         out = np.empty((len(post_mean), len(edges) + len(brackets)))
         if edges:
-            distances = _draw_distances(task, post_sd, draws, seed, r0, post_mean, probs, end, past)
-            for row, sq in zip(out, distances):
-                row[: len(edges)] = [np.mean((sq >= lo) & (sq <= hi)) for lo, hi in edges]
+            counts = np.zeros((len(post_mean), len(edges)), dtype=np.intp)
+            for rows, sq in _draw_distances(task, post_sd, draws, seed, r0, post_mean, probs, end, past, scratch):
+                for k, (lo, hi) in enumerate(edges):
+                    counts[rows, k] += np.count_nonzero((sq >= lo) & (sq <= hi), axis=1)
+            np.divide(counts, draws, out=out[:, : len(edges)])  # np.mean of the booleans, bit for bit
         for k, (m_lo, m_hi) in enumerate(brackets, len(edges)):
             out[:, k] = _outside_mass(probs, m_lo, m_hi)
         return out
@@ -716,13 +842,16 @@ def mc_sieve_deviation(
     hi = risk.bias + 3.0 * risk.post_var_sum + 1.5 * m * risk.post_var_max + 4.0 * risk.shift
     lo = risk.bias + risk.post_var_sum - 4.0 * c * (m * risk.post_var_max + risk.shift)
 
-    task = _task(theta, prior, op, eps, m)
+    task = _task(theta, prior, op, eps, m).drawing(draws)
     post_sd = np.sqrt(task.post_var)
-    past = {}
+    past, scratch = {}, threading.local()
 
     def deviations(r0, post_mean, work, end):
-        distances = _draw_distances(task, post_sd, draws, seed, r0, post_mean, None, end, past)
-        return np.array([(np.mean(sq > hi), np.mean(sq < lo)) for sq in distances])
+        counts = np.zeros((len(post_mean), 2), dtype=np.intp)
+        for rows, sq in _draw_distances(task, post_sd, draws, seed, r0, post_mean, None, end, past, scratch):
+            counts[rows, 0] += np.count_nonzero(sq > hi, axis=1)
+            counts[rows, 1] += np.count_nonzero(sq < lo, axis=1)
+        return counts / draws
 
     upper, lower = _mc_summary(_replications(task, reps, seed, deviations), seed)
     upper_bound = 2.0 * math.exp(-m / 36.0)

@@ -174,6 +174,28 @@ def posterior_variances(prior: PriorSpec, op: OperatorSequence, eps: float) -> n
     return out
 
 
+def _constant_variance(prior: PriorSpec, op: OperatorSequence, eps: float) -> float | None:
+    """The posterior variance when every coordinate has the same inputs to
+    its formula, else None: every coordinate improper under a constant
+    ``log(lambda_j^2)``, or every coordinate proper with one prior variance
+    under a constant ``lambda_j``.  Read from reductions, so no array of
+    the prior's length is built; it is ``posterior_variances`` of the first
+    coordinate, so equal bit for bit to every entry of the whole array."""
+    if prior.n != op.n:
+        raise ValueError(f"prior length {prior.n} != operator length {op.n}")
+    if np.all(prior.improper):
+        same = op.log_sq.min() == op.log_sq.max()
+    else:
+        same = not np.any(prior.improper) and _constant(prior.variances) and _constant(op.values)
+    return float(posterior_variances(prior.head(1), op.head(1), eps)[0]) if same else None
+
+
+def _constant(a: np.ndarray) -> bool:
+    """Whether every entry of the NaN-free ``a`` is the same, without a
+    temporary of its length."""
+    return bool(a.min() == a.max())
+
+
 class _MeanMap(NamedTuple):
     """The data-independent part of the posterior mean:
     ``post_mean = (gain * y + offset) / scale`` coordinatewise.
@@ -205,7 +227,7 @@ def _mean_map(prior: PriorSpec, op: OperatorSequence, eps: float) -> _MeanMap:
         gain[proper] = v * lam
         offset[proper] = eps * prior.means[proper]
         scale[proper] = v * lam**2 + eps
-    return _MeanMap(gain, offset, None if np.all(scale == 1.0) else scale)
+    return _MeanMap(gain, offset, None if _constant(scale) and scale[0] == 1.0 else scale)
 
 
 def _posterior_mean(mean_map: _MeanMap, y: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -256,24 +278,26 @@ def sample_sieve_posterior(
     so its draws carry no padding.
     """
     _check_sieve_dim(m, summary, prior)
-    block = _sieve_block(
-        summary.post_mean[:m], np.sqrt(summary.post_var[:m]), n_draws, stream(seed, SIEVE_DRAW, rep)
-    )
+    if n_draws < 1:
+        raise ValueError("need at least one draw")
+    z = stream(seed, SIEVE_DRAW, rep).standard_normal((1, n_draws, m))
+    _sieve_block(summary.post_mean[None], np.sqrt(summary.post_var[:m]), z.transpose(0, 2, 1))
     draws = np.tile(prior.means, (n_draws, 1))
-    draws[:, :m] = block
+    draws[:, :m] = z[0]
     return draws
 
 
-def _sieve_block(
-    post_mean: np.ndarray, post_sd: np.ndarray, n_draws: int, rng: np.random.Generator
-) -> np.ndarray:
-    """The Gaussian columns of ``n_draws`` sieve draws, ``post_mean + post_sd
-    * z`` of shape ``(n_draws, post_mean.size)``, ``z`` from the sieve-draw
-    stream ``rng``."""
-    if n_draws < 1:
-        raise ValueError("need at least one draw")
-    z = rng.standard_normal((n_draws, post_mean.size))
-    return post_mean + post_sd * z
+def _sieve_block(post_mean: np.ndarray, post_sd: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The Gaussian columns of sieve draws, ``post_mean + post_sd * z``,
+    written over the standard normals ``z`` and returned.  ``z`` is
+    coordinate-major, ``(rows, width, draws)``: ``z[i, j, d]`` is coordinate
+    ``j`` of draw ``d`` of row ``i``, whose draws centre on
+    ``post_mean[i]``; ``post_mean`` and ``post_sd`` have at least
+    ``width`` columns.  Both operations commute, so each entry is the one a
+    single row's ``post_mean + post_sd * z`` gives."""
+    width = z.shape[1]
+    np.multiply(z, post_sd[:width, None], out=z)
+    return np.add(z, post_mean[:, :width, None], out=z)
 
 
 def log_variance_ratio(prior: PriorSpec, op: OperatorSequence, eps: float) -> np.ndarray:

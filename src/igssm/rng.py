@@ -77,7 +77,7 @@ def _reset_each(seed: int, domain: int, start: int, stop: int) -> Iterator[np.ra
     the state ``stream(seed, domain, r)`` starts in."""
     bit_gen = np.random.Philox(0)
     gen = np.random.Generator(bit_gen)
-    zeros = np.zeros(4, dtype=np.uint64)
+    zeros = (0, 0, 0, 0)  # Python ints: the state setter reads them faster than array items
     state = {"counter": zeros, "key": None}
     fresh = {
         "bit_generator": "Philox", "state": state, "buffer": zeros,
@@ -88,7 +88,7 @@ def _reset_each(seed: int, domain: int, start: int, stop: int) -> Iterator[np.ra
     while r < stop:
         # a batch shares every word of its indices but the lowest
         end = min(stop, r + _KEY_BATCH, ((r >> 32) + 1) << 32)
-        for key in _keys(pool, const, r, end):
+        for key in _keys(pool, const, r, end).tolist():
             state["key"] = key
             bit_gen.state = fresh
             yield gen
@@ -120,8 +120,9 @@ def _words(n: int) -> list:
     return words
 
 
-def _hashmix(value, const: int, mult: int = _MULT_A):
-    """``(hashed value, next constant)``; ``value`` an int or a uint32 array."""
+def _hashmix(value, const, mult: int = _MULT_A):
+    """``(hashed value, next constant)``; ``value`` and ``const`` ints or
+    uint32 arrays."""
     nxt = const * mult & _MASK
     value = (value ^ const) * nxt & _MASK
     return value ^ value >> 16, nxt
@@ -170,16 +171,28 @@ def _keys(pool: tuple, const: int, start: int, stop: int) -> np.ndarray:
     that differ only in their lowest word, which are hashed as one array."""
     low, high = start & _MASK, _words(start)[1:]
     words = np.arange(low, low + stop - start, dtype=np.uint32)
-    a, b, c, d = (word.astype(np.uint64) for word in _state(pool, const, [words, *high]))
+    a, b, c, d = _state(pool, const, [words, *high]).astype(np.uint64)
     return np.stack([a | b << 32, c | d << 32], axis=1)
 
 
-def _state(pool: tuple, const: int, words: list) -> list:
-    """The four words of ``generate_state(4, np.uint32)`` once the
-    replication index's ``words`` are mixed into the prefix's pool."""
-    pool, _ = _absorb(pool, words, const)
-    state, const = [], _INIT_B
-    for word in pool:
-        hashed, const = _hashmix(word, const, _MULT_B)
-        state.append(hashed)
-    return state
+def _state(pool: tuple, const: int, words: list) -> np.ndarray:
+    """The four words of ``generate_state(4, np.uint32)``, the rows of a
+    ``(4, n)`` array, once the replication index's ``words`` are mixed into
+    the prefix's pool.  A word is hashed into the four pool words with four
+    successive constants, which depend on nothing but the first, so the
+    four are one operation on a column of constants; so is the read-out."""
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    for word in words:
+        consts, const = _constants(const, _MULT_A)
+        pool = _mix(pool, _hashmix(word, consts)[0])
+    return _hashmix(pool, _constants(_INIT_B, _MULT_B)[0], _MULT_B)[0]
+
+
+def _constants(const: int, mult: int) -> tuple:
+    """``(column, next)``: the constants ``_POOL`` successive ``_hashmix``
+    calls start from, as a ``(_POOL, 1)`` uint32 column, and the one the
+    last advances to."""
+    consts = [const]
+    for _ in range(_POOL):
+        consts.append(consts[-1] * mult & _MASK)
+    return np.array(consts[:_POOL], dtype=np.uint32)[:, None], consts[_POOL]

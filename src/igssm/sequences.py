@@ -84,6 +84,40 @@ def _half(n: int) -> int:
     return n // 2 - n // 2 % 8
 
 
+def _leaf_sums(a: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """``(rows, n)``: entry ``[i, d]`` is ``np.sum`` of the first
+    ``widths[i]`` entries of ``a[i, :, d]`` bit for bit, for a ``(rows, W,
+    n)`` array with ``W <= _PAIRWISE_LEAF``, its rows in order of width and
+    zero past it, so that a column of all rows is one numpy call.  numpy
+    sums up to ``_PAIRWISE_LEAF`` elements in one loop: eight running sums
+    over the whole groups of eight, started from the first group, combined
+    as ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the rest
+    added in order (below eight elements, all of them, from zero).  Rows
+    with as many whole groups share that order, and adding a zero changes
+    no sum of non-negative terms.  The running sums are kept in ``a``.
+    ``tests/test_sequences.py::test_leaf_sums_equal_numpy_sum`` pins this."""
+    rows, width, n = a.shape
+    total = np.empty((rows, n))
+    whole = (widths - widths % 8).tolist()
+    lo = 0
+    while lo < rows:
+        hi = lo + whole[lo:].count(whole[lo])  # the rows with as many whole groups
+        part, out = a[lo:hi], total[lo:hi]
+        if whole[lo]:
+            acc = part[:, :8]
+            for g in range(8, whole[lo], 8):
+                np.add(acc, part[:, g : g + 8], out=acc)
+            np.add(acc[:, 0::2], acc[:, 1::2], out=acc[:, 0::2])
+            np.add(acc[:, 0::4], acc[:, 2::4], out=acc[:, 0::4])
+            np.add(acc[:, 0], acc[:, 4], out=out)
+        else:
+            out[...] = 0.0
+        for c in range(whole[lo], int(widths[hi - 1])):
+            np.add(out, part[:, c], out=out)
+        lo = hi
+    return total
+
+
 def _sq_err(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """``(a_j - b_j)^2`` for ``j`` in ``[lo, hi)``, as a new array."""
     d = np.subtract(a[lo:hi], b[lo:hi])
@@ -315,9 +349,10 @@ class ParameterSequence:
         ``s^2 N^{1-2q} / (2q - 1)``.  Exponential family
         ``theta_j^2 = s^2 exp(1 - j^{2q})``: the integrand is decreasing, so
         the discrete tail is bounded by the integral from N, in closed form
-        ``s^2 (e / p) Gamma(1/p, N^p)`` with ``p = 2q``.  Explicit sequences
-        carry no tail.  Raises ``OverflowError`` when ``scale^2`` or the
-        tail is past the double range.
+        ``s^2 (e / p) Gamma(1/p, N^p)`` with ``p = 2q``.  Where ``s^2`` is
+        subnormal, and so inexact, both are formed without it.  Explicit
+        sequences carry no tail.  Raises ``OverflowError`` when ``scale^2``
+        or the tail is past the double range.
         """
         n = self.n
         if self.family == "explicit":
@@ -327,7 +362,12 @@ class ParameterSequence:
             raise OverflowError(f"the squared scale {self.scale}^2 is past the double range")
         p = 2.0 * q
         if self.family == "polynomial":
-            tail = float(self.scale) ** 2 * n ** (1.0 - p) / (p - 1.0)
+            scale = float(self.scale)
+            tail = scale**2
+            if tail < np.finfo(np.float64).tiny:  # a subnormal square, and inexact: keep the scale apart
+                tail = scale * (scale * (n ** (1.0 - p) / (p - 1.0)))
+            else:
+                tail = tail * n ** (1.0 - p) / (p - 1.0)
         # where N^p >= e^7 the integral is below e^-1000, 0.0 in float; the
         # test also keeps N^p from overflowing
         elif self.scale == 0.0 or p * math.log(n) >= 7.0:

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -38,7 +39,7 @@ from igssm.hierarchy import (
 from igssm.montecarlo import _draw_distances, _task, mc_mise_profile
 from igssm.posterior import coordinate_posterior, posterior_variances, sample_sieve_posterior
 from igssm.selection import bracket_dimensions, check_assumptions, max_dimension
-from igssm.sequences import simulate_observation
+from igssm.sequences import _sq_err_sum, simulate_observation
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +429,9 @@ def test_draw_distances_match_padded_public_samplers(problem, hierarchical, seed
     else:  # the sieve sampler draws exactly the cut
         task, probs = _task(theta, prior, op, eps, m=cut), None
         padded = sample_sieve_posterior(cut, summary, pr, draws, seed, rep=0)
-    (got,) = _draw_distances(task, np.sqrt(task.post_var), draws, seed, 0, summary.post_mean[None], probs, cut, {})
+    post_sd, local = np.sqrt(task.post_var), threading.local()
+    scored = _draw_distances(task, post_sd, draws, seed, 0, summary.post_mean[None], probs, cut, {}, local)
+    got = np.concatenate([sq[0] for _, sq in scored])  # one row, in pieces if its draws pass the budget
     want = _padded_distances(padded, theta, prior)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     ordered = np.sort(want)
@@ -632,6 +635,165 @@ def long_direct_problems(draw):
         draw(st.sampled_from([1.0, 1.5])),
         draw(st.integers(0, 2**32 - 1)),
     )
+
+
+def _reference_distances(task, post_sd, draws, seed, r0, post_mean, probs, end, past):
+    """The squared distances of each row's draws, one row at a time: what
+    ``_draw_distances`` yielded before it scored a chunk's draws at once,
+    with the samplers of that time (``posterior._sieve_block``,
+    ``hierarchy._draw_hierarchical``) written out.  Kept as the reference
+    the chunk scoring must equal bit for bit."""
+    sieve = task.terms is None
+    truth = task.theta
+    post_sd = np.broadcast_to(post_sd, truth.shape)
+    domain = montecarlo.SIEVE_DRAW if sieve else montecarlo.HIERARCHY_DRAW
+    for i, rng in enumerate(montecarlo.streams(seed, domain, r0, r0 + len(post_mean))):
+        if sieve:
+            block = post_mean[i] + post_sd * rng.standard_normal((draws, post_mean.shape[1]))
+        else:
+            found = np.searchsorted(np.cumsum(probs[i, :end]), rng.random(draws), side="right")
+            dims = np.where(found == end, probs.shape[1], found + 1)
+            width = int(dims.max())
+            gauss = post_mean[i, :width] + post_sd[:width] * rng.standard_normal((draws, width))
+            block = np.where(np.arange(1, width + 1) <= dims[:, None], gauss, task.means[:width])
+        width = block.shape[1]
+        if width not in past:
+            past[width] = _sq_err_sum(task.means, truth, width, truth.size - width) + task.remainder
+        yield np.sum((block - truth[:width]) ** 2, axis=1) + past[width]
+
+
+def _reference_concentration(theta, prior, op, eps, reps, seed, bands, brackets, draws, **given):
+    """The concentration pass with each row scored alone: its distances
+    from ``_reference_distances`` and one ``np.mean`` per band."""
+    edges = [(rate / k if two_sided else 0.0, rate * k) for k, rate, two_sided in bands]
+    task = _task(theta, prior, op, eps, **given)
+    post_sd = np.sqrt(task.post_var)
+    past = {}
+
+    def masses(r0, post_mean, probs, end):
+        probs[:, end:] = 0.0
+        out = np.empty((len(post_mean), len(edges) + len(brackets)))
+        distances = _reference_distances(task, post_sd, draws, seed, r0, post_mean, probs, end, past)
+        for row, sq in zip(out, distances if edges else ()):
+            row[: len(edges)] = [np.mean((sq >= lo) & (sq <= hi)) for lo, hi in edges]
+        for k, (m_lo, m_hi) in enumerate(brackets, len(edges)):
+            out[:, k] = hierarchy._outside_mass(probs, m_lo, m_hi)
+        return out
+
+    return montecarlo._mc_summary(montecarlo._replications(task, reps, seed, masses), seed)
+
+
+# Problems whose draws are wider than numpy's pairwise leaf, so each row is
+# scored alone: a sieve of 210 of 300 dimensions, and a dimension posterior
+# whose mass runs to about 7,000 dimensions, where a row's draws pass the
+# default budget and are scored in pieces.
+_WIDE = _long_direct_problem(300, 1.2, 0.5, "proper", False, 1e-3, 1.0, 3)[:4]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    problem=small_problems(),
+    hierarchical=st.booleans(),
+    m_share=st.floats(0.0, 1.0),
+    draws=st.integers(1, 60),
+    bands=st.lists(st.tuples(st.floats(1.0, 4.0), st.floats(0.2, 5.0), st.booleans()), min_size=1, max_size=3),
+    brackets=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=2),
+    seed=st.integers(0, 1000),
+    budget=st.sampled_from(_BUDGETS),
+)
+@example(problem=_WIDE, hierarchical=False, m_share=0.7, draws=60, bands=[(2.0, 1.0, True)], brackets=[],
+         seed=1, budget="default")
+@example(problem=_MASS_PAST_THE_FIRST_CHUNK[:4], hierarchical=True, m_share=0.0, draws=20,
+         bands=[(1.5, 1.0, True), (3.0, 2.0, False)], brackets=[(0.0, 0.5)], seed=2, budget="default")
+def test_chunk_scoring_equals_the_per_row_loop(problem, hierarchical, m_share, draws, bands, brackets, seed,
+                                               budget):
+    """The chunk scoring, which samples and scores the draws of a chunk's
+    rows together, gives every draw the squared distance the per-row loop
+    gives it, bit for bit, and the concentration pass every band and
+    bracket the loop's mass: on both posteriors, rows of ragged widths
+    (the dimension posterior's), 1 to 60 draws, several bands and brackets
+    and every row budget, draws wider than numpy's pairwise leaf and rows
+    scored in pieces included."""
+    theta, prior, op, eps = problem
+    reps = 7
+    cut = max_dimension(op, eps)
+    rate = oracle_dimension(theta, prior, op, eps).rate
+    bands = [(k, share * rate, two_sided) for k, share, two_sided in bands]
+    if hierarchical:
+        given = {"c_lambda": 1.0}
+        lows = [1 + int(lo * (cut - 1)) for lo, _ in brackets]
+        brackets = [(m_lo, m_lo + int(hi * (cut - m_lo))) for m_lo, (_, hi) in zip(lows, brackets)]
+    else:
+        given, brackets = {"m": max(1, math.ceil(m_share * theta.n))}, []
+    task = _task(theta, prior, op, eps, **given).drawing(draws)
+    post_sd, scratch = np.sqrt(task.post_var), threading.local()
+    scored = []
+
+    def compare(r0, post_mean, probs, end):
+        probs[:, end:] = 0.0
+        want = list(_reference_distances(task, post_sd, draws, seed, r0, post_mean, probs, end, {}))
+        got = [[] for _ in want]
+        for rows, sq in _draw_distances(task, post_sd, draws, seed, r0, post_mean, probs, end, {}, scratch):
+            for i, row in zip(np.arange(len(want))[rows], sq):
+                got[i].append(row)
+        scored.extend(np.array_equal(np.concatenate(g), w) for g, w in zip(got, want))
+        return np.zeros((len(post_mean), 1))
+
+    want = _reference_concentration(theta, prior, op, eps, reps, seed, bands, brackets, draws, **given)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_ROW_ELEMENTS", _row_budget(budget, task.theta.size, reps))
+        montecarlo._replications(task, reps, seed, compare)
+        got = montecarlo._concentration(theta, prior, op, eps, reps, seed, bands, brackets, draws, **given)
+    assert scored == [True] * reps
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "problem, given",
+    [
+        ((*_poly_problem(4096), 0.01), {"m": 4096}),
+        (_MASS_PAST_THE_FIRST_CHUNK[:4], {"c_lambda": 1.0}),
+    ],
+    ids=["sieve", "dimension posterior"],
+)
+def test_a_sampling_pass_holds_no_draw_array_past_the_budget(problem, given):
+    """Where a row's draws pass ``_ROW_ELEMENTS`` twenty times over (a sieve
+    of 4,096 dimensions, or a dimension posterior whose mass runs to about
+    7,000, and 320 draws), every draw array of a concentration pass holds
+    at most ``_ROW_ELEMENTS`` (a spy on the sampler's one step that every
+    draw array goes through), and on one thread the pass peaks less than
+    two such arrays above the same pass with one draw: the normals, and
+    numpy's buffers and the masks of a piece.  The per-row loop built
+    several arrays of all of a row's draws at once, 20 such arrays each."""
+    theta, prior, op, eps = problem
+    budget = montecarlo._ROW_ELEMENTS
+    assert 320 * _task(theta, prior, op, eps, **given).theta.size >= 20 * budget
+    rate = oracle_dimension(theta, prior, op, eps).rate
+    sizes = []
+    sieve_block = montecarlo._sieve_block
+
+    def spy(post_mean, post_sd, z):
+        sizes.append(z.size)
+        return sieve_block(post_mean, post_sd, z)
+
+    def peak(draws):
+        montecarlo._concentration(theta, prior, op, eps, 1, 0, [(2.0, rate, True)], [], draws, **given)
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            montecarlo._concentration(theta, prior, op, eps, 3, 1, [(2.0, rate, True)], [], draws, **given)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("IGSSM_THREADS", "1")
+        mp.setattr(montecarlo, "_sieve_block", spy)
+        assert peak(320) - peak(1) < 8 * 2 * budget
+    assert sizes and max(sizes) <= budget
 
 
 def _full_range_adaptive(summary, prior, m_top, c_lambda):
@@ -862,9 +1024,12 @@ def test_a_block_opens_one_observation_range(monkeypatch):
 @pytest.mark.parametrize("given", [{"m": 2**18}, {"c_lambda": 1.5}], ids=["sieve", "dimension posterior"])
 def test_a_block_holds_two_cut_length_arrays(given):
     """On the direct model under the flat prior at a cut of 2^18 (one row a
-    chunk), ``mc_mise`` on one thread peaks below two and a half arrays of
-    the cut's length, the block's posterior means and its one work array,
-    and frees both when it returns, with the garbage collector off."""
+    chunk), ``mc_mise`` on one thread peaks below 2.2 arrays of the cut's
+    length: the block's posterior means and its one work array, and the
+    eighth of the cut that ``sequences._sq_err_sum`` squares at a time.
+    The task builds none, its variance read from the constant operator and
+    the flat prior.  Both arrays are freed when it returns, with the garbage
+    collector off."""
     n = 2**18
     theta = make_parameters("polynomial", n, exponent=1.6, scale=0.4)
     prior, op, eps = PriorSpec.flat(n), make_operator("constant", n), 1.0 / n
@@ -882,7 +1047,7 @@ def test_a_block_holds_two_cut_length_arrays(given):
         finally:
             tracemalloc.stop()
             gc.enable()
-    assert peak - before < 2.5 * 8 * n
+    assert peak - before < 2.2 * 8 * n
     assert after - before < 8 * n // 4
 
 

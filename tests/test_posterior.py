@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from igssm import (
@@ -15,6 +17,8 @@ from igssm import (
     sieve_posterior_mean,
     simulate_observation,
 )
+from igssm.montecarlo import _task
+from igssm.posterior import _constant_variance
 
 
 def quadrature_moments(lam, eps, mu, var, y):
@@ -170,3 +174,40 @@ def test_length_mismatches_are_rejected():
     obs = simulate_observation(theta, op, 0.1, seed=0)
     with pytest.raises(ValueError):
         coordinate_posterior(prior, op, obs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    value=st.floats(1e-3, 1e3),
+    eps=st.floats(1e-8, 0.5),
+    prior_kind=st.sampled_from(["flat", "one variance", "varying variances", "mixed"]),
+    operator_kind=st.sampled_from(["constant", "explicit constant", "decaying"]),
+    variance=st.floats(1e-3, 1e3),
+)
+def test_a_constant_variance_is_every_posterior_variance(n, value, eps, prior_kind, operator_kind, variance):
+    """Where every coordinate has the same inputs, a flat prior under a
+    constant ``log(lambda_j^2)`` or one prior variance under a constant
+    ``lambda_j``, ``_constant_variance`` gives every entry of
+    ``posterior_variances`` bit for bit, and the Monte Carlo task keeps it
+    as its one scalar; elsewhere, with more than one coordinate, it gives
+    None."""
+    op = {
+        "constant": lambda: make_operator("constant", n),
+        "explicit constant": lambda: make_operator("explicit", n, values=np.full(n, value)),
+        "decaying": lambda: make_operator("polynomial", n, decay=0.5),
+    }[operator_kind]()
+    variances = np.full(n, variance) if prior_kind != "varying variances" else np.linspace(variance, 2 * variance, n)
+    prior = {
+        "flat": lambda: PriorSpec.flat(n),
+        "mixed": lambda: PriorSpec.mixed(np.zeros(n), variances, np.arange(n) % 2 == 0),
+    }.get(prior_kind, lambda: PriorSpec.gaussian(np.zeros(n), variances))()
+    got = _constant_variance(prior, op, eps)
+    want = posterior_variances(prior, op, eps)
+    same = operator_kind != "decaying" and prior_kind in ("flat", "one variance")
+    if same or n == 1:
+        assert np.all(want == got)
+        theta = make_parameters("polynomial", n, exponent=1.0, scale=1.0)
+        assert _task(theta, prior, op, eps, m=n).post_var == got
+    else:
+        assert got is None

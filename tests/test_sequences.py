@@ -3,6 +3,8 @@
 import math
 from unittest import mock
 
+import mpmath
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -223,6 +225,44 @@ def test_a_tail_past_the_double_range_is_an_error():
     assert _signal("exponential", 10, 1e-3, 0.0).sq_tail() == 0.0
     with pytest.raises(OverflowError, match="tail of the signal past N=10 is past the double range"):
         make_parameters("polynomial", 10, exponent=0.51, scale=1e154).sq_tail()  # 1e308 * 10^-0.02 / 0.02
+
+
+@pytest.mark.parametrize("scale, exponent", [(1.1e-160, 0.5 + 2.5e-14), (3.3e-158, 0.5 + 1e-8)])
+def test_polynomial_tail_keeps_its_precision_where_the_squared_scale_is_subnormal(scale, exponent):
+    """The polynomial tail bound ``s^2 N^{1-2q} / (2q - 1)`` stays within
+    1e-12 of a 40-digit reference where ``s^2`` is subnormal (forming it
+    first was 2.7e-5 and 1.4e-9 off at these points).  The exponents keep
+    the tail itself a normal number, which it has to be to hold that
+    precision."""
+    n = 10
+    got = make_parameters("polynomial", n, exponent=exponent, scale=scale).sq_tail()
+    with mpmath.workdps(40):
+        p = mpmath.mpf(2.0 * exponent)
+        want = mpmath.mpf(scale) ** 2 * mpmath.mpf(n) ** (1 - p) / (p - 1)
+        assert scale**2 < np.finfo(np.float64).tiny <= got
+        assert abs(mpmath.mpf(got) / want - 1) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    widths=st.lists(st.integers(1, sequences._PAIRWISE_LEAF), min_size=1, max_size=6).map(sorted),
+    n=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(widths=[3, 7, 8, 15, 16, 128], n=5, seed=1)  # every branch of numpy's leaf loop
+def test_leaf_sums_equal_numpy_sum(widths, n, seed):
+    """``sequences._leaf_sums`` gives, for rows in order of width and zero
+    past it, numpy's sum of each row's columns as a contiguous 1-d array,
+    bit for bit: the order of additions, not just the value, is numpy's.
+    The terms span many orders of magnitude, so a different order rounds
+    differently."""
+    rng = np.random.default_rng(seed)
+    widths = np.array(widths)
+    a = rng.random((widths.size, widths[-1], n)) * 10.0 ** rng.uniform(-20, 20, (widths.size, widths[-1], n))
+    for row, w in zip(a, widths):
+        row[w:] = 0.0
+    want = [[np.sum(np.ascontiguousarray(row[:w, d])) for d in range(n)] for row, w in zip(a, widths)]
+    assert np.array_equal(sequences._leaf_sums(a.copy(), widths), want)
 
 
 @pytest.mark.parametrize(
