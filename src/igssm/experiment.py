@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .config import CONCENTRATION_TABLE, ConfigError, ExperimentConfig
 from .montecarlo import (
+    _band,
     _concentration,
     _parallel_map,
     audit_tail_bounds,
@@ -148,8 +149,8 @@ class _Writer:
 
 # One Monte Carlo row of a stage: its CSV cells before the estimate, the cut
 # its task runs at (the sieve dimension m, or the search range under
-# c_lambda) and, on a concentration row, its band (K, rate, two_sided) or
-# its bracket (m_lo, m_hi).
+# c_lambda) and, on a concentration row, its band as the closed interval
+# (lo, hi) of squared distances (montecarlo._band) or its bracket (m_lo, m_hi).
 _Row = namedtuple("_Row", "cells m c_lambda region", defaults=(None,))
 
 
@@ -229,8 +230,8 @@ def _concentration_plan(cfg, theta, prior, op, wclass, report, c_lambda, constan
     """The concentration stage's rows, per noise level and kind: a band at
     the selection or on the search range, or the bracket of the selection
     (see ``CONCENTRATION_TABLE``).  A row raises at a selection past the
-    search range, a bracket that cannot be computed or a band constant
-    below 1."""
+    search range, a bracket that cannot be computed, a band constant below
+    1 or a rate ``montecarlo._band`` refuses."""
     rows = []
     for eps in cfg.concentration_eps_grid:
         m_max = max_dimension(op, eps)
@@ -257,7 +258,7 @@ def _concentration_plan(cfg, theta, prior, op, wclass, report, c_lambda, constan
                 raise InfeasibleError(f"band constant {constant} of {name} is below 1 at eps={eps}")
             m, lam = (sel.dimension, None) if kind.estimate == "sieve" else (None, c_lambda)
             cells = (eps, name, m_max if m is None else m, constant, sel.rate, None, None)
-            rows.append(_Row(cells, m, lam, (constant, sel.rate, kind.two_sided)))
+            rows.append(_Row(cells, m, lam, _band(constant, sel.rate, kind.two_sided)))
     return rows
 
 

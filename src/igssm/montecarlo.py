@@ -4,11 +4,12 @@ concentration, and rate regression.
 Every routine draws through the package's counter-based streams with one
 stream per replication, so results are reproducible and independent of
 evaluation order.  The risk, concentration and bracket tasks share one
-replication kernel, and the concentration and bracket statistics one pass
-(``_concentration``): every band and bracket on one posterior is a column
-of it, so a replication is observed, weighed and sampled once for all of
-them, and ``mc_concentration`` and ``mc_bracket_mass`` are its one-column
-calls.  No task selects a dimension: a sieve task takes the
+replication kernel, and every statistic of the posterior draws and of the
+dimension posterior one pass (``_concentration``): every band, deviation
+event and bracket on one posterior is a column of it, so a replication is
+observed, weighed and sampled once for all of them.  ``mc_concentration``
+and ``mc_bracket_mass`` are its one-column calls, ``mc_sieve_deviation``
+its two-column one.  No task selects a dimension: a sieve task takes the
 dimension ``m`` its caller chose, a task on the dimension posterior takes
 the operator constant ``c_lambda`` and runs over the search range.  Which
 of the two a task is gets decided once, when it is built, together with
@@ -43,10 +44,11 @@ replication's stream (``rng.streams`` resets one generator to each in
 turn); the noise scale, the signal, the posterior-mean map and the
 posterior step are then applied to the whole chunk.  The posterior step
 checks a sieve's posterior means, or turns them into the dimension
-posterior's masses (``hierarchy._masses``).  The statistic receives the
-posterior means, the masses and the end of what it scores (the cut, or
-the rows' largest mass end), and computes its ``k`` values per row in one
-set of numpy calls: a float64 ``(rows, k)`` array.
+posterior's masses (``hierarchy._masses``).  A block yields each chunk's
+posterior means, its masses and the end of what it scores (the cut, or
+the rows' largest mass end); the statistic runs once per block over its
+chunks and computes its ``k`` values per row of a chunk in one set of
+numpy calls: a float64 ``(rows, k)`` array.
 Every row is bit for bit what it would be alone (see
 :mod:`igssm.hierarchy` for the dimension posterior's rows), so results do
 not depend on how replications are chunked.  A cut of ``_ROW_ELEMENTS``
@@ -91,11 +93,11 @@ from the noise scale to the masses, is one numpy call on all its rows, and
 a loop over rows is a loop over the generators they draw from.  So it is
 for the posterior draws: a row draws its dimensions and then one block of
 standard normals from its own stream, and the draws, the prior means past
-their dimensions, the squared distances, their sums and each band's count
-run on all the rows the draw budget gathers (below).  A block opens one
-range of observation streams, whose keys ``rng.streams`` derives as
-arrays, and each chunk takes its rows' generators from it; the posterior
-draws of a chunk open one range.
+their dimensions, the squared distances, their sums and each interval's
+count run on all the rows the draw budget gathers (below).  A block opens
+one range of observation streams, whose keys ``rng.streams`` derives as
+arrays, and on a pass that samples the posterior one range of draw
+streams; each chunk takes its rows' generators from them.
 
 Squared distances between a draw and the truth are always split into the
 simulated range plus the deterministic remainder (stored coordinates
@@ -107,15 +109,16 @@ the prior-mean coordinates past those enter as one deterministic sum,
 memoised per width.  The hierarchical sampler forms the CDF of the masses
 only up to the mass end.  A chunk's draws are sampled and scored in pieces
 of at most ``_ROW_ELEMENTS`` draw coordinates, or of one draw where a
-draw is wider (``_draw_distances``), and each band counts its draws piece
-by piece, so no draw array passes that budget and a pass holds one
-piece's distances at a time.  The rows of a piece are laid out
-coordinate-major, the draws innermost and each row on its own columns
-with zeros past them, so every step runs along the draws, not along a few
-columns; each draw's distance is still numpy's sum over its own row's
-columns alone (``sequences._leaf_sums`` rebuilds that order for up to
-``_PAIRWISE_LEAF`` columns; a wider row is scored alone, as drawn).  A band's mass is its count over the draws, which is
-``np.mean`` of the booleans bit for bit.
+draw is wider (``_draw_distances``), and each interval counts its draws
+piece by piece, so no draw array passes that budget and a pass holds one
+piece's distances at a time, in buffers its block's chunks reuse.  The
+rows of a piece are laid out coordinate-major, the draws innermost and
+each row on its own columns with zeros past them, so every step runs
+along the draws, not along a few columns; each draw's distance is still
+numpy's sum over its own row's columns alone (``sequences._leaf_sums``
+rebuilds that order for up to ``_PAIRWISE_LEAF`` columns; a wider row is
+scored alone, as drawn).  An interval's mass is its count over the draws,
+which is ``np.mean`` of the booleans bit for bit.
 """
 
 from __future__ import annotations
@@ -123,7 +126,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -499,19 +501,18 @@ def _rows(task: _Task) -> int:
     return max(1, _ROW_ELEMENTS // task.row_size)
 
 
-def _block(task: _Task, seed: int, statistic, start: int, stop: int):
+def _block(task: _Task, seed: int, start: int, stop: int):
     """Split replications ``start .. stop - 1`` into chunks of ``_rows(task)``
-    (the last may be shorter) and yield ``statistic(r0, post_mean, work,
-    end)`` for each, in order: a float64 ``(rows, k)`` array, row ``i``
-    the ``k`` values of replication ``r0 + i``.  Row ``i`` of
-    ``post_mean`` holds the finite posterior means of the observation
-    drawn from replication ``r0 + i``'s own stream.  On a sieve task
-    ``end`` is the cut; on the dimension posterior it is the rows' largest
-    mass end, and row ``i`` of ``work`` holds the masses before it (past
-    it, whatever the posterior step left there).  ``post_mean`` and
-    ``work``, rows of the cut length, are the block's two arrays,
-    allocated once; the statistic may overwrite both.  The block opens one
-    range of observation streams and each chunk takes its rows' from it."""
+    (the last may be shorter) and yield ``(r0, post_mean, work, end)`` for
+    each, in order.  Row ``i`` of ``post_mean`` holds the finite posterior
+    means of the observation drawn from replication ``r0 + i``'s own
+    stream.  On a sieve task ``end`` is the cut; on the dimension posterior
+    it is the rows' largest mass end, and row ``i`` of ``work`` holds the
+    masses before it (past it, whatever the posterior step left there).
+    ``post_mean`` and ``work``, rows of the cut length, are the block's two
+    arrays, allocated once; the caller may overwrite both before it takes
+    the next chunk.  The block opens one range of observation streams and
+    each chunk takes its rows' from it."""
     if stop <= start:
         raise ValueError("need at least one replication")
     cut = task.theta.size
@@ -528,30 +529,31 @@ def _block(task: _Task, seed: int, statistic, start: int, stop: int):
             end = cut
         else:
             end = _masses(task.terms, chunk, chunk_work, chunk_work, _CHUNK)
-        yield statistic(r0, chunk, chunk_work, end)
+        yield r0, chunk, chunk_work, end
 
 
 def _replications(task: _Task, reps: int, seed: int, statistic) -> np.ndarray:
-    """The ``(reps, k)`` statistics of replications ``0 .. reps - 1``: the
-    ``(rows, k)`` chunks concatenated once, in replication order.  They are
-    computed in one contiguous block of replications per worker; a task
-    whose replications fit in fewer chunks than there are workers takes one
-    block per chunk."""
+    """The ``(reps, k)`` statistics of replications ``0 .. reps - 1``, in one
+    contiguous block of replications per worker; a task whose replications
+    fit in fewer chunks than there are workers takes one block per chunk.
+    ``statistic(start, stop, chunks)`` runs once per block, on the chunks
+    ``_block`` yields for it, and yields one float64 ``(rows, k)`` array per
+    chunk, row ``i`` the ``k`` values of the chunk's replication ``r0 + i``.
+    The arrays are concatenated once, in replication order."""
     blocks = max(1, min(_max_workers(), -(-reps // _rows(task))))
-    bounds = [reps * k // blocks for k in range(blocks + 1)]
-    parts = _parallel_map(lambda k: list(_block(task, seed, statistic, bounds[k], bounds[k + 1])), range(blocks))
+    spans = [(reps * k // blocks, reps * (k + 1) // blocks) for k in range(blocks)]
+    parts = _parallel_map(lambda span: list(statistic(*span, _block(task, seed, *span))), spans)
     return np.concatenate([chunk for part in parts for chunk in part])
 
 
-def _draw_distances(
-    task: _Task, post_sd, draws: int, seed: int, r0: int, post_mean, probs, end: int, past: dict, scratch
-):
+def _draw_distances(task: _Task, post_sd, draws: int, rngs, post_mean, probs, end: int, past: dict, buffers: dict):
     """Yield ``(rows, sq)`` until every draw of every row of ``post_mean``
     is scored: ``rows`` a slice or index array of its rows, ``sq[k]`` the
-    squared distances to the truth of draws of row ``i = rows[k]`` from
-    replication ``r0 + i``'s own stream; on the dimension posterior with
-    masses ``probs[i]``, zero past ``end``.  ``post_sd`` is
-    ``sqrt(task.post_var)``, an array or a scalar.
+    squared distances to the truth of draws of row ``i = rows[k]``, drawn
+    from the generator row ``i`` takes from ``rngs`` (its replication's
+    stream, taken from its block's one range of draw streams); on the
+    dimension posterior with masses ``probs[i]``, zero past ``end``.
+    ``post_sd`` is ``sqrt(task.post_var)``, an array or a scalar.
 
     A row only draws, in the public samplers' order: its dimensions
     (``_draw_dimensions``), then one block of normals of its width.  The
@@ -561,18 +563,17 @@ def _draw_distances(
     drawn, and a row whose draws pass the budget in pieces (see the module
     docstring).  The prior-mean coordinates past a row's width add one
     sum, with the remainder, memoised per width in ``past``.  The large
-    arrays live in the calling thread's buffers in ``scratch`` (see
-    ``_buffer``)."""
+    arrays live in the block's ``buffers`` (see ``_buffer``)."""
     n_rows, cut = post_mean.shape
     sieve = task.terms is None
     truth = task.theta
     post_sd = np.broadcast_to(post_sd, truth.shape)  # a view, whatever its form
     widths = np.full(n_rows, cut)
     if not sieve:  # each row's cumsum bit for bit
-        cdf = np.cumsum(probs[:, :end], axis=1, out=_buffer(scratch, "cdf", (n_rows, end)))
-        found = _buffer(scratch, "found", (n_rows, draws), np.intp)
+        cdf = np.cumsum(probs[:, :end], axis=1, out=_buffer(buffers, "cdf", (n_rows, end)))
+        found = _buffer(buffers, "found", (n_rows, draws), np.intp)
     budget = _ROW_ELEMENTS
-    normals = _buffer(scratch, "normals", (max(min(budget, n_rows * draws * cut), cut),))
+    normals = _buffer(buffers, "normals", (max(min(budget, n_rows * draws * cut), cut),))
 
     def score(rows, lanes, d0, d1):
         """``(rows, sq)``: the squared distances of draws ``d0 .. d1 - 1``
@@ -597,7 +598,7 @@ def _draw_distances(
         coordinate-major, in order of width, each on its own columns with
         zeros past them."""
         own = widths[i0:i1]
-        lanes = _buffer(scratch, "lanes", (i1 - i0, width, draws))
+        lanes = _buffer(buffers, "lanes", (i1 - i0, width, draws))
         if own.min() == width:
             lanes[...] = normals[: lanes.size].reshape(i1 - i0, draws, width).transpose(0, 2, 1)
             return slice(i0, i1), lanes
@@ -610,7 +611,7 @@ def _draw_distances(
         return i0 + order, lanes
 
     first = used = top = 0  # the gathered rows, their normals and their widest width
-    for i, rng in enumerate(streams(seed, SIEVE_DRAW if sieve else HIERARCHY_DRAW, r0, r0 + n_rows)):
+    for i, rng in zip(range(n_rows), rngs):  # the rows' generators, none past them
         if not sieve:
             widths[i] = _draw_dimensions(cdf[i], cut, rng, found[i])
         width = int(widths[i])
@@ -633,18 +634,16 @@ def _draw_distances(
         yield score(*gather(first, n_rows, top), 0, draws)
 
 
-def _buffer(scratch, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-    """An array of ``shape`` over the calling thread's buffer ``name`` in
-    ``scratch``, a ``threading.local``, grown when it is too small.  The
-    chunks a thread scores reuse its buffers: the allocator hands arrays of
-    hundreds of KiB back to the system when they are freed, so fresh ones
-    per chunk are mapped and faulted in anew each time."""
+def _buffer(buffers: dict, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """An array of ``shape`` over the buffer ``name`` in ``buffers``, grown
+    when it is too small.  The chunks of a block reuse its buffers: the
+    allocator hands arrays of hundreds of KiB back to the system when they
+    are freed, so fresh ones per chunk are mapped and faulted in anew each
+    time."""
     size = math.prod(shape)
-    buf = getattr(scratch, name, None)
-    if buf is None or buf.size < size:
-        buf = np.empty(size, dtype)
-        setattr(scratch, name, buf)
-    return buf[:size].reshape(shape)
+    if name not in buffers or buffers[name].size < size:
+        buffers[name] = np.empty(size, dtype)
+    return buffers[name][:size].reshape(shape)
 
 
 def mc_mise(
@@ -666,14 +665,15 @@ def mc_mise(
     task = _task(theta, prior, op, eps, m, c_lambda)
     tail_sums = {}  # the prior mean's squared errors summed per subtree, shared by all chunks
 
-    def loss(r0, post_mean, work, end):
-        if task.terms is not None:
-            _shrink(work, end, post_mean, task.means, work, post_mean)
-        head = post_mean[:, :end]
-        np.subtract(head, task.theta[:end], out=head)
-        np.square(head, out=head)
-        # past the mass end, the prior mean's error
-        return (_pairwise_sum(post_mean, end, (task.means, task.theta), tail_sums) + task.remainder)[:, None]
+    def loss(start, stop, chunks):
+        for _, post_mean, work, end in chunks:
+            if task.terms is not None:
+                _shrink(work, end, post_mean, task.means, work, post_mean)
+            head = post_mean[:, :end]
+            np.subtract(head, task.theta[:end], out=head)
+            np.square(head, out=head)
+            # past the mass end, the prior mean's error
+            yield (_pairwise_sum(post_mean, end, (task.means, task.theta), tail_sums) + task.remainder)[:, None]
 
     return _mc_summary(_replications(task, reps, seed, loss), seed)[0]
 
@@ -695,17 +695,15 @@ def mc_mise_profile(
     bias = bias_profile(theta, prior)[:m_top]
     task = _task(theta, prior, op, eps, m_top)
 
-    def errors(r0, post_mean, work, end):
-        np.subtract(post_mean, task.theta, out=post_mean)
-        np.cumsum(np.square(post_mean, out=post_mean), axis=1, out=work)
-        return np.add(work, bias, out=work)
-
     # one block, its rows added in replication order, so the running sums
     # stay O(m_top)
     acc = np.zeros(m_top)
     acc_sq = np.zeros(m_top)
-    for chunk in _block(task, seed, errors, 0, reps):
-        for errs in chunk:
+    for _, post_mean, errors, _ in _block(task, seed, 0, reps):
+        np.subtract(post_mean, task.theta, out=post_mean)
+        np.cumsum(np.square(post_mean, out=post_mean), axis=1, out=errors)
+        np.add(errors, bias, out=errors)
+        for errs in errors:
             acc += errs
             acc_sq += errs**2
     mise = acc / reps
@@ -743,54 +741,59 @@ def mc_concentration(
     ``{|draw - truth|^2 <= rate * K}`` alone — the form the theory takes
     when the data-driven posterior may concentrate strictly faster than
     the reference rate, so no uniform lower edge exists."""
-    return _concentration(
-        theta, prior, op, eps, reps, seed, bands=[(band_constant, rate, two_sided)], draws=draws,
-        m=m, c_lambda=c_lambda,
-    )[0]
+    band = _band(band_constant, rate, two_sided)
+    return _concentration(theta, prior, op, eps, reps, seed, [band], draws=draws, m=m, c_lambda=c_lambda)[0]
+
+
+def _band(band_constant: float, rate: float, two_sided: bool) -> tuple[float, float]:
+    """The band of :func:`mc_concentration` as the closed interval ``(lo,
+    hi)`` of squared distances that ``_concentration`` takes."""
+    if not band_constant >= 1.0:
+        raise ValueError("band constant must be >= 1")
+    if not (math.isfinite(rate) and rate > 0.0):
+        raise ValueError("rate must be finite and positive")
+    return (rate / band_constant if two_sided else 0.0, rate * band_constant)
 
 
 def _concentration(
-    theta, prior, op, eps, reps, seed, bands=(), brackets=(), draws=0, m=None, c_lambda=None
+    theta, prior, op, eps, reps, seed, intervals=(), brackets=(), draws=0, m=None, c_lambda=None
 ) -> list[MCEstimate]:
     """The concentration pass on the task of ``m`` or ``c_lambda`` (see
-    ``_task``): one estimate per band ``(K, rate, two_sided)``, its
-    expected posterior mass (see :func:`mc_concentration`), then one per
-    bracket ``(m_lo, m_hi)``, its expected dimension-posterior mass outside
-    (see :func:`mc_bracket_mass`).  Every row that reads the task's
-    posterior shares its replications: each is observed, weighed and
-    sampled once, its ``draws`` distances scored against every band before
-    the next replication draws.  A pass without bands samples nothing.
-    Every argument is checked before any replication runs."""
-    edges = []
-    for band_constant, rate, two_sided in bands:
-        if not band_constant >= 1.0:
-            raise ValueError("band constant must be >= 1")
-        if not (math.isfinite(rate) and rate > 0.0):
-            raise ValueError("rate must be finite and positive")
-        edges.append((rate / band_constant if two_sided else 0.0, rate * band_constant))
-    if edges and draws < 1:
+    ``_task``): one estimate per closed interval ``(lo, hi)`` of the squared
+    distance to the truth, the expected share of posterior draws in it
+    (see ``_band`` and ``_strict_events``), then one per bracket ``(m_lo,
+    m_hi)``, its expected dimension-posterior mass outside (see
+    :func:`mc_bracket_mass`).  Every row that reads the task's posterior
+    shares its replications: each is observed, weighed and sampled once,
+    its ``draws`` distances counted in every interval before the next
+    replication draws.  Each block opens one range of draw streams and keeps
+    the draw buffers its chunks reuse; a pass without intervals samples
+    nothing.  Every argument is checked before any replication runs."""
+    if intervals and draws < 1:
         raise ValueError("need at least one draw")
     task = _task(theta, prior, op, eps, m, c_lambda)
-    if edges:
-        task = task.drawing(draws)
+    task = task.drawing(draws) if intervals else task
     for m_lo, m_hi in brackets:
         _check_bracket(m_lo, m_hi, task.theta.size)
     post_sd = np.sqrt(task.post_var)
+    domain = SIEVE_DRAW if task.terms is None else HIERARCHY_DRAW
     past = {}  # the distances' deterministic sum per width, shared by all chunks
-    scratch = threading.local()  # each thread's draw buffers
 
-    def masses(r0, post_mean, probs, end):
-        probs[:, end:] = 0.0  # the masses past the mass end
-        out = np.empty((len(post_mean), len(edges) + len(brackets)))
-        if edges:
-            counts = np.zeros((len(post_mean), len(edges)), dtype=np.intp)
-            for rows, sq in _draw_distances(task, post_sd, draws, seed, r0, post_mean, probs, end, past, scratch):
-                for k, (lo, hi) in enumerate(edges):
-                    counts[rows, k] += np.count_nonzero((sq >= lo) & (sq <= hi), axis=1)
-            np.divide(counts, draws, out=out[:, : len(edges)])  # np.mean of the booleans, bit for bit
-        for k, (m_lo, m_hi) in enumerate(brackets, len(edges)):
-            out[:, k] = _outside_mass(probs, m_lo, m_hi)
-        return out
+    def masses(start, stop, chunks):
+        rngs = streams(seed, domain, start, stop) if intervals else None  # the block's one draw range
+        buffers = {}  # the block's draw buffers, reused by its chunks
+        for _, post_mean, probs, end in chunks:
+            probs[:, end:] = 0.0  # the masses past the mass end
+            out = np.empty((len(post_mean), len(intervals) + len(brackets)))
+            if intervals:
+                counts = np.zeros((len(post_mean), len(intervals)), dtype=np.intp)
+                for rows, sq in _draw_distances(task, post_sd, draws, rngs, post_mean, probs, end, past, buffers):
+                    for k, (lo, hi) in enumerate(intervals):
+                        counts[rows, k] += np.count_nonzero((sq >= lo) & (sq <= hi), axis=1)
+                np.divide(counts, draws, out=out[:, : len(intervals)])  # np.mean of the booleans, bit for bit
+            for k, (m_lo, m_hi) in enumerate(brackets, len(intervals)):
+                out[:, k] = _outside_mass(probs, m_lo, m_hi)
+            yield out
 
     return _mc_summary(_replications(task, reps, seed, masses), seed)
 
@@ -832,28 +835,15 @@ def mc_sieve_deviation(
         |draw - truth|^2  <  b + s - 4 c (m t + rho)        (lower)
 
     with bounds ``2 exp(-m/36)`` and ``2 exp(-c^2 m / 2)``; the lower
-    inequality requires ``0 < c < 1/5``.
+    inequality requires ``0 < c < 1/5``.  Both are columns of one
+    concentration pass (``_concentration``, ``_strict_events``).
     """
     if not 0.0 < c < 0.2:
         raise ValueError("deviation scale c must lie in (0, 1/5)")
-    if draws < 1:
-        raise ValueError("need at least one draw")
     risk = risk_decomposition(theta, prior, op, eps, m)
     hi = risk.bias + 3.0 * risk.post_var_sum + 1.5 * m * risk.post_var_max + 4.0 * risk.shift
     lo = risk.bias + risk.post_var_sum - 4.0 * c * (m * risk.post_var_max + risk.shift)
-
-    task = _task(theta, prior, op, eps, m).drawing(draws)
-    post_sd = np.sqrt(task.post_var)
-    past, scratch = {}, threading.local()
-
-    def deviations(r0, post_mean, work, end):
-        counts = np.zeros((len(post_mean), 2), dtype=np.intp)
-        for rows, sq in _draw_distances(task, post_sd, draws, seed, r0, post_mean, None, end, past, scratch):
-            counts[rows, 0] += np.count_nonzero(sq > hi, axis=1)
-            counts[rows, 1] += np.count_nonzero(sq < lo, axis=1)
-        return counts / draws
-
-    upper, lower = _mc_summary(_replications(task, reps, seed, deviations), seed)
+    upper, lower = _concentration(theta, prior, op, eps, reps, seed, _strict_events(hi, lo), draws=draws, m=m)
     upper_bound = 2.0 * math.exp(-m / 36.0)
     lower_bound = 2.0 * math.exp(-(c**2) * m / 2.0)
     passed = upper.value <= upper_bound + 3.0 * upper.se and lower.value <= lower_bound + 3.0 * lower.se
@@ -861,6 +851,15 @@ def mc_sieve_deviation(
         m=int(m), c=float(c), upper=upper, lower=lower, upper_threshold=hi, lower_threshold=lo,
         upper_bound=upper_bound, lower_bound=lower_bound, passed=bool(passed),
     )
+
+
+def _strict_events(hi: float, lo: float) -> list:
+    """The events ``sq > hi`` and ``sq < lo`` as closed intervals: from the
+    next double above ``hi``, up to the next below ``lo``; past an infinity
+    there is none, and the bound NaN, which no comparison passes."""
+    above = math.nextafter(hi, math.inf) if hi != math.inf else math.nan
+    below = math.nextafter(lo, -math.inf) if lo != -math.inf else math.nan
+    return [(above, math.inf), (-math.inf, below)]
 
 
 def mc_bracket_mass(

@@ -1,8 +1,8 @@
 """Monte Carlo harness: tail audits, risk estimates, rate regression."""
 
 import gc
+import itertools
 import math
-import threading
 import tracemalloc
 
 import numpy as np
@@ -279,7 +279,8 @@ def test_one_pass_gives_every_column_its_one_column_call(monkeypatch, threads):
         observed.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(montecarlo, "_observe", spy)
-            got = montecarlo._concentration(theta, prior, op, eps, reps, seed, bands, brackets, draws, **given)
+            intervals = [montecarlo._band(*band) for band in bands]
+            got = montecarlo._concentration(theta, prior, op, eps, reps, seed, intervals, brackets, draws, **given)
         assert sum(observed) == reps
         want = [
             mc_concentration(theta, prior, op, eps, k, r, reps, draws, seed, two_sided=two, **given)
@@ -429,8 +430,8 @@ def test_draw_distances_match_padded_public_samplers(problem, hierarchical, seed
     else:  # the sieve sampler draws exactly the cut
         task, probs = _task(theta, prior, op, eps, m=cut), None
         padded = sample_sieve_posterior(cut, summary, pr, draws, seed, rep=0)
-    post_sd, local = np.sqrt(task.post_var), threading.local()
-    scored = _draw_distances(task, post_sd, draws, seed, 0, summary.post_mean[None], probs, cut, {}, local)
+    rngs = montecarlo.streams(seed, montecarlo.HIERARCHY_DRAW if hierarchical else montecarlo.SIEVE_DRAW, 0, 1)
+    scored = _draw_distances(task, np.sqrt(task.post_var), draws, rngs, summary.post_mean[None], probs, cut, {}, {})
     got = np.concatenate([sq[0] for _, sq in scored])  # one row, in pieces if its draws pass the budget
     want = _padded_distances(padded, theta, prior)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
@@ -594,6 +595,36 @@ def test_mc_sieve_deviation_equals_serial_loop(problem, c, seed, budget):
     assert (got.lower.value, got.lower.se) == _summary_of(fracs[1])
 
 
+# Doubles at the edges of the comparisons: both zeros, the smallest
+# subnormals and normal, the largest finite, both infinities and NaN.
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.0, 1.7976931348623157e308, math.inf, -math.inf,
+          math.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sq=st.lists(st.floats() | st.sampled_from(_EDGES), min_size=1, max_size=20),
+    thresholds=st.tuples(st.floats() | st.sampled_from(_EDGES), st.floats() | st.sampled_from(_EDGES)),
+    ties=st.tuples(st.integers(-1, 19), st.integers(-1, 19)),
+)
+@example(sq=_EDGES, thresholds=(0.0, -0.0), ties=(-1, -1))
+@example(sq=_EDGES, thresholds=(-0.0, 0.0), ties=(-1, -1))
+@example(sq=_EDGES, thresholds=(math.inf, -math.inf), ties=(-1, -1))
+@example(sq=_EDGES, thresholds=(-math.inf, math.inf), ties=(-1, -1))
+@example(sq=[1.0, 2.0, 3.0], thresholds=(0.0, 0.0), ties=(1, 1))
+def test_strict_events_count_what_the_strict_comparisons_count(sq, thresholds, ties):
+    """The closed intervals ``mc_sieve_deviation`` passes to the concentration
+    pass count, for any float64 distances and thresholds, exactly the draws
+    ``sq > hi`` and ``sq < lo`` count: signed zeros, negative values,
+    subnormals, infinities and NaN included, and a threshold equal to one
+    of the distances (``ties`` picks it, -1 none)."""
+    sq = np.array(sq)
+    hi, lo = (float(sq[t % sq.size]) if t >= 0 else x for x, t in zip(thresholds, ties))
+    (up_lo, up_hi), (low_lo, low_hi) = montecarlo._strict_events(hi, lo)
+    assert np.count_nonzero((sq >= up_lo) & (sq <= up_hi)) == np.count_nonzero(sq > hi)
+    assert np.count_nonzero((sq >= low_lo) & (sq <= low_hi)) == np.count_nonzero(sq < lo)
+
+
 def _long_direct_problem(n, exponent, scale, kind, centred, eps, c_lambda, seed):
     """A direct-model problem (``lambda_j = 1``) of length ``n`` with a
     polynomial truth, a proper, flat or mixed prior whose proper means are
@@ -670,15 +701,16 @@ def _reference_concentration(theta, prior, op, eps, reps, seed, bands, brackets,
     post_sd = np.sqrt(task.post_var)
     past = {}
 
-    def masses(r0, post_mean, probs, end):
-        probs[:, end:] = 0.0
-        out = np.empty((len(post_mean), len(edges) + len(brackets)))
-        distances = _reference_distances(task, post_sd, draws, seed, r0, post_mean, probs, end, past)
-        for row, sq in zip(out, distances if edges else ()):
-            row[: len(edges)] = [np.mean((sq >= lo) & (sq <= hi)) for lo, hi in edges]
-        for k, (m_lo, m_hi) in enumerate(brackets, len(edges)):
-            out[:, k] = hierarchy._outside_mass(probs, m_lo, m_hi)
-        return out
+    def masses(start, stop, chunks):
+        for r0, post_mean, probs, end in chunks:
+            probs[:, end:] = 0.0
+            out = np.empty((len(post_mean), len(edges) + len(brackets)))
+            distances = _reference_distances(task, post_sd, draws, seed, r0, post_mean, probs, end, past)
+            for row, sq in zip(out, distances if edges else ()):
+                row[: len(edges)] = [np.mean((sq >= lo) & (sq <= hi)) for lo, hi in edges]
+            for k, (m_lo, m_hi) in enumerate(brackets, len(edges)):
+                out[:, k] = hierarchy._outside_mass(probs, m_lo, m_hi)
+            yield out
 
     return montecarlo._mc_summary(montecarlo._replications(task, reps, seed, masses), seed)
 
@@ -726,24 +758,28 @@ def test_chunk_scoring_equals_the_per_row_loop(problem, hierarchical, m_share, d
     else:
         given, brackets = {"m": max(1, math.ceil(m_share * theta.n))}, []
     task = _task(theta, prior, op, eps, **given).drawing(draws)
-    post_sd, scratch = np.sqrt(task.post_var), threading.local()
+    post_sd = np.sqrt(task.post_var)
+    domain = montecarlo.HIERARCHY_DRAW if hierarchical else montecarlo.SIEVE_DRAW
     scored = []
 
-    def compare(r0, post_mean, probs, end):
-        probs[:, end:] = 0.0
-        want = list(_reference_distances(task, post_sd, draws, seed, r0, post_mean, probs, end, {}))
-        got = [[] for _ in want]
-        for rows, sq in _draw_distances(task, post_sd, draws, seed, r0, post_mean, probs, end, {}, scratch):
-            for i, row in zip(np.arange(len(want))[rows], sq):
-                got[i].append(row)
-        scored.extend(np.array_equal(np.concatenate(g), w) for g, w in zip(got, want))
-        return np.zeros((len(post_mean), 1))
+    def compare(start, stop, chunks):
+        rngs, buffers = montecarlo.streams(seed, domain, start, stop), {}
+        for r0, post_mean, probs, end in chunks:
+            probs[:, end:] = 0.0
+            want = list(_reference_distances(task, post_sd, draws, seed, r0, post_mean, probs, end, {}))
+            got = [[] for _ in want]
+            for rows, sq in _draw_distances(task, post_sd, draws, rngs, post_mean, probs, end, {}, buffers):
+                for i, row in zip(np.arange(len(want))[rows], sq):
+                    got[i].append(row)
+            scored.extend(np.array_equal(np.concatenate(g), w) for g, w in zip(got, want))
+            yield np.zeros((len(post_mean), 1))
 
     want = _reference_concentration(theta, prior, op, eps, reps, seed, bands, brackets, draws, **given)
+    intervals = [montecarlo._band(*band) for band in bands]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_ROW_ELEMENTS", _row_budget(budget, task.theta.size, reps))
         montecarlo._replications(task, reps, seed, compare)
-        got = montecarlo._concentration(theta, prior, op, eps, reps, seed, bands, brackets, draws, **given)
+        got = montecarlo._concentration(theta, prior, op, eps, reps, seed, intervals, brackets, draws, **given)
     assert scored == [True] * reps
     assert got == want
 
@@ -776,14 +812,16 @@ def test_a_sampling_pass_holds_no_draw_array_past_the_budget(problem, given):
         sizes.append(z.size)
         return sieve_block(post_mean, post_sd, z)
 
+    band = montecarlo._band(2.0, rate, True)
+
     def peak(draws):
-        montecarlo._concentration(theta, prior, op, eps, 1, 0, [(2.0, rate, True)], [], draws, **given)
+        montecarlo._concentration(theta, prior, op, eps, 1, 0, [band], [], draws, **given)
         gc.collect()
         gc.disable()
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            montecarlo._concentration(theta, prior, op, eps, 3, 1, [(2.0, rate, True)], [], draws, **given)
+            montecarlo._concentration(theta, prior, op, eps, 3, 1, [band], [], draws, **given)
             return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -899,32 +937,48 @@ def _every_task(problem, reps, seed, c_lambda, budget):
 def test_batched_equals_serial(problem, seed, c_lambda):
     """Every task gives the same result whether its replications run one per
     chunk, in default chunks or in chunks with a ragged last one, on one,
-    two or three threads; a spy checks that chunks of several rows ran, and
-    another that every chunk a statistic yields is a float64 ``(rows, k)``
-    array with one ``k`` per task.
+    two or three threads; a spy checks that chunks of several rows ran,
+    another that every chunk a block yields, ``mc_mise_profile``'s
+    included, holds its rows' float64 arrays of the cut, and a third that
+    every chunk a statistic yields is a float64 ``(rows, k)`` array with
+    one ``k`` per task.
     The examples pin this on search ranges of several chunks of
     log-weights, one with the mass past the first chunk."""
     reps = 8
     rows, widths = [], {}  # each task's statistic and the k of its chunks
-    observe, block = montecarlo._observe, montecarlo._block
+    observe, block, replications = montecarlo._observe, montecarlo._block, montecarlo._replications
 
     def spy(signal, noise_scale, rngs, out):
         rows.append(len(out))
         return observe(signal, noise_scale, rngs, out)
 
-    def block_spy(task, seed, statistic, start, stop):
+    def block_spy(task, seed, start, stop):
         step = montecarlo._rows(task)
-        for r0, chunk in zip(range(start, stop, step), block(task, seed, statistic, start, stop)):
-            assert isinstance(chunk, np.ndarray) and chunk.dtype == np.float64
-            assert chunk.shape == (min(step, stop - r0), widths.setdefault(statistic, chunk.shape[1]))
+        for r0, chunk in itertools.zip_longest(range(start, stop, step), block(task, seed, start, stop)):
+            got_r0, post_mean, work, end = chunk
+            shape = (min(step, stop - r0), task.theta.size)
+            assert got_r0 == r0 and 1 <= end <= task.theta.size
+            assert post_mean.shape == work.shape == shape and post_mean.dtype == work.dtype == np.float64
             yield chunk
 
+    def replications_spy(task, reps, seed, statistic):
+        step = montecarlo._rows(task)
+
+        def checked(start, stop, chunks):
+            for r0, out in itertools.zip_longest(range(start, stop, step), statistic(start, stop, chunks)):
+                assert isinstance(out, np.ndarray) and out.dtype == np.float64
+                assert out.shape == (min(step, stop - r0), widths.setdefault(statistic, out.shape[1]))
+                yield out
+
+        return replications(task, reps, seed, checked)
+
     # mc_mise twice, mc_concentration twice, mc_bracket_mass, then
-    # mc_sieve_deviation and mc_mise_profile
-    want = [1] * 5 + [2, max_dimension(problem[2], problem[3])]
+    # mc_sieve_deviation; mc_mise_profile reads its block's chunks itself
+    want = [1] * 5 + [2]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_observe", spy)
         mp.setattr(montecarlo, "_block", block_spy)
+        mp.setattr(montecarlo, "_replications", replications_spy)
         serial = _every_task(problem, reps, seed, c_lambda, "one row")
         for threads in ("1", "2", "3"):
             mp.setenv("IGSSM_THREADS", threads)
@@ -1001,24 +1055,57 @@ def test_chunks_hold_the_row_budget(monkeypatch):
         assert blocks[-1] == want
 
 
-def test_a_block_opens_one_observation_range(monkeypatch):
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("call", ["mc_mise", "sieve band", "hierarchical band", "sieve deviation"])
+def test_a_block_opens_one_observation_range(monkeypatch, call, threads):
     """A block of replications opens one range of observation streams and
     hands each chunk its rows' generators from it, also where every chunk
-    is one row."""
-    theta, prior, op = _poly_problem(70_000)
-    opened = []
-    streams = montecarlo.streams
+    is one row.  A pass that samples the posterior opens one range of draw
+    streams per block too, over the same replications, and keeps its draw
+    buffers in the block: no chunk allocates a buffer its block already
+    holds at the size it asks, and every block's later chunks reuse one."""
+    opened, held, calls = [], {}, []  # held: each block's buffers, kept alive so their ids stay theirs
+    streams, buffer = montecarlo.streams, montecarlo._buffer
 
     def spy(seed, domain, start, stop):
         opened.append((domain, start, stop))
         return streams(seed, domain, start, stop)
 
+    def buffer_spy(buffers, name, shape, dtype=np.float64):
+        before = buffers.get(name)
+        out = buffer(buffers, name, shape, dtype)
+        fits = before is not None and before.size >= math.prod(shape)
+        held.setdefault(id(buffers), buffers)
+        calls.append((id(buffers), fits, buffers[name] is not before))
+        return out
+
     monkeypatch.setattr(montecarlo, "streams", spy)
-    monkeypatch.setenv("IGSSM_THREADS", "1")
-    m = montecarlo._ROW_ELEMENTS
-    assert montecarlo._rows(_task(theta, prior, op, 0.01, m)) == 1
-    mc_mise(theta, prior, op, 0.01, 6, 3, m=m)
-    assert opened == [(montecarlo.OBSERVATION, 0, 6)]
+    monkeypatch.setattr(montecarlo, "_buffer", buffer_spy)
+    monkeypatch.setenv("IGSSM_THREADS", threads)
+    if call == "mc_mise":
+        theta, prior, op = _poly_problem(70_000)
+        m, reps, domain = montecarlo._ROW_ELEMENTS, 6, None
+        assert montecarlo._rows(_task(theta, prior, op, 0.01, m)) == 1
+        mc_mise(theta, prior, op, 0.01, reps, 3, m=m)
+    else:  # chunks of two rows, so each block runs several
+        theta, prior, op = _poly_problem(2000)
+        eps, reps, draws, m = 0.01, 8, 10, 5
+        given = {"c_lambda": 1.0} if call == "hierarchical band" else {"m": m}
+        task = _task(theta, prior, op, eps, **given).drawing(draws)
+        monkeypatch.setattr(montecarlo, "_ROW_ELEMENTS", 2 * task.row_size)
+        if call == "sieve deviation":
+            mc_sieve_deviation(theta, prior, op, eps, m, 0.1, reps, draws, 3)
+        else:
+            mc_concentration(theta, prior, op, eps, 2.0, 0.1, reps, draws, 3, **given)
+        domain = montecarlo.HIERARCHY_DRAW if call == "hierarchical band" else montecarlo.SIEVE_DRAW
+    blocks = int(threads)
+    spans = [(reps * k // blocks, reps * (k + 1) // blocks) for k in range(blocks)]
+    want = [(montecarlo.OBSERVATION, *span) for span in spans]
+    want += [(domain, *span) for span in spans if domain is not None]
+    assert sorted(opened) == sorted(want)
+    assert len(held) == (0 if domain is None else blocks)
+    assert not any(fits and allocated for _, fits, allocated in calls)
+    assert all(any(fits for key, fits, _ in calls if key == block) for block in held)
 
 
 @pytest.mark.parametrize("given", [{"m": 2**18}, {"c_lambda": 1.5}], ids=["sieve", "dimension posterior"])

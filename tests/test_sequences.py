@@ -203,17 +203,20 @@ _BRUTE_FORCE_END = 10**6
 )
 @example(family_exponent=("polynomial", 0.51), n=1000, log_scale=0.0)  # the flattest polynomial tail
 @example(family_exponent=("exponential", 0.05), n=1000, log_scale=0.0)  # most of it past J
+@example(family_exponent=("exponential", 0.725), n=100, log_scale=30.0)  # e^{1 - N^p} alone underflows
+@example(family_exponent=("exponential", 0.6), n=248, log_scale=1.0)
 def test_tail_bound_brackets_the_discrete_tail(family_exponent, n, log_scale):
     """For a decreasing ``f``, ``sum_{j>N} f(j) <= int_N^inf f <= f(N) +
     sum_{j>N} f(j)``.  By brute force over ``J = 1e6`` terms, with ``S``
     the ``math.fsum`` of ``f(j) = theta_j^2`` over ``N < j <= J``: ``S <=
     sq_tail(N) <= f(N) + S + sq_tail(J)``, the last term bounding the
-    squares past ``J``."""
+    squares past ``J``.  ``f`` is formed in log space: ``s^2 e^{1 - N^p}``
+    is a double where ``e^{1 - N^p}`` alone underflows."""
     family, q = family_exponent
     scale = 10.0**log_scale
     j = np.arange(n, _BRUTE_FORCE_END + 1, dtype=np.float64)
-    shape = j ** (-2.0 * q) if family == "polynomial" else np.exp(1.0 - j ** (2.0 * q))
-    f = scale**2 * shape
+    log_shape = -2.0 * q * np.log(j) if family == "polynomial" else 1.0 - j ** (2.0 * q)
+    f = np.exp(2.0 * math.log(scale) + log_shape)
     s = math.fsum(f[1:])
     past = _signal(family, _BRUTE_FORCE_END, q, scale).sq_tail()
     assert s <= _signal(family, n, q, scale).sq_tail() <= f[0] + s + past
