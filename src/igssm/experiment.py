@@ -42,13 +42,11 @@ from .montecarlo import (
 )
 from .selection import (
     InfeasibleError,
-    _release_profiles,
-    bracket_dimensions,
-    check_assumptions,
+    _assumptions,
+    _bracket,
+    _profiles,
     composite_constants,
     max_dimension,
-    minimax_dimension,
-    oracle_dimension,
 )
 
 __all__ = ["ExperimentResult", "run_experiment"]
@@ -159,14 +157,18 @@ def _prepare(cfg: ExperimentConfig, subset: str | None = None) -> tuple:
     sequences of ``cfg``, its assumption report, the checked rows of the
     risk and concentration stages ``subset`` runs (see ``run_experiment``;
     none without one, as for ``igssm select``) and the ``report.json``
-    header (all of it but the seed).  The bias profile, the variance-proxy
-    prefix sums and the class weights serve only the selections, which are
-    all made here, so none of them outlives set-up."""
+    header (all of it but the seed).  Every selection and bracket the run
+    needs is made here, on both noise grids, and all of them read one set
+    of profiles (``selection._profiles``): the bias profile, the
+    variance-proxy prefix sums and the class weights, each scanned once and
+    kept as its values at the block ends, so no full-length array is built
+    for them and none outlives set-up."""
     op, theta, prior = cfg.build_sequences()
     wclass = cfg.build_class(op.n)  # explicit operators fix their own length
 
     try:
-        report = check_assumptions(theta, prior, op, cfg.eps_grid, weighted_class=wclass)
+        profiles = _profiles(theta, prior, op, wclass)
+        report = _assumptions(theta, prior, op, cfg.eps_grid, wclass, profiles)
         c_lambda = report.c_lambda if cfg.c_lambda_override is None else cfg.c_lambda_override
         constants = composite_constants(
             report, theta, prior, op, weighted_class=wclass, c_lambda=c_lambda
@@ -176,8 +178,7 @@ def _prepare(cfg: ExperimentConfig, subset: str | None = None) -> tuple:
     mise = _mise_plan(cfg, report, c_lambda) if subset in ("all", "sweep") else []
     concentration = []
     if subset == "all":
-        concentration = _concentration_plan(cfg, theta, prior, op, wclass, report, c_lambda, constants)
-    _release_profiles(theta, op)
+        concentration = _concentration_plan(cfg, theta, prior, op, wclass, profiles, report, c_lambda, constants)
     header = {
         "version": __version__,
         "config_sha256": cfg.sha256(),
@@ -226,19 +227,17 @@ def _mise_plan(cfg, report, c_lambda) -> list:
     return rows
 
 
-def _concentration_plan(cfg, theta, prior, op, wclass, report, c_lambda, constants) -> list:
+def _concentration_plan(cfg, theta, prior, op, wclass, profiles, report, c_lambda, constants) -> list:
     """The concentration stage's rows, per noise level and kind: a band at
     the selection or on the search range, or the bracket of the selection
-    (see ``CONCENTRATION_TABLE``).  A row raises at a selection past the
-    search range, a bracket that cannot be computed, a band constant below
-    1 or a rate ``montecarlo._band`` refuses."""
+    (see ``CONCENTRATION_TABLE``), each selection and bracket read from
+    ``profiles``.  A row raises at a selection past the search range, a
+    bracket that cannot be computed, a band constant below 1 or a rate
+    ``montecarlo._band`` refuses."""
     rows = []
     for eps in cfg.concentration_eps_grid:
         m_max = max_dimension(op, eps)
-        selected = {
-            "oracle": oracle_dimension(theta, prior, op, eps),
-            "minimax": minimax_dimension(wclass, op, eps) if wclass is not None else None,
-        }
+        selected = {kind: profiles.select(kind, eps)[0] for kind in profiles.kinds}
         for name in cfg.concentration_kinds:
             kind = CONCENTRATION_TABLE[name]
             sel = selected[kind.selection]
@@ -248,9 +247,7 @@ def _concentration_plan(cfg, theta, prior, op, wclass, report, c_lambda, constan
                     f"range {m_max} at eps={eps} for {name}"
                 )
             if kind.estimate == "bracket":
-                bracket = bracket_dimensions(
-                    theta, prior, op, report, sel, weighted_class=wclass, c_lambda=c_lambda
-                )
+                bracket = _bracket(profiles.bias, theta, prior, op, report, sel, wclass, c_lambda)
                 rows.append(_Row((eps, name, sel.dimension, None, None, *bracket), None, c_lambda, bracket))
                 continue
             constant = constants[kind.constant]

@@ -9,13 +9,23 @@ maximum, and the oracle/minimax dimensions are smallest minimisers of that
 rate (with the class weights ``w_m`` replacing the bias in the minimax
 case).  All scans run over the stored range ``1..N`` and biases carry the
 analytic tail of the signal family beyond ``N``.
+
+The bias profile, the variance-proxy prefix sums and the class weights are
+each read as a :class:`_Profile`: its value at the last index of every
+``sequences._BLOCK``-long block, taken in one scan, and one block at a
+time, folded or evaluated on demand bit for bit as the whole array would
+hold it.  A selection or a bracket searches those ends and then reads the
+one block that holds its answer, so no full-length array is built and
+nothing is kept on the sequences.  Set-up builds the profiles once
+(:func:`_profiles`) and makes every selection on them; each public
+function called alone builds those it reads.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,54 +90,159 @@ class RiskDecomposition:
     rate: float            # max(bias, variance_proxy)
 
 
-def bias_profile(theta: ParameterSequence, prior: PriorSpec) -> np.ndarray:
-    """``b_m`` for ``m = 1..N``: squared bias of keeping ``m`` coordinates.
+# ---------------------------------------------------------------------------
+# profiles: the sequences the selections read, a block at a time
+# ---------------------------------------------------------------------------
 
-    Computed by reverse accumulation (no cancelling subtractions); the
-    analytic tail of the signal family beyond ``N`` is added throughout,
-    with the prior mean taken as zero past the stored range.  The result is
-    read-only and computed once per (theta, prior): ``theta`` keeps the
-    profile of the last prior it was asked about, and both are immutable,
-    until :func:`_release_profiles`.
 
-    One ``N + 1`` buffer holds the suffix sums ``sum_{j>=i} (theta_j -
-    mu_j)^2``, ending in 0.0, and is filled from the end a block at a time:
-    a block's squares are written in place and folded in reverse from the
-    sum at its upper edge, which is the whole-array cumsum bit for bit.
-    The tail is added to each block's sums once the block below no longer
-    folds from them.  Raises ``OverflowError`` when the whole sum is past
-    the double range.
-    """
+class _Profile:
+    """A monotone sequence ``p_i``, ``i = 0..n-1``, read through the blocks
+    ``blocks`` of ``sequences._blocks(n)``: ``ends[k]`` is its value at the
+    last index of block ``k`` and ``block(k)`` its values on that block, each
+    bit for bit what the whole array would hold."""
+
+    def __init__(self, blocks: list, ends: np.ndarray, block):
+        self.blocks, self.ends, self.block = blocks, ends, block
+
+    @property
+    def n(self) -> int:
+        return self.blocks[-1][1]
+
+    def first(self, at_ends: np.ndarray, in_block) -> int:
+        """The first index where a condition, false and then true along
+        the sequence, holds (``n`` if none), from ``at_ends``, its values at
+        the block ends, and ``in_block(k)``, its values on block ``k``, read
+        for the first block that ends true."""
+        k = int(np.argmax(at_ends))
+        if not at_ends[k]:
+            return self.n
+        return self.blocks[k][0] + int(np.argmax(in_block(k)))
+
+    def locate(self, i: int) -> tuple[int, int]:
+        """``(k, offset)``: the block holding index ``i`` and ``i``'s place in it."""
+        k = i // self.blocks[0][1]
+        return k, i - self.blocks[k][0]
+
+    def at(self, i: int) -> np.float64:
+        """``p_i``, reading its block."""
+        k, offset = self.locate(i)
+        return self.block(k)[offset]
+
+
+def _bias(theta: ParameterSequence, prior: PriorSpec) -> _Profile:
+    """The bias profile ``b_m``, ``m = i + 1``: the suffix sums from ``m``
+    on plus the analytic tail of the signal family beyond ``N``, with the
+    prior mean taken as zero past the stored range.
+
+    One reverse scan keeps the suffix sum at each block's upper edge; a
+    block is folded in reverse from it (no cancelling subtractions), which
+    is the whole-array cumsum bit for bit.  Raises ``OverflowError`` when
+    the whole sum is past the double range."""
     if theta.n != prior.n:
         raise ValueError("signal and prior lengths must match")
-    memo = theta.__dict__.get("_bias_memo")
-    if memo is not None and memo[0] is prior:
-        return memo[1]
-    n, tail = theta.n, theta.sq_tail()
-    suffix = np.empty(n + 1)
-    suffix[n] = 0.0
-    with np.errstate(over="ignore"):  # an overflow reaches the whole sum, found below
-        for lo, hi in reversed(_blocks(n)):
-            block = suffix[lo:hi]
-            np.subtract(theta.values[lo:hi], prior.means[lo:hi], out=block)
-            np.square(block, out=block)
-            fold = suffix[lo : hi + 1][::-1]
-            np.add.accumulate(fold, out=fold)
-            suffix[lo + 1 : hi + 1] += tail
-    if not np.isfinite(suffix[0]):
+    tail = theta.sq_tail()
+    blocks = _blocks(theta.n)
+
+    def fold(k, upper):  # the suffix sums from lo..hi of block k, from the sum ``upper`` at hi
+        lo, hi = blocks[k]
+        run = np.empty(hi - lo + 1)
+        run[-1] = upper
+        np.subtract(theta.values[lo:hi], prior.means[lo:hi], out=run[:-1])
+        np.square(run[:-1], out=run[:-1])
+        reverse = run[::-1]
+        np.add.accumulate(reverse, out=reverse)
+        return run
+
+    uppers = np.empty(len(blocks))
+    total = 0.0
+    # an overflow reaches the whole sum, refused below; b_m itself may pass
+    # the double range once the tail is added, as the whole-array sums do
+    with np.errstate(over="ignore"):
+        for k in reversed(range(len(blocks))):
+            uppers[k] = total
+            total = fold(k, total)[0]
+        ends = uppers + tail
+    if not np.isfinite(total):
         raise OverflowError("the squared distance of the truth from the prior mean is past the double range")
-    profile = _freeze(suffix)[1:]
-    theta.__dict__["_bias_memo"] = (prior, profile)  # where cached_property keeps its values
-    return profile
+
+    def block(k):
+        with np.errstate(over="ignore"):
+            return fold(k, uppers[k])[1:] + tail
+
+    return _Profile(blocks, ends, block)
 
 
-def _release_profiles(theta: ParameterSequence, op: OperatorSequence) -> None:
-    """Drop the full-length arrays the selections memoise: the bias profile
-    on ``theta`` and the variance-proxy prefix sums cached on ``op``.
-    Set-up calls this once it has made every selection a run needs; a
-    later call that needs either builds it again."""
-    theta.__dict__.pop("_bias_memo", None)
-    op.__dict__.pop("_amp_prefix_sum", None)
+def _prefix(op: OperatorSequence, stop: int | None = None) -> _Profile:
+    """The variance-proxy prefix sums ``sum_{j<=m} lambda_j^{-2}``, ``m =
+    i + 1``, for ``i`` below ``stop`` (default ``N``), +inf past the double
+    range: one forward scan keeps the sum at each block end, and a block is
+    folded from the end of the block before, which is ``np.cumsum`` of the
+    whole array bit for bit."""
+    blocks = _blocks(op.n if stop is None else stop)
+
+    def fold(k, before):  # the sums on block k, from the sum ``before`` below it
+        lo, hi = blocks[k]
+        run = np.empty(hi - lo + 1)
+        run[0] = before
+        np.negative(op.log_sq[lo:hi], out=run[1:])
+        with np.errstate(over="ignore"):
+            np.exp(run[1:], out=run[1:])
+        return np.add.accumulate(run, out=run)[1:]
+
+    ends = np.empty(len(blocks))
+    before = 0.0
+    for k in range(len(blocks)):
+        before = ends[k] = fold(k, before)[-1]
+    return _Profile(blocks, ends, lambda k: fold(k, ends[k - 1] if k else 0.0))
+
+
+def _weights(weighted_class: WeightedClass) -> _Profile:
+    """The class weights ``w_m``, ``m = i + 1``, evaluated at the block ends
+    and on a block as the class holds or computes them."""
+    blocks = _blocks(weighted_class.n)
+    ends = weighted_class._at(np.array([hi - 1 for _, hi in blocks]))
+    return _Profile(blocks, ends, lambda k: weighted_class._block(*blocks[k]))
+
+
+class _Profiles(NamedTuple):
+    """What every selection of a run reads, built once by :func:`_profiles`."""
+
+    bias: _Profile
+    prefix: _Profile
+    weights: _Profile | None
+
+    @property
+    def kinds(self) -> tuple:
+        """The selections these profiles make: the oracle and, with the
+        class weights, the minimax."""
+        return ("oracle",) if self.weights is None else ("oracle", "minimax")
+
+    def select(self, kind: str, eps: float) -> tuple:
+        """The oracle or minimax selection at ``eps``; see :func:`_select`."""
+        return _select(self.weights if kind == "minimax" else self.bias, self.prefix, kind, eps)
+
+
+def _profiles(theta: ParameterSequence, prior: PriorSpec, op: OperatorSequence,
+              weighted_class: WeightedClass | None = None) -> _Profiles:
+    """The bias profile, the variance-proxy prefix sums and, with a class,
+    its weights: one scan each."""
+    weights = None if weighted_class is None else _weights(weighted_class)
+    return _Profiles(_bias(theta, prior), _prefix(op), weights)
+
+
+def bias_profile(theta: ParameterSequence, prior: PriorSpec) -> np.ndarray:
+    """``b_m`` for ``m = 1..N``: squared bias of keeping ``m`` coordinates,
+    the analytic tail of the signal family beyond ``N`` added throughout.
+
+    Read-only and built on each call, one block at a time from the edges of
+    :func:`_bias`.  Raises ``OverflowError`` when the whole sum is past the
+    double range.
+    """
+    profile = _bias(theta, prior)
+    out = np.empty(theta.n)
+    for k, (lo, hi) in enumerate(profile.blocks):
+        out[lo:hi] = profile.block(k)
+    return _freeze(out)
 
 
 def risk_decomposition(
@@ -144,7 +259,7 @@ def risk_decomposition(
     if not 1 <= m <= n:
         raise ValueError(f"dimension m={m} outside 1..{n}")
     bias = _sq_err_sum(theta.values, prior.means, m, n - m) + theta.sq_tail()
-    variance_proxy = eps * op._amp_prefix_sum[m - 1]
+    variance_proxy = eps * _prefix(op, m).ends[-1]
     if not np.isfinite(variance_proxy):
         raise OverflowError(f"variance proxy overflows at m={m}")
     post_var = posterior_variances(prior.head(m), op.head(m), eps)
@@ -181,22 +296,36 @@ class SelectionResult:
     eps: float
 
 
-def _select(profile: np.ndarray, prefix: np.ndarray, kind: str, eps: float) -> SelectionResult:
-    """Smallest minimiser of ``max(profile_m, vprox_m)``, the variance proxy
-    ``vprox_m = eps * prefix_m`` with ``prefix = op._amp_prefix_sum`` (+inf
-    past the representable range), found by bisection.  ``profile`` does
-    not increase and ``vprox`` does not decrease, so the rate is the profile
-    up to the first ``m`` where the proxy reaches it and the proxy from
-    there on: its first minimiser is that ``m`` or the start of the
+def _select(profile: _Profile, prefix: _Profile, kind: str, eps: float) -> tuple:
+    """``(selection, min(profile_m, vprox_m))`` at the smallest minimiser
+    ``m`` of ``max(profile_m, vprox_m)``, with the variance proxy ``vprox_m
+    = eps * prefix_m`` (+inf past the representable range).  ``profile``
+    does not increase and ``vprox`` does not decrease, so the rate is the
+    profile up to the first ``m`` where the proxy reaches it and the proxy
+    from there on: its first minimiser is that ``m`` or the start of the
     profile's plateau just before it, the index ``argmin`` of the whole
-    rate gives."""
-    n = profile.size
-    cross = bisect_left(range(n), True, key=lambda m: eps * prefix[m] >= profile[m])
+    rate gives.  Each is found on the block ends first, then in the one
+    block that holds it, which is folded once for the query."""
+    folded = {}  # block index: the profile and the variance proxy on it
+
+    def on(k):
+        if k not in folded:
+            folded[k] = (profile.block(k), eps * prefix.block(k))
+        return folded[k]
+
+    def at(i):
+        k, offset = profile.locate(i)
+        values, vprox = on(k)
+        return values[offset], vprox[offset]
+
+    n = profile.n
+    cross = profile.first(eps * prefix.ends >= profile.ends, lambda k: on(k)[1] >= on(k)[0])
     idx = cross
-    if cross == n or (cross > 0 and profile[cross - 1] <= eps * prefix[cross]):
-        level = profile[cross - 1]
-        idx = bisect_left(range(cross), True, key=lambda m: profile[m] <= level)
-    return SelectionResult(idx + 1, float(max(profile[idx], eps * prefix[idx])), kind, float(eps))
+    if cross == n or (cross > 0 and at(cross - 1)[0] <= at(cross)[1]):
+        level = at(cross - 1)[0]
+        idx = profile.first(profile.ends <= level, lambda k: on(k)[0] <= level)
+    value, vprox = at(idx)
+    return SelectionResult(idx + 1, float(max(value, vprox)), kind, float(eps)), min(value, vprox)
 
 
 def oracle_dimension(
@@ -209,7 +338,7 @@ def oracle_dimension(
     if not (theta.n == prior.n == op.n):
         raise ValueError("signal, prior and operator lengths must match")
     _check_eps(eps)
-    return _select(bias_profile(theta, prior), op._amp_prefix_sum, "oracle", eps)
+    return _select(_bias(theta, prior), _prefix(op), "oracle", eps)[0]
 
 
 def minimax_dimension(
@@ -221,7 +350,7 @@ def minimax_dimension(
     if weighted_class.n != op.n:
         raise ValueError("class and operator lengths must match")
     _check_eps(eps)
-    return _select(weighted_class.weights, op._amp_prefix_sum, "minimax", eps)
+    return _select(_weights(weighted_class), _prefix(op), "minimax", eps)[0]
 
 
 def max_dimension(op: OperatorSequence, eps: float) -> int:
@@ -261,6 +390,12 @@ def bracket_dimensions(
     posterior share one constant.  Raises :class:`InfeasibleError` when the
     selected dimension exceeds the search range ``M``.
     """
+    return _bracket(_bias(theta, prior), theta, prior, op, report, sel, weighted_class, c_lambda)
+
+
+def _bracket(bias, theta, prior, op, report, sel, weighted_class=None, c_lambda=None) -> tuple[int, int]:
+    """:func:`bracket_dimensions` on the bias profile ``bias`` of ``theta``
+    and ``prior``: ``m_lo`` is its first crossing below the threshold."""
     inflate = 1.0
     if sel.kind == "minimax":
         if weighted_class is None:
@@ -276,18 +411,17 @@ def bracket_dimensions(
     if c_lambda is None:
         c_lambda = report.c_lambda
     lo_threshold = 8.0 * report.l_lambda * c_lambda * (1.0 + 1.0 / d) * inflate * rate
-    bias = bias_profile(theta, prior)[:m_sel]
-    lo_candidates = np.nonzero(bias <= lo_threshold * (1.0 + _LOG_TOL))[0]
-    if lo_candidates.size == 0:
+    below = lo_threshold * (1.0 + _LOG_TOL)
+    m_lo = bias.first(bias.ends <= below, lambda k: bias.block(k) <= below) + 1
+    if m_lo > m_sel:
         # b_{m_sel} <= rate bounds the oracle's; the minimax's is bounded by
         # radius w_{m_sel} <= radius rate while theta lies in the class
         outside = sel.kind == "minimax" and not weighted_class.contains(theta, prior.means)
         raise InfeasibleError(
-            f"lower bracket set is empty at eps={eps}: the squared bias {float(bias[-1])!r} at the "
+            f"lower bracket set is empty at eps={eps}: the squared bias {float(bias.at(m_sel - 1))!r} at the "
             f"{sel.kind} dimension {m_sel} exceeds the threshold {lo_threshold!r}; "
             + ("the truth lies outside the class" if outside else "assumption constants are inconsistent")
         )
-    m_lo = int(lo_candidates[0]) + 1
     hi_threshold = 5.0 * report.l_lambda * inflate * rate / (eps * op.max_amplification(m_sel))
     m_hi = min(m_max, int(math.floor(hi_threshold + _LOG_TOL)))
     m_hi = max(m_hi, m_sel)
@@ -441,6 +575,13 @@ def check_assumptions(
     The infima defining ``d`` and the two kappas run over the supplied grid
     only; the operator constants scan the full stored range.
     """
+    return _assumptions(theta, prior, op, eps_grid, weighted_class)
+
+
+def _assumptions(theta, prior, op, eps_grid, weighted_class=None, profiles=None) -> AssumptionReport:
+    """:func:`check_assumptions` making its selections on ``profiles``,
+    those of the same sequences (built here, once the inputs are checked,
+    when None)."""
     eps_grid = np.sort(np.asarray(eps_grid, dtype=np.float64))[::-1]
     if eps_grid.size == 0:
         raise ValueError("need at least one grid point")
@@ -451,6 +592,8 @@ def check_assumptions(
         raise ValueError("signal, prior and operator lengths must match")
     if weighted_class is not None and weighted_class.n != n:
         raise ValueError("class and operator lengths must match")
+    if profiles is None:
+        profiles = _profiles(theta, prior, op, weighted_class)
 
     c_lambda = _operator_constant(op)
     l_lambda = _mean_constant(op)
@@ -458,21 +601,16 @@ def check_assumptions(
 
     # at each noise level, the oracle selection on the bias profile and,
     # with a class, the minimax selection on the class weights
-    profiles = {"oracle": bias_profile(theta, prior)}
-    if weighted_class is not None:
-        profiles["minimax"] = weighted_class.weights
-    found: dict = {kind: [] for kind in profiles}  # (dimension, rate, balance) per noise level
+    found: dict = {kind: [] for kind in profiles.kinds}  # (dimension, rate, balance) per noise level
     d = np.inf
     max_dims, feasible = [], []
-    prefix = op._amp_prefix_sum
     for eps in (float(e) for e in eps_grid):
         m_max = max_dimension(op, eps)
         max_dims.append(m_max)
         d = min(d, _variance_floor(prior, op, eps, m_max))
-        for kind, profile in profiles.items():
-            sel = _select(profile, prefix, kind, eps)
-            vprox = eps * prefix[sel.dimension - 1]
-            found[kind].append((sel.dimension, sel.rate, min(profile[sel.dimension - 1], vprox) / sel.rate))
+        for kind in profiles.kinds:
+            sel, low = profiles.select(kind, eps)
+            found[kind].append((sel.dimension, sel.rate, low / sel.rate))
         feasible.append(found["oracle"][-1][0] <= m_max)
 
     columns = {}  # per kind: its dimensions, its rates and its balance constant kappa

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -209,16 +209,6 @@ class OperatorSequence:
     def _log_amp_cummax(self) -> np.ndarray:
         cummax = np.negative(self.log_sq)
         return _freeze(np.maximum.accumulate(cummax, out=cummax))
-
-    @cached_property
-    def _amp_prefix_sum(self) -> np.ndarray:
-        # linear-space prefix sums, built in place from -log_sq; entries past
-        # the representable range are +inf and every accessor below turns
-        # that into a checked error
-        amp = np.negative(self.log_sq)
-        with np.errstate(over="ignore"):
-            np.exp(amp, out=amp)
-        return _freeze(np.cumsum(amp, out=amp))
 
     @property
     def amplification(self) -> np.ndarray:
@@ -467,45 +457,101 @@ def make_parameters(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WeightedClass:
     """Weighted ball ``{theta : sum_j (theta_j - mu_j)^2 / w_j <= radius}``.
 
     Weights are positive, non-increasing, start at ``w_1 = 1`` and decrease
     towards zero; the descent speed encodes the smoothness the class
-    imposes.
+    imposes.  A class made from its weights holds them.  A polynomial or
+    exponential class from :func:`make_weights` holds its length and its
+    formula only: ``_block`` and ``_at`` evaluate the formula on the
+    coordinates they read, and ``weights`` builds the whole array on each
+    access, so the class keeps no full-length array.
     """
 
-    weights: np.ndarray
+    n: int
     radius: float
     family: str = "explicit"
     exponent: float | None = None
+    _values: np.ndarray | None = field(default=None, repr=False)  # the weights a class was made from
 
-    def __post_init__(self) -> None:
-        w = _readonly(self.weights)
+    def __init__(self, weights, radius: float, family: str = "explicit", exponent: float | None = None) -> None:
+        w = _readonly(weights)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weight sequence must be a non-empty 1-d array")
-        if not (np.all(np.isfinite(w)) and np.all(w > 0.0)):
+        self._set(w.size, radius, family, exponent, w)
+
+    @classmethod
+    def _formula(cls, family: str, n: int, exponent: float, radius: float) -> "WeightedClass":
+        """The polynomial or exponential class of length ``n``, holding no
+        weights."""
+        wclass = object.__new__(cls)
+        wclass._set(n, radius, family, exponent, None)
+        return wclass
+
+    def _set(self, n, radius, family, exponent, values) -> None:
+        """Set the fields and check the weights, one block at a time."""
+        for name, value in zip(("n", "radius", "family", "exponent", "_values"),
+                               (n, radius, family, exponent, values)):
+            object.__setattr__(self, name, value)
+        if values is None and family == "exponential" and self._block(n - 1, n)[0] == 0.0:
+            raise OverflowError("exponential weights underflow to zero; shorten the range")
+        valid, falling, last = True, True, np.inf
+        for lo, hi in _blocks(n):
+            w = self._block(lo, hi)
+            valid = valid and bool(np.all(np.isfinite(w)) and np.all(w > 0.0))
+            falling = falling and not (w[0] > last or np.any(w[1:] > w[:-1]))
+            last = w[-1]
+        if not valid:
             raise ValueError("weights must be finite and positive")
-        if w[0] != 1.0:
+        if self._block(0, 1)[0] != 1.0:
             raise ValueError("weights must start at w_1 = 1")
-        if any(np.any(w[lo + 1 : hi + 1] > w[lo:hi]) for lo, hi in _blocks(w.size - 1)):
+        if not falling:
             raise ValueError("weights must be non-increasing")
         # radius 0 is the degenerate ball {mu}; negative radii are nonsense
         if not (np.isfinite(self.radius) and self.radius >= 0.0):
             raise ValueError("radius must be finite and >= 0")
-        object.__setattr__(self, "weights", w)
 
     @property
-    def n(self) -> int:
-        return self.weights.size
+    def weights(self) -> np.ndarray:
+        """``w_j`` for every coordinate, read-only; a formula class builds
+        them on each access."""
+        if self._values is not None:
+            return self._values
+        return _freeze(self._block(0, self.n))
+
+    def _block(self, lo: int, hi: int) -> np.ndarray:
+        """``w_j`` for ``j`` in ``lo + 1 .. hi``."""
+        if self._values is not None:
+            return self._values[lo:hi]
+        return _weight_formula(self.family, self.exponent, np.arange(lo + 1, hi + 1, dtype=np.float64))
+
+    def _at(self, idx: np.ndarray) -> np.ndarray:
+        """``w_j`` at the array positions ``idx`` (``j = idx + 1``)."""
+        if self._values is not None:
+            return self._values[idx]
+        return _weight_formula(self.family, self.exponent, idx + 1.0)
 
     def contains(self, theta: ParameterSequence, means: np.ndarray | None = None) -> bool:
         """Membership test on the stored range (coordinates past the shorter
         of the two sequences are not examined)."""
         k = min(self.n, theta.n)
         diff = theta.values[:k] if means is None else theta.values[:k] - np.asarray(means)[:k]
-        return bool(np.sum(diff**2 / self.weights[:k]) <= self.radius)
+        return bool(np.sum(diff**2 / self._block(0, k)) <= self.radius)
+
+
+def _weight_formula(family: str, exponent: float, j: np.ndarray) -> np.ndarray:
+    """The weights of a polynomial or exponential class at the coordinates
+    ``j``, a float array the weights are written over."""
+    if family == "polynomial":
+        j **= -2.0 * exponent
+    else:
+        with np.errstate(over="ignore"):  # j^{2p} = inf gives a zero weight, refused by the checks
+            j **= 2.0 * exponent
+        np.subtract(1.0, j, out=j)
+        np.exp(j, out=j)
+    return j
 
 
 def make_weights(family: str, n: int, exponent: float | None = None,
@@ -522,17 +568,7 @@ def make_weights(family: str, n: int, exponent: float | None = None,
         return WeightedClass(np.asarray(values, dtype=np.float64), radius, family)
     if exponent is None or exponent <= 0:
         raise ValueError(f"{family} weights need exponent p > 0")
-    w = np.arange(1, n + 1, dtype=np.float64)  # the j grid, overwritten with the weights
-    if family == "polynomial":
-        w **= -2.0 * float(exponent)
-    else:
-        with np.errstate(over="ignore"):  # j^{2p} = inf gives a zero weight, found below
-            w **= 2.0 * float(exponent)
-        np.subtract(1.0, w, out=w)
-        np.exp(w, out=w)
-        if w[-1] == 0.0:
-            raise OverflowError("exponential weights underflow to zero; shorten the range")
-    return WeightedClass(_freeze(w), radius, family, float(exponent))
+    return WeightedClass._formula(family, n, float(exponent), radius)
 
 
 # ---------------------------------------------------------------------------

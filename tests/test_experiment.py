@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import igssm
-from igssm import experiment, montecarlo
+from igssm import experiment, montecarlo, selection
 from igssm.cli import EXIT_CHECK, main
 from igssm.config import ConfigError, ExperimentConfig, load_config
 from igssm.experiment import run_experiment
@@ -123,10 +123,9 @@ def _long_config(name):
 
 @pytest.mark.parametrize("name", list(_SET_UPS))
 def test_set_up_peaks_at_the_arrays_it_keeps(name):
-    """``_prepare`` peaks at no more than the arrays it holds at once plus
-    ``_SET_UP_MARGIN``: those it keeps, and the class weights, the bias
-    profile and the variance-proxy prefix sums that serve its selections.
-    Every full-length scan runs in fixed blocks, so one more full-length
+    """``_prepare`` peaks at no more than the arrays it keeps plus
+    ``_SET_UP_MARGIN``.  Every full-length scan runs in fixed blocks and the
+    selections read their profiles a block at a time, so one full-length
     temporary at the high-water mark fails this."""
     cfg = _long_config(name)
     tracemalloc.start()
@@ -136,8 +135,26 @@ def test_set_up_peaks_at_the_arrays_it_keeps(name):
     finally:
         tracemalloc.stop()
     kept = [op.values, op.log_sq, op._log_amp_cummax, theta.values, prior.means, prior.variances, prior.improper]
-    selections = 8 * _LONG + 8 * (_LONG + 1) + 8 * _LONG
-    assert peak <= sum(a.nbytes for a in kept) + selections + _SET_UP_MARGIN
+    assert peak <= sum(a.nbytes for a in kept) + _SET_UP_MARGIN
+
+
+def test_set_up_scans_each_profile_once(monkeypatch):
+    """``_prepare`` scans the bias profile, the variance-proxy prefix sums
+    and the class weights once each, for a run with three risk noise levels,
+    two concentration ones and brackets of both selections: every selection
+    and bracket reads that one set."""
+    scans = []
+    for name in ("_bias", "_prefix", "_weights"):
+        scan = getattr(selection, name)
+        monkeypatch.setattr(selection, name, lambda *a, scan=scan, name=name: scans.append(name) or scan(*a))
+    cfg = ExperimentConfig({
+        **SMALL, "eps_grid": [0.01, 0.003, 0.001],
+        "concentration": {"kinds": ["sieve_oracle", "bracket_oracle", "sieve_minimax", "bracket_minimax"],
+                          "eps_grid": [0.01, 0.003]},
+    })
+    concentration = experiment._prepare(cfg, "all")[5]
+    assert len(concentration) == 8
+    assert sorted(scans) == ["_bias", "_prefix", "_weights"]
 
 
 @pytest.mark.parametrize("name", list(_SET_UPS))
@@ -162,10 +179,12 @@ def test_each_set_up_step_peaks_at_what_it_leaves(name):
         step("prior", lambda: cfg.build_prior(live["op"]))
         step("class", lambda: cfg.build_class(_LONG))
         seqs = (live["theta"], live["prior"], live["op"])
+        step("profiles", lambda: selection._profiles(*seqs, live["class"]))
         step("report", lambda: check_assumptions(*seqs, cfg.eps_grid, weighted_class=live["class"]))
         step("constants", lambda: composite_constants(live["report"], *seqs, weighted_class=live["class"]))
         step("rows", lambda: experiment._concentration_plan(
-            cfg, *seqs, live["class"], live["report"], live["report"].c_lambda, live["constants"]))
+            cfg, *seqs, live["class"], live["profiles"], live["report"], live["report"].c_lambda,
+            live["constants"]))
     finally:
         tracemalloc.stop()
 
@@ -180,7 +199,7 @@ def test_a_bracket_error_is_raised_before_any_concentration_replication(tmp_path
 
     ran = []
     replications = montecarlo._replications
-    monkeypatch.setattr(experiment, "bracket_dimensions", no_bracket)
+    monkeypatch.setattr(experiment, "_bracket", no_bracket)
     monkeypatch.setattr(montecarlo, "_replications", lambda *a: ran.append(a) or replications(*a))
     cfg = small_config(audit=None, estimators=[])
     assert experiment._prepare(cfg)[5] == []

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from igssm import (
     InfeasibleError,
     OperatorSequence,
+    ParameterSequence,
     PriorSpec,
     bias_profile,
     bracket_dimensions,
@@ -35,7 +36,8 @@ from igssm import sequences
 from igssm.selection import (
     _LOG_TOL,
     _operator_constant,
-    _release_profiles,
+    _Profile,
+    _profiles,
     _select,
     _submultiplicative,
 )
@@ -74,24 +76,35 @@ def test_oracle_dimension_against_brute_force(seed):
 _LEVELS = st.sampled_from([0.0, 1e-300, 0.25, 0.5, 1.0, 2.0, 3.0, np.inf])
 
 
+def _array_profile(a):
+    """The profile of the whole array ``a``, read through the blocks of
+    ``sequences._blocks``."""
+    blocks = sequences._blocks(a.size)
+    return _Profile(blocks, a[[hi - 1 for _, hi in blocks]], lambda k: a[slice(*blocks[k])])
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     profile=st.lists(_LEVELS, min_size=1, max_size=12),
     prefix=st.lists(_LEVELS, min_size=12, max_size=12),
     eps=st.sampled_from([0.5, 0.25, 1e-3, 1e-300]),
+    block=st.sampled_from([1, 2, 3, 5, 64]),
 )
-@example(profile=[1.0, 1.0, 0.5, 0.5], prefix=[0.0, 1.0, 1.0, 2.0] + [3.0] * 8, eps=0.5)  # tie at the crossing
-@example(profile=[np.inf] * 3, prefix=[np.inf] * 12, eps=0.5)  # every rate infinite
-def test_select_is_the_first_argmin_of_the_rate(profile, prefix, eps):
-    """Bisection on a non-increasing profile and a non-decreasing variance
-    proxy, with plateaus, ties and infinities, finds the minimiser and rate
-    that ``argmin`` over the whole rate finds."""
+@example(profile=[1.0, 1.0, 0.5, 0.5], prefix=[0.0, 1.0, 1.0, 2.0] + [3.0] * 8, eps=0.5, block=64)  # tie at the crossing
+@example(profile=[np.inf] * 3, prefix=[np.inf] * 12, eps=0.5, block=64)  # every rate infinite
+def test_select_is_the_first_argmin_of_the_rate(profile, prefix, eps, block):
+    """The search on the block ends and then inside one block, on a
+    non-increasing profile and a non-decreasing variance proxy with
+    plateaus, ties and infinities, finds the minimiser and rate that
+    ``argmin`` over the whole rate finds, wherever the block edges fall."""
     profile = np.sort(profile)[::-1]
     prefix = np.sort(prefix)[: profile.size]
     rates = np.maximum(profile, eps * prefix)
-    got = _select(profile, prefix, "oracle", eps)
+    with mock.patch.object(sequences, "_BLOCK", block):
+        got, low = _select(_array_profile(profile), _array_profile(prefix), "oracle", eps)
     idx = int(np.argmin(rates))
     assert (got.dimension, got.rate) == (idx + 1, float(rates[idx]))
+    assert low == min(profile[idx], eps * prefix[idx])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -156,8 +169,7 @@ def test_bias_profile_reverse_accumulation():
     prior = PriorSpec.flat(4)
     prof = bias_profile(theta, prior)
     np.testing.assert_allclose(prof, [2**2 + 1 + 0.25, 1 + 0.25, 0.25, 0.0], rtol=1e-15)
-    # computed once per (theta, prior) and handed out read-only
-    assert bias_profile(theta, prior) is prof and not prof.flags.writeable
+    assert not prof.flags.writeable
     other = PriorSpec.gaussian(np.full(4, 0.5), np.ones(4))
     np.testing.assert_allclose(bias_profile(theta, other), [1.5**2 + 0.25, 0.25, 0.0, 0.0], rtol=1e-15)
     again = bias_profile(theta, prior)
@@ -256,13 +268,11 @@ def test_blocked_scans_equal_whole_array_formulas(n, block, seed, wiggle):
     eps_grid = (0.3, 0.01, 1e-3)
 
     whole = check_assumptions(theta, prior, op, eps_grid)
-    _release_profiles(theta, op)
     with mock.patch.object(sequences, "_BLOCK", block):
         blocked = check_assumptions(theta, prior, op, eps_grid)
         profile = bias_profile(theta, prior)
         constant = _operator_constant(op)
         verdict = _submultiplicative(op)
-    _release_profiles(theta, op)
 
     d, c_lambda, l_lambda, want_profile = _whole_array_report(theta, prior, op, eps_grid)
     assert verdict == _gather_submultiplicative(op)
@@ -275,6 +285,125 @@ def test_blocked_scans_equal_whole_array_formulas(n, block, seed, wiggle):
         assert getattr(blocked, field) == getattr(whole, field), field
     for field in ("max_dims", "oracle_dims", "oracle_rates", "feasible"):
         assert np.array_equal(getattr(blocked, field), getattr(whole, field)), field
+
+
+def _whole_array_bracket(bias, op, report, sel, inflate, c_lambda):
+    """``(m_lo, m_hi)`` with ``m_lo`` the first crossing of the whole bias
+    profile below its threshold; None where the bracket is infeasible."""
+    m_max = max_dimension(op, sel.eps)
+    lo_threshold = 8.0 * report.l_lambda * c_lambda * (1.0 + 1.0 / report.d) * inflate * sel.rate
+    crossing = np.nonzero(bias[: sel.dimension] <= lo_threshold * (1.0 + _LOG_TOL))[0]
+    if sel.dimension > m_max or crossing.size == 0:
+        return None
+    hi = 5.0 * report.l_lambda * inflate * sel.rate / (sel.eps * op.max_amplification(sel.dimension))
+    return int(crossing[0]) + 1, max(min(m_max, int(math.floor(hi + _LOG_TOL))), sel.dimension)
+
+
+@st.composite
+def plateau_problems(draw):
+    """A small problem, the whole-array class weights and a noise grid.
+    The truth equals the prior mean from a drawn index on, so the bias
+    profile is flat there, at 0 or at the analytic tail, across block edges
+    wherever they fall.  The amplification is unit (every variance proxy a
+    multiple of eps, so rates tie) or drawn; the class is explicit with
+    flat runs, polynomial or exponential; one noise level is drawn to tie
+    the two terms of the rate at a drawn index."""
+    n = draw(st.integers(1, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        op = make_operator("constant", n)
+    else:
+        log_amp = 2.0 * rng.uniform(0.0, 2.0) * np.log(np.arange(1.0, n + 1)) + 0.3 * rng.standard_normal(n)
+        op = OperatorSequence(np.exp(-0.5 * log_amp), -log_amp)
+    means = rng.choice([0.0, 0.25, -0.5], size=n)
+    prior = PriorSpec.gaussian(means, rng.uniform(0.5, 2.0, n))
+    offsets = rng.choice([0.0, 0.125, 0.5, -0.25, 1.0], size=n)
+    offsets[draw(st.integers(0, n)):] = 0.0
+    family = draw(st.sampled_from(["explicit", "polynomial"]))
+    theta = ParameterSequence(means + offsets, family, *((1.2, 0.3) if family == "polynomial" else ()))
+    radius = draw(st.sampled_from([0.0, 0.5, 4.0]))
+    j = np.arange(1, n + 1, dtype=np.float64)
+    weights_family = draw(st.sampled_from(["explicit", "polynomial", "exponential"]))
+    if weights_family == "explicit":
+        weights = np.minimum.accumulate(np.concatenate([[1.0], rng.choice([1.0, 0.5, 0.25, 0.125], n - 1)]))
+        wclass = make_weights("explicit", n, values=weights, radius=radius)
+    else:
+        p = draw(st.floats(0.1, 0.5))
+        weights = j ** (-2.0 * p) if weights_family == "polynomial" else np.exp(1.0 - j ** (2.0 * p))
+        wclass = make_weights(weights_family, n, exponent=p, radius=radius)
+    grid = draw(st.lists(_log_uniform(-6.0, -0.3), min_size=1, max_size=3, unique=True))
+    tie = draw(st.integers(0, n - 1))
+    bias = theta.sq_tail() + np.sum((theta.values[tie + 1 :] - means[tie + 1 :]) ** 2)
+    eps = bias / float(np.sum(np.exp(-op.log_sq[: tie + 1])))
+    if 0.0 < eps < 1.0 and eps not in grid:
+        grid.append(float(eps))
+    return theta, prior, op, wclass, weights, grid
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=plateau_problems(), block=st.sampled_from([1, 7, 64]), c_lambda=st.sampled_from([None, 1.0, 50.0]))
+def test_selections_and_brackets_equal_whole_array_references(problem, block, c_lambda):
+    """With ``_BLOCK`` patched to a few elements, every oracle and minimax
+    selection (public, in the report, and on one shared set of profiles),
+    every bracket and the variance proxy and bias of ``risk_decomposition``
+    are bit for bit what the whole arrays give: the first ``argmin`` of
+    ``max(profile, eps cumsum(amp))``, the first crossing of the bias
+    profile below the bracket threshold, and the cumsum and sum at ``m``."""
+    theta, prior, op, wclass, weights, grid = problem
+    n = theta.n
+    sq = (theta.values - prior.means) ** 2
+    bias = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])[1:] + theta.sq_tail()
+    prefix = np.cumsum(np.exp(-op.log_sq))
+    with mock.patch.object(sequences, "_BLOCK", block):
+        assert np.array_equal(wclass.weights, weights)
+        report = check_assumptions(theta, prior, op, grid, weighted_class=wclass)
+        shared = _profiles(theta, prior, op, wclass)
+        c_used = report.c_lambda if c_lambda is None else c_lambda
+        for i, eps in enumerate(report.eps_grid):
+            eps = float(eps)
+            for kind, profile, public, column in (
+                ("oracle", bias, oracle_dimension(theta, prior, op, eps), (report.oracle_dims, report.oracle_rates)),
+                ("minimax", weights, minimax_dimension(wclass, op, eps), (report.minimax_dims, report.minimax_rates)),
+            ):
+                rates = np.maximum(profile, eps * prefix)
+                want = (int(np.argmin(rates)) + 1, float(np.min(rates)))
+                sel = shared.select(kind, eps)[0]
+                assert (public.dimension, public.rate) == (sel.dimension, sel.rate) == want
+                assert (column[0][i], column[1][i]) == want
+                inflate = 1.0 if kind == "oracle" else max(1.0, wclass.radius)
+                try:
+                    got = bracket_dimensions(theta, prior, op, report, sel, weighted_class=wclass, c_lambda=c_lambda)
+                except InfeasibleError:
+                    got = None
+                assert got == _whole_array_bracket(bias, op, report, sel, inflate, c_used)
+            for m in sorted({1, (n + 1) // 2, n, min(n, block), min(n, block + 1)}):
+                dec = risk_decomposition(theta, prior, op, eps, m)
+                assert dec.variance_proxy == float(eps * prefix[m - 1])
+                assert dec.bias == float(np.sum(sq[m:])) + theta.sq_tail()
+
+
+def test_selections_leave_no_state_on_the_sequences():
+    """The assumption report, both selections, both brackets, the risk
+    decomposition and the bias profile add no attribute to the truth, the
+    prior, the operator or the class, explicit or of a formula; the one
+    exception is the operator's cached amplification cummax."""
+    n = 3000
+    op = make_operator("polynomial", n, decay=1.0)
+    theta = make_parameters("polynomial", n, exponent=1.6, scale=0.4)
+    prior = PriorSpec.flat(n)
+    formula = make_weights("polynomial", n, exponent=1.0, radius=2.0)
+    explicit = make_weights("explicit", n, values=formula.weights, radius=2.0)
+    for wclass in (formula, explicit):
+        seqs = (theta, prior, op, wclass)
+        before = [set(vars(x)) for x in seqs]
+        with mock.patch.object(sequences, "_BLOCK", 64):
+            report = check_assumptions(theta, prior, op, (1e-2, 1e-4), weighted_class=wclass)
+            for sel in (oracle_dimension(theta, prior, op, 1e-3), minimax_dimension(wclass, op, 1e-3)):
+                bracket_dimensions(theta, prior, op, report, sel, weighted_class=wclass)
+            risk_decomposition(theta, prior, op, 1e-3, 100)
+            bias_profile(theta, prior)
+        gained = [set(vars(x)) - keys for x, keys in zip(seqs, before)]
+        assert gained[0] == gained[1] == gained[3] == set() and gained[2] <= {"_log_amp_cummax"}
 
 
 def test_submultiplicative_witness_past_a_block_edge():

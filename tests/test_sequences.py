@@ -135,7 +135,7 @@ def test_built_arrays_are_read_only_and_handed_over():
     for prior in (PriorSpec.flat(n), PriorSpec.gaussian(np.zeros(n), 2.0)):
         arrays += [prior.means, prior.variances, prior.improper]
     for op in ops:
-        arrays += [op.values, op.log_sq, op.log_amplification, op._log_amp_cummax, op._amp_prefix_sum]
+        arrays += [op.values, op.log_sq, op.log_amplification, op._log_amp_cummax]
         np.testing.assert_array_equal(op.log_amplification, -op.log_sq)
         again = OperatorSequence(op.values, op.log_sq)
         assert again.values is op.values and again.log_sq is op.log_sq
