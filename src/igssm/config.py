@@ -26,6 +26,7 @@ from .sequences import (
     ParameterSequence,
     WeightedClass,
     _blocks,
+    _decaying,
     _freeze,
     load_values_csv,
     make_operator,
@@ -498,15 +499,7 @@ class ExperimentConfig:
             if "variance_family" in prior:
                 fam = prior["variance_family"]
                 scale = float(fam.get("scale", 1.0))
-                variances = np.arange(1, n + 1, dtype=np.float64)  # the j grid, overwritten
-                q = float(fam["exponent"])
-                if fam["family"] == "polynomial":
-                    variances **= -q
-                else:
-                    with np.errstate(over="ignore"):  # j^q = inf gives a zero variance, found below
-                        variances **= q
-                    np.subtract(1.0, variances, out=variances)
-                    np.exp(variances, out=variances)
+                variances = _decaying(fam["family"], float(fam["exponent"]), np.arange(1, n + 1, dtype=np.float64))
                 variances *= scale
                 if not np.all(variances > 0.0):
                     raise ValueError("variance family underflowed to zero")

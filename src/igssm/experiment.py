@@ -8,12 +8,14 @@ are keyed by counter, and no timestamps are embedded.  Set-up
 and checks every row of its stages, so a config that cannot run raises
 ``ConfigError`` or ``InfeasibleError`` before any replication and before
 the output directory is made; any artifact written before a later
-exception is removed.  The risk tasks and the concentration passes run
+exception is removed.  One Monte Carlo stage (``_mc_stage``) runs every
+risk and concentration row: one pass (``montecarlo._pass``) per posterior
+the rows read (at each noise level, the search range for the adaptive,
+hierarchical and bracket rows, and each sieve dimension), in which each
+row reads one column, the loss, an interval or a bracket.  The passes run
 one after another, each splitting its own replications across the worker
-threads; the audit configs run in parallel and are gathered in submission
-order.  The concentration stage runs one pass per posterior its rows read
-(at each noise level, the search range for the hierarchical and bracket
-rows, and each sieve dimension) and writes the rows in config order.
+threads, and the rows are written in config order; the audit configs run
+in parallel and are gathered in submission order.
 """
 
 from __future__ import annotations
@@ -32,10 +34,9 @@ from . import __version__
 from .config import CONCENTRATION_TABLE, ConfigError, ExperimentConfig
 from .montecarlo import (
     _band,
-    _concentration,
     _parallel_map,
+    _pass,
     audit_tail_bounds,
-    mc_mise,
     random_tail_suite,
     rate_regression,
     theoretical_exponent,
@@ -145,11 +146,11 @@ class _Writer:
             fh.write(json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
 
 
-# One Monte Carlo row of a stage: its CSV cells before the estimate, the cut
-# its task runs at (the sieve dimension m, or the search range under
-# c_lambda) and, on a concentration row, its band as the closed interval
-# (lo, hi) of squared distances (montecarlo._band) or its bracket (m_lo, m_hi).
-_Row = namedtuple("_Row", "cells m c_lambda region", defaults=(None,))
+# One Monte Carlo row: its CSV cells before the estimate, the cut its task
+# runs at (the sieve dimension m, or the search range under c_lambda) and the
+# column it reads of that task's pass: ("loss", None), ("interval", (lo, hi))
+# with a band's closed interval of squared distances, or ("bracket", (m_lo, m_hi)).
+_Row = namedtuple("_Row", "cells m c_lambda column")
 
 
 def _prepare(cfg: ExperimentConfig, subset: str | None = None) -> tuple:
@@ -223,7 +224,7 @@ def _mise_plan(cfg, report, c_lambda) -> list:
                 )
             for dim in cfg.fixed_dims if kind == "fixed" else (selected[kind][i],):
                 cut = (None, c_lambda) if kind == "adaptive" else (dim, None)
-                rows.append(_Row((eps, kind, dim), *cut))
+                rows.append(_Row((eps, kind, dim), *cut, ("loss", None)))
     return rows
 
 
@@ -248,14 +249,15 @@ def _concentration_plan(cfg, theta, prior, op, wclass, profiles, report, c_lambd
                 )
             if kind.estimate == "bracket":
                 bracket = _bracket(profiles.bias, theta, prior, op, report, sel, wclass, c_lambda)
-                rows.append(_Row((eps, name, sel.dimension, None, None, *bracket), None, c_lambda, bracket))
+                cells = (eps, name, sel.dimension, None, None, *bracket)
+                rows.append(_Row(cells, None, c_lambda, ("bracket", bracket)))
                 continue
             constant = constants[kind.constant]
             if not constant >= 1.0:
                 raise InfeasibleError(f"band constant {constant} of {name} is below 1 at eps={eps}")
             m, lam = (sel.dimension, None) if kind.estimate == "sieve" else (None, c_lambda)
             cells = (eps, name, m_max if m is None else m, constant, sel.rate, None, None)
-            rows.append(_Row(cells, m, lam, _band(constant, sel.rate, kind.two_sided)))
+            rows.append(_Row(cells, m, lam, ("interval", _band(constant, sel.rate, kind.two_sided))))
     return rows
 
 
@@ -270,12 +272,27 @@ def _rates_rows(report):
     return [[*cells, *constants] for cells in columns]
 
 
-def _mise_stage(cfg, theta, prior, op, plan, seed, reps):
-    rows = []
+def _mc_stage(theta, prior, op, plan, seed, reps, draws) -> list:
+    """The estimate of every row of ``plan``, risk and concentration rows
+    alike, in order: one pass (``montecarlo._pass``) per posterior the rows
+    read, keyed by ``(eps, m, c_lambda)``, in the order of its first row,
+    with one column for each distinct column its rows read."""
+    passes = {}  # (eps, m, c_lambda): per kind of column, in the pass's order, the regions its rows read
     for row in plan:
-        est = mc_mise(theta, prior, op, row.cells[0], reps, seed, m=row.m, c_lambda=row.c_lambda)
-        rows.append([*row.cells, est.value, est.se, est.reps])
+        kind, region = row.column
+        columns = passes.setdefault((row.cells[0], row.m, row.c_lambda), {"interval": {}, "bracket": {}, "loss": {}})
+        columns[kind][region] = None
+    found = {}
+    for (eps, m, c_lambda), columns in passes.items():
+        intervals, brackets, loss = map(list, columns.values())
+        estimates = _pass(theta, prior, op, eps, reps, seed, intervals, brackets, draws, m=m, c_lambda=c_lambda,
+                          loss=bool(loss))
+        found.update(zip([(eps, m, c_lambda, kind, region) for kind in columns for region in columns[kind]], estimates))
+    return [found[row.cells[0], row.m, row.c_lambda, *row.column] for row in plan]
 
+
+def _rate_fits(cfg, rows) -> dict:
+    """The log-log fit of each fitted estimator's ``mise.csv`` rows."""
     fits = {}
     model = cfg.raw["model"]
     block = cfg.raw.get("class")
@@ -307,22 +324,7 @@ def _mise_stage(cfg, theta, prior, op, plan, seed, reps):
             "mise": list(mise_arr),
             "se": list(se_arr),
         }
-    return rows, fits
-
-
-def _concentration_stage(theta, prior, op, plan, seed, reps, draws):
-    passes = {}  # (eps, m, c_lambda): the band rows and the bracket rows reading that posterior
-    for i, row in enumerate(plan):
-        bands, brackets = passes.setdefault((row.cells[0], row.m, row.c_lambda), ([], []))
-        (brackets if CONCENTRATION_TABLE[row.cells[1]].estimate == "bracket" else bands).append(i)
-    found = {}
-    for (eps, m, c_lambda), (bands, brackets) in passes.items():
-        estimates = _concentration(
-            theta, prior, op, eps, reps, seed, [plan[i].region for i in bands],
-            [plan[i].region for i in brackets], draws, m=m, c_lambda=c_lambda,
-        )
-        found.update(zip(bands + brackets, estimates))
-    return [[*row.cells, found[i].value, found[i].se] for i, row in enumerate(plan)]
+    return fits
 
 
 def _audit_stage(cfg, seed):
@@ -417,16 +419,15 @@ def run_experiment(
                 _rates_rows(report),
             )
             messages.append(f"rates.csv: {len(report.eps_grid)} grid points")
-            if mise_plan:
-                mise_rows, fits = _mise_stage(cfg, theta, prior, op, mise_plan, seed, reps)
-                writer.csv(
-                    "mise.csv", ["eps", "kind", "m", "mise", "se", "reps"], mise_rows
-                )
-                messages.append(f"mise.csv: {len(mise_rows)} rows")
-                payload["rates_fit"] = fits
+        estimates = _mc_stage(theta, prior, op, mise_plan + conc_plan, seed, reps, cfg.mc_draws)
+        if mise_plan:
+            mise_rows = [[*row.cells, est.value, est.se, est.reps] for row, est in zip(mise_plan, estimates)]
+            writer.csv("mise.csv", ["eps", "kind", "m", "mise", "se", "reps"], mise_rows)
+            messages.append(f"mise.csv: {len(mise_rows)} rows")
+            fits = payload["rates_fit"] = _rate_fits(cfg, mise_rows)
 
         if conc_plan:
-            conc_rows = _concentration_stage(theta, prior, op, conc_plan, seed, reps, cfg.mc_draws)
+            conc_rows = [[*row.cells, est.value, est.se] for row, est in zip(conc_plan, estimates[len(mise_plan) :])]
             writer.csv(
                 "concentration.csv",
                 ["eps", "kind", "m", "constant", "rate", "m_lo", "m_hi", "mass", "se"],

@@ -3,13 +3,13 @@ concentration, and rate regression.
 
 Every routine draws through the package's counter-based streams with one
 stream per replication, so results are reproducible and independent of
-evaluation order.  The risk, concentration and bracket tasks share one
-replication kernel, and every statistic of the posterior draws and of the
-dimension posterior one pass (``_concentration``): every band, deviation
-event and bracket on one posterior is a column of it, so a replication is
-observed, weighed and sampled once for all of them.  ``mc_concentration``
-and ``mc_bracket_mass`` are its one-column calls, ``mc_sieve_deviation``
-its two-column one.  No task selects a dimension: a sieve task takes the
+evaluation order.  Every statistic of a posterior is a column of one pass
+on it (``_pass``): every band, deviation event and bracket, and the loss
+of the estimate, so a replication is observed, weighed and sampled once
+for all of them.  ``mc_mise``, ``mc_concentration`` and
+``mc_bracket_mass`` are its one-column calls, ``mc_sieve_deviation`` its
+two-column one; only ``mc_mise_profile`` reads the kernel's chunks
+itself.  No task selects a dimension: a sieve task takes the
 dimension ``m`` its caller chose, a task on the dimension posterior takes
 the operator constant ``c_lambda`` and runs over the search range.  Which
 of the two a task is gets decided once, when it is built, together with
@@ -75,9 +75,10 @@ of the prior mean's squared errors, summed piecewise once per task and
 memoised.  So every result is bit for bit the full-range one without a
 pass over the tail.  This rests on how numpy sums a contiguous row, which
 ``tests/test_hierarchy.py::test_pairwise_sum_equals_numpy_sum`` and
-``test_sq_err_sum_equals_numpy_sum`` pin.  The bracket and concentration
-statistics read whole rows of masses, so they first set the masses past
-the mass end to zero.
+``test_sq_err_sum_equals_numpy_sum`` pin.  The bracket and interval
+columns read whole rows of masses, so a pass that has them first sets the
+masses past the mass end to zero; the loss column comes last, as it
+overwrites the posterior means and the masses.
 
 A replication skips what cannot change its result.  Each task decides
 once, from its inputs, to skip the divide when every posterior-mean scale
@@ -160,7 +161,7 @@ from .posterior import (
     posterior_variances,
 )
 from .rng import AUDIT_DRAW, HIERARCHY_DRAW, OBSERVATION, SIEVE_DRAW, SUITE_GEN, stream, streams
-from .selection import bias_profile, max_dimension, risk_decomposition
+from .selection import _bias, max_dimension, risk_decomposition
 from .sequences import (
     _PAIRWISE_LEAF,
     OperatorSequence,
@@ -658,24 +659,12 @@ def mc_mise(
 ) -> MCEstimate:
     """Monte Carlo integrated squared error of the sieve estimate of
     dimension ``m``, or, given the operator constant ``c_lambda`` instead,
-    of the hierarchical posterior mean over the search range.  Only the
+    of the hierarchical posterior mean over the search range: the loss
+    column of the one pass on that posterior (``_pass``).  Only the
     coordinates the estimator touches are simulated; everything beyond
     contributes its exact squared bias.
     """
-    task = _task(theta, prior, op, eps, m, c_lambda)
-    tail_sums = {}  # the prior mean's squared errors summed per subtree, shared by all chunks
-
-    def loss(start, stop, chunks):
-        for _, post_mean, work, end in chunks:
-            if task.terms is not None:
-                _shrink(work, end, post_mean, task.means, work, post_mean)
-            head = post_mean[:, :end]
-            np.subtract(head, task.theta[:end], out=head)
-            np.square(head, out=head)
-            # past the mass end, the prior mean's error
-            yield (_pairwise_sum(post_mean, end, (task.means, task.theta), tail_sums) + task.remainder)[:, None]
-
-    return _mc_summary(_replications(task, reps, seed, loss), seed)[0]
+    return _pass(theta, prior, op, eps, reps, seed, m=m, c_lambda=c_lambda, loss=True)[0]
 
 
 def mc_mise_profile(
@@ -692,7 +681,7 @@ def mc_mise_profile(
     dimensions.  Returns ``(mise, se)`` arrays of length ``m_top``."""
     if m_top is None:
         m_top = max_dimension(op, eps)
-    bias = bias_profile(theta, prior)[:m_top]
+    bias = _bias(theta, prior).head(m_top)
     task = _task(theta, prior, op, eps, m_top)
 
     # one block, its rows added in replication order, so the running sums
@@ -742,12 +731,12 @@ def mc_concentration(
     when the data-driven posterior may concentrate strictly faster than
     the reference rate, so no uniform lower edge exists."""
     band = _band(band_constant, rate, two_sided)
-    return _concentration(theta, prior, op, eps, reps, seed, [band], draws=draws, m=m, c_lambda=c_lambda)[0]
+    return _pass(theta, prior, op, eps, reps, seed, [band], draws=draws, m=m, c_lambda=c_lambda)[0]
 
 
 def _band(band_constant: float, rate: float, two_sided: bool) -> tuple[float, float]:
     """The band of :func:`mc_concentration` as the closed interval ``(lo,
-    hi)`` of squared distances that ``_concentration`` takes."""
+    hi)`` of squared distances that ``_pass`` takes."""
     if not band_constant >= 1.0:
         raise ValueError("band constant must be >= 1")
     if not (math.isfinite(rate) and rate > 0.0):
@@ -755,20 +744,22 @@ def _band(band_constant: float, rate: float, two_sided: bool) -> tuple[float, fl
     return (rate / band_constant if two_sided else 0.0, rate * band_constant)
 
 
-def _concentration(
-    theta, prior, op, eps, reps, seed, intervals=(), brackets=(), draws=0, m=None, c_lambda=None
+def _pass(
+    theta, prior, op, eps, reps, seed, intervals=(), brackets=(), draws=0, m=None, c_lambda=None, loss=False
 ) -> list[MCEstimate]:
-    """The concentration pass on the task of ``m`` or ``c_lambda`` (see
-    ``_task``): one estimate per closed interval ``(lo, hi)`` of the squared
-    distance to the truth, the expected share of posterior draws in it
-    (see ``_band`` and ``_strict_events``), then one per bracket ``(m_lo,
-    m_hi)``, its expected dimension-posterior mass outside (see
-    :func:`mc_bracket_mass`).  Every row that reads the task's posterior
-    shares its replications: each is observed, weighed and sampled once,
-    its ``draws`` distances counted in every interval before the next
-    replication draws.  Each block opens one range of draw streams and keeps
-    the draw buffers its chunks reuse; a pass without intervals samples
-    nothing.  Every argument is checked before any replication runs."""
+    """The one pass on the task of ``m`` or ``c_lambda`` (see ``_task``),
+    its columns in this order: per closed interval ``(lo, hi)`` of the
+    squared distance to the truth, the expected share of posterior draws in
+    it (see ``_band`` and ``_strict_events``); per bracket ``(m_lo, m_hi)``,
+    the expected dimension-posterior mass outside (:func:`mc_bracket_mass`);
+    with ``loss``, the estimate's integrated squared error (:func:`mc_mise`),
+    last, as it overwrites the posterior means and the masses.  Every row
+    that reads the task's posterior shares its replications: each is
+    observed, weighed and sampled once, its ``draws`` distances counted in
+    every interval before the next replication draws.  Each block opens one
+    range of draw streams and keeps the draw buffers its chunks reuse; a
+    pass without intervals samples nothing.  Every argument is checked
+    before any replication runs."""
     if intervals and draws < 1:
         raise ValueError("need at least one draw")
     task = _task(theta, prior, op, eps, m, c_lambda)
@@ -778,13 +769,15 @@ def _concentration(
     post_sd = np.sqrt(task.post_var)
     domain = SIEVE_DRAW if task.terms is None else HIERARCHY_DRAW
     past = {}  # the distances' deterministic sum per width, shared by all chunks
+    tail_sums = {}  # the prior mean's squared errors summed per subtree, shared by all chunks
 
-    def masses(start, stop, chunks):
+    def columns(start, stop, chunks):
         rngs = streams(seed, domain, start, stop) if intervals else None  # the block's one draw range
         buffers = {}  # the block's draw buffers, reused by its chunks
         for _, post_mean, probs, end in chunks:
-            probs[:, end:] = 0.0  # the masses past the mass end
-            out = np.empty((len(post_mean), len(intervals) + len(brackets)))
+            if intervals or brackets:
+                probs[:, end:] = 0.0  # the masses past the mass end
+            out = np.empty((len(post_mean), len(intervals) + len(brackets) + loss))
             if intervals:
                 counts = np.zeros((len(post_mean), len(intervals)), dtype=np.intp)
                 for rows, sq in _draw_distances(task, post_sd, draws, rngs, post_mean, probs, end, past, buffers):
@@ -793,9 +786,17 @@ def _concentration(
                 np.divide(counts, draws, out=out[:, : len(intervals)])  # np.mean of the booleans, bit for bit
             for k, (m_lo, m_hi) in enumerate(brackets, len(intervals)):
                 out[:, k] = _outside_mass(probs, m_lo, m_hi)
+            if loss:
+                if task.terms is not None:
+                    _shrink(probs, end, post_mean, task.means, probs, post_mean)
+                head = post_mean[:, :end]
+                np.subtract(head, task.theta[:end], out=head)
+                np.square(head, out=head)
+                # past the mass end, the prior mean's error
+                out[:, -1] = _pairwise_sum(post_mean, end, (task.means, task.theta), tail_sums) + task.remainder
             yield out
 
-    return _mc_summary(_replications(task, reps, seed, masses), seed)
+    return _mc_summary(_replications(task, reps, seed, columns), seed)
 
 
 @dataclass(frozen=True)
@@ -835,15 +836,15 @@ def mc_sieve_deviation(
         |draw - truth|^2  <  b + s - 4 c (m t + rho)        (lower)
 
     with bounds ``2 exp(-m/36)`` and ``2 exp(-c^2 m / 2)``; the lower
-    inequality requires ``0 < c < 1/5``.  Both are columns of one
-    concentration pass (``_concentration``, ``_strict_events``).
+    inequality requires ``0 < c < 1/5``.  Both are columns of one pass
+    (``_pass``, ``_strict_events``).
     """
     if not 0.0 < c < 0.2:
         raise ValueError("deviation scale c must lie in (0, 1/5)")
     risk = risk_decomposition(theta, prior, op, eps, m)
     hi = risk.bias + 3.0 * risk.post_var_sum + 1.5 * m * risk.post_var_max + 4.0 * risk.shift
     lo = risk.bias + risk.post_var_sum - 4.0 * c * (m * risk.post_var_max + risk.shift)
-    upper, lower = _concentration(theta, prior, op, eps, reps, seed, _strict_events(hi, lo), draws=draws, m=m)
+    upper, lower = _pass(theta, prior, op, eps, reps, seed, _strict_events(hi, lo), draws=draws, m=m)
     upper_bound = 2.0 * math.exp(-m / 36.0)
     lower_bound = 2.0 * math.exp(-(c**2) * m / 2.0)
     passed = upper.value <= upper_bound + 3.0 * upper.se and lower.value <= lower_bound + 3.0 * lower.se
@@ -880,7 +881,7 @@ def mc_bracket_mass(
     posterior); only the observations are simulated.  A bracket outside
     ``1..M`` raises ``ValueError``.
     """
-    return _concentration(theta, prior, op, eps, reps, seed, brackets=[bracket], c_lambda=c_lambda)[0]
+    return _pass(theta, prior, op, eps, reps, seed, brackets=[bracket], c_lambda=c_lambda)[0]
 
 
 # ---------------------------------------------------------------------------

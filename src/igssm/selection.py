@@ -128,6 +128,15 @@ class _Profile:
         k, offset = self.locate(i)
         return self.block(k)[offset]
 
+    def head(self, stop: int) -> np.ndarray:
+        """``p_i`` for ``i < stop``, reading the blocks up to ``stop``."""
+        out = np.empty(stop)
+        for k, (lo, hi) in enumerate(self.blocks):
+            if lo >= stop:
+                break
+            out[lo : min(hi, stop)] = self.block(k)[: stop - lo]
+        return out
+
 
 def _bias(theta: ParameterSequence, prior: PriorSpec) -> _Profile:
     """The bias profile ``b_m``, ``m = i + 1``: the suffix sums from ``m``
@@ -238,11 +247,7 @@ def bias_profile(theta: ParameterSequence, prior: PriorSpec) -> np.ndarray:
     :func:`_bias`.  Raises ``OverflowError`` when the whole sum is past the
     double range.
     """
-    profile = _bias(theta, prior)
-    out = np.empty(theta.n)
-    for k, (lo, hi) in enumerate(profile.blocks):
-        out[lo:hi] = profile.block(k)
-    return _freeze(out)
+    return _freeze(_bias(theta, prior).head(theta.n))
 
 
 def risk_decomposition(

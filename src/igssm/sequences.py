@@ -523,15 +523,13 @@ class WeightedClass:
 
     def _block(self, lo: int, hi: int) -> np.ndarray:
         """``w_j`` for ``j`` in ``lo + 1 .. hi``."""
-        if self._values is not None:
-            return self._values[lo:hi]
-        return _weight_formula(self.family, self.exponent, np.arange(lo + 1, hi + 1, dtype=np.float64))
+        return self._at(np.arange(lo, hi))
 
     def _at(self, idx: np.ndarray) -> np.ndarray:
         """``w_j`` at the array positions ``idx`` (``j = idx + 1``)."""
         if self._values is not None:
             return self._values[idx]
-        return _weight_formula(self.family, self.exponent, idx + 1.0)
+        return _decaying(self.family, 2.0 * self.exponent, idx + 1.0)
 
     def contains(self, theta: ParameterSequence, means: np.ndarray | None = None) -> bool:
         """Membership test on the stored range (coordinates past the shorter
@@ -541,14 +539,15 @@ class WeightedClass:
         return bool(np.sum(diff**2 / self._block(0, k)) <= self.radius)
 
 
-def _weight_formula(family: str, exponent: float, j: np.ndarray) -> np.ndarray:
-    """The weights of a polynomial or exponential class at the coordinates
-    ``j``, a float array the weights are written over."""
+def _decaying(family: str, power: float, j: np.ndarray) -> np.ndarray:
+    """``j^-power`` ("polynomial") or ``exp(1 - j^power)`` ("exponential")
+    at ``j``, a float array written over: the class weights at ``2p``, the
+    prior's variance family at its exponent."""
     if family == "polynomial":
-        j **= -2.0 * exponent
+        j **= -power
     else:
-        with np.errstate(over="ignore"):  # j^{2p} = inf gives a zero weight, refused by the checks
-            j **= 2.0 * exponent
+        with np.errstate(over="ignore"):  # j^power = inf gives a zero, which the callers refuse
+            j **= power
         np.subtract(1.0, j, out=j)
         np.exp(j, out=j)
     return j

@@ -585,7 +585,7 @@ def test_unusable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch, com
     if command in ("posterior", "adapt"):
         assert run_cli("simulate", "--config", "pp_small", "--out", tmp_path / "obs", "--quiet") == 0
         argv += ["--obs", tmp_path / "obs" / "observation.csv"]
-    for stage in ("_mise_stage", "_concentration_stage", "_audit_stage"):
+    for stage in ("_mc_stage", "_audit_stage"):
         monkeypatch.setattr(experiment, stage, lambda *args: pytest.fail("a stage ran"))
     blocker = tmp_path / "taken"
     blocker.write_text("keep\n", encoding="utf-8")
@@ -706,6 +706,17 @@ def test_sweep_is_deterministic(tmp_path):
         second = (tmp_path / "second" / artifact).read_bytes()
         assert first == second
     assert not (tmp_path / "first" / "concentration.csv").exists()
+
+
+def test_run_and_sweep_write_the_same_risk_artifacts(tmp_path):
+    """``run pp_small`` scores its risk rows in the passes it shares with the
+    concentration rows, ``sweep pp_small`` in passes of their own; both give
+    the same ``mise.csv``, ``mise.meta.json`` and ``rates.csv`` byte for
+    byte.  Both commands run here, so this holds on any numpy and CPU."""
+    for command in ("run", "sweep"):
+        assert run_cli(command, "--config", "pp_small", "--out", tmp_path / command, "--quiet") == 0
+    for artifact in ("mise.csv", "mise.meta.json", "rates.csv"):
+        assert (tmp_path / "run" / artifact).read_bytes() == (tmp_path / "sweep" / artifact).read_bytes(), artifact
 
 
 @pytest.mark.parametrize("command", ["select", "posterior", "adapt"])

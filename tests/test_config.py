@@ -176,6 +176,45 @@ def test_gaussian_prior_variance_family():
     assert np.all(prior.means == 0.5)
 
 
+def _decaying_reference(family, power, n):
+    """``j^-power`` or ``exp(1 - j^power)`` for ``j = 1..n``, as numpy's
+    power, subtract and exp compute them on a fresh array."""
+    j = np.arange(1, n + 1, dtype=np.float64)
+    if family == "polynomial":
+        return j ** -power
+    with np.errstate(over="ignore"):
+        return np.exp(1.0 - j**power)
+
+
+@pytest.mark.parametrize(
+    "family, exponent, n",
+    [("polynomial", p, 300) for p in (0.3, 1.0, 1.7, 4.0)] + [("exponential", p, 20) for p in (0.3, 0.5, 1.0)],
+)
+def test_variance_family_and_class_weights_share_one_formula(family, exponent, n):
+    """The prior's variance family at exponent q and the class weights at
+    exponent p are the one decaying formula at powers q and 2p, bit for
+    bit what it gives alone (short exponential ranges, which would
+    underflow to zero further out)."""
+    cfg = cfg_with(
+        prior={"kind": "gaussian", "variance_family": {"family": family, "exponent": exponent, "scale": 1.5}},
+        model={"family": "constant", "n": n},
+        **{"class": {"family": family, "exponent": exponent, "radius": 1.0}},
+    )
+    prior = cfg.build_prior(cfg.build_operator(n))
+    assert np.array_equal(prior.variances, _decaying_reference(family, exponent, n) * 1.5)
+    assert np.array_equal(cfg.build_class(n).weights, _decaying_reference(family, 2.0 * exponent, n))
+
+
+def test_an_exponential_variance_family_that_underflows_is_a_config_error():
+    """exp(1 - j^1000) is zero from j = 2 on: the variances are refused."""
+    cfg = cfg_with(
+        prior={"kind": "gaussian", "variance_family": {"family": "exponential", "exponent": 1e3}},
+        model={"family": "constant", "n": 5},
+    )
+    with pytest.raises(ConfigError, match="prior: variance family underflowed to zero"):
+        cfg.build_prior(cfg.build_operator(5))
+
+
 def test_values_file_resolution(tmp_path):
     vals = tmp_path / "theta.csv"
     vals.write_text("value\n0.9\n0.3\n0.1\n")

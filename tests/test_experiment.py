@@ -12,7 +12,7 @@ from igssm import experiment, montecarlo, selection
 from igssm.cli import EXIT_CHECK, main
 from igssm.config import ConfigError, ExperimentConfig, load_config
 from igssm.experiment import run_experiment
-from igssm.montecarlo import mc_bracket_mass, mc_concentration
+from igssm.montecarlo import mc_bracket_mass, mc_concentration, mc_mise
 from igssm.selection import (
     InfeasibleError,
     bracket_dimensions,
@@ -304,12 +304,14 @@ def test_bracket_rows_carry_their_bracket_and_its_mass(tmp_path, overrides):
 
 @pytest.mark.parametrize("threads", ["1", "3"])
 def test_concentration_rows_equal_their_one_row_calls(tmp_path, monkeypatch, threads):
-    """With all six kinds, where the stage runs one pass per posterior its
-    rows read, every row of ``concentration.csv`` is bit for bit what the
-    public ``mc_concentration`` or ``mc_bracket_mass`` gives it alone, over
-    chunks of several rows split across threads.  The composite band
-    constants are vacuous here, so each kind gets a small one of its own
-    that puts its mass strictly between 0 and 1 somewhere."""
+    """With all six kinds and all four estimators, where the stage runs one
+    pass per posterior its risk and concentration rows read, every row of
+    ``concentration.csv`` is bit for bit what the public
+    ``mc_concentration`` or ``mc_bracket_mass`` gives it alone, and every
+    row of ``mise.csv`` what ``mc_mise`` gives it, over chunks of several
+    rows split across threads.  The composite band constants are vacuous
+    here, so each kind gets a small one of its own that puts its mass
+    strictly between 0 and 1 somewhere."""
     kinds = [
         "sieve_oracle", "hierarchical_oracle", "bracket_oracle",
         "sieve_minimax", "hierarchical_minimax", "bracket_minimax",
@@ -317,7 +319,10 @@ def test_concentration_rows_equal_their_one_row_calls(tmp_path, monkeypatch, thr
     bands = {"oracle_sieve": 1.5, "oracle_hierarchical": 1.8, "minimax_sieve": 2.5, "minimax_hierarchical": 1.2}
     composite = experiment.composite_constants
     monkeypatch.setattr(experiment, "composite_constants", lambda *a, **k: {**composite(*a, **k), **bands})
-    overrides = {**DIRECT_BRACKETS, "concentration": {"kinds": kinds}, "mc": {"reps": 12, "draws": 40}}
+    overrides = {
+        **DIRECT_BRACKETS, "concentration": {"kinds": kinds}, "mc": {"reps": 12, "draws": 40},
+        "estimators": ["fixed", "oracle", "minimax", "adaptive"],
+    }
     cfg = small_config(audit=None, **overrides)
     monkeypatch.setenv("IGSSM_THREADS", threads)
     monkeypatch.setattr(montecarlo, "_ROW_ELEMENTS", 256)
@@ -339,16 +344,23 @@ def test_concentration_rows_equal_their_one_row_calls(tmp_path, monkeypatch, thr
                 two_sided=kind != "hierarchical_minimax", **given,
             )
         assert (float(mass), float(se)) == (est.value, est.se)
+    risk = read_rows(tmp_path / "mise.csv")[1:]
+    assert [r[1] for r in risk] == list(cfg.estimators) * len(cfg.eps_grid)
+    for eps, kind, m, mise, se, reps in risk:
+        given = {"c_lambda": used} if kind == "adaptive" else {"m": int(m)}
+        est = mc_mise(theta, prior, op, float(eps), cfg.mc_reps, cfg.seed, **given)
+        assert (float(mise), float(se), int(reps)) == (est.value, est.se, est.reps)
 
 
 def test_each_task_runs_at_the_cut_its_row_reports(tmp_path, monkeypatch):
-    """On ``pp_small`` every risk task and every concentration pass cuts the
-    problem where its CSV rows say: at ``m`` for the sieve kinds, which is
-    the report's selection, and at the search range M for the adaptive,
-    hierarchical and bracket kinds.  The concentration stage builds one
-    task per posterior its rows read: per noise level, one on the search
-    range for the hierarchical and bracket rows and one per sieve
-    dimension, in the order of their first rows."""
+    """On ``pp_small`` every risk and concentration row runs where its CSV
+    row says: at ``m`` for the sieve kinds, which is the report's selection,
+    and at the search range M for the adaptive, hierarchical and bracket
+    kinds.  The stage builds one task per posterior its rows read, risk
+    and concentration rows alike: per noise level, one on the search range
+    and one per sieve dimension, in the order of their first rows, so the
+    fixed dimension 2, which is the oracle dimension at eps = 0.003, runs
+    once there."""
     cfg = load_config(Path(igssm.__file__).parent / "configs" / "pp_small.json")
     raw = {key: value for key, value in cfg.raw.items() if key != "audit"}
     cfg = ExperimentConfig({**raw, "mc": {"reps": 2, "draws": 5}})
@@ -368,31 +380,29 @@ def test_each_task_runs_at_the_cut_its_row_reports(tmp_path, monkeypatch):
         "oracle": dict(zip(grid["eps"], grid["oracle_dims"])),
         "minimax": dict(zip(grid["eps"], grid["minimax_dims"])),
     }
-    want = []
-    for eps, kind, m, *_ in read_rows(tmp_path / "mise.csv")[1:]:
+    read = []  # (eps, cut) of every row, risk rows first
+    risk = read_rows(tmp_path / "mise.csv")[1:]
+    for eps, kind, m, *_ in risk:
         eps, m = float(eps), int(m)
         if kind in selected:
             assert m == selected[kind][eps]
         if kind == "adaptive":
             assert m == max_dimension(op, eps)
-        want.append((eps, m))
-    passes = []
+        read.append((eps, m))
     rows = read_rows(tmp_path / "concentration.csv")[1:]
     for eps, kind, m, *_ in rows:
         eps, m = float(eps), int(m)
         selection = kind.rpartition("_")[2]
-        sieve = kind.startswith("sieve_")
-        if sieve:
+        if kind.startswith("sieve_"):
             assert m == selected[selection][eps]
             cut = m
         else:
             cut = max_dimension(op, eps)
             assert m == (selected[selection][eps] if kind.startswith("bracket_") else cut)
-        if (eps, sieve, cut) not in passes:
-            passes.append((eps, sieve, cut))
-    assert len(want) == 2 * 4 and len(rows) == 2 * 6  # every row of both grid points
-    assert len(passes) == 2 * 3  # the oracle and minimax sieve dimensions differ here
-    assert cuts == want + [(eps, cut) for eps, _, cut in passes]
+        read.append((eps, cut))
+    assert len(risk) == 2 * 4 and len(rows) == 2 * 6  # every row of both grid points
+    assert cuts == list(dict.fromkeys(read))
+    assert len(cuts) == 7  # four posteriors per noise level; at 0.003 the fixed and the oracle one coincide
 
 
 def test_adaptive_outside_the_search_range_exits_3_before_any_replication(tmp_path, monkeypatch):
@@ -517,7 +527,7 @@ def test_unexpected_error_removes_partial_artifacts(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("stage failed")
 
-    monkeypatch.setattr(experiment, "mc_mise", broken)
+    monkeypatch.setattr(experiment, "_mc_stage", broken)
     out = tmp_path / "broken"
     with pytest.raises(RuntimeError, match="stage failed"):
         run_experiment(small_config(), out)

@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from igssm import (
     rate_regression,
     theoretical_exponent,
 )
-from igssm import hierarchy, montecarlo
+from igssm import hierarchy, montecarlo, sequences
 from igssm.config import ConfigError
 from igssm.hierarchy import (
     _CHUNK,
@@ -38,7 +39,7 @@ from igssm.hierarchy import (
 )
 from igssm.montecarlo import _draw_distances, _task, mc_mise_profile
 from igssm.posterior import coordinate_posterior, posterior_variances, sample_sieve_posterior
-from igssm.selection import bracket_dimensions, check_assumptions, max_dimension
+from igssm.selection import bias_profile, bracket_dimensions, check_assumptions, max_dimension
 from igssm.sequences import _sq_err_sum, simulate_observation
 
 
@@ -208,6 +209,53 @@ def test_profile_agrees_with_fixed_calls():
         assert se[m - 1] == pytest.approx(single.se, rel=1e-8)
 
 
+def _whole_bias_profile(theta, prior, op, eps, reps, seed, m_top):
+    """``mc_mise_profile`` from the head of the whole ``bias_profile``."""
+    bias = bias_profile(theta, prior)[:m_top]
+    task = _task(theta, prior, op, eps, m_top)
+    acc, acc_sq = np.zeros(m_top), np.zeros(m_top)
+    for _, post_mean, errors, _ in montecarlo._block(task, seed, 0, reps):
+        np.subtract(post_mean, task.theta, out=post_mean)
+        np.cumsum(np.square(post_mean, out=post_mean), axis=1, out=errors)
+        np.add(errors, bias, out=errors)
+        for errs in errors:
+            acc += errs
+            acc_sq += errs**2
+    mise = acc / reps
+    return mise, np.sqrt(np.maximum(acc_sq / reps - mise**2, 0.0) / max(reps - 1, 1))
+
+
+@pytest.mark.parametrize("block", [3, 64, sequences._BLOCK])
+def test_profile_reads_the_bias_blocks_up_to_its_top(block):
+    """``mc_mise_profile`` folds the bias profile's blocks up to ``m_top``
+    and gives, bit for bit, what the head of the whole profile gives, on
+    tops inside the first block, on a block edge and past several blocks."""
+    theta, prior, op = _poly_problem(2000)
+    with mock.patch.object(sequences, "_BLOCK", block):
+        for m_top in (1, 3, 64, 100, None):
+            top = max_dimension(op, 0.01) if m_top is None else m_top
+            got = mc_mise_profile(theta, prior, op, 0.01, 9, 4, m_top)
+            want = _whole_bias_profile(theta, prior, op, 0.01, 9, 4, top)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), m_top
+
+
+def test_profile_builds_no_array_of_the_sequence_length():
+    """At N = 2^20 and ``m_top`` = 20, ``mc_mise_profile`` peaks below one
+    N-long float64 array: it reads the bias profile's blocks up to its top
+    and builds no whole profile."""
+    n = 1 << 20
+    theta, prior, op = _poly_problem(n)
+    mc_mise_profile(theta, prior, op, 0.01, 4, 1, 20)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        mc_mise_profile(theta, prior, op, 0.01, 4, 1, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n
+
+
 def test_mise_input_validation():
     """A Monte Carlo task takes the sieve dimension or the operator constant
     of the dimension posterior, exactly one of them."""
@@ -258,10 +306,10 @@ def test_one_sided_band_differs_from_two_sided():
 
 @pytest.mark.parametrize("threads", ["1", "3"])
 def test_one_pass_gives_every_column_its_one_column_call(monkeypatch, threads):
-    """A concentration pass with several bands and brackets observes each
+    """A pass with several bands, brackets and the loss observes each
     replication once and gives every column, bit for bit, what
-    ``mc_concentration`` or ``mc_bracket_mass`` gives it alone, over
-    chunks of several rows split across threads."""
+    ``mc_concentration``, ``mc_bracket_mass`` or ``mc_mise`` gives it alone,
+    over chunks of several rows split across threads."""
     theta, prior, op = _poly_problem(2000)
     eps, reps, draws, seed = 0.01, 14, 60, 5
     rate = oracle_dimension(theta, prior, op, eps).rate
@@ -280,13 +328,14 @@ def test_one_pass_gives_every_column_its_one_column_call(monkeypatch, threads):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(montecarlo, "_observe", spy)
             intervals = [montecarlo._band(*band) for band in bands]
-            got = montecarlo._concentration(theta, prior, op, eps, reps, seed, intervals, brackets, draws, **given)
+            got = montecarlo._pass(theta, prior, op, eps, reps, seed, intervals, brackets, draws, **given, loss=True)
         assert sum(observed) == reps
         want = [
             mc_concentration(theta, prior, op, eps, k, r, reps, draws, seed, two_sided=two, **given)
             for k, r, two in bands
         ]
         want += [mc_bracket_mass(theta, prior, op, eps, reps, seed, b, given["c_lambda"]) for b in brackets]
+        want.append(mc_mise(theta, prior, op, eps, reps, seed, **given))
         assert got == want
         assert any(0.0 < est.value < 1.0 for est in got[: len(bands)])
 
@@ -779,7 +828,7 @@ def test_chunk_scoring_equals_the_per_row_loop(problem, hierarchical, m_share, d
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_ROW_ELEMENTS", _row_budget(budget, task.theta.size, reps))
         montecarlo._replications(task, reps, seed, compare)
-        got = montecarlo._concentration(theta, prior, op, eps, reps, seed, intervals, brackets, draws, **given)
+        got = montecarlo._pass(theta, prior, op, eps, reps, seed, intervals, brackets, draws, **given)
     assert scored == [True] * reps
     assert got == want
 
@@ -815,13 +864,13 @@ def test_a_sampling_pass_holds_no_draw_array_past_the_budget(problem, given):
     band = montecarlo._band(2.0, rate, True)
 
     def peak(draws):
-        montecarlo._concentration(theta, prior, op, eps, 1, 0, [band], [], draws, **given)
+        montecarlo._pass(theta, prior, op, eps, 1, 0, [band], [], draws, **given)
         gc.collect()
         gc.disable()
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            montecarlo._concentration(theta, prior, op, eps, 3, 1, [band], [], draws, **given)
+            montecarlo._pass(theta, prior, op, eps, 3, 1, [band], [], draws, **given)
             return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -972,8 +1021,9 @@ def test_batched_equals_serial(problem, seed, c_lambda):
 
         return replications(task, reps, seed, checked)
 
-    # mc_mise twice, mc_concentration twice, mc_bracket_mass, then
-    # mc_sieve_deviation; mc_mise_profile reads its block's chunks itself
+    # the one-column passes of mc_mise twice, mc_concentration twice and
+    # mc_bracket_mass, then mc_sieve_deviation's two-column one;
+    # mc_mise_profile reads its block's chunks itself, with no statistic
     want = [1] * 5 + [2]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_observe", spy)
