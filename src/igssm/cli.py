@@ -228,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if check:
             p.add_argument("--check", action="store_true", help="turn checks into the exit code")
         if eps:
-            p.add_argument("--eps", type=float, default=None, help="noise level (default: first grid entry)")
+            p.add_argument("--eps", type=float, default=None, help="noise level (default: the largest grid entry)")
         if obs:
             p.add_argument("--obs", required=True, help="observation.csv from the simulate stage")
 

@@ -285,10 +285,9 @@ def _mc_stage(theta, prior, op, plan, seed, reps, draws) -> list:
     found = {}
     for (eps, m, c_lambda), columns in passes.items():
         intervals, brackets, loss = map(list, columns.values())
-        estimates = _pass(theta, prior, op, eps, reps, seed, intervals, brackets, draws, m=m, c_lambda=c_lambda,
-                          loss=bool(loss))
+        estimates = _pass(theta, prior, op, eps, reps, seed, intervals, brackets, draws, m, c_lambda, loss)
         found.update(zip([(eps, m, c_lambda, kind, region) for kind in columns for region in columns[kind]], estimates))
-    return [found[row.cells[0], row.m, row.c_lambda, *row.column] for row in plan]
+    return [found[(row.cells[0], row.m, row.c_lambda, *row.column)] for row in plan]
 
 
 def _rate_fits(cfg, rows) -> dict:

@@ -5,19 +5,19 @@ Every routine draws through the package's counter-based streams with one
 stream per replication, so results are reproducible and independent of
 evaluation order.  Every statistic of a posterior is a column of one pass
 on it (``_pass``): every band, deviation event and bracket, and the loss
-of the estimate, so a replication is observed, weighed and sampled once
-for all of them.  ``mc_mise``, ``mc_concentration`` and
-``mc_bracket_mass`` are its one-column calls, ``mc_sieve_deviation`` its
-two-column one; only ``mc_mise_profile`` reads the kernel's chunks
-itself.  No task selects a dimension: a sieve task takes the
-dimension ``m`` its caller chose, a task on the dimension posterior takes
-the operator constant ``c_lambda`` and runs over the search range.  Which
-of the two a task is gets decided once, when it is built, together with
-everything that does not depend on the data: the signal ``lambda_j
-theta_j``, the posterior variances, the affine map from data to posterior
-means and, on the dimension posterior, the terms of its log-weights.  The
-kernel cuts the problem at the task's dimension and simulates only that
-head.
+of the estimate (on a sieve, at any dimensions up to its cut), so a
+replication is observed, weighed and sampled once for all of them.
+``mc_mise``, ``mc_concentration`` and ``mc_bracket_mass`` are its
+one-column calls, ``mc_sieve_deviation`` its two-column one and
+``mc_mise_profile`` its loss columns at several dimensions.  No task
+selects a dimension: a sieve task takes the dimension ``m`` its caller
+chose, a task on the dimension posterior takes the operator constant
+``c_lambda`` and runs over the search range.  Which of the two a task is
+gets decided once, when it is built, together with everything that does
+not depend on the data: the signal ``lambda_j theta_j``, the posterior
+variances, the affine map from data to posterior means and, on the
+dimension posterior, the terms of its log-weights.  The kernel cuts the
+problem at the task's dimension and simulates only that head.
 
 A task holds only what its replications read whole.  Past its cut it
 keeps one number, the squared bias carried there.  Up to the cut it holds
@@ -129,7 +129,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -161,7 +161,7 @@ from .posterior import (
     posterior_variances,
 )
 from .rng import AUDIT_DRAW, HIERARCHY_DRAW, OBSERVATION, SIEVE_DRAW, SUITE_GEN, stream, streams
-from .selection import _bias, max_dimension, risk_decomposition
+from .selection import max_dimension, risk_decomposition
 from .sequences import (
     _PAIRWISE_LEAF,
     OperatorSequence,
@@ -204,8 +204,9 @@ _ROW_ELEMENTS = 1 << 16
 
 def _max_workers() -> int:
     env = os.environ.get("IGSSM_THREADS")
-    if not env:
-        return min(8, os.cpu_count() or 1)
+    if not env:  # the cores this process may run on, where the platform tells
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        return min(8, cores or 1)
     if not env.strip().isdecimal() or not 1 <= int(env) <= MAX_THREADS:
         raise ConfigError(f"IGSSM_THREADS must be a positive integer up to {MAX_THREADS}, got {env!r}")
     return int(env)
@@ -483,7 +484,7 @@ def _task(theta, prior, op, eps, m=None, c_lambda=None) -> _Task:
     if (m is None) == (c_lambda is None):
         raise ValueError("give either the sieve dimension m or the operator constant c_lambda")
     cut = max_dimension(op, eps) if m is None else int(m)
-    remainder = _sq_err_sum(theta.values, prior.means, cut, theta.n - cut) + theta.sq_tail()
+    remainder = _remainder(theta, prior, cut)
     th, pr, o = theta.head(cut), prior.head(cut), op.head(cut)
     post_var = _constant_variance(pr, o, eps)
     if post_var is None:
@@ -494,6 +495,11 @@ def _task(theta, prior, op, eps, m=None, c_lambda=None) -> _Task:
     # 1.0 * x is x: with every lambda_j = 1 the signal is theta itself
     signal = th.values if _constant(o.values) and o.values[0] == 1.0 else o.values * th.values
     return _Task(th.values, pr.means, remainder, signal, math.sqrt(eps), post_var, mean_map, terms, cut)
+
+
+def _remainder(theta, prior, m: int) -> float:
+    """The prior mean's squared error past coordinate ``m``, tail included."""
+    return _sq_err_sum(theta.values, prior.means, m, theta.n - m) + theta.sq_tail()
 
 
 def _rows(task: _Task) -> int:
@@ -511,9 +517,9 @@ def _block(task: _Task, seed: int, start: int, stop: int):
     it is the rows' largest mass end, and row ``i`` of ``work`` holds the
     masses before it (past it, whatever the posterior step left there).
     ``post_mean`` and ``work``, rows of the cut length, are the block's two
-    arrays, allocated once; the caller may overwrite both before it takes
-    the next chunk.  The block opens one range of observation streams and
-    each chunk takes its rows' from it."""
+    arrays, allocated once; the statistic ``_replications`` runs on them may
+    overwrite both before it takes the next chunk.  The block opens one
+    range of observation streams and each chunk takes its rows' from it."""
     if stop <= start:
         raise ValueError("need at least one replication")
     cut = task.theta.size
@@ -664,7 +670,7 @@ def mc_mise(
     coordinates the estimator touches are simulated; everything beyond
     contributes its exact squared bias.
     """
-    return _pass(theta, prior, op, eps, reps, seed, m=m, c_lambda=c_lambda, loss=True)[0]
+    return _pass(theta, prior, op, eps, reps, seed, m=m, c_lambda=c_lambda, loss=[None])[0]
 
 
 def mc_mise_profile(
@@ -674,31 +680,17 @@ def mc_mise_profile(
     eps: float,
     reps: int,
     seed: int,
-    m_top: int | None = None,
+    dims: Sequence[int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo squared error of every fixed-dimension fit ``m = 1..m_top``
-    (default: the full search range), sharing the observations across
-    dimensions.  Returns ``(mise, se)`` arrays of length ``m_top``."""
-    if m_top is None:
-        m_top = max_dimension(op, eps)
-    bias = _bias(theta, prior).head(m_top)
-    task = _task(theta, prior, op, eps, m_top)
-
-    # one block, its rows added in replication order, so the running sums
-    # stay O(m_top)
-    acc = np.zeros(m_top)
-    acc_sq = np.zeros(m_top)
-    for _, post_mean, errors, _ in _block(task, seed, 0, reps):
-        np.subtract(post_mean, task.theta, out=post_mean)
-        np.cumsum(np.square(post_mean, out=post_mean), axis=1, out=errors)
-        np.add(errors, bias, out=errors)
-        for errs in errors:
-            acc += errs
-            acc_sq += errs**2
-    mise = acc / reps
-    var = np.maximum(acc_sq / reps - mise**2, 0.0)
-    se = np.sqrt(var / max(reps - 1, 1))
-    return mise, se
+    """Monte Carlo integrated squared error of the sieve estimate at each
+    of ``dims``: the loss columns of the one pass on the sieve of dimension
+    ``max(dims)`` (``_pass``).  A sieve's observations are a prefix of a
+    longer one's, drawn from the same stream, so each column is bit for bit
+    ``mc_mise`` at its dimension, standard error included.  A loss at ``m``
+    sums ``m`` squared errors a replication, so name the dimensions to
+    score, not a long search range.  Returns ``(mise, se)`` arrays."""
+    estimates = _pass(theta, prior, op, eps, reps, seed, m=max(dims), loss=dims)
+    return np.array([e.value for e in estimates]), np.array([e.se for e in estimates])
 
 
 # ---------------------------------------------------------------------------
@@ -745,27 +737,34 @@ def _band(band_constant: float, rate: float, two_sided: bool) -> tuple[float, fl
 
 
 def _pass(
-    theta, prior, op, eps, reps, seed, intervals=(), brackets=(), draws=0, m=None, c_lambda=None, loss=False
+    theta, prior, op, eps, reps, seed, intervals=(), brackets=(), draws=0, m=None, c_lambda=None, loss=()
 ) -> list[MCEstimate]:
     """The one pass on the task of ``m`` or ``c_lambda`` (see ``_task``),
     its columns in this order: per closed interval ``(lo, hi)`` of the
     squared distance to the truth, the expected share of posterior draws in
     it (see ``_band`` and ``_strict_events``); per bracket ``(m_lo, m_hi)``,
     the expected dimension-posterior mass outside (:func:`mc_bracket_mass`);
-    with ``loss``, the estimate's integrated squared error (:func:`mc_mise`),
-    last, as it overwrites the posterior means and the masses.  Every row
-    that reads the task's posterior shares its replications: each is
-    observed, weighed and sampled once, its ``draws`` distances counted in
-    every interval before the next replication draws.  Each block opens one
-    range of draw streams and keeps the draw buffers its chunks reuse; a
-    pass without intervals samples nothing.  Every argument is checked
-    before any replication runs."""
+    per dimension ``d`` of ``loss`` (None: the cut; only the cut on the
+    dimension posterior), the estimate's integrated squared error
+    (:func:`mc_mise`): its first ``d`` squared errors plus the prior mean's
+    past ``d`` (``_remainder``), last, as it overwrites the posterior means
+    and the masses.  Every row that reads the task's posterior shares its
+    replications: each is observed, weighed and sampled once, its ``draws``
+    distances counted in every interval before the next replication draws.
+    Each block opens one range of draw streams and keeps the draw buffers
+    its chunks reuse; a pass without intervals samples nothing.  Every
+    argument is checked before any replication runs."""
     if intervals and draws < 1:
         raise ValueError("need at least one draw")
     task = _task(theta, prior, op, eps, m, c_lambda)
     task = task.drawing(draws) if intervals else task
+    cut = task.theta.size
     for m_lo, m_hi in brackets:
-        _check_bracket(m_lo, m_hi, task.theta.size)
+        _check_bracket(m_lo, m_hi, cut)
+    dims = [cut if d is None else int(d) for d in loss]
+    if not all((1 if task.terms is None else cut) <= d <= cut for d in dims):  # the adaptive estimate spans the cut
+        raise ValueError(f"loss dimensions {dims} outside 1..{cut}, or short of the cut on the dimension posterior")
+    rests = [task.remainder if d == cut else _remainder(theta, prior, d) for d in dims]
     post_sd = np.sqrt(task.post_var)
     domain = SIEVE_DRAW if task.terms is None else HIERARCHY_DRAW
     past = {}  # the distances' deterministic sum per width, shared by all chunks
@@ -777,7 +776,7 @@ def _pass(
         for _, post_mean, probs, end in chunks:
             if intervals or brackets:
                 probs[:, end:] = 0.0  # the masses past the mass end
-            out = np.empty((len(post_mean), len(intervals) + len(brackets) + loss))
+            out = np.empty((len(post_mean), len(intervals) + len(brackets) + len(dims)))
             if intervals:
                 counts = np.zeros((len(post_mean), len(intervals)), dtype=np.intp)
                 for rows, sq in _draw_distances(task, post_sd, draws, rngs, post_mean, probs, end, past, buffers):
@@ -786,14 +785,15 @@ def _pass(
                 np.divide(counts, draws, out=out[:, : len(intervals)])  # np.mean of the booleans, bit for bit
             for k, (m_lo, m_hi) in enumerate(brackets, len(intervals)):
                 out[:, k] = _outside_mass(probs, m_lo, m_hi)
-            if loss:
+            if dims:
                 if task.terms is not None:
                     _shrink(probs, end, post_mean, task.means, probs, post_mean)
                 head = post_mean[:, :end]
                 np.subtract(head, task.theta[:end], out=head)
                 np.square(head, out=head)
-                # past the mass end, the prior mean's error
-                out[:, -1] = _pairwise_sum(post_mean, end, (task.means, task.theta), tail_sums) + task.remainder
+                # the first d squared errors; on the dimension posterior, past the mass end, the prior mean's
+                for k, (d, rest) in enumerate(zip(dims, rests), len(intervals) + len(brackets)):
+                    out[:, k] = _pairwise_sum(post_mean[:, :d], min(end, d), (task.means, task.theta), tail_sums) + rest
             yield out
 
     return _mc_summary(_replications(task, reps, seed, columns), seed)

@@ -28,6 +28,7 @@ from igssm import (
     coordinate_posterior,
     make_operator,
     make_parameters,
+    max_dimension,
     mc_bracket_mass,
     mc_concentration,
     mc_mise,
@@ -256,7 +257,7 @@ def test_criterion_06_oracle_sandwich(benchmark_problem, capsys):
         est = mc_mise(theta, prior, op, eps, REPS, SEED, m=sel.dimension)
         # improper prior: d = inf, so the sandwich factors are 2 and 1
         upper_ok = est.value <= 2.0 * phi + 3.0 * est.se
-        profile, se = mc_mise_profile(theta, prior, op, eps, REPS, SEED)
+        profile, se = mc_mise_profile(theta, prior, op, eps, REPS, SEED, range(1, max_dimension(op, eps) + 1))
         idx = int(np.argmin(profile))
         lower_ok = profile[idx] >= phi - 3.0 * se[idx]
         ok = ok and upper_ok and lower_ok

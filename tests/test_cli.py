@@ -36,6 +36,10 @@ def read_meta(csv_path):
     return json.loads(sidecar.read_text(encoding="utf-8"))
 
 
+def _bundled(name):
+    return load_config(Path(igssm.__file__).parent / "configs" / f"{name}.json")
+
+
 def _cli_env():
     """The environment of a fresh interpreter that imports this igssm."""
     src = str(Path(igssm.__file__).parents[1])
@@ -113,6 +117,16 @@ def test_simulate_eps_and_seed_overrides(tmp_path):
     meta = read_meta(tmp_path / "observation.csv")
     assert meta["eps"] == 0.003
     assert meta["seed"] == 11
+
+
+def test_simulate_defaults_to_the_largest_noise_level(tmp_path):
+    """Without ``--eps``, ``simulate`` takes the largest level of the grid,
+    which the config sorts, not the first one written."""
+    raw = {**_bundled("pp_small").raw, "eps_grid": [0.001, 0.01]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert run_cli("simulate", "--config", path, "--out", tmp_path / "out", "--quiet") == 0
+    assert read_meta(tmp_path / "out" / "observation.csv")["eps"] == 0.01
 
 
 def test_posterior_roundtrip(tmp_path):
@@ -706,6 +720,22 @@ def test_sweep_is_deterministic(tmp_path):
         second = (tmp_path / "second" / artifact).read_bytes()
         assert first == second
     assert not (tmp_path / "first" / "concentration.csv").exists()
+
+
+def test_sweep_check_fails_the_rate_line_of_each_fitted_kind(tmp_path, capsys):
+    """At a rate tolerance of 1e-9 no fitted slope on ``pp_p1_a1``'s grid
+    matches its exponent: ``sweep --check`` exits 4 and prints one rate line
+    for each of its two fitted estimators."""
+    raw = {**_bundled("pp_p1_a1").raw, "check": {"rate_tol": 1e-9}}
+    path = tmp_path / "strict.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("sweep", "--config", path, "--reps", 4, "--out", tmp_path / "out", "--check") == 4
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("check failed: ")]
+    assert [line.split(" slope ")[0] for line in failed] == [
+        "check failed: rate: minimax",
+        "check failed: rate: adaptive",
+    ]
 
 
 def test_run_and_sweep_write_the_same_risk_artifacts(tmp_path):

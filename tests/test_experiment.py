@@ -565,6 +565,58 @@ def test_invalid_thread_count_is_a_config_error(tmp_path, monkeypatch, value):
     assert list(out.iterdir()) == []
 
 
+def _power_rows(kind, grid, slope):
+    """``mise.csv`` rows of ``kind`` whose risk is exactly ``eps**slope``."""
+    return [[eps, kind, 1, eps**slope, 1e-9, 4] for eps in grid]
+
+
+def test_rate_check_fails_only_on_a_mismatch_on_an_adequate_grid():
+    """The theory's exponent on ``SMALL`` is 2/5.  A slope far from it fails
+    the rate line on four noise levels over three decades, once per such
+    kind; on three levels the grid is not adequate and no slope fails."""
+    cfg = small_config()
+    adequate, short = [1e-2, 1e-3, 1e-4, 1e-5], [1e-2, 1e-3, 1e-4]
+    rows = _power_rows("oracle", adequate, 0.4) + _power_rows("minimax", adequate, 0.8)
+    rows += _power_rows("adaptive", short, 0.8)
+    fits = experiment._rate_fits(cfg, rows)
+    assert [fit["matches"] for fit in fits.values()] == [True, False, None]
+    failures = experiment._run_checks(cfg, fits, [], [])
+    assert len(failures) == 1 and failures[0].startswith("rate: minimax slope 0.8000 outside 0.4 +/- 0.08")
+
+
+def test_concentration_and_bracket_checks_read_only_the_smallest_noise_level():
+    """Below the floor 0.9 a band row fails, and above the ceiling 0.1 a
+    bracket row fails, each only at the smallest noise level of the
+    concentration grid; a mass on the bound passes."""
+    cfg = small_config()
+    rows = [
+        [0.01, "sieve_oracle", 3, 2.0, 0.1, None, None, 0.2, 0.01],
+        [0.01, "bracket_oracle", 3, None, None, 1, 5, 0.8, 0.01],
+        [0.001, "sieve_oracle", 5, 2.0, 0.01, None, None, 0.5, 0.01],
+        [0.001, "hierarchical_minimax", 100, 2.0, 0.01, None, None, 0.9, 0.01],
+        [0.001, "bracket_oracle", 5, None, None, 1, 9, 0.25, 0.01],
+        [0.001, "bracket_minimax", 5, None, None, 1, 9, 0.1, 0.01],
+    ]
+    assert experiment._run_checks(cfg, {}, rows, []) == [
+        "concentration: sieve_oracle band mass 0.5000 < 0.9 at eps=0.001",
+        "bracket: bracket_oracle outside-mass 0.2500 > 0.1 at eps=0.001",
+    ]
+    # without the smaller level, the rows at 0.01 are the ones checked
+    assert experiment._run_checks(cfg, {}, rows[:2], []) == [
+        "concentration: sieve_oracle band mass 0.2000 < 0.9 at eps=0.01",
+        "bracket: bracket_oracle outside-mass 0.8000 > 0.1 at eps=0.01",
+    ]
+
+
+def test_audit_check_fails_on_each_config_past_its_bound():
+    cfg = small_config()
+    rows = [[i, 3, 1.0, *[0.0] * 11, passed] for i, passed in enumerate([True, False, True, False])]
+    assert experiment._run_checks(cfg, {}, [], rows) == [
+        "audit: config 1 exceeded its tail bound",
+        "audit: config 3 exceeded its tail bound",
+    ]
+
+
 def test_failed_check_exits_4(tmp_path, capsys):
     cfg = small_config(
         eps_grid=[0.01, 0.001, 0.0001, 0.00001],

@@ -39,7 +39,7 @@ from igssm.hierarchy import (
 )
 from igssm.montecarlo import _draw_distances, _task, mc_mise_profile
 from igssm.posterior import coordinate_posterior, posterior_variances, sample_sieve_posterior
-from igssm.selection import bias_profile, bracket_dimensions, check_assumptions, max_dimension
+from igssm.selection import bracket_dimensions, check_assumptions, max_dimension
 from igssm.sequences import _sq_err_sum, simulate_observation
 
 
@@ -201,55 +201,38 @@ def test_fixed_mise_matches_analytic_value_proper():
 
 def test_profile_agrees_with_fixed_calls():
     theta, prior, op = _poly_problem()
-    eps = 0.01
-    mise, se = mc_mise_profile(theta, prior, op, eps, 300, seed=6)
-    for m in (1, 3, 10):
+    eps, dims = 0.01, (1, 3, 10)
+    mise, se = mc_mise_profile(theta, prior, op, eps, 300, 6, dims)
+    for m, value, err in zip(dims, mise, se):
         single = mc_mise(theta, prior, op, eps, 300, seed=6, m=m)
-        assert mise[m - 1] == pytest.approx(single.value, rel=1e-10)
-        assert se[m - 1] == pytest.approx(single.se, rel=1e-8)
-
-
-def _whole_bias_profile(theta, prior, op, eps, reps, seed, m_top):
-    """``mc_mise_profile`` from the head of the whole ``bias_profile``."""
-    bias = bias_profile(theta, prior)[:m_top]
-    task = _task(theta, prior, op, eps, m_top)
-    acc, acc_sq = np.zeros(m_top), np.zeros(m_top)
-    for _, post_mean, errors, _ in montecarlo._block(task, seed, 0, reps):
-        np.subtract(post_mean, task.theta, out=post_mean)
-        np.cumsum(np.square(post_mean, out=post_mean), axis=1, out=errors)
-        np.add(errors, bias, out=errors)
-        for errs in errors:
-            acc += errs
-            acc_sq += errs**2
-    mise = acc / reps
-    return mise, np.sqrt(np.maximum(acc_sq / reps - mise**2, 0.0) / max(reps - 1, 1))
+        assert (value, err) == (single.value, single.se)
 
 
 @pytest.mark.parametrize("block", [3, 64, sequences._BLOCK])
-def test_profile_reads_the_bias_blocks_up_to_its_top(block):
-    """``mc_mise_profile`` folds the bias profile's blocks up to ``m_top``
-    and gives, bit for bit, what the head of the whole profile gives, on
-    tops inside the first block, on a block edge and past several blocks."""
+def test_profile_equals_mise_up_to_its_top(block):
+    """Whatever the block of the set-up scans, ``mc_mise_profile`` at every
+    dimension up to its top gives, bit for bit, ``mc_mise`` at each, on
+    tops inside the first block, on a block edge, past several blocks and
+    at the search range."""
     theta, prior, op = _poly_problem(2000)
     with mock.patch.object(sequences, "_BLOCK", block):
-        for m_top in (1, 3, 64, 100, None):
-            top = max_dimension(op, 0.01) if m_top is None else m_top
-            got = mc_mise_profile(theta, prior, op, 0.01, 9, 4, m_top)
-            want = _whole_bias_profile(theta, prior, op, 0.01, 9, 4, top)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), m_top
+        for top in (1, 3, 64, 100, max_dimension(op, 0.01)):
+            mise, se = mc_mise_profile(theta, prior, op, 0.01, 9, 4, range(1, top + 1))
+            want = [mc_mise(theta, prior, op, 0.01, 9, 4, m=m) for m in range(1, top + 1)]
+            assert (mise.tolist(), se.tolist()) == ([e.value for e in want], [e.se for e in want]), top
 
 
 def test_profile_builds_no_array_of_the_sequence_length():
-    """At N = 2^20 and ``m_top`` = 20, ``mc_mise_profile`` peaks below one
-    N-long float64 array: it reads the bias profile's blocks up to its top
-    and builds no whole profile."""
+    """At N = 2^20 and dimensions up to 20, ``mc_mise_profile`` peaks below
+    one N-long float64 array: the prior mean's squared error past each
+    dimension is summed piecewise."""
     n = 1 << 20
     theta, prior, op = _poly_problem(n)
-    mc_mise_profile(theta, prior, op, 0.01, 4, 1, 20)
+    mc_mise_profile(theta, prior, op, 0.01, 4, 1, range(1, 21))
     gc.collect()
     tracemalloc.start()
     try:
-        mc_mise_profile(theta, prior, op, 0.01, 4, 1, 20)
+        mc_mise_profile(theta, prior, op, 0.01, 4, 1, range(1, 21))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -258,7 +241,8 @@ def test_profile_builds_no_array_of_the_sequence_length():
 
 def test_mise_input_validation():
     """A Monte Carlo task takes the sieve dimension or the operator constant
-    of the dimension posterior, exactly one of them."""
+    of the dimension posterior, exactly one of them, and scores its loss
+    only at dimensions it holds."""
     theta, prior, op = _poly_problem(100)
     tasks = (
         lambda **given: mc_mise(theta, prior, op, 0.01, 10, 1, **given),
@@ -268,6 +252,11 @@ def test_mise_input_validation():
         for given in ({}, {"m": 2, "c_lambda": 1.0}):
             with pytest.raises(ValueError, match="either the sieve dimension m or"):
                 task(**given)
+    # a loss below dimension 1, or short of the cut on the dimension posterior
+    with pytest.raises(ValueError, match=r"loss dimensions \[0, 3\] outside 1..3"):
+        mc_mise_profile(theta, prior, op, 0.01, 10, 1, [0, 3])
+    with pytest.raises(ValueError, match="short of the cut on the dimension posterior"):
+        montecarlo._pass(theta, prior, op, 0.01, 10, 1, c_lambda=1.0, loss=[3])
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +317,7 @@ def test_one_pass_gives_every_column_its_one_column_call(monkeypatch, threads):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(montecarlo, "_observe", spy)
             intervals = [montecarlo._band(*band) for band in bands]
-            got = montecarlo._pass(theta, prior, op, eps, reps, seed, intervals, brackets, draws, **given, loss=True)
+            got = montecarlo._pass(theta, prior, op, eps, reps, seed, intervals, brackets, draws, **given, loss=[None])
         assert sum(observed) == reps
         want = [
             mc_concentration(theta, prior, op, eps, k, r, reps, draws, seed, two_sided=two, **given)
@@ -971,7 +960,7 @@ def _every_task(problem, reps, seed, c_lambda, budget):
     ]
     audit = run(m, mc_sieve_deviation, m, 0.1, reps, draws, seed)
     estimates += [audit.upper, audit.lower]
-    mise, se = run(top, mc_mise_profile, reps, seed)
+    mise, se = run(top, mc_mise_profile, reps, seed, (1, m, top))
     return [(e.value, e.se) for e in estimates] + [mise.tolist(), se.tolist()]
 
 
@@ -987,10 +976,9 @@ def test_batched_equals_serial(problem, seed, c_lambda):
     """Every task gives the same result whether its replications run one per
     chunk, in default chunks or in chunks with a ragged last one, on one,
     two or three threads; a spy checks that chunks of several rows ran,
-    another that every chunk a block yields, ``mc_mise_profile``'s
-    included, holds its rows' float64 arrays of the cut, and a third that
-    every chunk a statistic yields is a float64 ``(rows, k)`` array with
-    one ``k`` per task.
+    another that every chunk a block yields holds its rows' float64 arrays
+    of the cut, and a third that every chunk a statistic yields is a
+    float64 ``(rows, k)`` array with one ``k`` per task.
     The examples pin this on search ranges of several chunks of
     log-weights, one with the mass past the first chunk."""
     reps = 8
@@ -1022,9 +1010,9 @@ def test_batched_equals_serial(problem, seed, c_lambda):
         return replications(task, reps, seed, checked)
 
     # the one-column passes of mc_mise twice, mc_concentration twice and
-    # mc_bracket_mass, then mc_sieve_deviation's two-column one;
-    # mc_mise_profile reads its block's chunks itself, with no statistic
-    want = [1] * 5 + [2]
+    # mc_bracket_mass, mc_sieve_deviation's two-column one, then
+    # mc_mise_profile's three loss columns
+    want = [1] * 5 + [2, 3]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_observe", spy)
         mp.setattr(montecarlo, "_block", block_spy)
@@ -1037,6 +1025,30 @@ def test_batched_equals_serial(problem, seed, c_lambda):
                 assert _every_task(problem, reps, seed, c_lambda, budget) == serial, (threads, budget)
                 assert list(widths.values()) == want
     assert max(rows) > 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(problem=small_problems(), seed=st.integers(0, 1000), data=st.data())
+@example(problem=_identity_problem(flat=True), seed=3, data=None)
+@example(problem=_identity_problem(flat=False), seed=3, data=None)
+@example(problem=_long_direct_problem(9000, 1.5, 0.5, "flat", False, 1.2e-4, 1.0, 5)[:4], seed=5, data=None)
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_profile_equals_mise_at_each_dimension(threads, problem, seed, data):
+    """``mc_mise_profile`` gives at each of its dimensions, 1 and the search
+    range among them, ``mc_mise``'s value and standard error bit for bit,
+    on direct and polynomial operators and flat, Gaussian and mixed priors,
+    with a row budget that leaves a ragged last chunk at the top."""
+    theta, prior, op, eps = problem
+    reps, top = 7, max_dimension(op, eps)
+    inner = [] if data is None else data.draw(st.lists(st.integers(1, top), max_size=3), label="dims")
+    dims = [1, *inner, top // 2 + 1, top]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("IGSSM_THREADS", threads)
+        mp.setattr(montecarlo, "_ROW_ELEMENTS", 2 * top + 1)  # two rows a chunk at the top, one left over
+        mise, se = mc_mise_profile(theta, prior, op, eps, reps, seed, dims)
+        want = [mc_mise(theta, prior, op, eps, reps, seed, m=m) for m in dims]
+    assert mise.tolist() == [e.value for e in want]
+    assert se.tolist() == [e.se for e in want]
 
 
 def test_rows_of_a_chunk_keep_their_own_mass_ends():
@@ -1327,6 +1339,21 @@ def test_thread_count_is_bounded(monkeypatch):
     monkeypatch.setenv("IGSSM_THREADS", "65")
     with pytest.raises(ConfigError, match="up to 64, got '65'"):
         montecarlo._max_workers()
+
+
+def test_default_thread_count_is_the_usable_cores_up_to_eight(monkeypatch):
+    """Without ``IGSSM_THREADS`` the workers are the cores the process may
+    run on, not the host's CPUs, at most 8; ``IGSSM_THREADS`` overrides."""
+    monkeypatch.delenv("IGSSM_THREADS", raising=False)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 32)
+    for cores, workers in (({0}, 1), ({2, 5, 7}, 3), (set(range(16)), 8)):
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid, cores=cores: cores, raising=False)
+        assert montecarlo._max_workers() == workers
+    monkeypatch.setenv("IGSSM_THREADS", "5")
+    assert montecarlo._max_workers() == 5
+    monkeypatch.delenv("IGSSM_THREADS")
+    monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)  # a platform without it
+    assert montecarlo._max_workers() == 8
 
 
 # ---------------------------------------------------------------------------
