@@ -34,6 +34,7 @@ from . import __version__
 from .config import CONCENTRATION_TABLE, ConfigError, ExperimentConfig
 from .montecarlo import (
     _band,
+    _max_workers,
     _parallel_map,
     _pass,
     audit_tail_bounds,
@@ -326,7 +327,17 @@ def _rate_fits(cfg, rows) -> dict:
     return fits
 
 
+# audit.csv's columns: the config's index in the suite, then attributes of
+# the audit, or of its config where the audit has none of that name.
+_AUDIT_COLUMNS = (
+    "index", "m", "c", "var_bound", "max_bound", "shift_bound",
+    "prob_bound", "lower_emp", "lower_se", "upper_emp", "upper_se",
+    "overshoot_bound", "overshoot_emp", "overshoot_se", "passed",
+)
+
+
 def _audit_stage(cfg, seed):
+    """One ``audit.csv`` row per config of the tail-bound suite."""
     block = cfg.audit_settings
     suite = random_tail_suite(int(block["configs"]), seed)
     audit_reps = int(block["reps"])
@@ -334,23 +345,7 @@ def _audit_stage(cfg, seed):
     def run(indexed):
         i, tail_cfg = indexed
         audit = audit_tail_bounds(tail_cfg, audit_reps, seed, rep=i)
-        return [
-            i,
-            tail_cfg.m,
-            tail_cfg.c,
-            tail_cfg.var_bound,
-            tail_cfg.max_bound,
-            tail_cfg.shift_bound,
-            audit.prob_bound,
-            audit.lower_emp,
-            audit.lower_se,
-            audit.upper_emp,
-            audit.upper_se,
-            audit.overshoot_bound,
-            audit.overshoot_emp,
-            audit.overshoot_se,
-            audit.passed,
-        ]
+        return [i, *(getattr(audit if hasattr(audit, name) else tail_cfg, name) for name in _AUDIT_COLUMNS[1:])]
 
     return _parallel_map(run, list(enumerate(suite)))
 
@@ -403,6 +398,7 @@ def run_experiment(
         raise ValueError(f"unknown subset {subset!r}")
     seed = cfg.seed if seed is None else int(seed)
     reps = cfg.mc_reps if reps is None else int(reps)
+    _max_workers()  # every subset starts threads: an invalid IGSSM_THREADS fails here
     theta, prior, op, report, mise_plan, conc_plan, header = _prepare(cfg, subset)
     payload = {**header, "seed": seed}
     fits: dict = {}
@@ -439,15 +435,7 @@ def run_experiment(
 
         if subset == "audit" or (subset == "all" and cfg.audit_block is not None):
             audit_rows = _audit_stage(cfg, seed)
-            writer.csv(
-                "audit.csv",
-                [
-                    "index", "m", "c", "var_bound", "max_bound", "shift_bound",
-                    "prob_bound", "lower_emp", "lower_se", "upper_emp", "upper_se",
-                    "overshoot_bound", "overshoot_emp", "overshoot_se", "passed",
-                ],
-                audit_rows,
-            )
+            writer.csv("audit.csv", _AUDIT_COLUMNS, audit_rows)
             n_passed = sum(1 for r in audit_rows if r[-1])
             messages.append(f"audit.csv: {n_passed}/{len(audit_rows)} configs within bounds")
             payload["audit"] = {"configs": len(audit_rows), "passed": n_passed}

@@ -161,7 +161,7 @@ from .posterior import (
     posterior_variances,
 )
 from .rng import AUDIT_DRAW, HIERARCHY_DRAW, OBSERVATION, SIEVE_DRAW, SUITE_GEN, stream, streams
-from .selection import max_dimension, risk_decomposition
+from .selection import _bias_past, max_dimension, risk_decomposition
 from .sequences import (
     _PAIRWISE_LEAF,
     OperatorSequence,
@@ -195,10 +195,10 @@ _MIN_AUDIT_REPS = 10_000
 # min(IGSSM_THREADS, its chunks of replications) of them.  Larger values are
 # a config error.
 MAX_THREADS = 64
-_BATCH_ELEMENTS = 1 << 23  # cap on draws * dimension per simulation batch
 # Elements per array of a chunk of replications: a chunk holds
 # max(1, _ROW_ELEMENTS // cut) replications as rows, so its two arrays
-# (512 KiB each) stay in L2 together.
+# (512 KiB each) stay in L2 together.  The tail audit draws in row batches
+# of the same budget.
 _ROW_ELEMENTS = 1 << 16
 
 
@@ -348,32 +348,34 @@ def audit_tail_bounds(config: TailBoundConfig, reps: int, seed: int, rep: int = 
     unit: ``dev <= -spread`` and ``dev >= 1.5 * spread`` against the shared
     probability bound, and the mean of ``(dev - 1.5 * spread)_+`` against
     the overshoot bound (skipped below ``c = 1``).
+
+    The ``(reps, m)`` normals come from the one stream in row-major order,
+    in batches of ``max(1, _ROW_ELEMENTS // m)`` rows through one buffer;
+    each draw leaves its ``dev`` in one vector of length ``reps``, from
+    which the counts and the overshoot's pairwise sums are taken once.
     """
     if reps < _MIN_AUDIT_REPS:
         raise ValueError(f"audit needs at least {_MIN_AUDIT_REPS} draws, got {reps}")
     rng = stream(seed, AUDIT_DRAW, rep)
     m = config.m
     spread = config.spread
-    mean = config.mean
-    n_lower = 0
-    n_upper = 0
-    over_sum = 0.0
-    over_sumsq = 0.0
-    done = 0
-    batch = max(1, _BATCH_ELEMENTS // m)
-    while done < reps:
-        k = min(batch, reps - done)
-        z = rng.standard_normal((k, m))  # the batch's one (k x m) array
+    rows = max(1, _ROW_ELEMENTS // m)
+    buffer = np.empty((min(rows, reps), m))  # every row batch of draws, in turn
+    dev = np.empty(reps)  # S - E[S] of every draw
+    for r0 in range(0, reps, rows):
+        z = buffer[: min(rows, reps - r0)]
+        rng.standard_normal(out=z)
         np.multiply(config.scales, z, out=z)
         np.add(config.shifts, z, out=z)
-        dev = np.sum(np.square(z, out=z), axis=1)
-        dev -= mean
-        n_lower += int(np.sum(dev <= -spread))
-        n_upper += int(np.sum(dev >= 1.5 * spread))
-        over = np.maximum(dev - 1.5 * spread, 0.0)
-        over_sum += float(np.sum(over))
-        over_sumsq += float(np.sum(over**2))
-        done += k
+        np.sum(np.square(z, out=z), axis=1, out=dev[r0 : r0 + len(z)])
+    del buffer, z  # before the statistics' temporaries
+    dev -= config.mean
+    n_lower = int(np.count_nonzero(dev <= -spread))
+    n_upper = int(np.count_nonzero(dev >= 1.5 * spread))
+    dev -= 1.5 * spread
+    over = np.maximum(dev, 0.0, out=dev)  # the overshoot (dev - 1.5 spread)_+
+    over_sum = float(np.sum(over))
+    over_sumsq = float(np.sum(np.square(over)))
     lower_emp = n_lower / reps
     upper_emp = n_upper / reps
     lower_se = math.sqrt(lower_emp * (1.0 - lower_emp) / reps)
@@ -484,7 +486,7 @@ def _task(theta, prior, op, eps, m=None, c_lambda=None) -> _Task:
     if (m is None) == (c_lambda is None):
         raise ValueError("give either the sieve dimension m or the operator constant c_lambda")
     cut = max_dimension(op, eps) if m is None else int(m)
-    remainder = _remainder(theta, prior, cut)
+    remainder = _bias_past(theta, prior, cut)
     th, pr, o = theta.head(cut), prior.head(cut), op.head(cut)
     post_var = _constant_variance(pr, o, eps)
     if post_var is None:
@@ -497,11 +499,6 @@ def _task(theta, prior, op, eps, m=None, c_lambda=None) -> _Task:
     return _Task(th.values, pr.means, remainder, signal, math.sqrt(eps), post_var, mean_map, terms, cut)
 
 
-def _remainder(theta, prior, m: int) -> float:
-    """The prior mean's squared error past coordinate ``m``, tail included."""
-    return _sq_err_sum(theta.values, prior.means, m, theta.n - m) + theta.sq_tail()
-
-
 def _rows(task: _Task) -> int:
     """Replications per chunk of ``task``, whose arrays so hold at most
     ``_ROW_ELEMENTS`` each, or one replication."""
@@ -510,12 +507,13 @@ def _rows(task: _Task) -> int:
 
 def _block(task: _Task, seed: int, start: int, stop: int):
     """Split replications ``start .. stop - 1`` into chunks of ``_rows(task)``
-    (the last may be shorter) and yield ``(r0, post_mean, work, end)`` for
+    (the last may be shorter) and yield ``(post_mean, work, end)`` for
     each, in order.  Row ``i`` of ``post_mean`` holds the finite posterior
-    means of the observation drawn from replication ``r0 + i``'s own
-    stream.  On a sieve task ``end`` is the cut; on the dimension posterior
-    it is the rows' largest mass end, and row ``i`` of ``work`` holds the
-    masses before it (past it, whatever the posterior step left there).
+    means of the observation drawn from the own stream of the chunk's
+    ``i``-th replication.  On a sieve task ``end`` is the cut; on the
+    dimension posterior it is the rows' largest mass end, and row ``i`` of
+    ``work`` holds the masses before it (past it, whatever the posterior
+    step left there).
     ``post_mean`` and ``work``, rows of the cut length, are the block's two
     arrays, allocated once; the statistic ``_replications`` runs on them may
     overwrite both before it takes the next chunk.  The block opens one
@@ -536,7 +534,7 @@ def _block(task: _Task, seed: int, start: int, stop: int):
             end = cut
         else:
             end = _masses(task.terms, chunk, chunk_work, chunk_work, _CHUNK)
-        yield r0, chunk, chunk_work, end
+        yield chunk, chunk_work, end
 
 
 def _replications(task: _Task, reps: int, seed: int, statistic) -> np.ndarray:
@@ -545,7 +543,7 @@ def _replications(task: _Task, reps: int, seed: int, statistic) -> np.ndarray:
     fit in fewer chunks than there are workers takes one block per chunk.
     ``statistic(start, stop, chunks)`` runs once per block, on the chunks
     ``_block`` yields for it, and yields one float64 ``(rows, k)`` array per
-    chunk, row ``i`` the ``k`` values of the chunk's replication ``r0 + i``.
+    chunk, row ``i`` the ``k`` values of the chunk's ``i``-th replication.
     The arrays are concatenated once, in replication order."""
     blocks = max(1, min(_max_workers(), -(-reps // _rows(task))))
     spans = [(reps * k // blocks, reps * (k + 1) // blocks) for k in range(blocks)]
@@ -747,13 +745,14 @@ def _pass(
     per dimension ``d`` of ``loss`` (None: the cut; only the cut on the
     dimension posterior), the estimate's integrated squared error
     (:func:`mc_mise`): its first ``d`` squared errors plus the prior mean's
-    past ``d`` (``_remainder``), last, as it overwrites the posterior means
-    and the masses.  Every row that reads the task's posterior shares its
-    replications: each is observed, weighed and sampled once, its ``draws``
-    distances counted in every interval before the next replication draws.
-    Each block opens one range of draw streams and keeps the draw buffers
-    its chunks reuse; a pass without intervals samples nothing.  Every
-    argument is checked before any replication runs."""
+    past ``d`` (``selection._bias_past``), last, as it overwrites the
+    posterior means and the masses.  Every row that reads the task's
+    posterior shares its replications: each is observed, weighed and
+    sampled once, its ``draws`` distances counted in every interval before
+    the next replication draws.  Each block opens one range of draw streams
+    and keeps the draw buffers its chunks reuse; a pass without intervals
+    samples nothing.  Every argument is checked before any replication
+    runs."""
     if intervals and draws < 1:
         raise ValueError("need at least one draw")
     task = _task(theta, prior, op, eps, m, c_lambda)
@@ -764,7 +763,7 @@ def _pass(
     dims = [cut if d is None else int(d) for d in loss]
     if not all((1 if task.terms is None else cut) <= d <= cut for d in dims):  # the adaptive estimate spans the cut
         raise ValueError(f"loss dimensions {dims} outside 1..{cut}, or short of the cut on the dimension posterior")
-    rests = [task.remainder if d == cut else _remainder(theta, prior, d) for d in dims]
+    rests = [task.remainder if d == cut else _bias_past(theta, prior, d) for d in dims]
     post_sd = np.sqrt(task.post_var)
     domain = SIEVE_DRAW if task.terms is None else HIERARCHY_DRAW
     past = {}  # the distances' deterministic sum per width, shared by all chunks
@@ -773,7 +772,7 @@ def _pass(
     def columns(start, stop, chunks):
         rngs = streams(seed, domain, start, stop) if intervals else None  # the block's one draw range
         buffers = {}  # the block's draw buffers, reused by its chunks
-        for _, post_mean, probs, end in chunks:
+        for post_mean, probs, end in chunks:
             if intervals or brackets:
                 probs[:, end:] = 0.0  # the masses past the mass end
             out = np.empty((len(post_mean), len(intervals) + len(brackets) + len(dims)))

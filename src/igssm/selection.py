@@ -250,6 +250,13 @@ def bias_profile(theta: ParameterSequence, prior: PriorSpec) -> np.ndarray:
     return _freeze(_bias(theta, prior).head(theta.n))
 
 
+def _bias_past(theta: ParameterSequence, prior: PriorSpec, m: int) -> float:
+    """The prior mean's squared error past coordinate ``m``, the analytic
+    tail of the signal family beyond N included: the squared bias of the
+    ``m``-dimensional sieve."""
+    return _sq_err_sum(theta.values, prior.means, m, theta.n - m) + theta.sq_tail()
+
+
 def risk_decomposition(
     theta: ParameterSequence,
     prior: PriorSpec,
@@ -263,7 +270,7 @@ def risk_decomposition(
         raise ValueError("signal, prior and operator lengths must match")
     if not 1 <= m <= n:
         raise ValueError(f"dimension m={m} outside 1..{n}")
-    bias = _sq_err_sum(theta.values, prior.means, m, n - m) + theta.sq_tail()
+    bias = _bias_past(theta, prior, m)
     variance_proxy = eps * _prefix(op, m).ends[-1]
     if not np.isfinite(variance_proxy):
         raise OverflowError(f"variance proxy overflows at m={m}")
@@ -648,7 +655,7 @@ def shift_sq_norm(theta: ParameterSequence, prior: PriorSpec) -> float:
     """``sum_j (theta_j - mu_j)^2`` including the analytic tail beyond N."""
     if theta.n != prior.n:
         raise ValueError("signal and prior lengths must match")
-    return _sq_err_sum(theta.values, prior.means, 0, theta.n) + theta.sq_tail()
+    return _bias_past(theta, prior, 0)
 
 
 def composite_constants(

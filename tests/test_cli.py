@@ -642,17 +642,18 @@ def test_a_directory_at_an_artifact_path_exits_2(tmp_path, capsys, command, bloc
     assert sorted(p.relative_to(out) for p in out.rglob("*")) == [Path(blocked), Path(blocked, "keep")]
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
 @pytest.mark.parametrize("command", ["audit", "sweep", "run"])
-def test_thread_count_error_has_the_config_error_prefix(tmp_path, capsys, monkeypatch, command):
-    """The experiment commands report a config error found mid-run as every
-    other command does, and leave no artifact."""
-    monkeypatch.setenv("IGSSM_THREADS", "abc")
+def test_thread_count_error_has_the_config_error_prefix(tmp_path, capsys, monkeypatch, command, value):
+    """The experiment commands report an invalid thread count as every
+    other config error, before the output directory is made."""
+    monkeypatch.setenv("IGSSM_THREADS", value)
     out = tmp_path / "out"
     assert run_cli(command, "--config", "pp_small", "--out", out) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: IGSSM_THREADS must be a positive integer")
     assert captured.out == ""
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_audit_reps_flag_equals_config_reps(tmp_path):

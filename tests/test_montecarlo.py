@@ -109,19 +109,69 @@ def test_audit_is_deterministic():
     )
 
 
-def test_audit_batch_is_the_only_batch_sized_array():
-    """The audit transforms its (draws x m) normal batch in place: no
-    second array of the batch's size is allocated while it runs."""
+def test_audit_peak_does_not_grow_with_the_draws():
+    """The audit's draws pass through one buffer of ``_ROW_ELEMENTS``
+    doubles: at 50,000 draws of dimension 20, whose normals alone are
+    8 MB, it peaks below 2 MiB, the buffer and a few vectors of one value
+    per draw."""
     cfg = TailBoundConfig.from_sequences(np.ones(20), np.full(20, 0.7), c=2.0)
-    reps = 50_000  # one batch of 1e6 doubles, 8 MB
-    batch_bytes = reps * cfg.m * 8
     tracemalloc.start()
     try:
-        audit_tail_bounds(cfg, reps, seed=4)
+        audit_tail_bounds(cfg, 50_000, seed=4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert batch_bytes < peak < 2 * batch_bytes
+    assert peak < 2 * 2**20
+
+
+def _one_batch_audit(config, reps, seed, rep):
+    """The audit with every draw in one ``(reps, m)`` batch: the formula it
+    had before it drew in row batches, kept as its reference."""
+    z = montecarlo.stream(seed, montecarlo.AUDIT_DRAW, rep).standard_normal((reps, config.m))
+    dev = np.sum((config.shifts + config.scales * z) ** 2, axis=1) - config.mean
+    spread = config.spread
+    lower_emp = int(np.sum(dev <= -spread)) / reps
+    upper_emp = int(np.sum(dev >= 1.5 * spread)) / reps
+    over = np.maximum(dev - 1.5 * spread, 0.0)
+    over_emp = float(np.sum(over)) / reps
+    over_se = math.sqrt(max(float(np.sum(over**2)) / reps - over_emp**2, 0.0) / reps)
+    lower_se = math.sqrt(lower_emp * (1.0 - lower_emp) / reps)
+    upper_se = math.sqrt(upper_emp * (1.0 - upper_emp) / reps)
+    bound, over_bound = config.prob_bound, config.overshoot_bound
+    passed = lower_emp <= bound + 3.0 * lower_se and upper_emp <= bound + 3.0 * upper_se
+    if over_bound is not None:
+        passed = passed and over_emp <= over_bound + 3.0 * over_se
+    return montecarlo.TailBoundAudit(
+        config, reps, seed, lower_emp, lower_se, upper_emp, upper_se, bound, over_emp, over_se, over_bound, passed
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.integers(1, 30),
+    reps=st.integers(10_000, 30_000),
+    shifted=st.booleans(),
+    c=st.floats(0.25, 3.0),
+    seed=st.integers(0, 1000),
+    rep=st.integers(0, 100),
+    budget=st.sampled_from([7, 64, montecarlo._ROW_ELEMENTS]),
+)
+@example(m=30, reps=10_001, shifted=True, c=1.0, seed=1, rep=0, budget=7)
+@example(m=9, reps=29_999, shifted=False, c=2.0, seed=2, rep=5, budget=64)
+def test_audit_in_row_batches_equals_the_one_batch_audit(m, reps, shifted, c, seed, rep, budget):
+    """Every field of the audit, drawn in row batches of
+    ``max(1, _ROW_ELEMENTS // m)`` rows, is the one-batch audit's, bit for
+    bit: with and without shifts, on budgets that leave a shorter last
+    batch and a row wider than the budget (one row a batch)."""
+    rng = np.random.default_rng([seed, rep, m])
+    scales = rng.uniform(0.2, 2.0, m)
+    shifts = rng.normal(0.0, 1.0, m) if shifted else np.zeros(m)
+    config = TailBoundConfig.from_sequences(shifts, scales, c)
+    want = _one_batch_audit(config, reps, seed, rep)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_ROW_ELEMENTS", budget)
+        got = audit_tail_bounds(config, reps, seed, rep)
+    assert got == want
 
 
 def test_a_task_holds_no_cut_length_array_it_does_not_read_whole():
@@ -740,7 +790,7 @@ def _reference_concentration(theta, prior, op, eps, reps, seed, bands, brackets,
     past = {}
 
     def masses(start, stop, chunks):
-        for r0, post_mean, probs, end in chunks:
+        for r0, (post_mean, probs, end) in zip(range(start, stop, montecarlo._rows(task)), chunks):
             probs[:, end:] = 0.0
             out = np.empty((len(post_mean), len(edges) + len(brackets)))
             distances = _reference_distances(task, post_sd, draws, seed, r0, post_mean, probs, end, past)
@@ -802,7 +852,7 @@ def test_chunk_scoring_equals_the_per_row_loop(problem, hierarchical, m_share, d
 
     def compare(start, stop, chunks):
         rngs, buffers = montecarlo.streams(seed, domain, start, stop), {}
-        for r0, post_mean, probs, end in chunks:
+        for r0, (post_mean, probs, end) in zip(range(start, stop, montecarlo._rows(task)), chunks):
             probs[:, end:] = 0.0
             want = list(_reference_distances(task, post_sd, draws, seed, r0, post_mean, probs, end, {}))
             got = [[] for _ in want]
@@ -992,9 +1042,9 @@ def test_batched_equals_serial(problem, seed, c_lambda):
     def block_spy(task, seed, start, stop):
         step = montecarlo._rows(task)
         for r0, chunk in itertools.zip_longest(range(start, stop, step), block(task, seed, start, stop)):
-            got_r0, post_mean, work, end = chunk
+            post_mean, work, end = chunk
             shape = (min(step, stop - r0), task.theta.size)
-            assert got_r0 == r0 and 1 <= end <= task.theta.size
+            assert 1 <= end <= task.theta.size
             assert post_mean.shape == work.shape == shape and post_mean.dtype == work.dtype == np.float64
             yield chunk
 
