@@ -12,10 +12,10 @@ exception is removed.  One Monte Carlo stage (``_mc_stage``) runs every
 risk and concentration row: one pass (``montecarlo._pass``) per posterior
 the rows read (at each noise level, the search range for the adaptive,
 hierarchical and bracket rows, and each sieve dimension), in which each
-row reads one column, the loss, an interval or a bracket.  The passes run
-one after another, each splitting its own replications across the worker
-threads, and the rows are written in config order; the audit configs run
-in parallel and are gathered in submission order.
+row reads one ``(kind, region)`` column, the loss, an interval or a
+bracket.  The passes run one after another, each on its own replications
+split across the worker threads, and the rows are written in config
+order; the audit configs run in parallel, gathered in submission order.
 """
 
 from __future__ import annotations
@@ -149,8 +149,7 @@ class _Writer:
 
 # One Monte Carlo row: its CSV cells before the estimate, the cut its task
 # runs at (the sieve dimension m, or the search range under c_lambda) and the
-# column it reads of that task's pass: ("loss", None), ("interval", (lo, hi))
-# with a band's closed interval of squared distances, or ("bracket", (m_lo, m_hi)).
+# (kind, region) column it reads of that task's pass (see montecarlo._pass).
 _Row = namedtuple("_Row", "cells m c_lambda column")
 
 
@@ -258,7 +257,7 @@ def _concentration_plan(cfg, theta, prior, op, wclass, profiles, report, c_lambd
                 raise InfeasibleError(f"band constant {constant} of {name} is below 1 at eps={eps}")
             m, lam = (sel.dimension, None) if kind.estimate == "sieve" else (None, c_lambda)
             cells = (eps, name, m_max if m is None else m, constant, sel.rate, None, None)
-            rows.append(_Row(cells, m, lam, ("interval", _band(constant, sel.rate, kind.two_sided))))
+            rows.append(_Row(cells, m, lam, _band(constant, sel.rate, kind.two_sided)))
     return rows
 
 
@@ -277,18 +276,15 @@ def _mc_stage(theta, prior, op, plan, seed, reps, draws) -> list:
     """The estimate of every row of ``plan``, risk and concentration rows
     alike, in order: one pass (``montecarlo._pass``) per posterior the rows
     read, keyed by ``(eps, m, c_lambda)``, in the order of its first row,
-    with one column for each distinct column its rows read."""
-    passes = {}  # (eps, m, c_lambda): per kind of column, in the pass's order, the regions its rows read
+    on the distinct ``row.column``s of its rows in the order of their first."""
+    passes = {}  # (eps, m, c_lambda): the distinct columns its rows read, in order, as dict keys
     for row in plan:
-        kind, region = row.column
-        columns = passes.setdefault((row.cells[0], row.m, row.c_lambda), {"interval": {}, "bracket": {}, "loss": {}})
-        columns[kind][region] = None
+        passes.setdefault((row.cells[0], row.m, row.c_lambda), {})[row.column] = None
     found = {}
     for (eps, m, c_lambda), columns in passes.items():
-        intervals, brackets, loss = map(list, columns.values())
-        estimates = _pass(theta, prior, op, eps, reps, seed, intervals, brackets, draws, m, c_lambda, loss)
-        found.update(zip([(eps, m, c_lambda, kind, region) for kind in columns for region in columns[kind]], estimates))
-    return [found[(row.cells[0], row.m, row.c_lambda, *row.column)] for row in plan]
+        estimates = _pass(theta, prior, op, eps, reps, seed, list(columns), draws, m, c_lambda)
+        found.update(((eps, m, c_lambda, column), est) for column, est in zip(columns, estimates))
+    return [found[(row.cells[0], row.m, row.c_lambda, row.column)] for row in plan]
 
 
 def _rate_fits(cfg, rows) -> dict:

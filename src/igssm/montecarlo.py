@@ -4,20 +4,21 @@ concentration, and rate regression.
 Every routine draws through the package's counter-based streams with one
 stream per replication, so results are reproducible and independent of
 evaluation order.  Every statistic of a posterior is a column of one pass
-on it (``_pass``): every band, deviation event and bracket, and the loss
-of the estimate (on a sieve, at any dimensions up to its cut), so a
-replication is observed, weighed and sampled once for all of them.
-``mc_mise``, ``mc_concentration`` and ``mc_bracket_mass`` are its
-one-column calls, ``mc_sieve_deviation`` its two-column one and
-``mc_mise_profile`` its loss columns at several dimensions.  No task
-selects a dimension: a sieve task takes the dimension ``m`` its caller
-chose, a task on the dimension posterior takes the operator constant
-``c_lambda`` and runs over the search range.  Which of the two a task is
-gets decided once, when it is built, together with everything that does
-not depend on the data: the signal ``lambda_j theta_j``, the posterior
-variances, the affine map from data to posterior means and, on the
-dimension posterior, the terms of its log-weights.  The kernel cuts the
-problem at the task's dimension and simulates only that head.
+on it (``_pass``), a ``(kind, region)`` tuple: every band and deviation
+event an interval, every bracket, and the loss of the estimate (on a
+sieve, at any dimensions up to its cut).  A pass gives one estimate per
+column, in the order given, on replications it observes, weighs and
+samples once.  ``mc_mise``, ``mc_concentration`` and ``mc_bracket_mass``
+are its one-column calls, ``mc_sieve_deviation`` its two-column one and
+``mc_mise_profile`` its loss columns.  No task selects a dimension: a
+sieve task takes the dimension ``m`` its caller chose, a task on the
+dimension posterior takes the operator constant ``c_lambda`` and runs over
+the search range.  Which of the two a task is gets decided once, when it
+is built, together with everything that does not depend on the data: the
+signal ``lambda_j theta_j``, the posterior variances, the affine map from
+data to posterior means and, on the dimension posterior, the terms of its
+log-weights.  The kernel cuts the problem at the task's dimension and
+simulates only that head.
 
 A task holds only what its replications read whole.  Past its cut it
 keeps one number, the squared bias carried there.  Up to the cut it holds
@@ -77,8 +78,8 @@ pass over the tail.  This rests on how numpy sums a contiguous row, which
 ``tests/test_hierarchy.py::test_pairwise_sum_equals_numpy_sum`` and
 ``test_sq_err_sum_equals_numpy_sum`` pin.  The bracket and interval
 columns read whole rows of masses, so a pass that has them first sets the
-masses past the mass end to zero; the loss column comes last, as it
-overwrites the posterior means and the masses.
+masses past the mass end to zero; the loss columns come last, as they
+overwrite the posterior means and the masses.
 
 A replication skips what cannot change its result.  Each task decides
 once, from its inputs, to skip the divide when every posterior-mean scale
@@ -100,14 +101,11 @@ one range of observation streams, whose keys ``rng.streams`` derives as
 arrays, and on a pass that samples the posterior one range of draw
 streams; each chunk takes its rows' generators from them.
 
-Squared distances between a draw and the truth are always split into the
-simulated range plus the deterministic remainder (stored coordinates
-beyond the fit plus the analytic family tail), so a truncated simulation
-never silently drops bias mass.
 Each draw is scored on exactly its replication's width: sieve draws span
 the cut, hierarchical draws their row's first ``max(dims)`` columns, and
-the prior-mean coordinates past those enter as one deterministic sum,
-memoised per width.  The hierarchical sampler forms the CDF of the masses
+the prior-mean coordinates past those, with the bias past the cut, enter
+as one deterministic sum, memoised per width, so a truncated simulation
+drops no bias mass.  The hierarchical sampler forms the CDF of the masses
 only up to the mass end.  A chunk's draws are sampled and scored in pieces
 of at most ``_ROW_ELEMENTS`` draw coordinates, or of one draw where a
 draw is wider (``_draw_distances``), and each interval counts its draws
@@ -668,7 +666,7 @@ def mc_mise(
     coordinates the estimator touches are simulated; everything beyond
     contributes its exact squared bias.
     """
-    return _pass(theta, prior, op, eps, reps, seed, m=m, c_lambda=c_lambda, loss=[None])[0]
+    return _pass(theta, prior, op, eps, reps, seed, [("loss", None)], m=m, c_lambda=c_lambda)[0]
 
 
 def mc_mise_profile(
@@ -687,7 +685,7 @@ def mc_mise_profile(
     ``mc_mise`` at its dimension, standard error included.  A loss at ``m``
     sums ``m`` squared errors a replication, so name the dimensions to
     score, not a long search range.  Returns ``(mise, se)`` arrays."""
-    estimates = _pass(theta, prior, op, eps, reps, seed, m=max(dims), loss=dims)
+    estimates = _pass(theta, prior, op, eps, reps, seed, [("loss", d) for d in dims], m=max(dims))
     return np.array([e.value for e in estimates]), np.array([e.se for e in estimates])
 
 
@@ -720,47 +718,52 @@ def mc_concentration(
     ``{|draw - truth|^2 <= rate * K}`` alone — the form the theory takes
     when the data-driven posterior may concentrate strictly faster than
     the reference rate, so no uniform lower edge exists."""
-    band = _band(band_constant, rate, two_sided)
-    return _pass(theta, prior, op, eps, reps, seed, [band], draws=draws, m=m, c_lambda=c_lambda)[0]
+    return _pass(theta, prior, op, eps, reps, seed, [_band(band_constant, rate, two_sided)], draws, m, c_lambda)[0]
 
 
-def _band(band_constant: float, rate: float, two_sided: bool) -> tuple[float, float]:
-    """The band of :func:`mc_concentration` as the closed interval ``(lo,
-    hi)`` of squared distances that ``_pass`` takes."""
+def _band(band_constant: float, rate: float, two_sided: bool) -> tuple:
+    """The band of :func:`mc_concentration` as the interval column of
+    ``_pass``: the closed interval ``(lo, hi)`` of squared distances."""
     if not band_constant >= 1.0:
         raise ValueError("band constant must be >= 1")
     if not (math.isfinite(rate) and rate > 0.0):
         raise ValueError("rate must be finite and positive")
-    return (rate / band_constant if two_sided else 0.0, rate * band_constant)
+    return ("interval", (rate / band_constant if two_sided else 0.0, rate * band_constant))
 
 
-def _pass(
-    theta, prior, op, eps, reps, seed, intervals=(), brackets=(), draws=0, m=None, c_lambda=None, loss=()
-) -> list[MCEstimate]:
-    """The one pass on the task of ``m`` or ``c_lambda`` (see ``_task``),
-    its columns in this order: per closed interval ``(lo, hi)`` of the
-    squared distance to the truth, the expected share of posterior draws in
-    it (see ``_band`` and ``_strict_events``); per bracket ``(m_lo, m_hi)``,
-    the expected dimension-posterior mass outside (:func:`mc_bracket_mass`);
-    per dimension ``d`` of ``loss`` (None: the cut; only the cut on the
-    dimension posterior), the estimate's integrated squared error
-    (:func:`mc_mise`): its first ``d`` squared errors plus the prior mean's
-    past ``d`` (``selection._bias_past``), last, as it overwrites the
-    posterior means and the masses.  Every row that reads the task's
-    posterior shares its replications: each is observed, weighed and
-    sampled once, its ``draws`` distances counted in every interval before
-    the next replication draws.  Each block opens one range of draw streams
-    and keeps the draw buffers its chunks reuse; a pass without intervals
-    samples nothing.  Every argument is checked before any replication
-    runs."""
+def _pass(theta, prior, op, eps, reps, seed, columns, draws=0, m=None, c_lambda=None) -> list[MCEstimate]:
+    """The one pass on the task of ``m`` or ``c_lambda`` (see ``_task``):
+    one estimate per column of ``columns``, in the order given.  An
+    ``("interval", (lo, hi))`` column is the expected share of posterior
+    draws whose squared distance to the truth lies in the closed interval
+    (see ``_band`` and ``_strict_events``); a ``("bracket", (m_lo, m_hi))``
+    column, on the dimension posterior only, the expected mass outside
+    (:func:`mc_bracket_mass`); a ``("loss", d)`` column (``d`` None: the
+    cut; only the cut on the dimension posterior) the estimate's integrated
+    squared error (:func:`mc_mise`): its first ``d`` squared errors plus
+    the prior mean's past ``d`` (``selection._bias_past``).  Each column
+    fills its own slot of a chunk's ``out``, the loss columns last, as they
+    overwrite the posterior means and the masses.  A replication is
+    observed, weighed and sampled once for every column, its ``draws``
+    distances counted in every interval before the next one draws; a pass
+    without intervals samples nothing.  Every column is checked before any
+    replication runs."""
+    slots = {"interval": [], "bracket": [], "loss": []}  # per kind, its columns' (slot of out, region)
+    for slot, (kind, region) in enumerate(columns):
+        if kind not in slots:
+            raise ValueError(f"unknown column kind {kind!r}")
+        slots[kind].append((slot, region))
+    intervals, brackets, loss = slots.values()
     if intervals and draws < 1:
         raise ValueError("need at least one draw")
     task = _task(theta, prior, op, eps, m, c_lambda)
     task = task.drawing(draws) if intervals else task
     cut = task.theta.size
-    for m_lo, m_hi in brackets:
+    if brackets and task.terms is None:
+        raise ValueError("a bracket column reads the dimension posterior: give c_lambda, not the sieve dimension m")
+    for _, (m_lo, m_hi) in brackets:
         _check_bracket(m_lo, m_hi, cut)
-    dims = [cut if d is None else int(d) for d in loss]
+    dims = [cut if d is None else int(d) for _, d in loss]
     if not all((1 if task.terms is None else cut) <= d <= cut for d in dims):  # the adaptive estimate spans the cut
         raise ValueError(f"loss dimensions {dims} outside 1..{cut}, or short of the cut on the dimension posterior")
     rests = [task.remainder if d == cut else _bias_past(theta, prior, d) for d in dims]
@@ -769,33 +772,33 @@ def _pass(
     past = {}  # the distances' deterministic sum per width, shared by all chunks
     tail_sums = {}  # the prior mean's squared errors summed per subtree, shared by all chunks
 
-    def columns(start, stop, chunks):
+    def statistic(start, stop, chunks):
         rngs = streams(seed, domain, start, stop) if intervals else None  # the block's one draw range
         buffers = {}  # the block's draw buffers, reused by its chunks
         for post_mean, probs, end in chunks:
             if intervals or brackets:
                 probs[:, end:] = 0.0  # the masses past the mass end
-            out = np.empty((len(post_mean), len(intervals) + len(brackets) + len(dims)))
+            out = np.empty((len(post_mean), len(columns)))
             if intervals:
                 counts = np.zeros((len(post_mean), len(intervals)), dtype=np.intp)
                 for rows, sq in _draw_distances(task, post_sd, draws, rngs, post_mean, probs, end, past, buffers):
-                    for k, (lo, hi) in enumerate(intervals):
+                    for k, (_, (lo, hi)) in enumerate(intervals):
                         counts[rows, k] += np.count_nonzero((sq >= lo) & (sq <= hi), axis=1)
-                np.divide(counts, draws, out=out[:, : len(intervals)])  # np.mean of the booleans, bit for bit
-            for k, (m_lo, m_hi) in enumerate(brackets, len(intervals)):
-                out[:, k] = _outside_mass(probs, m_lo, m_hi)
-            if dims:
+                out[:, [slot for slot, _ in intervals]] = counts / draws  # np.mean of the booleans, bit for bit
+            for slot, (m_lo, m_hi) in brackets:
+                out[:, slot] = _outside_mass(probs, m_lo, m_hi)
+            if loss:
                 if task.terms is not None:
                     _shrink(probs, end, post_mean, task.means, probs, post_mean)
                 head = post_mean[:, :end]
                 np.subtract(head, task.theta[:end], out=head)
                 np.square(head, out=head)
                 # the first d squared errors; on the dimension posterior, past the mass end, the prior mean's
-                for k, (d, rest) in enumerate(zip(dims, rests), len(intervals) + len(brackets)):
+                for (k, _), d, rest in zip(loss, dims, rests):
                     out[:, k] = _pairwise_sum(post_mean[:, :d], min(end, d), (task.means, task.theta), tail_sums) + rest
             yield out
 
-    return _mc_summary(_replications(task, reps, seed, columns), seed)
+    return _mc_summary(_replications(task, reps, seed, statistic), seed)
 
 
 @dataclass(frozen=True)
@@ -854,12 +857,12 @@ def mc_sieve_deviation(
 
 
 def _strict_events(hi: float, lo: float) -> list:
-    """The events ``sq > hi`` and ``sq < lo`` as closed intervals: from the
+    """The events ``sq > hi`` and ``sq < lo`` as interval columns: from the
     next double above ``hi``, up to the next below ``lo``; past an infinity
     there is none, and the bound NaN, which no comparison passes."""
     above = math.nextafter(hi, math.inf) if hi != math.inf else math.nan
     below = math.nextafter(lo, -math.inf) if lo != -math.inf else math.nan
-    return [(above, math.inf), (-math.inf, below)]
+    return [("interval", (above, math.inf)), ("interval", (-math.inf, below))]
 
 
 def mc_bracket_mass(
@@ -880,7 +883,7 @@ def mc_bracket_mass(
     posterior); only the observations are simulated.  A bracket outside
     ``1..M`` raises ``ValueError``.
     """
-    return _pass(theta, prior, op, eps, reps, seed, brackets=[bracket], c_lambda=c_lambda)[0]
+    return _pass(theta, prior, op, eps, reps, seed, [("bracket", bracket)], c_lambda=c_lambda)[0]
 
 
 # ---------------------------------------------------------------------------

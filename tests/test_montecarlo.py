@@ -306,7 +306,16 @@ def test_mise_input_validation():
     with pytest.raises(ValueError, match=r"loss dimensions \[0, 3\] outside 1..3"):
         mc_mise_profile(theta, prior, op, 0.01, 10, 1, [0, 3])
     with pytest.raises(ValueError, match="short of the cut on the dimension posterior"):
-        montecarlo._pass(theta, prior, op, 0.01, 10, 1, c_lambda=1.0, loss=[3])
+        montecarlo._pass(theta, prior, op, 0.01, 10, 1, [("loss", 3)], c_lambda=1.0)
+    # a bracket on a sieve, whose work array holds no masses, and a column of
+    # no kind the pass has, whose slot nothing would fill: both before any
+    # replication runs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_replications", lambda *args: pytest.fail("a replication ran"))
+        with pytest.raises(ValueError, match="a bracket column reads the dimension posterior"):
+            montecarlo._pass(theta, prior, op, 0.01, 5, 1, [("bracket", (1, 2))], m=3)
+        with pytest.raises(ValueError, match="unknown column kind 'histogram'"):
+            montecarlo._pass(theta, prior, op, 0.01, 5, 1, [("loss", None), ("histogram", (1, 2))], m=3)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +357,8 @@ def test_one_pass_gives_every_column_its_one_column_call(monkeypatch, threads):
     """A pass with several bands, brackets and the loss observes each
     replication once and gives every column, bit for bit, what
     ``mc_concentration``, ``mc_bracket_mass`` or ``mc_mise`` gives it alone,
-    over chunks of several rows split across threads."""
+    over chunks of several rows split across threads, in the order of its
+    columns, with the loss given last and then first."""
     theta, prior, op = _poly_problem(2000)
     eps, reps, draws, seed = 0.01, 14, 60, 5
     rate = oracle_dimension(theta, prior, op, eps).rate
@@ -362,12 +372,15 @@ def test_one_pass_gives_every_column_its_one_column_call(monkeypatch, threads):
         observed.append(len(out))
         return observe(signal, noise_scale, rngs, out)
 
-    for given, brackets in (({"c_lambda": 1.0}, [(1, 2), (2, max_dimension(op, eps))]), ({"m": 3}, [])):
+    for (given, brackets), order in itertools.product(
+        (({"c_lambda": 1.0}, [(1, 2), (2, max_dimension(op, eps))]), ({"m": 3}, [])), (1, -1)
+    ):
         observed.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(montecarlo, "_observe", spy)
-            intervals = [montecarlo._band(*band) for band in bands]
-            got = montecarlo._pass(theta, prior, op, eps, reps, seed, intervals, brackets, draws, **given, loss=[None])
+            columns = [montecarlo._band(*band) for band in bands]
+            columns += [("bracket", b) for b in brackets] + [("loss", None)]
+            got = montecarlo._pass(theta, prior, op, eps, reps, seed, columns[::order], draws, **given)
         assert sum(observed) == reps
         want = [
             mc_concentration(theta, prior, op, eps, k, r, reps, draws, seed, two_sided=two, **given)
@@ -375,8 +388,8 @@ def test_one_pass_gives_every_column_its_one_column_call(monkeypatch, threads):
         ]
         want += [mc_bracket_mass(theta, prior, op, eps, reps, seed, b, given["c_lambda"]) for b in brackets]
         want.append(mc_mise(theta, prior, op, eps, reps, seed, **given))
-        assert got == want
-        assert any(0.0 < est.value < 1.0 for est in got[: len(bands)])
+        assert got == want[::order]
+        assert any(0.0 < est.value < 1.0 for est in got[::order][: len(bands)])
 
 
 def test_sieve_deviation_requires_small_c():
@@ -708,7 +721,7 @@ def test_strict_events_count_what_the_strict_comparisons_count(sq, thresholds, t
     of the distances (``ties`` picks it, -1 none)."""
     sq = np.array(sq)
     hi, lo = (float(sq[t % sq.size]) if t >= 0 else x for x, t in zip(thresholds, ties))
-    (up_lo, up_hi), (low_lo, low_hi) = montecarlo._strict_events(hi, lo)
+    (_, (up_lo, up_hi)), (_, (low_lo, low_hi)) = montecarlo._strict_events(hi, lo)
     assert np.count_nonzero((sq >= up_lo) & (sq <= up_hi)) == np.count_nonzero(sq > hi)
     assert np.count_nonzero((sq >= low_lo) & (sq <= low_hi)) == np.count_nonzero(sq < lo)
 
@@ -863,11 +876,11 @@ def test_chunk_scoring_equals_the_per_row_loop(problem, hierarchical, m_share, d
             yield np.zeros((len(post_mean), 1))
 
     want = _reference_concentration(theta, prior, op, eps, reps, seed, bands, brackets, draws, **given)
-    intervals = [montecarlo._band(*band) for band in bands]
+    columns = [montecarlo._band(*band) for band in bands] + [("bracket", b) for b in brackets]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_ROW_ELEMENTS", _row_budget(budget, task.theta.size, reps))
         montecarlo._replications(task, reps, seed, compare)
-        got = montecarlo._pass(theta, prior, op, eps, reps, seed, intervals, brackets, draws, **given)
+        got = montecarlo._pass(theta, prior, op, eps, reps, seed, columns, draws, **given)
     assert scored == [True] * reps
     assert got == want
 
@@ -903,13 +916,13 @@ def test_a_sampling_pass_holds_no_draw_array_past_the_budget(problem, given):
     band = montecarlo._band(2.0, rate, True)
 
     def peak(draws):
-        montecarlo._pass(theta, prior, op, eps, 1, 0, [band], [], draws, **given)
+        montecarlo._pass(theta, prior, op, eps, 1, 0, [band], draws, **given)
         gc.collect()
         gc.disable()
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            montecarlo._pass(theta, prior, op, eps, 3, 1, [band], [], draws, **given)
+            montecarlo._pass(theta, prior, op, eps, 3, 1, [band], draws, **given)
             return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
